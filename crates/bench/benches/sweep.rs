@@ -12,9 +12,11 @@
 //!    size, dominated by the dispatch/drain hot path.
 //! 3. **Scheduler**: timer-wheel vs binary-heap push/pop churn at small and
 //!    large pending counts — the wheel's `O(1)` near-horizon claim.
-//! 4. **Scaling**: single Figure-9-shaped runs at N = 10k/50k/100k with
-//!    per-event wall cost and scheduler counters (smoke keeps N = 10k only
-//!    so CI stays bounded).
+//! 4. **Scaling**: single Figure-9-shaped runs at N = 10k/50k/100k, Binary
+//!    and Ring, with per-event wall cost and scheduler counters. Cost per
+//!    event is flat in N (token possession no longer re-chains the carried
+//!    window at every node), so the whole table is ~4 s and smoke runs it
+//!    too.
 //!
 //! CI greps the `{"suite":"sweep",...}` lines from this target's output into
 //! `BENCH_sweep.json`; run with `--smoke` for a cheap pass. Unlike the other
@@ -131,7 +133,6 @@ fn main() {
     // Regression-gated suite: keep a warmed 5-sample floor even in smoke
     // mode so recorded medians are comparable across commits.
     let mut r = Runner::from_args("sweep").min_samples(5);
-    let smoke = r.smoke();
 
     // Raw fan-out overhead: the pool itself must be far cheaper than one
     // simulation point.
@@ -250,18 +251,10 @@ fn main() {
     w.end_obj();
     println!("{}", w.finish());
 
-    // Large-N scaling table (Figure 9 shape). Smoke keeps the single
-    // bounded N=10k binary point that ci.sh gates on; full runs record
-    // the whole table.
-    let sizes: &[usize] = if smoke {
-        &[10_000]
-    } else {
-        &[10_000, 50_000, 100_000]
-    };
-    for &n in sizes {
+    // Large-N scaling table (Figure 9 shape); ci.sh gates on the N=10k
+    // and N=100k binary rows being present.
+    for n in [10_000, 50_000, 100_000] {
         large_n_point(Protocol::Binary, n);
-        if !smoke {
-            large_n_point(Protocol::Ring, n);
-        }
+        large_n_point(Protocol::Ring, n);
     }
 }

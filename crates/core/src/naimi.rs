@@ -283,7 +283,7 @@ impl NaimiNode {
             return;
         }
         self.last_visit = token.on_possess(ctx.id(), false);
-        self.order.apply(token.carried(), ctx.now(), &mut self.events);
+        self.order.apply_carried(&token, ctx.now(), &mut self.events);
         self.maybe_request_sync(ctx);
         // Drop queued successors whose requests were satisfied elsewhere
         // (a resend raced the original through a different path).

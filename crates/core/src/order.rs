@@ -8,6 +8,7 @@
 //! nodes' prefixes in O(1) without retaining the entries.
 
 use crate::event::{EventBuf, TokenEvent};
+use crate::token::TokenFrame;
 use crate::types::LogEntry;
 use atp_net::SimTime;
 
@@ -57,6 +58,9 @@ pub struct OrderState {
     /// Test-only seeded fault: use an off-by-one duplicate-skip bound in
     /// [`OrderState::apply`]. See [`OrderState::enable_bad_prefix_skip`].
     bad_skip: bool,
+    /// [`HistoryDigest::chain`] invocations made on this node's behalf: the
+    /// work history application costs, as a count rather than a clock.
+    chain_calls: u64,
 }
 
 impl OrderState {
@@ -70,6 +74,7 @@ impl OrderState {
             record_log,
             gap_events: 0,
             bad_skip: false,
+            chain_calls: 0,
         }
     }
 
@@ -94,6 +99,7 @@ impl OrderState {
                 chained = chained.chain(entry);
                 state.digests.push(chained);
             }
+            state.chain_calls = log.len() as u64;
             assert_eq!(chained, digest, "checkpoint digest does not match its log");
             assert_eq!(
                 log.last().map(|e| e.seq),
@@ -119,6 +125,28 @@ impl OrderState {
     #[doc(hidden)]
     pub fn enable_bad_prefix_skip(&mut self) {
         self.bad_skip = true;
+    }
+
+    /// Applies the carried window of a token this node just took.
+    ///
+    /// Same outcome as [`OrderState::apply`] on `token.carried()`. When no
+    /// per-entry output is owed (logs off, seeded fault not armed) and the
+    /// frame vouches for this node's prefix — its digest chain holds this
+    /// node's exact `(applied_seq, digest)`, see
+    /// [`TokenFrame::verified_head`] — the node adopts the window's head
+    /// without re-chaining what every node before it already chained. The
+    /// comparison is the prefix property (Definition 2) checked at every
+    /// possession: a node whose digest disagrees is never healed by the
+    /// frame, it keeps chaining from the digest it has.
+    pub(crate) fn apply_carried(&mut self, token: &TokenFrame, at: SimTime, events: &mut EventBuf) {
+        if !self.record_log && !self.bad_skip {
+            if let Some((seq, digest)) = token.verified_head(self.applied_seq, self.digest) {
+                self.applied_seq = seq;
+                self.digest = digest;
+                return;
+            }
+        }
+        self.apply(token.carried(), at, events);
     }
 
     /// Applies every entry in `entries` that directly extends the local
@@ -148,13 +176,14 @@ impl OrderState {
             entries.partition_point(|e| e.seq <= self.applied_seq)
         };
         for entry in &entries[start..] {
-            debug_assert!(entry.seq > self.applied_seq || entry.seq <= self.applied_seq + 1);
+            debug_assert!(self.bad_skip || entry.seq > self.applied_seq);
             if entry.seq > self.applied_seq + 1 {
                 self.gap_events += 1;
                 continue;
             }
             self.applied_seq = entry.seq;
             self.digest = self.digest.chain(entry);
+            self.chain_calls += 1;
             if self.record_log {
                 self.log.push(*entry);
                 self.digests.push(self.digest);
@@ -208,6 +237,11 @@ impl OrderState {
     /// Number of entries that could not be applied due to gaps.
     pub fn gap_events(&self) -> u64 {
         self.gap_events
+    }
+
+    /// Digest-chain steps this node has computed so far (see the field).
+    pub fn chain_calls(&self) -> u64 {
+        self.chain_calls
     }
 
     /// Returns `true` when `self`'s applied history is a prefix of
@@ -339,6 +373,162 @@ mod tests {
         assert_eq!(good.applied_seq(), bad.applied_seq());
         assert_ne!(good.digest(), bad.digest());
         assert!(!bad.is_prefix_of(&good));
+    }
+
+    /// One step of a token's life as the four protocols drive it.
+    #[derive(Debug, Clone)]
+    enum TokenOp {
+        /// Node takes the token (rotational arrivals at node 0 run the GC)
+        /// and applies its carried window.
+        Possess {
+            node: usize,
+            rotational: bool,
+        },
+        /// Holder appends one entry and applies it, as at release — whatever
+        /// its lag, so entries beyond `applied_seq + 1` (gaps) occur.
+        Release {
+            node: usize,
+            payload: u64,
+        },
+        KeepLast(usize),
+        Regenerate,
+        Wire,
+        Clone,
+    }
+
+    /// Every node twice: `.0` takes possessions through
+    /// [`OrderState::apply_carried`], `.1` entry by entry. They must never
+    /// be told apart — and the frame-vouched path must never chain more.
+    #[test]
+    fn memo_path_equals_entry_by_entry_path() {
+        use atp_util::check::Check;
+        use atp_util::rng::Rng;
+        const NODES: usize = 5;
+        let chains_saved = std::cell::Cell::new(0u64);
+        Check::new("memo_path_equals_entry_by_entry_path").run(
+            |g| {
+                g.vec(0..200, |g| match g.gen_range(0u32..24) {
+                    0 => TokenOp::Regenerate,
+                    1 => TokenOp::Wire,
+                    2 => TokenOp::Clone,
+                    3 | 4 => TokenOp::KeepLast(g.gen_range(0usize..6)),
+                    5..=12 => TokenOp::Release {
+                        node: g.gen_range(0..NODES),
+                        payload: g.gen_range(0u64..1000),
+                    },
+                    _ => TokenOp::Possess {
+                        node: g.gen_range(0..NODES),
+                        rotational: g.gen_bool(0.7),
+                    },
+                })
+            },
+            |ops| {
+                let mut token = TokenFrame::new(4);
+                let mut nodes = vec![(OrderState::new(false), OrderState::new(false)); NODES];
+                let mut events = EventBuf::default();
+                for op in ops {
+                    match *op {
+                        TokenOp::Possess { node, rotational } => {
+                            token.on_possess(NodeId::new(node as u32), rotational);
+                            let (fast, slow) = &mut nodes[node];
+                            fast.apply_carried(&token, SimTime::ZERO, &mut events);
+                            slow.apply(token.carried(), SimTime::ZERO, &mut events);
+                        }
+                        TokenOp::Release { node, payload } => {
+                            let entry = token.append(NodeId::new(node as u32), payload);
+                            let (fast, slow) = &mut nodes[node];
+                            fast.apply(&[entry], SimTime::ZERO, &mut events);
+                            slow.apply(&[entry], SimTime::ZERO, &mut events);
+                        }
+                        TokenOp::KeepLast(keep) => token.gc_keep_last(keep),
+                        TokenOp::Regenerate => {
+                            token = TokenFrame::regenerate(
+                                token.generation + 1,
+                                token.committed(),
+                                4,
+                                vec![],
+                            )
+                        }
+                        TokenOp::Wire => {
+                            let mut bytes = Vec::new();
+                            token.encode(&mut bytes);
+                            token = TokenFrame::decode(&mut &bytes[..]).expect("decodes");
+                        }
+                        TokenOp::Clone => token = token.clone(),
+                    }
+                    for (fast, slow) in &nodes {
+                        assert_eq!(
+                            (fast.applied_seq(), fast.digest(), fast.gap_events()),
+                            (slow.applied_seq(), slow.digest(), slow.gap_events()),
+                        );
+                        assert!(fast.chain_calls() <= slow.chain_calls());
+                    }
+                }
+                let saved = nodes.iter().map(|(f, s)| s.chain_calls() - f.chain_calls());
+                chains_saved.set(chains_saved.get() + saved.sum::<u64>());
+            },
+        );
+        assert!(chains_saved.get() > 0, "the frame never vouched for anyone");
+    }
+
+    /// A circulating frame that stays in memory: each possession costs the
+    /// node no digest-chain step at all, however long the window.
+    #[test]
+    fn vouched_possession_chains_nothing() {
+        let mut token = TokenFrame::new(4);
+        let mut holder = OrderState::new(false);
+        let mut visitor = OrderState::new(false);
+        let mut events = EventBuf::default();
+        for payload in 0..100 {
+            let e = token.append(NodeId::new(0), payload);
+            holder.apply(&[e], SimTime::ZERO, &mut events);
+        }
+        visitor.apply_carried(&token, SimTime::ZERO, &mut events);
+        assert_eq!(visitor.applied_seq(), 100);
+        assert_eq!(visitor.digest(), holder.digest());
+        assert_eq!((holder.chain_calls(), visitor.chain_calls()), (100, 0));
+        // With logs on every entry is owed a `Delivered` event: same
+        // frame, entry-by-entry path.
+        let mut logging = OrderState::new(true);
+        logging.apply_carried(&token, SimTime::ZERO, &mut events);
+        assert_eq!(logging.chain_calls(), 100);
+        assert_eq!(logging.digest(), holder.digest());
+    }
+
+    /// The memo is a detector, not a repair: a node whose digest went wrong
+    /// is refused by the frame, pays the entry-by-entry path, and stays
+    /// visibly diverged — `is_prefix_of` is the predicate the DST prefix
+    /// oracle evaluates pairwise — at every later possession.
+    #[test]
+    fn corrupted_digest_is_never_healed_by_the_memo() {
+        let mut token = TokenFrame::new(4);
+        let mut truth = OrderState::new(true);
+        let mut healthy = OrderState::new(false);
+        let mut bad = OrderState::new(false);
+        let mut events = EventBuf::default();
+        let mut lap = |token: &mut TokenFrame, states: &mut [&mut OrderState]| {
+            for payload in 0..3 {
+                token.append(NodeId::new(0), payload);
+            }
+            for s in states.iter_mut() {
+                s.apply_carried(token, SimTime::ZERO, &mut events);
+            }
+        };
+        lap(&mut token, &mut [&mut truth, &mut healthy, &mut bad]);
+        assert_eq!((healthy.chain_calls(), bad.chain_calls()), (0, 0));
+        assert!(bad.is_prefix_of(&truth));
+
+        bad.digest = HistoryDigest(bad.digest.0 ^ 1);
+        for laps in 1..=3 {
+            lap(&mut token, &mut [&mut truth, &mut healthy, &mut bad]);
+            assert_eq!(bad.applied_seq(), truth.applied_seq());
+            assert_eq!(bad.chain_calls(), 3 * laps, "refused: chains it all itself");
+            assert_eq!(healthy.chain_calls(), 0);
+            assert_eq!(healthy.digest(), truth.digest());
+            assert_ne!(bad.digest(), truth.digest());
+            assert!(!bad.is_prefix_of(&truth) && !truth.is_prefix_of(&bad));
+            assert!(!bad.is_prefix_of(&healthy) && !healthy.is_prefix_of(&bad));
+        }
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl RingNode {
             return;
         }
         self.last_visit = token.on_possess(ctx.id(), true);
-        self.order.apply(token.carried(), ctx.now(), &mut self.events);
+        self.order.apply_carried(&token, ctx.now(), &mut self.events);
         self.maybe_request_sync(ctx);
         for node in std::mem::take(&mut self.rejoining) {
             token.readmit(node);

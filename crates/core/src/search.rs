@@ -251,7 +251,7 @@ impl SearchNode {
             return;
         }
         self.last_visit = token.on_possess(ctx.id(), false);
-        self.order.apply(token.carried(), ctx.now(), &mut self.events);
+        self.order.apply_carried(&token, ctx.now(), &mut self.events);
         self.maybe_request_sync(ctx);
         // Purge traps whose requests were satisfied elsewhere; without this
         // the lingering copies left along every gimme walk accumulate

@@ -14,12 +14,67 @@
 //!   token-rotation trap cleanup;
 //! * the rotation bookkeeping (visit counter, round counter, idle rounds)
 //!   that drives visit stamps and the adaptive-speed optimization.
+//!
+//! Beside the two windows the frame keeps two **transient caches** (see
+//! [`Transient`]): the chained digests of the carried window, which let a
+//! node that has verified its own digest against the chain adopt the
+//! window's head in O(1), and a membership index over the satisfied window.
+//! Neither is part of the frame's value: they are never encoded, compared
+//! or printed, and a decoded or cloned frame starts without them.
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
 
 use atp_net::NodeId;
 
+use crate::order::HistoryDigest;
 use crate::types::{LogEntry, RequestId, VisitStamp};
+
+/// Largest satisfied window that [`TokenFrame::is_satisfied`] still scans
+/// linearly. Measured on this host (release, 2 % hit rate): a scan costs
+/// 8 / 19 / 40 / 70 / 446 ns at 16 / 32 / 64 / 128 / 1024 entries against a
+/// flat 16–21 ns hash probe, so the index wins from ~32 entries up — but a
+/// decoded frame arrives without it and rebuilding costs ~24 ns per entry
+/// (1.5 µs at 64), which a real-transport node with a handful of trap checks
+/// per possession never earns back. 64 keeps every cluster of up to 32 nodes
+/// (window 2·N) on the scan it had, and costs the simulator at most 20 ns per
+/// check below it.
+const LINEAR_SCAN_MAX: usize = 64;
+
+/// A cache that is not part of its owner's value.
+///
+/// It compares equal to anything, prints as `_`, and a clone starts from
+/// `T::default()` — so the owner keeps its derived `Debug`/`Clone`/
+/// `PartialEq`, a retransmit copy stays as cheap as the data it carries,
+/// and nothing about the cache can reach an encoded byte or a test's
+/// `Debug` comparison.
+struct Transient<T>(T);
+
+impl<T: Default> Clone for Transient<T> {
+    fn clone(&self) -> Self {
+        Transient(T::default())
+    }
+}
+
+impl<T> PartialEq for Transient<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> fmt::Debug for Transient<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("_")
+    }
+}
+
+/// Chained [`HistoryDigest`]s over the carried window: `base` is the digest
+/// of `H` *before* `carried[0]`, `after[i]` the digest after `carried[i]`.
+struct PrefixMemo {
+    base: HistoryDigest,
+    after: Vec<HistoryDigest>,
+}
 
 /// The circulating token and its bounded payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,9 +96,17 @@ pub struct TokenFrame {
     next_seq: u64,
     /// Entries appended during the current and previous round.
     carried: Vec<LogEntry>,
+    /// Digest chain over `carried`, known only to a frame that has been
+    /// extended in memory since it was minted: present from `new`, absent
+    /// after `decode`, `clone` and a regeneration that inherits history.
+    memo: Transient<Option<PrefixMemo>>,
     /// Recently satisfied requests, newest at the back.
     satisfied: VecDeque<RequestId>,
     satisfied_cap: usize,
+    /// Occurrence counts of `satisfied`, built once the window outgrows
+    /// [`LINEAR_SCAN_MAX`]. Only probed, never iterated, so the map's random
+    /// hash state cannot reach any output.
+    satisfied_index: Transient<Option<HashMap<RequestId, u32>>>,
     /// Consecutive full rounds in which nobody used the token.
     idle_rounds: u32,
     demand_this_round: bool,
@@ -66,8 +129,13 @@ impl TokenFrame {
             round: 0,
             next_seq: 1,
             carried: Vec::new(),
+            memo: Transient(Some(PrefixMemo {
+                base: HistoryDigest::EMPTY,
+                after: Vec::new(),
+            })),
             satisfied: VecDeque::new(),
             satisfied_cap: satisfied_cap.max(1),
+            satisfied_index: Transient(None),
             idle_rounds: 0,
             demand_this_round: false,
             excluded: Vec::new(),
@@ -86,6 +154,10 @@ impl TokenFrame {
         let mut t = TokenFrame::new(satisfied_cap);
         t.generation = generation;
         t.next_seq = known_seq + 1;
+        if known_seq > 0 {
+            // The inherited prefix's digest is not known here.
+            t.memo.0 = None;
+        }
         t.excluded = excluded;
         t
     }
@@ -166,24 +238,82 @@ impl TokenFrame {
             round: self.round,
         };
         self.next_seq += 1;
+        if let Some(memo) = &mut self.memo.0 {
+            debug_assert_eq!(memo.after.len(), self.carried.len());
+            let head = memo.after.last().copied().unwrap_or(memo.base);
+            memo.after.push(head.chain(&entry));
+        }
         self.carried.push(entry);
         self.demand_this_round = true;
         self.idle_rounds = 0;
         entry
     }
 
+    /// Where a node whose applied prefix is `(applied_seq, digest)` stands
+    /// after this frame's carried window, if the frame can vouch for it.
+    ///
+    /// `Some((seq, digest))` of the window's head only when the frame knows
+    /// its own digest chain, the window directly extends (or overlaps)
+    /// `applied_seq`, **and** `digest` equals the chain's value at
+    /// `applied_seq` — the prefix property checked online. A node that has
+    /// diverged, fallen behind the window or met a frame off the wire gets
+    /// `None` and applies the window entry by entry.
+    pub(crate) fn verified_head(
+        &self,
+        applied_seq: u64,
+        digest: HistoryDigest,
+    ) -> Option<(u64, HistoryDigest)> {
+        let memo = self.memo.0.as_ref()?;
+        let first = self.carried.first()?.seq;
+        let head = *memo.after.last()?;
+        debug_assert_eq!(memo.after.len(), self.carried.len());
+        debug_assert_eq!(
+            first + self.carried.len() as u64,
+            self.next_seq,
+            "a frame with a memo carries a contiguous run up to its head"
+        );
+        let covered = (applied_seq + 1).checked_sub(first)? as usize;
+        let known = match covered {
+            0 => memo.base,
+            n => *memo.after.get(n - 1)?,
+        };
+        (known == digest).then_some((self.next_seq - 1, head))
+    }
+
     /// Records that `req` has been granted (for rotation trap cleanup).
     pub fn mark_satisfied(&mut self, req: RequestId) {
-        if self.satisfied.len() == self.satisfied_cap {
-            self.satisfied.pop_front();
+        while self.satisfied.len() >= self.satisfied_cap {
+            let evicted = self.satisfied.pop_front().expect("len >= cap >= 1");
+            if let Some(index) = &mut self.satisfied_index.0 {
+                if let Entry::Occupied(mut count) = index.entry(evicted) {
+                    *count.get_mut() -= 1;
+                    if *count.get() == 0 {
+                        count.remove();
+                    }
+                }
+            }
         }
         self.satisfied.push_back(req);
+        match &mut self.satisfied_index.0 {
+            Some(index) => *index.entry(req).or_insert(0) += 1,
+            None if self.satisfied.len() > LINEAR_SCAN_MAX => {
+                let mut index = HashMap::new();
+                for r in &self.satisfied {
+                    *index.entry(*r).or_insert(0) += 1;
+                }
+                self.satisfied_index.0 = Some(index);
+            }
+            None => {}
+        }
         self.demand_this_round = true;
     }
 
     /// Whether `req` appears in the satisfied window.
     pub fn is_satisfied(&self, req: &RequestId) -> bool {
-        self.satisfied.contains(req)
+        match &self.satisfied_index.0 {
+            Some(index) => index.contains_key(req),
+            None => self.satisfied.contains(req),
+        }
     }
 
     /// Entries the token still carries (current and previous round).
@@ -218,8 +348,19 @@ impl TokenFrame {
         // a prefix: locate it by bisection and drop it in one move instead
         // of predicate-scanning the whole window every possession.
         let cut = self.carried.partition_point(|e| e.round < keep_from);
-        if cut > 0 {
-            self.carried.drain(..cut);
+        self.drop_oldest(cut);
+    }
+
+    /// Drops the `cut` oldest carried entries; the memo's base moves up to
+    /// the digest after the last one dropped.
+    fn drop_oldest(&mut self, cut: usize) {
+        if cut == 0 {
+            return;
+        }
+        self.carried.drain(..cut);
+        if let Some(memo) = &mut self.memo.0 {
+            memo.base = memo.after[cut - 1];
+            memo.after.drain(..cut);
         }
     }
 
@@ -229,9 +370,7 @@ impl TokenFrame {
     /// GC by: recipients that fell further behind than `keep` entries record
     /// gaps instead of stalling the window.
     pub fn gc_keep_last(&mut self, keep: usize) {
-        if self.carried.len() > keep {
-            self.carried.drain(..self.carried.len() - keep);
-        }
+        self.drop_oldest(self.carried.len().saturating_sub(keep));
     }
 
     /// Serializes the frame into `buf` (little-endian, length-prefixed
@@ -274,7 +413,11 @@ impl TokenFrame {
 
     /// Deserializes a frame previously written by [`TokenFrame::encode`].
     ///
-    /// Returns `None` if `buf` is truncated.
+    /// Returns `None` if `buf` is truncated or describes a frame `encode`
+    /// cannot have written: a carried run whose `seq`s are not strictly
+    /// increasing (history application bisects it), or a satisfied window
+    /// longer than its own cap (which would never evict again). The decoded
+    /// frame has neither transient cache.
     pub fn decode(buf: &mut impl atp_util::buf::Buf) -> Option<Self> {
         fn need(buf: &impl atp_util::buf::Buf, n: usize) -> Option<()> {
             (buf.remaining() >= n).then_some(())
@@ -289,18 +432,26 @@ impl TokenFrame {
         let demand_this_round = buf.get_u8() != 0;
         let satisfied_cap = buf.get_u32_le() as usize;
         let n_carried = buf.get_u32_le() as usize;
-        let mut carried = Vec::with_capacity(n_carried.min(1 << 16));
+        let mut carried: Vec<LogEntry> = Vec::with_capacity(n_carried.min(1 << 16));
         for _ in 0..n_carried {
             need(buf, 8 + 4 + 8 + 8)?;
-            carried.push(LogEntry {
+            let entry = LogEntry {
                 seq: buf.get_u64_le(),
                 origin: NodeId::new(buf.get_u32_le()),
                 payload: buf.get_u64_le(),
                 round: buf.get_u64_le(),
-            });
+            };
+            if carried.last().is_some_and(|prev| prev.seq >= entry.seq) {
+                return None;
+            }
+            carried.push(entry);
         }
         need(buf, 4)?;
         let n_satisfied = buf.get_u32_le() as usize;
+        let satisfied_cap = satisfied_cap.max(1);
+        if n_satisfied > satisfied_cap {
+            return None;
+        }
         let mut satisfied = VecDeque::with_capacity(n_satisfied.min(1 << 16));
         for _ in 0..n_satisfied {
             need(buf, 4 + 8)?;
@@ -323,8 +474,10 @@ impl TokenFrame {
             round,
             next_seq,
             carried,
+            memo: Transient(None),
             satisfied,
-            satisfied_cap: satisfied_cap.max(1),
+            satisfied_cap,
+            satisfied_index: Transient(None),
             idle_rounds,
             demand_this_round,
             excluded,
@@ -335,6 +488,122 @@ impl TokenFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atp_util::check::{Check, Gen};
+    use atp_util::rng::Rng;
+
+    fn over_the_wire(t: &TokenFrame) -> TokenFrame {
+        let mut bytes = Vec::new();
+        t.encode(&mut bytes);
+        assert_eq!(bytes.len(), t.encoded_len());
+        TokenFrame::decode(&mut &bytes[..]).expect("own encoding decodes")
+    }
+
+    fn has_memo(t: &TokenFrame) -> bool {
+        t.memo.0.is_some()
+    }
+
+    #[test]
+    fn caches_are_not_part_of_the_frames_value() {
+        let mut t = TokenFrame::new(2 * LINEAR_SCAN_MAX);
+        for i in 0..2 * LINEAR_SCAN_MAX as u64 {
+            t.append(NodeId::new(1), i);
+            t.mark_satisfied(RequestId::new(NodeId::new(1), i));
+        }
+        assert!(has_memo(&t) && t.satisfied_index.0.is_some());
+        let mut bytes = Vec::new();
+        t.encode(&mut bytes);
+        for copy in [over_the_wire(&t), t.clone()] {
+            assert!(!has_memo(&copy) && copy.satisfied_index.0.is_none());
+            assert_eq!(copy, t);
+            assert_eq!(format!("{copy:?}"), format!("{t:?}"));
+            let mut copy_bytes = Vec::new();
+            copy.encode(&mut copy_bytes);
+            assert_eq!(copy_bytes, bytes);
+            assert!(copy.is_satisfied(&RequestId::new(NodeId::new(1), 3)));
+        }
+    }
+
+    #[test]
+    fn memo_follows_the_window_and_dies_with_inherited_history() {
+        let mut t = TokenFrame::new(8);
+        let chain: Vec<HistoryDigest> = (0..6)
+            .scan(HistoryDigest::EMPTY, |d, i| {
+                *d = d.chain(&t.append(NodeId::new(0), i));
+                Some(*d)
+            })
+            .collect();
+        // A node at any position inside the window is vouched for exactly
+        // when it presents the chain's digest at that position.
+        let head = Some((6, chain[5]));
+        assert_eq!(t.verified_head(0, HistoryDigest::EMPTY), head);
+        assert_eq!(t.verified_head(4, chain[3]), head);
+        assert_eq!(t.verified_head(4, chain[2]), None);
+        t.gc_keep_last(2);
+        assert_eq!(t.verified_head(4, chain[3]), head);
+        assert_eq!(t.verified_head(5, chain[4]), head);
+        assert_eq!(t.verified_head(3, chain[2]), None, "behind: a gap");
+        assert_eq!(t.verified_head(7, chain[5]), None, "ahead of the window");
+        // Regeneration from nothing knows the empty digest; regeneration
+        // that inherits a history length does not know that history.
+        assert!(has_memo(&TokenFrame::regenerate(1, 0, 8, vec![])));
+        let mut inherited = TokenFrame::regenerate(1, t.committed(), 8, vec![]);
+        inherited.append(NodeId::new(0), 9);
+        assert!(!has_memo(&inherited));
+        assert_eq!(inherited.verified_head(6, chain[5]), None);
+    }
+
+    #[derive(Debug, Clone)]
+    enum WindowOp {
+        Mark(RequestId),
+        Ask(RequestId),
+        Wire,
+        Clone,
+    }
+
+    /// The indexed window answers exactly as `VecDeque::contains` over a
+    /// FIFO of the same capacity: duplicates are counted, eviction removes
+    /// one occurrence, and losing the index (wire, clone) changes nothing.
+    #[test]
+    fn indexed_satisfied_window_equals_deque_contains() {
+        fn arb_req(g: &mut Gen) -> RequestId {
+            // A small id space forces duplicates inside one window.
+            RequestId::new(NodeId::new(g.gen_range(0u32..4)), g.gen_range(0u64..60))
+        }
+        Check::new("indexed_satisfied_window_equals_deque_contains").run(
+            |g| {
+                let cap = *g.pick(&[1usize, 7, LINEAR_SCAN_MAX, LINEAR_SCAN_MAX + 1, 150]);
+                let ops = g.vec(0..500, |g| match g.gen_range(0u32..20) {
+                    0 => WindowOp::Wire,
+                    1 => WindowOp::Clone,
+                    2..=7 => WindowOp::Ask(arb_req(g)),
+                    _ => WindowOp::Mark(arb_req(g)),
+                });
+                (cap, ops)
+            },
+            |(cap, ops)| {
+                let mut t = TokenFrame::new(*cap);
+                let mut model: VecDeque<RequestId> = VecDeque::new();
+                for op in ops {
+                    match op {
+                        WindowOp::Mark(r) => {
+                            if model.len() == *cap {
+                                model.pop_front();
+                            }
+                            model.push_back(*r);
+                            t.mark_satisfied(*r);
+                        }
+                        WindowOp::Ask(r) => assert_eq!(t.is_satisfied(r), model.contains(r)),
+                        WindowOp::Wire => t = over_the_wire(&t),
+                        WindowOp::Clone => t = t.clone(),
+                    }
+                    assert_eq!(t.satisfied, model);
+                    for r in &model {
+                        assert!(t.is_satisfied(r));
+                    }
+                }
+            },
+        );
+    }
 
     #[test]
     fn append_assigns_contiguous_seqs() {

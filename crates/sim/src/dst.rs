@@ -1194,6 +1194,60 @@ mod tests {
         }
     }
 
+    /// The token's prefix-digest memo lets a logs-off node adopt the carried
+    /// window's head without chaining it — but only after the node's own
+    /// digest matched the chain. A node restored from a checkpoint with a
+    /// flipped digest bit is refused at every later possession, so it ends
+    /// the run at the common length with its own wrong digest and the
+    /// pairwise prefix oracle names it. Node 2 runs with logs off (eligible
+    /// for the shortcut); the others keep logs, which is what lets the
+    /// oracle compare prefixes of different lengths.
+    #[test]
+    fn prefix_oracle_still_reports_a_digest_the_memo_refused() {
+        use atp_core::{RingNode, WireProtocol};
+        let victim = NodeId::new(2);
+        let run = |corrupt: bool| {
+            let cfg_of =
+                |i: u32| ProtocolConfig::default().with_record_log(NodeId::new(i) != victim);
+            let mut world: World<RingNode> = World::from_nodes(
+                (0..4).map(|i| RingNode::new(cfg_of(i))).collect(),
+                WorldConfig::default().seed(5),
+            );
+            for k in 0..20u64 {
+                let node = NodeId::new((k % 4) as u32);
+                world.schedule_external(SimTime::from_ticks(5 + 7 * k), node, Want::new(k));
+            }
+            world.run_until(SimTime::from_ticks(60));
+            while world.node(victim).holds_token_now() {
+                world.step();
+            }
+            let before = world.node(victim).order_state().chain_calls();
+            if corrupt {
+                let mut ck = world.node(victim).checkpoint();
+                assert!(ck.applied_seq > 0, "nothing applied yet");
+                ck.digest ^= 1;
+                *world.node_mut(victim) = RingNode::restore(cfg_of(victim.raw()), &ck);
+            }
+            // Requests stop at t = 138; by t = 400 every node has seen the
+            // final window several times over.
+            world.run_until(SimTime::from_ticks(400));
+            let chained = world.node(victim).order_state().chain_calls() - before;
+            let verdict = check_state_oracles(&world, OracleScope::benign(), world.now());
+            (chained, verdict)
+        };
+        let (chained, verdict) = run(false);
+        assert!(verdict.is_ok(), "clean run: {verdict:?}");
+        let (chained_corrupt, verdict) = run(true);
+        assert!(
+            matches!(verdict, Err(Violation::PrefixDiverged { a, b, .. }) if a == victim || b == victim),
+            "corrupted node went unreported: {verdict:?}"
+        );
+        assert!(
+            chained_corrupt > chained,
+            "a refused node chains the window itself ({chained_corrupt} vs {chained} steps)"
+        );
+    }
+
     #[test]
     fn tape_file_roundtrip() {
         let tf = TapeFile {

@@ -17,7 +17,7 @@ use adaptive_token_passing::core::{
     decode_binary_msg, decode_naimi_msg, decode_ring_msg, decode_search_msg, encode_binary_msg,
     encode_naimi_msg, encode_ring_msg, encode_search_msg, known_binary_tags, known_naimi_tags,
     known_ring_tags, known_search_tags, naimi_encoded_len, ring_encoded_len, search_encoded_len,
-    BinaryMsg, CodecError, Gimme, RequestId, VisitStamp,
+    BinaryMsg, CodecError, Gimme, RequestId, RingMsg, TokenFrame, VisitStamp,
 };
 use adaptive_token_passing::net::NodeId;
 use adaptive_token_passing::util::check::{Check, Gen};
@@ -139,6 +139,62 @@ fn seeded_byte_mutations_are_rejected_not_panicked_on() {
             let _ = decode_search_msg(&bytes);
         },
     );
+}
+
+/// A ring token frame on the wire: tag byte, then the 41-byte fixed header
+/// (generation u32, transfer/visit/round/next_seq u64, idle_rounds u32,
+/// demand u8), `satisfied_cap` u32, the carried count u32, and 28-byte
+/// carried entries that each start with their `seq`.
+const RING_TOKEN_CAP_AT: usize = 1 + 41;
+const RING_TOKEN_CARRIED_AT: usize = RING_TOKEN_CAP_AT + 4 + 4;
+const CARRIED_ENTRY_LEN: usize = 28;
+
+/// A frame claiming more satisfied entries than its own cap is one `encode`
+/// cannot have written, and one that would never evict again (`mark_satisfied`
+/// pops only on reaching the cap): rejected, not honored.
+#[test]
+fn satisfied_window_longer_than_its_cap_is_rejected() {
+    let mut frame = TokenFrame::new(3);
+    for seq in 0..3 {
+        frame.mark_satisfied(RequestId::new(NodeId::new(1), seq));
+    }
+    let mut bytes = encode_ring_msg(&RingMsg::Token(Box::new(frame)));
+    assert!(decode_ring_msg(&bytes).is_ok());
+    bytes[RING_TOKEN_CAP_AT..RING_TOKEN_CAP_AT + 4].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(
+        decode_ring_msg(&bytes),
+        Err(CodecError::Truncated)
+    ));
+    // And a window at its cap keeps evicting one for one.
+    bytes[RING_TOKEN_CAP_AT..RING_TOKEN_CAP_AT + 4].copy_from_slice(&3u32.to_le_bytes());
+    let Ok(RingMsg::Token(mut back)) = decode_ring_msg(&bytes) else {
+        panic!("valid frame must decode");
+    };
+    back.mark_satisfied(RequestId::new(NodeId::new(1), 3));
+    assert!(!back.is_satisfied(&RequestId::new(NodeId::new(1), 0)));
+    assert_eq!(back.encoded_len(), bytes.len() - 1);
+}
+
+/// History application bisects the carried run by `seq`; a run that is not
+/// strictly increasing (repeated or descending) is rejected at the door.
+#[test]
+fn carried_run_out_of_seq_order_is_rejected() {
+    let mut frame = TokenFrame::new(3);
+    for payload in 0..3 {
+        frame.append(NodeId::new(1), payload);
+    }
+    let bytes = encode_ring_msg(&RingMsg::Token(Box::new(frame)));
+    assert!(decode_ring_msg(&bytes).is_ok());
+    let third_seq_at = RING_TOKEN_CARRIED_AT + 2 * CARRIED_ENTRY_LEN;
+    assert_eq!(bytes[third_seq_at..third_seq_at + 8], 3u64.to_le_bytes());
+    for bad_seq in [2u64, 1, 0] {
+        let mut bytes = bytes.clone();
+        bytes[third_seq_at..third_seq_at + 8].copy_from_slice(&bad_seq.to_le_bytes());
+        assert!(
+            matches!(decode_ring_msg(&bytes), Err(CodecError::Truncated)),
+            "seq run 1, 2, {bad_seq} was honored"
+        );
+    }
 }
 
 /// Every tag *outside* a decoder's known list is a structured rejection,

@@ -137,3 +137,44 @@ fn run_points_json_is_identical_serial_vs_parallel() {
     assert_eq!(serial.len(), points.len());
     assert_eq!(serial, parallel, "RunSummary JSON diverged across thread counts");
 }
+
+/// FNV-1a-64 of a rendered summary: small enough to pin in source, wide
+/// enough that any changed byte changes it.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Exact-output gate across commits: the in-run gates above compare a run
+/// with itself, so a change that alters every run the same way passes them.
+/// These hashes of `RunSummary::to_json()` were blessed from the commit
+/// *before* the prefix-digest memo and the indexed satisfied window went in;
+/// an optimisation of token possession must reproduce them, not re-bless
+/// them. The Binary N = 20 000 row is the `sim-scale-n20k` shape (1.6 s on
+/// that commit, 0.1 s now); the N = 50 000 rows took 9.9 s and 6.0 s there
+/// and about half a second each since possession stopped re-chaining the
+/// carried window at every node.
+#[test]
+fn summaries_match_hashes_pinned_before_the_possession_caches() {
+    let rows: [(Protocol, usize, u64, u64, u64); 7] = [
+        (Protocol::Ring, 2_000, 8_000, 1, 0xce89_ffa2_a627_204b),
+        (Protocol::Search, 64, 1_000, 1, 0x58f6_78bd_04e5_e930),
+        (Protocol::Naimi, 2_000, 8_000, 1, 0xf376_cbee_1a1f_93b8),
+        (Protocol::Binary, 64, 4_000, 7, 0x92b3_5584_df39_5cd0),
+        (Protocol::Binary, 20_000, 80_000, 1, 0xf0af_74a1_b4e7_150c),
+        (Protocol::Binary, 50_000, 200_000, 1, 0x10c4_30c1_b25e_8d85),
+        (Protocol::Ring, 50_000, 200_000, 1, 0x5685_998d_bba1_27eb),
+    ];
+    for (protocol, n, horizon, seed, want) in rows {
+        let spec = ExperimentSpec::new(protocol, n, horizon).with_seed(seed);
+        let json = run_experiment(&spec, &mut GlobalPoisson::new(10.0)).to_json();
+        let got = fnv1a64(&json);
+        assert_eq!(
+            got,
+            want,
+            "{} n={n} horizon={horizon} seed={seed}: got {got:016x}",
+            protocol.label()
+        );
+    }
+}
