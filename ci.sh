@@ -177,6 +177,31 @@ done
 rm -f "$CH1" "$CH4"
 echo "chaos recovery matrix clean and byte-identical at ATP_THREADS=1 and 4"
 
+echo "== custody anti-fork gate =="
+# Token custody (possession, Section 5, membership, acks, recovery) is
+# written once, in crates/core/src/custody.rs; the four protocol files keep
+# routing only. The glue has been copied four times before: fail if the
+# regeneration handling or the possession head shows up anywhere else.
+PLEASE=$(grep -l 'RegenMsg::Please' crates/core/src/*.rs | xargs -n1 basename | sort | tr '\n' ' ')
+if [ "$PLEASE" != "codec.rs custody.rs regen.rs " ]; then
+  echo "RegenMsg::Please handled outside custody.rs/regen.rs/codec.rs: $PLEASE" >&2
+  exit 1
+fi
+FORKED=$(cat crates/core/src/{ring,search,binary,naimi}.rs | grep -c 'apply_carried(' || true)
+if [ "$FORKED" -ne 0 ]; then
+  echo "the possession head (apply_carried) is back in a protocol file ($FORKED calls)" >&2
+  exit 1
+fi
+echo "custody glue exists once"
+
+echo "== benchmark self-test =="
+# atpbench is a package of its own (not a workspace member) that implements
+# Node, EventSource, WireProtocol, ProtocolNode, Transport and Endpoint for
+# its tracing wrappers: build it and run its < 10 s self-test here, so a
+# change to one of those trait surfaces fails CI, not the benchmark driver.
+cargo build --release --manifest-path atpbench/Cargo.toml
+cargo run --release --quiet --manifest-path atpbench/Cargo.toml -- check | tail -n 1
+
 echo "== dependency closure =="
 # Every line of `cargo tree` must be a workspace crate: atp-* or the
 # umbrella package. Anything else means a registry dependency crept in.

@@ -20,19 +20,19 @@
 //! The Section 4.4 refinements are all implemented and selectable through
 //! [`ProtocolConfig`]: delegated vs *directed* search, rotation vs *inverse*
 //! trap cleanup, single-outstanding-request throttling, adaptive token speed,
-//! and the push-pull *probe* dual; Section 5 failure handling is shared with
-//! the other protocols via [`RegenEngine`](crate::RegenEngine).
+//! and the push-pull *probe* dual. Token custody (possession, handoff,
+//! Section 5 failure handling) is the shared [core](crate::custody); this
+//! file is the rotation, rule 8 and the halving search.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use atp_net::{Context, MsgClass, Node, NodeId, SimTime};
+use atp_net::{Context, MsgClass, Node, NodeId};
 
-use crate::checkpoint::{Checkpoint, CKPT_BINARY};
+use crate::checkpoint::CKPT_BINARY;
 use crate::config::{ProtocolConfig, SearchMode, TrapCleanup};
-use crate::event::{EventBuf, EventSource, TokenEvent, Want, WantKind};
-use crate::handoff::{decode_retransmit_timer, retransmit_timer_kind, Handoff};
-use crate::order::OrderState;
-use crate::regen::{RegenEngine, RegenMsg, RegenReply, RegenVerdict};
+use crate::custody::{Custodian, Custody, Holding, Outstanding, TIMER_PASS, TIMER_SERVICE};
+use crate::event::{TokenEvent, Want};
+use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
 use crate::types::{RequestId, VisitStamp};
 
@@ -134,24 +134,11 @@ pub enum BinaryMsg {
     Regen(RegenMsg),
 }
 
-const TIMER_SERVICE: u64 = 1;
-const TIMER_PASS: u64 = 2;
-const TIMER_REGEN: u64 = 3;
-const TIMER_INQUIRY: u64 = 4;
-// Timer kind 5 (low byte) is the retransmit timer, see `crate::handoff`.
-const TIMER_ANNOUNCE: u64 = 6;
-const INQUIRY_WINDOW: u64 = 8;
-
-/// Re-announce period for generation fencing while excluded nodes remain.
-const ANNOUNCE_PERIOD: u64 = 16;
-
+/// Where a local request's search stands.
 #[derive(Debug)]
-struct Outstanding {
-    req: RequestId,
-    payload: u64,
-    made_at: SimTime,
+pub struct Search {
     stamp_at_request: VisitStamp,
-    search_started: bool,
+    started: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -161,29 +148,35 @@ struct Trap {
     trail: Vec<NodeId>,
 }
 
+/// Why a critical section is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServiceKind {
+pub enum ServiceKind {
     /// Serving a local request during a rotational possession.
     Local,
     /// Serving a request granted out-of-band; the token must go back.
-    OutOfBand { return_to: NodeId },
-}
-
-#[derive(Debug)]
-enum HoldState {
-    Idle,
-    PassArmed,
-    Serving {
-        req: RequestId,
-        payload: u64,
-        kind: ServiceKind,
+    OutOfBand {
+        /// The interceptor awaiting the token's return.
+        return_to: NodeId,
     },
 }
 
-#[derive(Debug)]
-struct Holding {
-    token: Box<TokenFrame>,
-    state: HoldState,
+/// What a node is doing with the token it holds.
+#[derive(Debug, Default)]
+pub enum HoldState {
+    /// Holding, free to serve, dispatch or pass.
+    #[default]
+    Idle,
+    /// Pass timer armed (adaptive token speed).
+    PassArmed,
+    /// Mid-service: timer will fire after the critical section.
+    Serving {
+        /// The request in its critical section.
+        req: RequestId,
+        /// Its datum.
+        payload: u64,
+        /// Whether the token must go back to an interceptor afterwards.
+        kind: ServiceKind,
+    },
 }
 
 /// One node of System BinarySearch.
@@ -192,27 +185,11 @@ struct Holding {
 /// usage example.
 #[derive(Debug)]
 pub struct BinaryNode {
-    cfg: ProtocolConfig,
-    events: EventBuf,
-    order: OrderState,
-    outstanding: VecDeque<Outstanding>,
+    c: Custody<BinaryMsg, HoldState, Search>,
     traps: VecDeque<Trap>,
-    next_req_seq: u64,
-    last_visit: VisitStamp,
-    last_pass: Option<NodeId>,
-    holding: Option<Holding>,
     /// Local requests this possession may still serve before yielding to
     /// traps (fairness: locals arriving mid-possession wait a round).
     quota: usize,
-    regen: RegenEngine,
-    handoff: Handoff<BinaryMsg>,
-    rejoining: BTreeSet<NodeId>,
-    leaving: BTreeSet<NodeId>,
-    departed: bool,
-    /// Gap count already covered by an outstanding sync request.
-    synced_gaps: u64,
-    grants: u64,
-    token_sends: u64,
     gimme_sends: u64,
     probe_sends: u64,
 }
@@ -220,97 +197,12 @@ pub struct BinaryNode {
 impl BinaryNode {
     /// Creates a node with the given configuration.
     pub fn new(cfg: ProtocolConfig) -> Self {
-        let mut order = OrderState::new(cfg.record_log);
-        if cfg.test_bad_prefix_skip {
-            order.enable_bad_prefix_skip();
-        }
-        BinaryNode {
-            order,
-            cfg,
-            events: EventBuf::default(),
-            outstanding: VecDeque::new(),
-            traps: VecDeque::new(),
-            next_req_seq: 0,
-            last_visit: VisitStamp::NEVER,
-            last_pass: None,
-            holding: None,
-            quota: 0,
-            regen: RegenEngine::new(),
-            handoff: Handoff::new(),
-            rejoining: BTreeSet::new(),
-            leaving: BTreeSet::new(),
-            departed: false,
-            synced_gaps: 0,
-            grants: 0,
-            token_sends: 0,
-            gimme_sends: 0,
-            probe_sends: 0,
-        }
-    }
-
-    /// The node's applied history (its local prefix of `H`).
-    pub fn order(&self) -> &OrderState {
-        &self.order
-    }
-
-    /// Captures the node's durable state for crash–restart recovery.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(
-            CKPT_BINARY,
-            &self.order,
-            self.next_req_seq,
-            self.last_visit,
-            self.regen.generation,
-            self.handoff.watermark(),
-        )
-    }
-
-    /// Rebuilds a node from a checkpoint (warm restart). Volatile state —
-    /// held token, traps, quota, pending transfers, outstanding requests —
-    /// starts empty; drive the restarted node through `on_recover`, never
-    /// `on_init`.
-    pub fn from_checkpoint(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        assert_eq!(ck.protocol, CKPT_BINARY, "checkpoint from a different protocol");
-        let mut node = BinaryNode::new(cfg);
-        node.order = ck.restore_order(cfg.record_log);
-        if cfg.test_bad_prefix_skip {
-            node.order.enable_bad_prefix_skip();
-        }
-        node.next_req_seq = ck.next_req_seq;
-        node.last_visit = ck.visit_stamp();
-        node.regen.witness(ck.generation);
-        node.handoff.restore_watermark(ck.watermark);
-        node
-    }
-
-    /// Total grants this node has received.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Requests currently queued locally.
-    pub fn outstanding_len(&self) -> usize {
-        self.outstanding.len()
+        Self::with_custody(Custody::new(cfg))
     }
 
     /// Traps currently set at this node.
     pub fn trap_count(&self) -> usize {
         self.traps.len()
-    }
-
-    /// Whether this node currently possesses the token.
-    pub fn holds_token(&self) -> bool {
-        self.holding.is_some()
-    }
-
-    /// The node's last visit stamp.
-    pub fn last_visit(&self) -> VisitStamp {
-        self.last_visit
-    }
-
-    /// Token-bearing messages sent.
-    pub fn token_sends(&self) -> u64 {
-        self.token_sends
     }
 
     /// Search messages sent or relayed.
@@ -323,79 +215,24 @@ impl BinaryNode {
         self.probe_sends
     }
 
-    /// Token frames discarded as duplicates (watermark or double
-    /// possession) instead of forking possession.
-    pub fn duplicate_tokens_discarded(&self) -> u64 {
-        self.handoff.duplicates_discarded
-    }
-
-    /// Token frames retransmitted after an ack timeout.
-    pub fn token_retransmits(&self) -> u64 {
-        self.handoff.retransmits
-    }
-
-    /// Current token generation this node believes in.
-    pub fn generation(&self) -> u32 {
-        self.regen.generation
-    }
-
-    /// Whether this node has gracefully left the group.
-    pub fn is_departed(&self) -> bool {
-        self.departed
-    }
-
-    fn witness_generation(&mut self, generation: u32, at: SimTime) {
-        if self.regen.witness(generation) {
-            if let Some(h) = &self.holding {
-                if h.token.generation < generation {
-                    let stale = h.token.generation;
-                    self.holding = None;
-                    self.events.push(TokenEvent::StaleTokenDiscarded {
-                        generation: stale,
-                        at,
-                    });
-                }
-            }
-        }
-    }
-
     /// Common possession bookkeeping; returns `false` if the frame was stale
     /// and dropped.
-    fn possess(
+    fn take_token(
         &mut self,
-        mut token: Box<TokenFrame>,
+        token: Box<TokenFrame>,
         rotational: bool,
         ctx: &mut Context<'_, BinaryMsg>,
     ) -> bool {
-        if token.generation < self.regen.generation {
-            self.events.push(TokenEvent::StaleTokenDiscarded {
-                generation: token.generation,
-                at: ctx.now(),
-            });
+        let Some(token) = self.take_possession(token, rotational, ctx) else {
             return false;
-        }
-        self.witness_generation(token.generation, ctx.now());
-        if self.holding.is_some() {
-            // Duplicate token of the same generation: a duplicated or
-            // retransmitted frame got past the watermark. Discard, count.
-            self.handoff.count_duplicate();
-            return false;
-        }
-        self.last_visit = token.on_possess(ctx.id(), rotational);
-        self.order.apply_carried(&token, ctx.now(), &mut self.events);
-        self.maybe_request_sync(ctx);
-        for node in std::mem::take(&mut self.rejoining) {
-            token.readmit(node);
-        }
-        for node in std::mem::take(&mut self.leaving) {
-            token.exclude(node);
-        }
+        };
         // Rotation cleanup: drop traps for already-satisfied requests.
         if !self.traps.is_empty() {
-            let frame_ref = &token;
-            self.traps.retain(|t| !frame_ref.is_satisfied(&t.req));
+            self.traps.retain(|t| !token.is_satisfied(&t.req));
         }
-        self.holding = Some(Holding {
+        // Unlike the lazy protocols, a departed node holds (and announces)
+        // like any other; the rotational arrivals then pass straight on.
+        self.c.holding = Some(Holding {
             token,
             state: HoldState::Idle,
         });
@@ -403,89 +240,45 @@ impl BinaryNode {
         true
     }
 
-    /// Generation fencing: while the token lists excluded nodes, the holder
-    /// periodically tells them which generation is live, so a node isolated
-    /// during a partition cannot keep serving a superseded token after heal.
-    fn announce_generation(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        if !self.cfg.regeneration {
-            return;
-        }
-        let Some(h) = &self.holding else { return };
-        if h.token.excluded().is_empty() {
-            return;
-        }
-        let generation = h.token.generation;
-        let targets: Vec<NodeId> = h.token.excluded().to_vec();
-        for node in targets {
-            ctx.send(
-                node,
-                BinaryMsg::Regen(RegenMsg::GenAnnounce { generation }),
-                MsgClass::Token,
-            );
-        }
-        ctx.set_timer(ANNOUNCE_PERIOD, TIMER_ANNOUNCE);
-    }
-
     /// Records one search hop for `req` in the event stream: the span
     /// instrumentation behind Lemma 6's per-request forward count.
     fn note_search_hop(&mut self, req: RequestId, msg: &BinaryMsg, ctx: &Context<'_, BinaryMsg>) {
-        self.events.push(TokenEvent::SearchForwarded {
+        self.c.events.push(TokenEvent::SearchForwarded {
             req,
             bytes: crate::codec::encoded_len(msg) as u64,
             at: ctx.now(),
         });
     }
 
-    /// Stamps, records and (if acks are on) tracks an outgoing token frame.
+    /// Ships a token frame in travel mode `mode`.
     fn ship_token(
         &mut self,
         to: NodeId,
-        mut frame: Box<TokenFrame>,
+        frame: Box<TokenFrame>,
         mode: TokenMode,
         ctx: &mut Context<'_, BinaryMsg>,
     ) {
-        self.last_pass = Some(to);
-        self.token_sends += 1;
-        frame.bump_transfer();
-        let generation = frame.generation;
-        let transfer_seq = frame.transfer_seq();
-        // A Grant or CleanupHop frame is the token travelling to serve a
-        // specific request: record the dispatch (and its wire size) so
-        // request spans can separate search time from token flight time.
-        let dispatch_req = match &mode {
-            TokenMode::Grant { for_req, .. } | TokenMode::CleanupHop { for_req, .. } => {
-                Some(*for_req)
+        let at = ctx.now();
+        let wrap = |node: &mut Self, frame| {
+            // A Grant or CleanupHop frame is the token travelling to serve a
+            // specific request: record the dispatch (and its wire size) so
+            // request spans can separate search time from token flight time.
+            let dispatch_req = match &mode {
+                TokenMode::Grant { for_req, .. } | TokenMode::CleanupHop { for_req, .. } => {
+                    Some(*for_req)
+                }
+                TokenMode::Rotate | TokenMode::Return => None,
+            };
+            let msg = BinaryMsg::Token { frame, mode };
+            if let Some(req) = dispatch_req {
+                let bytes = crate::codec::encoded_len(&msg) as u64;
+                node.c
+                    .events
+                    .push(TokenEvent::TokenDispatched { req, bytes, at });
             }
-            TokenMode::Rotate | TokenMode::Return => None,
+            msg
         };
-        let msg = BinaryMsg::Token { frame, mode };
-        if let Some(req) = dispatch_req {
-            self.events.push(TokenEvent::TokenDispatched {
-                req,
-                bytes: crate::codec::encoded_len(&msg) as u64,
-                at: ctx.now(),
-            });
-        }
-        if to != ctx.id() {
-            // Self-sends (degenerate one-node ring) must pass the watermark.
-            self.handoff.observe_send(generation, transfer_seq);
-        }
-        if self.cfg.token_acks {
-            self.handoff.track(to, msg.clone(), generation, transfer_seq);
-            ctx.set_timer(
-                self.cfg.ack_backoff(0),
-                retransmit_timer_kind(transfer_seq, 0),
-            );
-        }
-        ctx.send(to, msg, MsgClass::Token);
-    }
-
-    fn finish_service(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, BinaryMsg>) {
-        let holding = self.holding.as_mut().expect("finishing without token");
-        let entry = holding.token.append(ctx.id(), payload);
-        holding.token.mark_satisfied(req);
-        self.order.apply(&[entry], ctx.now(), &mut self.events);
-        self.events.push(TokenEvent::Released { req, at: ctx.now() });
+        self.ship(to, frame, wrap, ctx);
     }
 
     /// Serve local quota, then traps, then pass the rotation onward.
@@ -502,21 +295,21 @@ impl BinaryNode {
     /// sustained load.
     fn progress_with(&mut self, ctx: &mut Context<'_, BinaryMsg>, serve_traps: bool) {
         loop {
-            let Some(holding) = self.holding.as_mut() else {
+            let Some(holding) = self.c.holding.as_mut() else {
                 return;
             };
             match holding.state {
                 HoldState::Serving { .. } => return,
                 HoldState::Idle | HoldState::PassArmed => {
                     if self.quota > 0 {
-                        if let Some(out) = self.outstanding.pop_front() {
+                        if let Some(out) = self.c.outstanding.pop_front() {
                             self.quota -= 1;
-                            self.grants += 1;
-                            self.events.push(TokenEvent::Granted {
+                            self.c.grants += 1;
+                            self.c.events.push(TokenEvent::Granted {
                                 req: out.req,
                                 at: ctx.now(),
                             });
-                            if self.cfg.service_ticks == 0 {
+                            if self.c.cfg.service_ticks == 0 {
                                 self.finish_service(out.req, out.payload, ctx);
                                 continue;
                             }
@@ -525,7 +318,7 @@ impl BinaryNode {
                                 payload: out.payload,
                                 kind: ServiceKind::Local,
                             };
-                            ctx.set_timer(self.cfg.service_ticks, TIMER_SERVICE);
+                            ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
                             return;
                         }
                         self.quota = 0;
@@ -547,7 +340,7 @@ impl BinaryNode {
                     }
                     // Push-pull dual: once per idle round (launched at node
                     // 0), ask around whether anyone silently wants the token.
-                    if self.cfg.probe_on_idle
+                    if self.c.cfg.probe_on_idle
                         && ctx.id().index() == 0
                         && holding.token.idle_rounds() >= 1
                     {
@@ -565,7 +358,7 @@ impl BinaryNode {
                     }
                     // Pass the rotation onward (rule 4), possibly after an
                     // adaptive idle hold.
-                    let delay = self.cfg.idle_delay(holding.token.idle_rounds());
+                    let delay = self.c.cfg.idle_delay(holding.token.idle_rounds());
                     if delay == 0 {
                         self.send_rotation(ctx);
                     } else if !matches!(holding.state, HoldState::PassArmed) {
@@ -579,7 +372,7 @@ impl BinaryNode {
     }
 
     fn send_rotation(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        let Some(holding) = self.holding.take() else {
+        let Some(holding) = self.c.holding.take() else {
             return;
         };
         let succ = holding.token.next_live_successor(ctx.topology(), ctx.id());
@@ -591,11 +384,8 @@ impl BinaryNode {
     /// once the token leaves and a request is still waiting, launch its
     /// search now.
     fn maybe_restart_search(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        if self.holding.is_none() {
-            let needs_search = self
-                .outstanding
-                .front()
-                .is_some_and(|o| !o.search_started);
+        if self.c.holding.is_none() {
+            let needs_search = self.c.outstanding.front().is_some_and(|o| !o.route.started);
             if needs_search {
                 self.start_search(0, ctx);
             }
@@ -605,12 +395,11 @@ impl BinaryNode {
     /// Rule 7: send the token to the trapped requester (optionally retracing
     /// the search trail to clean traps en route).
     fn dispatch_grant(&mut self, trap: Trap, ctx: &mut Context<'_, BinaryMsg>) {
-        let Some(holding) = self.holding.take() else {
+        let Some(holding) = self.c.holding.take() else {
             return;
         };
         let me = ctx.id();
-        let use_inverse =
-            self.cfg.trap_cleanup == TrapCleanup::Inverse && trap.trail.len() > 1;
+        let use_inverse = self.c.cfg.trap_cleanup == TrapCleanup::Inverse && trap.trail.len() > 1;
         if use_inverse {
             // trail = [origin, a, b, …]; reverse route: last → … → origin.
             let mut trail = trap.trail;
@@ -646,36 +435,36 @@ impl BinaryNode {
     /// otherwise return the token to the interceptor (rule 8).
     fn after_out_of_band(&mut self, return_to: NodeId, ctx: &mut Context<'_, BinaryMsg>) {
         loop {
-            if self.cfg.serve_all_on_grant {
-                if let Some(out) = self.outstanding.pop_front() {
-                    self.grants += 1;
-                    self.events.push(TokenEvent::Granted {
+            if self.c.cfg.serve_all_on_grant {
+                if let Some(out) = self.c.outstanding.pop_front() {
+                    self.c.grants += 1;
+                    self.c.events.push(TokenEvent::Granted {
                         req: out.req,
                         at: ctx.now(),
                     });
-                    if self.cfg.service_ticks == 0 {
+                    if self.c.cfg.service_ticks == 0 {
                         self.finish_service(out.req, out.payload, ctx);
                         continue;
                     }
-                    let holding = self.holding.as_mut().expect("serving without token");
+                    let holding = self.c.holding.as_mut().expect("serving without token");
                     holding.state = HoldState::Serving {
                         req: out.req,
                         payload: out.payload,
                         kind: ServiceKind::OutOfBand { return_to },
                     };
-                    ctx.set_timer(self.cfg.service_ticks, TIMER_SERVICE);
+                    ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
                     return;
                 }
             }
             break;
         }
-        let Some(holding) = self.holding.take() else {
+        let Some(holding) = self.c.holding.take() else {
             return;
         };
         if return_to == ctx.id() {
             // Degenerate single-node ring: resume rotation locally.
-            self.holding = Some(holding);
-            self.quota = self.outstanding.len();
+            self.c.holding = Some(holding);
+            self.quota = self.c.outstanding.len();
             self.progress(ctx);
             return;
         }
@@ -691,49 +480,49 @@ impl BinaryNode {
     ) {
         match mode {
             TokenMode::Rotate => {
-                if !self.possess(frame, true, ctx) {
+                if !self.take_token(frame, true, ctx) {
                     return;
                 }
-                if self.departed {
+                if self.c.departed {
                     self.exclude_self_and_pass(ctx);
                     return;
                 }
-                self.quota = self.outstanding.len();
+                self.quota = self.c.outstanding.len();
                 self.progress(ctx);
             }
             TokenMode::Return => {
-                if !self.possess(frame, false, ctx) {
+                if !self.take_token(frame, false, ctx) {
                     return;
                 }
-                if self.departed {
+                if self.c.departed {
                     self.exclude_self_and_pass(ctx);
                     return;
                 }
-                self.quota = self.outstanding.len();
+                self.quota = self.c.outstanding.len();
                 self.progress_with(ctx, false);
             }
             TokenMode::Grant { for_req, return_to } => {
-                if !self.possess(frame, false, ctx) {
+                if !self.take_token(frame, false, ctx) {
                     return;
                 }
-                if let Some(pos) = self.outstanding.iter().position(|o| o.req == for_req) {
-                    let out = self.outstanding.remove(pos).expect("position exists");
-                    self.grants += 1;
-                    self.events.push(TokenEvent::Granted {
+                if let Some(pos) = self.c.outstanding.iter().position(|o| o.req == for_req) {
+                    let out = self.c.outstanding.remove(pos).expect("position exists");
+                    self.c.grants += 1;
+                    self.c.events.push(TokenEvent::Granted {
                         req: out.req,
                         at: ctx.now(),
                     });
-                    if self.cfg.service_ticks == 0 {
+                    if self.c.cfg.service_ticks == 0 {
                         self.finish_service(out.req, out.payload, ctx);
                         self.after_out_of_band(return_to, ctx);
                     } else {
-                        let holding = self.holding.as_mut().expect("just possessed");
+                        let holding = self.c.holding.as_mut().expect("just possessed");
                         holding.state = HoldState::Serving {
                             req: out.req,
                             payload: out.payload,
                             kind: ServiceKind::OutOfBand { return_to },
                         };
-                        ctx.set_timer(self.cfg.service_ticks, TIMER_SERVICE);
+                        ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
                     }
                 } else {
                     // Already served by rotation in the meantime: rule 8
@@ -746,12 +535,12 @@ impl BinaryNode {
                 return_to,
                 mut trail,
             } => {
-                if !self.possess(frame, false, ctx) {
+                if !self.take_token(frame, false, ctx) {
                     return;
                 }
                 // Remove the trap this relay hop is meant to clean.
                 self.traps.retain(|t| t.req != for_req);
-                let holding = self.holding.take().expect("just possessed");
+                let holding = self.c.holding.take().expect("just possessed");
                 let next = trail.pop().unwrap_or(return_to);
                 let mode = if trail.is_empty() {
                     TokenMode::Grant { for_req, return_to }
@@ -774,14 +563,14 @@ impl BinaryNode {
     /// `H ⊂_C H_z` branch read with a non-strict prefix (ties only occur
     /// before the first rotation completes, when both histories are empty).
     fn search_direction_cw(&self, origin_stamp: VisitStamp) -> bool {
-        self.last_visit.is_fresher_than(origin_stamp)
+        self.c.last_visit.is_fresher_than(origin_stamp)
     }
 
     fn handle_gimme(&mut self, g: Gimme, ctx: &mut Context<'_, BinaryMsg>) {
         if g.origin == ctx.id() {
             return; // a search message found its way home
         }
-        if self.departed {
+        if self.c.departed {
             // Relay without trapping: a departed node never intercepts.
             let next_span = g.span / 2;
             if next_span >= 1 {
@@ -806,7 +595,7 @@ impl BinaryNode {
             }
             return;
         }
-        if let Some(h) = &self.holding {
+        if let Some(h) = &self.c.holding {
             if h.token.is_satisfied(&g.req) {
                 return;
             }
@@ -819,7 +608,7 @@ impl BinaryNode {
                 trail: g.trail,
             });
         }
-        if self.holding.is_some() {
+        if self.c.holding.is_some() {
             // The search found the token: serve (FIFO order preserved).
             self.progress(ctx);
             return;
@@ -858,6 +647,7 @@ impl BinaryNode {
         }
         if !self.traps.iter().any(|t| t.req == req) {
             let satisfied = self
+                .c
                 .holding
                 .as_ref()
                 .is_some_and(|h| h.token.is_satisfied(&req));
@@ -869,11 +659,11 @@ impl BinaryNode {
                 });
             }
         }
-        if self.holding.is_some() {
+        if self.c.holding.is_some() {
             self.progress(ctx);
             return;
         }
-        let stamp = self.last_visit;
+        let stamp = self.c.last_visit;
         self.gimme_sends += 1;
         let msg = BinaryMsg::DirectedReply {
             probed: ctx.id(),
@@ -895,14 +685,14 @@ impl BinaryNode {
     ) {
         // Stop if the request was satisfied meanwhile (the saving the paper
         // credits directed search with).
-        let Some(out) = self.outstanding.iter().find(|o| o.req == req) else {
+        let Some(out) = self.c.outstanding.iter().find(|o| o.req == req) else {
             return;
         };
         let next_span = span / 2;
         if next_span == 0 {
             return;
         }
-        let cw = stamp.is_fresher_than(out.stamp_at_request);
+        let cw = stamp.is_fresher_than(out.route.stamp_at_request);
         let next = if cw {
             ctx.topology().plus(probed, next_span as u64)
         } else {
@@ -919,7 +709,7 @@ impl BinaryNode {
     }
 
     fn handle_probe_req(&mut self, holder: NodeId, span: u32, ctx: &mut Context<'_, BinaryMsg>) {
-        if let Some(front) = self.outstanding.front() {
+        if let Some(front) = self.c.outstanding.front() {
             let req = front.req;
             ctx.send(
                 holder,
@@ -953,11 +743,16 @@ impl BinaryNode {
         }
     }
 
-    fn handle_probe_hit(&mut self, origin: NodeId, req: RequestId, ctx: &mut Context<'_, BinaryMsg>) {
+    fn handle_probe_hit(
+        &mut self,
+        origin: NodeId,
+        req: RequestId,
+        ctx: &mut Context<'_, BinaryMsg>,
+    ) {
         if self.traps.iter().any(|t| t.req == req) {
             return;
         }
-        if let Some(h) = &self.holding {
+        if let Some(h) = &self.c.holding {
             if h.token.is_satisfied(&req) {
                 return;
             }
@@ -967,7 +762,7 @@ impl BinaryNode {
             req,
             trail: vec![origin],
         });
-        if self.holding.is_some() {
+        if self.c.holding.is_some() {
             self.progress(ctx);
         }
     }
@@ -978,14 +773,14 @@ impl BinaryNode {
             return;
         }
         let me = ctx.id();
-        let out = &mut self.outstanding[req_index];
-        out.search_started = true;
+        let out = &mut self.c.outstanding[req_index];
+        out.route.started = true;
         let span = (n as u64).div_ceil(2) as u32;
         let target = ctx.topology().across(me);
         let req = out.req;
-        let stamp = out.stamp_at_request;
+        let stamp = out.route.stamp_at_request;
         self.gimme_sends += 1;
-        let msg = match self.cfg.search_mode {
+        let msg = match self.c.cfg.search_mode {
             SearchMode::Delegated => BinaryMsg::Gimme(Gimme {
                 origin: me,
                 req,
@@ -1003,170 +798,98 @@ impl BinaryNode {
         ctx.send(target, msg, MsgClass::Control);
     }
 
-    fn my_regen_view(&self) -> RegenReply {
-        RegenReply {
-            generation: self.regen.generation,
-            stamp: self.last_visit,
-            holder: self.holding.is_some(),
-            passed_to: self.last_pass,
-            applied_seq: self.order.applied_seq(),
-        }
-    }
-
-    fn arm_regen_timer(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        if self.cfg.regeneration {
-            let timeout = self.cfg.effective_regen_timeout(ctx.topology().len());
-            ctx.set_timer(timeout, TIMER_REGEN);
-        }
-    }
-
-    fn broadcast_inquiry(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        self.regen.start_inquiry();
-        let me = ctx.id();
-        let generation = self.regen.generation;
-        for peer in ctx.topology().iter() {
-            if peer != me {
-                ctx.send(
-                    peer,
-                    BinaryMsg::Regen(RegenMsg::Inquiry { generation }),
-                    MsgClass::Token,
-                );
-            }
-        }
-        ctx.set_timer(INQUIRY_WINDOW, TIMER_INQUIRY);
-    }
-
-    fn handle_regen(&mut self, from: NodeId, msg: RegenMsg, ctx: &mut Context<'_, BinaryMsg>) {
-        match msg {
-            RegenMsg::Inquiry { generation } => {
-                self.witness_generation(generation, ctx.now());
-                let view = self.my_regen_view();
-                ctx.send(from, BinaryMsg::Regen(RegenMsg::Reply(view)), MsgClass::Token);
-            }
-            RegenMsg::Reply(reply) => {
-                self.regen.record_reply(from, reply);
-            }
-            RegenMsg::Please {
-                new_gen,
-                known_seq,
-                dead,
-            } => {
-                let window = self.cfg.effective_window(ctx.topology().len());
-                if let Some(token) = self.regen.mint(new_gen, known_seq, window, dead) {
-                    self.events.push(TokenEvent::Regenerated {
-                        by: ctx.id(),
-                        generation: new_gen,
-                        at: ctx.now(),
-                    });
-                    self.handle_token(Box::new(token), TokenMode::Rotate, ctx);
-                }
-            }
-            RegenMsg::SyncRequest { from_seq } => {
-                let entries = self
-                    .order
-                    .suffix_from(from_seq, crate::regen::SYNC_REPLY_MAX);
-                if !entries.is_empty() {
-                    ctx.send(
-                        from,
-                        BinaryMsg::Regen(RegenMsg::SyncReply { entries }),
-                        MsgClass::Token,
-                    );
-                }
-            }
-            RegenMsg::SyncReply { entries } => {
-                self.order.apply(&entries, ctx.now(), &mut self.events);
-            }
-            RegenMsg::Rejoin => {
-                self.leaving.remove(&from);
-                self.rejoining.insert(from);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.readmit(from);
-                    self.rejoining.remove(&from);
-                }
-            }
-            RegenMsg::Leave => {
-                self.rejoining.remove(&from);
-                self.leaving.insert(from);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.exclude(from);
-                    self.leaving.remove(&from);
-                }
-            }
-            RegenMsg::TokenAck {
-                generation,
-                transfer_seq,
-            } => {
-                self.handoff.acked(generation, transfer_seq);
-            }
-            RegenMsg::GenAnnounce { generation } => {
-                if generation > self.regen.generation {
-                    // We sat out a regeneration (partition, crash): adopt the
-                    // live generation and ask the holder to readmit us.
-                    self.witness_generation(generation, ctx.now());
-                    if !self.departed {
-                        ctx.send(from, BinaryMsg::Regen(RegenMsg::Rejoin), MsgClass::Token);
-                        // Our search may have died with the old token.
-                        if self.holding.is_none() {
-                            if let Some(front) = self.outstanding.front_mut() {
-                                front.search_started = false;
-                            }
-                            self.maybe_restart_search(ctx);
-                        }
-                    }
-                    if !self.outstanding.is_empty() && self.holding.is_none() {
-                        self.arm_regen_timer(ctx);
-                    }
-                } else if generation < self.regen.generation {
-                    // The announcer is the stale one: fence it back.
-                    ctx.send(
-                        from,
-                        BinaryMsg::Regen(RegenMsg::GenAnnounce {
-                            generation: self.regen.generation,
-                        }),
-                        MsgClass::Token,
-                    );
-                }
-            }
-        }
-    }
-
-
-    /// Requests a state transfer from the cyclic successor when this node
-    /// has fallen behind the token's carried window (detected via gap
-    /// accounting). The reply fills the local prefix in order, so the
-    /// prefix property is never at risk.
-    fn maybe_request_sync(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        let gaps = self.order.gap_events();
-        if gaps > self.synced_gaps {
-            self.synced_gaps = gaps;
-            let succ = ctx.topology().successor(ctx.id());
-            ctx.send(
-                succ,
-                BinaryMsg::Regen(RegenMsg::SyncRequest {
-                    from_seq: self.order.applied_seq() + 1,
-                }),
-                MsgClass::Token,
-            );
-        }
-    }
-
-    fn announce(&mut self, msg: RegenMsg, ctx: &mut Context<'_, BinaryMsg>) {
-        let me = ctx.id();
-        for peer in ctx.topology().iter() {
-            if peer != me {
-                ctx.send(peer, BinaryMsg::Regen(msg.clone()), MsgClass::Token);
-            }
-        }
-    }
-
     /// A departed node that ends up possessing the token passes it straight
     /// to its live successor, excluding itself first.
     fn exclude_self_and_pass(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        if let Some(h) = self.holding.as_mut() {
+        if let Some(h) = self.c.holding.as_mut() {
             h.token.exclude(ctx.id());
             h.state = HoldState::Idle;
         }
         self.send_rotation(ctx);
+    }
+}
+
+impl Custodian for BinaryNode {
+    type Hold = HoldState;
+    type Route = Search;
+    const CKPT: u8 = CKPT_BINARY;
+
+    fn custody(&self) -> &Custody<BinaryMsg, HoldState, Search> {
+        &self.c
+    }
+
+    fn custody_mut(&mut self) -> &mut Custody<BinaryMsg, HoldState, Search> {
+        &mut self.c
+    }
+
+    fn with_custody(mut c: Custody<BinaryMsg, HoldState, Search>) -> Self {
+        if c.cfg.test_bad_prefix_skip {
+            c.order.enable_bad_prefix_skip();
+        }
+        BinaryNode {
+            c,
+            traps: VecDeque::new(),
+            quota: 0,
+            gimme_sends: 0,
+            probe_sends: 0,
+        }
+    }
+
+    fn wrap(msg: RegenMsg) -> BinaryMsg {
+        BinaryMsg::Regen(msg)
+    }
+
+    fn possess(&mut self, token: Box<TokenFrame>, ctx: &mut Context<'_, BinaryMsg>) {
+        self.handle_token(token, TokenMode::Rotate, ctx);
+    }
+
+    fn enqueue(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, BinaryMsg>) {
+        self.c.outstanding.push_back(Outstanding {
+            req,
+            payload,
+            made_at: ctx.now(),
+            route: Search {
+                stamp_at_request: self.c.last_visit,
+                started: false,
+            },
+        });
+        if let Some(h) = &self.c.holding {
+            // Serve immediately if the token is parked here (idle hold).
+            if !matches!(h.state, HoldState::Serving { .. }) {
+                self.quota += 1;
+                self.progress(ctx);
+            }
+            return;
+        }
+        let may_search = !self.c.cfg.single_outstanding || self.c.outstanding.len() == 1;
+        if may_search {
+            let idx = self.c.outstanding.len() - 1;
+            self.start_search(idx, ctx);
+        }
+        if self.c.outstanding.len() == 1 {
+            self.arm_regen_timer(ctx);
+        }
+    }
+
+    fn depart(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
+        self.traps.clear();
+        if self.c.holding.is_some() {
+            self.exclude_self_and_pass(ctx);
+        }
+    }
+
+    /// Re-issues the front request's search: the original gimme may have
+    /// been lost on the cheap channel, or died with the old token. The
+    /// halving search has no use for a holder hint.
+    fn redrive(&mut self, _hint: Option<NodeId>, ctx: &mut Context<'_, BinaryMsg>) {
+        if let Some(front) = self.c.outstanding.front_mut() {
+            front.route.started = false;
+        }
+        self.maybe_restart_search(ctx);
+    }
+
+    fn forget_routes(&mut self) {
+        self.traps.clear();
     }
 }
 
@@ -1175,34 +898,15 @@ impl Node for BinaryNode {
     type Ext = Want;
 
     fn on_init(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        let holder = self.cfg.effective_initial_holder(ctx.topology().len());
-        if ctx.id().index() == holder as usize {
-            let token = Box::new(TokenFrame::new(self.cfg.effective_window(ctx.topology().len())));
-            self.handle_token(token, TokenMode::Rotate, ctx);
-        }
+        self.init(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: BinaryMsg, ctx: &mut Context<'_, BinaryMsg>) {
         match msg {
             BinaryMsg::Token { frame, mode } => {
-                if self.cfg.token_acks {
-                    // Ack every receipt, duplicates included: the sender may
-                    // be retransmitting because our previous ack was lost.
-                    ctx.send(
-                        from,
-                        BinaryMsg::Regen(RegenMsg::TokenAck {
-                            generation: frame.generation,
-                            transfer_seq: frame.transfer_seq(),
-                        }),
-                        MsgClass::Token,
-                    );
+                if self.token_arrived(from, &frame, ctx) {
+                    self.handle_token(frame, mode, ctx);
                 }
-                if frame.generation >= self.regen.generation
-                    && !self.handoff.accept(frame.generation, frame.transfer_seq())
-                {
-                    return; // duplicate or replayed frame, counted
-                }
-                self.handle_token(frame, mode, ctx)
             }
             BinaryMsg::Gimme(g) => self.handle_gimme(g, ctx),
             BinaryMsg::DirectedProbe { origin, req, span } => {
@@ -1221,75 +925,13 @@ impl Node for BinaryNode {
     }
 
     fn on_external(&mut self, ev: Want, ctx: &mut Context<'_, BinaryMsg>) {
-        match ev.kind {
-            WantKind::Acquire => {}
-            WantKind::Leave => {
-                self.departed = true;
-                self.outstanding.clear();
-                self.traps.clear();
-                self.announce(RegenMsg::Leave, ctx);
-                if self.holding.is_some() {
-                    self.exclude_self_and_pass(ctx);
-                }
-                return;
-            }
-            WantKind::Rejoin => {
-                self.departed = false;
-                self.announce(RegenMsg::Rejoin, ctx);
-                return;
-            }
-        }
-        if self.departed {
-            return; // departed nodes do not request
-        }
-        self.next_req_seq += 1;
-        let req = RequestId::new(ctx.id(), self.next_req_seq);
-        self.events.push(TokenEvent::Requested { req, at: ctx.now() });
-        self.outstanding.push_back(Outstanding {
-            req,
-            payload: ev.payload,
-            made_at: ctx.now(),
-            stamp_at_request: self.last_visit,
-            search_started: false,
-        });
-        if let Some(h) = &self.holding {
-            // Serve immediately if the token is parked here (idle hold).
-            if !matches!(h.state, HoldState::Serving { .. }) {
-                self.quota += 1;
-                self.progress(ctx);
-                return;
-            }
-            return;
-        }
-        let may_search = !self.cfg.single_outstanding || self.outstanding.len() == 1;
-        if may_search {
-            let idx = self.outstanding.len() - 1;
-            self.start_search(idx, ctx);
-        }
-        if self.outstanding.len() == 1 {
-            self.arm_regen_timer(ctx);
-        }
+        self.want(ev, ctx);
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, BinaryMsg>) {
-        if let Some((tseq, attempt)) = decode_retransmit_timer(kind) {
-            if self.handoff.timer_due(tseq, attempt) {
-                if let Some((to, msg, tseq, next)) =
-                    self.handoff.next_attempt(self.cfg.ack_max_retries)
-                {
-                    ctx.send(to, msg, MsgClass::Token);
-                    ctx.set_timer(
-                        self.cfg.ack_backoff(next),
-                        retransmit_timer_kind(tseq, next),
-                    );
-                }
-            }
-            return;
-        }
         match kind {
-            TIMER_ANNOUNCE => self.announce_generation(ctx),
             TIMER_SERVICE => {
-                let Some(holding) = self.holding.as_mut() else {
+                let Some(holding) = self.c.holding.as_mut() else {
                     return;
                 };
                 if let HoldState::Serving { req, payload, kind } = holding.state {
@@ -1304,10 +946,10 @@ impl Node for BinaryNode {
                 }
             }
             TIMER_PASS => {
-                if let Some(h) = self.holding.as_mut() {
+                if let Some(h) = self.c.holding.as_mut() {
                     if matches!(h.state, HoldState::PassArmed) {
                         h.state = HoldState::Idle;
-                        if self.outstanding.is_empty() && self.traps.is_empty() {
+                        if self.c.outstanding.is_empty() && self.traps.is_empty() {
                             self.send_rotation(ctx);
                         } else {
                             self.progress(ctx);
@@ -1315,122 +957,20 @@ impl Node for BinaryNode {
                     }
                 }
             }
-            TIMER_REGEN => {
-                if self.holding.is_some() || !self.cfg.regeneration {
-                    return;
-                }
-                let Some(front) = self.outstanding.front() else {
-                    return;
-                };
-                let timeout = self.cfg.effective_regen_timeout(ctx.topology().len());
-                let waited = ctx.now().since(front.made_at);
-                if waited >= timeout {
-                    if !self.regen.is_inquiring() {
-                        self.broadcast_inquiry(ctx);
-                    }
-                } else {
-                    ctx.set_timer(timeout - waited, TIMER_REGEN);
-                }
-            }
-            TIMER_INQUIRY => {
-                if !self.cfg.regeneration {
-                    return;
-                }
-                let view = self.my_regen_view();
-                match self.regen.conclude(ctx.topology(), ctx.id(), view) {
-                    RegenVerdict::Wait { .. } => {
-                        if !self.outstanding.is_empty() && self.holding.is_none() {
-                            // Re-issue the search: the original gimme may have
-                            // been lost on the cheap channel.
-                            if let Some(front) = self.outstanding.front_mut() {
-                                front.search_started = false;
-                            }
-                            self.maybe_restart_search(ctx);
-                            self.arm_regen_timer(ctx);
-                        }
-                    }
-                    RegenVerdict::Regenerate {
-                        target,
-                        new_gen,
-                        known_seq,
-                        dead,
-                    } => {
-                        if target == ctx.id() {
-                            let window = self.cfg.effective_window(ctx.topology().len());
-                            if let Some(token) = self.regen.mint(new_gen, known_seq, window, dead)
-                            {
-                                self.events.push(TokenEvent::Regenerated {
-                                    by: ctx.id(),
-                                    generation: new_gen,
-                                    at: ctx.now(),
-                                });
-                                self.handle_token(Box::new(token), TokenMode::Rotate, ctx);
-                            }
-                        } else {
-                            ctx.send(
-                                target,
-                                BinaryMsg::Regen(RegenMsg::Please {
-                                    new_gen,
-                                    known_seq,
-                                    dead,
-                                }),
-                                MsgClass::Token,
-                            );
-                            if let Some(front) = self.outstanding.front_mut() {
-                                front.search_started = false;
-                            }
-                            self.maybe_restart_search(ctx);
-                            self.arm_regen_timer(ctx);
-                        }
-                    }
-                }
-            }
-            _ => {}
+            _ => self.custody_timer(kind, ctx),
         }
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        // A retransmit from before the crash could resurrect a stale token.
-        self.handoff.clear_pending();
-        if self.holding.take().is_some() {
-            self.events.push(TokenEvent::StaleTokenDiscarded {
-                generation: self.regen.generation,
-                at: ctx.now(),
-            });
-        }
-        self.traps.clear();
-        if self.cfg.regeneration {
-            let me = ctx.id();
-            for peer in ctx.topology().iter() {
-                if peer != me {
-                    ctx.send(peer, BinaryMsg::Regen(RegenMsg::Rejoin), MsgClass::Token);
-                }
-            }
-        }
-        if !self.outstanding.is_empty() {
-            self.arm_regen_timer(ctx);
-        }
-    }
-}
-
-impl EventSource for BinaryNode {
-    fn take_events(&mut self) -> Vec<TokenEvent> {
-        self.events.take()
-    }
-
-    fn take_events_into(&mut self, out: &mut Vec<TokenEvent>) {
-        self.events.take_into(out);
-    }
-
-    fn has_events(&self) -> bool {
-        !self.events.is_empty()
+        self.recover(ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atp_net::{LinkFaults, MsgClass, World, WorldConfig};
+    use crate::{EventSource, TokenNode};
+    use atp_net::{LinkFaults, SimTime, World, WorldConfig};
 
     fn world(n: usize, cfg: ProtocolConfig) -> World<BinaryNode> {
         World::from_nodes(

@@ -76,27 +76,16 @@ pub struct ProtocolConfig {
     /// Enables Section 5 failure handling: ready nodes time out, run an
     /// inquiry, and the lost token is regenerated with a higher generation.
     pub regeneration: bool,
-    /// Acknowledge and retransmit token-bearing sends. Off by default (the
-    /// paper's model delivers token messages reliably); turn on when the
-    /// world runs a [`LinkFaultModel`](atp_net::LinkFaultModel) that can lose
-    /// or duplicate token frames.
+    /// Acknowledge and retransmit token-bearing sends (timeout 4 ticks,
+    /// doubling to a 64-tick cap, 6 retries). Off by default (the paper's
+    /// model delivers token messages reliably); turn on when the world runs
+    /// a [`LinkFaultModel`](atp_net::LinkFaultModel) that can lose or
+    /// duplicate token frames.
     pub token_acks: bool,
-    /// Base ack timeout in ticks (should exceed one round trip of the
-    /// latency model). Doubles per retry up to
-    /// [`ProtocolConfig::ack_backoff_cap_ticks`].
-    pub ack_timeout_ticks: u64,
-    /// Retransmissions attempted before giving the frame up for lost (at
-    /// which point regeneration is the fallback).
-    pub ack_max_retries: u32,
-    /// Ceiling for the exponential retransmit backoff, in ticks.
-    pub ack_backoff_cap_ticks: u64,
     /// Ticks a ready node waits for a grant before suspecting token loss.
     /// Should exceed one worst-case rotation (≈ `N` message delays) plus
     /// service backlog; experiments use `4 * N`.
     pub regen_timeout_ticks: u64,
-    /// Capacity of the token's satisfied-request window used by rotation
-    /// cleanup; `0` selects `2 * N` at token creation.
-    pub satisfied_window: usize,
     /// The node that mints the initial token in `on_init` (the shard's
     /// *home* in the sharded plane; consistent-hash placement picks it).
     /// Values outside the topology wrap modulo `N`, so the default `0`
@@ -128,11 +117,7 @@ impl Default for ProtocolConfig {
             probe_on_idle: false,
             regeneration: false,
             token_acks: false,
-            ack_timeout_ticks: 4,
-            ack_max_retries: 6,
-            ack_backoff_cap_ticks: 64,
             regen_timeout_ticks: 0,
-            satisfied_window: 0,
             initial_holder: 0,
             record_log: true,
             test_bad_prefix_skip: false,
@@ -209,30 +194,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Sets the base ack timeout in ticks.
-    pub fn with_ack_timeout_ticks(mut self, ticks: u64) -> Self {
-        self.ack_timeout_ticks = ticks;
-        self
-    }
-
-    /// Sets the retransmission budget per transfer.
-    pub fn with_ack_max_retries(mut self, retries: u32) -> Self {
-        self.ack_max_retries = retries;
-        self
-    }
-
-    /// Sets the exponential-backoff ceiling in ticks.
-    pub fn with_ack_backoff_cap_ticks(mut self, ticks: u64) -> Self {
-        self.ack_backoff_cap_ticks = ticks;
-        self
-    }
-
-    /// Overrides the satisfied-window capacity.
-    pub fn with_satisfied_window(mut self, cap: usize) -> Self {
-        self.satisfied_window = cap;
-        self
-    }
-
     /// Sets which node mints the initial token (wraps modulo `N`).
     pub fn with_initial_holder(mut self, node: u32) -> Self {
         self.initial_holder = node;
@@ -276,25 +237,6 @@ impl ProtocolConfig {
         }
     }
 
-    /// The deterministic exponential-backoff delay before retransmit
-    /// `attempt` (0 = the wait after the original send): the base timeout
-    /// doubled per attempt, capped at
-    /// [`ProtocolConfig::ack_backoff_cap_ticks`] and never below 1 tick.
-    pub fn ack_backoff(&self, attempt: u32) -> u64 {
-        (self.ack_timeout_ticks << attempt.min(16))
-            .min(self.ack_backoff_cap_ticks)
-            .max(1)
-    }
-
-    /// The effective satisfied-window capacity for a ring of `n` nodes.
-    pub fn effective_window(&self, n: usize) -> usize {
-        if self.satisfied_window == 0 {
-            (2 * n).max(8)
-        } else {
-            self.satisfied_window
-        }
-    }
-
     /// The effective regeneration timeout for a ring of `n` nodes.
     pub fn effective_regen_timeout(&self, n: usize) -> u64 {
         if self.regen_timeout_ticks == 0 {
@@ -334,10 +276,6 @@ mod tests {
             .with_probe_on_idle(true)
             .with_regeneration(100)
             .with_token_acks(true)
-            .with_ack_timeout_ticks(6)
-            .with_ack_max_retries(3)
-            .with_ack_backoff_cap_ticks(48)
-            .with_satisfied_window(5)
             .with_record_log(false);
         assert_eq!(cfg.service_ticks, 3);
         assert_eq!(cfg.idle_pass_ticks, 1);
@@ -351,35 +289,13 @@ mod tests {
         assert!(cfg.regeneration);
         assert_eq!(cfg.regen_timeout_ticks, 100);
         assert!(cfg.token_acks);
-        assert_eq!(cfg.ack_timeout_ticks, 6);
-        assert_eq!(cfg.ack_max_retries, 3);
-        assert_eq!(cfg.ack_backoff_cap_ticks, 48);
-        assert_eq!(cfg.satisfied_window, 5);
         assert!(!cfg.record_log);
-    }
-
-    #[test]
-    fn ack_backoff_doubles_and_caps() {
-        let cfg = ProtocolConfig::default()
-            .with_ack_timeout_ticks(4)
-            .with_ack_backoff_cap_ticks(20);
-        assert_eq!(cfg.ack_backoff(0), 4);
-        assert_eq!(cfg.ack_backoff(1), 8);
-        assert_eq!(cfg.ack_backoff(2), 16);
-        assert_eq!(cfg.ack_backoff(3), 20, "capped");
-        assert_eq!(cfg.ack_backoff(60), 20, "shift clamped, still capped");
-        let zero = ProtocolConfig::default().with_ack_timeout_ticks(0);
-        assert_eq!(zero.ack_backoff(0), 1, "never zero");
     }
 
     #[test]
     fn effective_values_scale_with_n() {
         let cfg = ProtocolConfig::default();
-        assert_eq!(cfg.effective_window(100), 200);
-        assert_eq!(cfg.effective_window(2), 8);
         assert_eq!(cfg.effective_regen_timeout(10), 56);
-        let cfg = cfg.with_satisfied_window(7).with_regeneration(99);
-        assert_eq!(cfg.effective_window(100), 7);
-        assert_eq!(cfg.effective_regen_timeout(100), 99);
+        assert_eq!(cfg.with_regeneration(99).effective_regen_timeout(100), 99);
     }
 }

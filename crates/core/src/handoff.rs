@@ -24,6 +24,24 @@ use atp_net::NodeId;
 /// can be recognized and ignored.
 pub const TIMER_RETRANSMIT_TAG: u64 = 5;
 
+/// Ack timeout after the original send, in ticks (exceeds one round trip of
+/// the unit-delay latency models); doubles per retry up to
+/// [`ACK_BACKOFF_CAP_TICKS`].
+const ACK_TIMEOUT_TICKS: u64 = 4;
+
+/// Ceiling for the exponential retransmit backoff, in ticks.
+const ACK_BACKOFF_CAP_TICKS: u64 = 64;
+
+/// Retransmissions attempted before giving a frame up for lost (at which
+/// point regeneration is the fallback).
+const ACK_MAX_RETRIES: u32 = 6;
+
+/// The deterministic exponential-backoff delay before retransmit `attempt`
+/// (0 = the wait after the original send): 4, 8, 16, 32, then 64 ticks.
+pub fn ack_backoff(attempt: u32) -> u64 {
+    (ACK_TIMEOUT_TICKS << attempt.min(16)).min(ACK_BACKOFF_CAP_TICKS)
+}
+
 /// Encodes a retransmit timer kind for `(transfer_seq, attempt)`.
 pub fn retransmit_timer_kind(transfer_seq: u64, attempt: u32) -> u64 {
     TIMER_RETRANSMIT_TAG | ((attempt as u64 & 0xff) << 8) | (transfer_seq << 16)
@@ -140,14 +158,14 @@ impl<M> Handoff<M> {
     /// Consumes one retransmit attempt: bumps the attempt counter and the
     /// retransmit stat, and returns `(to, msg, transfer_seq, new_attempt)`
     /// for the resend. Returns `None` (dropping the pending slot) once
-    /// `max_retries` attempts are exhausted — at that point regeneration is
-    /// the fallback.
-    pub fn next_attempt(&mut self, max_retries: u32) -> Option<(NodeId, M, u64, u32)>
+    /// [`ACK_MAX_RETRIES`] attempts are exhausted — at that point
+    /// regeneration is the fallback.
+    pub fn next_attempt(&mut self) -> Option<(NodeId, M, u64, u32)>
     where
         M: Clone,
     {
         let p = self.pending.as_mut()?;
-        if p.attempt >= max_retries {
+        if p.attempt >= ACK_MAX_RETRIES {
             self.pending = None;
             return None;
         }
@@ -224,13 +242,23 @@ mod tests {
         assert!(h.timer_due(8, 0));
         assert!(!h.timer_due(8, 1), "future attempt not due yet");
         assert!(!h.timer_due(7, 0), "stale transfer");
-        let (to, msg, tseq, attempt) = h.next_attempt(2).unwrap();
+        let (to, msg, tseq, attempt) = h.next_attempt().unwrap();
         assert_eq!((to, msg, tseq, attempt), (NodeId::new(2), 9, 8, 1));
         assert!(h.timer_due(8, 1));
-        assert!(h.next_attempt(2).is_some());
-        assert!(h.next_attempt(2).is_none(), "retries exhausted");
+        for _ in 1..ACK_MAX_RETRIES {
+            assert!(h.next_attempt().is_some());
+        }
+        assert!(h.next_attempt().is_none(), "retries exhausted");
         assert!(h.pending().is_none(), "gave up: slot cleared");
-        assert_eq!(h.retransmits, 2);
+        assert_eq!(h.retransmits, ACK_MAX_RETRIES as u64);
+    }
+
+    #[test]
+    fn ack_backoff_doubles_and_caps() {
+        let waits: Vec<u64> = (0..6).map(ack_backoff).collect();
+        assert_eq!(waits, [4, 8, 16, 32, 64, 64]);
+        assert_eq!(ack_backoff(60), 64, "shift clamped, still capped");
+        assert!((0..=u8::MAX as u32).all(|a| ack_backoff(a) >= 1), "never zero");
     }
 
     #[test]

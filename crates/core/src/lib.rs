@@ -18,8 +18,13 @@
 //!
 //! All of them expose the same interface: they implement
 //! [`atp_net::Node`] (message-driven state machines), accept [`Want`]
-//! stimuli ("this node now requires the token"), and report observable
-//! behaviour through [`EventSource`].
+//! stimuli ("this node now requires the token"), report observable
+//! behaviour through [`EventSource`], and answer the same questions about
+//! token custody — history, grants, possession, generation, checkpoint —
+//! through [`TokenNode`]. What a node does *because it may hold or lose the
+//! token* (possession, handoff, Section 5 failure handling, membership) is
+//! written once for all four; the protocol modules differ only in how a
+//! request finds the token.
 //!
 //! ## Quickstart
 //!
@@ -47,6 +52,7 @@ mod binary;
 mod checkpoint;
 mod codec;
 mod config;
+mod custody;
 mod event;
 mod handoff;
 mod naimi;
@@ -71,6 +77,7 @@ pub use codec::{
     shard_frame_encoded_len, CodecError,
 };
 pub use config::{ProtocolConfig, SearchMode, TrapCleanup};
+pub use custody::TokenNode;
 pub use event::{EventSource, TokenEvent, Want};
 pub use handoff::{Handoff, PendingTransfer};
 pub use naimi::{NaimiMsg, NaimiNode};

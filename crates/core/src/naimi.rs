@@ -7,9 +7,10 @@
 //! O(log N) (Lavault's analysis). The node at the end of the chain either
 //! ships the idle token directly or records the requester as its `next`
 //! (here: a `waiting` queue, so bursts and fault-time resends cannot strand
-//! anyone). Token handoff, duplicate suppression, regeneration and
-//! generation fencing reuse the same machinery as the other protocols —
-//! the transport layer does not know a new protocol exists.
+//! anyone). Token custody — handoff, duplicate suppression, regeneration,
+//! generation fencing — is the shared [core](crate::custody), so this file
+//! is path reversal only, and the transport layer does not know a new
+//! protocol exists.
 //!
 //! Unlike System Search's gimme walk (O(N) hops along the ring), the
 //! request here follows `last` pointers, so the hop count per request is
@@ -17,18 +18,17 @@
 //! standard competitor the paper's BinarySearch must beat on worst-case
 //! responsiveness while matching on average cost.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use atp_net::{Context, MsgClass, Node, NodeId, SimTime};
+use atp_net::{Context, MsgClass, Node, NodeId};
 
-use crate::checkpoint::{Checkpoint, CKPT_NAIMI};
+use crate::checkpoint::CKPT_NAIMI;
 use crate::config::ProtocolConfig;
-use crate::event::{EventBuf, EventSource, TokenEvent, Want, WantKind};
-use crate::handoff::{decode_retransmit_timer, retransmit_timer_kind, Handoff};
-use crate::order::OrderState;
-use crate::regen::{RegenEngine, RegenMsg, RegenReply, RegenVerdict};
+use crate::custody::{Custodian, Custody, Outstanding, TIMER_SERVICE};
+use crate::event::{TokenEvent, Want};
+use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
-use crate::types::{RequestId, VisitStamp};
+use crate::types::RequestId;
 
 /// Messages of the path-reversal protocol.
 #[derive(Debug, Clone)]
@@ -59,26 +59,9 @@ pub enum NaimiMsg {
     Regen(RegenMsg),
 }
 
-const TIMER_SERVICE: u64 = 1;
-const TIMER_REGEN: u64 = 3;
-const TIMER_INQUIRY: u64 = 4;
-// Timer kind 5 (low byte) is the retransmit timer, see `crate::handoff`.
-const TIMER_ANNOUNCE: u64 = 6;
-const INQUIRY_WINDOW: u64 = 8;
-
-/// Re-announce period for generation fencing while excluded nodes remain.
-const ANNOUNCE_PERIOD: u64 = 16;
-
 /// Analytic wire size of a Request: tag 1 + origin 4 + [`RequestId`] 12 +
 /// attempt 4 + hops 4 (mirrors `atp_core::codec::naimi_encoded_len`).
 const REQUEST_WIRE_BYTES: u64 = 25;
-
-#[derive(Debug)]
-struct Outstanding {
-    req: RequestId,
-    payload: u64,
-    made_at: SimTime,
-}
 
 /// A queued successor obligation: classic Naimi–Tréhel's `next` pointer,
 /// generalized to a queue so fault-time resends cannot overwrite it.
@@ -89,25 +72,25 @@ struct Successor {
     attempt: u32,
 }
 
-#[derive(Debug)]
-enum HoldState {
+/// What a node is doing with the token it holds.
+#[derive(Debug, Default)]
+pub enum HoldState {
+    /// Parked, free to serve or dispatch.
+    #[default]
     Idle,
-    Serving { req: RequestId, payload: u64 },
-}
-
-#[derive(Debug)]
-struct Holding {
-    token: Box<TokenFrame>,
-    state: HoldState,
+    /// Mid-service: timer will fire after the critical section.
+    Serving {
+        /// The request in its critical section.
+        req: RequestId,
+        /// Its datum.
+        payload: u64,
+    },
 }
 
 /// One node of the Naimi–Tréhel path-reversal protocol.
 #[derive(Debug)]
 pub struct NaimiNode {
-    cfg: ProtocolConfig,
-    events: EventBuf,
-    order: OrderState,
-    outstanding: VecDeque<Outstanding>,
+    c: Custody<NaimiMsg, HoldState>,
     /// Successor queue (`next` in the classic formulation).
     waiting: VecDeque<Successor>,
     /// Probable owner (`last`). `None` means this node believes itself to
@@ -118,97 +101,15 @@ pub struct NaimiNode {
     /// duplicate; without this filter a stale duplicate could re-enter the
     /// tree after its request was served and corrupt the successor queue.
     seen: BTreeMap<NodeId, (u64, u32)>,
-    next_req_seq: u64,
-    last_visit: VisitStamp,
-    last_pass: Option<NodeId>,
-    holding: Option<Holding>,
-    regen: RegenEngine,
-    handoff: Handoff<NaimiMsg>,
-    rejoining: BTreeSet<NodeId>,
-    leaving: BTreeSet<NodeId>,
-    departed: bool,
-    /// Gap count already covered by an outstanding sync request.
-    synced_gaps: u64,
     /// Resend counter for the current front acquisition.
     attempt: u32,
-    grants: u64,
-    token_sends: u64,
     request_sends: u64,
 }
 
 impl NaimiNode {
     /// Creates a node with the given configuration.
     pub fn new(cfg: ProtocolConfig) -> Self {
-        NaimiNode {
-            order: OrderState::new(cfg.record_log),
-            cfg,
-            events: EventBuf::default(),
-            outstanding: VecDeque::new(),
-            waiting: VecDeque::new(),
-            last: None,
-            seen: BTreeMap::new(),
-            next_req_seq: 0,
-            last_visit: VisitStamp::NEVER,
-            last_pass: None,
-            holding: None,
-            regen: RegenEngine::new(),
-            handoff: Handoff::new(),
-            rejoining: BTreeSet::new(),
-            leaving: BTreeSet::new(),
-            departed: false,
-            synced_gaps: 0,
-            attempt: 0,
-            grants: 0,
-            token_sends: 0,
-            request_sends: 0,
-        }
-    }
-
-    /// The node's applied history.
-    pub fn order(&self) -> &OrderState {
-        &self.order
-    }
-
-    /// Captures the node's durable state for crash–restart recovery.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(
-            CKPT_NAIMI,
-            &self.order,
-            self.next_req_seq,
-            self.last_visit,
-            self.regen.generation,
-            self.handoff.watermark(),
-        )
-    }
-
-    /// Rebuilds a node from a checkpoint (warm restart). Volatile state —
-    /// held token, the waiting queue, the dynamic-tree pointers — starts
-    /// empty; drive the restarted node through `on_recover`, never
-    /// `on_init`.
-    pub fn from_checkpoint(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        assert_eq!(ck.protocol, CKPT_NAIMI, "checkpoint from a different protocol");
-        let mut node = NaimiNode::new(cfg);
-        node.order = ck.restore_order(cfg.record_log);
-        node.next_req_seq = ck.next_req_seq;
-        node.last_visit = ck.visit_stamp();
-        node.regen.witness(ck.generation);
-        node.handoff.restore_watermark(ck.watermark);
-        node
-    }
-
-    /// Total grants received.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Whether this node holds the (idle or in-service) token.
-    pub fn holds_token(&self) -> bool {
-        self.holding.is_some()
-    }
-
-    /// Requests queued locally.
-    pub fn outstanding_len(&self) -> usize {
-        self.outstanding.len()
+        Self::with_custody(Custody::new(cfg))
     }
 
     /// Queued successors (`next` obligations) at this node.
@@ -221,123 +122,9 @@ impl NaimiNode {
         self.last
     }
 
-    /// Token messages sent by this node.
-    pub fn token_sends(&self) -> u64 {
-        self.token_sends
-    }
-
     /// Request messages sent or forwarded by this node.
     pub fn request_sends(&self) -> u64 {
         self.request_sends
-    }
-
-    /// Token frames discarded as duplicates (watermark or double
-    /// possession) instead of forking possession.
-    pub fn duplicate_tokens_discarded(&self) -> u64 {
-        self.handoff.duplicates_discarded
-    }
-
-    /// Token frames retransmitted after an ack timeout.
-    pub fn token_retransmits(&self) -> u64 {
-        self.handoff.retransmits
-    }
-
-    /// Whether this node has gracefully left the group.
-    pub fn is_departed(&self) -> bool {
-        self.departed
-    }
-
-    /// Current token generation this node has witnessed.
-    pub fn generation(&self) -> u32 {
-        self.regen.generation
-    }
-
-    fn witness_generation(&mut self, generation: u32, at: SimTime) {
-        if self.regen.witness(generation) {
-            if let Some(h) = &self.holding {
-                if h.token.generation < generation {
-                    let stale = h.token.generation;
-                    self.holding = None;
-                    self.events.push(TokenEvent::StaleTokenDiscarded {
-                        generation: stale,
-                        at,
-                    });
-                }
-            }
-        }
-    }
-
-    fn handle_token(&mut self, mut token: Box<TokenFrame>, ctx: &mut Context<'_, NaimiMsg>) {
-        if token.generation < self.regen.generation {
-            self.events.push(TokenEvent::StaleTokenDiscarded {
-                generation: token.generation,
-                at: ctx.now(),
-            });
-            return;
-        }
-        self.witness_generation(token.generation, ctx.now());
-        if self.holding.is_some() {
-            // Duplicate token of the same generation: a duplicated or
-            // retransmitted frame got past the watermark. Discard, count.
-            self.handoff.count_duplicate();
-            return;
-        }
-        self.last_visit = token.on_possess(ctx.id(), false);
-        self.order.apply_carried(&token, ctx.now(), &mut self.events);
-        self.maybe_request_sync(ctx);
-        // Drop queued successors whose requests were satisfied elsewhere
-        // (a resend raced the original through a different path).
-        if !self.waiting.is_empty() {
-            let frame_ref = &token;
-            self.waiting.retain(|w| !frame_ref.is_satisfied(&w.req));
-        }
-        for node in std::mem::take(&mut self.rejoining) {
-            token.readmit(node);
-        }
-        for node in std::mem::take(&mut self.leaving) {
-            token.exclude(node);
-        }
-        // Possession ends the current acquisition's retry cycle.
-        self.attempt = 0;
-        if self.departed {
-            // Hand the token to someone still in the group.
-            token.exclude(ctx.id());
-            self.holding = Some(Holding {
-                token,
-                state: HoldState::Idle,
-            });
-            self.hand_off(ctx);
-            return;
-        }
-        self.holding = Some(Holding {
-            token,
-            state: HoldState::Idle,
-        });
-        self.announce_generation(ctx);
-        self.progress(ctx);
-    }
-
-    /// Generation fencing: while the token lists excluded nodes, the holder
-    /// periodically tells them which generation is live, so a node isolated
-    /// during a partition cannot keep serving a superseded token after heal.
-    fn announce_generation(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        if !self.cfg.regeneration {
-            return;
-        }
-        let Some(h) = &self.holding else { return };
-        if h.token.excluded().is_empty() {
-            return;
-        }
-        let generation = h.token.generation;
-        let targets: Vec<NodeId> = h.token.excluded().to_vec();
-        for node in targets {
-            ctx.send(
-                node,
-                NaimiMsg::Regen(RegenMsg::GenAnnounce { generation }),
-                MsgClass::Token,
-            );
-        }
-        ctx.set_timer(ANNOUNCE_PERIOD, TIMER_ANNOUNCE);
     }
 
     /// Sends (or forwards) a Request and records one search hop for the
@@ -353,7 +140,7 @@ impl NaimiNode {
         ctx: &mut Context<'_, NaimiMsg>,
     ) {
         self.request_sends += 1;
-        self.events.push(TokenEvent::SearchForwarded {
+        self.c.events.push(TokenEvent::SearchForwarded {
             req,
             bytes: REQUEST_WIRE_BYTES,
             at: ctx.now(),
@@ -370,95 +157,76 @@ impl NaimiNode {
         );
     }
 
-    /// Stamps, records and (if acks are on) tracks an outgoing token frame.
+    /// Ships a token frame, recording the dispatch when it serves a request.
     fn ship_token(
         &mut self,
         to: NodeId,
-        mut frame: Box<TokenFrame>,
+        frame: Box<TokenFrame>,
         grant_for: Option<RequestId>,
         ctx: &mut Context<'_, NaimiMsg>,
     ) {
-        self.last_pass = Some(to);
-        self.token_sends += 1;
-        frame.bump_transfer();
-        let generation = frame.generation;
-        let transfer_seq = frame.transfer_seq();
-        // Wire size per the codec: tag 1 + frame (+ RequestId 12 when
-        // granting — the tag byte distinguishes lazy from granting sends).
-        let bytes = 1 + frame.encoded_len() as u64 + if grant_for.is_some() { 12 } else { 0 };
         if let Some(req) = grant_for {
-            self.events.push(TokenEvent::TokenDispatched {
+            // Wire size per the codec: tag 1 + frame + RequestId 12 (the
+            // tag byte distinguishes lazy from granting sends).
+            self.c.events.push(TokenEvent::TokenDispatched {
                 req,
-                bytes,
+                bytes: 13 + frame.encoded_len() as u64,
                 at: ctx.now(),
             });
         }
-        let msg = NaimiMsg::Token { frame, grant_for };
-        if to != ctx.id() {
-            // Self-sends (degenerate one-node group) must pass the watermark.
-            self.handoff.observe_send(generation, transfer_seq);
+        self.ship(
+            to,
+            frame,
+            |_, frame| NaimiMsg::Token { frame, grant_for },
+            ctx,
+        );
+    }
+
+    /// Pops the first queued successor whose request the held token has
+    /// not satisfied.
+    fn next_successor(&mut self) -> Option<Successor> {
+        let token = &self.c.holding.as_ref()?.token;
+        while let Some(w) = self.waiting.pop_front() {
+            if !token.is_satisfied(&w.req) {
+                return Some(w);
+            }
         }
-        if self.cfg.token_acks {
-            self.handoff.track(to, msg.clone(), generation, transfer_seq);
-            ctx.set_timer(
-                self.cfg.ack_backoff(0),
-                retransmit_timer_kind(transfer_seq, 0),
-            );
-        }
-        ctx.send(to, msg, MsgClass::Token);
+        None
     }
 
     /// Sends the held token to a queued successor if any, otherwise to the
     /// next live ring successor (used by departing holders).
     fn hand_off(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        while let Some(w) = self.waiting.front() {
-            let stale = self
-                .holding
-                .as_ref()
-                .is_none_or(|h| h.token.is_satisfied(&w.req));
-            if stale {
-                self.waiting.pop_front();
-            } else {
-                break;
-            }
-        }
-        if let Some(w) = self.waiting.pop_front() {
+        if let Some(w) = self.next_successor() {
             self.dispatch_token(w, ctx);
             return;
         }
-        let Some(holding) = self.holding.take() else {
+        let Some(holding) = self.c.holding.take() else {
             return;
         };
         let succ = holding.token.next_live_successor(ctx.topology(), ctx.id());
         self.ship_token(succ, holding.token, None, ctx);
     }
 
-    fn finish_service(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, NaimiMsg>) {
-        let holding = self.holding.as_mut().expect("finishing without token");
-        let entry = holding.token.append(ctx.id(), payload);
-        holding.token.mark_satisfied(req);
-        // Like the lazy-token search protocol, possession gaps are
-        // unbounded, so the carried window stays unbounded too (the
-        // rotating protocols bound it by round counters instead).
-        self.order.apply(&[entry], ctx.now(), &mut self.events);
-        self.events.push(TokenEvent::Released { req, at: ctx.now() });
-    }
-
+    /// Serve local requests, then a queued successor. Like the lazy-token
+    /// search protocol, possession gaps are unbounded, so the carried window
+    /// stays unbounded too (the rotating protocols bound it by round
+    /// counters instead).
     fn progress(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
         loop {
-            let Some(holding) = self.holding.as_mut() else {
+            let Some(holding) = self.c.holding.as_mut() else {
                 return;
             };
             match holding.state {
                 HoldState::Serving { .. } => return,
                 HoldState::Idle => {
-                    if let Some(out) = self.outstanding.pop_front() {
-                        self.grants += 1;
-                        self.events.push(TokenEvent::Granted {
+                    if let Some(out) = self.c.outstanding.pop_front() {
+                        self.c.grants += 1;
+                        self.c.events.push(TokenEvent::Granted {
                             req: out.req,
                             at: ctx.now(),
                         });
-                        if self.cfg.service_ticks == 0 {
+                        if self.c.cfg.service_ticks == 0 {
                             self.finish_service(out.req, out.payload, ctx);
                             continue;
                         }
@@ -466,18 +234,11 @@ impl NaimiNode {
                             req: out.req,
                             payload: out.payload,
                         };
-                        ctx.set_timer(self.cfg.service_ticks, TIMER_SERVICE);
+                        ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
                         return;
                     }
                     // Serve the successor queue, skipping satisfied entries.
-                    while let Some(w) = self.waiting.front() {
-                        if holding.token.is_satisfied(&w.req) {
-                            self.waiting.pop_front();
-                            continue;
-                        }
-                        break;
-                    }
-                    if let Some(w) = self.waiting.pop_front() {
+                    if let Some(w) = self.next_successor() {
                         self.dispatch_token(w, ctx);
                     }
                     // Otherwise: lazy — keep holding silently.
@@ -488,7 +249,7 @@ impl NaimiNode {
     }
 
     fn dispatch_token(&mut self, w: Successor, ctx: &mut Context<'_, NaimiMsg>) {
-        let Some(holding) = self.holding.take() else {
+        let Some(holding) = self.c.holding.take() else {
             return;
         };
         self.ship_token(w.origin, holding.token, Some(w.req), ctx);
@@ -519,25 +280,30 @@ impl NaimiNode {
             return;
         }
         self.seen.insert(origin, mark);
-        if let Some(h) = &self.holding {
+        if let Some(h) = &self.c.holding {
             if h.token.is_satisfied(&req) {
                 return; // stale resend of an already-served request
             }
         }
-        if self.departed {
+        if self.c.departed {
             // Relay toward the probable owner without adopting pointers: a
             // departed node is no longer part of the tree.
             if let Some(l) = self.last {
                 if (hops as usize) < ctx.topology().len() * 2 {
                     self.send_request(l, origin, req, attempt, hops + 1, ctx);
                 }
-            } else if self.holding.as_ref().is_some_and(|h| matches!(h.state, HoldState::Idle)) {
-                let holding = self.holding.take().expect("just checked");
+            } else if self
+                .c
+                .holding
+                .as_ref()
+                .is_some_and(|h| matches!(h.state, HoldState::Idle))
+            {
+                let holding = self.c.holding.take().expect("just checked");
                 self.ship_token(origin, holding.token, Some(req), ctx);
             }
             return;
         }
-        if self.holding.is_some() {
+        if self.c.holding.is_some() {
             // We are the root with the token: serve now or queue as
             // successor; either way the requester becomes the new probable
             // owner for future requests.
@@ -573,167 +339,85 @@ impl NaimiNode {
             }
         }
     }
+}
 
-    fn my_regen_view(&self) -> RegenReply {
-        RegenReply {
-            generation: self.regen.generation,
-            stamp: self.last_visit,
-            holder: self.holding.is_some(),
-            passed_to: self.last_pass,
-            applied_seq: self.order.applied_seq(),
+impl Custodian for NaimiNode {
+    type Hold = HoldState;
+    type Route = ();
+    const CKPT: u8 = CKPT_NAIMI;
+
+    fn custody(&self) -> &Custody<NaimiMsg, HoldState> {
+        &self.c
+    }
+
+    fn custody_mut(&mut self) -> &mut Custody<NaimiMsg, HoldState> {
+        &mut self.c
+    }
+
+    fn with_custody(c: Custody<NaimiMsg, HoldState>) -> Self {
+        NaimiNode {
+            c,
+            waiting: VecDeque::new(),
+            last: None,
+            seen: BTreeMap::new(),
+            attempt: 0,
+            request_sends: 0,
         }
     }
 
-    fn arm_regen_timer(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        if self.cfg.regeneration {
-            let timeout = self.cfg.effective_regen_timeout(ctx.topology().len());
-            ctx.set_timer(timeout, TIMER_REGEN);
+    fn wrap(msg: RegenMsg) -> NaimiMsg {
+        NaimiMsg::Regen(msg)
+    }
+
+    fn possess(&mut self, token: Box<TokenFrame>, ctx: &mut Context<'_, NaimiMsg>) {
+        let Some(token) = self.take_possession(token, false, ctx) else {
+            return;
+        };
+        // Drop queued successors whose requests were satisfied elsewhere
+        // (a resend raced the original through a different path).
+        if !self.waiting.is_empty() {
+            self.waiting.retain(|w| !token.is_satisfied(&w.req));
+        }
+        // Possession ends the current acquisition's retry cycle.
+        self.attempt = 0;
+        if self.hold(token, ctx) {
+            self.progress(ctx);
+        } else {
+            // Departed: hand the token to someone still in the group.
+            self.hand_off(ctx);
         }
     }
 
-    fn broadcast_inquiry(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        self.regen.start_inquiry();
-        let me = ctx.id();
-        let generation = self.regen.generation;
-        for peer in ctx.topology().iter() {
-            if peer != me {
-                ctx.send(
-                    peer,
-                    NaimiMsg::Regen(RegenMsg::Inquiry { generation }),
-                    MsgClass::Token,
-                );
-            }
+    fn enqueue(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, NaimiMsg>) {
+        self.c.outstanding.push_back(Outstanding {
+            req,
+            payload,
+            made_at: ctx.now(),
+            route: (),
+        });
+        if self.c.holding.is_some() {
+            self.progress(ctx);
+            return;
         }
-        ctx.set_timer(INQUIRY_WINDOW, TIMER_INQUIRY);
-    }
-
-    fn handle_regen(&mut self, from: NodeId, msg: RegenMsg, ctx: &mut Context<'_, NaimiMsg>) {
-        match msg {
-            RegenMsg::Inquiry { generation } => {
-                self.witness_generation(generation, ctx.now());
-                let view = self.my_regen_view();
-                ctx.send(from, NaimiMsg::Regen(RegenMsg::Reply(view)), MsgClass::Token);
+        // One Request per acquisition: the token, once here, serves the
+        // whole local queue, so only the transition 0 → 1 goes on the wire.
+        if self.c.outstanding.len() == 1 {
+            self.attempt = 0;
+            if let Some(l) = self.last.take() {
+                self.send_request(l, ctx.id(), req, 0, 1, ctx);
             }
-            RegenMsg::Reply(reply) => {
-                self.regen.record_reply(from, reply);
-            }
-            RegenMsg::Please {
-                new_gen,
-                known_seq,
-                dead,
-            } => {
-                let window = self.cfg.effective_window(ctx.topology().len());
-                if let Some(token) = self.regen.mint(new_gen, known_seq, window, dead) {
-                    self.events.push(TokenEvent::Regenerated {
-                        by: ctx.id(),
-                        generation: new_gen,
-                        at: ctx.now(),
-                    });
-                    self.handle_token(Box::new(token), ctx);
-                }
-            }
-            RegenMsg::SyncRequest { from_seq } => {
-                let entries = self
-                    .order
-                    .suffix_from(from_seq, crate::regen::SYNC_REPLY_MAX);
-                if !entries.is_empty() {
-                    ctx.send(
-                        from,
-                        NaimiMsg::Regen(RegenMsg::SyncReply { entries }),
-                        MsgClass::Token,
-                    );
-                }
-            }
-            RegenMsg::SyncReply { entries } => {
-                self.order.apply(&entries, ctx.now(), &mut self.events);
-            }
-            RegenMsg::Rejoin => {
-                self.leaving.remove(&from);
-                self.rejoining.insert(from);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.readmit(from);
-                    self.rejoining.remove(&from);
-                }
-            }
-            RegenMsg::Leave => {
-                self.rejoining.remove(&from);
-                self.leaving.insert(from);
-                self.waiting.retain(|w| w.origin != from);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.exclude(from);
-                    self.leaving.remove(&from);
-                }
-            }
-            RegenMsg::TokenAck {
-                generation,
-                transfer_seq,
-            } => {
-                self.handoff.acked(generation, transfer_seq);
-            }
-            RegenMsg::GenAnnounce { generation } => {
-                if generation > self.regen.generation {
-                    // We sat out a regeneration (partition, crash): adopt
-                    // the live generation and ask the holder to readmit us.
-                    self.witness_generation(generation, ctx.now());
-                    if !self.departed {
-                        ctx.send(from, NaimiMsg::Regen(RegenMsg::Rejoin), MsgClass::Token);
-                        // Our request chain may have died with the old
-                        // token: aim a fresh resend straight at the holder.
-                        self.resend_request(Some(from), ctx);
-                        // Successors queued here point into the dead tree;
-                        // forward their requests to the live holder too.
-                        if self.holding.is_none() {
-                            for s in std::mem::take(&mut self.waiting) {
-                                self.send_request(from, s.origin, s.req, s.attempt + 1, 1, ctx);
-                            }
-                        }
-                        // Idle nodes repair their probable-owner pointer so
-                        // the next acquisition routes into the live tree.
-                        if self.holding.is_none() && self.outstanding.is_empty() {
-                            self.last = Some(from);
-                        }
-                    }
-                    if !self.outstanding.is_empty() && self.holding.is_none() {
-                        self.arm_regen_timer(ctx);
-                    }
-                } else if generation < self.regen.generation {
-                    // The announcer is the stale one: fence it back.
-                    ctx.send(
-                        from,
-                        NaimiMsg::Regen(RegenMsg::GenAnnounce {
-                            generation: self.regen.generation,
-                        }),
-                        MsgClass::Token,
-                    );
-                }
-            }
+            // `last` was already None: we are tail (a successor obligation
+            // is or will be pointing at us) or an orphaned root — either
+            // way the regen timer is the backstop.
+            self.arm_regen_timer(ctx);
         }
     }
 
-    /// Requests a state transfer from the cyclic successor when this node
-    /// has fallen behind the token's carried window (detected via gap
-    /// accounting). The reply fills the local prefix in order, so the
-    /// prefix property is never at risk.
-    fn maybe_request_sync(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        let gaps = self.order.gap_events();
-        if gaps > self.synced_gaps {
-            self.synced_gaps = gaps;
-            let succ = ctx.topology().successor(ctx.id());
-            ctx.send(
-                succ,
-                NaimiMsg::Regen(RegenMsg::SyncRequest {
-                    from_seq: self.order.applied_seq() + 1,
-                }),
-                MsgClass::Token,
-            );
-        }
-    }
-
-    fn announce(&mut self, msg: RegenMsg, ctx: &mut Context<'_, NaimiMsg>) {
-        let me = ctx.id();
-        for peer in ctx.topology().iter() {
-            if peer != me {
-                ctx.send(peer, NaimiMsg::Regen(msg.clone()), MsgClass::Token);
+    fn depart(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
+        if let Some(h) = self.c.holding.as_mut() {
+            h.token.exclude(ctx.id());
+            if matches!(h.state, HoldState::Idle) {
+                self.hand_off(ctx);
             }
         }
     }
@@ -742,11 +426,11 @@ impl NaimiNode {
     /// (inquiry hint) or toward the probable owner. Doubles as
     /// retransmission for requests lost on the cheap channel; the bumped
     /// attempt gets the resend past every duplicate filter on the path.
-    fn resend_request(&mut self, holder_hint: Option<NodeId>, ctx: &mut Context<'_, NaimiMsg>) {
-        if self.holding.is_some() {
+    fn redrive(&mut self, holder_hint: Option<NodeId>, ctx: &mut Context<'_, NaimiMsg>) {
+        if self.c.holding.is_some() {
             return;
         }
-        let Some(front) = self.outstanding.front() else {
+        let Some(front) = self.c.outstanding.front() else {
             return;
         };
         let req = front.req;
@@ -761,6 +445,32 @@ impl NaimiNode {
         let attempt = self.attempt;
         self.send_request(to, me, req, attempt, 1, ctx);
     }
+
+    fn reroute_to(&mut self, holder: NodeId, ctx: &mut Context<'_, NaimiMsg>) {
+        // Our request chain may have died with the old token: aim a fresh
+        // resend straight at the holder.
+        self.redrive(Some(holder), ctx);
+        // Successors queued here point into the dead tree; forward their
+        // requests to the live holder too.
+        for s in std::mem::take(&mut self.waiting) {
+            self.send_request(holder, s.origin, s.req, s.attempt + 1, 1, ctx);
+        }
+        // Idle nodes repair their probable-owner pointer so the next
+        // acquisition routes into the live tree.
+        if self.c.outstanding.is_empty() {
+            self.last = Some(holder);
+        }
+    }
+
+    fn forget_peer(&mut self, peer: NodeId) {
+        self.waiting.retain(|w| w.origin != peer);
+    }
+
+    /// Queued successors died with the crash; their origins' own retry
+    /// cycles re-route them through the live tree.
+    fn forget_routes(&mut self) {
+        self.waiting.clear();
+    }
 }
 
 impl Node for NaimiNode {
@@ -768,37 +478,20 @@ impl Node for NaimiNode {
     type Ext = Want;
 
     fn on_init(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        let holder = self.cfg.effective_initial_holder(ctx.topology().len());
-        if ctx.id().index() == holder as usize {
-            let token = TokenFrame::new(self.cfg.effective_window(ctx.topology().len()));
-            self.handle_token(Box::new(token), ctx);
-        } else {
+        let holder = self.c.cfg.effective_initial_holder(ctx.topology().len());
+        if ctx.id().index() != holder as usize {
             // Everyone initially believes the configured holder owns the token.
             self.last = Some(NodeId::new(holder));
         }
+        self.init(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: NaimiMsg, ctx: &mut Context<'_, NaimiMsg>) {
         match msg {
             NaimiMsg::Token { frame, .. } => {
-                if self.cfg.token_acks {
-                    // Ack every receipt, duplicates included: the sender may
-                    // be retransmitting because our previous ack was lost.
-                    ctx.send(
-                        from,
-                        NaimiMsg::Regen(RegenMsg::TokenAck {
-                            generation: frame.generation,
-                            transfer_seq: frame.transfer_seq(),
-                        }),
-                        MsgClass::Token,
-                    );
+                if self.token_arrived(from, &frame, ctx) {
+                    self.possess(frame, ctx);
                 }
-                if frame.generation >= self.regen.generation
-                    && !self.handoff.accept(frame.generation, frame.transfer_seq())
-                {
-                    return; // duplicate or replayed frame, counted
-                }
-                self.handle_token(frame, ctx)
             }
             NaimiMsg::Request {
                 origin,
@@ -811,74 +504,13 @@ impl Node for NaimiNode {
     }
 
     fn on_external(&mut self, ev: Want, ctx: &mut Context<'_, NaimiMsg>) {
-        match ev.kind {
-            WantKind::Acquire => {}
-            WantKind::Leave => {
-                self.departed = true;
-                self.outstanding.clear();
-                self.announce(RegenMsg::Leave, ctx);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.exclude(ctx.id());
-                    if matches!(h.state, HoldState::Idle) {
-                        self.hand_off(ctx);
-                    }
-                }
-                return;
-            }
-            WantKind::Rejoin => {
-                self.departed = false;
-                self.announce(RegenMsg::Rejoin, ctx);
-                return;
-            }
-        }
-        if self.departed {
-            return;
-        }
-        self.next_req_seq += 1;
-        let req = RequestId::new(ctx.id(), self.next_req_seq);
-        self.events.push(TokenEvent::Requested { req, at: ctx.now() });
-        self.outstanding.push_back(Outstanding {
-            req,
-            payload: ev.payload,
-            made_at: ctx.now(),
-        });
-        if self.holding.is_some() {
-            self.progress(ctx);
-            return;
-        }
-        // One Request per acquisition: the token, once here, serves the
-        // whole local queue, so only the transition 0 → 1 goes on the wire.
-        if self.outstanding.len() == 1 {
-            self.attempt = 0;
-            if let Some(l) = self.last.take() {
-                self.send_request(l, ctx.id(), req, 0, 1, ctx);
-            }
-            // `last` was already None: we are tail (a successor obligation
-            // is or will be pointing at us) or an orphaned root — either
-            // way the regen timer is the backstop.
-            self.arm_regen_timer(ctx);
-        }
+        self.want(ev, ctx);
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, NaimiMsg>) {
-        if let Some((tseq, attempt)) = decode_retransmit_timer(kind) {
-            if self.handoff.timer_due(tseq, attempt) {
-                if let Some((to, msg, tseq, next)) =
-                    self.handoff.next_attempt(self.cfg.ack_max_retries)
-                {
-                    ctx.send(to, msg, MsgClass::Token);
-                    ctx.set_timer(
-                        self.cfg.ack_backoff(next),
-                        retransmit_timer_kind(tseq, next),
-                    );
-                }
-            }
-            return;
-        }
         match kind {
-            TIMER_ANNOUNCE => self.announce_generation(ctx),
             TIMER_SERVICE => {
-                let Some(holding) = self.holding.as_mut() else {
+                let Some(holding) = self.c.holding.as_mut() else {
                     return;
                 };
                 if let HoldState::Serving { req, payload } = holding.state {
@@ -887,116 +519,20 @@ impl Node for NaimiNode {
                     self.progress(ctx);
                 }
             }
-            TIMER_REGEN => {
-                if self.holding.is_some() || !self.cfg.regeneration {
-                    return;
-                }
-                let Some(front) = self.outstanding.front() else {
-                    return;
-                };
-                let timeout = self.cfg.effective_regen_timeout(ctx.topology().len());
-                let waited = ctx.now().since(front.made_at);
-                if waited >= timeout {
-                    if !self.regen.is_inquiring() {
-                        self.broadcast_inquiry(ctx);
-                    }
-                } else {
-                    ctx.set_timer(timeout - waited, TIMER_REGEN);
-                }
-            }
-            TIMER_INQUIRY => {
-                if !self.cfg.regeneration {
-                    return;
-                }
-                let view = self.my_regen_view();
-                match self.regen.conclude(ctx.topology(), ctx.id(), view) {
-                    RegenVerdict::Wait { holder } => {
-                        if !self.outstanding.is_empty() && self.holding.is_none() {
-                            self.resend_request(holder, ctx);
-                            self.arm_regen_timer(ctx);
-                        }
-                    }
-                    RegenVerdict::Regenerate {
-                        target,
-                        new_gen,
-                        known_seq,
-                        dead,
-                    } => {
-                        if target == ctx.id() {
-                            let window = self.cfg.effective_window(ctx.topology().len());
-                            if let Some(token) = self.regen.mint(new_gen, known_seq, window, dead)
-                            {
-                                self.events.push(TokenEvent::Regenerated {
-                                    by: ctx.id(),
-                                    generation: new_gen,
-                                    at: ctx.now(),
-                                });
-                                self.handle_token(Box::new(token), ctx);
-                            }
-                        } else {
-                            ctx.send(
-                                target,
-                                NaimiMsg::Regen(RegenMsg::Please {
-                                    new_gen,
-                                    known_seq,
-                                    dead,
-                                }),
-                                MsgClass::Token,
-                            );
-                            self.resend_request(Some(target), ctx);
-                            self.arm_regen_timer(ctx);
-                        }
-                    }
-                }
-            }
-            _ => {}
+            _ => self.custody_timer(kind, ctx),
         }
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        // A retransmit from before the crash could resurrect a stale token.
-        self.handoff.clear_pending();
-        if self.holding.take().is_some() {
-            self.events.push(TokenEvent::StaleTokenDiscarded {
-                generation: self.regen.generation,
-                at: ctx.now(),
-            });
-        }
-        // Queued successors died with the crash; their origins' own retry
-        // cycles re-route them through the live tree.
-        self.waiting.clear();
-        if self.cfg.regeneration {
-            let me = ctx.id();
-            for peer in ctx.topology().iter() {
-                if peer != me {
-                    ctx.send(peer, NaimiMsg::Regen(RegenMsg::Rejoin), MsgClass::Token);
-                }
-            }
-        }
-        if !self.outstanding.is_empty() {
-            self.arm_regen_timer(ctx);
-        }
-    }
-}
-
-impl EventSource for NaimiNode {
-    fn take_events(&mut self) -> Vec<TokenEvent> {
-        self.events.take()
-    }
-
-    fn take_events_into(&mut self, out: &mut Vec<TokenEvent>) {
-        self.events.take_into(out);
-    }
-
-    fn has_events(&self) -> bool {
-        !self.events.is_empty()
+        self.recover(ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atp_net::{LinkFaults, World, WorldConfig};
+    use crate::TokenNode;
+    use atp_net::{LinkFaults, SimTime, World, WorldConfig};
 
     fn world(n: usize, cfg: ProtocolConfig) -> World<NaimiNode> {
         World::from_nodes(

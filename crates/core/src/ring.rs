@@ -6,20 +6,19 @@
 //! delays pass before the token reaches *a* ready node.
 //!
 //! This is the baseline the paper's simulation study (Figures 9 and 10)
-//! compares System BinarySearch against.
+//! compares System BinarySearch against. Requests never look for the token,
+//! so the node is the [custody core](crate::custody) plus a hold policy: it
+//! implements none of the routing hooks.
 
-use std::collections::{BTreeSet, VecDeque};
+use atp_net::{Context, Node, NodeId};
 
-use atp_net::{Context, MsgClass, Node, NodeId, SimTime};
-
-use crate::checkpoint::{Checkpoint, CKPT_RING};
+use crate::checkpoint::CKPT_RING;
 use crate::config::ProtocolConfig;
-use crate::event::{EventBuf, EventSource, TokenEvent, Want, WantKind};
-use crate::handoff::{decode_retransmit_timer, retransmit_timer_kind, Handoff};
-use crate::order::OrderState;
-use crate::regen::{RegenEngine, RegenMsg, RegenReply, RegenVerdict};
+use crate::custody::{Custodian, Custody, Outstanding, TIMER_PASS, TIMER_SERVICE};
+use crate::event::{TokenEvent, Want};
+use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
-use crate::types::{RequestId, VisitStamp};
+use crate::types::RequestId;
 
 /// Messages of the ring protocol.
 #[derive(Debug, Clone)]
@@ -31,41 +30,21 @@ pub enum RingMsg {
     Regen(RegenMsg),
 }
 
-const TIMER_SERVICE: u64 = 1;
-const TIMER_PASS: u64 = 2;
-const TIMER_REGEN: u64 = 3;
-const TIMER_INQUIRY: u64 = 4;
-// Timer kind 5 (low byte) is the retransmit timer, see `crate::handoff`.
-const TIMER_ANNOUNCE: u64 = 6;
-
-/// Re-announce period for generation fencing while excluded nodes remain.
-const ANNOUNCE_PERIOD: u64 = 16;
-
-/// Reply-collection window for an inquiry, in ticks (2 round trips at unit
-/// delay, with slack for jittery latency models).
-const INQUIRY_WINDOW: u64 = 8;
-
-#[derive(Debug)]
-struct Outstanding {
-    req: RequestId,
-    payload: u64,
-    made_at: SimTime,
-}
-
-#[derive(Debug)]
-enum HoldState {
+/// What a ring node is doing with the token it holds.
+#[derive(Debug, Default)]
+pub enum HoldState {
     /// Holding, free to serve or pass.
+    #[default]
     Idle,
     /// Pass timer armed (adaptive token speed).
     PassArmed,
     /// Mid-service: timer will fire after the critical section.
-    Serving { req: RequestId, payload: u64 },
-}
-
-#[derive(Debug)]
-struct Holding {
-    token: Box<TokenFrame>,
-    state: HoldState,
+    Serving {
+        /// The request in its critical section.
+        req: RequestId,
+        /// Its datum.
+        payload: u64,
+    },
 }
 
 /// One node of the rotating-token ring protocol.
@@ -76,233 +55,31 @@ struct Holding {
 /// where some distinguished node starts with `T = x`.
 #[derive(Debug)]
 pub struct RingNode {
-    cfg: ProtocolConfig,
-    events: EventBuf,
-    order: OrderState,
-    outstanding: VecDeque<Outstanding>,
-    next_req_seq: u64,
-    last_visit: VisitStamp,
-    last_pass: Option<NodeId>,
-    holding: Option<Holding>,
-    regen: RegenEngine,
-    handoff: Handoff<RingMsg>,
-    rejoining: BTreeSet<NodeId>,
-    leaving: BTreeSet<NodeId>,
-    departed: bool,
-    /// Gap count already covered by an outstanding sync request.
-    synced_gaps: u64,
-    grants: u64,
-    token_sends: u64,
+    c: Custody<RingMsg, HoldState>,
 }
 
 impl RingNode {
     /// Creates a node with the given configuration.
     pub fn new(cfg: ProtocolConfig) -> Self {
-        RingNode {
-            order: OrderState::new(cfg.record_log),
-            cfg,
-            events: EventBuf::default(),
-            outstanding: VecDeque::new(),
-            next_req_seq: 0,
-            last_visit: VisitStamp::NEVER,
-            last_pass: None,
-            holding: None,
-            regen: RegenEngine::new(),
-            handoff: Handoff::new(),
-            rejoining: BTreeSet::new(),
-            leaving: BTreeSet::new(),
-            departed: false,
-            synced_gaps: 0,
-            grants: 0,
-            token_sends: 0,
-        }
-    }
-
-    /// Whether this node has gracefully left the group.
-    pub fn is_departed(&self) -> bool {
-        self.departed
-    }
-
-    /// The node's applied history (local prefix of `H`).
-    pub fn order(&self) -> &OrderState {
-        &self.order
-    }
-
-    /// Captures the node's durable state for crash–restart recovery.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(
-            CKPT_RING,
-            &self.order,
-            self.next_req_seq,
-            self.last_visit,
-            self.regen.generation,
-            self.handoff.watermark(),
-        )
-    }
-
-    /// Rebuilds a node from a checkpoint (warm restart). Volatile state —
-    /// held token, pending transfers, outstanding requests — starts empty;
-    /// drive the restarted node through `on_recover`, never `on_init`.
-    pub fn from_checkpoint(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        assert_eq!(ck.protocol, CKPT_RING, "checkpoint from a different protocol");
-        let mut node = RingNode::new(cfg);
-        node.order = ck.restore_order(cfg.record_log);
-        node.next_req_seq = ck.next_req_seq;
-        node.last_visit = ck.visit_stamp();
-        node.regen.witness(ck.generation);
-        node.handoff.restore_watermark(ck.watermark);
-        node
-    }
-
-    /// Total grants this node has received.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Requests currently queued locally.
-    pub fn outstanding_len(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Whether this node currently holds the token.
-    pub fn holds_token(&self) -> bool {
-        self.holding.is_some()
-    }
-
-    /// The node's last visit stamp.
-    pub fn last_visit(&self) -> VisitStamp {
-        self.last_visit
-    }
-
-    /// Token-bearing messages this node has sent.
-    pub fn token_sends(&self) -> u64 {
-        self.token_sends
-    }
-
-    /// Token frames discarded as duplicates (watermark or double
-    /// possession) instead of forking possession.
-    pub fn duplicate_tokens_discarded(&self) -> u64 {
-        self.handoff.duplicates_discarded
-    }
-
-    /// Token frames retransmitted after an ack timeout.
-    pub fn token_retransmits(&self) -> u64 {
-        self.handoff.retransmits
-    }
-
-    /// Current token generation this node believes in.
-    pub fn generation(&self) -> u32 {
-        self.regen.generation
-    }
-
-    fn witness_generation(&mut self, generation: u32, at: SimTime) {
-        if self.regen.witness(generation) {
-            // A held token from a superseded generation is dead weight.
-            if let Some(h) = &self.holding {
-                if h.token.generation < generation {
-                    let stale = h.token.generation;
-                    self.holding = None;
-                    self.events.push(TokenEvent::StaleTokenDiscarded {
-                        generation: stale,
-                        at,
-                    });
-                }
-            }
-        }
-    }
-
-    fn handle_token(&mut self, mut token: Box<TokenFrame>, ctx: &mut Context<'_, RingMsg>) {
-        if token.generation < self.regen.generation {
-            self.events.push(TokenEvent::StaleTokenDiscarded {
-                generation: token.generation,
-                at: ctx.now(),
-            });
-            return;
-        }
-        self.witness_generation(token.generation, ctx.now());
-        if self.holding.is_some() {
-            // Duplicate token of the same generation: a duplicated or
-            // retransmitted frame got past the watermark. Discard, count.
-            self.handoff.count_duplicate();
-            return;
-        }
-        self.last_visit = token.on_possess(ctx.id(), true);
-        self.order.apply_carried(&token, ctx.now(), &mut self.events);
-        self.maybe_request_sync(ctx);
-        for node in std::mem::take(&mut self.rejoining) {
-            token.readmit(node);
-        }
-        for node in std::mem::take(&mut self.leaving) {
-            token.exclude(node);
-        }
-        if self.departed {
-            // Raced departure: exclude ourselves and pass straight on.
-            token.exclude(ctx.id());
-            self.holding = Some(Holding {
-                token,
-                state: HoldState::Idle,
-            });
-            self.send_token(ctx);
-            return;
-        }
-        self.holding = Some(Holding {
-            token,
-            state: HoldState::Idle,
-        });
-        self.announce_generation(ctx);
-        self.progress(ctx);
-    }
-
-    /// Generation fencing: while the token lists excluded nodes, the holder
-    /// periodically tells them which generation is live, so a node isolated
-    /// during a partition cannot keep serving a superseded token after heal.
-    fn announce_generation(&mut self, ctx: &mut Context<'_, RingMsg>) {
-        if !self.cfg.regeneration {
-            return;
-        }
-        let Some(h) = &self.holding else { return };
-        if h.token.excluded().is_empty() {
-            return;
-        }
-        let generation = h.token.generation;
-        let targets: Vec<NodeId> = h.token.excluded().to_vec();
-        for node in targets {
-            ctx.send(
-                node,
-                RingMsg::Regen(RegenMsg::GenAnnounce { generation }),
-                MsgClass::Token,
-            );
-        }
-        ctx.set_timer(ANNOUNCE_PERIOD, TIMER_ANNOUNCE);
-    }
-
-    fn finish_service(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, RingMsg>) {
-        let holding = self.holding.as_mut().expect("finishing without token");
-        let entry = holding.token.append(ctx.id(), payload);
-        holding.token.mark_satisfied(req);
-        self.order.apply(&[entry], ctx.now(), &mut self.events);
-        self.events.push(TokenEvent::Released {
-            req,
-            at: ctx.now(),
-        });
+        Self::with_custody(Custody::new(cfg))
     }
 
     /// Serve local requests, then pass the token onward.
     fn progress(&mut self, ctx: &mut Context<'_, RingMsg>) {
         loop {
-            let Some(holding) = self.holding.as_mut() else {
+            let Some(holding) = self.c.holding.as_mut() else {
                 return;
             };
             match holding.state {
                 HoldState::Serving { .. } => return,
                 HoldState::Idle | HoldState::PassArmed => {
-                    if let Some(out) = self.outstanding.pop_front() {
-                        self.grants += 1;
-                        self.events.push(TokenEvent::Granted {
+                    if let Some(out) = self.c.outstanding.pop_front() {
+                        self.c.grants += 1;
+                        self.c.events.push(TokenEvent::Granted {
                             req: out.req,
                             at: ctx.now(),
                         });
-                        if self.cfg.service_ticks == 0 {
+                        if self.c.cfg.service_ticks == 0 {
                             self.finish_service(out.req, out.payload, ctx);
                             continue;
                         }
@@ -310,11 +87,11 @@ impl RingNode {
                             req: out.req,
                             payload: out.payload,
                         };
-                        ctx.set_timer(self.cfg.service_ticks, TIMER_SERVICE);
+                        ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
                         return;
                     }
                     // Nothing to serve: pass (possibly after an idle hold).
-                    let delay = self.cfg.idle_delay(holding.token.idle_rounds());
+                    let delay = self.c.cfg.idle_delay(holding.token.idle_rounds());
                     if delay == 0 {
                         self.send_token(ctx);
                     } else if !matches!(holding.state, HoldState::PassArmed) {
@@ -328,180 +105,66 @@ impl RingNode {
     }
 
     fn send_token(&mut self, ctx: &mut Context<'_, RingMsg>) {
-        let Some(mut holding) = self.holding.take() else {
+        let Some(holding) = self.c.holding.take() else {
             return;
         };
         let succ = holding.token.next_live_successor(ctx.topology(), ctx.id());
-        self.last_pass = Some(succ);
-        self.token_sends += 1;
-        holding.token.bump_transfer();
-        let generation = holding.token.generation;
-        let transfer_seq = holding.token.transfer_seq();
-        let msg = RingMsg::Token(holding.token);
-        if succ != ctx.id() {
-            // Self-sends (degenerate one-node ring) must pass the watermark.
-            self.handoff.observe_send(generation, transfer_seq);
-        }
-        if self.cfg.token_acks {
-            self.handoff.track(succ, msg.clone(), generation, transfer_seq);
-            ctx.set_timer(
-                self.cfg.ack_backoff(0),
-                retransmit_timer_kind(transfer_seq, 0),
-            );
-        }
-        ctx.send(succ, msg, MsgClass::Token);
+        self.ship(succ, holding.token, |_, frame| RingMsg::Token(frame), ctx);
+    }
+}
+
+impl Custodian for RingNode {
+    type Hold = HoldState;
+    type Route = ();
+    const CKPT: u8 = CKPT_RING;
+
+    fn custody(&self) -> &Custody<RingMsg, HoldState> {
+        &self.c
     }
 
-    fn my_regen_view(&self) -> RegenReply {
-        RegenReply {
-            generation: self.regen.generation,
-            stamp: self.last_visit,
-            holder: self.holding.is_some(),
-            passed_to: self.last_pass,
-            applied_seq: self.order.applied_seq(),
-        }
+    fn custody_mut(&mut self) -> &mut Custody<RingMsg, HoldState> {
+        &mut self.c
     }
 
-    fn arm_regen_timer(&mut self, ctx: &mut Context<'_, RingMsg>) {
-        if self.cfg.regeneration {
-            let timeout = self.cfg.effective_regen_timeout(ctx.topology().len());
-            ctx.set_timer(timeout, TIMER_REGEN);
-        }
+    fn with_custody(c: Custody<RingMsg, HoldState>) -> Self {
+        RingNode { c }
     }
 
-    fn broadcast_inquiry(&mut self, ctx: &mut Context<'_, RingMsg>) {
-        self.regen.start_inquiry();
-        let me = ctx.id();
-        let generation = self.regen.generation;
-        for peer in ctx.topology().iter() {
-            if peer != me {
-                ctx.send(
-                    peer,
-                    RingMsg::Regen(RegenMsg::Inquiry { generation }),
-                    MsgClass::Token,
-                );
-            }
-        }
-        ctx.set_timer(INQUIRY_WINDOW, TIMER_INQUIRY);
+    fn wrap(msg: RegenMsg) -> RingMsg {
+        RingMsg::Regen(msg)
     }
 
-    fn handle_regen(&mut self, from: NodeId, msg: RegenMsg, ctx: &mut Context<'_, RingMsg>) {
-        match msg {
-            RegenMsg::Inquiry { generation } => {
-                self.witness_generation(generation, ctx.now());
-                let view = self.my_regen_view();
-                ctx.send(from, RingMsg::Regen(RegenMsg::Reply(view)), MsgClass::Token);
-            }
-            RegenMsg::Reply(reply) => {
-                let before = self.regen.generation;
-                self.regen.record_reply(from, reply);
-                if self.regen.generation > before {
-                    self.witness_generation(self.regen.generation, ctx.now());
-                }
-            }
-            RegenMsg::Please {
-                new_gen,
-                known_seq,
-                dead,
-            } => {
-                let window = self.cfg.effective_window(ctx.topology().len());
-                if let Some(token) = self.regen.mint(new_gen, known_seq, window, dead) {
-                    self.events.push(TokenEvent::Regenerated {
-                        by: ctx.id(),
-                        generation: new_gen,
-                        at: ctx.now(),
-                    });
-                    self.witness_generation(new_gen, ctx.now());
-                    self.handle_token(Box::new(token), ctx);
-                }
-            }
-            RegenMsg::SyncRequest { from_seq } => {
-                let entries = self
-                    .order
-                    .suffix_from(from_seq, crate::regen::SYNC_REPLY_MAX);
-                if !entries.is_empty() {
-                    ctx.send(
-                        from,
-                        RingMsg::Regen(RegenMsg::SyncReply { entries }),
-                        MsgClass::Token,
-                    );
-                }
-            }
-            RegenMsg::SyncReply { entries } => {
-                self.order.apply(&entries, ctx.now(), &mut self.events);
-            }
-            RegenMsg::Rejoin => {
-                self.leaving.remove(&from);
-                self.rejoining.insert(from);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.readmit(from);
-                    self.rejoining.remove(&from);
-                }
-            }
-            RegenMsg::Leave => {
-                self.rejoining.remove(&from);
-                self.leaving.insert(from);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.exclude(from);
-                    self.leaving.remove(&from);
-                }
-            }
-            RegenMsg::TokenAck {
-                generation,
-                transfer_seq,
-            } => {
-                self.handoff.acked(generation, transfer_seq);
-            }
-            RegenMsg::GenAnnounce { generation } => {
-                if generation > self.regen.generation {
-                    // We sat out a regeneration (partition, crash): adopt the
-                    // live generation and ask the holder to readmit us.
-                    self.witness_generation(generation, ctx.now());
-                    if !self.departed {
-                        ctx.send(from, RingMsg::Regen(RegenMsg::Rejoin), MsgClass::Token);
-                    }
-                    if !self.outstanding.is_empty() && self.holding.is_none() {
-                        self.arm_regen_timer(ctx);
-                    }
-                } else if generation < self.regen.generation {
-                    // The announcer is the stale one: fence it back.
-                    ctx.send(
-                        from,
-                        RingMsg::Regen(RegenMsg::GenAnnounce {
-                            generation: self.regen.generation,
-                        }),
-                        MsgClass::Token,
-                    );
-                }
-            }
+    fn possess(&mut self, token: Box<TokenFrame>, ctx: &mut Context<'_, RingMsg>) {
+        let Some(token) = self.take_possession(token, true, ctx) else {
+            return;
+        };
+        if self.hold(token, ctx) {
+            self.progress(ctx);
+        } else {
+            // Raced departure: pass straight on.
+            self.send_token(ctx);
         }
     }
 
-
-    /// Requests a state transfer from the cyclic successor when this node
-    /// has fallen behind the token's carried window (detected via gap
-    /// accounting). The reply fills the local prefix in order, so the
-    /// prefix property is never at risk.
-    fn maybe_request_sync(&mut self, ctx: &mut Context<'_, RingMsg>) {
-        let gaps = self.order.gap_events();
-        if gaps > self.synced_gaps {
-            self.synced_gaps = gaps;
-            let succ = ctx.topology().successor(ctx.id());
-            ctx.send(
-                succ,
-                RingMsg::Regen(RegenMsg::SyncRequest {
-                    from_seq: self.order.applied_seq() + 1,
-                }),
-                MsgClass::Token,
-            );
+    fn enqueue(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, RingMsg>) {
+        self.c.outstanding.push_back(Outstanding {
+            req,
+            payload,
+            made_at: ctx.now(),
+            route: (),
+        });
+        if self.c.outstanding.len() == 1 && self.c.holding.is_none() {
+            self.arm_regen_timer(ctx);
         }
+        self.progress(ctx);
     }
 
-    fn announce(&mut self, msg: RegenMsg, ctx: &mut Context<'_, RingMsg>) {
-        let me = ctx.id();
-        for peer in ctx.topology().iter() {
-            if peer != me {
-                ctx.send(peer, RingMsg::Regen(msg.clone()), MsgClass::Token);
+    fn depart(&mut self, ctx: &mut Context<'_, RingMsg>) {
+        if let Some(h) = self.c.holding.as_mut() {
+            h.token.exclude(ctx.id());
+            if matches!(h.state, HoldState::Idle | HoldState::PassArmed) {
+                h.state = HoldState::Idle;
+                self.send_token(ctx);
             }
         }
     }
@@ -512,100 +175,28 @@ impl Node for RingNode {
     type Ext = Want;
 
     fn on_init(&mut self, ctx: &mut Context<'_, RingMsg>) {
-        let holder = self.cfg.effective_initial_holder(ctx.topology().len());
-        if ctx.id().index() == holder as usize {
-            let token = Box::new(TokenFrame::new(self.cfg.effective_window(ctx.topology().len())));
-            self.handle_token(token, ctx);
-        }
+        self.init(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: RingMsg, ctx: &mut Context<'_, RingMsg>) {
         match msg {
             RingMsg::Token(frame) => {
-                if self.cfg.token_acks {
-                    // Ack every receipt, duplicates included: the sender may
-                    // be retransmitting because our previous ack was lost.
-                    ctx.send(
-                        from,
-                        RingMsg::Regen(RegenMsg::TokenAck {
-                            generation: frame.generation,
-                            transfer_seq: frame.transfer_seq(),
-                        }),
-                        MsgClass::Token,
-                    );
+                if self.token_arrived(from, &frame, ctx) {
+                    self.possess(frame, ctx);
                 }
-                if frame.generation >= self.regen.generation
-                    && !self.handoff.accept(frame.generation, frame.transfer_seq())
-                {
-                    return; // duplicate or replayed frame, counted
-                }
-                self.handle_token(frame, ctx)
             }
             RingMsg::Regen(m) => self.handle_regen(from, m, ctx),
         }
     }
 
     fn on_external(&mut self, ev: Want, ctx: &mut Context<'_, RingMsg>) {
-        match ev.kind {
-            WantKind::Acquire => {}
-            WantKind::Leave => {
-                self.departed = true;
-                self.outstanding.clear();
-                self.announce(RegenMsg::Leave, ctx);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.exclude(ctx.id());
-                    if matches!(h.state, HoldState::Idle | HoldState::PassArmed) {
-                        h.state = HoldState::Idle;
-                        self.send_token(ctx);
-                    }
-                }
-                return;
-            }
-            WantKind::Rejoin => {
-                self.departed = false;
-                self.announce(RegenMsg::Rejoin, ctx);
-                return;
-            }
-        }
-        if self.departed {
-            return; // departed nodes do not request
-        }
-        self.next_req_seq += 1;
-        let req = RequestId::new(ctx.id(), self.next_req_seq);
-        self.events.push(TokenEvent::Requested {
-            req,
-            at: ctx.now(),
-        });
-        self.outstanding.push_back(Outstanding {
-            req,
-            payload: ev.payload,
-            made_at: ctx.now(),
-        });
-        if self.outstanding.len() == 1 && self.holding.is_none() {
-            self.arm_regen_timer(ctx);
-        }
-        self.progress(ctx);
+        self.want(ev, ctx);
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, RingMsg>) {
-        if let Some((tseq, attempt)) = decode_retransmit_timer(kind) {
-            if self.handoff.timer_due(tseq, attempt) {
-                if let Some((to, msg, tseq, next)) =
-                    self.handoff.next_attempt(self.cfg.ack_max_retries)
-                {
-                    ctx.send(to, msg, MsgClass::Token);
-                    ctx.set_timer(
-                        self.cfg.ack_backoff(next),
-                        retransmit_timer_kind(tseq, next),
-                    );
-                }
-            }
-            return;
-        }
         match kind {
-            TIMER_ANNOUNCE => self.announce_generation(ctx),
             TIMER_SERVICE => {
-                let Some(holding) = self.holding.as_mut() else {
+                let Some(holding) = self.c.holding.as_mut() else {
                     return;
                 };
                 if let HoldState::Serving { req, payload } = holding.state {
@@ -615,10 +206,10 @@ impl Node for RingNode {
                 }
             }
             TIMER_PASS => {
-                if let Some(h) = self.holding.as_mut() {
+                if let Some(h) = self.c.holding.as_mut() {
                     if matches!(h.state, HoldState::PassArmed) {
                         h.state = HoldState::Idle;
-                        if self.outstanding.is_empty() {
+                        if self.c.outstanding.is_empty() {
                             self.send_token(ctx);
                         } else {
                             self.progress(ctx);
@@ -626,113 +217,20 @@ impl Node for RingNode {
                     }
                 }
             }
-            TIMER_REGEN => {
-                if self.holding.is_some() || !self.cfg.regeneration {
-                    return;
-                }
-                let Some(front) = self.outstanding.front() else {
-                    return;
-                };
-                let timeout = self.cfg.effective_regen_timeout(ctx.topology().len());
-                let waited = ctx.now().since(front.made_at);
-                if waited >= timeout {
-                    if !self.regen.is_inquiring() {
-                        self.broadcast_inquiry(ctx);
-                    }
-                } else {
-                    ctx.set_timer(timeout - waited, TIMER_REGEN);
-                }
-            }
-            TIMER_INQUIRY => {
-                if !self.cfg.regeneration {
-                    return;
-                }
-                let view = self.my_regen_view();
-                match self.regen.conclude(ctx.topology(), ctx.id(), view) {
-                    RegenVerdict::Wait { .. } => {
-                        if !self.outstanding.is_empty() && self.holding.is_none() {
-                            self.arm_regen_timer(ctx);
-                        }
-                    }
-                    RegenVerdict::Regenerate {
-                        target,
-                        new_gen,
-                        known_seq,
-                        dead,
-                    } => {
-                        if target == ctx.id() {
-                            let window = self.cfg.effective_window(ctx.topology().len());
-                            if let Some(token) = self.regen.mint(new_gen, known_seq, window, dead)
-                            {
-                                self.events.push(TokenEvent::Regenerated {
-                                    by: ctx.id(),
-                                    generation: new_gen,
-                                    at: ctx.now(),
-                                });
-                                self.handle_token(Box::new(token), ctx);
-                            }
-                        } else {
-                            ctx.send(
-                                target,
-                                RingMsg::Regen(RegenMsg::Please {
-                                    new_gen,
-                                    known_seq,
-                                    dead,
-                                }),
-                                MsgClass::Token,
-                            );
-                            self.arm_regen_timer(ctx);
-                        }
-                    }
-                }
-            }
-            _ => {}
+            _ => self.custody_timer(kind, ctx),
         }
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, RingMsg>) {
-        // A retransmit from before the crash could resurrect a stale token.
-        self.handoff.clear_pending();
-        // Conservative: never resurrect a possibly superseded token.
-        if self.holding.take().is_some() {
-            self.events.push(TokenEvent::StaleTokenDiscarded {
-                generation: self.regen.generation,
-                at: ctx.now(),
-            });
-        }
-        if self.cfg.regeneration {
-            // Announce recovery so the next token holder readmits us.
-            let me = ctx.id();
-            for peer in ctx.topology().iter() {
-                if peer != me {
-                    ctx.send(peer, RingMsg::Regen(RegenMsg::Rejoin), MsgClass::Token);
-                }
-            }
-        }
-        if !self.outstanding.is_empty() {
-            self.arm_regen_timer(ctx);
-        }
-    }
-}
-
-impl EventSource for RingNode {
-    fn take_events(&mut self) -> Vec<TokenEvent> {
-        self.events.take()
-    }
-
-    fn take_events_into(&mut self, out: &mut Vec<TokenEvent>) {
-        self.events.take_into(out);
-    }
-
-    fn has_events(&self) -> bool {
-        !self.events.is_empty()
+        self.recover(ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atp_net::{World, WorldConfig};
+    use crate::{EventSource, TokenNode};
+    use atp_net::{SimTime, World, WorldConfig};
 
     fn world(n: usize, cfg: ProtocolConfig) -> World<RingNode> {
         World::from_nodes(

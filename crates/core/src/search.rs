@@ -13,19 +13,22 @@
 //! request is O(distance to holder) cheap messages and exactly one token
 //! message — the regime where lazy tokens beat perpetual rotation is bursty,
 //! *localized* demand.
+//!
+//! Token custody (possession, handoff, Section 5) is the shared
+//! [core](crate::custody); this file is rules 5–7: the gimme walk and the
+//! traps.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use atp_net::{Context, MsgClass, Node, NodeId, SimTime};
+use atp_net::{Context, MsgClass, Node, NodeId};
 
-use crate::checkpoint::{Checkpoint, CKPT_SEARCH};
+use crate::checkpoint::CKPT_SEARCH;
 use crate::config::ProtocolConfig;
-use crate::event::{EventBuf, EventSource, TokenEvent, Want, WantKind};
-use crate::handoff::{decode_retransmit_timer, retransmit_timer_kind, Handoff};
-use crate::order::OrderState;
-use crate::regen::{RegenEngine, RegenMsg, RegenReply, RegenVerdict};
+use crate::custody::{Custodian, Custody, Outstanding, TIMER_SERVICE};
+use crate::event::{TokenEvent, Want};
+use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
-use crate::types::{RequestId, VisitStamp};
+use crate::types::RequestId;
 
 /// Messages of the lazy-token search protocol.
 #[derive(Debug, Clone)]
@@ -53,135 +56,39 @@ pub enum SearchMsg {
     Regen(RegenMsg),
 }
 
-const TIMER_SERVICE: u64 = 1;
-const TIMER_REGEN: u64 = 3;
-const TIMER_INQUIRY: u64 = 4;
-// Timer kind 5 (low byte) is the retransmit timer, see `crate::handoff`.
-const TIMER_ANNOUNCE: u64 = 6;
-const INQUIRY_WINDOW: u64 = 8;
-
-/// Re-announce period for generation fencing while excluded nodes remain.
-const ANNOUNCE_PERIOD: u64 = 16;
-
-#[derive(Debug)]
-struct Outstanding {
-    req: RequestId,
-    payload: u64,
-    made_at: SimTime,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Trap {
     origin: NodeId,
     req: RequestId,
 }
 
-#[derive(Debug)]
-enum HoldState {
+/// What a lazy-token node is doing with the token it holds.
+#[derive(Debug, Default)]
+pub enum HoldState {
+    /// Parked, free to serve or dispatch.
+    #[default]
     Idle,
-    Serving { req: RequestId, payload: u64 },
-}
-
-#[derive(Debug)]
-struct Holding {
-    token: Box<TokenFrame>,
-    state: HoldState,
+    /// Mid-service: timer will fire after the critical section.
+    Serving {
+        /// The request in its critical section.
+        req: RequestId,
+        /// Its datum.
+        payload: u64,
+    },
 }
 
 /// One node of the lazy-token linear-search protocol.
 #[derive(Debug)]
 pub struct SearchNode {
-    cfg: ProtocolConfig,
-    events: EventBuf,
-    order: OrderState,
-    outstanding: VecDeque<Outstanding>,
+    c: Custody<SearchMsg, HoldState>,
     traps: VecDeque<Trap>,
-    next_req_seq: u64,
-    last_visit: VisitStamp,
-    last_pass: Option<NodeId>,
-    holding: Option<Holding>,
-    regen: RegenEngine,
-    handoff: Handoff<SearchMsg>,
-    rejoining: BTreeSet<NodeId>,
-    leaving: BTreeSet<NodeId>,
-    departed: bool,
-    /// Gap count already covered by an outstanding sync request.
-    synced_gaps: u64,
-    grants: u64,
-    token_sends: u64,
     gimme_sends: u64,
 }
 
 impl SearchNode {
     /// Creates a node with the given configuration.
     pub fn new(cfg: ProtocolConfig) -> Self {
-        SearchNode {
-            order: OrderState::new(cfg.record_log),
-            cfg,
-            events: EventBuf::default(),
-            outstanding: VecDeque::new(),
-            traps: VecDeque::new(),
-            next_req_seq: 0,
-            last_visit: VisitStamp::NEVER,
-            last_pass: None,
-            holding: None,
-            regen: RegenEngine::new(),
-            handoff: Handoff::new(),
-            rejoining: BTreeSet::new(),
-            leaving: BTreeSet::new(),
-            departed: false,
-            synced_gaps: 0,
-            grants: 0,
-            token_sends: 0,
-            gimme_sends: 0,
-        }
-    }
-
-    /// The node's applied history.
-    pub fn order(&self) -> &OrderState {
-        &self.order
-    }
-
-    /// Captures the node's durable state for crash–restart recovery.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture(
-            CKPT_SEARCH,
-            &self.order,
-            self.next_req_seq,
-            self.last_visit,
-            self.regen.generation,
-            self.handoff.watermark(),
-        )
-    }
-
-    /// Rebuilds a node from a checkpoint (warm restart). Volatile state —
-    /// held token, traps, pending transfers, outstanding requests — starts
-    /// empty; drive the restarted node through `on_recover`, never
-    /// `on_init`.
-    pub fn from_checkpoint(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        assert_eq!(ck.protocol, CKPT_SEARCH, "checkpoint from a different protocol");
-        let mut node = SearchNode::new(cfg);
-        node.order = ck.restore_order(cfg.record_log);
-        node.next_req_seq = ck.next_req_seq;
-        node.last_visit = ck.visit_stamp();
-        node.regen.witness(ck.generation);
-        node.handoff.restore_watermark(ck.watermark);
-        node
-    }
-
-    /// Total grants received.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Whether this node holds the (idle or in-service) token.
-    pub fn holds_token(&self) -> bool {
-        self.holding.is_some()
-    }
-
-    /// Requests queued locally.
-    pub fn outstanding_len(&self) -> usize {
-        self.outstanding.len()
+        Self::with_custody(Custody::new(cfg))
     }
 
     /// Traps currently set at this node.
@@ -189,228 +96,123 @@ impl SearchNode {
         self.traps.len()
     }
 
-    /// Token messages sent by this node.
-    pub fn token_sends(&self) -> u64 {
-        self.token_sends
-    }
-
     /// Gimme messages sent or forwarded by this node.
     pub fn gimme_sends(&self) -> u64 {
         self.gimme_sends
     }
 
-    /// Token frames discarded as duplicates (watermark or double
-    /// possession) instead of forking possession.
-    pub fn duplicate_tokens_discarded(&self) -> u64 {
-        self.handoff.duplicates_discarded
-    }
-
-    /// Token frames retransmitted after an ack timeout.
-    pub fn token_retransmits(&self) -> u64 {
-        self.handoff.retransmits
-    }
-
-    /// Whether this node has gracefully left the group.
-    pub fn is_departed(&self) -> bool {
-        self.departed
-    }
-
-    /// Current token generation this node has witnessed.
-    pub fn generation(&self) -> u32 {
-        self.regen.generation
-    }
-
-    fn witness_generation(&mut self, generation: u32, at: SimTime) {
-        if self.regen.witness(generation) {
-            if let Some(h) = &self.holding {
-                if h.token.generation < generation {
-                    let stale = h.token.generation;
-                    self.holding = None;
-                    self.events.push(TokenEvent::StaleTokenDiscarded {
-                        generation: stale,
-                        at,
-                    });
-                }
-            }
-        }
-    }
-
-    fn handle_token(&mut self, mut token: Box<TokenFrame>, ctx: &mut Context<'_, SearchMsg>) {
-        if token.generation < self.regen.generation {
-            self.events.push(TokenEvent::StaleTokenDiscarded {
-                generation: token.generation,
-                at: ctx.now(),
-            });
-            return;
-        }
-        self.witness_generation(token.generation, ctx.now());
-        if self.holding.is_some() {
-            // Duplicate token of the same generation: a duplicated or
-            // retransmitted frame got past the watermark. Discard, count.
-            self.handoff.count_duplicate();
-            return;
-        }
-        self.last_visit = token.on_possess(ctx.id(), false);
-        self.order.apply_carried(&token, ctx.now(), &mut self.events);
-        self.maybe_request_sync(ctx);
-        // Purge traps whose requests were satisfied elsewhere; without this
-        // the lingering copies left along every gimme walk accumulate
-        // forever under sustained load.
-        if !self.traps.is_empty() {
-            let frame_ref = &token;
-            self.traps.retain(|t| !frame_ref.is_satisfied(&t.req));
-        }
-        for node in std::mem::take(&mut self.rejoining) {
-            token.readmit(node);
-        }
-        for node in std::mem::take(&mut self.leaving) {
-            token.exclude(node);
-        }
-        if self.departed {
-            // Hand the lazy token to someone still in the group.
-            token.exclude(ctx.id());
-            self.holding = Some(Holding {
-                token,
-                state: HoldState::Idle,
-            });
-            self.hand_off(ctx);
-            return;
-        }
-        self.holding = Some(Holding {
-            token,
-            state: HoldState::Idle,
-        });
-        self.announce_generation(ctx);
-        self.progress(ctx);
-    }
-
-    /// Generation fencing: while the token lists excluded nodes, the holder
-    /// periodically tells them which generation is live, so a node isolated
-    /// during a partition cannot keep serving a superseded token after heal.
-    fn announce_generation(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        if !self.cfg.regeneration {
-            return;
-        }
-        let Some(h) = &self.holding else { return };
-        if h.token.excluded().is_empty() {
-            return;
-        }
-        let generation = h.token.generation;
-        let targets: Vec<NodeId> = h.token.excluded().to_vec();
-        for node in targets {
-            ctx.send(
-                node,
-                SearchMsg::Regen(RegenMsg::GenAnnounce { generation }),
-                MsgClass::Token,
-            );
-        }
-        ctx.set_timer(ANNOUNCE_PERIOD, TIMER_ANNOUNCE);
-    }
-
-    /// Records one search hop for `req` in the event stream (the span
-    /// instrumentation behind per-request forward counts). `SearchMsg`
-    /// has no binary codec, so the wire size is the analytic size of a
-    /// Gimme: tag 1 + origin 4 + [`RequestId`] 12 + hops 4 = 21 bytes.
-    fn note_search_hop(&mut self, req: RequestId, ctx: &Context<'_, SearchMsg>) {
+    /// Sends one gimme hop for `req` and records it in the event stream
+    /// (the span instrumentation behind per-request forward counts).
+    /// `SearchMsg` has no binary codec, so the wire size is the analytic
+    /// size of a Gimme: tag 1 + origin 4 + [`RequestId`] 12 + hops 4 = 21
+    /// bytes.
+    fn send_gimme(
+        &mut self,
+        to: NodeId,
+        origin: NodeId,
+        req: RequestId,
+        hops: u32,
+        ctx: &mut Context<'_, SearchMsg>,
+    ) {
         const GIMME_WIRE_BYTES: u64 = 21;
-        self.events.push(TokenEvent::SearchForwarded {
+        self.gimme_sends += 1;
+        self.c.events.push(TokenEvent::SearchForwarded {
             req,
             bytes: GIMME_WIRE_BYTES,
             at: ctx.now(),
         });
+        ctx.send(
+            to,
+            SearchMsg::Gimme { origin, req, hops },
+            MsgClass::Control,
+        );
     }
 
-    /// Stamps, records and (if acks are on) tracks an outgoing token frame.
+    /// Relays a gimme to the cyclic neighbour (rule 6 restricted) unless it
+    /// has walked the whole ring.
+    fn forward_gimme(
+        &mut self,
+        origin: NodeId,
+        req: RequestId,
+        hops: u32,
+        ctx: &mut Context<'_, SearchMsg>,
+    ) {
+        if ((hops + 1) as usize) < ctx.topology().len() {
+            let next = ctx.topology().successor(ctx.id());
+            self.send_gimme(next, origin, req, hops + 1, ctx);
+        }
+    }
+
+    /// Ships a token frame, recording the dispatch when it serves a request.
     fn ship_token(
         &mut self,
         to: NodeId,
-        mut frame: Box<TokenFrame>,
+        frame: Box<TokenFrame>,
         grant_for: Option<RequestId>,
         ctx: &mut Context<'_, SearchMsg>,
     ) {
-        self.last_pass = Some(to);
-        self.token_sends += 1;
-        frame.bump_transfer();
-        let generation = frame.generation;
-        let transfer_seq = frame.transfer_seq();
-        // Analytic wire size: tag 1 + frame + grant_for option tag 1
-        // (+ RequestId 12 when granting).
-        let bytes = 2 + frame.encoded_len() as u64 + if grant_for.is_some() { 12 } else { 0 };
         if let Some(req) = grant_for {
-            self.events.push(TokenEvent::TokenDispatched {
+            // Analytic wire size: tag 1 + frame + grant_for option tag 1 +
+            // RequestId 12.
+            self.c.events.push(TokenEvent::TokenDispatched {
                 req,
-                bytes,
+                bytes: 14 + frame.encoded_len() as u64,
                 at: ctx.now(),
             });
         }
-        let msg = SearchMsg::Token { frame, grant_for };
-        if to != ctx.id() {
-            // Self-sends (degenerate one-node ring) must pass the watermark.
-            self.handoff.observe_send(generation, transfer_seq);
+        self.ship(
+            to,
+            frame,
+            |_, frame| SearchMsg::Token { frame, grant_for },
+            ctx,
+        );
+    }
+
+    /// Pops the first trap whose request the held token has not satisfied.
+    fn next_trap(&mut self) -> Option<Trap> {
+        let token = &self.c.holding.as_ref()?.token;
+        while let Some(trap) = self.traps.pop_front() {
+            if !token.is_satisfied(&trap.req) {
+                return Some(trap);
+            }
         }
-        if self.cfg.token_acks {
-            self.handoff.track(to, msg.clone(), generation, transfer_seq);
-            ctx.set_timer(
-                self.cfg.ack_backoff(0),
-                retransmit_timer_kind(transfer_seq, 0),
-            );
-        }
-        ctx.send(to, msg, MsgClass::Token);
+        None
     }
 
     /// Sends the held token to a trapped requester if any, otherwise to the
     /// next live successor (used by departing holders).
     fn hand_off(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        while let Some(trap) = self.traps.front() {
-            let stale = self
-                .holding
-                .as_ref()
-                .is_none_or(|h| h.token.is_satisfied(&trap.req));
-            if stale {
-                self.traps.pop_front();
-            } else {
-                break;
-            }
-        }
-        if let Some(trap) = self.traps.pop_front() {
+        if let Some(trap) = self.next_trap() {
             self.dispatch_token(trap, ctx);
             return;
         }
-        let Some(holding) = self.holding.take() else {
+        let Some(holding) = self.c.holding.take() else {
             return;
         };
         let succ = holding.token.next_live_successor(ctx.topology(), ctx.id());
         self.ship_token(succ, holding.token, None, ctx);
     }
 
-    fn finish_service(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, SearchMsg>) {
-        let holding = self.holding.as_mut().expect("finishing without token");
-        let entry = holding.token.append(ctx.id(), payload);
-        holding.token.mark_satisfied(req);
-        // The lazy token has no rounds to GC by, and a node may go
-        // arbitrarily long between possessions — so, exactly as in the
-        // paper's Figure 6 where the token message carries the complete
-        // history H, the carried window is left unbounded here. (The
-        // rotating protocols bound it by round counters instead.)
-        self.order.apply(&[entry], ctx.now(), &mut self.events);
-        self.events.push(TokenEvent::Released { req, at: ctx.now() });
-    }
-
+    /// Serve local requests, then a trapped requester. The lazy token has no
+    /// rounds to GC by, and a node may go arbitrarily long between
+    /// possessions — so, exactly as in the paper's Figure 6 where the token
+    /// message carries the complete history H, the carried window is left
+    /// unbounded. (The rotating protocols bound it by round counters.)
     fn progress(&mut self, ctx: &mut Context<'_, SearchMsg>) {
         loop {
-            let Some(holding) = self.holding.as_mut() else {
+            let Some(holding) = self.c.holding.as_mut() else {
                 return;
             };
             match holding.state {
                 HoldState::Serving { .. } => return,
                 HoldState::Idle => {
-                    if let Some(out) = self.outstanding.pop_front() {
-                        self.grants += 1;
-                        self.events.push(TokenEvent::Granted {
+                    if let Some(out) = self.c.outstanding.pop_front() {
+                        self.c.grants += 1;
+                        self.c.events.push(TokenEvent::Granted {
                             req: out.req,
                             at: ctx.now(),
                         });
-                        if self.cfg.service_ticks == 0 {
+                        if self.c.cfg.service_ticks == 0 {
                             self.finish_service(out.req, out.payload, ctx);
                             continue;
                         }
@@ -418,18 +220,11 @@ impl SearchNode {
                             req: out.req,
                             payload: out.payload,
                         };
-                        ctx.set_timer(self.cfg.service_ticks, TIMER_SERVICE);
+                        ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
                         return;
                     }
                     // Serve trapped requesters, skipping satisfied traps.
-                    while let Some(trap) = self.traps.front() {
-                        if holding.token.is_satisfied(&trap.req) {
-                            self.traps.pop_front();
-                            continue;
-                        }
-                        break;
-                    }
-                    if let Some(trap) = self.traps.pop_front() {
+                    if let Some(trap) = self.next_trap() {
                         self.dispatch_token(trap, ctx);
                     }
                     // Otherwise: lazy — keep holding silently.
@@ -440,7 +235,7 @@ impl SearchNode {
     }
 
     fn dispatch_token(&mut self, trap: Trap, ctx: &mut Context<'_, SearchMsg>) {
-        let Some(holding) = self.holding.take() else {
+        let Some(holding) = self.c.holding.take() else {
             return;
         };
         self.ship_token(trap.origin, holding.token, Some(trap.req), ctx);
@@ -451,17 +246,7 @@ impl SearchNode {
         // the DST explorer: two gimmes reach a serving holder back-to-back;
         // only the front trap was granted.)
         for t in std::mem::take(&mut self.traps) {
-            self.gimme_sends += 1;
-            self.note_search_hop(t.req, ctx);
-            ctx.send(
-                trap.origin,
-                SearchMsg::Gimme {
-                    origin: t.origin,
-                    req: t.req,
-                    hops: 1,
-                },
-                MsgClass::Control,
-            );
+            self.send_gimme(trap.origin, t.origin, t.req, 1, ctx);
         }
     }
 
@@ -475,203 +260,95 @@ impl SearchNode {
         if origin == ctx.id() {
             return; // own gimme came full circle
         }
-        if let Some(h) = &self.holding {
+        if let Some(h) = &self.c.holding {
             if h.token.is_satisfied(&req) {
                 return;
             }
         }
-        if self.departed {
+        if self.c.departed {
             // Relay without trapping.
-            let next_hops = hops + 1;
-            if (next_hops as usize) < ctx.topology().len() {
-                let next = ctx.topology().successor(ctx.id());
-                self.gimme_sends += 1;
-                self.note_search_hop(req, ctx);
-                ctx.send(
-                    next,
-                    SearchMsg::Gimme {
-                        origin,
-                        req,
-                        hops: next_hops,
-                    },
-                    MsgClass::Control,
-                );
-            }
+            self.forward_gimme(origin, req, hops, ctx);
             return;
         }
         if !self.traps.iter().any(|t| t.req == req) {
             self.traps.push_back(Trap { origin, req });
         }
-        if self.holding.is_some() {
+        if self.c.holding.is_some() {
+            self.progress(ctx);
+        } else {
+            self.forward_gimme(origin, req, hops, ctx);
+        }
+    }
+}
+
+impl Custodian for SearchNode {
+    type Hold = HoldState;
+    type Route = ();
+    const CKPT: u8 = CKPT_SEARCH;
+
+    fn custody(&self) -> &Custody<SearchMsg, HoldState> {
+        &self.c
+    }
+
+    fn custody_mut(&mut self) -> &mut Custody<SearchMsg, HoldState> {
+        &mut self.c
+    }
+
+    fn with_custody(c: Custody<SearchMsg, HoldState>) -> Self {
+        SearchNode {
+            c,
+            traps: VecDeque::new(),
+            gimme_sends: 0,
+        }
+    }
+
+    fn wrap(msg: RegenMsg) -> SearchMsg {
+        SearchMsg::Regen(msg)
+    }
+
+    fn possess(&mut self, token: Box<TokenFrame>, ctx: &mut Context<'_, SearchMsg>) {
+        let Some(token) = self.take_possession(token, false, ctx) else {
+            return;
+        };
+        // Purge traps whose requests were satisfied elsewhere; without this
+        // the lingering copies left along every gimme walk accumulate
+        // forever under sustained load.
+        if !self.traps.is_empty() {
+            self.traps.retain(|t| !token.is_satisfied(&t.req));
+        }
+        if self.hold(token, ctx) {
+            self.progress(ctx);
+        } else {
+            // Departed: hand the lazy token to someone still in the group.
+            self.hand_off(ctx);
+        }
+    }
+
+    fn enqueue(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, SearchMsg>) {
+        self.c.outstanding.push_back(Outstanding {
+            req,
+            payload,
+            made_at: ctx.now(),
+            route: (),
+        });
+        if self.c.holding.is_some() {
             self.progress(ctx);
             return;
         }
-        // Forward to the cyclic neighbour (rule 6 restricted).
-        let next_hops = hops + 1;
-        if (next_hops as usize) < ctx.topology().len() {
+        if !self.c.cfg.single_outstanding || self.c.outstanding.len() == 1 {
             let next = ctx.topology().successor(ctx.id());
-            self.gimme_sends += 1;
-            self.note_search_hop(req, ctx);
-            ctx.send(
-                next,
-                SearchMsg::Gimme {
-                    origin,
-                    req,
-                    hops: next_hops,
-                },
-                MsgClass::Control,
-            );
+            self.send_gimme(next, ctx.id(), req, 1, ctx);
+        }
+        if self.c.outstanding.len() == 1 {
+            self.arm_regen_timer(ctx);
         }
     }
 
-    fn my_regen_view(&self) -> RegenReply {
-        RegenReply {
-            generation: self.regen.generation,
-            stamp: self.last_visit,
-            holder: self.holding.is_some(),
-            passed_to: self.last_pass,
-            applied_seq: self.order.applied_seq(),
-        }
-    }
-
-    fn arm_regen_timer(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        if self.cfg.regeneration {
-            let timeout = self.cfg.effective_regen_timeout(ctx.topology().len());
-            ctx.set_timer(timeout, TIMER_REGEN);
-        }
-    }
-
-    fn broadcast_inquiry(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        self.regen.start_inquiry();
-        let me = ctx.id();
-        let generation = self.regen.generation;
-        for peer in ctx.topology().iter() {
-            if peer != me {
-                ctx.send(
-                    peer,
-                    SearchMsg::Regen(RegenMsg::Inquiry { generation }),
-                    MsgClass::Token,
-                );
-            }
-        }
-        ctx.set_timer(INQUIRY_WINDOW, TIMER_INQUIRY);
-    }
-
-    fn handle_regen(&mut self, from: NodeId, msg: RegenMsg, ctx: &mut Context<'_, SearchMsg>) {
-        match msg {
-            RegenMsg::Inquiry { generation } => {
-                self.witness_generation(generation, ctx.now());
-                let view = self.my_regen_view();
-                ctx.send(from, SearchMsg::Regen(RegenMsg::Reply(view)), MsgClass::Token);
-            }
-            RegenMsg::Reply(reply) => {
-                self.regen.record_reply(from, reply);
-            }
-            RegenMsg::Please {
-                new_gen,
-                known_seq,
-                dead,
-            } => {
-                let window = self.cfg.effective_window(ctx.topology().len());
-                if let Some(token) = self.regen.mint(new_gen, known_seq, window, dead) {
-                    self.events.push(TokenEvent::Regenerated {
-                        by: ctx.id(),
-                        generation: new_gen,
-                        at: ctx.now(),
-                    });
-                    self.handle_token(Box::new(token), ctx);
-                }
-            }
-            RegenMsg::SyncRequest { from_seq } => {
-                let entries = self
-                    .order
-                    .suffix_from(from_seq, crate::regen::SYNC_REPLY_MAX);
-                if !entries.is_empty() {
-                    ctx.send(
-                        from,
-                        SearchMsg::Regen(RegenMsg::SyncReply { entries }),
-                        MsgClass::Token,
-                    );
-                }
-            }
-            RegenMsg::SyncReply { entries } => {
-                self.order.apply(&entries, ctx.now(), &mut self.events);
-            }
-            RegenMsg::Rejoin => {
-                self.leaving.remove(&from);
-                self.rejoining.insert(from);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.readmit(from);
-                    self.rejoining.remove(&from);
-                }
-            }
-            RegenMsg::Leave => {
-                self.rejoining.remove(&from);
-                self.leaving.insert(from);
-                self.traps.retain(|t| t.origin != from);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.exclude(from);
-                    self.leaving.remove(&from);
-                }
-            }
-            RegenMsg::TokenAck {
-                generation,
-                transfer_seq,
-            } => {
-                self.handoff.acked(generation, transfer_seq);
-            }
-            RegenMsg::GenAnnounce { generation } => {
-                if generation > self.regen.generation {
-                    // We sat out a regeneration (partition, crash): adopt the
-                    // live generation and ask the holder to readmit us.
-                    self.witness_generation(generation, ctx.now());
-                    if !self.departed {
-                        ctx.send(from, SearchMsg::Regen(RegenMsg::Rejoin), MsgClass::Token);
-                        // Our gimme walk may have died with the old token.
-                        self.resend_gimme(Some(from), ctx);
-                    }
-                    if !self.outstanding.is_empty() && self.holding.is_none() {
-                        self.arm_regen_timer(ctx);
-                    }
-                } else if generation < self.regen.generation {
-                    // The announcer is the stale one: fence it back.
-                    ctx.send(
-                        from,
-                        SearchMsg::Regen(RegenMsg::GenAnnounce {
-                            generation: self.regen.generation,
-                        }),
-                        MsgClass::Token,
-                    );
-                }
-            }
-        }
-    }
-
-
-    /// Requests a state transfer from the cyclic successor when this node
-    /// has fallen behind the token's carried window (detected via gap
-    /// accounting). The reply fills the local prefix in order, so the
-    /// prefix property is never at risk.
-    fn maybe_request_sync(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        let gaps = self.order.gap_events();
-        if gaps > self.synced_gaps {
-            self.synced_gaps = gaps;
-            let succ = ctx.topology().successor(ctx.id());
-            ctx.send(
-                succ,
-                SearchMsg::Regen(RegenMsg::SyncRequest {
-                    from_seq: self.order.applied_seq() + 1,
-                }),
-                MsgClass::Token,
-            );
-        }
-    }
-
-    fn announce(&mut self, msg: RegenMsg, ctx: &mut Context<'_, SearchMsg>) {
-        let me = ctx.id();
-        for peer in ctx.topology().iter() {
-            if peer != me {
-                ctx.send(peer, SearchMsg::Regen(msg.clone()), MsgClass::Token);
+    fn depart(&mut self, ctx: &mut Context<'_, SearchMsg>) {
+        if let Some(h) = self.c.holding.as_mut() {
+            h.token.exclude(ctx.id());
+            if matches!(h.state, HoldState::Idle) {
+                self.hand_off(ctx);
             }
         }
     }
@@ -679,27 +356,25 @@ impl SearchNode {
     /// Re-issues the front request's gimme — either straight at a known
     /// holder (inquiry hint) or as a fresh walk. Doubles as retransmission
     /// for gimmes lost on the cheap channel.
-    fn resend_gimme(&mut self, holder_hint: Option<NodeId>, ctx: &mut Context<'_, SearchMsg>) {
-        if self.holding.is_some() {
+    fn redrive(&mut self, holder_hint: Option<NodeId>, ctx: &mut Context<'_, SearchMsg>) {
+        if self.c.holding.is_some() {
             return;
         }
-        let Some(front) = self.outstanding.front() else {
+        let Some(front) = self.c.outstanding.front() else {
             return;
         };
         let req = front.req;
         let me = ctx.id();
         let to = holder_hint.unwrap_or_else(|| ctx.topology().successor(me));
-        self.gimme_sends += 1;
-        self.note_search_hop(req, ctx);
-        ctx.send(
-            to,
-            SearchMsg::Gimme {
-                origin: me,
-                req,
-                hops: 1,
-            },
-            MsgClass::Control,
-        );
+        self.send_gimme(to, me, req, 1, ctx);
+    }
+
+    fn forget_peer(&mut self, peer: NodeId) {
+        self.traps.retain(|t| t.origin != peer);
+    }
+
+    fn forget_routes(&mut self) {
+        self.traps.clear();
     }
 }
 
@@ -708,34 +383,15 @@ impl Node for SearchNode {
     type Ext = Want;
 
     fn on_init(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        let holder = self.cfg.effective_initial_holder(ctx.topology().len());
-        if ctx.id().index() == holder as usize {
-            let token = TokenFrame::new(self.cfg.effective_window(ctx.topology().len()));
-            self.handle_token(Box::new(token), ctx);
-        }
+        self.init(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: SearchMsg, ctx: &mut Context<'_, SearchMsg>) {
         match msg {
             SearchMsg::Token { frame, .. } => {
-                if self.cfg.token_acks {
-                    // Ack every receipt, duplicates included: the sender may
-                    // be retransmitting because our previous ack was lost.
-                    ctx.send(
-                        from,
-                        SearchMsg::Regen(RegenMsg::TokenAck {
-                            generation: frame.generation,
-                            transfer_seq: frame.transfer_seq(),
-                        }),
-                        MsgClass::Token,
-                    );
+                if self.token_arrived(from, &frame, ctx) {
+                    self.possess(frame, ctx);
                 }
-                if frame.generation >= self.regen.generation
-                    && !self.handoff.accept(frame.generation, frame.transfer_seq())
-                {
-                    return; // duplicate or replayed frame, counted
-                }
-                self.handle_token(frame, ctx)
             }
             SearchMsg::Gimme { origin, req, hops } => self.handle_gimme(origin, req, hops, ctx),
             SearchMsg::Regen(m) => self.handle_regen(from, m, ctx),
@@ -743,79 +399,13 @@ impl Node for SearchNode {
     }
 
     fn on_external(&mut self, ev: Want, ctx: &mut Context<'_, SearchMsg>) {
-        match ev.kind {
-            WantKind::Acquire => {}
-            WantKind::Leave => {
-                self.departed = true;
-                self.outstanding.clear();
-                self.announce(RegenMsg::Leave, ctx);
-                if let Some(h) = self.holding.as_mut() {
-                    h.token.exclude(ctx.id());
-                    if matches!(h.state, HoldState::Idle) {
-                        self.hand_off(ctx);
-                    }
-                }
-                return;
-            }
-            WantKind::Rejoin => {
-                self.departed = false;
-                self.announce(RegenMsg::Rejoin, ctx);
-                return;
-            }
-        }
-        if self.departed {
-            return;
-        }
-        self.next_req_seq += 1;
-        let req = RequestId::new(ctx.id(), self.next_req_seq);
-        self.events.push(TokenEvent::Requested { req, at: ctx.now() });
-        self.outstanding.push_back(Outstanding {
-            req,
-            payload: ev.payload,
-            made_at: ctx.now(),
-        });
-        if self.holding.is_some() {
-            self.progress(ctx);
-            return;
-        }
-        if !self.cfg.single_outstanding || self.outstanding.len() == 1 {
-            let next = ctx.topology().successor(ctx.id());
-            self.gimme_sends += 1;
-            self.note_search_hop(req, ctx);
-            ctx.send(
-                next,
-                SearchMsg::Gimme {
-                    origin: ctx.id(),
-                    req,
-                    hops: 1,
-                },
-                MsgClass::Control,
-            );
-        }
-        if self.outstanding.len() == 1 {
-            self.arm_regen_timer(ctx);
-        }
+        self.want(ev, ctx);
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, SearchMsg>) {
-        if let Some((tseq, attempt)) = decode_retransmit_timer(kind) {
-            if self.handoff.timer_due(tseq, attempt) {
-                if let Some((to, msg, tseq, next)) =
-                    self.handoff.next_attempt(self.cfg.ack_max_retries)
-                {
-                    ctx.send(to, msg, MsgClass::Token);
-                    ctx.set_timer(
-                        self.cfg.ack_backoff(next),
-                        retransmit_timer_kind(tseq, next),
-                    );
-                }
-            }
-            return;
-        }
         match kind {
-            TIMER_ANNOUNCE => self.announce_generation(ctx),
             TIMER_SERVICE => {
-                let Some(holding) = self.holding.as_mut() else {
+                let Some(holding) = self.c.holding.as_mut() else {
                     return;
                 };
                 if let HoldState::Serving { req, payload } = holding.state {
@@ -824,114 +414,20 @@ impl Node for SearchNode {
                     self.progress(ctx);
                 }
             }
-            TIMER_REGEN => {
-                if self.holding.is_some() || !self.cfg.regeneration {
-                    return;
-                }
-                let Some(front) = self.outstanding.front() else {
-                    return;
-                };
-                let timeout = self.cfg.effective_regen_timeout(ctx.topology().len());
-                let waited = ctx.now().since(front.made_at);
-                if waited >= timeout {
-                    if !self.regen.is_inquiring() {
-                        self.broadcast_inquiry(ctx);
-                    }
-                } else {
-                    ctx.set_timer(timeout - waited, TIMER_REGEN);
-                }
-            }
-            TIMER_INQUIRY => {
-                if !self.cfg.regeneration {
-                    return;
-                }
-                let view = self.my_regen_view();
-                match self.regen.conclude(ctx.topology(), ctx.id(), view) {
-                    RegenVerdict::Wait { holder } => {
-                        if !self.outstanding.is_empty() && self.holding.is_none() {
-                            self.resend_gimme(holder, ctx);
-                            self.arm_regen_timer(ctx);
-                        }
-                    }
-                    RegenVerdict::Regenerate {
-                        target,
-                        new_gen,
-                        known_seq,
-                        dead,
-                    } => {
-                        if target == ctx.id() {
-                            let window = self.cfg.effective_window(ctx.topology().len());
-                            if let Some(token) = self.regen.mint(new_gen, known_seq, window, dead)
-                            {
-                                self.events.push(TokenEvent::Regenerated {
-                                    by: ctx.id(),
-                                    generation: new_gen,
-                                    at: ctx.now(),
-                                });
-                                self.handle_token(Box::new(token), ctx);
-                            }
-                        } else {
-                            ctx.send(
-                                target,
-                                SearchMsg::Regen(RegenMsg::Please {
-                                    new_gen,
-                                    known_seq,
-                                    dead,
-                                }),
-                                MsgClass::Token,
-                            );
-                            self.resend_gimme(Some(target), ctx);
-                            self.arm_regen_timer(ctx);
-                        }
-                    }
-                }
-            }
-            _ => {}
+            _ => self.custody_timer(kind, ctx),
         }
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        // A retransmit from before the crash could resurrect a stale token.
-        self.handoff.clear_pending();
-        if self.holding.take().is_some() {
-            self.events.push(TokenEvent::StaleTokenDiscarded {
-                generation: self.regen.generation,
-                at: ctx.now(),
-            });
-        }
-        self.traps.clear();
-        if self.cfg.regeneration {
-            let me = ctx.id();
-            for peer in ctx.topology().iter() {
-                if peer != me {
-                    ctx.send(peer, SearchMsg::Regen(RegenMsg::Rejoin), MsgClass::Token);
-                }
-            }
-        }
-        if !self.outstanding.is_empty() {
-            self.arm_regen_timer(ctx);
-        }
-    }
-}
-
-impl EventSource for SearchNode {
-    fn take_events(&mut self) -> Vec<TokenEvent> {
-        self.events.take()
-    }
-
-    fn take_events_into(&mut self, out: &mut Vec<TokenEvent>) {
-        self.events.take_into(out);
-    }
-
-    fn has_events(&self) -> bool {
-        !self.events.is_empty()
+        self.recover(ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atp_net::{LinkFaults, World, WorldConfig};
+    use crate::TokenNode;
+    use atp_net::{LinkFaults, SimTime, World, WorldConfig};
 
     fn world(n: usize, cfg: ProtocolConfig) -> World<SearchNode> {
         World::from_nodes(

@@ -119,8 +119,8 @@ pub struct TokenFrame {
 impl TokenFrame {
     /// Mints a fresh token (generation 0, empty history).
     ///
-    /// `satisfied_cap` bounds the satisfied window (use
-    /// [`ProtocolConfig::effective_window`](crate::ProtocolConfig::effective_window)).
+    /// `satisfied_cap` bounds the satisfied window (the protocols mint with
+    /// `max(2 * N, 8)`).
     pub fn new(satisfied_cap: usize) -> Self {
         TokenFrame {
             generation: 0,

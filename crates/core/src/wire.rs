@@ -16,6 +16,7 @@ use crate::codec::{
     ring_encoded_len, search_encoded_len, CodecError,
 };
 use crate::config::ProtocolConfig;
+use crate::custody::TokenNode;
 use crate::event::{EventSource, Want};
 use crate::order::OrderState;
 use crate::{BinaryNode, NaimiNode, RingNode, SearchNode};
@@ -77,13 +78,13 @@ impl WireProtocol for RingNode {
         ring_encoded_len(msg)
     }
     fn order_state(&self) -> &OrderState {
-        self.order()
+        TokenNode::order(self)
     }
     fn checkpoint(&self) -> Checkpoint {
-        RingNode::checkpoint(self)
+        TokenNode::checkpoint(self)
     }
     fn restore(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        RingNode::from_checkpoint(cfg, ck)
+        TokenNode::from_checkpoint(cfg, ck)
     }
 }
 
@@ -103,13 +104,13 @@ impl WireProtocol for SearchNode {
         search_encoded_len(msg)
     }
     fn order_state(&self) -> &OrderState {
-        self.order()
+        TokenNode::order(self)
     }
     fn checkpoint(&self) -> Checkpoint {
-        SearchNode::checkpoint(self)
+        TokenNode::checkpoint(self)
     }
     fn restore(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        SearchNode::from_checkpoint(cfg, ck)
+        TokenNode::from_checkpoint(cfg, ck)
     }
 }
 
@@ -129,13 +130,13 @@ impl WireProtocol for BinaryNode {
         encoded_len(msg)
     }
     fn order_state(&self) -> &OrderState {
-        self.order()
+        TokenNode::order(self)
     }
     fn checkpoint(&self) -> Checkpoint {
-        BinaryNode::checkpoint(self)
+        TokenNode::checkpoint(self)
     }
     fn restore(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        BinaryNode::from_checkpoint(cfg, ck)
+        TokenNode::from_checkpoint(cfg, ck)
     }
 }
 
@@ -155,13 +156,13 @@ impl WireProtocol for NaimiNode {
         naimi_encoded_len(msg)
     }
     fn order_state(&self) -> &OrderState {
-        self.order()
+        TokenNode::order(self)
     }
     fn checkpoint(&self) -> Checkpoint {
-        NaimiNode::checkpoint(self)
+        TokenNode::checkpoint(self)
     }
     fn restore(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        NaimiNode::from_checkpoint(cfg, ck)
+        TokenNode::from_checkpoint(cfg, ck)
     }
 }
 

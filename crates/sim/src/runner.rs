@@ -4,7 +4,8 @@
 use std::time::Instant;
 
 use atp_core::{
-    BinaryNode, NaimiNode, ProtocolConfig, RingNode, SearchNode, TokenEvent, Want, WireProtocol,
+    BinaryNode, NaimiNode, ProtocolConfig, RingNode, SearchNode, TokenEvent, TokenNode, Want,
+    WireProtocol,
 };
 use atp_net::{
     FailurePlan, LinkFaults, MsgClass, NodeId, PerLinkLatency, SchedStats, SimTime,
@@ -89,8 +90,9 @@ pub trait ProtocolVisitor {
 
 /// A protocol node the experiment runner can host.
 ///
-/// Implemented for the three node types of `atp-core`; the runner is generic
-/// over this so new protocol variants plug in without touching experiments.
+/// Implemented for every node type of `atp-core` through
+/// [`TokenNode`]; the runner is generic over this so new protocol variants
+/// plug in without touching experiments.
 pub trait ProtocolNode: WireProtocol {
     /// Grants received so far (cross-checks the metrics stream).
     fn grants_count(&self) -> u64;
@@ -106,70 +108,7 @@ pub trait ProtocolNode: WireProtocol {
     fn retransmit_count(&self) -> u64;
 }
 
-impl ProtocolNode for RingNode {
-    fn grants_count(&self) -> u64 {
-        self.grants()
-    }
-    fn applied_len(&self) -> u64 {
-        self.order().applied_seq()
-    }
-    fn holds_token_now(&self) -> bool {
-        self.holds_token()
-    }
-    fn token_generation(&self) -> u32 {
-        self.generation()
-    }
-    fn dup_discarded_count(&self) -> u64 {
-        self.duplicate_tokens_discarded()
-    }
-    fn retransmit_count(&self) -> u64 {
-        self.token_retransmits()
-    }
-}
-
-impl ProtocolNode for SearchNode {
-    fn grants_count(&self) -> u64 {
-        self.grants()
-    }
-    fn applied_len(&self) -> u64 {
-        self.order().applied_seq()
-    }
-    fn holds_token_now(&self) -> bool {
-        self.holds_token()
-    }
-    fn token_generation(&self) -> u32 {
-        self.generation()
-    }
-    fn dup_discarded_count(&self) -> u64 {
-        self.duplicate_tokens_discarded()
-    }
-    fn retransmit_count(&self) -> u64 {
-        self.token_retransmits()
-    }
-}
-
-impl ProtocolNode for NaimiNode {
-    fn grants_count(&self) -> u64 {
-        self.grants()
-    }
-    fn applied_len(&self) -> u64 {
-        self.order().applied_seq()
-    }
-    fn holds_token_now(&self) -> bool {
-        self.holds_token()
-    }
-    fn token_generation(&self) -> u32 {
-        self.generation()
-    }
-    fn dup_discarded_count(&self) -> u64 {
-        self.duplicate_tokens_discarded()
-    }
-    fn retransmit_count(&self) -> u64 {
-        self.token_retransmits()
-    }
-}
-
-impl ProtocolNode for BinaryNode {
+impl<N: TokenNode + WireProtocol> ProtocolNode for N {
     fn grants_count(&self) -> u64 {
         self.grants()
     }

@@ -10,7 +10,7 @@
 //! cargo run --example ordered_broadcast
 //! ```
 
-use adaptive_token_passing::core::{BinaryNode, ProtocolConfig, Want};
+use adaptive_token_passing::core::{BinaryNode, ProtocolConfig, TokenNode, Want};
 use adaptive_token_passing::net::{
     LinkFaults, NodeId, SimTime, UniformLatency, World, WorldConfig,
 };

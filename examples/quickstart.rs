@@ -5,7 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use adaptive_token_passing::core::{BinaryNode, EventSource, ProtocolConfig, TokenEvent, Want};
+use adaptive_token_passing::core::{
+    BinaryNode, EventSource, ProtocolConfig, TokenEvent, TokenNode, Want,
+};
 use adaptive_token_passing::net::{MsgClass, NodeId, SimTime, World, WorldConfig};
 
 fn main() {

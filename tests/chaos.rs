@@ -4,7 +4,7 @@
 //! asserting the core invariants at the end.
 
 use adaptive_token_passing::core::{
-    BinaryNode, EventSource, ProtocolConfig, TokenEvent, Want,
+    BinaryNode, EventSource, ProtocolConfig, TokenEvent, TokenNode, Want,
 };
 use adaptive_token_passing::net::{
     LinkFaults, NodeId, SimTime, StepOutcome, UniformLatency, World, WorldConfig,

@@ -141,9 +141,16 @@ fn run_points_json_is_identical_serial_vs_parallel() {
 /// FNV-1a-64 of a rendered summary: small enough to pin in source, wide
 /// enough that any changed byte changes it.
 fn fnv1a64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    fnv1a64_fold(FNV_OFFSET_BASIS, s)
+}
+
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a-64 state `h` over `s`, folding several strings into
+/// one hash.
+fn fnv1a64_fold(h: u64, s: &str) -> u64 {
+    s.bytes()
+        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Exact-output gate across commits: the in-run gates above compare a run
@@ -179,13 +186,6 @@ fn summaries_match_hashes_pinned_before_the_possession_caches() {
     }
 }
 
-/// Continues an FNV-1a-64 state `h` over `s` (folding several strings into
-/// one hash; `fnv1a64(s) == fnv1a64_fold(OFFSET_BASIS, s)`).
-fn fnv1a64_fold(h: u64, s: &str) -> u64 {
-    s.bytes()
-        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
 /// Failure-path output pinned across commits. The summaries above pin seven
 /// *benign* runs, `verify_tape` only checks pass/fail, and every `ci.sh`
 /// `cmp` gate compares a run with itself — so nothing compared what the
@@ -203,8 +203,6 @@ fn failure_paths_match_hashes_pinned_before_the_custody_core() {
     };
     use adaptive_token_passing::util::check::Gen;
     use adaptive_token_passing::util::rng::{RngCore, SplitMix64};
-
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
     // (a) the six tapes, replayed on the unmodified protocol.
     let tapes: [(&str, u64); 6] = [
@@ -233,7 +231,7 @@ fn failure_paths_match_hashes_pinned_before_the_custody_core() {
     ];
     for (protocol, want) in sweeps {
         let mut sm = SplitMix64::new(21 ^ fnv1a64(protocol.label()));
-        let mut got = OFFSET_BASIS;
+        let mut got = FNV_OFFSET_BASIS;
         let (mut grants, mut faulty) = (0, 0);
         for _ in 0..60 {
             let mut g = Gen::from_seed(sm.next_u64());

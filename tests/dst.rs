@@ -2,7 +2,7 @@
 //! fault and shrink it to a small deterministic tape, and every checked-in
 //! regression tape must replay green.
 
-use adaptive_token_passing::core::{EventSource, RingNode, TokenEvent, Want};
+use adaptive_token_passing::core::{EventSource, RingNode, TokenEvent, TokenNode, Want};
 use adaptive_token_passing::net::{MsgClass, NodeId, SimTime, World, WorldConfig};
 use adaptive_token_passing::sim::dst::{
     gen_case, replay_tape, run_case, verify_tape, DstCase, ExploreOutcome, Explorer, Focus,

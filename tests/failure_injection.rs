@@ -2,7 +2,7 @@
 //! end-to-end across all three protocols.
 
 use adaptive_token_passing::core::{
-    BinaryNode, EventSource, ProtocolConfig, RingNode, TokenEvent, Want,
+    BinaryNode, EventSource, ProtocolConfig, RingNode, TokenEvent, TokenNode, Want,
 };
 use adaptive_token_passing::net::{FailurePlan, NodeId, SimTime, World, WorldConfig};
 use adaptive_token_passing::sim::runner::{run_experiment, ExperimentSpec, Protocol};

@@ -2,7 +2,7 @@
 //! and rejoin, across all three protocols.
 
 use adaptive_token_passing::core::{
-    BinaryNode, EventSource, ProtocolConfig, RingNode, SearchNode, TokenEvent, Want,
+    BinaryNode, EventSource, ProtocolConfig, RingNode, SearchNode, TokenEvent, TokenNode, Want,
 };
 use adaptive_token_passing::net::{Node, NodeId, SimTime, World, WorldConfig};
 

@@ -7,7 +7,9 @@
 //! few per grant, not one per grant per node. A wall clock on this host
 //! drifts ±25 % between runs; this count does not drift at all.
 
-use adaptive_token_passing::core::{BinaryNode, OrderState, ProtocolConfig, RingNode, Want};
+use adaptive_token_passing::core::{
+    BinaryNode, OrderState, ProtocolConfig, RingNode, TokenNode, Want,
+};
 use adaptive_token_passing::net::{Node, NodeId, SimTime, World, WorldConfig};
 
 const N: usize = 2_000;

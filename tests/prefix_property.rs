@@ -3,7 +3,7 @@
 //! cheap messages. Runs on the in-repo `atp_util::check` harness.
 
 use adaptive_token_passing::core::{
-    BinaryNode, EventSource, ProtocolConfig, RingNode, SearchNode, TokenEvent, Want,
+    BinaryNode, EventSource, ProtocolConfig, RingNode, SearchNode, TokenEvent, TokenNode, Want,
 };
 use adaptive_token_passing::net::{
     LinkFaults, Node, NodeId, SimTime, StepOutcome, UniformLatency, World, WorldConfig,
