@@ -194,6 +194,37 @@ if [ "$FORKED" -ne 0 ]; then
 fi
 echo "custody glue exists once"
 
+echo "== runtime anti-fork gate =="
+# A node thread has one thing to block on — its endpoint — and the loop
+# around it is written once for Cluster and ShardedCluster. The two copies
+# it replaced each had a control channel polled under a 5 ms cap: fail if a
+# second loop, a second heap, a poll or the cap comes back.
+RUNTIME=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/core/src/runtime.rs)
+count() { echo "$RUNTIME" | grep -c -- "$1" || true; }
+if [ "$(count 'from_millis(5)')" -ne 0 ] || [ "$(count 'try_recv')" -ne 0 ] \
+  || [ "$(count 'endpoint\.recv_timeout(')" -ne 1 ] || [ "$(count 'BinaryHeap::new()')" -ne 1 ]; then
+  echo "runtime.rs: the node loop forked or polls again" >&2
+  echo "  from_millis(5)=$(count 'from_millis(5)') try_recv=$(count 'try_recv')" \
+       "endpoint.recv_timeout(=$(count 'endpoint\.recv_timeout(') BinaryHeap::new()=$(count 'BinaryHeap::new()')" >&2
+  exit 1
+fi
+echo "one node loop, one heap, one blocking receive, no poll"
+
+echo "== idle cluster smoke =="
+# System Search parks its token, so between requests every node thread is
+# blocked with nothing scheduled: the closed-loop p50 is then what a wake-up
+# costs. It was 5.3 ms while requests waited for a poll; a frame through
+# the front door wakes the node in ~0.1 ms.
+IDLE_OUT=$(cargo run -q --release -p atp-sim --bin cluster -- \
+  --protocol search --transport chan --requests 400)
+echo "$IDLE_OUT"
+IDLE_P50=$(echo "$IDLE_OUT" | sed -n 's/^latency p50 \([0-9.]*\)ms.*/\1/p')
+if ! awk -v p50="$IDLE_P50" 'BEGIN { exit !(p50 != "" && p50 + 0 <= 1.0) }'; then
+  echo "idle search p50 is ${IDLE_P50:-missing} ms (limit 1 ms): nodes are not woken on arrival" >&2
+  exit 1
+fi
+echo "idle search p50 ${IDLE_P50} ms"
+
 echo "== benchmark self-test =="
 # atpbench is a package of its own (not a workspace member) that implements
 # Node, EventSource, WireProtocol, ProtocolNode, Transport and Endpoint for

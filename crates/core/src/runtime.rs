@@ -11,9 +11,19 @@
 //! The cluster is generic over `P:` [`WireProtocol`], defaulting to System
 //! BinarySearch; any of the four protocol families deploys unchanged.
 //!
+//! A node thread blocks on **one inbox**, its transport endpoint, until a
+//! frame arrives or its earliest timer is due. Requests and shutdown reach
+//! it through that same inbox: the cluster keeps one extra endpoint of the
+//! mesh, the *front door* (id `n`), and [`Cluster::request`] is a small
+//! control frame sent from it. A node wakes on arrival, never on a poll.
+//! [`Cluster`] and [`ShardedCluster`] run the same node loop; they differ
+//! only in the `Plane` they host.
+//!
 //! Inbound frames are **untrusted network input**: frames that fail to
 //! decode are counted ([`Cluster::decode_errors`]) and dropped, never
-//! panicked on — a peer speaking garbage cannot take a node down.
+//! panicked on — a peer speaking garbage cannot take a node down. Only the
+//! door may speak the control encoding: the same bytes from a ring member
+//! are one more undecodable frame.
 //!
 //! ```rust
 //! use atp_core::{Cluster, ClusterConfig, TokenEvent};
@@ -27,10 +37,11 @@
 //! cluster.shutdown();
 //! ```
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -40,8 +51,9 @@ use atp_net::{
 use atp_util::rng::{Rng, SeedableRng, StdRng};
 
 use crate::binary::BinaryNode;
+use crate::codec::{decode_shard_frame, encode_shard_frame};
 use crate::config::ProtocolConfig;
-use crate::event::{TokenEvent, Want};
+use crate::event::{TokenEvent, Want, WantKind};
 use crate::shard::{ShardId, ShardMap};
 use crate::wire::WireProtocol;
 
@@ -107,40 +119,239 @@ impl ClusterConfig {
     }
 }
 
-/// Out-of-band control messages to one node thread (the data plane is the
-/// transport; this channel carries only what a real deployment would get
-/// from its local host).
-enum Control {
-    External(Want),
-    Shutdown,
+/// What the front door says to a node: what a real deployment would get
+/// from its local host, encoded as a frame so that it arrives — and wakes
+/// the node — like any other. The tags sit outside every protocol's and
+/// the shard envelope's tag space, so a ring member that sends these bytes
+/// fails the data decoders and is counted, never executed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DoorMsg {
+    /// An external stimulus for one protocol instance (shard 0 on the
+    /// single-token plane).
+    Want(ShardId, Want),
+    /// Leave the node loop and close the endpoint.
+    Stop,
 }
 
-enum Due {
-    Timer { kind: u64 },
-    Send { to: NodeId, frame: Vec<u8> },
-}
+const TAG_DOOR_WANT: u8 = 0x60;
+const TAG_DOOR_STOP: u8 = 0x61;
 
-struct DueEntry {
-    at: Instant,
-    seq: u64,
-    what: Due,
-}
+impl DoorMsg {
+    fn encode(self) -> Vec<u8> {
+        match self {
+            DoorMsg::Stop => vec![TAG_DOOR_STOP],
+            DoorMsg::Want(shard, want) => {
+                let kind = match want.kind {
+                    WantKind::Acquire => 0,
+                    WantKind::Leave => 1,
+                    WantKind::Rejoin => 2,
+                };
+                let mut buf = vec![TAG_DOOR_WANT, kind];
+                buf.extend_from_slice(&shard.0.to_le_bytes());
+                buf.extend_from_slice(&want.payload.to_le_bytes());
+                buf
+            }
+        }
+    }
 
-impl PartialEq for DueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+    /// `None` for anything `encode` does not produce, byte for byte.
+    fn decode(bytes: &[u8]) -> Option<DoorMsg> {
+        match *bytes {
+            [TAG_DOOR_STOP] => Some(DoorMsg::Stop),
+            [TAG_DOOR_WANT, kind, s0, s1, ref payload @ ..] => {
+                let kind = match kind {
+                    0 => WantKind::Acquire,
+                    1 => WantKind::Leave,
+                    2 => WantKind::Rejoin,
+                    _ => return None,
+                };
+                let payload = u64::from_le_bytes(payload.try_into().ok()?);
+                let shard = ShardId(u16::from_le_bytes([s0, s1]));
+                Some(DoorMsg::Want(shard, Want { payload, kind }))
+            }
+            _ => None,
+        }
     }
 }
-impl Eq for DueEntry {}
-impl PartialOrd for DueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+/// The cluster's front door: endpoint `n` of the mesh, shared by the
+/// cluster and every handle. `None` once closed, so a handle that outlives
+/// its cluster sends nowhere.
+struct Door(Mutex<Option<Box<dyn Endpoint>>>);
+
+impl Door {
+    /// A client that panicked mid-send poisons the mutex but leaves the
+    /// endpoint valid (at worst its own frame stays staged), and `Drop`
+    /// must still get through to stop the nodes.
+    fn lock(&self) -> MutexGuard<'_, Option<Box<dyn Endpoint>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn send(&self, to: impl IntoIterator<Item = NodeId>, msg: DoorMsg) {
+        if let Some(endpoint) = self.lock().as_mut() {
+            let frame = msg.encode();
+            to.into_iter().for_each(|node| endpoint.stage(node, &frame));
+            endpoint.flush();
+        }
+    }
+
+    fn close(&self) -> Option<CloseReport> {
+        self.lock().take().map(|mut endpoint| endpoint.close())
     }
 }
-impl Ord for DueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (at, seq).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+
+impl std::fmt::Debug for Door {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Door")
+    }
+}
+
+/// What differs between the single-token and the sharded plane. Everything
+/// else about hosting protocol instances on a thread is [`node_main`].
+trait Plane {
+    /// One element of the cluster's merged event stream.
+    type Event: Send + 'static;
+    /// An encoded protocol message of `shard` as it goes on the wire.
+    fn wrap(shard: ShardId, inner: Vec<u8>) -> Vec<u8>;
+    /// The inverse of [`Plane::wrap`] on untrusted bytes.
+    fn unwrap(frame: &[u8]) -> Option<(ShardId, &[u8])>;
+    fn event(shard: ShardId, node: NodeId, ev: TokenEvent) -> Self::Event;
+}
+
+/// One token, frames on the wire exactly as the protocol encodes them.
+struct Bare;
+
+impl Plane for Bare {
+    type Event = (NodeId, TokenEvent);
+    fn wrap(_: ShardId, inner: Vec<u8>) -> Vec<u8> {
+        inner
+    }
+    fn unwrap(frame: &[u8]) -> Option<(ShardId, &[u8])> {
+        Some((ShardId(0), frame))
+    }
+    fn event(_: ShardId, node: NodeId, ev: TokenEvent) -> Self::Event {
+        (node, ev)
+    }
+}
+
+/// `K` tokens, every frame in a shard envelope.
+struct Enveloped;
+
+impl Plane for Enveloped {
+    type Event = (ShardId, NodeId, TokenEvent);
+    fn wrap(shard: ShardId, inner: Vec<u8>) -> Vec<u8> {
+        encode_shard_frame(shard.0, &inner)
+    }
+    fn unwrap(frame: &[u8]) -> Option<(ShardId, &[u8])> {
+        let (shard, inner) = decode_shard_frame(frame).ok()?;
+        Some((ShardId(shard), inner))
+    }
+    fn event(shard: ShardId, node: NodeId, ev: TokenEvent) -> Self::Event {
+        (shard, node, ev)
+    }
+}
+
+/// Counters the node threads add to and the cluster reads.
+struct Shared {
+    /// Grants per (shard, node), shard-major.
+    grants: Box<[AtomicU64]>,
+    decode_errors: AtomicU64,
+    frames_lost: AtomicU64,
+    /// Set (`Release`) before the stop frames go out and read (`Acquire`)
+    /// in the time-out arm of [`node_main`]; it publishes nothing else.
+    stopping: AtomicBool,
+}
+
+/// The threads, door and event stream behind a [`Cluster`] or a
+/// [`ShardedCluster`].
+struct Runtime<Ev> {
+    n: usize,
+    door: Arc<Door>,
+    events_rx: Receiver<Ev>,
+    threads: Vec<JoinHandle<CloseReport>>,
+    shared: Arc<Shared>,
+}
+
+impl<Ev> Runtime<Ev> {
+    /// Starts `config.n` node threads, each hosting one instance of `P` per
+    /// element of `shards` (`config.protocol` itself is not looked at).
+    fn start_on<P: WireProtocol, T: Transport, H: Plane<Event = Ev>>(
+        config: ClusterConfig,
+        shards: Vec<ProtocolConfig>,
+    ) -> std::io::Result<Self>
+    where
+        Ev: Send + 'static,
+    {
+        let n = config.n;
+        assert!(n > 0, "cluster needs at least one node");
+        let mut endpoints = T::endpoints(n + 1)?.into_iter();
+        let (events_tx, events_rx) = channel();
+        let shared = Arc::new(Shared {
+            grants: (0..n * shards.len()).map(|_| AtomicU64::new(0)).collect(),
+            decode_errors: AtomicU64::new(0),
+            frames_lost: AtomicU64::new(0),
+            stopping: AtomicBool::new(false),
+        });
+        let threads = endpoints
+            .by_ref()
+            .take(n)
+            .map(|endpoint| {
+                let (config, shards) = (config.clone(), shards.clone());
+                let (events_tx, shared) = (events_tx.clone(), Arc::clone(&shared));
+                std::thread::spawn(move || {
+                    node_main::<P, _, H>(&config, shards, endpoint, events_tx, &shared)
+                })
+            })
+            .collect();
+        let door = endpoints.next().map(|e| Box::new(e) as Box<dyn Endpoint>);
+        Ok(Runtime {
+            n,
+            door: Arc::new(Door(Mutex::new(door))),
+            events_rx,
+            threads,
+            shared,
+        })
+    }
+
+    /// Blocks until an event satisfies `wanted`, or `timeout` elapses.
+    fn await_event(&self, timeout: Duration, wanted: impl Fn(&Ev) -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            match self.events_rx.recv_timeout(deadline - now) {
+                Ok(ev) if wanted(&ev) => return true,
+                Ok(_) => continue,
+                Err(_) => return false,
+            }
+        }
+    }
+
+    fn grants(&self) -> impl Iterator<Item = u64> + '_ {
+        self.shared.grants.iter().map(|g| g.load(Ordering::Relaxed))
+    }
+
+    /// Stops and joins every node thread, then closes the door: one
+    /// report per node, the door's last. Idempotent.
+    fn stop(&mut self) -> Vec<CloseReport> {
+        self.shared.stopping.store(true, Ordering::Release);
+        self.door
+            .send((0..self.n as u32).map(NodeId::new), DoorMsg::Stop);
+        let mut reports: Vec<CloseReport> = self
+            .threads
+            .drain(..)
+            .map(|t| t.join().unwrap_or_default())
+            .collect();
+        reports.extend(self.door.close());
+        reports
+    }
+}
+
+impl<Ev> Drop for Runtime<Ev> {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -148,7 +359,7 @@ impl Ord for DueEntry {
 #[derive(Debug, Clone)]
 pub struct ClusterHandle {
     node: NodeId,
-    tx: Sender<Control>,
+    door: Arc<Door>,
 }
 
 impl ClusterHandle {
@@ -158,20 +369,18 @@ impl ClusterHandle {
     }
 
     /// Makes the node ready: it will acquire the token and broadcast
-    /// `payload`. Watch the cluster's event stream for the grant.
+    /// `payload`. Watch the cluster's event stream for the grant. Wants
+    /// sent to one node reach it in the order they were sent, whichever
+    /// handles sent them.
     pub fn want(&self, payload: u64) {
-        let _ = self.tx.send(Control::External(Want::new(payload)));
+        self.door
+            .send([self.node], DoorMsg::Want(ShardId(0), Want::new(payload)));
     }
 }
 
 /// A running multi-threaded token-passing cluster.
 pub struct Cluster<P: WireProtocol = BinaryNode> {
-    senders: Vec<Sender<Control>>,
-    events_rx: Receiver<(NodeId, TokenEvent)>,
-    threads: Vec<JoinHandle<CloseReport>>,
-    grants: Arc<Mutex<Vec<u64>>>,
-    decode_errors: Arc<AtomicU64>,
-    frames_lost: Arc<AtomicU64>,
+    rt: Runtime<(NodeId, TokenEvent)>,
     _protocol: std::marker::PhantomData<P>,
 }
 
@@ -179,8 +388,8 @@ impl<P: WireProtocol> std::fmt::Debug for Cluster<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("protocol", &P::LABEL)
-            .field("n", &self.senders.len())
-            .field("grants", &*self.grants.lock().unwrap())
+            .field("n", &self.rt.n)
+            .field("grants", &self.grants())
             .finish()
     }
 }
@@ -197,7 +406,8 @@ impl<P: WireProtocol> Cluster<P> {
     }
 
     /// Starts the cluster on an arbitrary byte transport (e.g.
-    /// [`atp_net::TcpTransport`] for real loopback sockets).
+    /// [`atp_net::TcpTransport`] for real loopback sockets). The mesh is
+    /// built with `config.n + 1` endpoints; the last is the front door.
     ///
     /// # Errors
     ///
@@ -207,62 +417,16 @@ impl<P: WireProtocol> Cluster<P> {
     ///
     /// Panics if `config.n == 0`.
     pub fn start_on<T: Transport>(config: ClusterConfig) -> std::io::Result<Self> {
-        assert!(config.n > 0, "cluster needs at least one node");
-        let topology = Topology::ring(config.n);
-        let endpoints = T::endpoints(config.n)?;
-        let (events_tx, events_rx) = channel();
-        let mut senders = Vec::with_capacity(config.n);
-        let mut receivers = Vec::with_capacity(config.n);
-        for _ in 0..config.n {
-            let (tx, rx) = channel::<Control>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let grants = Arc::new(Mutex::new(vec![0u64; config.n]));
-        let decode_errors = Arc::new(AtomicU64::new(0));
-        let frames_lost = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::with_capacity(config.n);
-        for (i, (rx, endpoint)) in receivers.into_iter().zip(endpoints).enumerate() {
-            let id = NodeId::new(i as u32);
-            let cfg = config.protocol;
-            let tick = config.tick;
-            let seed = config.seed.wrapping_add(i as u64);
-            let drop_p = config.control_drop_p;
-            let events_tx = events_tx.clone();
-            let grants = Arc::clone(&grants);
-            let decode_errors = Arc::clone(&decode_errors);
-            let frames_lost = Arc::clone(&frames_lost);
-            threads.push(std::thread::spawn(move || {
-                node_main::<P, T::Endpoint>(
-                    id,
-                    topology,
-                    cfg,
-                    tick,
-                    seed,
-                    drop_p,
-                    rx,
-                    endpoint,
-                    events_tx,
-                    grants,
-                    decode_errors,
-                    frames_lost,
-                )
-            }));
-        }
+        let shards = vec![config.protocol];
         Ok(Cluster {
-            senders,
-            events_rx,
-            threads,
-            grants,
-            decode_errors,
-            frames_lost,
+            rt: Runtime::start_on::<P, T, Bare>(config, shards)?,
             _protocol: std::marker::PhantomData,
         })
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.senders.len()
+        self.rt.n
     }
 
     /// Always `false`: clusters have at least one node.
@@ -276,9 +440,10 @@ impl<P: WireProtocol> Cluster<P> {
     ///
     /// Panics if `node` is out of range.
     pub fn handle(&self, node: NodeId) -> ClusterHandle {
+        assert!(node.index() < self.rt.n, "node outside the cluster");
         ClusterHandle {
             node,
-            tx: self.senders[node.index()].clone(),
+            door: Arc::clone(&self.rt.door),
         }
     }
 
@@ -290,29 +455,20 @@ impl<P: WireProtocol> Cluster<P> {
 
     /// The merged event stream of all nodes.
     pub fn events(&self) -> &Receiver<(NodeId, TokenEvent)> {
-        &self.events_rx
+        &self.rt.events_rx
     }
 
     /// Blocks until `node` reports a grant, or `timeout` elapses.
     /// Other events arriving in between are discarded.
     pub fn await_grant(&self, node: NodeId, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            match self.events_rx.recv_timeout(deadline - now) {
-                Ok((who, TokenEvent::Granted { .. })) if who == node => return true,
-                Ok(_) => continue,
-                Err(_) => return false,
-            }
-        }
+        self.rt.await_event(timeout, |(who, ev)| {
+            *who == node && matches!(ev, TokenEvent::Granted { .. })
+        })
     }
 
     /// Per-node grant counters observed so far.
     pub fn grants(&self) -> Vec<u64> {
-        self.grants.lock().unwrap().clone()
+        self.rt.grants().collect()
     }
 
     /// Inbound frames that failed to decode (and were dropped). Nonzero
@@ -320,152 +476,22 @@ impl<P: WireProtocol> Cluster<P> {
     /// protocol frames; the protocol's retransmit machinery covers any
     /// real frame mangled in transit.
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+        self.rt.shared.decode_errors.load(Ordering::Relaxed)
     }
 
     /// Frames the transport dropped (unreachable peers, severed streams),
     /// summed over all nodes.
     pub fn frames_lost(&self) -> u64 {
-        self.frames_lost.load(Ordering::Relaxed)
+        self.rt.shared.frames_lost.load(Ordering::Relaxed)
     }
 
     /// Stops every node thread, waits for them to exit, and returns each
-    /// node's transport teardown report (assert
-    /// [`CloseReport::is_clean`] to prove no thread leaked).
+    /// node's transport teardown report followed by the front door's
+    /// (assert [`CloseReport::is_clean`] to prove no thread leaked).
+    /// Dropping the cluster stops and joins the same way.
     pub fn shutdown(mut self) -> Vec<CloseReport> {
-        for tx in &self.senders {
-            let _ = tx.send(Control::Shutdown);
-        }
-        self.threads.drain(..).map(|t| t.join().unwrap_or_default()).collect()
+        self.rt.stop()
     }
-}
-
-impl<P: WireProtocol> Drop for Cluster<P> {
-    fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(Control::Shutdown);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn node_main<P: WireProtocol, E: Endpoint>(
-    id: NodeId,
-    topology: Topology,
-    cfg: ProtocolConfig,
-    tick: Duration,
-    seed: u64,
-    control_drop_p: f64,
-    rx: Receiver<Control>,
-    mut endpoint: E,
-    events_tx: Sender<(NodeId, TokenEvent)>,
-    grants: Arc<Mutex<Vec<u64>>>,
-    decode_errors: Arc<AtomicU64>,
-    frames_lost: Arc<AtomicU64>,
-) -> CloseReport {
-    let mut drop_rng = StdRng::seed_from_u64(seed ^ 0xD0D0_CACA);
-    let start = Instant::now();
-    let ticks_now = |start: Instant| -> SimTime {
-        let t = start.elapsed().as_nanos() / tick.as_nanos().max(1);
-        SimTime::from_ticks(t as u64)
-    };
-    let mut harness = Harness::new(id, topology, P::build(cfg), seed);
-    let mut heap: BinaryHeap<DueEntry> = BinaryHeap::new();
-    let mut seq = 0u64;
-    harness.init(ticks_now(start));
-
-    loop {
-        // Flush effects of the last dispatch. Events go out *before* any
-        // outbound frames: once the token frame is on the wire, the receiver
-        // can grant and publish its event, so publishing our own events
-        // first is what keeps the merged event stream causally ordered
-        // (Released always observed before the next Granted).
-        for ev in harness.node_mut().take_events() {
-            if matches!(ev, TokenEvent::Granted { .. }) {
-                grants.lock().unwrap()[id.index()] += 1;
-            }
-            let _ = events_tx.send((id, ev));
-        }
-        let mut staged = false;
-        for ob in harness.take_outbound() {
-            if control_drop_p > 0.0
-                && ob.class == MsgClass::Control
-                && drop_rng.gen_bool(control_drop_p)
-            {
-                continue; // the cheap channel lost it
-            }
-            let frame = P::encode_msg(&ob.msg);
-            if ob.hold == 0 {
-                endpoint.stage(ob.to, &frame);
-                staged = true;
-            } else {
-                seq += 1;
-                heap.push(DueEntry {
-                    at: Instant::now() + tick * ob.hold as u32,
-                    seq,
-                    what: Due::Send { to: ob.to, frame },
-                });
-            }
-        }
-        if staged {
-            endpoint.flush();
-        }
-        for t in harness.take_timers() {
-            seq += 1;
-            heap.push(DueEntry {
-                at: Instant::now() + tick * t.delay as u32,
-                seq,
-                what: Due::Timer { kind: t.kind },
-            });
-        }
-        // Fire overdue entries.
-        let now = Instant::now();
-        if let Some(head) = heap.peek() {
-            if head.at <= now {
-                let entry = heap.pop().expect("peeked");
-                match entry.what {
-                    Due::Timer { kind } => harness.fire_timer(ticks_now(start), kind),
-                    Due::Send { to, frame } => {
-                        endpoint.stage(to, &frame);
-                        endpoint.flush();
-                    }
-                }
-                continue;
-            }
-        }
-
-        // Control plane first (non-blocking), then block on the data plane
-        // until the next due entry (capped so control stays responsive).
-        match rx.try_recv() {
-            Ok(Control::External(want)) => {
-                harness.external(ticks_now(start), want);
-                continue;
-            }
-            Ok(Control::Shutdown) | Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {}
-        }
-        let wait = heap
-            .peek()
-            .map(|e| e.at.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5));
-        if let Some((from, frame)) = endpoint.recv_timeout(wait) {
-            match P::decode_msg(&frame) {
-                Ok(msg) => harness.deliver(ticks_now(start), from, msg),
-                // Untrusted bytes: count and drop, never panic. The sender's
-                // retransmit layer re-covers anything that mattered.
-                Err(_) => {
-                    decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    let report = endpoint.close();
-    frames_lost.fetch_add(endpoint.frames_lost(), Ordering::Relaxed);
-    report
 }
 
 /// Configuration for a [`ShardedCluster`].
@@ -517,11 +543,6 @@ impl ShardedClusterConfig {
     }
 }
 
-enum ShardControl {
-    External(ShardId, Want),
-    Shutdown,
-}
-
 /// A running multi-token cluster: `K` independent instances of protocol
 /// `P` multiplexed over one transport, with **key-addressed** requests.
 ///
@@ -545,11 +566,7 @@ enum ShardControl {
 /// ```
 pub struct ShardedCluster<P: WireProtocol = BinaryNode> {
     map: ShardMap,
-    senders: Vec<Sender<ShardControl>>,
-    events_rx: Receiver<(ShardId, NodeId, TokenEvent)>,
-    threads: Vec<JoinHandle<CloseReport>>,
-    grants: Arc<Mutex<Vec<u64>>>,
-    decode_errors: Arc<AtomicU64>,
+    rt: Runtime<(ShardId, NodeId, TokenEvent)>,
     _protocol: std::marker::PhantomData<P>,
 }
 
@@ -557,7 +574,7 @@ impl<P: WireProtocol> std::fmt::Debug for ShardedCluster<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCluster")
             .field("protocol", &P::LABEL)
-            .field("n", &self.senders.len())
+            .field("n", &self.rt.n)
             .field("shards", &self.map.shards())
             .finish()
     }
@@ -584,53 +601,19 @@ impl<P: WireProtocol> ShardedCluster<P> {
     ///
     /// Panics if `config.n == 0` or `config.shards == 0`.
     pub fn start_on<T: Transport>(config: ShardedClusterConfig) -> std::io::Result<Self> {
-        assert!(config.n > 0, "cluster needs at least one node");
         let map = ShardMap::new(config.shards, config.n);
-        let topology = Topology::ring(config.n);
-        let endpoints = T::endpoints(config.n)?;
-        let (events_tx, events_rx) = channel();
-        let mut senders = Vec::with_capacity(config.n);
-        let mut receivers = Vec::with_capacity(config.n);
-        for _ in 0..config.n {
-            let (tx, rx) = channel::<ShardControl>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let grants = Arc::new(Mutex::new(vec![0u64; config.shards as usize]));
-        let decode_errors = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::with_capacity(config.n);
-        for (i, (rx, endpoint)) in receivers.into_iter().zip(endpoints).enumerate() {
-            let id = NodeId::new(i as u32);
-            let map = map.clone();
-            let cfg = config.protocol;
-            let tick = config.tick;
-            let seed = config.seed.wrapping_add(i as u64);
-            let events_tx = events_tx.clone();
-            let grants = Arc::clone(&grants);
-            let decode_errors = Arc::clone(&decode_errors);
-            threads.push(std::thread::spawn(move || {
-                sharded_node_main::<P, T::Endpoint>(
-                    id,
-                    topology,
-                    map,
-                    cfg,
-                    tick,
-                    seed,
-                    rx,
-                    endpoint,
-                    events_tx,
-                    grants,
-                    decode_errors,
-                )
-            }));
-        }
+        // Each shard's token starts at its consistent-hash home.
+        let shards = map
+            .owners()
+            .iter()
+            .map(|&home| config.protocol.with_initial_holder(home));
+        let shards = shards.collect();
+        let config = ClusterConfig::new(config.n)
+            .with_tick(config.tick)
+            .with_seed(config.seed);
         Ok(ShardedCluster {
             map,
-            senders,
-            events_rx,
-            threads,
-            grants,
-            decode_errors,
+            rt: Runtime::start_on::<P, T, Enveloped>(config, shards)?,
             _protocol: std::marker::PhantomData,
         })
     }
@@ -642,7 +625,7 @@ impl<P: WireProtocol> ShardedCluster<P> {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.senders.len()
+        self.rt.n
     }
 
     /// Always `false`: clusters have at least one node.
@@ -655,225 +638,222 @@ impl<P: WireProtocol> ShardedCluster<P> {
     /// shard the key routed to.
     pub fn request(&self, key: u64, payload: u64) -> ShardId {
         let shard = self.map.shard_of_key(key);
-        let home = self.map.home(shard);
-        let _ = self.senders[home.index()].send(ShardControl::External(shard, Want::new(payload)));
+        self.rt.door.send(
+            [self.map.home(shard)],
+            DoorMsg::Want(shard, Want::new(payload)),
+        );
         shard
     }
 
     /// The merged event stream of all shards on all nodes.
     pub fn events(&self) -> &Receiver<(ShardId, NodeId, TokenEvent)> {
-        &self.events_rx
+        &self.rt.events_rx
     }
 
     /// Blocks until `key`'s shard reports a grant, or `timeout` elapses.
     pub fn await_grant(&self, key: u64, timeout: Duration) -> bool {
         let shard = self.map.shard_of_key(key);
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            match self.events_rx.recv_timeout(deadline - now) {
-                Ok((s, _, TokenEvent::Granted { .. })) if s == shard => return true,
-                Ok(_) => continue,
-                Err(_) => return false,
-            }
-        }
+        self.rt.await_event(timeout, |(s, _, ev)| {
+            *s == shard && matches!(ev, TokenEvent::Granted { .. })
+        })
     }
 
     /// Per-shard grant counters observed so far.
     pub fn grants(&self) -> Vec<u64> {
-        self.grants.lock().unwrap().clone()
+        let per_node: Vec<u64> = self.rt.grants().collect();
+        per_node
+            .chunks(self.rt.n)
+            .map(|shard| shard.iter().sum())
+            .collect()
     }
 
     /// Inbound frames that failed to decode (bad envelope, unknown shard
     /// id, or inner-frame garbage), summed over all nodes.
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+        self.rt.shared.decode_errors.load(Ordering::Relaxed)
     }
 
     /// Stops every node thread and returns each node's transport
-    /// teardown report.
+    /// teardown report followed by the front door's. Dropping the cluster
+    /// stops and joins the same way.
     pub fn shutdown(mut self) -> Vec<CloseReport> {
-        for tx in &self.senders {
-            let _ = tx.send(ShardControl::Shutdown);
-        }
-        self.threads.drain(..).map(|t| t.join().unwrap_or_default()).collect()
+        self.rt.stop()
     }
 }
 
-impl<P: WireProtocol> Drop for ShardedCluster<P> {
-    fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(ShardControl::Shutdown);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-enum ShardDue {
+/// Something a node does later. `Ord` only so that [`DueEntry`] can derive
+/// its own: `seq` is unique, so two of these are never compared.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Due {
     Timer { shard: ShardId, kind: u64 },
     Send { to: NodeId, frame: Vec<u8> },
 }
 
-struct ShardDueEntry {
+/// Ordered by `(at, seq)`; the heap holds them [`Reverse`]d, earliest first.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct DueEntry {
     at: Instant,
     seq: u64,
-    what: ShardDue,
+    what: Due,
 }
 
-impl PartialEq for ShardDueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for ShardDueEntry {}
-impl PartialOrd for ShardDueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ShardDueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (at, seq).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// How long a node with nothing scheduled blocks before it looks at
+/// [`Shared::stopping`] again. Nothing in normal operation waits for it.
+const IDLE_WAIT: Duration = Duration::from_secs(5);
+
+/// `ticks` ticks from now, saturating: a hold above `u32::MAX` ticks is
+/// that long, not its low 32 bits, and never past what `Instant` can hold.
+fn due_at(tick: Duration, ticks: u64) -> Instant {
+    const FOREVER: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
+    let ticks = u32::try_from(ticks).unwrap_or(u32::MAX);
+    Instant::now() + tick.saturating_mul(ticks).min(FOREVER)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sharded_node_main<P: WireProtocol, E: Endpoint>(
-    id: NodeId,
-    topology: Topology,
-    map: ShardMap,
-    cfg: ProtocolConfig,
-    tick: Duration,
-    seed: u64,
-    rx: Receiver<ShardControl>,
+/// One node thread: one protocol instance per element of `shards` behind
+/// one endpoint, one heap of due timers and held frames.
+fn node_main<P: WireProtocol, E: Endpoint, H: Plane>(
+    config: &ClusterConfig,
+    shards: Vec<ProtocolConfig>,
     mut endpoint: E,
-    events_tx: Sender<(ShardId, NodeId, TokenEvent)>,
-    grants: Arc<Mutex<Vec<u64>>>,
-    decode_errors: Arc<AtomicU64>,
+    events_tx: Sender<H::Event>,
+    shared: &Shared,
 ) -> CloseReport {
+    let &ClusterConfig {
+        n,
+        tick,
+        control_drop_p,
+        ..
+    } = config;
+    let id = endpoint.id();
+    let door = NodeId::new(n as u32);
+    let seed = config.seed.wrapping_add(u64::from(id.raw()));
+    let mut drop_rng = StdRng::seed_from_u64(seed ^ 0xD0D0_CACA);
     let start = Instant::now();
-    let ticks_now = |start: Instant| -> SimTime {
+    let ticks_now = || -> SimTime {
         let t = start.elapsed().as_nanos() / tick.as_nanos().max(1);
         SimTime::from_ticks(t as u64)
     };
-    // One protocol instance per shard, each with its own token home, its
-    // own generation space (shards never share frames), and a
-    // shard-namespaced RNG seed.
-    let k = map.shards();
-    let mut harnesses: Vec<Harness<P>> = (0..k)
-        .map(|s| {
-            let shard_cfg = cfg.with_initial_holder(map.owner(ShardId(s)));
-            Harness::new(
-                id,
-                topology,
-                P::build(shard_cfg),
-                seed ^ (u64::from(s) << 32),
-            )
-        })
+    // Each instance has its own generation space (shards never share
+    // frames) and a shard-namespaced RNG seed.
+    let mut harnesses: Vec<Harness<P>> = (0u64..)
+        .zip(shards)
+        .map(|(s, cfg)| Harness::new(id, Topology::ring(n), P::build(cfg), seed ^ (s << 32)))
         .collect();
-    let mut heap: BinaryHeap<ShardDueEntry> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<DueEntry>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let now0 = ticks_now(start);
-    for h in harnesses.iter_mut() {
-        h.init(now0);
+    let mut schedule = |heap: &mut BinaryHeap<Reverse<DueEntry>>, ticks: u64, what: Due| {
+        seq += 1;
+        heap.push(Reverse(DueEntry {
+            at: due_at(tick, ticks),
+            seq,
+            what,
+        }));
+    };
+    let now0 = ticks_now();
+    for harness in &mut harnesses {
+        harness.init(now0);
     }
 
     loop {
-        // Flush effects of the last dispatch, shard by shard; events
-        // before frames, as in the single-token runtime.
+        // Flush effects of the last dispatch, shard by shard. Events go out
+        // *before* any outbound frames: once the token frame is on the wire,
+        // the receiver can grant and publish its event, so publishing our
+        // own events first is what keeps the merged event stream causally
+        // ordered (Released always observed before the next Granted).
         let mut staged = false;
         for (s, harness) in harnesses.iter_mut().enumerate() {
             let shard = ShardId(s as u16);
             for ev in harness.node_mut().take_events() {
                 if matches!(ev, TokenEvent::Granted { .. }) {
-                    grants.lock().unwrap()[shard.index()] += 1;
+                    shared.grants[s * n + id.index()].fetch_add(1, Ordering::Relaxed);
                 }
-                let _ = events_tx.send((shard, id, ev));
+                let _ = events_tx.send(H::event(shard, id, ev));
             }
             for ob in harness.take_outbound() {
-                let frame = crate::codec::encode_shard_frame(shard.0, &P::encode_msg(&ob.msg));
+                if control_drop_p > 0.0
+                    && ob.class == MsgClass::Control
+                    && drop_rng.gen_bool(control_drop_p)
+                {
+                    continue; // the cheap channel lost it
+                }
+                let frame = H::wrap(shard, P::encode_msg(&ob.msg));
                 if ob.hold == 0 {
                     endpoint.stage(ob.to, &frame);
                     staged = true;
                 } else {
-                    seq += 1;
-                    heap.push(ShardDueEntry {
-                        at: Instant::now() + tick * ob.hold as u32,
-                        seq,
-                        what: ShardDue::Send { to: ob.to, frame },
-                    });
+                    schedule(&mut heap, ob.hold, Due::Send { to: ob.to, frame });
                 }
             }
             for t in harness.take_timers() {
-                seq += 1;
-                heap.push(ShardDueEntry {
-                    at: Instant::now() + tick * t.delay as u32,
-                    seq,
-                    what: ShardDue::Timer {
+                schedule(
+                    &mut heap,
+                    t.delay,
+                    Due::Timer {
                         shard,
                         kind: t.kind,
                     },
-                });
+                );
             }
         }
         if staged {
             endpoint.flush();
         }
-        // Fire overdue entries.
+        // Fire one overdue entry, or block until the next is due.
         let now = Instant::now();
-        if let Some(head) = heap.peek() {
-            if head.at <= now {
-                let entry = heap.pop().expect("peeked");
-                match entry.what {
-                    ShardDue::Timer { shard, kind } => {
-                        harnesses[shard.index()].fire_timer(ticks_now(start), kind)
+        let wait = match heap.peek_mut() {
+            Some(head) if head.0.at <= now => {
+                match PeekMut::pop(head).0.what {
+                    Due::Timer { shard, kind } => {
+                        harnesses[shard.index()].fire_timer(ticks_now(), kind)
                     }
-                    ShardDue::Send { to, frame } => {
+                    Due::Send { to, frame } => {
                         endpoint.stage(to, &frame);
                         endpoint.flush();
                     }
                 }
                 continue;
             }
-        }
-
-        match rx.try_recv() {
-            Ok(ShardControl::External(shard, want)) => {
-                harnesses[shard.index()].external(ticks_now(start), want);
-                continue;
+            Some(head) => head.0.at.saturating_duration_since(now),
+            None => IDLE_WAIT,
+        };
+        let Some((from, frame)) = endpoint.recv_timeout(wait) else {
+            // Transports are best-effort, so a stop frame can be lost; the
+            // flag bounds what that costs `shutdown` to one wake-up.
+            if shared.stopping.load(Ordering::Acquire) {
+                break;
             }
-            Ok(ShardControl::Shutdown) | Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {}
-        }
-        let wait = heap
-            .peek()
-            .map(|e| e.at.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5));
-        if let Some((from, frame)) = endpoint.recv_timeout(wait) {
-            // Untrusted network input, two layers deep: a bad envelope,
-            // an out-of-range shard id, or inner garbage each count and
-            // drop — one shard's garbage never reaches another's state.
-            match crate::codec::decode_shard_frame(&frame) {
-                Ok((s, inner)) if (s as usize) < harnesses.len() => match P::decode_msg(inner) {
-                    Ok(msg) => harnesses[s as usize].deliver(ticks_now(start), from, msg),
-                    Err(_) => {
-                        decode_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                },
-                _ => {
-                    decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
+            continue;
+        };
+        // Untrusted network input: a frame that does not decode, names a
+        // shard this node does not host, or speaks the control encoding
+        // without being the door is counted and dropped, never panicked on
+        // — one shard's garbage never reaches another's state, and the
+        // sender's retransmit layer re-covers anything that mattered.
+        let handled = if from == door {
+            match DoorMsg::decode(&frame) {
+                Some(DoorMsg::Stop) => break,
+                Some(DoorMsg::Want(shard, want)) => harnesses
+                    .get_mut(shard.index())
+                    .map(|harness| harness.external(ticks_now(), want)),
+                None => None,
             }
+        } else {
+            H::unwrap(&frame).and_then(|(shard, inner)| {
+                let msg = P::decode_msg(inner).ok()?;
+                harnesses
+                    .get_mut(shard.index())
+                    .map(|harness| harness.deliver(ticks_now(), from, msg))
+            })
+        };
+        if handled.is_none() {
+            shared.decode_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
-    endpoint.close()
+    let report = endpoint.close();
+    shared
+        .frames_lost
+        .fetch_add(endpoint.frames_lost(), Ordering::Relaxed);
+    report
 }
 
 #[cfg(test)]
@@ -1090,5 +1070,418 @@ mod tests {
         for report in cluster.shutdown() {
             assert!(report.is_clean(), "leaked threads: {report:?}");
         }
+    }
+
+    /// What a [`ProbeTransport`] saw, per test: tests run in parallel, so
+    /// each brings its own static through [`Script::tally`].
+    struct Tally {
+        /// `recv_timeout` calls that returned `None`.
+        timeouts: AtomicU64,
+        /// Endpoints inside a `recv_timeout(IDLE_WAIT)` right now.
+        idle: AtomicU64,
+        /// `close` calls.
+        closed: AtomicU64,
+    }
+
+    impl Tally {
+        const fn new() -> Self {
+            Tally {
+                timeouts: AtomicU64::new(0),
+                idle: AtomicU64::new(0),
+                closed: AtomicU64::new(0),
+            }
+        }
+    }
+
+    trait Script: 'static {
+        fn tally() -> &'static Tally;
+        /// Frames endpoint `node` of an `n`-node cluster (the door is
+        /// endpoint `n`) receives before any real traffic.
+        fn prelude(_node: usize, _n: usize) -> Vec<(NodeId, Vec<u8>)> {
+            Vec::new()
+        }
+        /// Whether the transport loses `frame` instead of carrying it.
+        fn loses(_frame: &[u8]) -> bool {
+            false
+        }
+    }
+
+    /// `T` with every endpoint counting what the node loop does with it.
+    struct ProbeTransport<T, S>(std::marker::PhantomData<fn() -> (T, S)>);
+
+    struct ProbeEndpoint<E, S> {
+        inner: E,
+        prelude: std::collections::VecDeque<(NodeId, Vec<u8>)>,
+        _script: std::marker::PhantomData<fn() -> S>,
+    }
+
+    impl<E: Endpoint, S: Script> Endpoint for ProbeEndpoint<E, S> {
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+        fn stage(&mut self, to: NodeId, frame: &[u8]) {
+            if !S::loses(frame) {
+                self.inner.stage(to, frame);
+            }
+        }
+        fn flush(&mut self) {
+            self.inner.flush();
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Option<(NodeId, Vec<u8>)> {
+            if let Some(scripted) = self.prelude.pop_front() {
+                return Some(scripted);
+            }
+            let idle = timeout >= IDLE_WAIT;
+            if idle {
+                S::tally().idle.fetch_add(1, Ordering::SeqCst);
+            }
+            let got = self.inner.recv_timeout(timeout);
+            if idle {
+                S::tally().idle.fetch_sub(1, Ordering::SeqCst);
+            }
+            if got.is_none() {
+                S::tally().timeouts.fetch_add(1, Ordering::SeqCst);
+            }
+            got
+        }
+        fn frames_lost(&self) -> u64 {
+            self.inner.frames_lost()
+        }
+        fn close(&mut self) -> CloseReport {
+            S::tally().closed.fetch_add(1, Ordering::SeqCst);
+            self.inner.close()
+        }
+    }
+
+    impl<T: Transport, S: Script> Transport for ProbeTransport<T, S> {
+        type Endpoint = ProbeEndpoint<T::Endpoint, S>;
+        fn label() -> &'static str {
+            "probe"
+        }
+        fn endpoints(m: usize) -> std::io::Result<Vec<Self::Endpoint>> {
+            Ok(T::endpoints(m)?
+                .into_iter()
+                .enumerate()
+                .map(|(i, inner)| ProbeEndpoint {
+                    inner,
+                    prelude: S::prelude(i, m - 1).into(),
+                    _script: std::marker::PhantomData,
+                })
+                .collect())
+        }
+    }
+
+    fn fast(n: usize) -> ClusterConfig {
+        ClusterConfig::new(n).with_tick(Duration::from_micros(200))
+    }
+
+    /// Spins (test code only) until all `n` node threads are blocked with
+    /// nothing scheduled.
+    fn wait_until_idle<S: Script>(n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while S::tally().idle.load(Ordering::SeqCst) < n {
+            assert!(Instant::now() < deadline, "the cluster never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn an_idle_cluster_is_woken_by_arrival_not_by_a_poll() {
+        struct S;
+        impl Script for S {
+            fn tally() -> &'static Tally {
+                static T: Tally = Tally::new();
+                &T
+            }
+        }
+        let cluster: Cluster<SearchNode> =
+            Cluster::start_on::<ProbeTransport<ChanTransport, S>>(fast(4)).expect("infallible");
+        for k in 0..200u32 {
+            let node = NodeId::new(k % 4);
+            cluster.request(node, u64::from(k));
+            assert!(
+                cluster.await_grant(node, Duration::from_secs(10)),
+                "request {k}"
+            );
+        }
+        assert_eq!(cluster.grants().iter().sum::<u64>(), 200);
+        let timeouts = S::tally().timeouts.load(Ordering::SeqCst);
+        assert!(
+            timeouts <= 8,
+            "{timeouts} receive time-outs for 200 idle grants"
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn wants_reach_a_node_in_the_order_they_were_sent() {
+        let cluster: Cluster = Cluster::start(fast(3));
+        let target = NodeId::new(1);
+        let handles = [cluster.handle(target), cluster.handle(target).clone()];
+        for payload in 0..50u64 {
+            handles[payload as usize % 2].want(payload);
+        }
+        // `Requested` numbers the wants as the node took them and the node
+        // serves its own queue in that order, so its broadcasts, as it
+        // delivers them to itself, name the payloads in intake order.
+        let (mut requested, mut broadcast) = (Vec::new(), Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while broadcast.len() < 50 && Instant::now() < deadline {
+            match cluster.events().recv_timeout(Duration::from_millis(500)) {
+                Ok((who, TokenEvent::Requested { req, .. })) if who == target => {
+                    requested.push(req.seq)
+                }
+                Ok((who, TokenEvent::Delivered { entry, .. }))
+                    if who == target && entry.origin == target =>
+                {
+                    broadcast.push(entry.payload)
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(requested, (1..=50).collect::<Vec<u64>>());
+        assert_eq!(broadcast, (0..50).collect::<Vec<u64>>());
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn shutdown_and_drop_wake_blocked_nodes_through_the_door() {
+        struct S;
+        impl Script for S {
+            fn tally() -> &'static Tally {
+                static T: Tally = Tally::new();
+                &T
+            }
+        }
+        fn stops<T: Transport>(by_drop: bool) {
+            let closed_before = S::tally().closed.load(Ordering::SeqCst);
+            let cluster: Cluster<SearchNode> =
+                Cluster::start_on::<ProbeTransport<T, S>>(fast(3)).expect("bind loopback");
+            cluster.request(NodeId::new(2), 1);
+            assert!(cluster.await_grant(NodeId::new(2), Duration::from_secs(20)));
+            wait_until_idle::<S>(3);
+            // IDLE_WAIT is longer than the limit, so only the stop frame
+            // can have woken the nodes in time.
+            let begun = Instant::now();
+            if by_drop {
+                drop(cluster);
+            } else {
+                let reports = cluster.shutdown();
+                assert_eq!(reports.len(), 4, "three nodes and the door");
+                assert!(reports.iter().all(CloseReport::is_clean), "{reports:?}");
+            }
+            let took = begun.elapsed();
+            assert!(took < Duration::from_secs(2), "{}: {took:?}", T::label());
+            let closed = S::tally().closed.load(Ordering::SeqCst) - closed_before;
+            assert_eq!(
+                closed, 4,
+                "every node thread and the door closed its endpoint"
+            );
+        }
+        stops::<ChanTransport>(false);
+        stops::<ChanTransport>(true);
+        stops::<atp_net::TcpTransport>(false);
+        stops::<atp_net::TcpTransport>(true);
+    }
+
+    #[test]
+    fn a_lost_stop_frame_costs_one_long_wait_not_a_hang() {
+        struct S;
+        impl Script for S {
+            fn tally() -> &'static Tally {
+                static T: Tally = Tally::new();
+                &T
+            }
+            fn loses(frame: &[u8]) -> bool {
+                DoorMsg::decode(frame) == Some(DoorMsg::Stop)
+            }
+        }
+        let cluster: Cluster<SearchNode> =
+            Cluster::start_on::<ProbeTransport<ChanTransport, S>>(fast(3)).expect("infallible");
+        cluster.request(NodeId::new(1), 1);
+        assert!(cluster.await_grant(NodeId::new(1), Duration::from_secs(20)));
+        wait_until_idle::<S>(3);
+        // No stop frame arrives, so each node leaves when its idle wait
+        // runs out and it reads the flag: one time-out per node, no more.
+        let timeouts_before = S::tally().timeouts.load(Ordering::SeqCst);
+        let begun = Instant::now();
+        let reports = cluster.shutdown();
+        let took = begun.elapsed();
+        assert!(took < IDLE_WAIT + Duration::from_secs(2), "{took:?}");
+        assert_eq!(
+            S::tally().timeouts.load(Ordering::SeqCst) - timeouts_before,
+            3
+        );
+        assert_eq!(reports.len(), 4);
+        assert!(reports.iter().all(CloseReport::is_clean), "{reports:?}");
+    }
+
+    #[test]
+    fn only_the_door_may_speak_the_control_encoding() {
+        /// The scripted node: where `KEY` lives on the sharded plane, so
+        /// both clusters below can be asked to serve there. Its grant
+        /// proves it has been through the whole script.
+        const KEY: u64 = 0xfeed;
+        fn target(n: usize) -> NodeId {
+            NodeId::new(ShardMap::new(2, n).owner_of_key(KEY))
+        }
+        struct S;
+        impl Script for S {
+            fn tally() -> &'static Tally {
+                static T: Tally = Tally::new();
+                &T
+            }
+            fn prelude(node: usize, n: usize) -> Vec<(NodeId, Vec<u8>)> {
+                if node != target(n).index() {
+                    return Vec::new();
+                }
+                let (member, door) = (NodeId::new(1), NodeId::new(n as u32));
+                let want = DoorMsg::Want(ShardId(0), Want::new(77)).encode();
+                let mut bad_kind = want.clone();
+                bad_kind[1] = 9;
+                vec![
+                    // Well-formed control frames from a ring member.
+                    (member, DoorMsg::Stop.encode()),
+                    (member, want.clone()),
+                    // Malformed frames from the door itself.
+                    (door, Vec::new()),
+                    (door, want[..want.len() - 1].to_vec()),
+                    (door, bad_kind),
+                    (door, DoorMsg::Want(ShardId(9), Want::new(78)).encode()),
+                ]
+            }
+        }
+        fn serves_once(events: impl Fn() -> Option<TokenEvent>) {
+            let (mut requested, mut granted) = (0, 0);
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while granted == 0 && Instant::now() < deadline {
+                match events() {
+                    Some(TokenEvent::Requested { .. }) => requested += 1,
+                    Some(TokenEvent::Granted { .. }) => granted += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!((requested, granted), (1, 1), "only the door's own want ran");
+        }
+
+        let cluster: Cluster =
+            Cluster::start_on::<ProbeTransport<ChanTransport, S>>(fast(3)).expect("infallible");
+        cluster.request(target(3), 5);
+        serves_once(|| {
+            Some(
+                cluster
+                    .events()
+                    .recv_timeout(Duration::from_millis(500))
+                    .ok()?
+                    .1,
+            )
+        });
+        assert_eq!(
+            cluster.decode_errors(),
+            6,
+            "every scripted frame counted, none executed"
+        );
+        assert_eq!(cluster.grants().iter().sum::<u64>(), 1);
+        assert!(cluster.shutdown().iter().all(CloseReport::is_clean));
+
+        // The sharded plane runs the same loop: the envelope decoder
+        // rejects the control tags as the protocol decoders do.
+        let sharded: ShardedCluster = ShardedCluster::start_on::<ProbeTransport<ChanTransport, S>>(
+            ShardedClusterConfig::new(3, 2).with_tick(Duration::from_micros(200)),
+        )
+        .expect("infallible");
+        sharded.request(KEY, 5);
+        serves_once(|| {
+            Some(
+                sharded
+                    .events()
+                    .recv_timeout(Duration::from_millis(500))
+                    .ok()?
+                    .2,
+            )
+        });
+        assert_eq!(sharded.decode_errors(), 6);
+        assert_eq!(sharded.grants().iter().sum::<u64>(), 1);
+        assert!(sharded.shutdown().iter().all(CloseReport::is_clean));
+    }
+
+    #[test]
+    fn control_encoding_round_trips_and_rejects_everything_else() {
+        let wants = [
+            Want::new(0),
+            Want::new(u64::MAX),
+            Want::leave(),
+            Want::rejoin(),
+        ];
+        for want in wants {
+            for shard in [ShardId(0), ShardId(3), ShardId(u16::MAX)] {
+                let msg = DoorMsg::Want(shard, want);
+                let bytes = msg.encode();
+                assert_eq!(DoorMsg::decode(&bytes), Some(msg));
+                assert_eq!(
+                    DoorMsg::decode(&bytes[..bytes.len() - 1]),
+                    None,
+                    "truncated"
+                );
+                assert_eq!(
+                    DoorMsg::decode(&[&bytes[..], &[0]].concat()),
+                    None,
+                    "trailing byte"
+                );
+            }
+        }
+        assert_eq!(
+            DoorMsg::decode(&DoorMsg::Stop.encode()),
+            Some(DoorMsg::Stop)
+        );
+        assert_eq!(DoorMsg::decode(&[TAG_DOOR_STOP, 0]), None);
+        assert_eq!(DoorMsg::decode(&[]), None);
+        // No data decoder may accept what the door says.
+        let data_tags = [
+            crate::codec::known_binary_tags(),
+            crate::codec::known_ring_tags(),
+            crate::codec::known_search_tags(),
+            crate::codec::known_naimi_tags(),
+            crate::codec::known_shard_tags(),
+        ];
+        for tag in [TAG_DOOR_WANT, TAG_DOOR_STOP] {
+            assert!(
+                data_tags.iter().all(|known| !known.contains(&tag)),
+                "{tag:#x} is a data tag"
+            );
+        }
+    }
+
+    #[test]
+    fn a_door_poisoned_by_a_panicking_client_still_serves_and_stops() {
+        let cluster: Cluster = Cluster::start(fast(3));
+        let door = Arc::clone(&cluster.rt.door);
+        let client = std::thread::spawn(move || {
+            let _held = door.0.lock().expect("first lock");
+            panic!("client dies holding the door (expected by this test)");
+        });
+        assert!(client.join().is_err());
+        assert!(cluster.rt.door.0.is_poisoned());
+        cluster.request(NodeId::new(1), 3);
+        assert!(cluster.await_grant(NodeId::new(1), Duration::from_secs(10)));
+        let reports = cluster.shutdown();
+        assert_eq!(reports.len(), 4);
+        assert!(reports.iter().all(CloseReport::is_clean));
+    }
+
+    #[test]
+    fn a_handle_that_outlives_its_cluster_sends_nowhere() {
+        let cluster: Cluster = Cluster::start(fast(2));
+        let handle = cluster.handle(NodeId::new(1));
+        drop(cluster);
+        handle.want(1);
+    }
+
+    #[test]
+    fn long_holds_saturate_instead_of_wrapping() {
+        let tick = Duration::from_millis(1);
+        let wrapped_to_four_ticks = u64::from(u32::MAX) + 5;
+        assert!(due_at(tick, wrapped_to_four_ticks) > Instant::now() + tick * (u32::MAX - 1));
+        let _ = due_at(Duration::MAX, u64::MAX);
     }
 }

@@ -52,10 +52,12 @@ pub const FRAME_TRAILER_LEN: usize = 4;
 /// while keeping a hostile 4 GiB length prefix from ever allocating.
 pub const MAX_FRAME_LEN: u32 = 1 << 24; // 16 MiB
 
-/// IEEE CRC32 lookup table (reflected polynomial 0xEDB88320), built at
-/// compile time so the hot path is one table load per byte.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC32 lookup tables (reflected polynomial 0xEDB88320) for
+/// slicing-by-8, built at compile time. `CRC_TABLES[0]` is the classic
+/// one-byte table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, so eight loads advance the checksum by eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -64,17 +66,39 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// IEEE CRC32 of `bytes` (the checksum carried in every frame trailer).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = CRC_TABLES[7][(lo & 0xff) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xff) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xff) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][w[4] as usize]
+            ^ CRC_TABLES[2][w[5] as usize]
+            ^ CRC_TABLES[1][w[6] as usize]
+            ^ CRC_TABLES[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -292,6 +316,37 @@ mod tests {
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-table, byte-at-a-time loop `crc32` used to be: the reference
+    /// the sliced version must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop_at_every_length_and_offset() {
+        use atp_util::rng::{Rng, RngCore, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xC4C32);
+        for case in 0..2000usize {
+            let (offset, len) = (case % 8, rng.gen_range(0..=4099usize));
+            let mut buf = vec![0u8; offset + len];
+            rng.fill_bytes(&mut buf);
+            let bytes = &buf[offset..];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bytewise(bytes),
+                "case {case}: {offset}+{len}"
+            );
+        }
+        for len in 0..64 {
+            let bytes = vec![0xA5u8; len];
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+        }
     }
 
     #[test]
