@@ -210,6 +210,18 @@ if [ "$(count 'from_millis(5)')" -ne 0 ] || [ "$(count 'try_recv')" -ne 0 ] \
 fi
 echo "one node loop, one heap, one blocking receive, no poll"
 
+echo "== virtual-clock driver gate =="
+# The conformance/chaos driver in crates/sim/src/cluster.rs receives back
+# only the frames it staged to each endpoint, blocks on a socket instead of
+# sleeping when one is late, and keeps its clock in one (tick, seq) heap.
+# Fail if the sleep or the map-keyed clock comes back.
+DRIVER=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/sim/src/cluster.rs)
+if echo "$DRIVER" | grep -q -F -e 'thread::sleep(' -e 'BTreeMap<(u64, u64)'; then
+  echo "cluster.rs: the virtual-clock driver sleeps or keys its clock on a BTreeMap again" >&2
+  exit 1
+fi
+echo "virtual-clock driver: no sleep, one heap"
+
 echo "== idle cluster smoke =="
 # System Search parks its token, so between requests every node thread is
 # blocked with nothing scheduled: the closed-loop p50 is then what a wake-up

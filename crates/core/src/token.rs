@@ -366,9 +366,11 @@ impl TokenFrame {
 
     /// Keeps only the `keep` most recent carried entries.
     ///
-    /// Used by the lazy-token search protocol, whose token has no rounds to
-    /// GC by: recipients that fell further behind than `keep` entries record
-    /// gaps instead of stalling the window.
+    /// No protocol calls this; only tests do. Search and Naimi take
+    /// possession with `rotational = false`, so their `round` never
+    /// advances, [`TokenFrame::gc`] never runs and their carried window
+    /// grows with every grant. A recipient that fell further behind than
+    /// `keep` entries would record gaps instead of stalling the window.
     pub fn gc_keep_last(&mut self, keep: usize) {
         self.drop_oldest(self.carried.len().saturating_sub(keep));
     }

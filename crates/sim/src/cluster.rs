@@ -20,13 +20,17 @@
 //! was proven grant-identical to `World`): externals first, then per
 //! dispatch its timers, then its sends in destination-major order.
 //!
-//! Loss is tolerated, not assumed away: the driver counts frames in flight
-//! and, when a fault hook severs sockets mid-run, declares stragglers lost
-//! after a real-time grace period — at which point the protocols'
-//! ack/retransmit machinery (driven by timer entries already in the clock)
-//! must recover on its own.
+//! After each dispatch the driver receives back exactly the frames it staged
+//! to each endpoint, and receives from no other endpoint, so a dispatch
+//! costs what it sent rather than what the mesh is.
+//!
+//! Loss is tolerated, not assumed away: when a fault hook severs sockets
+//! mid-run, frames still owed after a real-time grace period are declared
+//! lost — at which point the protocols' ack/retransmit machinery (driven by
+//! timer entries already in the clock) must recover on its own.
 
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::time::{Duration, Instant};
 
 use atp_core::{Checkpoint, ProtocolConfig, TokenEvent, Want};
@@ -259,9 +263,305 @@ pub fn run_on_transport<P: ProtocolNode, T: Transport>(
 }
 
 enum ClockEntry {
-    Deliver { from: NodeId, bytes: Vec<u8> },
+    /// A frame as the transport returned it: the message follows the
+    /// envelope and is decoded in place.
+    Deliver { from: NodeId, framed: Vec<u8> },
     Timer { kind: u64 },
     Ext(Want),
+}
+
+/// One clock entry for node `dest`, ordered by `(tick, seq)` alone (`seq`
+/// is unique); the clock holds them [`Reverse`]d, earliest first.
+struct Due {
+    tick: u64,
+    seq: u64,
+    dest: usize,
+    entry: ClockEntry,
+}
+
+impl Due {
+    fn key(&self) -> (u64, u64) {
+        (self.tick, self.seq)
+    }
+}
+
+impl PartialEq for Due {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Due {}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// The virtual clock: a `(tick, seq)` heap, and the counter that hands out
+/// `seq` to clock entries and, through their envelopes, to frames in flight.
+#[derive(Default)]
+struct Clock {
+    due: BinaryHeap<Reverse<Due>>,
+    seq: u64,
+}
+
+impl Clock {
+    fn mint(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Schedules `entry` for `dest` at `tick` under a fresh `seq`.
+    fn schedule(&mut self, tick: u64, dest: usize, entry: ClockEntry) {
+        let seq = self.mint();
+        self.insert(tick, seq, dest, entry);
+    }
+
+    fn insert(&mut self, tick: u64, seq: u64, dest: usize, entry: ClockEntry) {
+        self.due.push(Reverse(Due {
+            tick,
+            seq,
+            dest,
+            entry,
+        }));
+    }
+
+    /// `(tick, seq)` of the earliest entry.
+    fn peek(&self) -> Option<(u64, u64)> {
+        self.due.peek().map(|Reverse(d)| d.key())
+    }
+
+    /// Removes the earliest entry if it is still the one keyed `key`.
+    fn pop_if(&mut self, key: (u64, u64)) -> Option<Due> {
+        if self.peek() != Some(key) {
+            return None;
+        }
+        self.due.pop().map(|Reverse(d)| d)
+    }
+
+    /// Takes out every entry addressed to `dest`, in key order.
+    fn take_addressed_to(&mut self, dest: usize) -> Vec<Due> {
+        let (mut taken, kept): (Vec<Due>, Vec<Due>) = std::mem::take(&mut self.due)
+            .into_iter()
+            .map(|Reverse(d)| d)
+            .partition(|d| d.dest == dest);
+        self.due = kept.into_iter().map(Reverse).collect();
+        taken.sort_unstable();
+        taken
+    }
+}
+
+/// One frame a dispatch emitted, before its envelope:
+/// `(source, destination, arrival tick, message bytes)`.
+type Outgoing = (usize, usize, u64, Vec<u8>);
+
+/// The driver's side of the transport: it envelopes and stages what the
+/// harnesses emit, then takes back into the clock exactly the frames it
+/// staged to each endpoint.
+///
+/// Every endpoint yields one frame per frame staged to it — whole, or, under
+/// [`atp_net::ChaosEndpoint`], as a tombstone of its envelope — so counting
+/// per destination is exact, and an endpoint nothing was sent to is never
+/// asked.
+struct Wire<E> {
+    endpoints: Vec<E>,
+    /// Per endpoint: frames staged to it and not yet received back.
+    owed: Vec<u64>,
+    /// The endpoints whose `owed` is non-zero.
+    waiting: Vec<usize>,
+    /// Sum of `owed`.
+    inflight: u64,
+    /// Set once a frame has been declared lost. From then on a pump drains
+    /// every endpoint, so a straggler that lands late goes onto the clock as
+    /// itself instead of standing in for a frame still owed.
+    lossy: bool,
+    loss_grace: Duration,
+    link_latency: u64,
+    dup_every_nth_token: Option<u64>,
+    token_frames: u64,
+    /// Emitted and not yet transmitted, in emit order.
+    sends: Vec<Outgoing>,
+    /// Sources to flush after staging, reused across dispatches.
+    sources: Vec<usize>,
+    /// The one buffer every frame's envelope is built in.
+    envelope: Vec<u8>,
+}
+
+impl<E: Endpoint> Wire<E> {
+    fn new(endpoints: Vec<E>, link_latency: u64, opts: &DriverOptions<E>) -> Self {
+        Wire {
+            owed: vec![0; endpoints.len()],
+            endpoints,
+            waiting: Vec::new(),
+            inflight: 0,
+            lossy: false,
+            loss_grace: opts.loss_grace,
+            link_latency,
+            dup_every_nth_token: opts.dup_every_nth_token,
+            token_frames: 0,
+            sends: Vec::new(),
+            sources: Vec::new(),
+            envelope: Vec::new(),
+        }
+    }
+
+    /// Takes one harness's pending effects at tick `now`: timers go
+    /// straight onto the clock, sends wait in emit order for
+    /// [`Wire::exchange`].
+    fn collect<P: ProtocolNode>(&mut self, h: &mut Harness<P>, now: u64, clock: &mut Clock) {
+        let from = h.id().index();
+        for ob in h.take_outbound() {
+            let arrival = now + self.link_latency + ob.hold;
+            let bytes = P::encode_msg(&ob.msg);
+            if ob.class == MsgClass::Token {
+                self.token_frames += 1;
+                if let Some(k) = self.dup_every_nth_token {
+                    if self.token_frames.is_multiple_of(k) {
+                        // The stuttered copy precedes the original, exactly
+                        // as the reference channel harness sent it.
+                        self.sends.push((from, ob.to.index(), arrival, bytes.clone()));
+                    }
+                }
+            }
+            self.sends.push((from, ob.to.index(), arrival, bytes));
+        }
+        for t in h.take_timers() {
+            clock.schedule(now + t.delay, from, ClockEntry::Timer { kind: t.kind });
+        }
+    }
+
+    /// Transmits the collected sends and puts every one of them back on the
+    /// clock before returning.
+    fn exchange(&mut self, clock: &mut Clock, stats: &mut TransportStats) {
+        self.transmit(clock);
+        self.settle(clock, stats);
+    }
+
+    /// Envelopes the collected sends destination-major (replicating the
+    /// reference harness's drain order), stages them and flushes every
+    /// source that staged one.
+    fn transmit(&mut self, clock: &mut Clock) {
+        self.sends.sort_by_key(|&(_, dest, _, _)| dest);
+        for (src, dest, arrival, bytes) in self.sends.drain(..) {
+            self.envelope.clear();
+            self.envelope.extend_from_slice(&arrival.to_le_bytes());
+            self.envelope.extend_from_slice(&clock.mint().to_le_bytes());
+            self.envelope.extend_from_slice(&bytes);
+            self.endpoints[src].stage(NodeId::new(dest as u32), &self.envelope);
+            if self.owed[dest] == 0 {
+                self.waiting.push(dest);
+            }
+            self.owed[dest] += 1;
+            self.inflight += 1;
+            self.sources.push(src);
+        }
+        self.sources.sort_unstable();
+        self.sources.dedup();
+        for &src in &self.sources {
+            self.endpoints[src].flush();
+        }
+        self.sources.clear();
+    }
+
+    /// Receives until nothing is owed. When a pump finds nothing it blocks
+    /// on one endpoint still owed a frame; frames still owed `loss_grace`
+    /// after the last progress, and after one more pump, are lost — severed
+    /// links lose frames, and since the schedule was fixed at send time a
+    /// straggler cannot reorder it.
+    fn settle(&mut self, clock: &mut Clock, stats: &mut TransportStats) {
+        let mut deadline: Option<Instant> = None;
+        while self.inflight > 0 {
+            if self.pump(clock, stats) {
+                deadline = None;
+                continue;
+            }
+            let until = *deadline.get_or_insert_with(|| Instant::now() + self.loss_grace);
+            let left = until.saturating_duration_since(Instant::now());
+            if !left.is_zero() {
+                // Real sockets have real latency: wait for one owed frame,
+                // then pump every owed endpoint again.
+                let d = self.waiting[0];
+                match self.endpoints[d].recv_timeout(left) {
+                    Some((from, framed)) => {
+                        self.land(d, from, framed, clock, stats);
+                        deadline = None;
+                        continue;
+                    }
+                    None if Instant::now() < until => continue,
+                    None => {}
+                }
+                // The grace ran out during the wait. Frames that landed
+                // elsewhere meanwhile are taken, not waited for again.
+                self.pump(clock, stats);
+            }
+            stats.frames_lost += self.inflight;
+            self.inflight = 0;
+            for d in self.waiting.drain(..) {
+                self.owed[d] = 0;
+            }
+            self.lossy = true;
+        }
+    }
+
+    /// Receives without waiting what each endpoint is owed (on a lossy run,
+    /// everything every endpoint has). Returns whether anything landed.
+    fn pump(&mut self, clock: &mut Clock, stats: &mut TransportStats) -> bool {
+        let mut landed = false;
+        if self.lossy {
+            for d in 0..self.endpoints.len() {
+                while let Some((from, framed)) = self.endpoints[d].recv_timeout(Duration::ZERO) {
+                    self.land(d, from, framed, clock, stats);
+                    landed = true;
+                }
+            }
+        } else {
+            for k in 0..self.waiting.len() {
+                let d = self.waiting[k];
+                while self.owed[d] > 0 {
+                    let Some((from, framed)) = self.endpoints[d].recv_timeout(Duration::ZERO)
+                    else {
+                        break;
+                    };
+                    self.land(d, from, framed, clock, stats);
+                    landed = true;
+                }
+            }
+        }
+        let owed = &self.owed;
+        self.waiting.retain(|&d| owed[d] > 0);
+        landed
+    }
+
+    /// Puts a frame endpoint `d` received onto the clock at its envelope's
+    /// `(tick, seq)`.
+    fn land(
+        &mut self,
+        d: usize,
+        from: NodeId,
+        framed: Vec<u8>,
+        clock: &mut Clock,
+        stats: &mut TransportStats,
+    ) {
+        if self.owed[d] > 0 {
+            self.owed[d] -= 1;
+            self.inflight -= 1;
+        }
+        if framed.len() < ENVELOPE_LEN {
+            stats.decode_errors += 1;
+            return;
+        }
+        let word = |at: usize| u64::from_le_bytes(framed[at..at + 8].try_into().expect("8 bytes"));
+        let (tick, seq) = (word(0), word(8));
+        clock.insert(tick, seq, d, ClockEntry::Deliver { from, framed });
+    }
 }
 
 /// Runs the script over pre-built endpoints — the full driver.
@@ -270,9 +570,15 @@ enum ClockEntry {
 /// dispatch the resulting sends are enveloped, transmitted, and awaited
 /// back before the next pop, so the transport is a *physically real but
 /// logically transparent* link layer.
+/// Runs the script over pre-built endpoints — the full driver.
+///
+/// The virtual clock dispatches exactly one entry at a time; after each
+/// dispatch the resulting sends are enveloped, transmitted, and awaited
+/// back before the next pop, so the transport is a *physically real but
+/// logically transparent* link layer.
 pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
     script: &ClusterScript,
-    mut endpoints: Vec<E>,
+    endpoints: Vec<E>,
     mut opts: DriverOptions<E>,
 ) -> (RunOutcome, TransportStats) {
     assert_eq!(endpoints.len(), script.n, "one endpoint per node");
@@ -282,14 +588,12 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
         .map(|i| Harness::new(NodeId::new(i as u32), topology, P::build(cfg), script.seed))
         .collect();
 
-    let mut queue: BTreeMap<(u64, u64), (usize, ClockEntry)> = BTreeMap::new();
-    let mut seq = 0u64;
-    let mut inflight = 0u64;
+    let mut clock = Clock::default();
+    let mut wire = Wire::new(endpoints, script.link_latency, &opts);
     let mut stats = TransportStats::default();
-    let mut token_frames = 0u64;
 
     // Crash–restart supervisor state. Events take effect at dispatch
-    // boundaries (inflight is always zero there, so a sever loses nothing
+    // boundaries (nothing is in flight there, so a sever loses nothing
     // that the schedule still counts on).
     let mut plan: Vec<CrashEvent> = opts.crashes.clone();
     plan.sort_by_key(|c| (c.at, c.node));
@@ -300,142 +604,19 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
     let oracles = opts.check_oracles || !plan.is_empty();
 
     for &(t, node, payload) in &script.requests {
-        queue.insert((t, seq), (node as usize, ClockEntry::Ext(Want::new(payload))));
-        seq += 1;
+        clock.schedule(t, node as usize, ClockEntry::Ext(Want::new(payload)));
     }
-
-    // Collects one harness's pending effects. Timers go straight onto the
-    // clock; sends are returned (dest, arrival, bytes) in emit order for
-    // the caller to sequence and transmit.
-    let collect = |h: &mut Harness<P>,
-                   now: u64,
-                   queue: &mut BTreeMap<(u64, u64), (usize, ClockEntry)>,
-                   seq: &mut u64,
-                   token_frames: &mut u64,
-                   dup_every: Option<u64>,
-                   sends: &mut Vec<(usize, usize, u64, Vec<u8>)>| {
-        let from = h.id();
-        for ob in h.take_outbound() {
-            let arrival = now + script.link_latency + ob.hold;
-            let bytes = P::encode_msg(&ob.msg);
-            if ob.class == MsgClass::Token {
-                *token_frames += 1;
-                if let Some(k) = dup_every {
-                    if *token_frames % k == 0 {
-                        // The stuttered copy precedes the original, exactly
-                        // as the reference channel harness sent it.
-                        sends.push((from.index(), ob.to.index(), arrival, bytes.clone()));
-                    }
-                }
-            }
-            sends.push((from.index(), ob.to.index(), arrival, bytes));
-        }
-        for t in h.take_timers() {
-            queue.insert((now + t.delay, *seq), (from.index(), ClockEntry::Timer { kind: t.kind }));
-            *seq += 1;
-        }
-    };
-
-    // Sequences buffered sends destination-major (replicating the reference
-    // harness's drain order), envelopes them, and pushes them into the
-    // transport.
-    let transmit = |sends: &mut Vec<(usize, usize, u64, Vec<u8>)>,
-                    seq: &mut u64,
-                    inflight: &mut u64,
-                    endpoints: &mut Vec<E>| {
-        sends.sort_by_key(|&(_, dest, _, _)| dest);
-        let mut touched = [false; 64];
-        let mut touched_large = Vec::new();
-        for (src, dest, arrival, bytes) in sends.drain(..) {
-            let mut framed = Vec::with_capacity(ENVELOPE_LEN + bytes.len());
-            framed.extend_from_slice(&arrival.to_le_bytes());
-            framed.extend_from_slice(&seq.to_le_bytes());
-            framed.extend_from_slice(&bytes);
-            *seq += 1;
-            *inflight += 1;
-            endpoints[src].stage(NodeId::new(dest as u32), &framed);
-            if src < touched.len() {
-                touched[src] = true;
-            } else {
-                touched_large.push(src);
-            }
-        }
-        for (i, t) in touched.iter().enumerate() {
-            if *t {
-                endpoints[i].flush();
-            }
-        }
-        for i in touched_large {
-            endpoints[i].flush();
-        }
-    };
-
-    // Pulls transported frames back into the clock until nothing is in
-    // flight (or the loss grace expires — severed links lose frames; the
-    // schedule was fixed at send time, so stragglers cannot reorder it).
-    let await_inflight = |queue: &mut BTreeMap<(u64, u64), (usize, ClockEntry)>,
-                          inflight: &mut u64,
-                          endpoints: &mut Vec<E>,
-                          stats: &mut TransportStats| {
-        let mut last_progress = Instant::now();
-        while *inflight > 0 {
-            let mut progressed = false;
-            for (i, ep) in endpoints.iter_mut().enumerate() {
-                while let Some((from, framed)) = ep.recv_timeout(Duration::ZERO) {
-                    progressed = true;
-                    if framed.len() < ENVELOPE_LEN {
-                        stats.decode_errors += 1;
-                        *inflight = inflight.saturating_sub(1);
-                        continue;
-                    }
-                    let at = u64::from_le_bytes(framed[..8].try_into().expect("8 bytes"));
-                    let s = u64::from_le_bytes(framed[8..16].try_into().expect("8 bytes"));
-                    queue.insert(
-                        (at, s),
-                        (
-                            i,
-                            ClockEntry::Deliver {
-                                from,
-                                bytes: framed[ENVELOPE_LEN..].to_vec(),
-                            },
-                        ),
-                    );
-                    *inflight -= 1;
-                }
-            }
-            if progressed {
-                last_progress = Instant::now();
-            } else if last_progress.elapsed() > opts.loss_grace {
-                stats.frames_lost += *inflight;
-                *inflight = 0;
-            } else {
-                // Nothing landed yet (real sockets have real latency):
-                // yield briefly instead of burning the core.
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
-    };
 
     // Init all nodes, then sequence their minted-token sends dest-major —
     // the same order the reference harness's first drain produced.
-    let mut sends = Vec::new();
     for h in harnesses.iter_mut() {
         h.init(SimTime::ZERO);
-        collect(
-            h,
-            0,
-            &mut queue,
-            &mut seq,
-            &mut token_frames,
-            opts.dup_every_nth_token,
-            &mut sends,
-        );
+        wire.collect(h, 0, &mut clock);
     }
-    transmit(&mut sends, &mut seq, &mut inflight, &mut endpoints);
-    await_inflight(&mut queue, &mut inflight, &mut endpoints, &mut stats);
+    wire.exchange(&mut clock, &mut stats);
 
     let mut grants = Vec::new();
-    while let Some((&(at, key_seq), _)) = queue.iter().next() {
+    while let Some((at, key_seq)) = clock.peek() {
         if at > script.horizon {
             break;
         }
@@ -468,17 +649,8 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
             {
                 rec.restarted_at = Some(at);
             }
-            collect(
-                &mut harnesses[v],
-                at,
-                &mut queue,
-                &mut seq,
-                &mut token_frames,
-                opts.dup_every_nth_token,
-                &mut sends,
-            );
-            transmit(&mut sends, &mut seq, &mut inflight, &mut endpoints);
-            await_inflight(&mut queue, &mut inflight, &mut endpoints, &mut stats);
+            wire.collect(&mut harnesses[v], at, &mut clock);
+            wire.exchange(&mut clock, &mut stats);
         }
 
         // Crashes due at or before this boundary: capture durable state,
@@ -498,7 +670,7 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
             let h = &mut harnesses[v];
             drain_grants(h.node_mut().take_events(), &mut grants);
             checkpoints[v] = Some(h.node().checkpoint());
-            endpoints[v].sever();
+            wire.endpoints[v].sever();
             dead[v] = true;
             let restart_at = ev.restart_at.max(at + 1);
             pending_restarts.insert((restart_at, ev.node), ev.warm);
@@ -513,18 +685,13 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
             });
             // Frames and timers already queued for the victim die with it;
             // external requests belong to the environment and are
-            // re-presented once the node is back.
-            let doomed: Vec<(u64, u64)> = queue
-                .iter()
-                .filter(|(_, (dest, _))| *dest == v)
-                .map(|(k, _)| *k)
-                .collect();
-            for k in doomed {
-                let (dest, entry) = queue.remove(&k).expect("key just observed");
-                match entry {
+            // re-presented once the node is back, under fresh seqs handed
+            // out in key order.
+            for doomed in clock.take_addressed_to(v) {
+                match doomed.entry {
                     ClockEntry::Ext(want) => {
-                        queue.insert((restart_at.max(k.0), seq), (dest, ClockEntry::Ext(want)));
-                        seq += 1;
+                        let tick = restart_at.max(doomed.tick);
+                        clock.schedule(tick, v, ClockEntry::Ext(want));
                         stats.requests_deferred += 1;
                     }
                     _ => stats.entries_discarded += 1,
@@ -533,11 +700,14 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
         }
 
         if let Some(hook) = opts.fault_hook.as_mut() {
-            hook(&mut endpoints, at);
+            hook(&mut wire.endpoints, at);
         }
         // The entry may itself have been purged or deferred by a crash that
         // just took effect.
-        let Some((dest, ev)) = queue.remove(&(at, key_seq)) else {
+        let Some(Due {
+            dest, entry: ev, ..
+        }) = clock.pop_if((at, key_seq))
+        else {
             continue;
         };
         if dead[dest] {
@@ -552,8 +722,7 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
                         .map(|(&(t, _), _)| t);
                     match rt {
                         Some(rt) => {
-                            queue.insert((rt, seq), (dest, ClockEntry::Ext(want)));
-                            seq += 1;
+                            clock.schedule(rt, dest, ClockEntry::Ext(want));
                             stats.requests_deferred += 1;
                         }
                         None => stats.entries_discarded += 1,
@@ -566,27 +735,20 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
         let h = &mut harnesses[dest];
         let now = SimTime::from_ticks(at);
         match ev {
-            ClockEntry::Deliver { from, bytes } => match P::decode_msg(&bytes) {
-                Ok(msg) => h.deliver(now, from, msg),
-                Err(_) => {
-                    stats.decode_errors += 1;
-                    continue;
+            ClockEntry::Deliver { from, framed } => {
+                match P::decode_msg(&framed[ENVELOPE_LEN..]) {
+                    Ok(msg) => h.deliver(now, from, msg),
+                    Err(_) => {
+                        stats.decode_errors += 1;
+                        continue;
+                    }
                 }
-            },
+            }
             ClockEntry::Timer { kind } => h.fire_timer(now, kind),
             ClockEntry::Ext(want) => h.external(now, want),
         }
-        collect(
-            h,
-            at,
-            &mut queue,
-            &mut seq,
-            &mut token_frames,
-            opts.dup_every_nth_token,
-            &mut sends,
-        );
-        transmit(&mut sends, &mut seq, &mut inflight, &mut endpoints);
-        await_inflight(&mut queue, &mut inflight, &mut endpoints, &mut stats);
+        wire.collect(h, at, &mut clock);
+        wire.exchange(&mut clock, &mut stats);
 
         // Token-possession oracle: two live holders of the same generation
         // is a mutual-exclusion breach no later check could reconstruct.
@@ -622,7 +784,7 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
     for rec in stats.crash_records.iter_mut() {
         rec.first_grant_after = grants.iter().map(|g| g.0).find(|&t| t > rec.crashed_at);
     }
-    stats.close_reports = endpoints.iter_mut().map(Endpoint::close).collect();
+    stats.close_reports = wire.endpoints.iter_mut().map(Endpoint::close).collect();
     (RunOutcome { grants, histories }, stats)
 }
 
@@ -630,7 +792,227 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
 mod tests {
     use super::*;
     use atp_core::BinaryNode;
-    use atp_net::ChanTransport;
+    use atp_net::{ChanEndpoint, ChanTransport};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+
+    /// What the driver asked of a mesh's endpoints, summed over all of them.
+    #[derive(Default)]
+    struct Tally {
+        staged: AtomicU64,
+        received: AtomicU64,
+        empty: AtomicU64,
+    }
+
+    /// Counts stages, and receives that returned a frame or nothing.
+    struct Counting<E> {
+        inner: E,
+        tally: Arc<Tally>,
+    }
+
+    fn counting<E: Endpoint>(endpoints: Vec<E>) -> (Vec<Counting<E>>, Arc<Tally>) {
+        let tally = Arc::new(Tally::default());
+        let wrapped = endpoints
+            .into_iter()
+            .map(|inner| Counting {
+                inner,
+                tally: Arc::clone(&tally),
+            })
+            .collect();
+        (wrapped, tally)
+    }
+
+    impl<E: Endpoint> Endpoint for Counting<E> {
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+        fn stage(&mut self, to: NodeId, frame: &[u8]) {
+            self.tally.staged.fetch_add(1, Relaxed);
+            self.inner.stage(to, frame);
+        }
+        fn flush(&mut self) {
+            self.inner.flush();
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Option<(NodeId, Vec<u8>)> {
+            let got = self.inner.recv_timeout(timeout);
+            let count = if got.is_some() {
+                &self.tally.received
+            } else {
+                &self.tally.empty
+            };
+            count.fetch_add(1, Relaxed);
+            got
+        }
+        fn frames_lost(&self) -> u64 {
+            self.inner.frames_lost()
+        }
+        fn close(&mut self) -> CloseReport {
+            self.inner.close()
+        }
+    }
+
+    /// A channel endpoint that behaves like a socket: a frame becomes
+    /// visible `delay` after the flush that sent it, except that the
+    /// `late.0`-th frame staged here takes `late.1` longer. A late frame
+    /// does not hold up the frames behind it.
+    struct Sluggish {
+        inner: ChanEndpoint,
+        epoch: Instant,
+        delay: Duration,
+        late: Option<(u64, Duration)>,
+        staged: u64,
+        unflushed: Vec<(NodeId, Duration, Vec<u8>)>,
+        /// Received from the channel, with the instant each is visible.
+        held: Vec<(Instant, NodeId, Vec<u8>)>,
+    }
+
+    fn sluggish(n: usize, delay: Duration) -> Vec<Sluggish> {
+        let epoch = Instant::now();
+        ChanTransport::endpoints(n)
+            .expect("infallible")
+            .into_iter()
+            .map(|inner| Sluggish {
+                inner,
+                epoch,
+                delay,
+                late: None,
+                staged: 0,
+                unflushed: Vec::new(),
+                held: Vec::new(),
+            })
+            .collect()
+    }
+
+    impl Sluggish {
+        fn hold(&mut self, (from, stamped): (NodeId, Vec<u8>)) {
+            let nanos = u64::from_le_bytes(stamped[..8].try_into().expect("8 bytes"));
+            let visible = self.epoch + Duration::from_nanos(nanos);
+            self.held.push((visible, from, stamped[8..].to_vec()));
+        }
+    }
+
+    impl Endpoint for Sluggish {
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+        fn stage(&mut self, to: NodeId, frame: &[u8]) {
+            self.staged += 1;
+            let extra = match self.late {
+                Some((nth, extra)) if nth == self.staged => extra,
+                _ => Duration::ZERO,
+            };
+            self.unflushed.push((to, extra, frame.to_vec()));
+        }
+        fn flush(&mut self) {
+            // Each frame carries the instant it becomes visible.
+            let sent = self.epoch.elapsed() + self.delay;
+            for (to, extra, frame) in std::mem::take(&mut self.unflushed) {
+                let mut stamped = ((sent + extra).as_nanos() as u64).to_le_bytes().to_vec();
+                stamped.extend_from_slice(&frame);
+                self.inner.stage(to, &stamped);
+            }
+            self.inner.flush();
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Option<(NodeId, Vec<u8>)> {
+            let until = Instant::now() + timeout;
+            loop {
+                while let Some(frame) = self.inner.recv_timeout(Duration::ZERO) {
+                    self.hold(frame);
+                }
+                let now = Instant::now();
+                if let Some(i) = self.held.iter().position(|h| h.0 <= now) {
+                    let (_, from, frame) = self.held.remove(i);
+                    return Some((from, frame));
+                }
+                if now >= until {
+                    return None;
+                }
+                let next = self.held.iter().map(|h| h.0).fold(until, Instant::min);
+                if let Some(frame) = self.inner.recv_timeout(next - now) {
+                    self.hold(frame);
+                }
+            }
+        }
+        fn frames_lost(&self) -> u64 {
+            self.inner.frames_lost()
+        }
+        fn close(&mut self) -> CloseReport {
+            self.inner.close()
+        }
+    }
+
+    /// Over channels every frame is there once flushed, so the driver
+    /// receives exactly the frames it staged and never comes back empty.
+    #[test]
+    fn a_dispatch_receives_exactly_the_frames_it_sent() {
+        let script = ClusterScript::reference(7);
+        let (endpoints, tally) = counting(ChanTransport::endpoints(script.n).expect("infallible"));
+        let (out, stats) =
+            run_on_endpoints::<BinaryNode, _>(&script, endpoints, DriverOptions::default());
+        assert_eq!(out, run_in_world::<BinaryNode>(&script));
+        assert!(stats.is_clean(), "{stats:?}");
+        let staged = tally.staged.load(Relaxed);
+        assert!(staged > 0);
+        assert_eq!(tally.empty.load(Relaxed), 0, "a receive came back empty");
+        assert_eq!(tally.received.load(Relaxed), staged);
+    }
+
+    /// On links with real latency the driver blocks on an owed frame rather
+    /// than polling: the schedule is unchanged and a frame costs at most
+    /// three receives.
+    #[test]
+    fn slow_links_are_waited_for_not_polled() {
+        let script = ClusterScript::reference(7);
+        let (endpoints, tally) = counting(sluggish(script.n, Duration::from_millis(2)));
+        let (out, stats) =
+            run_on_endpoints::<BinaryNode, _>(&script, endpoints, DriverOptions::default());
+        assert_eq!(out, run_in_world::<BinaryNode>(&script));
+        assert!(stats.is_clean(), "{stats:?}");
+        let staged = tally.staged.load(Relaxed);
+        let receives = tally.received.load(Relaxed) + tally.empty.load(Relaxed);
+        assert_eq!(tally.received.load(Relaxed), staged);
+        assert!(
+            receives <= 3 * staged,
+            "{receives} receives for {staged} frames"
+        );
+    }
+
+    /// A frame that never arrives is declared lost once the grace runs out,
+    /// and the run goes on without it.
+    #[test]
+    fn a_dropped_frame_is_declared_lost_after_the_grace() {
+        let script = ClusterScript::reference(7);
+        let mut endpoints = sluggish(script.n, Duration::ZERO);
+        endpoints[0].late = Some((2, Duration::from_secs(3600)));
+        let opts = DriverOptions {
+            loss_grace: Duration::from_millis(20),
+            ..DriverOptions::default()
+        };
+        let (_, stats) = run_on_endpoints::<BinaryNode, _>(&script, endpoints, opts);
+        assert_eq!(stats.frames_lost, 1, "{stats:?}");
+        assert_eq!(stats.decode_errors, 0, "{stats:?}");
+    }
+
+    /// A frame that turns up after it was declared lost goes onto the clock
+    /// as itself; it does not stand in for a later frame to its endpoint,
+    /// which would then be left behind in the channel.
+    #[test]
+    fn a_straggler_is_taken_as_itself() {
+        let mut script = ClusterScript::reference(7);
+        // Retransmission keeps frames moving after the loss, so the run is
+        // still going when the straggler turns up.
+        script.cfg = ProtocolConfig::default().with_token_acks(true);
+        let mut endpoints = sluggish(script.n, Duration::from_millis(1));
+        endpoints[0].late = Some((2, Duration::from_millis(60)));
+        let (endpoints, tally) = counting(endpoints);
+        let opts = DriverOptions {
+            loss_grace: Duration::from_millis(20),
+            ..DriverOptions::default()
+        };
+        let (_, stats) = run_on_endpoints::<BinaryNode, _>(&script, endpoints, opts);
+        assert_eq!(stats.frames_lost, 1, "{stats:?}");
+        assert_eq!(tally.received.load(Relaxed), tally.staged.load(Relaxed));
+    }
 
     /// Kill the node most likely to be sitting on the idle token (node 3,
     /// shortly after its grant), warm-restart it later, and require the
