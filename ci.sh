@@ -209,6 +209,15 @@ if [ "$(count 'from_millis(5)')" -ne 0 ] || [ "$(count 'try_recv')" -ne 0 ] \
   exit 1
 fi
 echo "one node loop, one heap, one blocking receive, no poll"
+# A runtime node keeps counters, not a copy of the history: the node loop
+# switches the log off in one place, and the service reads the global order
+# from `Released` (one event per entry), not from per-node `Delivered`.
+SERVICE=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/core/src/service.rs)
+if [ "$(count 'with_record_log(false)')" -ne 1 ] || echo "$SERVICE" | grep -q 'Delivered'; then
+  echo "runtime nodes keep a copy of the history again, or TokenService reads it" >&2
+  exit 1
+fi
+echo "runtime nodes keep no copy of the history"
 
 echo "== virtual-clock driver gate =="
 # The conformance/chaos driver in crates/sim/src/cluster.rs receives back

@@ -93,8 +93,10 @@ pub struct ProtocolConfig {
     pub initial_holder: u32,
     /// Nodes retain their full applied history and emit
     /// [`TokenEvent::Delivered`](crate::TokenEvent::Delivered) events (needed
-    /// by prefix-property assertions). Disable for figure-scale runs to keep
-    /// memory flat and the event stream lean.
+    /// by prefix-property assertions, and by state transfer to a node that
+    /// fell behind). Disable for figure-scale runs to keep memory flat and
+    /// the event stream lean. The threaded runtime never reads it: its nodes
+    /// keep counters only, and `Released` reports each entry once.
     pub record_log: bool,
     /// **Test-only seeded fault** used to calibrate the DST explorer: makes
     /// `OrderState` use an off-by-one duplicate-skip bound that corrupts the

@@ -317,7 +317,12 @@ pub trait Custodian: Node<Ext = Want> {
         let entry = holding.token.append(ctx.id(), payload);
         holding.token.mark_satisfied(req);
         c.order.apply(&[entry], ctx.now(), &mut c.events);
-        c.events.push(TokenEvent::Released { req, at: ctx.now() });
+        c.events.push(TokenEvent::Released {
+            req,
+            seq: entry.seq,
+            payload,
+            at: ctx.now(),
+        });
     }
 
     /// The ship tail: stamps an outgoing frame, wraps it with `wrap`,

@@ -78,15 +78,24 @@ pub enum TokenEvent {
         /// Grant time.
         at: SimTime,
     },
-    /// The node finished using the token (its datum was appended to `H`).
+    /// The node finished using the token: its datum was appended to `H`.
+    ///
+    /// Each entry of `H` is committed by exactly one node, so this event
+    /// reports the global order once per entry, whether or not any node
+    /// keeps a copy of the history (`record_log`).
     Released {
-        /// The request whose service completed.
+        /// The request whose service completed; its origin is the entry's.
         req: RequestId,
+        /// Position of the datum in `H` (1-based).
+        seq: u64,
+        /// The datum.
+        payload: u64,
         /// Release time.
         at: SimTime,
     },
     /// The node applied a globally ordered broadcast entry to its local
-    /// prefix history `P|(x, H_x)`.
+    /// prefix history `P|(x, H_x)`. Emitted only with `record_log` on: one
+    /// per node per entry.
     Delivered {
         /// The applied entry.
         entry: LogEntry,
@@ -210,7 +219,12 @@ mod tests {
         let events = [
             TokenEvent::Requested { req, at },
             TokenEvent::Granted { req, at },
-            TokenEvent::Released { req, at },
+            TokenEvent::Released {
+                req,
+                seq: 1,
+                payload: 0,
+                at,
+            },
             TokenEvent::Regenerated {
                 by: NodeId::new(0),
                 generation: 2,

@@ -19,6 +19,11 @@
 //! [`Cluster`] and [`ShardedCluster`] run the same node loop; they differ
 //! only in the `Plane` they host.
 //!
+//! A node keeps its place in the global history as counters only (applied
+//! length and digest), never a copy of the entries: the node that commits
+//! an entry reports it once, in its [`TokenEvent::Released`] event, and no
+//! node emits [`TokenEvent::Delivered`].
+//!
 //! Inbound frames are **untrusted network input**: frames that fail to
 //! decode are counted ([`Cluster::decode_errors`]) and dropped, never
 //! panicked on — a peer speaking garbage cannot take a node down. Only the
@@ -63,7 +68,9 @@ pub struct ClusterConfig {
     /// Number of nodes (threads).
     pub n: usize,
     /// Protocol tunables. The default enables adaptive token speed so an
-    /// idle cluster does not spin the token at channel speed.
+    /// idle cluster does not spin the token at channel speed. `record_log`
+    /// is not read: a runtime node keeps no copy of the history (see
+    /// [`TokenEvent::Released`] for where the order is reported).
     pub protocol: ProtocolConfig,
     /// Wall-clock duration of one simulated tick.
     pub tick: Duration,
@@ -502,7 +509,8 @@ pub struct ShardedClusterConfig {
     /// Number of shards `K` (independent tokens).
     pub shards: u16,
     /// Protocol tunables applied to every shard; each shard's
-    /// `initial_holder` is overridden with its consistent-hash home.
+    /// `initial_holder` is overridden with its consistent-hash home, and
+    /// `record_log` is not read (see [`ClusterConfig::protocol`]).
     pub protocol: ProtocolConfig,
     /// Wall-clock duration of one simulated tick.
     pub tick: Duration,
@@ -734,10 +742,15 @@ fn node_main<P: WireProtocol, E: Endpoint, H: Plane>(
         SimTime::from_ticks(t as u64)
     };
     // Each instance has its own generation space (shards never share
-    // frames) and a shard-namespaced RNG seed.
+    // frames) and a shard-namespaced RNG seed. None keeps a log: all N
+    // nodes share this process, and a log per node would hold every entry
+    // N times over while `Released` already reports each one once.
     let mut harnesses: Vec<Harness<P>> = (0u64..)
         .zip(shards)
-        .map(|(s, cfg)| Harness::new(id, Topology::ring(n), P::build(cfg), seed ^ (s << 32)))
+        .map(|(s, cfg)| {
+            let node = P::build(cfg.with_record_log(false));
+            Harness::new(id, Topology::ring(n), node, seed ^ (s << 32))
+        })
         .collect();
     let mut heap: BinaryHeap<Reverse<DueEntry>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -1223,7 +1236,7 @@ mod tests {
         }
         // `Requested` numbers the wants as the node took them and the node
         // serves its own queue in that order, so its broadcasts, as it
-        // delivers them to itself, name the payloads in intake order.
+        // commits them, name the payloads in intake order.
         let (mut requested, mut broadcast) = (Vec::new(), Vec::new());
         let deadline = Instant::now() + Duration::from_secs(30);
         while broadcast.len() < 50 && Instant::now() < deadline {
@@ -1231,10 +1244,8 @@ mod tests {
                 Ok((who, TokenEvent::Requested { req, .. })) if who == target => {
                     requested.push(req.seq)
                 }
-                Ok((who, TokenEvent::Delivered { entry, .. }))
-                    if who == target && entry.origin == target =>
-                {
-                    broadcast.push(entry.payload)
+                Ok((who, TokenEvent::Released { payload, .. })) if who == target => {
+                    broadcast.push(payload)
                 }
                 _ => {}
             }
@@ -1242,6 +1253,83 @@ mod tests {
         assert_eq!(requested, (1..=50).collect::<Vec<u64>>());
         assert_eq!(broadcast, (0..50).collect::<Vec<u64>>());
         cluster.shutdown();
+    }
+
+    /// The history is reported once per entry, by the node that commits it:
+    /// no node emits `Delivered` — asking for logs changes nothing — and the
+    /// `Released` events alone name every position of `H` exactly once,
+    /// each with the payload its origin was asked to broadcast.
+    #[test]
+    fn the_order_is_reported_once_per_entry_and_no_node_keeps_a_copy() {
+        const REQUESTS: u64 = 120;
+        let keeping_logs = ProtocolConfig::default()
+            .with_adaptive_speed(true)
+            .with_max_idle_pass_ticks(64)
+            .with_record_log(true);
+        let cluster: Cluster = Cluster::start(fast(4).with_protocol(keeping_logs));
+        let mut committed = Vec::new();
+        for k in 0..REQUESTS {
+            let node = NodeId::new((k % 4) as u32);
+            cluster.request(node, 1000 + k);
+            loop {
+                let (who, ev) = cluster
+                    .events()
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("request {k} stalled"));
+                match ev {
+                    TokenEvent::Delivered { .. } => panic!("{who} kept a copy of the history"),
+                    TokenEvent::Released {
+                        req, seq, payload, ..
+                    } => {
+                        assert_eq!(req.origin, who);
+                        committed.push((seq, who, payload));
+                        if payload == 1000 + k {
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        committed.sort_unstable();
+        let want: Vec<(u64, NodeId, u64)> = (0..REQUESTS)
+            .map(|k| (k + 1, NodeId::new((k % 4) as u32), 1000 + k))
+            .collect();
+        assert_eq!(
+            committed, want,
+            "one request at a time: H is the issue order"
+        );
+        cluster.shutdown();
+
+        // The sharded plane: one gap-free history per shard.
+        let sharded: ShardedCluster = ShardedCluster::start(
+            ShardedClusterConfig::new(3, 4)
+                .with_tick(Duration::from_micros(200))
+                .with_protocol(keeping_logs),
+        );
+        let keys: Vec<u64> = (0..40).map(|i| 0x2000 + 13 * i).collect();
+        let mut per_shard = vec![Vec::new(); 4];
+        for &key in &keys {
+            sharded.request(key, key);
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while per_shard.iter().map(Vec::len).sum::<usize>() < keys.len() {
+            assert!(Instant::now() < deadline, "not every key was served");
+            match sharded.events().recv_timeout(Duration::from_millis(500)) {
+                Ok((_, who, TokenEvent::Delivered { .. })) => {
+                    panic!("{who} kept a copy of the history")
+                }
+                Ok((shard, _, TokenEvent::Released { seq, .. })) => {
+                    per_shard[shard.index()].push(seq)
+                }
+                _ => {}
+            }
+        }
+        for seqs in &mut per_shard {
+            seqs.sort_unstable();
+            assert_eq!(*seqs, (1..=seqs.len() as u64).collect::<Vec<u64>>());
+        }
+        sharded.shutdown();
     }
 
     #[test]

@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 
 use crate::event::TokenEvent;
 use crate::runtime::{Cluster, ClusterConfig};
-use crate::types::LogEntry;
 use atp_net::NodeId;
 
 /// Why a service call failed.
@@ -57,16 +56,6 @@ pub struct Delivery {
     pub payload: u64,
 }
 
-impl From<LogEntry> for Delivery {
-    fn from(e: LogEntry) -> Self {
-        Delivery {
-            seq: e.seq,
-            origin: e.origin,
-            payload: e.payload,
-        }
-    }
-}
-
 /// Mutual exclusion and totally ordered broadcast over a threaded
 /// token-passing cluster.
 ///
@@ -87,7 +76,8 @@ impl From<LogEntry> for Delivery {
 #[derive(Debug)]
 pub struct TokenService {
     cluster: Cluster,
-    /// Reorder buffer for deliveries observed out of per-node order.
+    /// Reorder buffer: the merged event stream interleaves the nodes'
+    /// commits, so entries can arrive out of `seq` order.
     pending: std::sync::Mutex<DeliveryBuffer>,
 }
 
@@ -148,8 +138,9 @@ impl TokenService {
     }
 
     /// Returns the next broadcast in **global order** (seq 1, 2, 3, …),
-    /// waiting up to `timeout`. Every broadcast is returned exactly once,
-    /// regardless of how many nodes observed it.
+    /// waiting up to `timeout`. Every broadcast is returned exactly once:
+    /// it is read from the `Released` event of the one node that committed
+    /// it, and no node keeps a copy of the history to report it again.
     ///
     /// # Errors
     ///
@@ -159,34 +150,13 @@ impl TokenService {
         if let Some(d) = self.pop_ready() {
             return Ok(d);
         }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ServiceError::TimedOut);
-            }
-            match self.cluster.events().recv_timeout(deadline - now) {
-                Ok((_, TokenEvent::Delivered { entry, .. })) => {
-                    self.buffer_delivery(entry.into());
-                    if let Some(d) = self.pop_ready() {
-                        return Ok(d);
-                    }
-                }
-                Ok(_) => continue,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    return Err(ServiceError::TimedOut)
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(ServiceError::Disconnected)
-                }
-            }
-        }
+        self.wait_for(timeout, |_, _| self.pop_ready())
     }
 
     fn buffer_delivery(&self, d: Delivery) {
         let mut buf = self.pending.lock().expect("service buffer poisoned");
         if d.seq >= buf.next_seq {
-            buf.buffered.entry(d.seq).or_insert(d);
+            buf.buffered.insert(d.seq, d);
         }
     }
 
@@ -201,8 +171,8 @@ impl TokenService {
         }
     }
 
-    /// Waits for an event matching `pick`, buffering deliveries seen on the
-    /// way.
+    /// Waits for an event matching `pick`, buffering the commits seen on
+    /// the way.
     fn wait_for<T>(
         &self,
         timeout: Duration,
@@ -216,8 +186,15 @@ impl TokenService {
             }
             match self.cluster.events().recv_timeout(deadline - now) {
                 Ok((who, ev)) => {
-                    if let TokenEvent::Delivered { entry, .. } = &ev {
-                        self.buffer_delivery((*entry).into());
+                    if let TokenEvent::Released {
+                        req, seq, payload, ..
+                    } = ev
+                    {
+                        self.buffer_delivery(Delivery {
+                            seq,
+                            origin: req.origin,
+                            payload,
+                        });
                     }
                     if let Some(out) = pick(&who, &ev) {
                         return Ok(out);
@@ -283,9 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn deliveries_are_deduplicated_across_observers() {
-        // With 4 nodes every broadcast is observed 4 times; next_delivery
-        // must still return each seq exactly once.
+    fn each_broadcast_is_delivered_once() {
+        // With 4 nodes, one commits the broadcast and none keeps a copy to
+        // report it again: next_delivery returns the seq exactly once.
         let service = TokenService::start(fast_config(4));
         service.broadcast(NodeId::new(1), 7).expect("committed");
         let first = service

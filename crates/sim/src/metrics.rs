@@ -295,7 +295,15 @@ mod tests {
                 at: t(6),
             },
         );
-        m.on_event(NodeId::new(0), &TokenEvent::Released { req: req(0, 1), at: t(7) });
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Released {
+                req: req(0, 1),
+                seq: 1,
+                payload: 0,
+                at: t(7),
+            },
+        );
         let s = m.summarize();
         assert_eq!(s.regenerations, 1);
         assert_eq!(s.stale_discards, 1);

@@ -161,7 +161,7 @@ impl SpanCollector {
             TokenEvent::Granted { req, at } => {
                 self.slot(req, at).granted_at.get_or_insert(at);
             }
-            TokenEvent::Released { req, at } => {
+            TokenEvent::Released { req, at, .. } => {
                 self.slot(req, at).released_at.get_or_insert(at);
             }
             TokenEvent::Delivered { .. }
@@ -395,6 +395,15 @@ mod tests {
         SimTime::from_ticks(ticks)
     }
 
+    fn released(req: RequestId, at: SimTime) -> TokenEvent {
+        TokenEvent::Released {
+            req,
+            seq: 1,
+            payload: 0,
+            at,
+        }
+    }
+
     #[test]
     fn span_follows_full_lifecycle() {
         let mut c = SpanCollector::new();
@@ -404,7 +413,7 @@ mod tests {
         c.on_event(&TokenEvent::SearchForwarded { req: r, bytes: 34, at: t(12) });
         c.on_event(&TokenEvent::TokenDispatched { req: r, bytes: 80, at: t(14) });
         c.on_event(&TokenEvent::Granted { req: r, at: t(16) });
-        c.on_event(&TokenEvent::Released { req: r, at: t(18) });
+        c.on_event(&released(r, t(18)));
         let spans = c.spans();
         assert_eq!(spans.len(), 1);
         let s = spans[0];
@@ -433,7 +442,7 @@ mod tests {
         let r = req(0, 1);
         c.on_event(&TokenEvent::Requested { req: r, at: t(0) });
         c.on_event(&TokenEvent::Granted { req: r, at: t(5) });
-        c.on_event(&TokenEvent::Released { req: r, at: t(5) });
+        c.on_event(&released(r, t(5)));
         c.on_event(&TokenEvent::SearchForwarded { req: r, bytes: 21, at: t(2) });
         assert_eq!(c.spans()[0].forwards, 1);
     }
@@ -496,7 +505,7 @@ mod tests {
         c.on_event(&TokenEvent::Requested { req: r, at: t(0) });
         c.on_event(&TokenEvent::TokenDispatched { req: r, bytes: 57, at: t(2) });
         c.on_event(&TokenEvent::Granted { req: r, at: t(4) });
-        c.on_event(&TokenEvent::Released { req: r, at: t(6) });
+        c.on_event(&released(r, t(6)));
         let doc = chrome_trace_json(&c.spans());
         let v = atp_util::json::parse(&doc).unwrap();
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();

@@ -37,7 +37,9 @@ fn main() {
                 println!("{at}  {req} granted after {waited} message delays (log2 {n} = {})",
                     (n as f64).log2());
             }
-            TokenEvent::Released { req, at } => println!("{at}  {req} released the token"),
+            TokenEvent::Released { req, seq, at, .. } => {
+                println!("{at}  {req} released the token, its datum at H[{seq}]")
+            }
             TokenEvent::Delivered { entry, at } => {
                 println!("{at}  delivered {entry} into the local history")
             }

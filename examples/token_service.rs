@@ -38,8 +38,8 @@ fn main() {
         println!("node n{i} committed its broadcast");
     }
 
-    // 3. Consume the global order: seq numbers are gap-free and identical
-    //    for every observer.
+    // 3. Consume the global order: seq numbers are gap-free, and each entry
+    //    is reported once, by the node that committed it.
     println!("\nglobal order:");
     // The lease's zero-payload acquisition also occupies a history slot.
     for _ in 0..=n {
