@@ -115,10 +115,24 @@ cargo run -q --release -p atp-sim --bin dst -- --budget 120 --partition
 
 echo "== shard dst smoke =="
 # The sharded multi-token plane: 100 fresh key-addressed cases per protocol
-# (random K/N, crash and partition faults in one shard), each checked
-# against the per-shard state oracles and the cross-shard isolation oracle
-# — a fault in shard i must never block a grant in shard j.
+# (random K/N, crash and partition faults in one shard), run by the one DST
+# driver — per-shard state oracles, dual token after heal, and cross-shard
+# isolation: a fault in shard i must never block a grant in shard j.
 cargo run -q --release -p atp-sim --bin dst -- --budget 100 --shard-dst
+# System BinarySearch at a budget that reaches its idle-hold branch often
+# enough to catch a token parked beside a request it will not serve (~3 s).
+cargo run -q --release -p atp-sim --bin dst -- --shard-dst --budget 1000 --protocol binary
+
+echo "== dst anti-fork gate =="
+# One DST driver and one explorer: a single-token case is the one-shard
+# case of the sharded plane. Fail if shard.rs grows its own oracle pass or
+# shrinker again.
+SHARD=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/sim/src/shard.rs)
+if echo "$SHARD" | grep -q -F -e 'check_state_oracles(' -e 'shrink_tape('; then
+  echo "shard.rs: a second DST driver or explorer is back" >&2
+  exit 1
+fi
+echo "one DST driver, one explorer"
 
 echo "== protocol conformance =="
 # Every protocol variant through the same (seed x strategy x fault profile)

@@ -949,7 +949,13 @@ impl Node for BinaryNode {
                 if let Some(h) = self.c.holding.as_mut() {
                     if matches!(h.state, HoldState::PassArmed) {
                         h.state = HoldState::Idle;
-                        if self.c.outstanding.is_empty() && self.traps.is_empty() {
+                        // Locals that arrived mid-service have no quota:
+                        // they wait for the next possession (fairness), so
+                        // the token rotates on instead of re-arming the
+                        // hold beside them forever.
+                        if self.traps.is_empty()
+                            && (self.c.outstanding.is_empty() || self.quota == 0)
+                        {
                             self.send_rotation(ctx);
                         } else {
                             self.progress(ctx);
@@ -1230,6 +1236,23 @@ mod tests {
         w.schedule_external(t, NodeId::new(4), Want::new(1));
         w.run_for(100);
         assert_eq!(total_grants(&w), 1);
+    }
+
+    /// The second request reaches the holder mid-service, so this possession
+    /// has no quota left for it. With an idle hold, the pass timer must
+    /// rotate the token on (the request then searches for it) rather than
+    /// re-arm the hold beside the parked request forever.
+    #[test]
+    fn request_queued_mid_service_is_served_despite_the_idle_hold() {
+        let cfg = ProtocolConfig::default()
+            .with_service_ticks(1)
+            .with_idle_pass_ticks(2);
+        let mut w = world(2, cfg);
+        for k in 0..2 {
+            w.schedule_external(SimTime::ZERO, NodeId::new(0), Want::new(k));
+        }
+        w.run_until(SimTime::from_ticks(1_000));
+        assert_eq!(total_grants(&w), 2);
     }
 
     #[test]

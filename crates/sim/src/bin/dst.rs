@@ -9,10 +9,11 @@
 //! checked-in tape still replays regardless of its protocol.
 //!
 //! `--shard-dst` additionally explores the sharded multi-token plane:
-//! `--budget` fresh key-addressed cases per protocol, each checked against
-//! the per-shard state oracles and the cross-shard isolation oracle (a
-//! crash or partition in shard *i* must never block or delay grants in
-//! shard *j*).
+//! `--budget` fresh key-addressed cases per protocol, run by the same
+//! driver and oracles, where a crash or partition in shard *i* must never
+//! block or delay grants in shard *j* (cross-shard isolation). A sharded
+//! find is written by `--write-tape` like any other, and its tape replays
+//! under `--tapes`.
 //!
 //! `--trace-out` (with `--tapes`) re-replays every checked-in tape with
 //! network tracing on and writes one JSON-lines document: a
@@ -40,8 +41,9 @@
 //! `2` usage error.
 
 use atp_sim::cli::Parser;
-use atp_sim::dst::{replay_tape_traced, verify_tape, ExploreOutcome, Explorer, Focus, Mutation, TapeFile};
-use atp_sim::shard::{ShardExploreOutcome, ShardExplorer};
+use atp_sim::dst::{
+    replay_tape_traced, verify_tape, CaseSpace, ExploreOutcome, Explorer, Focus, Mutation, TapeFile,
+};
 use atp_sim::{obs, ObsArgs, Protocol};
 use atp_util::json::JsonWriter;
 use std::process::ExitCode;
@@ -121,8 +123,13 @@ fn replay_tapes(dir: &str, collect_trace: bool) -> Result<(u32, String), String>
             }
         }
         if collect_trace {
-            let (verdict, jsonl) =
-                replay_tape_traced(&tf.tape, tf.protocol, tf.mutation, obs::TRACE_CAPACITY);
+            let (verdict, jsonl) = replay_tape_traced(
+                tf.space,
+                &tf.tape,
+                tf.protocol,
+                tf.mutation,
+                obs::TRACE_CAPACITY,
+            );
             let mut w = JsonWriter::new();
             w.begin_obj();
             w.key("kind");
@@ -184,68 +191,32 @@ fn main() -> ExitCode {
         }
     }
 
-    for protocol in Protocol::ALL {
-        if args.protocol.is_some_and(|only| only != protocol) {
-            continue;
-        }
-        let start = std::time::Instant::now();
-        let explorer = Explorer::new(protocol, args.seed, Mutation::None).with_focus(args.focus);
-        match explorer.explore(args.budget) {
-            ExploreOutcome::Clean {
-                cases,
-                oracle_checks,
-            } => println!(
-                "explore {:>6}{}: clean — {cases} cases, {oracle_checks} oracle checks, {:.3}s",
-                protocol.label(),
-                if args.focus == Focus::Partition { " [partition]" } else { "" },
-                start.elapsed().as_secs_f64()
-            ),
-            ExploreOutcome::Found(cx) => {
-                println!(
-                    "explore {:>6}: VIOLATION — {} (case seed {:#x}, minimized to {} draws \
-                     in {} shrink steps)",
-                    protocol.label(),
-                    cx.violation,
-                    cx.case_seed,
-                    cx.tape.len(),
-                    cx.shrink_iters
-                );
-                println!("{}", cx.case_debug);
-                if let Some(path) = &args.write_tape {
-                    let name = path
-                        .rsplit('/')
-                        .next()
-                        .unwrap_or(path)
-                        .trim_end_matches(".tape");
-                    let tf = TapeFile::from_counterexample(name, &cx);
-                    match std::fs::write(path, tf.to_json()) {
-                        Ok(()) => println!("wrote minimized tape to {path}"),
-                        Err(e) => eprintln!("dst: --write-tape {path}: {e}"),
-                    }
-                }
-                failed = true;
-            }
-        }
-    }
-
-    if args.shard_dst {
+    let spaces = [
+        (CaseSpace::Flat, "explore"),
+        (CaseSpace::Sharded, "shard-dst"),
+    ];
+    for (space, tag) in spaces.into_iter().take(1 + usize::from(args.shard_dst)) {
         for protocol in Protocol::ALL {
             if args.protocol.is_some_and(|only| only != protocol) {
                 continue;
             }
             let start = std::time::Instant::now();
-            match ShardExplorer::new(protocol, args.seed).explore(args.budget) {
-                ShardExploreOutcome::Clean {
+            let explorer = Explorer::new(protocol, args.seed, Mutation::None)
+                .with_focus(args.focus)
+                .with_space(space);
+            match explorer.explore(args.budget) {
+                ExploreOutcome::Clean {
                     cases,
                     oracle_checks,
                 } => println!(
-                    "shard-dst {:>6}: clean — {cases} cases, {oracle_checks} oracle checks, {:.3}s",
+                    "{tag} {:>6}{}: clean — {cases} cases, {oracle_checks} oracle checks, {:.3}s",
                     protocol.label(),
+                    if args.focus == Focus::Partition { " [partition]" } else { "" },
                     start.elapsed().as_secs_f64()
                 ),
-                ShardExploreOutcome::Found(cx) => {
+                ExploreOutcome::Found(cx) => {
                     println!(
-                        "shard-dst {:>6}: VIOLATION — {} (case seed {:#x}, minimized to {} draws \
+                        "{tag} {:>6}: VIOLATION — {} (case seed {:#x}, minimized to {} draws \
                          in {} shrink steps)",
                         protocol.label(),
                         cx.violation,
@@ -254,6 +225,18 @@ fn main() -> ExitCode {
                         cx.shrink_iters
                     );
                     println!("{}", cx.case_debug);
+                    if let Some(path) = &args.write_tape {
+                        let name = path
+                            .rsplit('/')
+                            .next()
+                            .unwrap_or(path)
+                            .trim_end_matches(".tape");
+                        let tf = TapeFile::from_counterexample(name, &cx);
+                        match std::fs::write(path, tf.to_json()) {
+                            Ok(()) => println!("wrote minimized tape to {path}"),
+                            Err(e) => eprintln!("dst: --write-tape {path}: {e}"),
+                        }
+                    }
                     failed = true;
                 }
             }

@@ -5,18 +5,24 @@
 //! interleaving per seed, and the invariant tests only look at the final
 //! state. This module closes both gaps, FoundationDB-style:
 //!
-//! 1. **Cases** — a [`DstCase`] (protocol, ring size, workload, faults,
-//!    config knobs, and a [`StrategySpec`] adversary) is generated from an
-//!    `atp_util::check::Gen` draw tape, so a case *is* its tape.
+//! 1. **Cases** — a [`DstCase`] (protocol, ring size, shard count,
+//!    workload, faults, config knobs, and a [`StrategySpec`] adversary) is
+//!    generated from an `atp_util::check::Gen` draw tape, so a case *is*
+//!    its tape. A [`CaseSpace`] names the generator: [`gen_case`] draws
+//!    single-token cases (one shard), and
+//!    [`gen_shard_case`](crate::shard::gen_shard_case) draws key-addressed
+//!    cases over K shards with a fault confined to one of them.
 //! 2. **Schedules** — the case's strategy is installed as the
 //!    [`DeliveryStrategy`](atp_net::DeliveryStrategy) of the
 //!    [`World`](atp_net::World), permuting same-instant events: every
 //!    explored schedule is one the real system could exhibit.
-//! 3. **Oracles** — [`run_case`] re-checks the paper's invariants after
-//!    *every* dispatched event: the prefix property across live nodes
-//!    (Definition 2 / Theorem 1), at-most-one token per regeneration
-//!    generation, zero history gaps in crash-free runs, and — for benign
-//!    cases — bounded responsiveness (Theorem 2) plus full service.
+//! 3. **Oracles** — [`run_case`] steps one world per shard in lockstep and
+//!    re-checks the paper's invariants after *every* dispatched event: the
+//!    prefix property across live nodes (Definition 2 / Theorem 1),
+//!    at-most-one token per regeneration generation, zero history gaps in
+//!    crash-free runs, and — in every shard no fault reaches — bounded
+//!    responsiveness (Theorem 2) plus full service. A fault in one shard
+//!    therefore must never block or delay another (cross-shard isolation).
 //! 4. **Shrinking** — on a violation, [`Explorer::explore`] minimizes the
 //!    case through [`atp_util::check::shrink_tape`]; because the case is
 //!    rebuilt from the edited tape by its own generator, every shrink
@@ -32,7 +38,7 @@
 
 use std::collections::VecDeque;
 
-use atp_core::{ProtocolConfig, SearchMode, TokenEvent, TrapCleanup, Want};
+use atp_core::{ProtocolConfig, SearchMode, ShardId, TokenEvent, TrapCleanup, Want};
 use std::time::Instant;
 
 use atp_net::{
@@ -44,6 +50,7 @@ use atp_util::json::{self, JsonWriter};
 use atp_util::rng::{Rng, RngCore, SplitMix64};
 
 use crate::runner::{Protocol, ProtocolNode};
+use crate::shard::{earliest_world, gen_shard_case, shard_world};
 
 /// Which adversarial schedule a case runs under.
 ///
@@ -122,22 +129,29 @@ impl Mutation {
     }
 }
 
-/// One fully specified simulation case.
+/// One fully specified simulation case: `shards` independent token
+/// instances over the same `n` nodes, each in its own world. A
+/// single-token case is the one-shard case.
 #[derive(Debug, Clone)]
 pub struct DstCase {
     /// Protocol under test.
     pub protocol: Protocol,
     /// Ring size.
     pub n: usize,
-    /// World seed (latency jitter, drop coin flips).
+    /// Independent token shards over the ring.
+    pub shards: u16,
+    /// Initial token holder of each shard (`shards` entries).
+    pub holders: Vec<u32>,
+    /// World seed (latency jitter, drop coin flips); shard `s` runs
+    /// `world_seed ^ (s << 32)`.
     pub world_seed: u64,
     /// Message latency bounds `(lo, hi)`.
     pub latency: (u64, u64),
     /// Control-message drop probability.
     pub drop_p: f64,
-    /// Requests as `(tick, node, payload)`.
-    pub requests: Vec<(u64, u32, u64)>,
-    /// Optional `(crash_tick, node, recover_tick)` fault.
+    /// Requests as `(tick, shard, node, payload)`.
+    pub requests: Vec<(u64, u16, u32, u64)>,
+    /// Optional `(crash_tick, node, recover_tick)` fault in `fault_shard`.
     pub crash: Option<(u64, u32, u64)>,
     /// Protocol tunables (mutation flag already applied).
     pub cfg: ProtocolConfig,
@@ -149,8 +163,12 @@ pub struct DstCase {
     pub link_dup_p: f64,
     /// Optional partition `(at, heal_at, split)`: the ring splits into
     /// groups `0..split` and `split..n` at `at` and heals at `heal_at`.
-    /// Severed links deliver nothing, token frames included.
+    /// Severed links deliver nothing, token frames included. Lands in
+    /// `fault_shard`.
     pub partition: Option<(u64, u64, u32)>,
+    /// The shard the crash and partition land in; link loss, duplication
+    /// and control drops reach every shard.
+    pub fault_shard: u16,
 }
 
 impl DstCase {
@@ -193,7 +211,7 @@ impl DstCase {
         let last_stimulus = self
             .requests
             .iter()
-            .map(|&(t, _, _)| t)
+            .map(|&(t, ..)| t)
             .chain(self.crash.iter().map(|&(_, _, rec)| rec))
             .chain(
                 self.partition
@@ -204,9 +222,27 @@ impl DstCase {
             .unwrap_or(0);
         last_stimulus + self.response_bound() + 64
     }
+
+    /// Shard `s`'s protocol tunables: its initial holder, plus the recovery
+    /// its faults need — regeneration for a crash, acks and regeneration
+    /// for a partition. [`gen_case`] arms these already, so for its cases
+    /// this changes nothing.
+    fn shard_cfg(&self, s: u16) -> ProtocolConfig {
+        let mut cfg = self.cfg.with_initial_holder(self.holders[s as usize]);
+        if s == self.fault_shard && self.crash.is_some() {
+            cfg = cfg.with_regeneration(cfg.effective_regen_timeout(self.n));
+        }
+        if s == self.fault_shard && self.partition.is_some() {
+            cfg = cfg
+                .with_token_acks(true)
+                .with_regeneration(cfg.effective_regen_timeout(self.n));
+        }
+        cfg
+    }
 }
 
-/// Draws a [`DstCase`] for `protocol` from `g`'s tape.
+/// Draws a single-token [`DstCase`] (one shard, holder 0) for `protocol`
+/// from `g`'s tape. The draw order is frozen by the checked-in tapes.
 ///
 /// Total: every draw tolerates the all-zero tape (shrinking replays edited
 /// tapes whose exhausted reads return 0), where it degenerates to the
@@ -223,6 +259,7 @@ pub fn gen_case(g: &mut Gen, protocol: Protocol, mutation: Mutation) -> DstCase 
     let requests = g.vec(1..13, |g| {
         (
             g.gen_range(0..=200u64),
+            0,
             g.gen_range(0..n as u32),
             g.gen_range(0..1000u64),
         )
@@ -297,6 +334,8 @@ pub fn gen_case(g: &mut Gen, protocol: Protocol, mutation: Mutation) -> DstCase 
     DstCase {
         protocol,
         n,
+        shards: 1,
+        holders: vec![0],
         world_seed,
         latency,
         drop_p,
@@ -307,6 +346,7 @@ pub fn gen_case(g: &mut Gen, protocol: Protocol, mutation: Mutation) -> DstCase 
         link_loss_p,
         link_dup_p,
         partition,
+        fault_shard: 0,
     }
 }
 
@@ -369,6 +409,14 @@ pub enum Violation {
         /// Observation time.
         at: SimTime,
     },
+    /// A violation inside one shard of a multi-shard case (a one-shard
+    /// case reports its violations bare).
+    InShard {
+        /// The shard whose world violated.
+        shard: ShardId,
+        /// What broke there.
+        violation: Box<Violation>,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -416,6 +464,10 @@ impl std::fmt::Display for Violation {
                  (gen {gen_b}) both hold at t={}",
                 at.ticks()
             ),
+            Violation::InShard {
+                shard,
+                ref violation,
+            } => write!(f, "[{shard}] {violation}"),
         }
     }
 }
@@ -465,9 +517,9 @@ pub fn run_case_traced(
     })
 }
 
-/// Which state oracles apply to a case, precomputed once per run.
+/// Which oracles apply to one shard of a case, precomputed once per run.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OracleScope {
+struct OracleScope {
     /// Pairwise prefix check applies. Off during/after a partition (both
     /// sides legitimately append while split) and under probabilistic
     /// token loss (a live node whose inquiry reply is lost is presumed
@@ -483,58 +535,32 @@ pub(crate) struct OracleScope {
     /// (`u64::MAX` when the case has no partition, or when probabilistic
     /// token loss could legitimately delay fencing forever).
     dual_token_from: u64,
+    /// Liveness oracles apply: bounded responsiveness after every event
+    /// and full service at the end. Only in a shard no fault reaches — so
+    /// in a multi-shard case they are the cross-shard isolation oracle.
+    live: bool,
 }
 
 impl OracleScope {
-    /// A scope with every oracle armed and no exemptions — what a benign
-    /// (fault-free) case, e.g. one shard of a sharded-plane case with the
-    /// fault injected elsewhere, must satisfy.
-    pub(crate) fn benign() -> OracleScope {
+    /// The scope of shard `s`: the case's crash and partition count only
+    /// in `fault_shard`, its link faults in every shard.
+    fn of(case: &DstCase, s: u16) -> OracleScope {
+        let here = s == case.fault_shard;
+        let crash = case.crash.filter(|_| here);
+        let partition = case.partition.filter(|_| here);
+        let regen_possible = crash.is_some() || case.link_loss_p > 0.0 || partition.is_some();
         OracleScope {
-            prefix: true,
-            gaps: true,
-            crashed: None,
-            dual_token_from: u64::MAX,
-        }
-    }
-
-    /// A scope for a shard carrying a crash fault: prefix/gap oracles
-    /// relax exactly as a single-token crash case does.
-    pub(crate) fn with_crash(victim: NodeId) -> OracleScope {
-        OracleScope {
-            prefix: true,
-            gaps: false,
-            crashed: Some(victim),
-            dual_token_from: u64::MAX,
-        }
-    }
-
-    /// A scope for a shard carrying a partition fault: both sides append
-    /// while split and regeneration may restart the line, so prefix and
-    /// gap oracles relax; token uniqueness per generation still applies.
-    pub(crate) fn with_partition() -> OracleScope {
-        OracleScope {
-            prefix: false,
-            gaps: false,
-            crashed: None,
-            dual_token_from: u64::MAX,
-        }
-    }
-
-    fn of(case: &DstCase) -> OracleScope {
-        let regen_possible =
-            case.crash.is_some() || case.link_loss_p > 0.0 || case.partition.is_some();
-        OracleScope {
-            prefix: case.partition.is_none() && case.link_loss_p == 0.0,
+            prefix: partition.is_none() && case.link_loss_p == 0.0,
             gaps: !regen_possible,
-            crashed: case.crash.map(|(_, node, _)| NodeId::new(node)),
-            dual_token_from: match case.partition {
+            crashed: crash.map(|(_, node, _)| NodeId::new(node)),
+            dual_token_from: match partition {
                 // Announcements travel lossless links here (control drops
                 // never touch token-class frames), so fencing must land
                 // within the settle window.
                 Some((_, heal, _)) if case.link_loss_p == 0.0 => heal + case.settle_ticks(),
                 _ => u64::MAX,
             },
+            live: !regen_possible && case.drop_p == 0.0,
         }
     }
 }
@@ -549,7 +575,7 @@ impl OracleScope {
 /// suffix (Definition 2 is "modulo regeneration epochs"). Never-crashed
 /// nodes must stay prefix-ordered unconditionally — stale-generation frames
 /// are discarded, so only one token lineage ever reaches them.
-pub(crate) fn check_state_oracles<N: ProtocolNode>(
+fn check_state_oracles<N: ProtocolNode>(
     world: &World<N>,
     scope: OracleScope,
     at: SimTime,
@@ -633,76 +659,99 @@ fn run_case_on<N: ProtocolNode>(
     case: &DstCase,
     trace_capacity: usize,
 ) -> (Result<CaseStats, Violation>, String) {
-    let mut world_cfg = WorldConfig::default()
-        .seed(case.world_seed)
-        .trace_capacity(trace_capacity);
-    if case.latency != (1, 1) {
-        world_cfg = world_cfg.latency(UniformLatency::new(case.latency.0, case.latency.1));
+    let mut worlds: Vec<World<N>> = (0..case.shards)
+        .map(|s| {
+            let mut world_cfg = WorldConfig::default().trace_capacity(trace_capacity);
+            if case.latency != (1, 1) {
+                world_cfg = world_cfg.latency(UniformLatency::new(case.latency.0, case.latency.1));
+            }
+            // One unified fault model. Draws at p = 0 are skipped and the
+            // control draw comes first, so the RNG stream matches the former
+            // two-model pipeline (drop model, then fault model) and
+            // checked-in replay tapes keep replaying unchanged.
+            let faults = LinkFaults::new()
+                .control_loss(case.drop_p)
+                .loss(case.link_loss_p)
+                .duplication(case.link_dup_p);
+            if faults.is_active() {
+                world_cfg = world_cfg.link_faults(faults);
+            }
+            let world_cfg = case.strategy.install(world_cfg);
+            shard_world(case.n, case.shard_cfg(s), world_cfg, case.world_seed, s)
+        })
+        .collect();
+    for &(t, s, node, payload) in &case.requests {
+        worlds[s as usize].schedule_external(
+            SimTime::from_ticks(t),
+            NodeId::new(node),
+            Want::new(payload),
+        );
     }
-    // One unified fault model. Draws at p = 0 are skipped and the control
-    // draw comes first, so the RNG stream matches the former two-model
-    // pipeline (drop model, then fault model) and checked-in replay tapes
-    // keep replaying unchanged.
-    let faults = LinkFaults::new()
-        .control_loss(case.drop_p)
-        .loss(case.link_loss_p)
-        .duplication(case.link_dup_p);
-    if faults.is_active() {
-        world_cfg = world_cfg.link_faults(faults);
-    }
-    world_cfg = case.strategy.install(world_cfg);
-
-    let nodes = (0..case.n).map(|_| N::build(case.cfg)).collect();
-    let mut world: World<N> = World::from_nodes(nodes, world_cfg);
-    for &(t, node, payload) in &case.requests {
-        world.schedule_external(SimTime::from_ticks(t), NodeId::new(node), Want::new(payload));
-    }
+    let faulted = &mut worlds[case.fault_shard as usize];
     if let Some((at, node, recover_at)) = case.crash {
-        world.schedule_crash(SimTime::from_ticks(at), NodeId::new(node));
-        world.schedule_recover(SimTime::from_ticks(recover_at), NodeId::new(node));
+        faulted.schedule_crash(SimTime::from_ticks(at), NodeId::new(node));
+        faulted.schedule_recover(SimTime::from_ticks(recover_at), NodeId::new(node));
     }
     if let Some((at, heal_at, split)) = case.partition {
         let left: Vec<NodeId> = (0..split).map(NodeId::new).collect();
         let right: Vec<NodeId> = (split..case.n as u32).map(NodeId::new).collect();
-        world.schedule_partition(
+        faulted.schedule_partition(
             SimTime::from_ticks(at),
             SimTime::from_ticks(heal_at),
             &[left, right],
         );
     }
+    // Initialise only now, so each world's own start-up events queue behind
+    // the stimuli above — the order a lazily initialised world runs them in.
+    for world in &mut worlds {
+        world.init();
+    }
 
-    let result = drive_case(case, &mut world);
+    let result = drive_case(case, &mut worlds);
     let trace = if trace_capacity > 0 {
-        world.trace().to_json_lines()
+        worlds.iter().map(|w| w.trace().to_json_lines()).collect()
     } else {
         String::new()
     };
     (result, trace)
 }
 
-/// Drives a fully scheduled world to completion, checking every oracle
-/// after every dispatched event.
+/// Drives the fully scheduled shard worlds in lockstep — always the world
+/// with the earliest pending event, lowest shard on ties — checking every
+/// oracle after every dispatched event. The step that first passes the
+/// horizon is still taken and checked; then the run stops.
 fn drive_case<N: ProtocolNode>(
     case: &DstCase,
-    world: &mut World<N>,
+    worlds: &mut [World<N>],
 ) -> Result<CaseStats, Violation> {
-    let scope = OracleScope::of(case);
-    let benign = case.is_benign();
+    let scopes: Vec<OracleScope> = (0..case.shards).map(|s| OracleScope::of(case, s)).collect();
     let bound = case.response_bound();
     let deadline = SimTime::from_ticks(case.horizon());
+    let k = worlds.len();
+    let in_shard = |s: usize, violation: Violation| {
+        if k == 1 {
+            violation
+        } else {
+            Violation::InShard {
+                shard: ShardId(s as u16),
+                violation: Box::new(violation),
+            }
+        }
+    };
 
-    // Liveness bookkeeping: per-node queue of outstanding request times.
-    // `Requested` pushes, `Granted` pops the oldest; the grant deadline of
-    // the *front* request is the earliest unmet obligation.
-    let mut pending: Vec<VecDeque<SimTime>> = vec![VecDeque::new(); case.n];
+    // Liveness bookkeeping: per-shard, per-node queue of outstanding
+    // request times. `Requested` pushes, `Granted` pops the oldest; the
+    // grant deadline of the *front* request is the earliest unmet
+    // obligation.
+    let mut pending: Vec<Vec<VecDeque<SimTime>>> = vec![vec![VecDeque::new(); case.n]; k];
     let mut stats = CaseStats::default();
     let mut drained: Vec<TokenEvent> = Vec::new();
     let profile = std::env::var_os("ATP_PROFILE").is_some_and(|v| v != "0");
 
-    loop {
-        let outcome = world.step();
+    while let Some((_, s)) = earliest_world(worlds) {
+        let world = &mut worlds[s];
         stats.events += 1;
-        match outcome {
+        match world.step() {
             StepOutcome::Quiescent => break,
             StepOutcome::Consumed { at } => {
                 if at > deadline {
@@ -710,35 +759,25 @@ fn drive_case<N: ProtocolNode>(
                 }
             }
             StepOutcome::Dispatched { node, at } => {
-                drained.clear();
-                world.node_mut(node).take_events_into(&mut drained);
-                for ev in &drained {
-                    match *ev {
-                        TokenEvent::Requested { at, .. } => {
-                            pending[node.index()].push_back(at);
-                        }
-                        TokenEvent::Granted { at, .. } => {
-                            stats.grants += 1;
-                            pending[node.index()].pop_front();
-                            let _ = at;
-                        }
-                        _ => {}
-                    }
-                }
+                let queue = &mut pending[s][node.index()];
+                drain_events(world, node, queue, &mut drained, &mut stats.grants);
                 let oracle_t0 = profile.then(Instant::now);
-                check_state_oracles(&world, scope, at)?;
-                if benign {
-                    // The oldest outstanding request anywhere must have
-                    // been granted before its deadline passed.
-                    for (i, q) in pending.iter().enumerate() {
+                check_state_oracles(world, scopes[s], at).map_err(|v| in_shard(s, v))?;
+                if scopes[s].live {
+                    // The oldest outstanding request anywhere in the shard
+                    // must have been granted before its deadline passed.
+                    for (i, q) in pending[s].iter().enumerate() {
                         if let Some(&req_at) = q.front() {
                             let req_deadline = req_at.saturating_add(bound);
                             if at > req_deadline {
-                                return Err(Violation::Unresponsive {
-                                    node: NodeId::new(i as u32),
-                                    requested_at: req_at,
-                                    deadline: req_deadline,
-                                });
+                                return Err(in_shard(
+                                    s,
+                                    Violation::Unresponsive {
+                                        node: NodeId::new(i as u32),
+                                        requested_at: req_at,
+                                        deadline: req_deadline,
+                                    },
+                                ));
                             }
                         }
                     }
@@ -755,37 +794,49 @@ fn drive_case<N: ProtocolNode>(
     }
 
     // Drain events buffered at nodes that never dispatched again, then run
-    // the end-of-run obligations.
-    for i in 0..world.len() {
-        let id = NodeId::new(i as u32);
-        if !world.node(id).has_events() {
-            continue;
-        }
-        drained.clear();
-        world.node_mut(id).take_events_into(&mut drained);
-        for ev in &drained {
-            match *ev {
-                TokenEvent::Requested { at, .. } => pending[i].push_back(at),
-                TokenEvent::Granted { .. } => {
-                    stats.grants += 1;
-                    pending[i].pop_front();
-                }
-                _ => {}
+    // the end-of-run obligations, shard by shard.
+    for (s, world) in worlds.iter_mut().enumerate() {
+        for (i, queue) in pending[s].iter_mut().enumerate() {
+            let id = NodeId::new(i as u32);
+            if world.node(id).has_events() {
+                drain_events(world, id, queue, &mut drained, &mut stats.grants);
             }
         }
-    }
-    let oracle_t0 = profile.then(Instant::now);
-    check_state_oracles(&world, scope, world.now())?;
-    if benign {
-        let remaining: u64 = pending.iter().map(|q| q.len() as u64).sum();
-        if remaining > 0 {
-            return Err(Violation::Unserved { remaining });
+        let oracle_t0 = profile.then(Instant::now);
+        check_state_oracles(world, scopes[s], world.now()).map_err(|v| in_shard(s, v))?;
+        if scopes[s].live {
+            let remaining: u64 = pending[s].iter().map(|q| q.len() as u64).sum();
+            if remaining > 0 {
+                return Err(in_shard(s, Violation::Unserved { remaining }));
+            }
+        }
+        if let Some(t0) = oracle_t0 {
+            stats.oracle_ns += t0.elapsed().as_nanos() as u64;
         }
     }
-    if let Some(t0) = oracle_t0 {
-        stats.oracle_ns += t0.elapsed().as_nanos() as u64;
-    }
     Ok(stats)
+}
+
+/// Moves `node`'s buffered events into its liveness `queue`.
+fn drain_events<N: ProtocolNode>(
+    world: &mut World<N>,
+    node: NodeId,
+    queue: &mut VecDeque<SimTime>,
+    drained: &mut Vec<TokenEvent>,
+    grants: &mut u64,
+) {
+    drained.clear();
+    world.node_mut(node).take_events_into(drained);
+    for ev in drained.iter() {
+        match *ev {
+            TokenEvent::Requested { at, .. } => queue.push_back(at),
+            TokenEvent::Granted { .. } => {
+                *grants += 1;
+                queue.pop_front();
+            }
+            _ => {}
+        }
+    }
 }
 
 /// A minimized failing schedule, ready to serialize as a `.tape` file.
@@ -793,6 +844,8 @@ fn drive_case<N: ProtocolNode>(
 pub struct Counterexample {
     /// Protocol the violation occurred under.
     pub protocol: Protocol,
+    /// The generator the tape decodes through.
+    pub space: CaseSpace,
     /// The mutation active during exploration.
     pub mutation: Mutation,
     /// Seed of the originally failing case.
@@ -821,10 +874,48 @@ pub enum ExploreOutcome {
     Found(Box<Counterexample>),
 }
 
+/// Which generator an [`Explorer`] draws cases from. A tape is only
+/// meaningful through the generator that drew it, so tapes record it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CaseSpace {
+    /// [`gen_case`]: one token, node-addressed requests, hostile links.
+    Flat,
+    /// [`gen_shard_case`]: K tokens, key-addressed requests, at most one
+    /// crash or partition, confined to one shard.
+    Sharded,
+}
+
+impl CaseSpace {
+    /// Stable serialization label (tape files).
+    pub fn label(self) -> &'static str {
+        match self {
+            CaseSpace::Flat => "flat",
+            CaseSpace::Sharded => "shard",
+        }
+    }
+
+    /// Parses a [`CaseSpace::label`] back.
+    pub fn from_label(s: &str) -> Option<CaseSpace> {
+        match s {
+            "flat" => Some(CaseSpace::Flat),
+            "shard" => Some(CaseSpace::Sharded),
+            _ => None,
+        }
+    }
+
+    /// Draws (or, from a recorded tape, rebuilds) a case of this space.
+    pub fn gen(self, g: &mut Gen, protocol: Protocol, mutation: Mutation) -> DstCase {
+        match self {
+            CaseSpace::Flat => gen_case(g, protocol, mutation),
+            CaseSpace::Sharded => gen_shard_case(g, protocol, mutation),
+        }
+    }
+}
+
 /// Which slice of the drawn fault space an [`Explorer`] runs.
 ///
-/// Implemented as a filter over the one shared generator, so a kept case's
-/// tape still rebuilds it with plain [`gen_case`] — tapes stay universal.
+/// Implemented as a filter over the space's generator, so a kept case's
+/// tape still rebuilds it with the plain generator — tapes stay universal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Focus {
     /// The whole mixed case space, as drawn.
@@ -856,10 +947,13 @@ pub struct Explorer {
     pub max_shrink_iters: u32,
     /// Case filter ([`Focus::All`] runs everything drawn).
     pub focus: Focus,
+    /// The generator cases are drawn from.
+    pub space: CaseSpace,
 }
 
 impl Explorer {
-    /// An explorer with the default shrink budget over the full case space.
+    /// An explorer with the default shrink budget over the full flat case
+    /// space.
     pub fn new(protocol: Protocol, base_seed: u64, mutation: Mutation) -> Self {
         Explorer {
             protocol,
@@ -867,12 +961,19 @@ impl Explorer {
             mutation,
             max_shrink_iters: 2_000,
             focus: Focus::All,
+            space: CaseSpace::Flat,
         }
     }
 
     /// Restricts exploration to cases admitted by `focus`.
     pub fn with_focus(mut self, focus: Focus) -> Self {
         self.focus = focus;
+        self
+    }
+
+    /// Draws cases from `space` instead.
+    pub fn with_space(mut self, space: CaseSpace) -> Self {
+        self.space = space;
         self
     }
 
@@ -883,7 +984,12 @@ impl Explorer {
         // like `Check` streams its case seeds. Cases the focus rejects are
         // skipped without running (and without counting against `budget`);
         // the attempt cap bounds the skip overhead.
-        let mut sm = SplitMix64::new(self.base_seed ^ fnv1a(self.protocol.label()));
+        // Each space keeps its own stream per protocol.
+        let space_salt = match self.space {
+            CaseSpace::Flat => 0,
+            CaseSpace::Sharded => fnv1a("shard"),
+        };
+        let mut sm = SplitMix64::new(self.base_seed ^ space_salt ^ fnv1a(self.protocol.label()));
         let mut oracle_checks = 0u64;
         let mut oracle_ns = 0u64;
         let mut ran = 0u32;
@@ -893,7 +999,7 @@ impl Explorer {
             attempts += 1;
             let case_seed = sm.next_u64();
             let mut g = Gen::from_seed(case_seed);
-            let case = gen_case(&mut g, self.protocol, self.mutation);
+            let case = self.space.gen(&mut g, self.protocol, self.mutation);
             if !self.focus.admits(&case) {
                 continue;
             }
@@ -928,18 +1034,18 @@ impl Explorer {
     }
 
     fn minimize(&self, case_seed: u64, tape: Vec<u64>, first: Violation) -> Counterexample {
-        let protocol = self.protocol;
-        let mutation = self.mutation;
+        let (protocol, space, mutation) = (self.protocol, self.space, self.mutation);
         let (min_tape, shrink_iters) = shrink_tape(tape, self.max_shrink_iters, |cand| {
             let mut g = Gen::from_tape(cand.to_vec());
-            let case = gen_case(&mut g, protocol, mutation);
+            let case = space.gen(&mut g, protocol, mutation);
             run_case(&case).err().map(|_| g.tape().to_vec())
         });
         let mut g = Gen::from_tape(min_tape.clone());
-        let min_case = gen_case(&mut g, protocol, mutation);
+        let min_case = space.gen(&mut g, protocol, mutation);
         let violation = run_case(&min_case).err().unwrap_or(first);
         Counterexample {
             protocol,
+            space,
             mutation,
             case_seed,
             tape: min_tape,
@@ -951,7 +1057,7 @@ impl Explorer {
 }
 
 /// FNV-1a over a label; namespaces the per-protocol seed streams.
-pub(crate) fn fnv1a(s: &str) -> u64 {
+fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= b as u64;
@@ -968,6 +1074,9 @@ pub struct TapeFile {
     pub name: String,
     /// Protocol the tape drives.
     pub protocol: Protocol,
+    /// The generator the tape decodes through (written only when not
+    /// [`CaseSpace::Flat`], so flat tapes keep their original bytes).
+    pub space: CaseSpace,
     /// Mutation that must be active for the tape to fail ([`Mutation::None`]
     /// for benign regression tapes, which must *pass*).
     pub mutation: Mutation,
@@ -988,6 +1097,10 @@ impl TapeFile {
         w.str(&self.name);
         w.key("protocol");
         w.str(self.protocol.label());
+        if self.space != CaseSpace::Flat {
+            w.key("space");
+            w.str(self.space.label());
+        }
         w.key("mutation");
         w.str(self.mutation.label());
         w.key("note");
@@ -1018,6 +1131,13 @@ impl TapeFile {
             .ok_or("'protocol' is not a string")?;
         let protocol = Protocol::from_label(protocol_label)
             .ok_or_else(|| format!("unknown protocol '{protocol_label}'"))?;
+        let space = match doc.get("space") {
+            None => CaseSpace::Flat,
+            Some(v) => {
+                let label = v.as_str().ok_or("'space' is not a string")?;
+                CaseSpace::from_label(label).ok_or_else(|| format!("unknown space '{label}'"))?
+            }
+        };
         let mutation_label = field("mutation")?
             .as_str()
             .ok_or("'mutation' is not a string")?;
@@ -1033,6 +1153,7 @@ impl TapeFile {
         Ok(TapeFile {
             name: name.to_string(),
             protocol,
+            space,
             mutation,
             note: note.to_string(),
             tape,
@@ -1044,6 +1165,7 @@ impl TapeFile {
         TapeFile {
             name: name.to_string(),
             protocol: cx.protocol,
+            space: cx.space,
             mutation: cx.mutation,
             note: cx.violation.to_string(),
             tape: cx.tape.clone(),
@@ -1051,27 +1173,27 @@ impl TapeFile {
     }
 }
 
-/// Rebuilds the case a tape encodes and runs it under `mutation`.
+/// Rebuilds the case a tape encodes in `space` and runs it under `mutation`.
 pub fn replay_tape(
+    space: CaseSpace,
     tape: &[u64],
     protocol: Protocol,
     mutation: Mutation,
 ) -> Result<CaseStats, Violation> {
-    let mut g = Gen::from_tape(tape.to_vec());
-    let case = gen_case(&mut g, protocol, mutation);
-    run_case(&case)
+    replay_tape_traced(space, tape, protocol, mutation, 0).0
 }
 
 /// Replays a tape with network tracing on; returns the verdict plus the
-/// world's trace as JSON lines. Deterministic: same tape, same bytes.
+/// worlds' traces as JSON lines. Deterministic: same tape, same bytes.
 pub fn replay_tape_traced(
+    space: CaseSpace,
     tape: &[u64],
     protocol: Protocol,
     mutation: Mutation,
     trace_capacity: usize,
 ) -> (Result<CaseStats, Violation>, String) {
     let mut g = Gen::from_tape(tape.to_vec());
-    let case = gen_case(&mut g, protocol, mutation);
+    let case = space.gen(&mut g, protocol, mutation);
     run_case_traced(&case, trace_capacity)
 }
 
@@ -1084,29 +1206,25 @@ pub fn replay_tape_traced(
 ///
 /// Returns `Err` with a human-readable reason on any regression.
 pub fn verify_tape(tf: &TapeFile) -> Result<(), String> {
+    let replay = |mutation| replay_tape(tf.space, &tf.tape, tf.protocol, mutation);
     match tf.mutation {
-        Mutation::None => replay_tape(&tf.tape, tf.protocol, Mutation::None)
+        Mutation::None => replay(Mutation::None)
             .map(|_| ())
             .map_err(|v| format!("benign tape '{}' now fails: {v}", tf.name)),
         mutation => {
-            match replay_tape(&tf.tape, tf.protocol, mutation) {
-                Ok(_) => {
-                    return Err(format!(
-                        "mutation tape '{}' no longer reproduces its violation \
-                         (tape rot or oracle weakened)",
-                        tf.name
-                    ));
-                }
-                Err(_) => {}
+            if replay(mutation).is_ok() {
+                return Err(format!(
+                    "mutation tape '{}' no longer reproduces its violation \
+                     (tape rot or oracle weakened)",
+                    tf.name
+                ));
             }
-            replay_tape(&tf.tape, tf.protocol, Mutation::None)
-                .map(|_| ())
-                .map_err(|v| {
-                    format!(
-                        "tape '{}' fails even WITHOUT its mutation — real bug?: {v}",
-                        tf.name
-                    )
-                })
+            replay(Mutation::None).map(|_| ()).map_err(|v| {
+                format!(
+                    "tape '{}' fails even WITHOUT its mutation — real bug?: {v}",
+                    tf.name
+                )
+            })
         }
     }
 }
@@ -1232,7 +1350,14 @@ mod tests {
             // final window several times over.
             world.run_until(SimTime::from_ticks(400));
             let chained = world.node(victim).order_state().chain_calls() - before;
-            let verdict = check_state_oracles(&world, OracleScope::benign(), world.now());
+            let every_oracle = OracleScope {
+                prefix: true,
+                gaps: true,
+                crashed: None,
+                dual_token_from: u64::MAX,
+                live: true,
+            };
+            let verdict = check_state_oracles(&world, every_oracle, world.now());
             (chained, verdict)
         };
         let (chained, verdict) = run(false);
@@ -1253,14 +1378,86 @@ mod tests {
         let tf = TapeFile {
             name: "example".into(),
             protocol: Protocol::Binary,
+            space: CaseSpace::Flat,
             mutation: Mutation::BadPrefixSkip,
             note: "prefix property violated between node 0 and node 1 at t=3".into(),
             tape: vec![0, 17, u64::MAX],
         };
-        let parsed = TapeFile::from_json(&tf.to_json()).expect("roundtrip");
+        let json = tf.to_json();
+        // A flat tape is the version-1 format as first written: no space
+        // field, and a tape without one decodes as flat.
+        assert!(!json.contains("space"), "{json}");
+        let parsed = TapeFile::from_json(&json).expect("roundtrip");
         assert_eq!(parsed, tf);
         assert!(TapeFile::from_json("{}").is_err());
         assert!(TapeFile::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn sharded_tape_roundtrips_and_replays_through_its_space() {
+        let mut g = Gen::from_seed(5);
+        let case = gen_shard_case(&mut g, Protocol::Ring, Mutation::None);
+        let tf = TapeFile {
+            name: "sharded".into(),
+            protocol: Protocol::Ring,
+            space: CaseSpace::Sharded,
+            mutation: Mutation::None,
+            note: "sharded regression".into(),
+            tape: g.tape().to_vec(),
+        };
+        let json = tf.to_json();
+        assert!(json.contains(r#""space":"shard""#), "{json}");
+        let parsed = TapeFile::from_json(&json).expect("roundtrip");
+        assert_eq!(parsed, tf);
+        let mut g = Gen::from_tape(parsed.tape.clone());
+        let rebuilt = parsed.space.gen(&mut g, parsed.protocol, parsed.mutation);
+        assert_eq!(format!("{rebuilt:?}"), format!("{case:?}"));
+        assert_eq!(
+            replay_tape(parsed.space, &parsed.tape, parsed.protocol, parsed.mutation)
+                .map(|s| s.grants),
+            run_case(&case).map(|s| s.grants)
+        );
+        let bad = json.replace(r#""shard""#, r#""nowhere""#);
+        assert!(TapeFile::from_json(&bad).is_err());
+    }
+
+    /// A partition in one shard of a multi-shard case gets the same
+    /// dual-token-after-heal oracle as a single-token partition case, and
+    /// the run lasts long enough for it to fire; the other shards keep
+    /// every oracle, liveness included.
+    #[test]
+    fn sharded_partition_arms_the_heal_oracle() {
+        let mut sm = SplitMix64::new(3);
+        let case = loop {
+            let mut g = Gen::from_seed(sm.next_u64());
+            let case = gen_shard_case(&mut g, Protocol::Ring, Mutation::None);
+            if case.partition.is_some() {
+                break case;
+            }
+        };
+        let (_, heal, _) = case.partition.unwrap();
+        let faulted = case.fault_shard;
+        let armed_at = heal + case.settle_ticks();
+        for s in 0..case.shards {
+            let scope = OracleScope::of(&case, s);
+            if s == faulted {
+                assert_eq!(scope.dual_token_from, armed_at);
+                assert!(!scope.live && !scope.prefix);
+                let cfg = case.shard_cfg(s);
+                assert!(
+                    cfg.token_acks && cfg.regeneration,
+                    "partitioned shard needs recovery"
+                );
+            } else {
+                assert_eq!(scope.dual_token_from, u64::MAX);
+                assert!(scope.live && scope.prefix && scope.gaps);
+            }
+        }
+        assert!(
+            case.horizon() > armed_at,
+            "the run ends before the oracle arms"
+        );
+        run_case(&case).expect("ring keeps one token per shard across the heal");
     }
 
     #[test]

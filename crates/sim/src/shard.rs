@@ -10,32 +10,33 @@
 //! aggregate saturation throughput scales with `K` until per-node work
 //! (every node participates in all `K` instances) becomes the bottleneck.
 //!
-//! Two drivers live here:
+//! Two things live here:
 //!
 //! 1. [`ShardPlaneSpec::run`] — a closed-loop saturation workload for the
 //!    `table_shards` experiment: a fixed client population draws keys
 //!    from a [`KeyDist`], each client re-issuing (possibly into a
 //!    different shard) as soon as its previous grant is released.
-//! 2. [`run_shard_case`] / [`ShardExplorer`] — deterministic simulation
-//!    testing of the plane itself. Each shard's world is checked against
-//!    the single-token state oracles after every dispatched event, and a
-//!    **cross-shard isolation oracle** demands that a fault injected into
-//!    shard *i* (crash or partition) never blocks or even delays grants
-//!    past the response bound in any other shard.
+//! 2. [`gen_shard_case`] — the key-addressed case space of deterministic
+//!    simulation testing. Its cases are ordinary [`DstCase`]s with K
+//!    shards, run by [`crate::dst::run_case`] and explored by
+//!    [`crate::dst::Explorer`] like single-token ones; a fault injected
+//!    into shard *i* must never block or delay grants in any other shard.
 //!
 //! Determinism: the K worlds advance in lockstep — always step the world
-//! with the earliest pending event, ties broken by lowest shard id — so
-//! every client draw happens at a globally ordered instant and a spec
-//! replays byte-identically regardless of host parallelism.
+//! with the earliest pending event, ties broken by lowest shard id
+//! ([`earliest_world`], shared with the DST driver) — so every client draw
+//! happens at a globally ordered instant and a spec replays byte-identically
+//! regardless of host parallelism.
 
 use std::collections::VecDeque;
 
 use atp_core::{ProtocolConfig, ShardId, ShardMap, TokenEvent, Want};
 use atp_net::{NodeId, SimTime, StepOutcome, World, WorldConfig};
+use atp_util::check::Gen;
 use atp_util::dist::zipf;
 use atp_util::rng::{Rng, RngCore, SeedableRng, SplitMix64, StdRng};
 
-use crate::dst::{check_state_oracles, OracleScope, StrategySpec, Violation};
+use crate::dst::{DstCase, Mutation, StrategySpec};
 use crate::runner::{Protocol, ProtocolNode, ProtocolVisitor};
 
 /// Key popularity distribution for key-addressed request streams.
@@ -80,6 +81,34 @@ impl KeyDist {
 /// uniformly over the ring.
 fn entry_node(key: u64, n: usize) -> NodeId {
     NodeId::new((SplitMix64::new(key ^ 0xe17a_90dd_c0de_5eed).next_u64() % n as u64) as u32)
+}
+
+/// Shard `s`'s world: `n` nodes built from `cfg`, seeded `seed ^ (s << 32)`
+/// so shard 0 runs the base seed itself.
+pub(crate) fn shard_world<N: ProtocolNode>(
+    n: usize,
+    cfg: ProtocolConfig,
+    world_cfg: WorldConfig,
+    seed: u64,
+    s: u16,
+) -> World<N> {
+    let nodes = (0..n).map(|_| N::build(cfg)).collect();
+    World::from_nodes(nodes, world_cfg.seed(seed ^ (u64::from(s) << 32)))
+}
+
+/// The lockstep pick: the time of the earliest pending event across
+/// `worlds` and the world holding it, lowest index on ties; `None` once
+/// every world is quiescent.
+pub(crate) fn earliest_world<N: ProtocolNode>(worlds: &[World<N>]) -> Option<(SimTime, usize)> {
+    let mut best: Option<(SimTime, usize)> = None;
+    for (s, w) in worlds.iter().enumerate() {
+        if let Some(t) = w.next_event_time() {
+            if best.is_none_or(|(bt, _)| t < bt) {
+                best = Some((t, s));
+            }
+        }
+    }
+    best
 }
 
 // ---------------------------------------------------------------------------
@@ -208,13 +237,10 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
     let map = ShardMap::new(spec.shards, spec.n);
     let think = spec.think_ticks.max(1);
 
-    let mut worlds: Vec<World<N>> = (0..k)
+    let mut worlds: Vec<World<N>> = (0..spec.shards)
         .map(|s| {
-            let sid = ShardId(s as u16);
-            let cfg = spec.cfg.with_initial_holder(map.owner(sid));
-            let nodes = (0..spec.n).map(|_| N::build(cfg)).collect();
-            let wc = WorldConfig::default().seed(spec.seed ^ ((s as u64) << 32));
-            let mut w = World::from_nodes(nodes, wc);
+            let cfg = spec.cfg.with_initial_holder(map.owner(ShardId(s)));
+            let mut w = shard_world(spec.n, cfg, WorldConfig::default(), spec.seed, s);
             w.init();
             w
         })
@@ -265,20 +291,9 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
     }
 
     let mut drained: Vec<TokenEvent> = Vec::new();
-    loop {
-        // Lockstep: earliest pending event across all shards, lowest
-        // shard id on ties. Every world's clock stays at or behind this
-        // frontier, so a re-issue at `at + think` is in every world's
-        // future.
-        let mut best: Option<(SimTime, usize)> = None;
-        for (s, w) in worlds.iter().enumerate() {
-            if let Some(t) = w.next_event_time() {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, s));
-                }
-            }
-        }
-        let Some((t, s)) = best else { break };
+    // Lockstep: every world's clock stays at or behind the earliest pending
+    // event, so a re-issue at `at + think` is in every world's future.
+    while let Some((t, s)) = earliest_world(&worlds) {
         if t > deadline {
             break;
         }
@@ -321,116 +336,32 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-plane DST: per-shard state oracles + cross-shard isolation
+// Key-addressed DST cases (run by `crate::dst`)
 // ---------------------------------------------------------------------------
 
-/// A fault injected into exactly one shard of a plane case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardFault {
-    /// Crash `node` in `shard`'s instance at `at`, recover at `recover_at`.
-    Crash {
-        /// Faulted shard.
-        shard: ShardId,
-        /// Crash victim.
-        node: u32,
-        /// Crash instant.
-        at: u64,
-        /// Recovery instant.
-        recover_at: u64,
-    },
-    /// Partition `shard`'s instance into `0..split` / `split..n` over
-    /// `[at, heal_at)`.
-    Partition {
-        /// Faulted shard.
-        shard: ShardId,
-        /// Partition instant.
-        at: u64,
-        /// Heal instant.
-        heal_at: u64,
-        /// Boundary node index.
-        split: u32,
-    },
-}
-
-impl ShardFault {
-    /// The shard the fault lands in.
-    pub fn shard(&self) -> ShardId {
-        match *self {
-            ShardFault::Crash { shard, .. } | ShardFault::Partition { shard, .. } => shard,
-        }
-    }
-}
-
-/// One fully specified sharded-plane simulation case.
-#[derive(Debug, Clone)]
-pub struct ShardDstCase {
-    /// Protocol every shard runs.
-    pub protocol: Protocol,
-    /// Nodes in the plane.
-    pub n: usize,
-    /// Shard count.
-    pub shards: u16,
-    /// Base world seed (namespaced per shard).
-    pub world_seed: u64,
-    /// Key-addressed requests as `(tick, key, payload)`.
-    pub requests: Vec<(u64, u64, u64)>,
-    /// At most one fault, always confined to one shard.
-    pub fault: Option<ShardFault>,
-    /// Protocol tunables shared by all shards (the faulted shard
-    /// additionally gets its recovery knobs armed).
-    pub cfg: ProtocolConfig,
-    /// Schedule adversary, installed in every shard's world.
-    pub strategy: StrategySpec,
-}
-
-impl ShardDstCase {
-    /// Ticks within which every request routed to a fault-free shard must
-    /// be granted. Deliberately loose — a violation means the fault in
-    /// another shard *stuck* this one, not that it was slow.
-    pub fn response_bound(&self) -> u64 {
-        let n = self.n as u64;
-        let r = self.requests.len() as u64 + 2;
-        let idle = self.cfg.idle_pass_ticks
-            + if self.cfg.adaptive_speed {
-                self.cfg.max_idle_pass_ticks
-            } else {
-                0
-            };
-        let per_hop = 1 + self.cfg.service_ticks + idle + 2;
-        4 * r * n * per_hop + 256
-    }
-
-    /// Absolute tick at which the run stops.
-    pub fn horizon(&self) -> u64 {
-        let last_stimulus = self
-            .requests
-            .iter()
-            .map(|&(t, _, _)| t)
-            .chain(self.fault.iter().map(|f| match *f {
-                ShardFault::Crash { recover_at, .. } => recover_at,
-                ShardFault::Partition { heal_at, .. } => heal_at,
-            }))
-            .max()
-            .unwrap_or(0);
-        last_stimulus + self.response_bound() + 64
-    }
-}
-
-/// Draws a [`ShardDstCase`] for `protocol` from `g`'s tape.
+/// Draws a sharded-plane [`DstCase`] for `protocol` from `g`'s tape: K
+/// shards with their consistent-hash owners as initial holders,
+/// key-addressed requests resolved to `(shard, entry node)` through the
+/// [`ShardMap`], and at most one crash or partition, confined to one shard
+/// so the others can witness isolation. Links are loss-free, unit latency.
 ///
-/// Independent of [`crate::dst::gen_case`] — the single-token draw order
-/// is frozen by checked-in tapes and must never change; the shard space
-/// gets its own generator. Total over the all-zero tape: 2 nodes, 1
-/// shard, one request at t=0, no fault, FIFO.
-pub fn gen_shard_case(g: &mut atp_util::check::Gen, protocol: Protocol) -> ShardDstCase {
+/// Independent of [`crate::dst::gen_case`], whose draw order is frozen by
+/// the checked-in tapes; this space keeps its own. Total over the all-zero
+/// tape: 2 nodes, 1 shard, one request at t=0, no fault, FIFO.
+pub fn gen_shard_case(g: &mut Gen, protocol: Protocol, mutation: Mutation) -> DstCase {
     let n = g.gen_range(2..=6usize);
     let shards = g.gen_range(1..=5u32) as u16;
+    let map = ShardMap::new(shards, n);
     let world_seed = g.next_u64();
     let requests = g.vec(1..17, |g| {
+        let t = g.gen_range(0..=160u64);
+        let key = g.gen_range(0..=0xFFFFu64);
+        let payload = g.gen_range(0..1000u64);
         (
-            g.gen_range(0..=160u64),
-            g.gen_range(0..=0xFFFFu64),
-            g.gen_range(0..1000u64),
+            t,
+            map.shard_of_key(key).0,
+            entry_node(key, n).raw(),
+            payload,
         )
     });
 
@@ -443,29 +374,24 @@ pub fn gen_shard_case(g: &mut atp_util::check::Gen, protocol: Protocol) -> Shard
             .with_adaptive_speed(true)
             .with_idle_pass_ticks(g.gen_range(0..=2u64));
     }
+    if mutation == Mutation::BadPrefixSkip {
+        cfg = cfg.with_bad_prefix_skip(true);
+    }
 
     // Faults only make sense with a bystander shard to observe isolation.
-    let fault = if shards >= 2 && g.gen_bool(0.5) {
-        let shard = ShardId(g.gen_range(0..u32::from(shards)) as u16);
+    // The driver arms the faulted shard's recovery (`DstCase::shard_cfg`).
+    let (mut crash, mut partition, mut fault_shard) = (None, None, 0);
+    if shards >= 2 && g.gen_bool(0.5) {
+        fault_shard = g.gen_range(0..u32::from(shards)) as u16;
         let at = g.gen_range(0..120u64);
         if g.gen_bool(0.5) {
-            Some(ShardFault::Crash {
-                shard,
-                node: g.gen_range(0..n as u32),
-                at,
-                recover_at: at + g.gen_range(1..100u64),
-            })
+            let node = g.gen_range(0..n as u32);
+            crash = Some((at, node, at + g.gen_range(1..100u64)));
         } else {
-            Some(ShardFault::Partition {
-                shard,
-                at,
-                heal_at: at + g.gen_range(8..=80u64),
-                split: g.gen_range(1..n as u32),
-            })
+            let heal_at = at + g.gen_range(8..=80u64);
+            partition = Some((at, heal_at, g.gen_range(1..n as u32)));
         }
-    } else {
-        None
-    };
+    }
 
     let strategy = match g.gen_range(0..4u32) {
         0 => StrategySpec::Fifo,
@@ -474,352 +400,29 @@ pub fn gen_shard_case(g: &mut atp_util::check::Gen, protocol: Protocol) -> Shard
         _ => StrategySpec::Choices(g.vec(1..17, |g| g.next_u64())),
     };
 
-    ShardDstCase {
+    DstCase {
         protocol,
         n,
         shards,
+        holders: map.owners().to_vec(),
         world_seed,
+        latency: (1, 1),
+        drop_p: 0.0,
         requests,
-        fault,
+        crash,
         cfg,
         strategy,
-    }
-}
-
-/// An oracle violation in a sharded-plane case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardViolation {
-    /// A single-shard state or liveness oracle broke inside one shard.
-    State {
-        /// The shard whose world violated.
-        shard: ShardId,
-        /// The underlying single-token violation.
-        violation: Violation,
-    },
-    /// Cross-shard isolation broke: requests routed to a fault-free shard
-    /// were never granted, although the case's only fault lives in a
-    /// *different* shard.
-    IsolationBlocked {
-        /// The starved fault-free shard.
-        shard: ShardId,
-        /// Requests left unserved there.
-        remaining: u64,
-    },
-}
-
-impl std::fmt::Display for ShardViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardViolation::State { shard, violation } => {
-                write!(f, "[{shard}] {violation}")
-            }
-            ShardViolation::IsolationBlocked { shard, remaining } => write!(
-                f,
-                "isolation broken: fault-free shard {shard} left {remaining} request(s) unserved"
-            ),
-        }
-    }
-}
-
-/// Counters from a violation-free sharded case.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardCaseStats {
-    /// Events across all shard worlds.
-    pub events: u64,
-    /// Grants across all shard worlds.
-    pub grants: u64,
-    /// Oracle evaluations (one per dispatched event).
-    pub oracle_checks: u64,
-}
-
-/// Runs one sharded case, checking per-shard state oracles after every
-/// dispatched event and the isolation oracle at the end.
-pub fn run_shard_case(case: &ShardDstCase) -> Result<ShardCaseStats, ShardViolation> {
-    struct RunCase<'a>(&'a ShardDstCase);
-    impl ProtocolVisitor for RunCase<'_> {
-        type Out = Result<ShardCaseStats, ShardViolation>;
-        fn run<N: ProtocolNode>(self) -> Self::Out {
-            run_shard_case_on::<N>(self.0)
-        }
-    }
-    case.protocol.dispatch(RunCase(case))
-}
-
-fn run_shard_case_on<N: ProtocolNode>(case: &ShardDstCase) -> Result<ShardCaseStats, ShardViolation> {
-    let n = case.n;
-    let k = case.shards as usize;
-    let map = ShardMap::new(case.shards, n);
-    let faulted = case.fault.map(|f| f.shard());
-
-    let mut worlds: Vec<World<N>> = Vec::with_capacity(k);
-    let mut scopes: Vec<OracleScope> = Vec::with_capacity(k);
-    for s in 0..k {
-        let sid = ShardId(s as u16);
-        let mut cfg = case.cfg.with_initial_holder(map.owner(sid));
-        let scope = match case.fault {
-            Some(ShardFault::Crash { shard, node, .. }) if shard == sid => {
-                cfg = cfg.with_regeneration(cfg.effective_regen_timeout(n));
-                OracleScope::with_crash(NodeId::new(node))
-            }
-            Some(ShardFault::Partition { shard, .. }) if shard == sid => {
-                cfg = cfg
-                    .with_token_acks(true)
-                    .with_regeneration(cfg.effective_regen_timeout(n));
-                OracleScope::with_partition()
-            }
-            _ => OracleScope::benign(),
-        };
-        let wc = case
-            .strategy
-            .install(WorldConfig::default().seed(case.world_seed ^ ((s as u64) << 32)));
-        let nodes = (0..n).map(|_| N::build(cfg)).collect();
-        let mut w = World::from_nodes(nodes, wc);
-        w.init();
-        worlds.push(w);
-        scopes.push(scope);
-    }
-
-    for &(t, key, payload) in &case.requests {
-        let sid = map.shard_of_key(key);
-        worlds[sid.index()].schedule_external(
-            SimTime::from_ticks(t),
-            entry_node(key, n),
-            Want::new(payload),
-        );
-    }
-    match case.fault {
-        Some(ShardFault::Crash {
-            shard,
-            node,
-            at,
-            recover_at,
-        }) => {
-            let w = &mut worlds[shard.index()];
-            w.schedule_crash(SimTime::from_ticks(at), NodeId::new(node));
-            w.schedule_recover(SimTime::from_ticks(recover_at), NodeId::new(node));
-        }
-        Some(ShardFault::Partition {
-            shard,
-            at,
-            heal_at,
-            split,
-        }) => {
-            let left: Vec<NodeId> = (0..split).map(NodeId::new).collect();
-            let right: Vec<NodeId> = (split..n as u32).map(NodeId::new).collect();
-            worlds[shard.index()].schedule_partition(
-                SimTime::from_ticks(at),
-                SimTime::from_ticks(heal_at),
-                &[left, right],
-            );
-        }
-        None => {}
-    }
-
-    let bound = case.response_bound();
-    let deadline = SimTime::from_ticks(case.horizon());
-    let mut pending: Vec<Vec<VecDeque<SimTime>>> = vec![vec![VecDeque::new(); n]; k];
-    let mut stats = ShardCaseStats::default();
-    let mut drained: Vec<TokenEvent> = Vec::new();
-
-    let drain_one = |s: usize,
-                     node: NodeId,
-                     worlds: &mut Vec<World<N>>,
-                     pending: &mut Vec<Vec<VecDeque<SimTime>>>,
-                     drained: &mut Vec<TokenEvent>,
-                     stats: &mut ShardCaseStats| {
-        drained.clear();
-        worlds[s].node_mut(node).take_events_into(drained);
-        for ev in drained.iter() {
-            match *ev {
-                TokenEvent::Requested { at, .. } => pending[s][node.index()].push_back(at),
-                TokenEvent::Granted { .. } => {
-                    stats.grants += 1;
-                    pending[s][node.index()].pop_front();
-                }
-                _ => {}
-            }
-        }
-    };
-
-    loop {
-        let mut best: Option<(SimTime, usize)> = None;
-        for (s, w) in worlds.iter().enumerate() {
-            if let Some(t) = w.next_event_time() {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, s));
-                }
-            }
-        }
-        let Some((t, s)) = best else { break };
-        if t > deadline {
-            break;
-        }
-        stats.events += 1;
-        match worlds[s].step() {
-            StepOutcome::Quiescent | StepOutcome::Consumed { .. } => {}
-            StepOutcome::Dispatched { node, at } => {
-                drain_one(s, node, &mut worlds, &mut pending, &mut drained, &mut stats);
-                let sid = ShardId(s as u16);
-                check_state_oracles(&worlds[s], scopes[s], at)
-                    .map_err(|violation| ShardViolation::State { shard: sid, violation })?;
-                stats.oracle_checks += 1;
-                // Isolation, liveness half: a fault elsewhere must not
-                // even *delay* this shard past the response bound.
-                if Some(sid) != faulted {
-                    for (i, q) in pending[s].iter().enumerate() {
-                        if let Some(&req_at) = q.front() {
-                            let req_deadline = req_at.saturating_add(bound);
-                            if at > req_deadline {
-                                return Err(ShardViolation::State {
-                                    shard: sid,
-                                    violation: Violation::Unresponsive {
-                                        node: NodeId::new(i as u32),
-                                        requested_at: req_at,
-                                        deadline: req_deadline,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Drain events buffered at nodes that never dispatched again, then
-    // run end-of-run obligations per shard.
-    for s in 0..k {
-        for i in 0..n {
-            let id = NodeId::new(i as u32);
-            if worlds[s].node(id).has_events() {
-                drain_one(s, id, &mut worlds, &mut pending, &mut drained, &mut stats);
-            }
-        }
-        let sid = ShardId(s as u16);
-        let now = worlds[s].now();
-        check_state_oracles(&worlds[s], scopes[s], now)
-            .map_err(|violation| ShardViolation::State { shard: sid, violation })?;
-        if Some(sid) != faulted {
-            let remaining: u64 = pending[s].iter().map(|q| q.len() as u64).sum();
-            if remaining > 0 {
-                return Err(ShardViolation::IsolationBlocked {
-                    shard: sid,
-                    remaining,
-                });
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// A minimized failing sharded schedule.
-#[derive(Debug, Clone)]
-pub struct ShardCounterexample {
-    /// Protocol the violation occurred under.
-    pub protocol: Protocol,
-    /// Seed of the originally failing case.
-    pub case_seed: u64,
-    /// Minimized draw tape; [`gen_shard_case`] rebuilds the exact case.
-    pub tape: Vec<u64>,
-    /// Shrink candidates evaluated.
-    pub shrink_iters: u32,
-    /// The violation the minimized tape reproduces.
-    pub violation: ShardViolation,
-    /// Debug rendering of the minimized case.
-    pub case_debug: String,
-}
-
-/// Result of a sharded exploration campaign for one protocol.
-#[derive(Debug, Clone)]
-pub enum ShardExploreOutcome {
-    /// Every case passed every oracle.
-    Clean {
-        /// Cases executed.
-        cases: u32,
-        /// Total oracle evaluations.
-        oracle_checks: u64,
-    },
-    /// A violation was found and minimized.
-    Found(Box<ShardCounterexample>),
-}
-
-/// Fuzzes sharded-plane cases for one protocol under a case budget.
-#[derive(Debug, Clone)]
-pub struct ShardExplorer {
-    /// Protocol under test.
-    pub protocol: Protocol,
-    /// Base seed of the deterministic case-seed stream.
-    pub base_seed: u64,
-    /// Cap on shrink candidate evaluations after a find.
-    pub max_shrink_iters: u32,
-}
-
-impl ShardExplorer {
-    /// An explorer with the default shrink budget.
-    pub fn new(protocol: Protocol, base_seed: u64) -> Self {
-        ShardExplorer {
-            protocol,
-            base_seed,
-            max_shrink_iters: 2_000,
-        }
-    }
-
-    /// Runs `budget` cases; on the first violation, shrinks it to a
-    /// minimal tape and returns the counterexample.
-    pub fn explore(&self, budget: u32) -> ShardExploreOutcome {
-        let mut sm =
-            SplitMix64::new(self.base_seed ^ crate::dst::fnv1a("shard") ^ crate::dst::fnv1a(self.protocol.label()));
-        let mut oracle_checks = 0u64;
-        for _ in 0..budget {
-            let case_seed = sm.next_u64();
-            let mut g = atp_util::check::Gen::from_seed(case_seed);
-            let case = gen_shard_case(&mut g, self.protocol);
-            match run_shard_case(&case) {
-                Ok(stats) => oracle_checks += stats.oracle_checks,
-                Err(first) => {
-                    let tape = g.tape().to_vec();
-                    return ShardExploreOutcome::Found(Box::new(self.minimize(
-                        case_seed, tape, first,
-                    )));
-                }
-            }
-        }
-        ShardExploreOutcome::Clean {
-            cases: budget,
-            oracle_checks,
-        }
-    }
-
-    fn minimize(
-        &self,
-        case_seed: u64,
-        tape: Vec<u64>,
-        first: ShardViolation,
-    ) -> ShardCounterexample {
-        let protocol = self.protocol;
-        let (min_tape, shrink_iters) =
-            atp_util::check::shrink_tape(tape, self.max_shrink_iters, |cand| {
-                let mut g = atp_util::check::Gen::from_tape(cand.to_vec());
-                let case = gen_shard_case(&mut g, protocol);
-                run_shard_case(&case).err().map(|_| g.tape().to_vec())
-            });
-        let mut g = atp_util::check::Gen::from_tape(min_tape.clone());
-        let min_case = gen_shard_case(&mut g, protocol);
-        let violation = run_shard_case(&min_case).err().unwrap_or(first);
-        ShardCounterexample {
-            protocol,
-            case_seed,
-            tape: min_tape,
-            shrink_iters,
-            violation,
-            case_debug: format!("{min_case:#?}"),
-        }
+        link_loss_p: 0.0,
+        link_dup_p: 0.0,
+        partition,
+        fault_shard,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dst::{run_case, CaseSpace, ExploreOutcome, Explorer};
 
     #[test]
     fn plane_serves_every_shard_and_replays_identically() {
@@ -877,24 +480,35 @@ mod tests {
     fn crash_in_one_shard_never_blocks_the_others() {
         // Hand-built case: requests spread over 4 shards, crash in the
         // shard key 0 routes to. Every oracle must hold.
-        let map = ShardMap::new(4, 5);
+        let (n, map) = (5, ShardMap::new(4, 5));
         let faulted = map.shard_of_key(0);
-        let case = ShardDstCase {
+        let case = DstCase {
             protocol: Protocol::Binary,
-            n: 5,
+            n,
             shards: 4,
+            holders: map.owners().to_vec(),
             world_seed: 11,
-            requests: (0..12u64).map(|i| (4 * i, i % 6, i)).collect(),
-            fault: Some(ShardFault::Crash {
-                shard: faulted,
-                node: map.owner(faulted),
-                at: 10,
-                recover_at: 60,
-            }),
+            latency: (1, 1),
+            drop_p: 0.0,
+            requests: (0..12u64)
+                .map(|i| {
+                    let key = i % 6;
+                    (4 * i, map.shard_of_key(key).0, entry_node(key, n).raw(), i)
+                })
+                .collect(),
+            crash: Some((10, map.owner(faulted), 60)),
             cfg: ProtocolConfig::default(),
             strategy: StrategySpec::Fifo,
+            link_loss_p: 0.0,
+            link_dup_p: 0.0,
+            partition: None,
+            fault_shard: faulted.0,
         };
-        let stats = run_shard_case(&case).expect("isolation must hold");
+        assert!(
+            case.requests.iter().any(|&(_, s, ..)| s != faulted.0),
+            "no bystander shard carries a request"
+        );
+        let stats = run_case(&case).expect("isolation must hold");
         assert!(stats.grants > 0);
         assert!(stats.oracle_checks > 0);
     }
@@ -902,9 +516,11 @@ mod tests {
     #[test]
     fn explorer_is_clean_across_all_protocols() {
         for protocol in Protocol::ALL {
-            match ShardExplorer::new(protocol, 0xA11CE).explore(25) {
-                ShardExploreOutcome::Clean { cases, .. } => assert_eq!(cases, 25),
-                ShardExploreOutcome::Found(cx) => {
+            let explorer =
+                Explorer::new(protocol, 0xA11CE, Mutation::None).with_space(CaseSpace::Sharded);
+            match explorer.explore(25) {
+                ExploreOutcome::Clean { cases, .. } => assert_eq!(cases, 25),
+                ExploreOutcome::Found(cx) => {
                     panic!("{}: {}\n{}", protocol.label(), cx.violation, cx.case_debug)
                 }
             }
@@ -913,18 +529,17 @@ mod tests {
 
     #[test]
     fn shard_cases_shrink_and_replay_from_their_tapes() {
-        let mut g = atp_util::check::Gen::from_seed(99);
-        let case = gen_shard_case(&mut g, Protocol::Ring);
+        let mut g = Gen::from_seed(99);
+        let case = gen_shard_case(&mut g, Protocol::Ring, Mutation::None);
         let tape = g.tape().to_vec();
-        let mut g2 = atp_util::check::Gen::from_tape(tape);
-        let replayed = gen_shard_case(&mut g2, Protocol::Ring);
+        let replayed =
+            CaseSpace::Sharded.gen(&mut Gen::from_tape(tape), Protocol::Ring, Mutation::None);
         assert_eq!(format!("{case:?}"), format!("{replayed:?}"));
         // The all-zero tape is the minimal total case.
-        let mut g0 = atp_util::check::Gen::from_tape(vec![]);
-        let smallest = gen_shard_case(&mut g0, Protocol::Ring);
+        let smallest = gen_shard_case(&mut Gen::from_tape(vec![]), Protocol::Ring, Mutation::None);
         assert_eq!(smallest.n, 2);
         assert_eq!(smallest.shards, 1);
-        assert!(smallest.fault.is_none());
-        run_shard_case(&smallest).expect("minimal case is benign");
+        assert!(smallest.crash.is_none() && smallest.partition.is_none());
+        run_case(&smallest).expect("minimal case is benign");
     }
 }

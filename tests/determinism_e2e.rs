@@ -217,7 +217,8 @@ fn failure_paths_match_hashes_pinned_before_the_custody_core() {
         let path = format!("{}/tests/tapes/{stem}.tape", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(&path).expect("tape file readable");
         let tf = TapeFile::from_json(&text).expect("tape file parses");
-        let (_, trace) = replay_tape_traced(&tf.tape, tf.protocol, Mutation::None, 1 << 20);
+        let (_, trace) =
+            replay_tape_traced(tf.space, &tf.tape, tf.protocol, Mutation::None, 1 << 20);
         let got = fnv1a64(&trace);
         assert_eq!(got, want, "tape {stem}: got {got:016x}");
     }

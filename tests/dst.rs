@@ -5,8 +5,8 @@
 use adaptive_token_passing::core::{EventSource, RingNode, TokenEvent, TokenNode, Want};
 use adaptive_token_passing::net::{MsgClass, NodeId, SimTime, World, WorldConfig};
 use adaptive_token_passing::sim::dst::{
-    gen_case, replay_tape, run_case, verify_tape, DstCase, ExploreOutcome, Explorer, Focus,
-    Mutation, StrategySpec, TapeFile,
+    gen_case, replay_tape, run_case, verify_tape, CaseSpace, DstCase, ExploreOutcome, Explorer,
+    Focus, Mutation, StrategySpec, TapeFile,
 };
 use adaptive_token_passing::sim::Protocol;
 use adaptive_token_passing::util::check::{shrink_tape, Gen};
@@ -32,13 +32,13 @@ fn planted_mutation_is_found_and_shrunk_to_replayable_tape() {
 
     // The minimized tape must reproduce the violation, byte-for-byte
     // deterministically, and only under the mutation.
-    let v1 = replay_tape(&cx.tape, Protocol::Binary, Mutation::BadPrefixSkip)
+    let replay = |mutation| replay_tape(CaseSpace::Flat, &cx.tape, Protocol::Binary, mutation);
+    let v1 = replay(Mutation::BadPrefixSkip)
         .expect_err("minimized tape must still fail under the mutation");
-    let v2 = replay_tape(&cx.tape, Protocol::Binary, Mutation::BadPrefixSkip)
-        .expect_err("replay must be deterministic");
+    let v2 = replay(Mutation::BadPrefixSkip).expect_err("replay must be deterministic");
     assert_eq!(v1.to_string(), v2.to_string());
     assert_eq!(v1.to_string(), cx.violation.to_string());
-    replay_tape(&cx.tape, Protocol::Binary, Mutation::None)
+    replay_tape(CaseSpace::Flat, &cx.tape, Protocol::Binary, Mutation::None)
         .expect("the unmodified protocol must pass the minimized schedule");
 }
 
@@ -136,7 +136,7 @@ fn severed_token_recovered_by_retransmit_not_regeneration() {
         (0..case.n).map(|_| RingNode::new(case.cfg)).collect(),
         WorldConfig::default().seed(case.world_seed),
     );
-    for &(t, node, payload) in &case.requests {
+    for &(t, _, node, payload) in &case.requests {
         world.schedule_external(SimTime::from_ticks(t), NodeId::new(node), Want::new(payload));
     }
     let left: Vec<NodeId> = (0..split).map(NodeId::new).collect();
@@ -193,7 +193,7 @@ fn qualifies_as_naimi_reversal(case: &DstCase, need_dup: bool) -> bool {
     } else if case.link_dup_p != 0.0 || case.link_loss_p != 0.0 {
         return false;
     }
-    let mut origins: Vec<u32> = case.requests.iter().map(|&(_, o, _)| o).collect();
+    let mut origins: Vec<u32> = case.requests.iter().map(|&(_, _, o, _)| o).collect();
     origins.sort_unstable();
     origins.dedup();
     origins.len() >= 3
@@ -246,6 +246,7 @@ fn regenerate_naimi_partition_tapes() {
         let tf = TapeFile {
             name: file.trim_end_matches(".tape").to_string(),
             protocol: Protocol::Naimi,
+            space: CaseSpace::Flat,
             mutation: Mutation::None,
             note: note.to_string(),
             tape,

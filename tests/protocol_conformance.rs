@@ -17,7 +17,7 @@ const N: usize = 6;
 /// The request script shared by every cell: derived from the seed alone so
 /// each seed exercises a different load pattern, with distinct payloads so
 /// every request maps to exactly one grant.
-fn requests(seed: u64) -> Vec<(u64, u32, u64)> {
+fn requests(seed: u64) -> Vec<(u64, u16, u32, u64)> {
     let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
     let mut out = Vec::with_capacity(8);
     for k in 0..8u64 {
@@ -25,7 +25,7 @@ fn requests(seed: u64) -> Vec<(u64, u32, u64)> {
         x ^= x >> 30;
         x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x ^= x >> 27;
-        out.push((x % 120, (x >> 32) as u32 % N as u32, 100 + k));
+        out.push((x % 120, 0, (x >> 32) as u32 % N as u32, 100 + k));
     }
     out.sort_unstable();
     out
@@ -100,6 +100,8 @@ fn cell(protocol: Protocol, seed: u64, strategy: StrategySpec, profile: &FaultPr
     let mut case = DstCase {
         protocol,
         n: N,
+        shards: 1,
+        holders: vec![0],
         world_seed: seed,
         latency: (1, 1),
         drop_p: 0.0,
@@ -110,6 +112,7 @@ fn cell(protocol: Protocol, seed: u64, strategy: StrategySpec, profile: &FaultPr
         link_loss_p: 0.0,
         link_dup_p: 0.0,
         partition: None,
+        fault_shard: 0,
     };
     (profile.apply)(&mut case);
     case
