@@ -193,7 +193,9 @@ fn summaries_match_hashes_pinned_before_the_possession_caches() {
 /// from one commit to the next. These FNV-1a-64 hashes were blessed on the
 /// commit *before* that glue moved into `atp_core`'s custody core and must
 /// be reproduced, not re-blessed: (a) the full network trace of each
-/// checked-in tape, (b) per protocol, the traces of 60 generated DST cases
+/// checked-in tape (the parked-token livelock tape's hash was blessed later,
+/// on the commit before the hold state and the serve step moved into the
+/// core), (b) per protocol, the traces of 60 generated DST cases
 /// (55–58 of each 60 crash, partition or drop) folded into one hash, (c) the
 /// rendered failure, partition, ablation and drops tables at quick scale.
 #[test]
@@ -204,9 +206,10 @@ fn failure_paths_match_hashes_pinned_before_the_custody_core() {
     use adaptive_token_passing::util::check::Gen;
     use adaptive_token_passing::util::rng::{RngCore, SplitMix64};
 
-    // (a) the six tapes, replayed on the unmodified protocol.
-    let tapes: [(&str, u64); 6] = [
+    // (a) the seven tapes, replayed on the unmodified protocol.
+    let tapes: [(&str, u64); 7] = [
         ("binary_bad_prefix_skip", 0x7eaf_2013_03b0_0e37),
+        ("binary_parked_token_livelock", 0x93cf_be07_cc14_2231),
         ("naimi_partition_dup", 0x7ece_ef24_c12b_a185),
         ("naimi_partition_reversal", 0x419e_cd96_cbc3_f9f0),
         ("ring_partition_retransmit", 0x688f_3080_a97f_a2a2),
