@@ -24,13 +24,11 @@
 //! Section 5 failure handling) is the shared [core](crate::custody); this
 //! file is the rotation, rule 8 and the halving search.
 
-use std::collections::VecDeque;
-
 use atp_net::{Context, MsgClass, Node, NodeId};
 
 use crate::checkpoint::CKPT_BINARY;
 use crate::config::{ProtocolConfig, SearchMode, TrapCleanup};
-use crate::custody::{Custodian, Custody, Holding, Outstanding, TIMER_PASS, TIMER_SERVICE};
+use crate::custody::{Custodian, Custody, HoldState, Holding, Outstanding, Owed, TIMER_PASS};
 use crate::event::{TokenEvent, Want};
 use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
@@ -141,52 +139,14 @@ pub struct Search {
     started: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Trap {
-    origin: NodeId,
-    req: RequestId,
-    trail: Vec<NodeId>,
-}
-
-/// Why a critical section is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceKind {
-    /// Serving a local request during a rotational possession.
-    Local,
-    /// Serving a request granted out-of-band; the token must go back.
-    OutOfBand {
-        /// The interceptor awaiting the token's return.
-        return_to: NodeId,
-    },
-}
-
-/// What a node is doing with the token it holds.
-#[derive(Debug, Default)]
-pub enum HoldState {
-    /// Holding, free to serve, dispatch or pass.
-    #[default]
-    Idle,
-    /// Pass timer armed (adaptive token speed).
-    PassArmed,
-    /// Mid-service: timer will fire after the critical section.
-    Serving {
-        /// The request in its critical section.
-        req: RequestId,
-        /// Its datum.
-        payload: u64,
-        /// Whether the token must go back to an interceptor afterwards.
-        kind: ServiceKind,
-    },
-}
-
 /// One node of System BinarySearch.
 ///
 /// See the crate-level documentation for the protocol walk-through and a
 /// usage example.
 #[derive(Debug)]
 pub struct BinaryNode {
-    c: Custody<BinaryMsg, HoldState, Search>,
-    traps: VecDeque<Trap>,
+    /// Its owed queue holds the traps, each with its search trail.
+    c: Custody<BinaryMsg, Search>,
     /// Local requests this possession may still serve before yielding to
     /// traps (fairness: locals arriving mid-possession wait a round).
     quota: usize,
@@ -202,7 +162,7 @@ impl BinaryNode {
 
     /// Traps currently set at this node.
     pub fn trap_count(&self) -> usize {
-        self.traps.len()
+        self.c.owed.len()
     }
 
     /// Search messages sent or relayed.
@@ -226,10 +186,6 @@ impl BinaryNode {
         let Some(token) = self.take_possession(token, rotational, ctx) else {
             return false;
         };
-        // Rotation cleanup: drop traps for already-satisfied requests.
-        if !self.traps.is_empty() {
-            self.traps.retain(|t| !token.is_satisfied(&t.req));
-        }
         // Unlike the lazy protocols, a departed node holds (and announces)
         // like any other; the rotational arrivals then pass straight on.
         self.c.holding = Some(Holding {
@@ -295,79 +251,48 @@ impl BinaryNode {
     /// sustained load.
     fn progress_with(&mut self, ctx: &mut Context<'_, BinaryMsg>, serve_traps: bool) {
         loop {
-            let Some(holding) = self.c.holding.as_mut() else {
-                return;
-            };
-            match holding.state {
-                HoldState::Serving { .. } => return,
-                HoldState::Idle | HoldState::PassArmed => {
-                    if self.quota > 0 {
-                        if let Some(out) = self.c.outstanding.pop_front() {
-                            self.quota -= 1;
-                            self.c.grants += 1;
-                            self.c.events.push(TokenEvent::Granted {
-                                req: out.req,
-                                at: ctx.now(),
-                            });
-                            if self.c.cfg.service_ticks == 0 {
-                                self.finish_service(out.req, out.payload, ctx);
-                                continue;
-                            }
-                            holding.state = HoldState::Serving {
-                                req: out.req,
-                                payload: out.payload,
-                                kind: ServiceKind::Local,
-                            };
-                            ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
-                            return;
-                        }
-                        self.quota = 0;
-                    }
-                    // FIFO trap service (required for Theorem 2), skipping
-                    // traps whose request the token already satisfied.
-                    if serve_traps {
-                        while let Some(trap) = self.traps.front() {
-                            if holding.token.is_satisfied(&trap.req) {
-                                self.traps.pop_front();
-                            } else {
-                                break;
-                            }
-                        }
-                        if let Some(trap) = self.traps.pop_front() {
-                            self.dispatch_grant(trap, ctx);
-                            return;
-                        }
-                    }
-                    // Push-pull dual: once per idle round (launched at node
-                    // 0), ask around whether anyone silently wants the token.
-                    if self.c.cfg.probe_on_idle
-                        && ctx.id().index() == 0
-                        && holding.token.idle_rounds() >= 1
-                    {
-                        let span = (ctx.topology().len() as u64).div_ceil(2) as u32;
-                        let across = ctx.topology().across(ctx.id());
-                        self.probe_sends += 1;
-                        ctx.send(
-                            across,
-                            BinaryMsg::ProbeReq {
-                                holder: ctx.id(),
-                                span,
-                            },
-                            MsgClass::Control,
-                        );
-                    }
-                    // Pass the rotation onward (rule 4), possibly after an
-                    // adaptive idle hold.
-                    let delay = self.c.cfg.idle_delay(holding.token.idle_rounds());
-                    if delay == 0 {
-                        self.send_rotation(ctx);
-                    } else if !matches!(holding.state, HoldState::PassArmed) {
-                        holding.state = HoldState::PassArmed;
-                        ctx.set_timer(delay, TIMER_PASS);
-                    }
-                    return;
-                }
+            match &self.c.holding {
+                Some(h) if !matches!(h.state, HoldState::Serving { .. }) => {}
+                _ => return,
             }
+            if self.quota == 0 {
+                break;
+            }
+            let Some(out) = self.c.outstanding.pop_front() else {
+                self.quota = 0;
+                break;
+            };
+            self.quota -= 1;
+            if !self.serve(out, None, ctx) {
+                return;
+            }
+        }
+        // FIFO trap service (required for Theorem 2), skipping traps whose
+        // request the token already satisfied.
+        if serve_traps {
+            if let Some(trap) = self.c.pop_owed() {
+                self.dispatch_grant(trap, ctx);
+                return;
+            }
+        }
+        // Push-pull dual: once per idle round (launched at node 0), ask
+        // around whether anyone silently wants the token.
+        let idle_rounds = self.c.holding.as_ref().map_or(0, |h| h.token.idle_rounds());
+        if self.c.cfg.probe_on_idle && ctx.id().index() == 0 && idle_rounds >= 1 {
+            let span = (ctx.topology().len() as u64).div_ceil(2) as u32;
+            let across = ctx.topology().across(ctx.id());
+            self.probe_sends += 1;
+            let holder = ctx.id();
+            ctx.send(
+                across,
+                BinaryMsg::ProbeReq { holder, span },
+                MsgClass::Control,
+            );
+        }
+        // Pass the rotation onward (rule 4), possibly after an adaptive idle
+        // hold.
+        if self.c.pass_now(ctx) {
+            self.send_rotation(ctx);
         }
     }
 
@@ -394,7 +319,7 @@ impl BinaryNode {
 
     /// Rule 7: send the token to the trapped requester (optionally retracing
     /// the search trail to clean traps en route).
-    fn dispatch_grant(&mut self, trap: Trap, ctx: &mut Context<'_, BinaryMsg>) {
+    fn dispatch_grant(&mut self, trap: Owed, ctx: &mut Context<'_, BinaryMsg>) {
         let Some(holding) = self.c.holding.take() else {
             return;
         };
@@ -434,29 +359,13 @@ impl BinaryNode {
     /// After an out-of-band service completes: serve more locals if allowed,
     /// otherwise return the token to the interceptor (rule 8).
     fn after_out_of_band(&mut self, return_to: NodeId, ctx: &mut Context<'_, BinaryMsg>) {
-        loop {
-            if self.c.cfg.serve_all_on_grant {
-                if let Some(out) = self.c.outstanding.pop_front() {
-                    self.c.grants += 1;
-                    self.c.events.push(TokenEvent::Granted {
-                        req: out.req,
-                        at: ctx.now(),
-                    });
-                    if self.c.cfg.service_ticks == 0 {
-                        self.finish_service(out.req, out.payload, ctx);
-                        continue;
-                    }
-                    let holding = self.c.holding.as_mut().expect("serving without token");
-                    holding.state = HoldState::Serving {
-                        req: out.req,
-                        payload: out.payload,
-                        kind: ServiceKind::OutOfBand { return_to },
-                    };
-                    ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
-                    return;
-                }
+        while self.c.cfg.serve_all_on_grant {
+            let Some(out) = self.c.outstanding.pop_front() else {
+                break;
+            };
+            if !self.serve(out, Some(return_to), ctx) {
+                return;
             }
-            break;
         }
         let Some(holding) = self.c.holding.take() else {
             return;
@@ -505,28 +414,11 @@ impl BinaryNode {
                 if !self.take_token(frame, false, ctx) {
                     return;
                 }
-                if let Some(pos) = self.c.outstanding.iter().position(|o| o.req == for_req) {
-                    let out = self.c.outstanding.remove(pos).expect("position exists");
-                    self.c.grants += 1;
-                    self.c.events.push(TokenEvent::Granted {
-                        req: out.req,
-                        at: ctx.now(),
-                    });
-                    if self.c.cfg.service_ticks == 0 {
-                        self.finish_service(out.req, out.payload, ctx);
-                        self.after_out_of_band(return_to, ctx);
-                    } else {
-                        let holding = self.c.holding.as_mut().expect("just possessed");
-                        holding.state = HoldState::Serving {
-                            req: out.req,
-                            payload: out.payload,
-                            kind: ServiceKind::OutOfBand { return_to },
-                        };
-                        ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
-                    }
-                } else {
-                    // Already served by rotation in the meantime: rule 8
-                    // degenerates to an immediate return.
+                let pos = self.c.outstanding.iter().position(|o| o.req == for_req);
+                let out = pos.and_then(|pos| self.c.outstanding.remove(pos));
+                // `None`: already served by rotation in the meantime, so
+                // rule 8 degenerates to an immediate return.
+                if out.is_none_or(|out| self.serve(out, Some(return_to), ctx)) {
                     self.after_out_of_band(return_to, ctx);
                 }
             }
@@ -539,7 +431,7 @@ impl BinaryNode {
                     return;
                 }
                 // Remove the trap this relay hop is meant to clean.
-                self.traps.retain(|t| t.req != for_req);
+                self.c.owed.retain(|t| t.req != for_req);
                 let holding = self.c.holding.take().expect("just possessed");
                 let next = trail.pop().unwrap_or(return_to);
                 let mode = if trail.is_empty() {
@@ -572,27 +464,7 @@ impl BinaryNode {
         }
         if self.c.departed {
             // Relay without trapping: a departed node never intercepts.
-            let next_span = g.span / 2;
-            if next_span >= 1 {
-                let me = ctx.id();
-                let next = if self.search_direction_cw(g.origin_stamp) {
-                    ctx.topology().plus(me, next_span as u64)
-                } else {
-                    ctx.topology().minus(me, next_span as u64)
-                };
-                let mut trail = g.trail;
-                trail.push(me);
-                self.gimme_sends += 1;
-                let msg = BinaryMsg::Gimme(Gimme {
-                    origin: g.origin,
-                    req: g.req,
-                    origin_stamp: g.origin_stamp,
-                    span: next_span,
-                    trail,
-                });
-                self.note_search_hop(g.req, &msg, ctx);
-                ctx.send(next, msg, MsgClass::Control);
-            }
+            self.relay_gimme(g, ctx);
             return;
         }
         if let Some(h) = &self.c.holding {
@@ -600,12 +472,12 @@ impl BinaryNode {
                 return;
             }
         }
-        let mut trail = g.trail.clone();
-        if !self.traps.iter().any(|t| t.req == g.req) {
-            self.traps.push_back(Trap {
+        if !self.c.owes(g.req) {
+            self.c.owed.push_back(Owed {
                 origin: g.origin,
                 req: g.req,
-                trail: g.trail,
+                attempt: 0,
+                trail: g.trail.clone(),
             });
         }
         if self.c.holding.is_some() {
@@ -613,26 +485,30 @@ impl BinaryNode {
             self.progress(ctx);
             return;
         }
-        let next_span = g.span / 2;
-        if next_span >= 1 {
-            let me = ctx.id();
-            let next = if self.search_direction_cw(g.origin_stamp) {
-                ctx.topology().plus(me, next_span as u64)
-            } else {
-                ctx.topology().minus(me, next_span as u64)
-            };
-            trail.push(me);
-            self.gimme_sends += 1;
-            let msg = BinaryMsg::Gimme(Gimme {
-                origin: g.origin,
-                req: g.req,
-                origin_stamp: g.origin_stamp,
-                span: next_span,
-                trail,
-            });
-            self.note_search_hop(g.req, &msg, ctx);
-            ctx.send(next, msg, MsgClass::Control);
+        self.relay_gimme(g, ctx);
+    }
+
+    /// Sends a gimme on by half its last jump (rule 6), in the direction
+    /// [`search_direction_cw`](Self::search_direction_cw) picks; a spent
+    /// span ends the search here.
+    fn relay_gimme(&mut self, g: Gimme, ctx: &mut Context<'_, BinaryMsg>) {
+        let span = g.span / 2;
+        if span == 0 {
+            return;
         }
+        let me = ctx.id();
+        let next = if self.search_direction_cw(g.origin_stamp) {
+            ctx.topology().plus(me, span as u64)
+        } else {
+            ctx.topology().minus(me, span as u64)
+        };
+        let mut trail = g.trail;
+        trail.push(me);
+        self.gimme_sends += 1;
+        let req = g.req;
+        let msg = BinaryMsg::Gimme(Gimme { span, trail, ..g });
+        self.note_search_hop(req, &msg, ctx);
+        ctx.send(next, msg, MsgClass::Control);
     }
 
     fn handle_directed_probe(
@@ -645,16 +521,17 @@ impl BinaryNode {
         if origin == ctx.id() {
             return;
         }
-        if !self.traps.iter().any(|t| t.req == req) {
+        if !self.c.owes(req) {
             let satisfied = self
                 .c
                 .holding
                 .as_ref()
                 .is_some_and(|h| h.token.is_satisfied(&req));
             if !satisfied {
-                self.traps.push_back(Trap {
+                self.c.owed.push_back(Owed {
                     origin,
                     req,
+                    attempt: 0,
                     trail: vec![origin],
                 });
             }
@@ -749,7 +626,7 @@ impl BinaryNode {
         req: RequestId,
         ctx: &mut Context<'_, BinaryMsg>,
     ) {
-        if self.traps.iter().any(|t| t.req == req) {
+        if self.c.owes(req) {
             return;
         }
         if let Some(h) = &self.c.holding {
@@ -757,9 +634,10 @@ impl BinaryNode {
                 return;
             }
         }
-        self.traps.push_back(Trap {
+        self.c.owed.push_back(Owed {
             origin,
             req,
+            attempt: 0,
             trail: vec![origin],
         });
         if self.c.holding.is_some() {
@@ -810,25 +688,23 @@ impl BinaryNode {
 }
 
 impl Custodian for BinaryNode {
-    type Hold = HoldState;
     type Route = Search;
     const CKPT: u8 = CKPT_BINARY;
 
-    fn custody(&self) -> &Custody<BinaryMsg, HoldState, Search> {
+    fn custody(&self) -> &Custody<BinaryMsg, Search> {
         &self.c
     }
 
-    fn custody_mut(&mut self) -> &mut Custody<BinaryMsg, HoldState, Search> {
+    fn custody_mut(&mut self) -> &mut Custody<BinaryMsg, Search> {
         &mut self.c
     }
 
-    fn with_custody(mut c: Custody<BinaryMsg, HoldState, Search>) -> Self {
+    fn with_custody(mut c: Custody<BinaryMsg, Search>) -> Self {
         if c.cfg.test_bad_prefix_skip {
             c.order.enable_bad_prefix_skip();
         }
         BinaryNode {
             c,
-            traps: VecDeque::new(),
             quota: 0,
             gimme_sends: 0,
             probe_sends: 0,
@@ -872,9 +748,18 @@ impl Custodian for BinaryNode {
     }
 
     fn depart(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        self.traps.clear();
+        self.c.owed.clear();
         if self.c.holding.is_some() {
             self.exclude_self_and_pass(ctx);
+        }
+    }
+
+    /// A local critical section resumes the possession; an out-of-band one
+    /// sends the token back to its interceptor (rule 8).
+    fn resume(&mut self, return_to: Option<NodeId>, ctx: &mut Context<'_, BinaryMsg>) {
+        match return_to {
+            None => self.progress(ctx),
+            Some(to) => self.after_out_of_band(to, ctx),
         }
     }
 
@@ -888,9 +773,9 @@ impl Custodian for BinaryNode {
         self.maybe_restart_search(ctx);
     }
 
-    fn forget_routes(&mut self) {
-        self.traps.clear();
-    }
+    /// Unlike the lazy protocols, a departed peer's traps stay: the token
+    /// granted to it comes straight back (rule 8).
+    fn forget_peer(&mut self, _peer: NodeId) {}
 }
 
 impl Node for BinaryNode {
@@ -929,41 +814,17 @@ impl Node for BinaryNode {
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, BinaryMsg>) {
-        match kind {
-            TIMER_SERVICE => {
-                let Some(holding) = self.c.holding.as_mut() else {
-                    return;
-                };
-                if let HoldState::Serving { req, payload, kind } = holding.state {
-                    holding.state = HoldState::Idle;
-                    self.finish_service(req, payload, ctx);
-                    match kind {
-                        ServiceKind::Local => self.progress(ctx),
-                        ServiceKind::OutOfBand { return_to } => {
-                            self.after_out_of_band(return_to, ctx)
-                        }
-                    }
-                }
+        if kind != TIMER_PASS {
+            self.custody_timer(kind, ctx);
+        } else if self.c.pass_due() {
+            // Locals that arrived mid-service have no quota: they wait for
+            // the next possession (fairness), so the token rotates on
+            // instead of re-arming the hold beside them forever.
+            if self.c.owed.is_empty() && (self.c.outstanding.is_empty() || self.quota == 0) {
+                self.send_rotation(ctx);
+            } else {
+                self.progress(ctx);
             }
-            TIMER_PASS => {
-                if let Some(h) = self.c.holding.as_mut() {
-                    if matches!(h.state, HoldState::PassArmed) {
-                        h.state = HoldState::Idle;
-                        // Locals that arrived mid-service have no quota:
-                        // they wait for the next possession (fairness), so
-                        // the token rotates on instead of re-arming the
-                        // hold beside them forever.
-                        if self.traps.is_empty()
-                            && (self.c.outstanding.is_empty() || self.quota == 0)
-                        {
-                            self.send_rotation(ctx);
-                        } else {
-                            self.progress(ctx);
-                        }
-                    }
-                }
-            }
-            _ => self.custody_timer(kind, ctx),
         }
     }
 
@@ -1141,9 +1002,7 @@ mod tests {
         w.run_until(SimTime::from_ticks(200));
         assert_eq!(total_grants(&w), 1);
         // All traps for the satisfied request are gone.
-        let traps: usize = (0..32)
-            .map(|i| w.node(NodeId::new(i)).trap_count())
-            .sum();
+        let traps: usize = (0..32).map(|i| w.node(NodeId::new(i)).trap_count()).sum();
         assert_eq!(traps, 0, "inverse cleanup should leave no stale traps");
     }
 
@@ -1154,9 +1013,7 @@ mod tests {
         w.schedule_external(SimTime::from_ticks(2), NodeId::new(9), Want::new(1));
         // Give the token two full rounds to sweep traps away.
         w.run_until(SimTime::from_ticks(100));
-        let traps: usize = (0..16)
-            .map(|i| w.node(NodeId::new(i)).trap_count())
-            .sum();
+        let traps: usize = (0..16).map(|i| w.node(NodeId::new(i)).trap_count()).sum();
         assert_eq!(traps, 0);
     }
 

@@ -10,20 +10,30 @@
 //! — token receipt and the possession head, shipping a frame, regeneration,
 //! generation fencing, membership, state transfer, retransmission, crash
 //! recovery, request intake and checkpointing — as provided methods of a
-//! trait the four node types implement. A protocol file keeps its message
-//! enum, its hold state and its routing state, and supplies the hooks below;
-//! the core calls them at fixed points of the flow (template method: a hook
-//! sees the whole node, dispatch is static).
+//! trait the four node types implement. The core also owns what a holder
+//! does with the token: one [`HoldState`], one serve step
+//! ([`serve`](Custodian::serve)), the service and idle-pass timers, and one
+//! queue of requests the token is owed to ([`Owed`]: Search's traps, Naimi's
+//! successors, Binary's traps). The lazy protocols share their whole
+//! dispatch flow through [`Lazy`]. A protocol file keeps its message enum and
+//! its routing rule, and supplies the hooks below; the core calls them at
+//! fixed points of the flow (template method: a hook sees the whole node,
+//! dispatch is static).
 //!
 //! | hook | called when | ring | search | binary | naimi |
 //! |---|---|---|---|---|---|
-//! | [`possess`](Custodian::possess) | a token is minted here (start, regeneration) | hold, serve, rotate | hold, serve, feed traps | as a `Rotate` arrival | hold, serve, feed successors |
+//! | [`possess`](Custodian::possess) | a token is minted here (start, regeneration) | hold, serve, rotate | [`Lazy::keep`] | as a `Rotate` arrival | reset `attempt`, [`Lazy::keep`] |
 //! | [`enqueue`](Custodian::enqueue) | a local request was admitted | wait for the rotation | gimme walk | halving search | request along `last` |
-//! | [`depart`](Custodian::depart) | this node left the group | pass a held token on | hand off | drop traps, pass on | hand off |
+//! | [`depart`](Custodian::depart) | this node left the group | pass a held token on | [`Lazy::depart_holding`] | drop traps, pass on | [`Lazy::depart_holding`] |
+//! | [`resume`](Custodian::resume) | a critical section ended | serve, rotate | [`Lazy::progress`] | serve, rotate, or return the token (rule 8) | [`Lazy::progress`] |
 //! | [`redrive`](Custodian::redrive) | an inquiry ended without a grant | — | resend gimme | restart search | resend request |
-//! | [`reroute_to`](Custodian::reroute_to) | a newer generation's holder announced itself | — | = redrive | = redrive | + forward successors, repair `last` |
-//! | [`forget_peer`](Custodian::forget_peer) | a peer left the group | — | its traps | — | its successor entries |
-//! | [`forget_routes`](Custodian::forget_routes) | this node restarted | — | all traps | all traps | all successors |
+//! | [`reroute_to`](Custodian::reroute_to) | a newer generation's holder announced itself | — | = redrive | = redrive | + chase owed entries, repair `last` |
+//! | [`forget_peer`](Custodian::forget_peer) | a peer left the group | — | its owed entries | — (keeps its traps) | its owed entries |
+//!
+//! [`Lazy`] adds two hooks for a token that stays where it was last used:
+//! how a token message is built ([`send_token`](Lazy::send_token)) and how a
+//! leftover owed entry chases the token ([`chase`](Lazy::chase)) — a gimme
+//! for Search, a `Request` with its attempt bumped for Naimi.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -38,10 +48,9 @@ use crate::regen::{RegenEngine, RegenMsg, RegenReply, RegenVerdict, SYNC_REPLY_M
 use crate::token::TokenFrame;
 use crate::types::{RequestId, VisitStamp};
 
-/// Timer kinds. 1 and 2 belong to the protocols' hold policies (critical
-/// section, adaptive idle pass); 5 (low byte) is the retransmit timer, see
-/// [`crate::handoff`]; the rest are the core's.
-pub const TIMER_SERVICE: u64 = 1;
+/// Timer kinds. 1 ends a critical section, 2 ends an adaptive idle hold; 5
+/// (low byte) is the retransmit timer, see [`crate::handoff`].
+const TIMER_SERVICE: u64 = 1;
 /// Adaptive-speed idle hold before a rotation pass.
 pub const TIMER_PASS: u64 = 2;
 const TIMER_REGEN: u64 = 3;
@@ -70,21 +79,55 @@ pub struct Outstanding<R> {
     pub(crate) route: R,
 }
 
-/// The held token and what the protocol is doing with it.
+/// What a holder is doing with the token.
 #[derive(Debug)]
-pub struct Holding<S> {
+pub enum HoldState {
+    /// Holding, free to serve, dispatch or pass.
+    Idle,
+    /// Pass timer armed (adaptive token speed; the rotating protocols).
+    PassArmed,
+    /// Mid-service: the service timer fires after the critical section.
+    Serving {
+        /// The request in its critical section.
+        req: RequestId,
+        /// Its datum.
+        payload: u64,
+        /// The interceptor owed the token's return afterwards (BinarySearch's
+        /// rule 8); `None` everywhere else.
+        return_to: Option<NodeId>,
+    },
+}
+
+/// The held token and what the node is doing with it.
+#[derive(Debug)]
+pub struct Holding {
     pub(crate) token: Box<TokenFrame>,
-    pub(crate) state: S,
+    pub(crate) state: HoldState,
+}
+
+/// A remote request this node owes the token to: a trap (Search,
+/// BinarySearch) or a `next` obligation (Naimi–Tréhel).
+#[derive(Debug)]
+pub struct Owed {
+    pub(crate) origin: NodeId,
+    pub(crate) req: RequestId,
+    /// Naimi's resend counter; 0 elsewhere.
+    pub(crate) attempt: u32,
+    /// BinarySearch's search path, origin first (inverse cleanup); empty
+    /// elsewhere.
+    pub(crate) trail: Vec<NodeId>,
 }
 
 /// What every node keeps about the token, whichever way requests find it.
 #[derive(Debug)]
-pub struct Custody<M, S, R = ()> {
+pub struct Custody<M, R = ()> {
     pub(crate) cfg: ProtocolConfig,
     pub(crate) events: EventBuf,
     pub(crate) order: OrderState,
     pub(crate) outstanding: VecDeque<Outstanding<R>>,
-    pub(crate) holding: Option<Holding<S>>,
+    /// Remote requests owed the token, in arrival order.
+    pub(crate) owed: VecDeque<Owed>,
+    pub(crate) holding: Option<Holding>,
     pub(crate) last_visit: VisitStamp,
     pub(crate) departed: bool,
     pub(crate) grants: u64,
@@ -99,13 +142,14 @@ pub struct Custody<M, S, R = ()> {
     token_sends: u64,
 }
 
-impl<M, S: Default, R> Custody<M, S, R> {
+impl<M, R> Custody<M, R> {
     pub(crate) fn new(cfg: ProtocolConfig) -> Self {
         Custody {
             order: OrderState::new(cfg.record_log),
             cfg,
             events: EventBuf::default(),
             outstanding: VecDeque::new(),
+            owed: VecDeque::new(),
             holding: None,
             last_visit: VisitStamp::NEVER,
             departed: false,
@@ -136,6 +180,51 @@ impl<M, S: Default, R> Custody<M, S, R> {
         }
     }
 
+    /// Whether an entry for `req` is already owed.
+    pub(crate) fn owes(&self, req: RequestId) -> bool {
+        self.owed.iter().any(|o| o.req == req)
+    }
+
+    /// Pops the first owed entry whose request the held token has not
+    /// satisfied (FIFO, as Theorem 2 requires); `None` when not holding.
+    pub(crate) fn pop_owed(&mut self) -> Option<Owed> {
+        let token = &self.holding.as_ref()?.token;
+        while let Some(owed) = self.owed.pop_front() {
+            if !token.is_satisfied(&owed.req) {
+                return Some(owed);
+            }
+        }
+        None
+    }
+
+    /// Rule 4 under adaptive speed: `true` when the held token should pass on
+    /// now; otherwise arms the idle-hold pass timer (once).
+    pub(crate) fn pass_now(&mut self, ctx: &mut Context<'_, M>) -> bool {
+        let Some(h) = self.holding.as_mut() else {
+            return false;
+        };
+        let delay = self.cfg.idle_delay(h.token.idle_rounds());
+        if delay == 0 {
+            return true;
+        }
+        if !matches!(h.state, HoldState::PassArmed) {
+            h.state = HoldState::PassArmed;
+            ctx.set_timer(delay, TIMER_PASS);
+        }
+        false
+    }
+
+    /// `TIMER_PASS` fired: `true` if it found the idle hold it ended.
+    pub(crate) fn pass_due(&mut self) -> bool {
+        match self.holding.as_mut() {
+            Some(h) if matches!(h.state, HoldState::PassArmed) => {
+                h.state = HoldState::Idle;
+                true
+            }
+            _ => false,
+        }
+    }
+
     fn regen_view(&self) -> RegenReply {
         RegenReply {
             generation: self.regen.generation,
@@ -150,19 +239,17 @@ impl<M, S: Default, R> Custody<M, S, R> {
 /// A node that keeps token custody through [`Custody`]: the hooks a protocol
 /// supplies, and the shared flow built on them.
 pub trait Custodian: Node<Ext = Want> {
-    /// What the protocol does with a held token; `default()` is idle.
-    type Hold: Default;
     /// Per-request search bookkeeping.
     type Route;
     /// Protocol discriminant in checkpoints.
     const CKPT: u8;
 
     /// The node's custody state.
-    fn custody(&self) -> &Custody<Self::Msg, Self::Hold, Self::Route>;
+    fn custody(&self) -> &Custody<Self::Msg, Self::Route>;
     /// The node's custody state, mutably.
-    fn custody_mut(&mut self) -> &mut Custody<Self::Msg, Self::Hold, Self::Route>;
+    fn custody_mut(&mut self) -> &mut Custody<Self::Msg, Self::Route>;
     /// A node around `custody` with empty routing state.
-    fn with_custody(custody: Custody<Self::Msg, Self::Hold, Self::Route>) -> Self;
+    fn with_custody(custody: Custody<Self::Msg, Self::Route>) -> Self;
     /// Embeds failure-handling traffic in the protocol's message type.
     fn wrap(msg: RegenMsg) -> Self::Msg;
 
@@ -172,16 +259,19 @@ pub trait Custodian: Node<Ext = Want> {
     fn enqueue(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, Self::Msg>);
     /// This node just left the group: pass a held token on.
     fn depart(&mut self, ctx: &mut Context<'_, Self::Msg>);
+    /// A critical section ended on the service timer: go on with the held
+    /// token. `return_to` is the interceptor owed its return (rule 8).
+    fn resume(&mut self, return_to: Option<NodeId>, ctx: &mut Context<'_, Self::Msg>);
     /// Re-issues the front request's search, at `hint` if a holder is known.
     fn redrive(&mut self, _hint: Option<NodeId>, _ctx: &mut Context<'_, Self::Msg>) {}
     /// The holder of a newer generation announced itself: route toward it.
     fn reroute_to(&mut self, holder: NodeId, ctx: &mut Context<'_, Self::Msg>) {
         self.redrive(Some(holder), ctx);
     }
-    /// Drops routes that lead through a peer that left the group.
-    fn forget_peer(&mut self, _peer: NodeId) {}
-    /// Drops all routes (they did not survive a crash).
-    fn forget_routes(&mut self) {}
+    /// Drops what is owed to a peer that left the group.
+    fn forget_peer(&mut self, peer: NodeId) {
+        self.custody_mut().owed.retain(|o| o.origin != peer);
+    }
 
     /// `on_init`: the configured initial holder mints the first token.
     fn init(&mut self, ctx: &mut Context<'_, Self::Msg>) {
@@ -265,6 +355,11 @@ pub trait Custodian: Node<Ext = Want> {
         for node in std::mem::take(&mut c.leaving) {
             token.exclude(node);
         }
+        // Drop owed entries the token satisfied elsewhere; without this the
+        // lingering copies left along every search accumulate forever.
+        if !c.owed.is_empty() {
+            c.owed.retain(|o| !token.is_satisfied(&o.req));
+        }
         Some(token)
     }
 
@@ -278,7 +373,7 @@ pub trait Custodian: Node<Ext = Want> {
         }
         c.holding = Some(Holding {
             token,
-            state: Self::Hold::default(),
+            state: HoldState::Idle,
         });
         if staying {
             self.announce_generation(ctx);
@@ -307,6 +402,54 @@ pub trait Custodian: Node<Ext = Want> {
             );
         }
         ctx.set_timer(ANNOUNCE_PERIOD, TIMER_ANNOUNCE);
+    }
+
+    /// The serve step: grants `out`, then finishes it at once (`true`: the
+    /// token is free again) or starts its critical section and arms the
+    /// service timer (`false`).
+    fn serve(
+        &mut self,
+        out: Outstanding<Self::Route>,
+        return_to: Option<NodeId>,
+        ctx: &mut Context<'_, Self::Msg>,
+    ) -> bool {
+        let c = self.custody_mut();
+        c.grants += 1;
+        c.events.push(TokenEvent::Granted {
+            req: out.req,
+            at: ctx.now(),
+        });
+        if c.cfg.service_ticks == 0 {
+            self.finish_service(out.req, out.payload, ctx);
+            return true;
+        }
+        let holding = c.holding.as_mut().expect("serving without token");
+        holding.state = HoldState::Serving {
+            req: out.req,
+            payload: out.payload,
+            return_to,
+        };
+        ctx.set_timer(c.cfg.service_ticks, TIMER_SERVICE);
+        false
+    }
+
+    /// Serves local requests while the held token is free: `true` once the
+    /// queue is empty and the token free, `false` when there is no token or
+    /// a critical section is running.
+    fn serve_locals(&mut self, ctx: &mut Context<'_, Self::Msg>) -> bool {
+        loop {
+            let c = self.custody_mut();
+            match &c.holding {
+                Some(h) if !matches!(h.state, HoldState::Serving { .. }) => {}
+                _ => return false,
+            }
+            let Some(out) = c.outstanding.pop_front() else {
+                return true;
+            };
+            if !self.serve(out, None, ctx) {
+                return false;
+            }
+        }
     }
 
     /// Ends a critical section: appends the datum to the held token, applies
@@ -471,8 +614,9 @@ pub trait Custodian: Node<Ext = Want> {
         }
     }
 
-    /// The core's timers: retransmission, generation announce, token-loss
-    /// suspicion and the inquiry verdict. Other kinds are ignored.
+    /// The core's timers: the end of a critical section, retransmission,
+    /// generation announce, token-loss suspicion and the inquiry verdict.
+    /// Other kinds are ignored.
     fn custody_timer(&mut self, kind: u64, ctx: &mut Context<'_, Self::Msg>) {
         let c = self.custody_mut();
         if let Some((tseq, attempt)) = decode_retransmit_timer(kind) {
@@ -485,6 +629,21 @@ pub trait Custodian: Node<Ext = Want> {
             return;
         }
         match kind {
+            TIMER_SERVICE => {
+                let Some(h) = c.holding.as_mut() else {
+                    return;
+                };
+                if let HoldState::Serving {
+                    req,
+                    payload,
+                    return_to,
+                } = h.state
+                {
+                    h.state = HoldState::Idle;
+                    self.finish_service(req, payload, ctx);
+                    self.resume(return_to, ctx);
+                }
+            }
             TIMER_ANNOUNCE => self.announce_generation(ctx),
             TIMER_REGEN => {
                 if c.holding.is_some() || !c.cfg.regeneration {
@@ -555,8 +714,10 @@ pub trait Custodian: Node<Ext = Want> {
                 at: ctx.now(),
             });
         }
-        self.forget_routes();
-        if self.custody().cfg.regeneration {
+        // What was owed here did not survive the crash either; the origins'
+        // own retry cycles route those requests again.
+        c.owed.clear();
+        if c.cfg.regeneration {
             // Announce recovery so the next token holder readmits us.
             self.broadcast(RegenMsg::Rejoin, ctx);
         }
@@ -587,6 +748,88 @@ pub trait Custodian: Node<Ext = Want> {
             WantKind::Rejoin => {
                 c.departed = false;
                 self.broadcast(RegenMsg::Rejoin, ctx);
+            }
+        }
+    }
+}
+
+/// A custodian whose token stays where it was last used (System Search,
+/// Naimi–Tréhel): the holder serves its own requests, then ships the token
+/// straight to the first remote request it owes (rule 7), and every other
+/// owed entry chases the token to its new holder. The protocol supplies how
+/// a token message is built and how an entry chases; the flow is written
+/// here once.
+pub trait Lazy: Custodian {
+    /// Ships `frame` to `to`; `grant_for` names the request it serves.
+    fn send_token(
+        &mut self,
+        to: NodeId,
+        frame: Box<TokenFrame>,
+        grant_for: Option<RequestId>,
+        ctx: &mut Context<'_, Self::Msg>,
+    );
+    /// Sends a leftover owed entry after the token to its new holder.
+    fn chase(&mut self, holder: NodeId, owed: Owed, ctx: &mut Context<'_, Self::Msg>);
+
+    /// Holds a possessed token and serves; a departed node hands it on.
+    fn keep(&mut self, token: Box<TokenFrame>, ctx: &mut Context<'_, Self::Msg>) {
+        if self.hold(token, ctx) {
+            self.progress(ctx);
+        } else {
+            self.hand_off(ctx);
+        }
+    }
+
+    /// Serve local requests, then the first owed entry; otherwise keep
+    /// holding silently. The lazy token has no rounds to GC by, and a node
+    /// may go arbitrarily long between possessions — so, exactly as in the
+    /// paper's Figure 6 where the token message carries the complete
+    /// history H, the carried window is left unbounded. (The rotating
+    /// protocols bound it by round counters.)
+    fn progress(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        if self.serve_locals(ctx) {
+            if let Some(owed) = self.custody_mut().pop_owed() {
+                self.dispatch(owed, ctx);
+            }
+        }
+    }
+
+    /// Sends the held token to the first owed entry if any, otherwise to the
+    /// next live successor (used by departing holders).
+    fn hand_off(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        if let Some(owed) = self.custody_mut().pop_owed() {
+            self.dispatch(owed, ctx);
+            return;
+        }
+        let Some(holding) = self.custody_mut().holding.take() else {
+            return;
+        };
+        let succ = holding.token.next_live_successor(ctx.topology(), ctx.id());
+        self.send_token(succ, holding.token, None, ctx);
+    }
+
+    /// Rule 7: ships the token to `owed`'s origin; the other owed entries
+    /// chase it there. An entry only catches a token that *lands* here, and
+    /// the lazy token never returns on its own — so a second request owed
+    /// while this node was serving would otherwise strand forever.
+    fn dispatch(&mut self, owed: Owed, ctx: &mut Context<'_, Self::Msg>) {
+        let Some(holding) = self.custody_mut().holding.take() else {
+            return;
+        };
+        self.send_token(owed.origin, holding.token, Some(owed.req), ctx);
+        for rest in std::mem::take(&mut self.custody_mut().owed) {
+            self.chase(owed.origin, rest, ctx);
+        }
+    }
+
+    /// The `depart` hook: a held token leaves with this node's exclusion,
+    /// at once unless a critical section is running.
+    fn depart_holding(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        let me = ctx.id();
+        if let Some(h) = self.custody_mut().holding.as_mut() {
+            h.token.exclude(me);
+            if matches!(h.state, HoldState::Idle) {
+                self.hand_off(ctx);
             }
         }
     }
@@ -715,30 +958,28 @@ mod tests {
         Possess,
         Enqueue,
         Depart,
+        Resume(Option<NodeId>),
         Redrive(Option<NodeId>),
-        ForgetPeer(NodeId),
-        ForgetRoutes,
     }
 
     /// Holds whatever it is given, routes nothing, records every hook call.
     #[derive(Debug)]
     struct Fake {
-        c: Custody<Msg, ()>,
+        c: Custody<Msg>,
         calls: Vec<Hook>,
     }
 
     impl Custodian for Fake {
-        type Hold = ();
         type Route = ();
         const CKPT: u8 = 0;
 
-        fn custody(&self) -> &Custody<Msg, ()> {
+        fn custody(&self) -> &Custody<Msg> {
             &self.c
         }
-        fn custody_mut(&mut self) -> &mut Custody<Msg, ()> {
+        fn custody_mut(&mut self) -> &mut Custody<Msg> {
             &mut self.c
         }
-        fn with_custody(c: Custody<Msg, ()>) -> Self {
+        fn with_custody(c: Custody<Msg>) -> Self {
             Fake {
                 c,
                 calls: Vec::new(),
@@ -753,26 +994,30 @@ mod tests {
                 self.hold(token, ctx);
             }
         }
+        /// Queues the request; a holder serves it at once, on behalf of
+        /// interceptor node 3.
         fn enqueue(&mut self, req: RequestId, payload: u64, ctx: &mut Context<'_, Msg>) {
             self.calls.push(Hook::Enqueue);
-            self.c.outstanding.push_back(Outstanding {
+            let out = Outstanding {
                 req,
                 payload,
                 made_at: ctx.now(),
                 route: (),
-            });
+            };
+            if self.c.holding.is_some() {
+                self.serve(out, Some(id(3)), ctx);
+            } else {
+                self.c.outstanding.push_back(out);
+            }
         }
         fn depart(&mut self, _ctx: &mut Context<'_, Msg>) {
             self.calls.push(Hook::Depart);
         }
+        fn resume(&mut self, return_to: Option<NodeId>, _ctx: &mut Context<'_, Msg>) {
+            self.calls.push(Hook::Resume(return_to));
+        }
         fn redrive(&mut self, hint: Option<NodeId>, _ctx: &mut Context<'_, Msg>) {
             self.calls.push(Hook::Redrive(hint));
-        }
-        fn forget_peer(&mut self, peer: NodeId) {
-            self.calls.push(Hook::ForgetPeer(peer));
-        }
-        fn forget_routes(&mut self) {
-            self.calls.push(Hook::ForgetRoutes);
         }
     }
 
@@ -820,9 +1065,11 @@ mod tests {
     /// Node `me` of a 4-ring with regeneration (timeout 50) and acks on;
     /// node 0 mints the initial token.
     fn fake(me: u32) -> Harness<Fake> {
-        let cfg = ProtocolConfig::default()
-            .with_regeneration(50)
-            .with_token_acks(true);
+        fake_with(me, ProtocolConfig::default())
+    }
+
+    fn fake_with(me: u32, cfg: ProtocolConfig) -> Harness<Fake> {
+        let cfg = cfg.with_regeneration(50).with_token_acks(true);
         let mut h = Harness::new(
             id(me),
             Topology::ring(4),
@@ -943,15 +1190,32 @@ mod tests {
         assert_eq!(timers(&mut h), [(ANNOUNCE_PERIOD, TIMER_ANNOUNCE)]);
     }
 
+    /// An entry owed to `origin` for its request number `seq`.
+    fn owed(origin: u32, seq: u64) -> Owed {
+        Owed {
+            origin: id(origin),
+            req: RequestId::new(id(origin), seq),
+            attempt: 0,
+            trail: Vec::new(),
+        }
+    }
+
     #[test]
     fn a_peers_leave_lands_on_the_held_token_or_waits_for_the_next_one() {
-        // Holding: excluded at once, nothing queued.
+        // Holding: excluded at once, nothing queued, and nothing is owed to
+        // the leaver any more.
         let mut h = fake(0);
+        h.node_mut()
+            .c
+            .owed
+            .extend([owed(2, 1), owed(1, 1), owed(2, 2)]);
         regen(&mut h, 2, RegenMsg::Leave);
         let c = &h.node().c;
         assert!(c.holding.as_ref().unwrap().token.is_excluded(id(2)));
         assert!(c.leaving.is_empty());
-        assert_eq!(h.node().calls, [Hook::Possess, Hook::ForgetPeer(id(2))]);
+        let left: Vec<_> = c.owed.iter().map(|o| o.origin).collect();
+        assert_eq!(left, [id(1)]);
+        assert_eq!(h.node().calls, [Hook::Possess]);
 
         // Not holding: queued, applied by the next possession. A Rejoin in
         // between cancels it.
@@ -994,21 +1258,57 @@ mod tests {
     }
 
     #[test]
-    fn recovery_drops_the_token_the_pending_transfer_and_the_routes() {
-        let mut h = fake(0);
+    fn the_service_timer_ends_the_critical_section_and_hands_back_return_to() {
+        let mut h = fake_with(0, ProtocolConfig::default().with_service_ticks(5));
+        h.node_mut().take_events();
         h.external(T0, Want::new(7));
+        let req = RequestId::new(id(0), 1);
+        let granted = TokenEvent::Granted { req, at: T0 };
+        let requested = TokenEvent::Requested { req, at: T0 };
+        assert_eq!(h.node_mut().take_events(), [requested, granted]);
+        assert_eq!(timers(&mut h), [(5, TIMER_SERVICE)]);
+        let c = &h.node().c;
+        let state = &c.holding.as_ref().unwrap().state;
+        assert!(matches!(state, HoldState::Serving { return_to: Some(r), .. } if *r == id(3)));
+
+        let at = SimTime::from_ticks(5);
+        h.fire_timer(at, TIMER_SERVICE);
+        let released = TokenEvent::Released {
+            req,
+            seq: 1,
+            payload: 7,
+            at,
+        };
+        assert!(h.node_mut().take_events().contains(&released));
+        assert!(matches!(
+            h.node().c.holding.as_ref().unwrap().state,
+            HoldState::Idle
+        ));
+        assert_eq!(h.node().calls[2..], [Hook::Resume(Some(id(3)))]);
+
+        // A second firing finds no critical section and resumes nothing.
+        h.fire_timer(at, TIMER_SERVICE);
+        assert_eq!(h.node().calls.len(), 3);
+    }
+
+    #[test]
+    fn recovery_drops_the_token_the_pending_transfer_and_the_owed_entries() {
+        let mut h = fake(0);
         h.fire_timer(T0, TIMER_PASS); // transfer 1 to node 1, never acked
+        h.external(T0, Want::new(7));
         h.deliver(T0, id(3), Msg::Token(frame(5))); // … and the token is back
         assert!(h.node().holds_token() && h.node().c.handoff.pending().is_some());
         h.node_mut().take_events();
         h.node_mut().calls.clear();
+        h.node_mut().c.owed.push_back(owed(2, 1));
         sent(&mut h);
         timers(&mut h);
 
         h.recover(T0);
         assert!(!h.node().holds_token());
         assert!(h.node().c.handoff.pending().is_none());
-        assert_eq!(h.node().calls, [Hook::ForgetRoutes]);
+        assert!(h.node().c.owed.is_empty());
+        assert!(h.node().calls.is_empty());
         let dropped = TokenEvent::StaleTokenDiscarded {
             generation: 0,
             at: T0,

@@ -6,11 +6,11 @@
 //! the requester — the "path reversal" that keeps the tree's average depth
 //! O(log N) (Lavault's analysis). The node at the end of the chain either
 //! ships the idle token directly or records the requester as its `next`
-//! (here: a `waiting` queue, so bursts and fault-time resends cannot strand
-//! anyone). Token custody — handoff, duplicate suppression, regeneration,
-//! generation fencing — is the shared [core](crate::custody), so this file
-//! is path reversal only, and the transport layer does not know a new
-//! protocol exists.
+//! (here: the custody core's owed queue, so bursts and fault-time resends
+//! cannot strand anyone). Token custody — handoff, duplicate suppression,
+//! regeneration, generation fencing — and the lazy dispatch flow are the
+//! shared [core](crate::custody), so this file is path reversal only, and
+//! the transport layer does not know a new protocol exists.
 //!
 //! Unlike System Search's gimme walk (O(N) hops along the ring), the
 //! request here follows `last` pointers, so the hop count per request is
@@ -18,13 +18,13 @@
 //! standard competitor the paper's BinarySearch must beat on worst-case
 //! responsiveness while matching on average cost.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use atp_net::{Context, MsgClass, Node, NodeId};
 
 use crate::checkpoint::CKPT_NAIMI;
 use crate::config::ProtocolConfig;
-use crate::custody::{Custodian, Custody, Outstanding, TIMER_SERVICE};
+use crate::custody::{Custodian, Custody, HoldState, Lazy, Outstanding, Owed};
 use crate::event::{TokenEvent, Want};
 use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
@@ -63,36 +63,13 @@ pub enum NaimiMsg {
 /// attempt 4 + hops 4 (mirrors `atp_core::codec::naimi_encoded_len`).
 const REQUEST_WIRE_BYTES: u64 = 25;
 
-/// A queued successor obligation: classic Naimi–Tréhel's `next` pointer,
-/// generalized to a queue so fault-time resends cannot overwrite it.
-#[derive(Debug, Clone, Copy)]
-struct Successor {
-    origin: NodeId,
-    req: RequestId,
-    attempt: u32,
-}
-
-/// What a node is doing with the token it holds.
-#[derive(Debug, Default)]
-pub enum HoldState {
-    /// Parked, free to serve or dispatch.
-    #[default]
-    Idle,
-    /// Mid-service: timer will fire after the critical section.
-    Serving {
-        /// The request in its critical section.
-        req: RequestId,
-        /// Its datum.
-        payload: u64,
-    },
-}
-
 /// One node of the Naimi–Tréhel path-reversal protocol.
+///
+/// Classic Naimi–Tréhel's `next` pointer is the custody core's owed queue,
+/// so fault-time resends cannot overwrite it.
 #[derive(Debug)]
 pub struct NaimiNode {
-    c: Custody<NaimiMsg, HoldState>,
-    /// Successor queue (`next` in the classic formulation).
-    waiting: VecDeque<Successor>,
+    c: Custody<NaimiMsg>,
     /// Probable owner (`last`). `None` means this node believes itself to
     /// be the root: it holds the token or sits at the tail of the chain.
     last: Option<NodeId>,
@@ -114,7 +91,7 @@ impl NaimiNode {
 
     /// Queued successors (`next` obligations) at this node.
     pub fn waiting_len(&self) -> usize {
-        self.waiting.len()
+        self.c.owed.len()
     }
 
     /// The probable-owner pointer (`last`), for tests.
@@ -157,111 +134,6 @@ impl NaimiNode {
         );
     }
 
-    /// Ships a token frame, recording the dispatch when it serves a request.
-    fn ship_token(
-        &mut self,
-        to: NodeId,
-        frame: Box<TokenFrame>,
-        grant_for: Option<RequestId>,
-        ctx: &mut Context<'_, NaimiMsg>,
-    ) {
-        if let Some(req) = grant_for {
-            // Wire size per the codec: tag 1 + frame + RequestId 12 (the
-            // tag byte distinguishes lazy from granting sends).
-            self.c.events.push(TokenEvent::TokenDispatched {
-                req,
-                bytes: 13 + frame.encoded_len() as u64,
-                at: ctx.now(),
-            });
-        }
-        self.ship(
-            to,
-            frame,
-            |_, frame| NaimiMsg::Token { frame, grant_for },
-            ctx,
-        );
-    }
-
-    /// Pops the first queued successor whose request the held token has
-    /// not satisfied.
-    fn next_successor(&mut self) -> Option<Successor> {
-        let token = &self.c.holding.as_ref()?.token;
-        while let Some(w) = self.waiting.pop_front() {
-            if !token.is_satisfied(&w.req) {
-                return Some(w);
-            }
-        }
-        None
-    }
-
-    /// Sends the held token to a queued successor if any, otherwise to the
-    /// next live ring successor (used by departing holders).
-    fn hand_off(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        if let Some(w) = self.next_successor() {
-            self.dispatch_token(w, ctx);
-            return;
-        }
-        let Some(holding) = self.c.holding.take() else {
-            return;
-        };
-        let succ = holding.token.next_live_successor(ctx.topology(), ctx.id());
-        self.ship_token(succ, holding.token, None, ctx);
-    }
-
-    /// Serve local requests, then a queued successor. Like the lazy-token
-    /// search protocol, possession gaps are unbounded, so the carried window
-    /// stays unbounded too (the rotating protocols bound it by round
-    /// counters instead).
-    fn progress(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        loop {
-            let Some(holding) = self.c.holding.as_mut() else {
-                return;
-            };
-            match holding.state {
-                HoldState::Serving { .. } => return,
-                HoldState::Idle => {
-                    if let Some(out) = self.c.outstanding.pop_front() {
-                        self.c.grants += 1;
-                        self.c.events.push(TokenEvent::Granted {
-                            req: out.req,
-                            at: ctx.now(),
-                        });
-                        if self.c.cfg.service_ticks == 0 {
-                            self.finish_service(out.req, out.payload, ctx);
-                            continue;
-                        }
-                        holding.state = HoldState::Serving {
-                            req: out.req,
-                            payload: out.payload,
-                        };
-                        ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
-                        return;
-                    }
-                    // Serve the successor queue, skipping satisfied entries.
-                    if let Some(w) = self.next_successor() {
-                        self.dispatch_token(w, ctx);
-                    }
-                    // Otherwise: lazy — keep holding silently.
-                    return;
-                }
-            }
-        }
-    }
-
-    fn dispatch_token(&mut self, w: Successor, ctx: &mut Context<'_, NaimiMsg>) {
-        let Some(holding) = self.c.holding.take() else {
-            return;
-        };
-        self.ship_token(w.origin, holding.token, Some(w.req), ctx);
-        // Classic Naimi–Tréhel holds at most one `next`; extra entries only
-        // accumulate under faults (resends that raced a heal). They chase
-        // the token to its new holder — re-queued there or forwarded on —
-        // with the attempt bumped so the duplicate filter lets them pass.
-        for s in std::mem::take(&mut self.waiting) {
-            self.send_request(w.origin, s.origin, s.req, s.attempt + 1, 1, ctx);
-        }
-    }
-
     fn handle_request(
         &mut self,
         origin: NodeId,
@@ -299,7 +171,7 @@ impl NaimiNode {
                 .is_some_and(|h| matches!(h.state, HoldState::Idle))
             {
                 let holding = self.c.holding.take().expect("just checked");
-                self.ship_token(origin, holding.token, Some(req), ctx);
+                self.send_token(origin, holding.token, Some(req), ctx);
             }
             return;
         }
@@ -307,10 +179,11 @@ impl NaimiNode {
             // We are the root with the token: serve now or queue as
             // successor; either way the requester becomes the new probable
             // owner for future requests.
-            self.waiting.push_back(Successor {
+            self.c.owed.push_back(Owed {
                 origin,
                 req,
                 attempt,
+                trail: Vec::new(),
             });
             self.last = Some(origin);
             self.progress(ctx);
@@ -320,10 +193,11 @@ impl NaimiNode {
             None => {
                 // Tail of the chain (requesting, or an orphaned root after
                 // a fault): the requester becomes our successor.
-                self.waiting.push_back(Successor {
+                self.c.owed.push_back(Owed {
                     origin,
                     req,
                     attempt,
+                    trail: Vec::new(),
                 });
                 self.last = Some(origin);
             }
@@ -341,23 +215,55 @@ impl NaimiNode {
     }
 }
 
+impl Lazy for NaimiNode {
+    fn send_token(
+        &mut self,
+        to: NodeId,
+        frame: Box<TokenFrame>,
+        grant_for: Option<RequestId>,
+        ctx: &mut Context<'_, NaimiMsg>,
+    ) {
+        if let Some(req) = grant_for {
+            // Wire size per the codec: tag 1 + frame + RequestId 12 (the
+            // tag byte distinguishes lazy from granting sends).
+            self.c.events.push(TokenEvent::TokenDispatched {
+                req,
+                bytes: 13 + frame.encoded_len() as u64,
+                at: ctx.now(),
+            });
+        }
+        self.ship(
+            to,
+            frame,
+            |_, frame| NaimiMsg::Token { frame, grant_for },
+            ctx,
+        );
+    }
+
+    /// Classic Naimi–Tréhel holds at most one `next`; extra entries only
+    /// accumulate under faults (resends that raced a heal). They chase the
+    /// token to its new holder — re-queued there or forwarded on — with the
+    /// attempt bumped so the duplicate filter lets them pass.
+    fn chase(&mut self, holder: NodeId, owed: Owed, ctx: &mut Context<'_, NaimiMsg>) {
+        self.send_request(holder, owed.origin, owed.req, owed.attempt + 1, 1, ctx);
+    }
+}
+
 impl Custodian for NaimiNode {
-    type Hold = HoldState;
     type Route = ();
     const CKPT: u8 = CKPT_NAIMI;
 
-    fn custody(&self) -> &Custody<NaimiMsg, HoldState> {
+    fn custody(&self) -> &Custody<NaimiMsg> {
         &self.c
     }
 
-    fn custody_mut(&mut self) -> &mut Custody<NaimiMsg, HoldState> {
+    fn custody_mut(&mut self) -> &mut Custody<NaimiMsg> {
         &mut self.c
     }
 
-    fn with_custody(c: Custody<NaimiMsg, HoldState>) -> Self {
+    fn with_custody(c: Custody<NaimiMsg>) -> Self {
         NaimiNode {
             c,
-            waiting: VecDeque::new(),
             last: None,
             seen: BTreeMap::new(),
             attempt: 0,
@@ -370,21 +276,10 @@ impl Custodian for NaimiNode {
     }
 
     fn possess(&mut self, token: Box<TokenFrame>, ctx: &mut Context<'_, NaimiMsg>) {
-        let Some(token) = self.take_possession(token, false, ctx) else {
-            return;
-        };
-        // Drop queued successors whose requests were satisfied elsewhere
-        // (a resend raced the original through a different path).
-        if !self.waiting.is_empty() {
-            self.waiting.retain(|w| !token.is_satisfied(&w.req));
-        }
-        // Possession ends the current acquisition's retry cycle.
-        self.attempt = 0;
-        if self.hold(token, ctx) {
-            self.progress(ctx);
-        } else {
-            // Departed: hand the token to someone still in the group.
-            self.hand_off(ctx);
+        if let Some(token) = self.take_possession(token, false, ctx) {
+            // Possession ends the current acquisition's retry cycle.
+            self.attempt = 0;
+            self.keep(token, ctx);
         }
     }
 
@@ -414,12 +309,11 @@ impl Custodian for NaimiNode {
     }
 
     fn depart(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
-        if let Some(h) = self.c.holding.as_mut() {
-            h.token.exclude(ctx.id());
-            if matches!(h.state, HoldState::Idle) {
-                self.hand_off(ctx);
-            }
-        }
+        self.depart_holding(ctx);
+    }
+
+    fn resume(&mut self, _return_to: Option<NodeId>, ctx: &mut Context<'_, NaimiMsg>) {
+        self.progress(ctx);
     }
 
     /// Re-issues the front request — either straight at a known holder
@@ -452,24 +346,14 @@ impl Custodian for NaimiNode {
         self.redrive(Some(holder), ctx);
         // Successors queued here point into the dead tree; forward their
         // requests to the live holder too.
-        for s in std::mem::take(&mut self.waiting) {
-            self.send_request(holder, s.origin, s.req, s.attempt + 1, 1, ctx);
+        for owed in std::mem::take(&mut self.c.owed) {
+            self.chase(holder, owed, ctx);
         }
         // Idle nodes repair their probable-owner pointer so the next
         // acquisition routes into the live tree.
         if self.c.outstanding.is_empty() {
             self.last = Some(holder);
         }
-    }
-
-    fn forget_peer(&mut self, peer: NodeId) {
-        self.waiting.retain(|w| w.origin != peer);
-    }
-
-    /// Queued successors died with the crash; their origins' own retry
-    /// cycles re-route them through the live tree.
-    fn forget_routes(&mut self) {
-        self.waiting.clear();
     }
 }
 
@@ -508,19 +392,7 @@ impl Node for NaimiNode {
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, NaimiMsg>) {
-        match kind {
-            TIMER_SERVICE => {
-                let Some(holding) = self.c.holding.as_mut() else {
-                    return;
-                };
-                if let HoldState::Serving { req, payload } = holding.state {
-                    holding.state = HoldState::Idle;
-                    self.finish_service(req, payload, ctx);
-                    self.progress(ctx);
-                }
-            }
-            _ => self.custody_timer(kind, ctx),
-        }
+        self.custody_timer(kind, ctx);
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, NaimiMsg>) {
@@ -570,7 +442,10 @@ mod tests {
         w.schedule_external(SimTime::ZERO, NodeId::new(3), Want::new(1));
         w.run_to_quiescence();
         // Node 0 relayed nothing (it held the token): it now points at 3.
-        assert_eq!(w.node(NodeId::new(0)).probable_owner(), Some(NodeId::new(3)));
+        assert_eq!(
+            w.node(NodeId::new(0)).probable_owner(),
+            Some(NodeId::new(3))
+        );
         // A later request from 5 routes 5 → 0 → 3: two control hops.
         let t = w.now();
         w.schedule_external(t + 1, NodeId::new(5), Want::new(2));
@@ -578,7 +453,10 @@ mod tests {
         assert_eq!(w.node(NodeId::new(5)).grants(), 1);
         assert_eq!(w.stats().sent(MsgClass::Control), 3);
         // Node 0 was redirected at the newer requester.
-        assert_eq!(w.node(NodeId::new(0)).probable_owner(), Some(NodeId::new(5)));
+        assert_eq!(
+            w.node(NodeId::new(0)).probable_owner(),
+            Some(NodeId::new(5))
+        );
     }
 
     #[test]
@@ -679,9 +557,7 @@ mod tests {
             );
         }
         w.run_until(SimTime::from_ticks(n * 30 + 500));
-        let grants: u64 = (0..n)
-            .map(|i| w.node(NodeId::new(i as u32)).grants())
-            .sum();
+        let grants: u64 = (0..n).map(|i| w.node(NodeId::new(i as u32)).grants()).sum();
         assert_eq!(grants, n);
         let hops = w.stats().sent(MsgClass::Control);
         // log2(64) = 6; the average must sit in the logarithmic envelope,

@@ -14,8 +14,8 @@ use atp_net::{Context, Node, NodeId};
 
 use crate::checkpoint::CKPT_RING;
 use crate::config::ProtocolConfig;
-use crate::custody::{Custodian, Custody, Outstanding, TIMER_PASS, TIMER_SERVICE};
-use crate::event::{TokenEvent, Want};
+use crate::custody::{Custodian, Custody, HoldState, Outstanding, TIMER_PASS};
+use crate::event::Want;
 use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
 use crate::types::RequestId;
@@ -30,23 +30,6 @@ pub enum RingMsg {
     Regen(RegenMsg),
 }
 
-/// What a ring node is doing with the token it holds.
-#[derive(Debug, Default)]
-pub enum HoldState {
-    /// Holding, free to serve or pass.
-    #[default]
-    Idle,
-    /// Pass timer armed (adaptive token speed).
-    PassArmed,
-    /// Mid-service: timer will fire after the critical section.
-    Serving {
-        /// The request in its critical section.
-        req: RequestId,
-        /// Its datum.
-        payload: u64,
-    },
-}
-
 /// One node of the rotating-token ring protocol.
 ///
 /// Construct with [`RingNode::new`] and run inside an
@@ -55,7 +38,7 @@ pub enum HoldState {
 /// where some distinguished node starts with `T = x`.
 #[derive(Debug)]
 pub struct RingNode {
-    c: Custody<RingMsg, HoldState>,
+    c: Custody<RingMsg>,
 }
 
 impl RingNode {
@@ -64,43 +47,11 @@ impl RingNode {
         Self::with_custody(Custody::new(cfg))
     }
 
-    /// Serve local requests, then pass the token onward.
+    /// Serve local requests, then pass the token onward (possibly after an
+    /// idle hold).
     fn progress(&mut self, ctx: &mut Context<'_, RingMsg>) {
-        loop {
-            let Some(holding) = self.c.holding.as_mut() else {
-                return;
-            };
-            match holding.state {
-                HoldState::Serving { .. } => return,
-                HoldState::Idle | HoldState::PassArmed => {
-                    if let Some(out) = self.c.outstanding.pop_front() {
-                        self.c.grants += 1;
-                        self.c.events.push(TokenEvent::Granted {
-                            req: out.req,
-                            at: ctx.now(),
-                        });
-                        if self.c.cfg.service_ticks == 0 {
-                            self.finish_service(out.req, out.payload, ctx);
-                            continue;
-                        }
-                        holding.state = HoldState::Serving {
-                            req: out.req,
-                            payload: out.payload,
-                        };
-                        ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
-                        return;
-                    }
-                    // Nothing to serve: pass (possibly after an idle hold).
-                    let delay = self.c.cfg.idle_delay(holding.token.idle_rounds());
-                    if delay == 0 {
-                        self.send_token(ctx);
-                    } else if !matches!(holding.state, HoldState::PassArmed) {
-                        holding.state = HoldState::PassArmed;
-                        ctx.set_timer(delay, TIMER_PASS);
-                    }
-                    return;
-                }
-            }
+        if self.serve_locals(ctx) && self.c.pass_now(ctx) {
+            self.send_token(ctx);
         }
     }
 
@@ -114,19 +65,18 @@ impl RingNode {
 }
 
 impl Custodian for RingNode {
-    type Hold = HoldState;
     type Route = ();
     const CKPT: u8 = CKPT_RING;
 
-    fn custody(&self) -> &Custody<RingMsg, HoldState> {
+    fn custody(&self) -> &Custody<RingMsg> {
         &self.c
     }
 
-    fn custody_mut(&mut self) -> &mut Custody<RingMsg, HoldState> {
+    fn custody_mut(&mut self) -> &mut Custody<RingMsg> {
         &mut self.c
     }
 
-    fn with_custody(c: Custody<RingMsg, HoldState>) -> Self {
+    fn with_custody(c: Custody<RingMsg>) -> Self {
         RingNode { c }
     }
 
@@ -168,6 +118,10 @@ impl Custodian for RingNode {
             }
         }
     }
+
+    fn resume(&mut self, _return_to: Option<NodeId>, ctx: &mut Context<'_, RingMsg>) {
+        self.progress(ctx);
+    }
 }
 
 impl Node for RingNode {
@@ -194,30 +148,14 @@ impl Node for RingNode {
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, RingMsg>) {
-        match kind {
-            TIMER_SERVICE => {
-                let Some(holding) = self.c.holding.as_mut() else {
-                    return;
-                };
-                if let HoldState::Serving { req, payload } = holding.state {
-                    holding.state = HoldState::Idle;
-                    self.finish_service(req, payload, ctx);
-                    self.progress(ctx);
-                }
+        if kind != TIMER_PASS {
+            self.custody_timer(kind, ctx);
+        } else if self.c.pass_due() {
+            if self.c.outstanding.is_empty() {
+                self.send_token(ctx);
+            } else {
+                self.progress(ctx);
             }
-            TIMER_PASS => {
-                if let Some(h) = self.c.holding.as_mut() {
-                    if matches!(h.state, HoldState::PassArmed) {
-                        h.state = HoldState::Idle;
-                        if self.c.outstanding.is_empty() {
-                            self.send_token(ctx);
-                        } else {
-                            self.progress(ctx);
-                        }
-                    }
-                }
-            }
-            _ => self.custody_timer(kind, ctx),
         }
     }
 
@@ -229,7 +167,7 @@ impl Node for RingNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventSource, TokenNode};
+    use crate::{EventSource, TokenEvent, TokenNode};
     use atp_net::{SimTime, World, WorldConfig};
 
     fn world(n: usize, cfg: ProtocolConfig) -> World<RingNode> {
@@ -253,9 +191,7 @@ mod tests {
         let mut w = world(4, ProtocolConfig::default());
         w.run_until(SimTime::from_ticks(100));
         // 100 ticks at unit delay: ~100 token hops.
-        let sends: u64 = (0..4)
-            .map(|i| w.node(NodeId::new(i)).token_sends())
-            .sum();
+        let sends: u64 = (0..4).map(|i| w.node(NodeId::new(i)).token_sends()).sum();
         assert!((95..=101).contains(&sends), "sends = {sends}");
     }
 
@@ -290,7 +226,11 @@ mod tests {
     fn histories_are_prefixes_of_each_other() {
         let mut w = world(6, ProtocolConfig::default());
         for t in 0..30 {
-            w.schedule_external(SimTime::from_ticks(t * 3), NodeId::new((t % 6) as u32), Want::new(t));
+            w.schedule_external(
+                SimTime::from_ticks(t * 3),
+                NodeId::new((t % 6) as u32),
+                Want::new(t),
+            );
         }
         w.run_until(SimTime::from_ticks(300));
         let nodes: Vec<_> = (0..6).map(|i| w.node(NodeId::new(i))).collect();
@@ -352,9 +292,7 @@ mod tests {
         let mut w = world(2, cfg);
         // Let the token go idle and slow down, then request at the holder.
         w.run_until(SimTime::from_ticks(100));
-        let holder = (0..2)
-            .map(NodeId::new)
-            .find(|id| w.node(*id).holds_token());
+        let holder = (0..2).map(NodeId::new).find(|id| w.node(*id).holds_token());
         if let Some(holder) = holder {
             let t = w.now();
             w.schedule_external(t, holder, Want::new(9));
@@ -396,7 +334,11 @@ mod tests {
         let run = || {
             let mut w = world(5, ProtocolConfig::default());
             for t in 0..20 {
-                w.schedule_external(SimTime::from_ticks(t * 2), NodeId::new((t % 5) as u32), Want::new(t));
+                w.schedule_external(
+                    SimTime::from_ticks(t * 2),
+                    NodeId::new((t % 5) as u32),
+                    Want::new(t),
+                );
             }
             w.run_until(SimTime::from_ticks(200));
             drain_all(&mut w)
@@ -410,11 +352,17 @@ mod tests {
         // Every frame is delivered twice: the watermark must swallow the
         // copies, possession must never fork, and service stays exact.
         let mut w: World<RingNode> = World::from_nodes(
-            (0..4).map(|_| RingNode::new(ProtocolConfig::default())).collect(),
+            (0..4)
+                .map(|_| RingNode::new(ProtocolConfig::default()))
+                .collect(),
             WorldConfig::default().link_faults(LinkFaults::new().duplication(1.0)),
         );
         for t in 0..10 {
-            w.schedule_external(SimTime::from_ticks(t * 5), NodeId::new((t % 4) as u32), Want::new(t));
+            w.schedule_external(
+                SimTime::from_ticks(t * 5),
+                NodeId::new((t % 4) as u32),
+                Want::new(t),
+            );
         }
         w.run_until(SimTime::from_ticks(200));
         let grants: u64 = (0..4).map(|i| w.node(NodeId::new(i)).grants()).sum();
@@ -426,7 +374,10 @@ mod tests {
         let holders = (0..4)
             .filter(|i| w.node(NodeId::new(*i)).holds_token())
             .count();
-        assert!(holders <= 1, "possession forked under duplication: {holders}");
+        assert!(
+            holders <= 1,
+            "possession forked under duplication: {holders}"
+        );
     }
 
     #[test]
@@ -440,7 +391,11 @@ mod tests {
             WorldConfig::default().link_faults(LinkFaults::new().loss(0.10)),
         );
         for t in 0..8 {
-            w.schedule_external(SimTime::from_ticks(t * 20), NodeId::new((t % 4) as u32), Want::new(t));
+            w.schedule_external(
+                SimTime::from_ticks(t * 20),
+                NodeId::new((t % 4) as u32),
+                Want::new(t),
+            );
         }
         w.run_until(SimTime::from_ticks(1200));
         let grants: u64 = (0..4).map(|i| w.node(NodeId::new(i)).grants()).sum();
@@ -451,7 +406,9 @@ mod tests {
         assert!(retransmits > 0, "loss at 10% must trigger retransmits");
         let events = drain_all(&mut w);
         assert!(
-            !events.iter().any(|e| matches!(e, TokenEvent::Regenerated { .. })),
+            !events
+                .iter()
+                .any(|e| matches!(e, TokenEvent::Regenerated { .. })),
             "recovery must come from retransmission, not regeneration"
         );
     }
@@ -507,7 +464,9 @@ mod tests {
         let sends: u64 = (0..4).map(|i| w.node(NodeId::new(i)).token_sends()).sum();
         assert!((95..=101).contains(&sends));
         assert_eq!(
-            (0..4).map(|i| w.node(NodeId::new(i)).token_retransmits()).sum::<u64>(),
+            (0..4)
+                .map(|i| w.node(NodeId::new(i)).token_retransmits())
+                .sum::<u64>(),
             0
         );
     }

@@ -14,17 +14,15 @@
 //! message — the regime where lazy tokens beat perpetual rotation is bursty,
 //! *localized* demand.
 //!
-//! Token custody (possession, handoff, Section 5) is the shared
-//! [core](crate::custody); this file is rules 5–7: the gimme walk and the
-//! traps.
-
-use std::collections::VecDeque;
+//! Token custody (possession, handoff, Section 5) and the lazy dispatch flow
+//! are the shared [core](crate::custody); this file is rules 5–6: the gimme
+//! walk that sets the traps.
 
 use atp_net::{Context, MsgClass, Node, NodeId};
 
 use crate::checkpoint::CKPT_SEARCH;
 use crate::config::ProtocolConfig;
-use crate::custody::{Custodian, Custody, Outstanding, TIMER_SERVICE};
+use crate::custody::{Custodian, Custody, Lazy, Outstanding, Owed};
 use crate::event::{TokenEvent, Want};
 use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
@@ -56,32 +54,10 @@ pub enum SearchMsg {
     Regen(RegenMsg),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Trap {
-    origin: NodeId,
-    req: RequestId,
-}
-
-/// What a lazy-token node is doing with the token it holds.
-#[derive(Debug, Default)]
-pub enum HoldState {
-    /// Parked, free to serve or dispatch.
-    #[default]
-    Idle,
-    /// Mid-service: timer will fire after the critical section.
-    Serving {
-        /// The request in its critical section.
-        req: RequestId,
-        /// Its datum.
-        payload: u64,
-    },
-}
-
 /// One node of the lazy-token linear-search protocol.
 #[derive(Debug)]
 pub struct SearchNode {
-    c: Custody<SearchMsg, HoldState>,
-    traps: VecDeque<Trap>,
+    c: Custody<SearchMsg>,
     gimme_sends: u64,
 }
 
@@ -93,7 +69,7 @@ impl SearchNode {
 
     /// Traps currently set at this node.
     pub fn trap_count(&self) -> usize {
-        self.traps.len()
+        self.c.owed.len()
     }
 
     /// Gimme messages sent or forwarded by this node.
@@ -143,8 +119,44 @@ impl SearchNode {
         }
     }
 
-    /// Ships a token frame, recording the dispatch when it serves a request.
-    fn ship_token(
+    fn handle_gimme(
+        &mut self,
+        origin: NodeId,
+        req: RequestId,
+        hops: u32,
+        ctx: &mut Context<'_, SearchMsg>,
+    ) {
+        if origin == ctx.id() {
+            return; // own gimme came full circle
+        }
+        if let Some(h) = &self.c.holding {
+            if h.token.is_satisfied(&req) {
+                return;
+            }
+        }
+        if self.c.departed {
+            // Relay without trapping.
+            self.forward_gimme(origin, req, hops, ctx);
+            return;
+        }
+        if !self.c.owes(req) {
+            self.c.owed.push_back(Owed {
+                origin,
+                req,
+                attempt: 0,
+                trail: Vec::new(),
+            });
+        }
+        if self.c.holding.is_some() {
+            self.progress(ctx);
+        } else {
+            self.forward_gimme(origin, req, hops, ctx);
+        }
+    }
+}
+
+impl Lazy for SearchNode {
+    fn send_token(
         &mut self,
         to: NodeId,
         frame: Box<TokenFrame>,
@@ -168,138 +180,26 @@ impl SearchNode {
         );
     }
 
-    /// Pops the first trap whose request the held token has not satisfied.
-    fn next_trap(&mut self) -> Option<Trap> {
-        let token = &self.c.holding.as_ref()?.token;
-        while let Some(trap) = self.traps.pop_front() {
-            if !token.is_satisfied(&trap.req) {
-                return Some(trap);
-            }
-        }
-        None
-    }
-
-    /// Sends the held token to a trapped requester if any, otherwise to the
-    /// next live successor (used by departing holders).
-    fn hand_off(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        if let Some(trap) = self.next_trap() {
-            self.dispatch_token(trap, ctx);
-            return;
-        }
-        let Some(holding) = self.c.holding.take() else {
-            return;
-        };
-        let succ = holding.token.next_live_successor(ctx.topology(), ctx.id());
-        self.ship_token(succ, holding.token, None, ctx);
-    }
-
-    /// Serve local requests, then a trapped requester. The lazy token has no
-    /// rounds to GC by, and a node may go arbitrarily long between
-    /// possessions — so, exactly as in the paper's Figure 6 where the token
-    /// message carries the complete history H, the carried window is left
-    /// unbounded. (The rotating protocols bound it by round counters.)
-    fn progress(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        loop {
-            let Some(holding) = self.c.holding.as_mut() else {
-                return;
-            };
-            match holding.state {
-                HoldState::Serving { .. } => return,
-                HoldState::Idle => {
-                    if let Some(out) = self.c.outstanding.pop_front() {
-                        self.c.grants += 1;
-                        self.c.events.push(TokenEvent::Granted {
-                            req: out.req,
-                            at: ctx.now(),
-                        });
-                        if self.c.cfg.service_ticks == 0 {
-                            self.finish_service(out.req, out.payload, ctx);
-                            continue;
-                        }
-                        holding.state = HoldState::Serving {
-                            req: out.req,
-                            payload: out.payload,
-                        };
-                        ctx.set_timer(self.c.cfg.service_ticks, TIMER_SERVICE);
-                        return;
-                    }
-                    // Serve trapped requesters, skipping satisfied traps.
-                    if let Some(trap) = self.next_trap() {
-                        self.dispatch_token(trap, ctx);
-                    }
-                    // Otherwise: lazy — keep holding silently.
-                    return;
-                }
-            }
-        }
-    }
-
-    fn dispatch_token(&mut self, trap: Trap, ctx: &mut Context<'_, SearchMsg>) {
-        let Some(holding) = self.c.holding.take() else {
-            return;
-        };
-        self.ship_token(trap.origin, holding.token, Some(trap.req), ctx);
-        // Any other trapped obligations chase the token to its new holder.
-        // A trap only catches a token that *lands* here, and the lazy token
-        // never returns on its own — so a second gimme trapped while this
-        // node was serving would otherwise strand forever. (Stall found by
-        // the DST explorer: two gimmes reach a serving holder back-to-back;
-        // only the front trap was granted.)
-        for t in std::mem::take(&mut self.traps) {
-            self.send_gimme(trap.origin, t.origin, t.req, 1, ctx);
-        }
-    }
-
-    fn handle_gimme(
-        &mut self,
-        origin: NodeId,
-        req: RequestId,
-        hops: u32,
-        ctx: &mut Context<'_, SearchMsg>,
-    ) {
-        if origin == ctx.id() {
-            return; // own gimme came full circle
-        }
-        if let Some(h) = &self.c.holding {
-            if h.token.is_satisfied(&req) {
-                return;
-            }
-        }
-        if self.c.departed {
-            // Relay without trapping.
-            self.forward_gimme(origin, req, hops, ctx);
-            return;
-        }
-        if !self.traps.iter().any(|t| t.req == req) {
-            self.traps.push_back(Trap { origin, req });
-        }
-        if self.c.holding.is_some() {
-            self.progress(ctx);
-        } else {
-            self.forward_gimme(origin, req, hops, ctx);
-        }
+    /// A trap left behind re-walks from the new holder as a fresh gimme.
+    fn chase(&mut self, holder: NodeId, owed: Owed, ctx: &mut Context<'_, SearchMsg>) {
+        self.send_gimme(holder, owed.origin, owed.req, 1, ctx);
     }
 }
 
 impl Custodian for SearchNode {
-    type Hold = HoldState;
     type Route = ();
     const CKPT: u8 = CKPT_SEARCH;
 
-    fn custody(&self) -> &Custody<SearchMsg, HoldState> {
+    fn custody(&self) -> &Custody<SearchMsg> {
         &self.c
     }
 
-    fn custody_mut(&mut self) -> &mut Custody<SearchMsg, HoldState> {
+    fn custody_mut(&mut self) -> &mut Custody<SearchMsg> {
         &mut self.c
     }
 
-    fn with_custody(c: Custody<SearchMsg, HoldState>) -> Self {
-        SearchNode {
-            c,
-            traps: VecDeque::new(),
-            gimme_sends: 0,
-        }
+    fn with_custody(c: Custody<SearchMsg>) -> Self {
+        SearchNode { c, gimme_sends: 0 }
     }
 
     fn wrap(msg: RegenMsg) -> SearchMsg {
@@ -307,20 +207,8 @@ impl Custodian for SearchNode {
     }
 
     fn possess(&mut self, token: Box<TokenFrame>, ctx: &mut Context<'_, SearchMsg>) {
-        let Some(token) = self.take_possession(token, false, ctx) else {
-            return;
-        };
-        // Purge traps whose requests were satisfied elsewhere; without this
-        // the lingering copies left along every gimme walk accumulate
-        // forever under sustained load.
-        if !self.traps.is_empty() {
-            self.traps.retain(|t| !token.is_satisfied(&t.req));
-        }
-        if self.hold(token, ctx) {
-            self.progress(ctx);
-        } else {
-            // Departed: hand the lazy token to someone still in the group.
-            self.hand_off(ctx);
+        if let Some(token) = self.take_possession(token, false, ctx) {
+            self.keep(token, ctx);
         }
     }
 
@@ -345,12 +233,11 @@ impl Custodian for SearchNode {
     }
 
     fn depart(&mut self, ctx: &mut Context<'_, SearchMsg>) {
-        if let Some(h) = self.c.holding.as_mut() {
-            h.token.exclude(ctx.id());
-            if matches!(h.state, HoldState::Idle) {
-                self.hand_off(ctx);
-            }
-        }
+        self.depart_holding(ctx);
+    }
+
+    fn resume(&mut self, _return_to: Option<NodeId>, ctx: &mut Context<'_, SearchMsg>) {
+        self.progress(ctx);
     }
 
     /// Re-issues the front request's gimme — either straight at a known
@@ -367,14 +254,6 @@ impl Custodian for SearchNode {
         let me = ctx.id();
         let to = holder_hint.unwrap_or_else(|| ctx.topology().successor(me));
         self.send_gimme(to, me, req, 1, ctx);
-    }
-
-    fn forget_peer(&mut self, peer: NodeId) {
-        self.traps.retain(|t| t.origin != peer);
-    }
-
-    fn forget_routes(&mut self) {
-        self.traps.clear();
     }
 }
 
@@ -403,19 +282,7 @@ impl Node for SearchNode {
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, SearchMsg>) {
-        match kind {
-            TIMER_SERVICE => {
-                let Some(holding) = self.c.holding.as_mut() else {
-                    return;
-                };
-                if let HoldState::Serving { req, payload } = holding.state {
-                    holding.state = HoldState::Idle;
-                    self.finish_service(req, payload, ctx);
-                    self.progress(ctx);
-                }
-            }
-            _ => self.custody_timer(kind, ctx),
-        }
+        self.custody_timer(kind, ctx);
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, SearchMsg>) {
