@@ -192,9 +192,9 @@ rm -f "$CH1" "$CH4"
 echo "chaos recovery matrix clean and byte-identical at ATP_THREADS=1 and 4"
 
 echo "== custody anti-fork gate =="
-# Token custody (possession, Section 5, membership, acks, recovery) is
-# written once, in crates/core/src/custody.rs; the four protocol files keep
-# routing only. The glue has been copied four times before: fail if the
+# Token custody (possession, hold state, serve step, Section 5, membership,
+# acks, recovery) is written once, in crates/core/src/custody.rs; the four
+# protocol files keep routing only. The glue has been copied four times before: fail if the
 # regeneration handling or the possession head shows up anywhere else.
 PLEASE=$(grep -l 'RegenMsg::Please' crates/core/src/*.rs | xargs -n1 basename | sort | tr '\n' ' ')
 if [ "$PLEASE" != "codec.rs custody.rs regen.rs " ]; then
@@ -204,6 +204,13 @@ fi
 FORKED=$(cat crates/core/src/{ring,search,binary,naimi}.rs | grep -c 'apply_carried(' || true)
 if [ "$FORKED" -ne 0 ]; then
   echo "the possession head (apply_carried) is back in a protocol file ($FORKED calls)" >&2
+  exit 1
+fi
+# The hold state and the end of a critical section live in the core too: a
+# protocol file keeps its routing rule only.
+HOLD=$(cat crates/core/src/{ring,search,binary,naimi}.rs | grep -c -e 'enum HoldState' -e 'TIMER_SERVICE =>' || true)
+if [ "$HOLD" -ne 0 ]; then
+  echo "a hold-state enum or a TIMER_SERVICE arm is back in a protocol file ($HOLD lines)" >&2
   exit 1
 fi
 echo "custody glue exists once"

@@ -570,12 +570,6 @@ impl<E: Endpoint> Wire<E> {
 /// dispatch the resulting sends are enveloped, transmitted, and awaited
 /// back before the next pop, so the transport is a *physically real but
 /// logically transparent* link layer.
-/// Runs the script over pre-built endpoints — the full driver.
-///
-/// The virtual clock dispatches exactly one entry at a time; after each
-/// dispatch the resulting sends are enveloped, transmitted, and awaited
-/// back before the next pop, so the transport is a *physically real but
-/// logically transparent* link layer.
 pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
     script: &ClusterScript,
     endpoints: Vec<E>,

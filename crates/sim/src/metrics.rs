@@ -43,7 +43,9 @@ pub struct Metrics {
 #[derive(Debug, Clone, Copy)]
 struct WaitState {
     since: SimTime,
-    other_grants: u64,
+    /// Grants observed before this request arrived: the grants to others
+    /// while it waits are the difference at its own grant.
+    grants_before: u64,
 }
 
 /// Serializable summary of a [`Metrics`] accumulation.
@@ -136,7 +138,7 @@ impl Metrics {
                     *req,
                     WaitState {
                         since: *at,
-                        other_grants: 0,
+                        grants_before: self.grants,
                     },
                 );
                 if self.period_start.is_none() {
@@ -144,15 +146,12 @@ impl Metrics {
                 }
             }
             TokenEvent::Granted { req, at } => {
-                self.grants += 1;
-                self.grants_per_node[req.origin.index()] += 1;
                 if let Some(w) = self.outstanding.remove(req) {
                     self.wait_samples.push(at.since(w.since));
-                    self.other_grants_samples.push(w.other_grants);
+                    self.other_grants_samples.push(self.grants - w.grants_before);
                 }
-                for w in self.outstanding.values_mut() {
-                    w.other_grants += 1;
-                }
+                self.grants += 1;
+                self.grants_per_node[req.origin.index()] += 1;
                 if let Some(start) = self.period_start.take() {
                     self.resp_samples.push(at.since(start));
                 }
