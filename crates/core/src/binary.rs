@@ -33,6 +33,7 @@ use crate::event::{TokenEvent, Want};
 use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
 use crate::types::{RequestId, VisitStamp};
+use crate::wire::WireProtocol;
 
 /// How a token frame is travelling.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,16 +197,6 @@ impl BinaryNode {
         true
     }
 
-    /// Records one search hop for `req` in the event stream: the span
-    /// instrumentation behind Lemma 6's per-request forward count.
-    fn note_search_hop(&mut self, req: RequestId, msg: &BinaryMsg, ctx: &Context<'_, BinaryMsg>) {
-        self.c.events.push(TokenEvent::SearchForwarded {
-            req,
-            bytes: crate::codec::encoded_len(msg) as u64,
-            at: ctx.now(),
-        });
-    }
-
     /// Ships a token frame in travel mode `mode`.
     fn ship_token(
         &mut self,
@@ -227,7 +218,7 @@ impl BinaryNode {
             };
             let msg = BinaryMsg::Token { frame, mode };
             if let Some(req) = dispatch_req {
-                let bytes = crate::codec::encoded_len(&msg) as u64;
+                let bytes = Self::msg_encoded_len(&msg) as u64;
                 node.c
                     .events
                     .push(TokenEvent::TokenDispatched { req, bytes, at });
@@ -507,8 +498,7 @@ impl BinaryNode {
         self.gimme_sends += 1;
         let req = g.req;
         let msg = BinaryMsg::Gimme(Gimme { span, trail, ..g });
-        self.note_search_hop(req, &msg, ctx);
-        ctx.send(next, msg, MsgClass::Control);
+        self.send_search(next, req, msg, ctx);
     }
 
     fn handle_directed_probe(
@@ -548,8 +538,7 @@ impl BinaryNode {
             req,
             span,
         };
-        self.note_search_hop(req, &msg, ctx);
-        ctx.send(origin, msg, MsgClass::Control);
+        self.send_search(origin, req, msg, ctx);
     }
 
     fn handle_directed_reply(
@@ -581,8 +570,7 @@ impl BinaryNode {
             req,
             span: next_span,
         };
-        self.note_search_hop(req, &msg, ctx);
-        ctx.send(next, msg, MsgClass::Control);
+        self.send_search(next, req, msg, ctx);
     }
 
     fn handle_probe_req(&mut self, holder: NodeId, span: u32, ctx: &mut Context<'_, BinaryMsg>) {
@@ -672,8 +660,7 @@ impl BinaryNode {
                 span,
             },
         };
-        self.note_search_hop(req, &msg, ctx);
-        ctx.send(target, msg, MsgClass::Control);
+        self.send_search(target, req, msg, ctx);
     }
 
     /// A departed node that ends up possessing the token passes it straight

@@ -31,7 +31,7 @@
 //! | [`forget_peer`](Custodian::forget_peer) | a peer left the group | — | its owed entries | — (keeps its traps) | its owed entries |
 //!
 //! [`Lazy`] adds two hooks for a token that stays where it was last used:
-//! how a token message is built ([`send_token`](Lazy::send_token)) and how a
+//! how a token message is built ([`token_msg`](Lazy::token_msg)) and how a
 //! leftover owed entry chases the token ([`chase`](Lazy::chase)) — a gimme
 //! for Search, a `Request` with its attempt bumped for Naimi.
 
@@ -47,6 +47,7 @@ use crate::order::OrderState;
 use crate::regen::{RegenEngine, RegenMsg, RegenReply, RegenVerdict, SYNC_REPLY_MAX};
 use crate::token::TokenFrame;
 use crate::types::{RequestId, VisitStamp};
+use crate::wire::WireProtocol;
 
 /// Timer kinds. 1 ends a critical section, 2 ends an adaptive idle hold; 5
 /// (low byte) is the retransmit timer, see [`crate::handoff`].
@@ -496,6 +497,25 @@ pub trait Custodian: Node<Ext = Want> {
         ctx.send(to, msg, MsgClass::Token);
     }
 
+    /// Sends one search hop for `req` (a control message) and records it,
+    /// with its encoded size, for the span instrumentation.
+    fn send_search(
+        &mut self,
+        to: NodeId,
+        req: RequestId,
+        msg: Self::Msg,
+        ctx: &mut Context<'_, Self::Msg>,
+    ) where
+        Self: WireProtocol,
+    {
+        let bytes = Self::msg_encoded_len(&msg) as u64;
+        let at = ctx.now();
+        let c = self.custody_mut();
+        c.events
+            .push(TokenEvent::SearchForwarded { req, bytes, at });
+        ctx.send(to, msg, MsgClass::Control);
+    }
+
     /// Sends `msg` to every other node.
     fn broadcast(&mut self, msg: RegenMsg, ctx: &mut Context<'_, Self::Msg>) {
         let me = ctx.id();
@@ -759,17 +779,34 @@ pub trait Custodian: Node<Ext = Want> {
 /// owed entry chases the token to its new holder. The protocol supplies how
 /// a token message is built and how an entry chases; the flow is written
 /// here once.
-pub trait Lazy: Custodian {
-    /// Ships `frame` to `to`; `grant_for` names the request it serves.
+pub trait Lazy: Custodian + WireProtocol {
+    /// The token message carrying `frame`; `grant_for` names the request it
+    /// serves.
+    fn token_msg(frame: Box<TokenFrame>, grant_for: Option<RequestId>) -> Self::Msg;
+    /// Sends a leftover owed entry after the token to its new holder.
+    fn chase(&mut self, holder: NodeId, owed: Owed, ctx: &mut Context<'_, Self::Msg>);
+
+    /// Ships `frame` to `to`, recording the dispatch (and its encoded size)
+    /// when it serves a request.
     fn send_token(
         &mut self,
         to: NodeId,
         frame: Box<TokenFrame>,
         grant_for: Option<RequestId>,
         ctx: &mut Context<'_, Self::Msg>,
-    );
-    /// Sends a leftover owed entry after the token to its new holder.
-    fn chase(&mut self, holder: NodeId, owed: Owed, ctx: &mut Context<'_, Self::Msg>);
+    ) {
+        let at = ctx.now();
+        let wrap = |node: &mut Self, frame| {
+            let msg = Self::token_msg(frame, grant_for);
+            if let Some(req) = grant_for {
+                let bytes = Self::msg_encoded_len(&msg) as u64;
+                let dispatched = TokenEvent::TokenDispatched { req, bytes, at };
+                node.custody_mut().events.push(dispatched);
+            }
+            msg
+        };
+        self.ship(to, frame, wrap, ctx);
+    }
 
     /// Holds a possessed token and serves; a departed node hands it on.
     fn keep(&mut self, token: Box<TokenFrame>, ctx: &mut Context<'_, Self::Msg>) {

@@ -20,12 +20,12 @@
 
 use std::collections::BTreeMap;
 
-use atp_net::{Context, MsgClass, Node, NodeId};
+use atp_net::{Context, Node, NodeId};
 
 use crate::checkpoint::CKPT_NAIMI;
 use crate::config::ProtocolConfig;
 use crate::custody::{Custodian, Custody, HoldState, Lazy, Outstanding, Owed};
-use crate::event::{TokenEvent, Want};
+use crate::event::Want;
 use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
 use crate::types::RequestId;
@@ -58,10 +58,6 @@ pub enum NaimiMsg {
     /// Failure-handling traffic (shared with the other protocols).
     Regen(RegenMsg),
 }
-
-/// Analytic wire size of a Request: tag 1 + origin 4 + [`RequestId`] 12 +
-/// attempt 4 + hops 4 (mirrors `atp_core::codec::naimi_encoded_len`).
-const REQUEST_WIRE_BYTES: u64 = 25;
 
 /// One node of the Naimi–Tréhel path-reversal protocol.
 ///
@@ -117,21 +113,13 @@ impl NaimiNode {
         ctx: &mut Context<'_, NaimiMsg>,
     ) {
         self.request_sends += 1;
-        self.c.events.push(TokenEvent::SearchForwarded {
+        let request = NaimiMsg::Request {
+            origin,
             req,
-            bytes: REQUEST_WIRE_BYTES,
-            at: ctx.now(),
-        });
-        ctx.send(
-            to,
-            NaimiMsg::Request {
-                origin,
-                req,
-                attempt,
-                hops,
-            },
-            MsgClass::Control,
-        );
+            attempt,
+            hops,
+        };
+        self.send_search(to, req, request, ctx);
     }
 
     fn handle_request(
@@ -216,28 +204,8 @@ impl NaimiNode {
 }
 
 impl Lazy for NaimiNode {
-    fn send_token(
-        &mut self,
-        to: NodeId,
-        frame: Box<TokenFrame>,
-        grant_for: Option<RequestId>,
-        ctx: &mut Context<'_, NaimiMsg>,
-    ) {
-        if let Some(req) = grant_for {
-            // Wire size per the codec: tag 1 + frame + RequestId 12 (the
-            // tag byte distinguishes lazy from granting sends).
-            self.c.events.push(TokenEvent::TokenDispatched {
-                req,
-                bytes: 13 + frame.encoded_len() as u64,
-                at: ctx.now(),
-            });
-        }
-        self.ship(
-            to,
-            frame,
-            |_, frame| NaimiMsg::Token { frame, grant_for },
-            ctx,
-        );
+    fn token_msg(frame: Box<TokenFrame>, grant_for: Option<RequestId>) -> NaimiMsg {
+        NaimiMsg::Token { frame, grant_for }
     }
 
     /// Classic Naimi–Tréhel holds at most one `next`; extra entries only
@@ -404,7 +372,7 @@ impl Node for NaimiNode {
 mod tests {
     use super::*;
     use crate::TokenNode;
-    use atp_net::{LinkFaults, SimTime, World, WorldConfig};
+    use atp_net::{LinkFaults, MsgClass, SimTime, World, WorldConfig};
 
     fn world(n: usize, cfg: ProtocolConfig) -> World<NaimiNode> {
         World::from_nodes(

@@ -18,12 +18,12 @@
 //! are the shared [core](crate::custody); this file is rules 5–6: the gimme
 //! walk that sets the traps.
 
-use atp_net::{Context, MsgClass, Node, NodeId};
+use atp_net::{Context, Node, NodeId};
 
 use crate::checkpoint::CKPT_SEARCH;
 use crate::config::ProtocolConfig;
 use crate::custody::{Custodian, Custody, Lazy, Outstanding, Owed};
-use crate::event::{TokenEvent, Want};
+use crate::event::Want;
 use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
 use crate::types::RequestId;
@@ -79,9 +79,6 @@ impl SearchNode {
 
     /// Sends one gimme hop for `req` and records it in the event stream
     /// (the span instrumentation behind per-request forward counts).
-    /// `SearchMsg` has no binary codec, so the wire size is the analytic
-    /// size of a Gimme: tag 1 + origin 4 + [`RequestId`] 12 + hops 4 = 21
-    /// bytes.
     fn send_gimme(
         &mut self,
         to: NodeId,
@@ -90,18 +87,9 @@ impl SearchNode {
         hops: u32,
         ctx: &mut Context<'_, SearchMsg>,
     ) {
-        const GIMME_WIRE_BYTES: u64 = 21;
         self.gimme_sends += 1;
-        self.c.events.push(TokenEvent::SearchForwarded {
-            req,
-            bytes: GIMME_WIRE_BYTES,
-            at: ctx.now(),
-        });
-        ctx.send(
-            to,
-            SearchMsg::Gimme { origin, req, hops },
-            MsgClass::Control,
-        );
+        let gimme = SearchMsg::Gimme { origin, req, hops };
+        self.send_search(to, req, gimme, ctx);
     }
 
     /// Relays a gimme to the cyclic neighbour (rule 6 restricted) unless it
@@ -156,28 +144,8 @@ impl SearchNode {
 }
 
 impl Lazy for SearchNode {
-    fn send_token(
-        &mut self,
-        to: NodeId,
-        frame: Box<TokenFrame>,
-        grant_for: Option<RequestId>,
-        ctx: &mut Context<'_, SearchMsg>,
-    ) {
-        if let Some(req) = grant_for {
-            // Analytic wire size: tag 1 + frame + grant_for option tag 1 +
-            // RequestId 12.
-            self.c.events.push(TokenEvent::TokenDispatched {
-                req,
-                bytes: 14 + frame.encoded_len() as u64,
-                at: ctx.now(),
-            });
-        }
-        self.ship(
-            to,
-            frame,
-            |_, frame| SearchMsg::Token { frame, grant_for },
-            ctx,
-        );
+    fn token_msg(frame: Box<TokenFrame>, grant_for: Option<RequestId>) -> SearchMsg {
+        SearchMsg::Token { frame, grant_for }
     }
 
     /// A trap left behind re-walks from the new holder as a fresh gimme.
@@ -294,7 +262,7 @@ impl Node for SearchNode {
 mod tests {
     use super::*;
     use crate::TokenNode;
-    use atp_net::{LinkFaults, SimTime, World, WorldConfig};
+    use atp_net::{LinkFaults, MsgClass, SimTime, World, WorldConfig};
 
     fn world(n: usize, cfg: ProtocolConfig) -> World<SearchNode> {
         World::from_nodes(

@@ -1,7 +1,7 @@
 //! End-to-end checks on the observability layer: Lemma 6's forward bound
 //! measured (not inferred) from request-lifecycle spans, golden-file
-//! stability of the JSON-lines trace export, and exact registry merging
-//! across thread counts.
+//! stability of the JSON-lines trace export, exact registry merging
+//! across thread counts, and span byte counts taken from the wire codec.
 
 use adaptive_token_passing::sim::obs::{self, TRACE_CAPACITY};
 use adaptive_token_passing::sim::runner::{
@@ -10,6 +10,11 @@ use adaptive_token_passing::sim::runner::{
 use adaptive_token_passing::sim::sweep::{run_points, PointSpec, WorkloadSpec};
 use adaptive_token_passing::sim::workload::GlobalPoisson;
 use adaptive_token_passing::util::pool;
+use atp_core::{
+    BinaryNode, NaimiNode, ProtocolConfig, RingNode, SearchNode, TokenEvent, Want, WireProtocol,
+};
+use atp_net::{Harness, MsgClass, NodeId, Outbound, SimTime, Topology};
+use std::collections::VecDeque;
 
 /// Lemma 6: under System BinarySearch a request is forwarded O(log N)
 /// times. Measured directly: every span's forward count from a pinned
@@ -106,4 +111,102 @@ fn run_json_embeds_span_report() {
         spans.get("max_forwards").and_then(|c| c.as_u64()),
         Some(summary.spans.max_forwards)
     );
+}
+
+/// Messages sent and not yet delivered, with their senders.
+type InFlight<M> = VecDeque<(NodeId, Outbound<M>)>;
+
+/// After a callback on `host`: every span size it reported
+/// (`SearchForwarded`, `TokenDispatched`) must be the encoded length of one
+/// message that callback sent. Queues the sends; returns how many sizes
+/// were checked and whether a request was granted.
+fn audit<P: WireProtocol>(
+    host: &mut Harness<P>,
+    in_flight: &mut InFlight<P::Msg>,
+) -> (usize, bool) {
+    let sent = host.take_outbound();
+    let mut lens: Vec<u64> = sent
+        .iter()
+        .map(|o| P::msg_encoded_len(&o.msg) as u64)
+        .collect();
+    let (mut checked, mut granted) = (0, false);
+    for ev in host.node_mut().take_events() {
+        match ev {
+            TokenEvent::SearchForwarded { bytes, .. }
+            | TokenEvent::TokenDispatched { bytes, .. } => {
+                let Some(i) = lens.iter().position(|&len| len == bytes) else {
+                    panic!("{}: {ev:?} reports {bytes} bytes, sent {lens:?}", P::LABEL);
+                };
+                lens.swap_remove(i);
+                checked += 1;
+            }
+            TokenEvent::Granted { .. } => granted = true,
+            _ => {}
+        }
+    }
+    let from = host.id();
+    in_flight.extend(sent.into_iter().map(|o| (from, o)));
+    (checked, granted)
+}
+
+/// Drives one request at node 5 of an 8-node ring to its grant through
+/// `Harness` hosts, delivering control messages before token frames, and
+/// audits every callback. Returns how many span sizes were checked.
+fn span_sizes_match_the_codec<P: WireProtocol>() -> usize {
+    let (n, t) = (8, SimTime::ZERO);
+    let mut hosts: Vec<Harness<P>> = (0..n)
+        .map(|i| {
+            let node = P::build(ProtocolConfig::default());
+            Harness::new(NodeId::new(i), Topology::ring(n as usize), node, 1)
+        })
+        .collect();
+    let mut in_flight = VecDeque::new();
+    let mut checked = 0;
+    for host in &mut hosts {
+        host.init(t);
+        checked += audit(host, &mut in_flight).0;
+    }
+    hosts[5].external(t, Want::new(7));
+    let (c, mut granted) = audit(&mut hosts[5], &mut in_flight);
+    checked += c;
+    for _ in 0..1_000 {
+        if granted {
+            return checked;
+        }
+        let control = in_flight
+            .iter()
+            .position(|(_, o)| o.class == MsgClass::Control);
+        let (from, o) = in_flight
+            .remove(control.unwrap_or(0))
+            .expect("a message in flight");
+        let host = &mut hosts[o.to.index()];
+        host.deliver(t, from, o.msg);
+        let (c, g) = audit(host, &mut in_flight);
+        checked += c;
+        granted |= g;
+    }
+    panic!("{}: the request was never granted", P::LABEL);
+}
+
+/// The rotating ring never searches, so it reports no span sizes.
+#[test]
+fn ring_reports_no_span_sizes() {
+    assert_eq!(span_sizes_match_the_codec::<RingNode>(), 0);
+}
+
+#[test]
+fn search_span_sizes_are_the_codec_lengths() {
+    // The gimme walk 6 → 7 → 0, then the granting token.
+    assert_eq!(span_sizes_match_the_codec::<SearchNode>(), 4);
+}
+
+#[test]
+fn binary_span_sizes_are_the_codec_lengths() {
+    assert!(span_sizes_match_the_codec::<BinaryNode>() >= 2);
+}
+
+#[test]
+fn naimi_span_sizes_are_the_codec_lengths() {
+    // One Request to the holder, then the granting token.
+    assert_eq!(span_sizes_match_the_codec::<NaimiNode>(), 2);
 }
