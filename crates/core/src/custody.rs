@@ -82,7 +82,7 @@ pub struct Outstanding<R> {
 
 /// What a holder is doing with the token.
 #[derive(Debug)]
-pub enum HoldState {
+pub(crate) enum HoldState {
     /// Holding, free to serve, dispatch or pass.
     Idle,
     /// Pass timer armed (adaptive token speed; the rotating protocols).
@@ -109,7 +109,7 @@ pub struct Holding {
 /// A remote request this node owes the token to: a trap (Search,
 /// BinarySearch) or a `next` obligation (Naimi–Tréhel).
 #[derive(Debug)]
-pub struct Owed {
+pub(crate) struct Owed {
     pub(crate) origin: NodeId,
     pub(crate) req: RequestId,
     /// Naimi's resend counter; 0 elsewhere.
@@ -779,7 +779,7 @@ pub trait Custodian: Node<Ext = Want> {
 /// owed entry chases the token to its new holder. The protocol supplies how
 /// a token message is built and how an entry chases; the flow is written
 /// here once.
-pub trait Lazy: Custodian + WireProtocol {
+pub(crate) trait Lazy: Custodian + WireProtocol {
     /// The token message carrying `frame`; `grant_for` names the request it
     /// serves.
     fn token_msg(frame: Box<TokenFrame>, grant_for: Option<RequestId>) -> Self::Msg;
