@@ -256,16 +256,26 @@ echo "== idle cluster smoke =="
 # System Search parks its token, so between requests every node thread is
 # blocked with nothing scheduled: the closed-loop p50 is then what a wake-up
 # costs. It was 5.3 ms while requests waited for a poll; a frame through
-# the front door wakes the node in ~0.1 ms.
-IDLE_OUT=$(cargo run -q --release -p atp-sim --bin cluster -- \
-  --protocol search --transport chan --requests 400)
-echo "$IDLE_OUT"
-IDLE_P50=$(echo "$IDLE_OUT" | sed -n 's/^latency p50 \([0-9.]*\)ms.*/\1/p')
-if ! awk -v p50="$IDLE_P50" 'BEGIN { exit !(p50 != "" && p50 + 0 <= 1.0) }'; then
-  echo "idle search p50 is ${IDLE_P50:-missing} ms (limit 1 ms): nodes are not woken on arrival" >&2
-  exit 1
-fi
-echo "idle search p50 ${IDLE_P50} ms"
+# the front door wakes the node in ~0.1 ms. The lazy token (Search, Naimi)
+# must also stay bounded: it drops the history every node has acked, so its
+# largest granting frame is a few hundred bytes at N = 8 however many
+# requests ran; carrying all of H it was ~112 KB after 4 000.
+for PROTO in search naimi; do
+  IDLE_OUT=$(cargo run -q --release -p atp-sim --bin cluster -- \
+    --protocol "$PROTO" --transport chan --requests 4000)
+  echo "$IDLE_OUT"
+  IDLE_P50=$(echo "$IDLE_OUT" | sed -n 's/^latency p50 \([0-9.]*\)ms.*/\1/p')
+  if ! awk -v p50="$IDLE_P50" 'BEGIN { exit !(p50 != "" && p50 + 0 <= 1.0) }'; then
+    echo "idle $PROTO p50 is ${IDLE_P50:-missing} ms (limit 1 ms): nodes are not woken on arrival" >&2
+    exit 1
+  fi
+  TOKEN_MAX=$(echo "$IDLE_OUT" | sed -n 's/^token bytes max=\([0-9]*\)$/\1/p')
+  if ! awk -v b="$TOKEN_MAX" 'BEGIN { exit !(b != "" && b + 0 <= 2048) }'; then
+    echo "idle $PROTO token frame reached ${TOKEN_MAX:-missing} B (limit 2048): the carried window is not bounded" >&2
+    exit 1
+  fi
+  echo "idle $PROTO p50 ${IDLE_P50} ms, token bytes max ${TOKEN_MAX} B"
+done
 
 echo "== benchmark self-test =="
 # atpbench is a package of its own (not a workspace member) that implements

@@ -1051,9 +1051,16 @@ mod tests {
             BinaryMsg::Regen(RegenMsg::GenAnnounce { generation: 0x0201 }),
         ];
         // An empty token frame too, so the frame-length formula is
-        // checked at both extremes.
+        // checked at both extremes, and one whose applied watermark is
+        // filled in, as the lazy protocols ship it.
         msgs.push(BinaryMsg::Token {
             frame: Box::new(TokenFrame::new(4)),
+            mode: TokenMode::Rotate,
+        });
+        let mut acked = frame.clone();
+        acked.ack(NodeId::new(3), 4, 1);
+        msgs.push(BinaryMsg::Token {
+            frame: acked,
             mode: TokenMode::Rotate,
         });
         for m in msgs {

@@ -197,6 +197,57 @@ fn carried_run_out_of_seq_order_is_rejected() {
     }
 }
 
+/// A ring token frame whose applied watermark holds `acks` for three nodes,
+/// over a history of two entries (`next_seq` 3), encoded; and the offset of
+/// the watermark's length prefix, which the frame's last bytes follow.
+fn acked_ring_token(acks: [u64; 3]) -> (Vec<u8>, usize) {
+    let mut frame = TokenFrame::new(3);
+    frame.append(NodeId::new(1), 7);
+    frame.append(NodeId::new(2), 8);
+    for (node, ack) in acks.into_iter().enumerate() {
+        frame.ack(NodeId::new(node as u32), 3, ack);
+    }
+    let bytes = encode_ring_msg(&RingMsg::Token(Box::new(frame)));
+    let at = bytes.len() - 4 - 8 * 3;
+    assert_eq!(bytes[at..at + 4], 3u32.to_le_bytes());
+    (bytes, at)
+}
+
+/// One ack per node, and the satisfied cap is at least the node count: a
+/// watermark longer than the cap is one `encode` cannot have written.
+#[test]
+fn ack_vector_longer_than_its_cap_is_rejected() {
+    let (mut bytes, at) = acked_ring_token([0, 1, 2]);
+    assert!(decode_ring_msg(&bytes).is_ok());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
+    assert!(matches!(
+        decode_ring_msg(&bytes),
+        Err(CodecError::Truncated)
+    ));
+}
+
+/// An ack names a prefix of `H` a node has applied, so it is below
+/// `next_seq`; a larger one would let the ack floor cut entries no node
+/// has seen, and is rejected at the door.
+#[test]
+fn ack_at_or_beyond_next_seq_is_rejected() {
+    let (bytes, at) = acked_ring_token([2, 2, 2]);
+    let Ok(RingMsg::Token(back)) = decode_ring_msg(&bytes) else {
+        panic!("valid frame must decode");
+    };
+    assert_eq!(back.committed(), 2);
+    for bad_ack in [3u64, 4, u64::MAX] {
+        let mut bytes = bytes.clone();
+        let slot = at + 4 + 8;
+        bytes[slot..slot + 8].copy_from_slice(&bad_ack.to_le_bytes());
+        assert!(
+            matches!(decode_ring_msg(&bytes), Err(CodecError::Truncated)),
+            "ack {bad_ack} over a history of 2 was honored"
+        );
+    }
+}
+
 /// Every tag *outside* a decoder's known list is a structured rejection,
 /// not a guess — for all 256 tag bytes, derived from the lists themselves.
 /// Each framing's tags are unknown to every other framing's decoder.

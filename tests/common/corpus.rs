@@ -49,6 +49,13 @@ pub fn arb_frame(g: &mut Gen) -> TokenFrame {
     for node in excluded {
         frame.exclude(node);
     }
+    // The applied watermark, as a lazy token carries it: `cap` nodes.
+    let acks = g.vec(0..3, |g| {
+        (g.gen_range(0..cap as u32), g.gen_range(0u64..10))
+    });
+    for (node, applied) in acks {
+        frame.ack(NodeId::new(node), cap, applied);
+    }
     frame
 }
 
