@@ -321,7 +321,7 @@ impl<Ev> Runtime<Ev> {
     }
 
     /// Blocks until an event satisfies `wanted`, or `timeout` elapses.
-    fn await_event(&self, timeout: Duration, wanted: impl Fn(&Ev) -> bool) -> bool {
+    fn await_event(&self, timeout: Duration, mut wanted: impl FnMut(&Ev) -> bool) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
             let now = Instant::now();
@@ -468,7 +468,19 @@ impl<P: WireProtocol> Cluster<P> {
     /// Blocks until `node` reports a grant, or `timeout` elapses.
     /// Other events arriving in between are discarded.
     pub fn await_grant(&self, node: NodeId, timeout: Duration) -> bool {
+        self.await_grant_observing(node, timeout, |_, _| {})
+    }
+
+    /// [`Cluster::await_grant`] that first shows `observe` every event it
+    /// takes off the stream, the awaited grant included.
+    pub fn await_grant_observing(
+        &self,
+        node: NodeId,
+        timeout: Duration,
+        mut observe: impl FnMut(NodeId, &TokenEvent),
+    ) -> bool {
         self.rt.await_event(timeout, |(who, ev)| {
+            observe(*who, ev);
             *who == node && matches!(ev, TokenEvent::Granted { .. })
         })
     }
