@@ -215,6 +215,39 @@ if [ "$HOLD" -ne 0 ]; then
 fi
 echo "custody glue exists once"
 
+echo "== codec anti-fork gate =="
+# Each wire layout is written once, in crates/core/src/codec.rs and its
+# callers, as an encoder into a sink: a size is that encoder run into the
+# counting sink (`measure(`), a tag list is computed from the decoder, and
+# every custodian is a WireProtocol through one blanket impl. The layouts
+# used to be spelt out up to three times (bytes, a length formula, a tag
+# list) and the copies drifted: fail if a second WireProtocol impl or a
+# hand-written length formula comes back.
+CORE=$(for f in crates/core/src/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done)
+WIRE_IMPLS=$(echo "$CORE" | grep -c 'WireProtocol for' || true)
+if [ "$WIRE_IMPLS" -ne 1 ]; then
+  echo "crates/core/src holds $WIRE_IMPLS WireProtocol impls; the blanket impl over custodians is the one" >&2
+  exit 1
+fi
+FORMULAS=$(echo "$CORE" | awk '
+  /fn [A-Za-z0-9_]*encoded_len/ { name = $0; body = ""; depth = 0; inside = 1 }
+  inside {
+    body = body $0 "\n"
+    opens = gsub(/\{/, "{"); closes = gsub(/\}/, "}")
+    depth += opens - closes
+    if (opens + closes == 0 && $0 ~ /;[[:space:]]*$/) { inside = 0 }
+    else if (opens + closes > 0 && depth == 0) {
+      if (body !~ /measure\(/) print name
+      inside = 0
+    }
+  }')
+if [ -n "$FORMULAS" ]; then
+  echo "a length formula is back: these encoded_len bodies do not run an encoder through measure(" >&2
+  echo "$FORMULAS" >&2
+  exit 1
+fi
+echo "one WireProtocol impl, every size from its encoder"
+
 echo "== runtime anti-fork gate =="
 # A node thread has one thing to block on — its endpoint — and the loop
 # around it is written once for Cluster and ShardedCluster. The two copies

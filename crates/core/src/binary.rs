@@ -677,6 +677,7 @@ impl BinaryNode {
 impl Custodian for BinaryNode {
     type Route = Search;
     const CKPT: u8 = CKPT_BINARY;
+    const LABEL: &'static str = "binary";
 
     fn custody(&self) -> &Custody<BinaryMsg, Search> {
         &self.c

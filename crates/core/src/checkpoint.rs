@@ -25,10 +25,9 @@
 //! length-prefixed lists, typed [`CodecError`]s on malformed input) so a
 //! checkpoint travels over the same wire infrastructure as any frame.
 
-use atp_net::NodeId;
-use atp_util::buf::{Buf, BufMut};
+use atp_util::buf::Buf;
 
-use crate::codec::CodecError;
+use crate::codec::{get, get_seq, measure, CodecError, Fixed, Sink};
 use crate::order::{HistoryDigest, OrderState};
 use crate::types::{LogEntry, VisitStamp};
 
@@ -103,36 +102,29 @@ impl Checkpoint {
         VisitStamp(self.last_visit)
     }
 
-    /// Serializes into `buf` (codec conventions: little-endian, `u32`
+    /// Serializes into `s` (codec conventions: little-endian, `u32`
     /// length prefix on the log).
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.protocol);
-        buf.put_u32_le(self.generation);
-        buf.put_u64_le(self.next_req_seq);
-        buf.put_u64_le(self.last_visit);
+    pub fn encode(&self, s: &mut impl Sink) {
+        self.protocol.put(s);
+        self.generation.put(s);
+        self.next_req_seq.put(s);
+        self.last_visit.put(s);
         match self.watermark {
             Some((g, t)) => {
-                buf.put_u8(1);
-                buf.put_u32_le(g);
-                buf.put_u64_le(t);
+                1u8.put(s);
+                g.put(s);
+                t.put(s);
             }
-            None => buf.put_u8(0),
+            None => 0u8.put(s),
         }
-        buf.put_u64_le(self.applied_seq);
-        buf.put_u64_le(self.digest);
-        buf.put_u32_le(self.log.len() as u32);
-        for e in &self.log {
-            buf.put_u64_le(e.seq);
-            buf.put_u32_le(e.origin.raw());
-            buf.put_u64_le(e.payload);
-            buf.put_u64_le(e.round);
-        }
+        self.applied_seq.put(s);
+        self.digest.put(s);
+        s.seq(self.log.iter());
     }
 
     /// Exact byte length [`Checkpoint::encode`] produces.
     pub fn encoded_len(&self) -> usize {
-        let watermark = if self.watermark.is_some() { 1 + 4 + 8 } else { 1 };
-        1 + 4 + 8 + 8 + watermark + 8 + 8 + 4 + self.log.len() * 28
+        measure(|s| self.encode(s))
     }
 
     /// Deserializes a checkpoint previously produced by
@@ -143,39 +135,23 @@ impl Checkpoint {
     /// Typed [`CodecError`]s on truncated input or an unknown protocol
     /// tag — checkpoint bytes come off a disk or a wire and are untrusted.
     pub fn decode(buf: &mut impl Buf) -> Result<Checkpoint, CodecError> {
-        let protocol = get_u8(buf)?;
+        let protocol = get(buf)?;
         if protocol > CKPT_NAIMI {
             return Err(CodecError::BadTag(protocol));
         }
-        let generation = get_u32(buf)?;
-        let next_req_seq = get_u64(buf)?;
-        let last_visit = get_u64(buf)?;
-        let watermark = match get_u8(buf)? {
-            0 => None,
-            1 => Some((get_u32(buf)?, get_u64(buf)?)),
-            other => return Err(CodecError::BadTag(other)),
-        };
-        let applied_seq = get_u64(buf)?;
-        let digest = get_u64(buf)?;
-        let n = get_u32(buf)? as usize;
-        let mut log = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            log.push(LogEntry {
-                seq: get_u64(buf)?,
-                origin: NodeId::new(get_u32(buf)?),
-                payload: get_u64(buf)?,
-                round: get_u64(buf)?,
-            });
-        }
         Ok(Checkpoint {
             protocol,
-            generation,
-            next_req_seq,
-            last_visit,
-            watermark,
-            applied_seq,
-            digest,
-            log,
+            generation: get(buf)?,
+            next_req_seq: get(buf)?,
+            last_visit: get(buf)?,
+            watermark: match get::<u8>(buf)? {
+                0 => None,
+                1 => Some((get(buf)?, get(buf)?)),
+                other => return Err(CodecError::BadTag(other)),
+            },
+            applied_seq: get(buf)?,
+            digest: get(buf)?,
+            log: get_seq(buf)?,
         })
     }
 
@@ -196,30 +172,10 @@ impl Checkpoint {
     }
 }
 
-fn get_u8(buf: &mut impl Buf) -> Result<u8, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut impl Buf) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut impl Buf) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u64_le())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atp_net::NodeId;
 
     fn sample() -> Checkpoint {
         Checkpoint {

@@ -7,9 +7,21 @@
 //! Round-tripping is exact: `decode_binary_msg(encode_binary_msg(m)) == m`
 //! for every message, and likewise for the other three pairs. The
 //! regeneration sub-protocol shares one encoding (tags `0x20..=0x28`)
-//! across all four framings.
+//! across all four framings, and System Search and Naimi–Tréhel share the
+//! lazy token's.
+//!
+//! Each layout is written once, as a [`WireMsg`] encoder into a [`Sink`]
+//! and its decoder. A `Vec<u8>` sink collects the bytes; the counting sink
+//! behind [`measure`] only adds up their number, so a message's size is its
+//! encoder run into the counter and cannot drift from the bytes. Every
+//! sequence on this wire is a `u32` count of [`Fixed`]-width elements, so
+//! the counter sizes a frame of any length without walking it. The
+//! `known_*_tags` lists are computed from the decoders: the tags each one
+//! does not answer with [`CodecError::BadTag`].
 
-use atp_util::buf::{Buf, BufMut};
+use std::sync::OnceLock;
+
+use atp_util::buf::Buf;
 
 use atp_net::NodeId;
 
@@ -19,7 +31,7 @@ use crate::regen::{RegenMsg, RegenReply};
 use crate::ring::RingMsg;
 use crate::search::SearchMsg;
 use crate::token::TokenFrame;
-use crate::types::{RequestId, VisitStamp};
+use crate::types::{LogEntry, RequestId, VisitStamp};
 
 /// Why decoding failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +40,10 @@ pub enum CodecError {
     Truncated,
     /// An unknown message/mode tag was encountered.
     BadTag(u8),
+    /// The frame is complete but describes a value no encoder writes (a
+    /// token frame whose carried run is out of order, or whose satisfied
+    /// window or applied watermark breaks its own bounds).
+    Malformed,
 }
 
 impl std::fmt::Display for CodecError {
@@ -35,6 +51,7 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "message truncated"),
             CodecError::BadTag(t) => write!(f, "unknown tag {t:#x}"),
+            CodecError::Malformed => write!(f, "message malformed"),
         }
     }
 }
@@ -61,92 +78,205 @@ const TAG_REGEN_TOKEN_ACK: u8 = 0x27;
 const TAG_REGEN_GEN_ANNOUNCE: u8 = 0x28;
 const TAG_RING_TOKEN: u8 = 0x30;
 const TAG_SEARCH_TOKEN_LAZY: u8 = 0x38;
-const TAG_SEARCH_TOKEN_GRANT: u8 = 0x39;
+const TAG_SEARCH_TOKEN_GRANT: u8 = TAG_SEARCH_TOKEN_LAZY + 1;
 const TAG_SEARCH_GIMME: u8 = 0x3a;
 const TAG_NAIMI_REQUEST: u8 = 0x40;
 const TAG_NAIMI_TOKEN_LAZY: u8 = 0x41;
-const TAG_NAIMI_TOKEN_GRANT: u8 = 0x42;
+const TAG_NAIMI_TOKEN_GRANT: u8 = TAG_NAIMI_TOKEN_LAZY + 1;
 const TAG_SHARD_ENVELOPE: u8 = 0x50;
+
+/// Where an encoder writes: a `Vec<u8>` collects the bytes, the counter
+/// behind [`measure`] only adds up how many there are.
+pub trait Sink: Sized {
+    /// Writes raw bytes.
+    fn bytes(&mut self, b: &[u8]);
+    /// Writes a `u32` count, then every item.
+    fn seq<'a, T: Fixed + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
+        (items.len() as u32).put(self);
+        for item in items {
+            item.put(self);
+        }
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+}
+
+/// The counting sink: a sequence costs its count plus `len · WIDTH`, added
+/// without visiting the items.
+pub(crate) struct Len(usize);
+
+impl Sink for Len {
+    fn bytes(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+    fn seq<'a, T: Fixed + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
+        self.0 += 4 + items.len() * T::WIDTH;
+    }
+}
+
+/// The exact number of bytes `encode` writes, counted without writing them.
+pub(crate) fn measure(encode: impl FnOnce(&mut Len)) -> usize {
+    let mut len = Len(0);
+    encode(&mut len);
+    len.0
+}
+
+/// A value of constant encoded width: every field and every sequence
+/// element on this wire.
+pub trait Fixed: Sized {
+    /// Encoded width in bytes.
+    const WIDTH: usize;
+    /// Writes the value.
+    fn put(&self, s: &mut impl Sink);
+    /// Reads the value; the caller has checked that `WIDTH` bytes remain.
+    fn read(buf: &mut impl Buf) -> Self;
+}
+
+/// Little-endian integers.
+macro_rules! fixed_int {
+    ($($int:ty),*) => {$(
+        impl Fixed for $int {
+            const WIDTH: usize = std::mem::size_of::<$int>();
+            fn put(&self, s: &mut impl Sink) {
+                s.bytes(&self.to_le_bytes());
+            }
+            fn read(buf: &mut impl Buf) -> Self {
+                <$int>::from_le_bytes(buf.take(Self::WIDTH).try_into().expect("width"))
+            }
+        }
+    )*};
+}
+
+fixed_int!(u8, u16, u32, u64);
+
+impl Fixed for NodeId {
+    const WIDTH: usize = 4;
+    fn put(&self, s: &mut impl Sink) {
+        self.raw().put(s);
+    }
+    fn read(buf: &mut impl Buf) -> Self {
+        NodeId::new(u32::read(buf))
+    }
+}
+
+impl Fixed for VisitStamp {
+    const WIDTH: usize = 8;
+    fn put(&self, s: &mut impl Sink) {
+        self.value().put(s);
+    }
+    fn read(buf: &mut impl Buf) -> Self {
+        VisitStamp(u64::read(buf))
+    }
+}
+
+impl Fixed for RequestId {
+    const WIDTH: usize = 4 + 8;
+    fn put(&self, s: &mut impl Sink) {
+        self.origin.put(s);
+        self.seq.put(s);
+    }
+    fn read(buf: &mut impl Buf) -> Self {
+        RequestId::new(NodeId::read(buf), u64::read(buf))
+    }
+}
+
+impl Fixed for LogEntry {
+    const WIDTH: usize = 8 + 4 + 8 + 8;
+    fn put(&self, s: &mut impl Sink) {
+        self.seq.put(s);
+        self.origin.put(s);
+        self.payload.put(s);
+        self.round.put(s);
+    }
+    fn read(buf: &mut impl Buf) -> Self {
+        LogEntry {
+            seq: u64::read(buf),
+            origin: NodeId::read(buf),
+            payload: u64::read(buf),
+            round: u64::read(buf),
+        }
+    }
+}
+
+/// Reads one fixed-width value: [`CodecError::Truncated`] when fewer than
+/// `T::WIDTH` bytes remain.
+pub(crate) fn get<T: Fixed>(buf: &mut impl Buf) -> Result<T, CodecError> {
+    if buf.remaining() < T::WIDTH {
+        return Err(CodecError::Truncated);
+    }
+    Ok(T::read(buf))
+}
+
+/// Reads a `u32` count and that many elements: [`CodecError::Truncated`],
+/// before allocating anything, when the buffer cannot hold them all.
+pub(crate) fn get_seq<T: Fixed>(buf: &mut impl Buf) -> Result<Vec<T>, CodecError> {
+    let n = get::<u32>(buf)? as usize;
+    if buf.remaining() / T::WIDTH < n {
+        return Err(CodecError::Truncated);
+    }
+    Ok((0..n).map(|_| T::read(buf)).collect())
+}
+
+/// A message family with a wire layout: one encoder and one decoder, from
+/// which the bytes, the size and the tag list all follow.
+pub trait WireMsg: Sized {
+    /// Writes the message, tag first.
+    fn put(&self, s: &mut impl Sink);
+    /// Reads a message from the front of `buf`; a typed [`CodecError`] on
+    /// truncated, unrecognized or malformed input.
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError>;
+}
+
+/// Encodes `msg` into a standalone byte frame.
+pub(crate) fn to_bytes<M: WireMsg>(msg: &M) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(measure(|s| msg.put(s)));
+    msg.put(&mut buf);
+    buf
+}
+
+/// Decodes a frame written by [`to_bytes`].
+pub(crate) fn from_bytes<M: WireMsg>(mut bytes: &[u8]) -> Result<M, CodecError> {
+    M::get(&mut bytes)
+}
+
+/// Every tag `M`'s decoder recognizes, ascending: the bytes it does not
+/// answer with [`CodecError::BadTag`] when one is the whole frame.
+fn accepted_tags<M: WireMsg>() -> Vec<u8> {
+    (0..=u8::MAX)
+        .filter(|&tag| !matches!(from_bytes::<M>(&[tag]), Err(CodecError::BadTag(_))))
+        .collect()
+}
 
 /// Every tag byte [`decode_binary_msg`] accepts, in ascending order.
 ///
 /// Negative tests derive their "unknown tag" corpus from the complement of
-/// this list, so a frame added to the codec without extending the list (or
-/// vice versa) fails the exhaustiveness tests instead of silently dodging
-/// fuzz coverage.
+/// this list. It is computed from the decoder, so a frame added to the codec
+/// is in it at once.
 pub fn known_binary_tags() -> &'static [u8] {
-    &[
-        TAG_TOKEN_ROTATE,
-        TAG_TOKEN_GRANT,
-        TAG_TOKEN_CLEANUP,
-        TAG_TOKEN_RETURN,
-        TAG_GIMME,
-        TAG_DIRECTED_PROBE,
-        TAG_DIRECTED_REPLY,
-        TAG_PROBE_REQ,
-        TAG_PROBE_HIT,
-        TAG_REGEN_INQUIRY,
-        TAG_REGEN_REPLY,
-        TAG_REGEN_PLEASE,
-        TAG_REGEN_REJOIN,
-        TAG_REGEN_LEAVE,
-        TAG_REGEN_SYNC_REQ,
-        TAG_REGEN_SYNC_REPLY,
-        TAG_REGEN_TOKEN_ACK,
-        TAG_REGEN_GEN_ANNOUNCE,
-    ]
+    static TAGS: OnceLock<Vec<u8>> = OnceLock::new();
+    TAGS.get_or_init(accepted_tags::<BinaryMsg>)
 }
 
 /// Every tag byte [`decode_ring_msg`] accepts, in ascending order.
 pub fn known_ring_tags() -> &'static [u8] {
-    &[
-        TAG_REGEN_INQUIRY,
-        TAG_REGEN_REPLY,
-        TAG_REGEN_PLEASE,
-        TAG_REGEN_REJOIN,
-        TAG_REGEN_LEAVE,
-        TAG_REGEN_SYNC_REQ,
-        TAG_REGEN_SYNC_REPLY,
-        TAG_REGEN_TOKEN_ACK,
-        TAG_REGEN_GEN_ANNOUNCE,
-        TAG_RING_TOKEN,
-    ]
+    static TAGS: OnceLock<Vec<u8>> = OnceLock::new();
+    TAGS.get_or_init(accepted_tags::<RingMsg>)
 }
 
 /// Every tag byte [`decode_search_msg`] accepts, in ascending order.
 pub fn known_search_tags() -> &'static [u8] {
-    &[
-        TAG_REGEN_INQUIRY,
-        TAG_REGEN_REPLY,
-        TAG_REGEN_PLEASE,
-        TAG_REGEN_REJOIN,
-        TAG_REGEN_LEAVE,
-        TAG_REGEN_SYNC_REQ,
-        TAG_REGEN_SYNC_REPLY,
-        TAG_REGEN_TOKEN_ACK,
-        TAG_REGEN_GEN_ANNOUNCE,
-        TAG_SEARCH_TOKEN_LAZY,
-        TAG_SEARCH_TOKEN_GRANT,
-        TAG_SEARCH_GIMME,
-    ]
+    static TAGS: OnceLock<Vec<u8>> = OnceLock::new();
+    TAGS.get_or_init(accepted_tags::<SearchMsg>)
 }
 
 /// Every tag byte [`decode_naimi_msg`] accepts, in ascending order.
 pub fn known_naimi_tags() -> &'static [u8] {
-    &[
-        TAG_REGEN_INQUIRY,
-        TAG_REGEN_REPLY,
-        TAG_REGEN_PLEASE,
-        TAG_REGEN_REJOIN,
-        TAG_REGEN_LEAVE,
-        TAG_REGEN_SYNC_REQ,
-        TAG_REGEN_SYNC_REPLY,
-        TAG_REGEN_TOKEN_ACK,
-        TAG_REGEN_GEN_ANNOUNCE,
-        TAG_NAIMI_REQUEST,
-        TAG_NAIMI_TOKEN_LAZY,
-        TAG_NAIMI_TOKEN_GRANT,
-    ]
+    static TAGS: OnceLock<Vec<u8>> = OnceLock::new();
+    TAGS.get_or_init(accepted_tags::<NaimiMsg>)
 }
 
 /// Every tag byte [`decode_shard_frame`] accepts.
@@ -154,21 +284,26 @@ pub fn known_shard_tags() -> &'static [u8] {
     &[TAG_SHARD_ENVELOPE]
 }
 
+/// The shard envelope's head: tag, then the little-endian shard id.
+fn put_shard_head(s: &mut impl Sink, shard: u16) {
+    TAG_SHARD_ENVELOPE.put(s);
+    shard.put(s);
+}
+
 /// Wraps an already-encoded protocol frame in a shard envelope so one
 /// byte stream can multiplex `K` independent protocol instances: tag,
 /// little-endian shard id, inner frame.
 pub fn encode_shard_frame(shard: u16, inner: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(shard_frame_encoded_len(inner.len()));
-    buf.put_u8(TAG_SHARD_ENVELOPE);
-    buf.put_slice(&shard.to_le_bytes());
-    buf.put_slice(inner);
+    put_shard_head(&mut buf, shard);
+    buf.extend_from_slice(inner);
     buf
 }
 
 /// Exact byte length [`encode_shard_frame`] produces for an inner frame
 /// of `inner_len` bytes.
 pub fn shard_frame_encoded_len(inner_len: usize) -> usize {
-    3 + inner_len
+    measure(|s| put_shard_head(s, 0)) + inner_len
 }
 
 /// Splits a shard envelope into `(shard id, inner frame bytes)`. The
@@ -179,217 +314,343 @@ pub fn shard_frame_encoded_len(inner_len: usize) -> usize {
 ///
 /// Returns [`CodecError::BadTag`] for a non-envelope frame and
 /// [`CodecError::Truncated`] when the shard id is cut short.
-pub fn decode_shard_frame(bytes: &[u8]) -> Result<(u16, &[u8]), CodecError> {
-    let Some((&tag, rest)) = bytes.split_first() else {
-        return Err(CodecError::Truncated);
-    };
+pub fn decode_shard_frame(mut bytes: &[u8]) -> Result<(u16, &[u8]), CodecError> {
+    let tag = get::<u8>(&mut bytes)?;
     if tag != TAG_SHARD_ENVELOPE {
         return Err(CodecError::BadTag(tag));
     }
-    if rest.len() < 2 {
-        return Err(CodecError::Truncated);
-    }
-    let shard = u16::from_le_bytes([rest[0], rest[1]]);
-    Ok((shard, &rest[2..]))
+    let shard = get::<u16>(&mut bytes)?;
+    Ok((shard, bytes))
 }
 
-fn put_req(buf: &mut Vec<u8>, req: RequestId) {
-    buf.put_u32_le(req.origin.raw());
-    buf.put_u64_le(req.seq);
-}
-
-fn get_req(buf: &mut impl Buf) -> Result<RequestId, CodecError> {
-    if buf.remaining() < 12 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(RequestId::new(NodeId::new(buf.get_u32_le()), buf.get_u64_le()))
-}
-
-fn put_trail(buf: &mut Vec<u8>, trail: &[NodeId]) {
-    buf.put_u32_le(trail.len() as u32);
-    for n in trail {
-        buf.put_u32_le(n.raw());
-    }
-}
-
-fn get_trail(buf: &mut impl Buf) -> Result<Vec<NodeId>, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok((0..n).map(|_| NodeId::new(buf.get_u32_le())).collect())
-}
-
-fn get_u32(buf: &mut impl Buf) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut impl Buf) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn get_u8(buf: &mut impl Buf) -> Result<u8, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
-
-/// Encodes a regeneration message (tag + body). Shared by the BinarySearch
-/// and Naimi framings: the failure-handling sub-protocol is identical, so
-/// its bytes are too.
-fn put_regen_msg(buf: &mut Vec<u8>, r: &RegenMsg) {
+/// Encodes a regeneration message (tag + body). The failure-handling
+/// sub-protocol is identical in all four framings, so its bytes are too.
+fn put_regen(s: &mut impl Sink, r: &RegenMsg) {
     match r {
         RegenMsg::Inquiry { generation } => {
-            buf.put_u8(TAG_REGEN_INQUIRY);
-            buf.put_u32_le(*generation);
+            TAG_REGEN_INQUIRY.put(s);
+            generation.put(s);
         }
         RegenMsg::Reply(reply) => {
-            buf.put_u8(TAG_REGEN_REPLY);
-            buf.put_u32_le(reply.generation);
-            buf.put_u64_le(reply.stamp.value());
-            buf.put_u8(reply.holder as u8);
+            TAG_REGEN_REPLY.put(s);
+            reply.generation.put(s);
+            reply.stamp.put(s);
+            (reply.holder as u8).put(s);
             match reply.passed_to {
                 Some(n) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(n.raw());
+                    1u8.put(s);
+                    n.put(s);
                 }
-                None => buf.put_u8(0),
+                None => 0u8.put(s),
             }
-            buf.put_u64_le(reply.applied_seq);
+            reply.applied_seq.put(s);
         }
         RegenMsg::Please {
             new_gen,
             known_seq,
             dead,
         } => {
-            buf.put_u8(TAG_REGEN_PLEASE);
-            buf.put_u32_le(*new_gen);
-            buf.put_u64_le(*known_seq);
-            put_trail(buf, dead);
+            TAG_REGEN_PLEASE.put(s);
+            new_gen.put(s);
+            known_seq.put(s);
+            s.seq(dead.iter());
         }
-        RegenMsg::Rejoin => {
-            buf.put_u8(TAG_REGEN_REJOIN);
-        }
-        RegenMsg::Leave => {
-            buf.put_u8(TAG_REGEN_LEAVE);
-        }
+        RegenMsg::Rejoin => TAG_REGEN_REJOIN.put(s),
+        RegenMsg::Leave => TAG_REGEN_LEAVE.put(s),
         RegenMsg::SyncRequest { from_seq } => {
-            buf.put_u8(TAG_REGEN_SYNC_REQ);
-            buf.put_u64_le(*from_seq);
+            TAG_REGEN_SYNC_REQ.put(s);
+            from_seq.put(s);
         }
         RegenMsg::SyncReply { entries } => {
-            buf.put_u8(TAG_REGEN_SYNC_REPLY);
-            buf.put_u32_le(entries.len() as u32);
-            for e in entries {
-                buf.put_u64_le(e.seq);
-                buf.put_u32_le(e.origin.raw());
-                buf.put_u64_le(e.payload);
-                buf.put_u64_le(e.round);
-            }
+            TAG_REGEN_SYNC_REPLY.put(s);
+            s.seq(entries.iter());
         }
         RegenMsg::TokenAck {
             generation,
             transfer_seq,
         } => {
-            buf.put_u8(TAG_REGEN_TOKEN_ACK);
-            buf.put_u32_le(*generation);
-            buf.put_u64_le(*transfer_seq);
+            TAG_REGEN_TOKEN_ACK.put(s);
+            generation.put(s);
+            transfer_seq.put(s);
         }
         RegenMsg::GenAnnounce { generation } => {
-            buf.put_u8(TAG_REGEN_GEN_ANNOUNCE);
-            buf.put_u32_le(*generation);
+            TAG_REGEN_GEN_ANNOUNCE.put(s);
+            generation.put(s);
         }
     }
 }
 
-/// Decodes the body of a regeneration message whose `tag` is one of
-/// `0x20..=0x28`; returns `Ok(None)` for any other tag so callers fall
-/// through to their own frames.
-fn get_regen_msg(tag: u8, buf: &mut impl Buf) -> Result<Option<RegenMsg>, CodecError> {
-    Ok(Some(match tag {
+/// Decodes the body of a regeneration message tagged `tag`; any tag
+/// outside `0x20..=0x28` is the framing's last resort, so it is a
+/// [`CodecError::BadTag`].
+///
+/// A `SyncReply` run is taken as it comes: whether it extends the
+/// receiver's prefix is the receiver's question (see `handle_regen`).
+fn get_regen(tag: u8, buf: &mut &[u8]) -> Result<RegenMsg, CodecError> {
+    Ok(match tag {
         TAG_REGEN_INQUIRY => RegenMsg::Inquiry {
-            generation: get_u32(buf)?,
+            generation: get(buf)?,
         },
-        TAG_REGEN_REPLY => {
-            let generation = get_u32(buf)?;
-            let stamp = VisitStamp(get_u64(buf)?);
-            let holder = get_u8(buf)? != 0;
-            let passed_to = if get_u8(buf)? != 0 {
-                Some(NodeId::new(get_u32(buf)?))
-            } else {
-                None
-            };
-            let applied_seq = get_u64(buf)?;
-            RegenMsg::Reply(RegenReply {
-                generation,
-                stamp,
-                holder,
-                passed_to,
-                applied_seq,
-            })
-        }
-        TAG_REGEN_PLEASE => {
-            let new_gen = get_u32(buf)?;
-            let known_seq = get_u64(buf)?;
-            let dead = get_trail(buf)?;
-            RegenMsg::Please {
-                new_gen,
-                known_seq,
-                dead,
-            }
-        }
+        TAG_REGEN_REPLY => RegenMsg::Reply(RegenReply {
+            generation: get(buf)?,
+            stamp: get(buf)?,
+            holder: get::<u8>(buf)? != 0,
+            passed_to: match get::<u8>(buf)? {
+                0 => None,
+                _ => Some(get(buf)?),
+            },
+            applied_seq: get(buf)?,
+        }),
+        TAG_REGEN_PLEASE => RegenMsg::Please {
+            new_gen: get(buf)?,
+            known_seq: get(buf)?,
+            dead: get_seq(buf)?,
+        },
         TAG_REGEN_REJOIN => RegenMsg::Rejoin,
         TAG_REGEN_LEAVE => RegenMsg::Leave,
         TAG_REGEN_SYNC_REQ => RegenMsg::SyncRequest {
-            from_seq: get_u64(buf)?,
+            from_seq: get(buf)?,
         },
-        TAG_REGEN_SYNC_REPLY => {
-            let n = get_u32(buf)? as usize;
-            let mut entries = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                entries.push(crate::types::LogEntry {
-                    seq: get_u64(buf)?,
-                    origin: NodeId::new(get_u32(buf)?),
-                    payload: get_u64(buf)?,
-                    round: get_u64(buf)?,
-                });
-            }
-            RegenMsg::SyncReply { entries }
-        }
+        TAG_REGEN_SYNC_REPLY => RegenMsg::SyncReply {
+            entries: get_seq(buf)?,
+        },
         TAG_REGEN_TOKEN_ACK => RegenMsg::TokenAck {
-            generation: get_u32(buf)?,
-            transfer_seq: get_u64(buf)?,
+            generation: get(buf)?,
+            transfer_seq: get(buf)?,
         },
         TAG_REGEN_GEN_ANNOUNCE => RegenMsg::GenAnnounce {
-            generation: get_u32(buf)?,
+            generation: get(buf)?,
         },
-        _ => return Ok(None),
-    }))
+        other => return Err(CodecError::BadTag(other)),
+    })
 }
 
-/// Exact encoded length of a regeneration message (tag + body).
-fn regen_encoded_len(r: &RegenMsg) -> usize {
-    match r {
-        RegenMsg::Inquiry { .. } => 1 + 4,
-        RegenMsg::Reply(reply) => {
-            1 + 4 + 8 + 1 + 1 + if reply.passed_to.is_some() { 4 } else { 0 } + 8
+/// The lazy token's framing, shared by System Search and Naimi–Tréhel:
+/// the family's `lazy` tag for a token passed on unasked, the next tag up
+/// for one that grants a request, whose id follows; then the frame.
+fn put_lazy_token(s: &mut impl Sink, lazy: u8, frame: &TokenFrame, grant: Option<RequestId>) {
+    match grant {
+        None => lazy.put(s),
+        Some(req) => {
+            (lazy + 1).put(s);
+            req.put(s);
         }
-        RegenMsg::Please { dead, .. } => 1 + 4 + 8 + 4 + 4 * dead.len(),
-        RegenMsg::Rejoin | RegenMsg::Leave => 1,
-        RegenMsg::SyncRequest { .. } => 1 + 8,
-        RegenMsg::SyncReply { entries } => 1 + 4 + 28 * entries.len(),
-        RegenMsg::TokenAck { .. } => 1 + 4 + 8,
-        RegenMsg::GenAnnounce { .. } => 1 + 4,
+    }
+    frame.encode(s);
+}
+
+/// A lazy token off the wire: the frame and the request it grants.
+type LazyToken = (Box<TokenFrame>, Option<RequestId>);
+
+/// Decodes the body of a lazy token frame tagged `tag`.
+fn get_lazy_token(tag: u8, lazy: u8, buf: &mut &[u8]) -> Result<LazyToken, CodecError> {
+    let grant = (tag != lazy).then(|| get(buf)).transpose()?;
+    Ok((Box::new(TokenFrame::decode(buf)?), grant))
+}
+
+impl WireMsg for BinaryMsg {
+    fn put(&self, s: &mut impl Sink) {
+        match self {
+            BinaryMsg::Token { frame, mode } => {
+                match mode {
+                    TokenMode::Rotate => TAG_TOKEN_ROTATE.put(s),
+                    TokenMode::Return => TAG_TOKEN_RETURN.put(s),
+                    TokenMode::Grant { for_req, return_to } => {
+                        TAG_TOKEN_GRANT.put(s);
+                        for_req.put(s);
+                        return_to.put(s);
+                    }
+                    TokenMode::CleanupHop {
+                        for_req,
+                        return_to,
+                        trail,
+                    } => {
+                        TAG_TOKEN_CLEANUP.put(s);
+                        for_req.put(s);
+                        return_to.put(s);
+                        s.seq(trail.iter());
+                    }
+                }
+                frame.encode(s);
+            }
+            BinaryMsg::Gimme(g) => {
+                TAG_GIMME.put(s);
+                g.origin.put(s);
+                g.req.put(s);
+                g.origin_stamp.put(s);
+                g.span.put(s);
+                s.seq(g.trail.iter());
+            }
+            BinaryMsg::DirectedProbe { origin, req, span } => {
+                TAG_DIRECTED_PROBE.put(s);
+                origin.put(s);
+                req.put(s);
+                span.put(s);
+            }
+            BinaryMsg::DirectedReply {
+                probed,
+                stamp,
+                req,
+                span,
+            } => {
+                TAG_DIRECTED_REPLY.put(s);
+                probed.put(s);
+                stamp.put(s);
+                req.put(s);
+                span.put(s);
+            }
+            BinaryMsg::ProbeReq { holder, span } => {
+                TAG_PROBE_REQ.put(s);
+                holder.put(s);
+                span.put(s);
+            }
+            BinaryMsg::ProbeHit { origin, req } => {
+                TAG_PROBE_HIT.put(s);
+                origin.put(s);
+                req.put(s);
+            }
+            BinaryMsg::Regen(r) => put_regen(s, r),
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let tag = get::<u8>(buf)?;
+        Ok(match tag {
+            TAG_TOKEN_ROTATE | TAG_TOKEN_GRANT | TAG_TOKEN_CLEANUP | TAG_TOKEN_RETURN => {
+                let mode = match tag {
+                    TAG_TOKEN_ROTATE => TokenMode::Rotate,
+                    TAG_TOKEN_RETURN => TokenMode::Return,
+                    TAG_TOKEN_GRANT => TokenMode::Grant {
+                        for_req: get(buf)?,
+                        return_to: get(buf)?,
+                    },
+                    _ => TokenMode::CleanupHop {
+                        for_req: get(buf)?,
+                        return_to: get(buf)?,
+                        trail: get_seq(buf)?,
+                    },
+                };
+                let frame = Box::new(TokenFrame::decode(buf)?);
+                BinaryMsg::Token { frame, mode }
+            }
+            TAG_GIMME => BinaryMsg::Gimme(Gimme {
+                origin: get(buf)?,
+                req: get(buf)?,
+                origin_stamp: get(buf)?,
+                span: get(buf)?,
+                trail: get_seq(buf)?,
+            }),
+            TAG_DIRECTED_PROBE => BinaryMsg::DirectedProbe {
+                origin: get(buf)?,
+                req: get(buf)?,
+                span: get(buf)?,
+            },
+            TAG_DIRECTED_REPLY => BinaryMsg::DirectedReply {
+                probed: get(buf)?,
+                stamp: get(buf)?,
+                req: get(buf)?,
+                span: get(buf)?,
+            },
+            TAG_PROBE_REQ => BinaryMsg::ProbeReq {
+                holder: get(buf)?,
+                span: get(buf)?,
+            },
+            TAG_PROBE_HIT => BinaryMsg::ProbeHit {
+                origin: get(buf)?,
+                req: get(buf)?,
+            },
+            other => BinaryMsg::Regen(get_regen(other, buf)?),
+        })
+    }
+}
+
+impl WireMsg for RingMsg {
+    fn put(&self, s: &mut impl Sink) {
+        match self {
+            RingMsg::Token(frame) => {
+                TAG_RING_TOKEN.put(s);
+                frame.encode(s);
+            }
+            RingMsg::Regen(r) => put_regen(s, r),
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(match get::<u8>(buf)? {
+            TAG_RING_TOKEN => RingMsg::Token(Box::new(TokenFrame::decode(buf)?)),
+            other => RingMsg::Regen(get_regen(other, buf)?),
+        })
+    }
+}
+
+impl WireMsg for SearchMsg {
+    fn put(&self, s: &mut impl Sink) {
+        match self {
+            SearchMsg::Token { frame, grant_for } => {
+                put_lazy_token(s, TAG_SEARCH_TOKEN_LAZY, frame, *grant_for);
+            }
+            SearchMsg::Gimme { origin, req, hops } => {
+                TAG_SEARCH_GIMME.put(s);
+                origin.put(s);
+                req.put(s);
+                hops.put(s);
+            }
+            SearchMsg::Regen(r) => put_regen(s, r),
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(match get::<u8>(buf)? {
+            tag @ (TAG_SEARCH_TOKEN_LAZY | TAG_SEARCH_TOKEN_GRANT) => {
+                let (frame, grant_for) = get_lazy_token(tag, TAG_SEARCH_TOKEN_LAZY, buf)?;
+                SearchMsg::Token { frame, grant_for }
+            }
+            TAG_SEARCH_GIMME => SearchMsg::Gimme {
+                origin: get(buf)?,
+                req: get(buf)?,
+                hops: get(buf)?,
+            },
+            other => SearchMsg::Regen(get_regen(other, buf)?),
+        })
+    }
+}
+
+impl WireMsg for NaimiMsg {
+    fn put(&self, s: &mut impl Sink) {
+        match self {
+            NaimiMsg::Request {
+                origin,
+                req,
+                attempt,
+                hops,
+            } => {
+                TAG_NAIMI_REQUEST.put(s);
+                origin.put(s);
+                req.put(s);
+                attempt.put(s);
+                hops.put(s);
+            }
+            NaimiMsg::Token { frame, grant_for } => {
+                put_lazy_token(s, TAG_NAIMI_TOKEN_LAZY, frame, *grant_for);
+            }
+            NaimiMsg::Regen(r) => put_regen(s, r),
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(match get::<u8>(buf)? {
+            TAG_NAIMI_REQUEST => NaimiMsg::Request {
+                origin: get(buf)?,
+                req: get(buf)?,
+                attempt: get(buf)?,
+                hops: get(buf)?,
+            },
+            tag @ (TAG_NAIMI_TOKEN_LAZY | TAG_NAIMI_TOKEN_GRANT) => {
+                let (frame, grant_for) = get_lazy_token(tag, TAG_NAIMI_TOKEN_LAZY, buf)?;
+                NaimiMsg::Token { frame, grant_for }
+            }
+            other => NaimiMsg::Regen(get_regen(other, buf)?),
+        })
     }
 }
 
@@ -411,306 +672,40 @@ fn regen_encoded_len(r: &RegenMsg) -> usize {
 /// # Ok::<(), atp_core::CodecError>(())
 /// ```
 pub fn encode_binary_msg(msg: &BinaryMsg) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    match msg {
-        BinaryMsg::Token { frame, mode } => {
-            match mode {
-                TokenMode::Rotate => buf.put_u8(TAG_TOKEN_ROTATE),
-                TokenMode::Grant { for_req, return_to } => {
-                    buf.put_u8(TAG_TOKEN_GRANT);
-                    put_req(&mut buf, *for_req);
-                    buf.put_u32_le(return_to.raw());
-                }
-                TokenMode::CleanupHop {
-                    for_req,
-                    return_to,
-                    trail,
-                } => {
-                    buf.put_u8(TAG_TOKEN_CLEANUP);
-                    put_req(&mut buf, *for_req);
-                    buf.put_u32_le(return_to.raw());
-                    put_trail(&mut buf, trail);
-                }
-                TokenMode::Return => buf.put_u8(TAG_TOKEN_RETURN),
-            }
-            frame.encode(&mut buf);
-        }
-        BinaryMsg::Gimme(g) => {
-            buf.put_u8(TAG_GIMME);
-            buf.put_u32_le(g.origin.raw());
-            put_req(&mut buf, g.req);
-            buf.put_u64_le(g.origin_stamp.value());
-            buf.put_u32_le(g.span);
-            put_trail(&mut buf, &g.trail);
-        }
-        BinaryMsg::DirectedProbe { origin, req, span } => {
-            buf.put_u8(TAG_DIRECTED_PROBE);
-            buf.put_u32_le(origin.raw());
-            put_req(&mut buf, *req);
-            buf.put_u32_le(*span);
-        }
-        BinaryMsg::DirectedReply {
-            probed,
-            stamp,
-            req,
-            span,
-        } => {
-            buf.put_u8(TAG_DIRECTED_REPLY);
-            buf.put_u32_le(probed.raw());
-            buf.put_u64_le(stamp.value());
-            put_req(&mut buf, *req);
-            buf.put_u32_le(*span);
-        }
-        BinaryMsg::ProbeReq { holder, span } => {
-            buf.put_u8(TAG_PROBE_REQ);
-            buf.put_u32_le(holder.raw());
-            buf.put_u32_le(*span);
-        }
-        BinaryMsg::ProbeHit { origin, req } => {
-            buf.put_u8(TAG_PROBE_HIT);
-            buf.put_u32_le(origin.raw());
-            put_req(&mut buf, *req);
-        }
-        BinaryMsg::Regen(r) => put_regen_msg(&mut buf, r),
-    }
-    buf
-}
-
-/// Exact byte length [`encode_binary_msg`] would produce for `msg`,
-/// computed without allocating.
-///
-/// The span instrumentation sizes every search and token send, so this
-/// must stay in lock-step with the encoder; the
-/// `encoded_len_matches_encoder` test pins the equality for every
-/// message variant.
-pub fn encoded_len(msg: &BinaryMsg) -> usize {
-    const REQ: usize = 12; // u32 origin + u64 seq
-    match msg {
-        BinaryMsg::Token { frame, mode } => {
-            let mode_len = match mode {
-                TokenMode::Rotate | TokenMode::Return => 0,
-                TokenMode::Grant { .. } => REQ + 4,
-                TokenMode::CleanupHop { trail, .. } => REQ + 4 + 4 + 4 * trail.len(),
-            };
-            1 + mode_len + frame.encoded_len()
-        }
-        BinaryMsg::Gimme(g) => 1 + 4 + REQ + 8 + 4 + 4 + 4 * g.trail.len(),
-        BinaryMsg::DirectedProbe { .. } => 1 + 4 + REQ + 4,
-        BinaryMsg::DirectedReply { .. } => 1 + 4 + 8 + REQ + 4,
-        BinaryMsg::ProbeReq { .. } => 1 + 4 + 4,
-        BinaryMsg::ProbeHit { .. } => 1 + 4 + REQ,
-        BinaryMsg::Regen(r) => regen_encoded_len(r),
-    }
+    to_bytes(msg)
 }
 
 /// Decodes a frame previously produced by [`encode_binary_msg`].
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::Truncated`] if the buffer is too short and
-/// [`CodecError::BadTag`] on an unrecognized tag byte.
+/// [`CodecError::Truncated`] if the buffer is too short,
+/// [`CodecError::BadTag`] on an unrecognized tag byte and
+/// [`CodecError::Malformed`] on a token frame no encoder writes.
 pub fn decode_binary_msg(bytes: &[u8]) -> Result<BinaryMsg, CodecError> {
-    let mut buf: &[u8] = bytes;
-    let tag = get_u8(&mut buf)?;
-    match tag {
-        TAG_TOKEN_ROTATE | TAG_TOKEN_RETURN => {
-            let mode = if tag == TAG_TOKEN_ROTATE {
-                TokenMode::Rotate
-            } else {
-                TokenMode::Return
-            };
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
-            Ok(BinaryMsg::Token { frame, mode })
-        }
-        TAG_TOKEN_GRANT => {
-            let for_req = get_req(&mut buf)?;
-            let return_to = NodeId::new(get_u32(&mut buf)?);
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
-            Ok(BinaryMsg::Token {
-                frame,
-                mode: TokenMode::Grant { for_req, return_to },
-            })
-        }
-        TAG_TOKEN_CLEANUP => {
-            let for_req = get_req(&mut buf)?;
-            let return_to = NodeId::new(get_u32(&mut buf)?);
-            let trail = get_trail(&mut buf)?;
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
-            Ok(BinaryMsg::Token {
-                frame,
-                mode: TokenMode::CleanupHop {
-                    for_req,
-                    return_to,
-                    trail,
-                },
-            })
-        }
-        TAG_GIMME => {
-            let origin = NodeId::new(get_u32(&mut buf)?);
-            let req = get_req(&mut buf)?;
-            let origin_stamp = VisitStamp(get_u64(&mut buf)?);
-            let span = get_u32(&mut buf)?;
-            let trail = get_trail(&mut buf)?;
-            Ok(BinaryMsg::Gimme(Gimme {
-                origin,
-                req,
-                origin_stamp,
-                span,
-                trail,
-            }))
-        }
-        TAG_DIRECTED_PROBE => {
-            let origin = NodeId::new(get_u32(&mut buf)?);
-            let req = get_req(&mut buf)?;
-            let span = get_u32(&mut buf)?;
-            Ok(BinaryMsg::DirectedProbe { origin, req, span })
-        }
-        TAG_DIRECTED_REPLY => {
-            let probed = NodeId::new(get_u32(&mut buf)?);
-            let stamp = VisitStamp(get_u64(&mut buf)?);
-            let req = get_req(&mut buf)?;
-            let span = get_u32(&mut buf)?;
-            Ok(BinaryMsg::DirectedReply {
-                probed,
-                stamp,
-                req,
-                span,
-            })
-        }
-        TAG_PROBE_REQ => {
-            let holder = NodeId::new(get_u32(&mut buf)?);
-            let span = get_u32(&mut buf)?;
-            Ok(BinaryMsg::ProbeReq { holder, span })
-        }
-        TAG_PROBE_HIT => {
-            let origin = NodeId::new(get_u32(&mut buf)?);
-            let req = get_req(&mut buf)?;
-            Ok(BinaryMsg::ProbeHit { origin, req })
-        }
-        other => match get_regen_msg(other, &mut buf)? {
-            Some(r) => Ok(BinaryMsg::Regen(r)),
-            None => Err(CodecError::BadTag(other)),
-        },
-    }
+    from_bytes(bytes)
 }
 
 /// Encodes a [`RingMsg`] into a standalone byte frame.
 pub fn encode_ring_msg(msg: &RingMsg) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    match msg {
-        RingMsg::Token(frame) => {
-            buf.put_u8(TAG_RING_TOKEN);
-            frame.encode(&mut buf);
-        }
-        RingMsg::Regen(r) => put_regen_msg(&mut buf, r),
-    }
-    buf
+    to_bytes(msg)
 }
 
-/// Exact byte length [`encode_ring_msg`] would produce for `msg`,
-/// computed without allocating.
-pub fn ring_encoded_len(msg: &RingMsg) -> usize {
-    match msg {
-        RingMsg::Token(frame) => 1 + frame.encoded_len(),
-        RingMsg::Regen(r) => regen_encoded_len(r),
-    }
-}
-
-/// Decodes a frame previously produced by [`encode_ring_msg`].
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if the buffer is too short and
-/// [`CodecError::BadTag`] on an unrecognized tag byte.
+/// Decodes a frame previously produced by [`encode_ring_msg`]; errors as
+/// [`decode_binary_msg`].
 pub fn decode_ring_msg(bytes: &[u8]) -> Result<RingMsg, CodecError> {
-    let mut buf: &[u8] = bytes;
-    let tag = get_u8(&mut buf)?;
-    match tag {
-        TAG_RING_TOKEN => {
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
-            Ok(RingMsg::Token(frame))
-        }
-        other => match get_regen_msg(other, &mut buf)? {
-            Some(r) => Ok(RingMsg::Regen(r)),
-            None => Err(CodecError::BadTag(other)),
-        },
-    }
+    from_bytes(bytes)
 }
 
 /// Encodes a [`SearchMsg`] into a standalone byte frame.
 pub fn encode_search_msg(msg: &SearchMsg) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    match msg {
-        SearchMsg::Token { frame, grant_for } => {
-            match grant_for {
-                Some(req) => {
-                    buf.put_u8(TAG_SEARCH_TOKEN_GRANT);
-                    put_req(&mut buf, *req);
-                }
-                None => buf.put_u8(TAG_SEARCH_TOKEN_LAZY),
-            }
-            frame.encode(&mut buf);
-        }
-        SearchMsg::Gimme { origin, req, hops } => {
-            buf.put_u8(TAG_SEARCH_GIMME);
-            buf.put_u32_le(origin.raw());
-            put_req(&mut buf, *req);
-            buf.put_u32_le(*hops);
-        }
-        SearchMsg::Regen(r) => put_regen_msg(&mut buf, r),
-    }
-    buf
+    to_bytes(msg)
 }
 
-/// Exact byte length [`encode_search_msg`] would produce for `msg`,
-/// computed without allocating.
-pub fn search_encoded_len(msg: &SearchMsg) -> usize {
-    const REQ: usize = 12; // u32 origin + u64 seq
-    match msg {
-        SearchMsg::Token { frame, grant_for } => {
-            1 + if grant_for.is_some() { REQ } else { 0 } + frame.encoded_len()
-        }
-        SearchMsg::Gimme { .. } => 1 + 4 + REQ + 4,
-        SearchMsg::Regen(r) => regen_encoded_len(r),
-    }
-}
-
-/// Decodes a frame previously produced by [`encode_search_msg`].
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if the buffer is too short and
-/// [`CodecError::BadTag`] on an unrecognized tag byte.
+/// Decodes a frame previously produced by [`encode_search_msg`]; errors as
+/// [`decode_binary_msg`].
 pub fn decode_search_msg(bytes: &[u8]) -> Result<SearchMsg, CodecError> {
-    let mut buf: &[u8] = bytes;
-    let tag = get_u8(&mut buf)?;
-    match tag {
-        TAG_SEARCH_TOKEN_LAZY => {
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
-            Ok(SearchMsg::Token {
-                frame,
-                grant_for: None,
-            })
-        }
-        TAG_SEARCH_TOKEN_GRANT => {
-            let req = get_req(&mut buf)?;
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
-            Ok(SearchMsg::Token {
-                frame,
-                grant_for: Some(req),
-            })
-        }
-        TAG_SEARCH_GIMME => {
-            let origin = NodeId::new(get_u32(&mut buf)?);
-            let req = get_req(&mut buf)?;
-            let hops = get_u32(&mut buf)?;
-            Ok(SearchMsg::Gimme { origin, req, hops })
-        }
-        other => match get_regen_msg(other, &mut buf)? {
-            Some(r) => Ok(SearchMsg::Regen(r)),
-            None => Err(CodecError::BadTag(other)),
-        },
-    }
+    from_bytes(bytes)
 }
 
 /// Encodes a [`NaimiMsg`] into a standalone byte frame.
@@ -733,95 +728,22 @@ pub fn decode_search_msg(bytes: &[u8]) -> Result<SearchMsg, CodecError> {
 /// # Ok::<(), atp_core::CodecError>(())
 /// ```
 pub fn encode_naimi_msg(msg: &NaimiMsg) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    match msg {
-        NaimiMsg::Request {
-            origin,
-            req,
-            attempt,
-            hops,
-        } => {
-            buf.put_u8(TAG_NAIMI_REQUEST);
-            buf.put_u32_le(origin.raw());
-            put_req(&mut buf, *req);
-            buf.put_u32_le(*attempt);
-            buf.put_u32_le(*hops);
-        }
-        NaimiMsg::Token { frame, grant_for } => {
-            match grant_for {
-                Some(req) => {
-                    buf.put_u8(TAG_NAIMI_TOKEN_GRANT);
-                    put_req(&mut buf, *req);
-                }
-                None => buf.put_u8(TAG_NAIMI_TOKEN_LAZY),
-            }
-            frame.encode(&mut buf);
-        }
-        NaimiMsg::Regen(r) => put_regen_msg(&mut buf, r),
-    }
-    buf
+    to_bytes(msg)
 }
 
-/// Exact byte length [`encode_naimi_msg`] would produce for `msg`,
-/// computed without allocating.
-pub fn naimi_encoded_len(msg: &NaimiMsg) -> usize {
-    const REQ: usize = 12; // u32 origin + u64 seq
-    match msg {
-        NaimiMsg::Request { .. } => 1 + 4 + REQ + 4 + 4,
-        NaimiMsg::Token { frame, grant_for } => {
-            1 + if grant_for.is_some() { REQ } else { 0 } + frame.encoded_len()
-        }
-        NaimiMsg::Regen(r) => regen_encoded_len(r),
-    }
-}
-
-/// Decodes a frame previously produced by [`encode_naimi_msg`].
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if the buffer is too short and
-/// [`CodecError::BadTag`] on an unrecognized tag byte.
+/// Decodes a frame previously produced by [`encode_naimi_msg`]; errors as
+/// [`decode_binary_msg`].
 pub fn decode_naimi_msg(bytes: &[u8]) -> Result<NaimiMsg, CodecError> {
-    let mut buf: &[u8] = bytes;
-    let tag = get_u8(&mut buf)?;
-    match tag {
-        TAG_NAIMI_REQUEST => {
-            let origin = NodeId::new(get_u32(&mut buf)?);
-            let req = get_req(&mut buf)?;
-            let attempt = get_u32(&mut buf)?;
-            let hops = get_u32(&mut buf)?;
-            Ok(NaimiMsg::Request {
-                origin,
-                req,
-                attempt,
-                hops,
-            })
-        }
-        TAG_NAIMI_TOKEN_LAZY => {
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
-            Ok(NaimiMsg::Token {
-                frame,
-                grant_for: None,
-            })
-        }
-        TAG_NAIMI_TOKEN_GRANT => {
-            let req = get_req(&mut buf)?;
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
-            Ok(NaimiMsg::Token {
-                frame,
-                grant_for: Some(req),
-            })
-        }
-        other => match get_regen_msg(other, &mut buf)? {
-            Some(r) => Ok(NaimiMsg::Regen(r)),
-            None => Err(CodecError::BadTag(other)),
-        },
-    }
+    from_bytes(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn len_of<M: WireMsg>(msg: &M) -> usize {
+        measure(|s| msg.put(s))
+    }
 
     fn roundtrip(msg: BinaryMsg) -> BinaryMsg {
         decode_binary_msg(&encode_binary_msg(&msg)).expect("roundtrip")
@@ -859,7 +781,10 @@ mod tests {
                 mode: mode.clone(),
             };
             match roundtrip(msg) {
-                BinaryMsg::Token { frame: f2, mode: m2 } => {
+                BinaryMsg::Token {
+                    frame: f2,
+                    mode: m2,
+                } => {
                     assert_eq!(f2, frame);
                     assert_eq!(m2, mode);
                 }
@@ -1065,9 +990,9 @@ mod tests {
         });
         for m in msgs {
             assert_eq!(
-                encoded_len(&m),
+                len_of(&m),
                 encode_binary_msg(&m).len(),
-                "encoded_len disagrees with encoder for {m:?}"
+                "the counter disagrees with encoder for {m:?}"
             );
         }
     }
@@ -1137,9 +1062,9 @@ mod tests {
     fn naimi_encoded_len_matches_encoder() {
         for m in naimi_samples() {
             assert_eq!(
-                naimi_encoded_len(&m),
+                len_of(&m),
                 encode_naimi_msg(&m).len(),
-                "naimi_encoded_len disagrees with encoder for {m:?}"
+                "the counter disagrees with encoder for {m:?}"
             );
         }
     }
@@ -1170,39 +1095,20 @@ mod tests {
     }
 
     #[test]
-    fn known_tag_lists_match_the_decoders() {
-        // Every listed tag must be recognized (anything but BadTag), and
-        // every unlisted tag must be BadTag — the lists are the decoders.
-        for tag in 0u8..=u8::MAX {
-            let bin = decode_binary_msg(&[tag]);
-            let listed = known_binary_tags().contains(&tag);
-            assert_eq!(
-                !matches!(bin, Err(CodecError::BadTag(_))),
-                listed,
-                "binary decoder disagrees with known_binary_tags for {tag:#x}"
-            );
-            let nai = decode_naimi_msg(&[tag]);
-            let listed = known_naimi_tags().contains(&tag);
-            assert_eq!(
-                !matches!(nai, Err(CodecError::BadTag(_))),
-                listed,
-                "naimi decoder disagrees with known_naimi_tags for {tag:#x}"
-            );
-            let ring = decode_ring_msg(&[tag]);
-            let listed = known_ring_tags().contains(&tag);
-            assert_eq!(
-                !matches!(ring, Err(CodecError::BadTag(_))),
-                listed,
-                "ring decoder disagrees with known_ring_tags for {tag:#x}"
-            );
-            let sea = decode_search_msg(&[tag]);
-            let listed = known_search_tags().contains(&tag);
-            assert_eq!(
-                !matches!(sea, Err(CodecError::BadTag(_))),
-                listed,
-                "search decoder disagrees with known_search_tags for {tag:#x}"
-            );
-        }
+    fn known_tag_lists_pin_the_wire_tags() {
+        // The lists are computed from the decoders; this pins what the
+        // decoders accept, so a tag cannot drop off the wire unnoticed.
+        let regen: Vec<u8> = (0x20..=0x28).collect();
+        let with = |own: &[u8]| {
+            let mut tags = [own, &regen].concat();
+            tags.sort_unstable();
+            tags
+        };
+        let binary = [0x01, 0x02, 0x03, 0x04, 0x10, 0x11, 0x12, 0x13, 0x14];
+        assert_eq!(known_binary_tags(), with(&binary));
+        assert_eq!(known_ring_tags(), with(&[0x30]));
+        assert_eq!(known_search_tags(), with(&[0x38, 0x39, 0x3a]));
+        assert_eq!(known_naimi_tags(), with(&[0x40, 0x41, 0x42]));
     }
 
     fn ring_samples() -> Vec<RingMsg> {
@@ -1267,7 +1173,7 @@ mod tests {
     fn ring_messages_roundtrip_and_len_matches() {
         for m in ring_samples() {
             let bytes = encode_ring_msg(&m);
-            assert_eq!(ring_encoded_len(&m), bytes.len(), "len for {m:?}");
+            assert_eq!(len_of(&m), bytes.len(), "len for {m:?}");
             let back = decode_ring_msg(&bytes).expect("roundtrip");
             assert_eq!(format!("{back:?}"), format!("{m:?}"));
         }
@@ -1277,7 +1183,7 @@ mod tests {
     fn search_messages_roundtrip_and_len_matches() {
         for m in search_samples() {
             let bytes = encode_search_msg(&m);
-            assert_eq!(search_encoded_len(&m), bytes.len(), "len for {m:?}");
+            assert_eq!(len_of(&m), bytes.len(), "len for {m:?}");
             let back = decode_search_msg(&bytes).expect("roundtrip");
             assert_eq!(format!("{back:?}"), format!("{m:?}"));
         }
@@ -1291,7 +1197,10 @@ mod tests {
             grant_for: Some(RequestId::new(NodeId::new(1), 4)),
         });
         for cut in [0, 1, 5] {
-            assert!(decode_ring_msg(&ring_bytes[..cut]).is_err(), "ring cut {cut}");
+            assert!(
+                decode_ring_msg(&ring_bytes[..cut]).is_err(),
+                "ring cut {cut}"
+            );
             assert!(
                 decode_search_msg(&search_bytes[..cut]).is_err(),
                 "search cut {cut}"
@@ -1325,5 +1234,6 @@ mod tests {
     fn errors_display() {
         assert_eq!(CodecError::Truncated.to_string(), "message truncated");
         assert!(CodecError::BadTag(7).to_string().contains("0x7"));
+        assert_eq!(CodecError::Malformed.to_string(), "message malformed");
     }
 }

@@ -244,6 +244,8 @@ pub trait Custodian: Node<Ext = Want> {
     type Route;
     /// Protocol discriminant in checkpoints.
     const CKPT: u8;
+    /// Stable lowercase label ([`WireProtocol::LABEL`]).
+    const LABEL: &'static str;
 
     /// The node's custody state.
     fn custody(&self) -> &Custody<Self::Msg, Self::Route>;
@@ -582,7 +584,12 @@ pub trait Custodian: Node<Ext = Want> {
                 }
             }
             RegenMsg::SyncReply { entries } => {
-                c.order.apply(&entries, ctx.now(), &mut c.events);
+                // A run that is not strictly increasing is none that
+                // `suffix_from` sends, and applying it would chain an entry
+                // twice: drop it and keep the prefix this node has.
+                if entries.windows(2).all(|w| w[0].seq < w[1].seq) {
+                    c.order.apply(&entries, ctx.now(), &mut c.events);
+                }
             }
             RegenMsg::Rejoin => match c.holding.as_mut() {
                 Some(h) => h.token.readmit(from),
@@ -1018,6 +1025,7 @@ mod tests {
     impl Custodian for Fake {
         type Route = ();
         const CKPT: u8 = 0;
+        const LABEL: &'static str = "fake";
 
         fn custody(&self) -> &Custody<Msg> {
             &self.c

@@ -72,8 +72,7 @@ pub use checkpoint::{Checkpoint, CKPT_BINARY, CKPT_NAIMI, CKPT_RING, CKPT_SEARCH
 pub use codec::{
     decode_binary_msg, decode_naimi_msg, decode_ring_msg, decode_search_msg, decode_shard_frame,
     encode_binary_msg, encode_naimi_msg, encode_ring_msg, encode_search_msg, encode_shard_frame,
-    encoded_len, known_binary_tags, known_naimi_tags, known_ring_tags, known_search_tags,
-    known_shard_tags, naimi_encoded_len, ring_encoded_len, search_encoded_len,
+    known_binary_tags, known_naimi_tags, known_ring_tags, known_search_tags, known_shard_tags,
     shard_frame_encoded_len, CodecError,
 };
 pub use config::{ProtocolConfig, SearchMode, TrapCleanup};

@@ -220,6 +220,7 @@ impl Lazy for NaimiNode {
 impl Custodian for NaimiNode {
     type Route = ();
     const CKPT: u8 = CKPT_NAIMI;
+    const LABEL: &'static str = "naimi";
 
     fn custody(&self) -> &Custody<NaimiMsg> {
         &self.c

@@ -67,6 +67,7 @@ impl RingNode {
 impl Custodian for RingNode {
     type Route = ();
     const CKPT: u8 = CKPT_RING;
+    const LABEL: &'static str = "ring";
 
     fn custody(&self) -> &Custody<RingMsg> {
         &self.c

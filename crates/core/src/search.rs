@@ -157,6 +157,7 @@ impl Lazy for SearchNode {
 impl Custodian for SearchNode {
     type Route = ();
     const CKPT: u8 = CKPT_SEARCH;
+    const LABEL: &'static str = "search";
 
     fn custody(&self) -> &Custody<SearchMsg> {
         &self.c
@@ -387,5 +388,44 @@ mod tests {
         w.schedule_external(SimTime::from_ticks(2), NodeId::new(2), Want::new(7));
         w.run_until(SimTime::from_ticks(500));
         assert_eq!(w.node(NodeId::new(2)).grants(), 1);
+    }
+
+    #[test]
+    fn sync_reply_run_that_is_not_increasing_is_dropped() {
+        use crate::order::HistoryDigest;
+        use crate::regen::RegenMsg;
+        use crate::types::LogEntry;
+        let cfg = ProtocolConfig::default();
+        assert!(cfg.record_log);
+        let mut h = atp_net::Harness::new(
+            NodeId::new(3),
+            atp_net::Topology::ring(4),
+            SearchNode::new(cfg),
+            1,
+        );
+        h.init(SimTime::ZERO);
+        let entry = |seq| LogEntry {
+            seq,
+            origin: NodeId::new(0),
+            payload: seq * 10,
+            round: 0,
+        };
+        let reply = |seqs: &[u64]| {
+            SearchMsg::Regen(RegenMsg::SyncReply {
+                entries: seqs.iter().map(|&s| entry(s)).collect(),
+            })
+        };
+        h.deliver(SimTime::from_ticks(1), NodeId::new(0), reply(&[1, 2, 2]));
+        let order = h.node().order();
+        assert_eq!(
+            (order.applied_seq(), order.digest()),
+            (0, HistoryDigest::EMPTY)
+        );
+        assert!(order.log().is_empty());
+        // The well-formed run that follows applies as if nothing came before.
+        h.deliver(SimTime::from_ticks(2), NodeId::new(0), reply(&[1, 2]));
+        let order = h.node().order();
+        let prefix = HistoryDigest::EMPTY.chain(&entry(1)).chain(&entry(2));
+        assert_eq!((order.applied_seq(), order.digest()), (2, prefix));
     }
 }

@@ -33,7 +33,9 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use atp_net::NodeId;
+use atp_util::buf::Buf;
 
+use crate::codec::{get, get_seq, measure, CodecError, Fixed, Sink};
 use crate::order::HistoryDigest;
 use crate::types::{LogEntry, RequestId, VisitStamp};
 
@@ -410,140 +412,70 @@ impl TokenFrame {
         }
     }
 
-    /// Serializes the frame into `buf` (little-endian, length-prefixed
+    /// Serializes the frame into `s` (little-endian, length-prefixed
     /// collections). The inverse of [`TokenFrame::decode`].
-    pub fn encode(&self, buf: &mut impl atp_util::buf::BufMut) {
-        buf.put_u32_le(self.generation);
-        buf.put_u64_le(self.transfer_seq);
-        buf.put_u64_le(self.visit_seq);
-        buf.put_u64_le(self.round);
-        buf.put_u64_le(self.next_seq);
-        buf.put_u32_le(self.idle_rounds);
-        buf.put_u8(self.demand_this_round as u8);
-        buf.put_u32_le(self.satisfied_cap as u32);
-        buf.put_u32_le(self.carried.len() as u32);
-        for e in &self.carried {
-            buf.put_u64_le(e.seq);
-            buf.put_u32_le(e.origin.raw());
-            buf.put_u64_le(e.payload);
-            buf.put_u64_le(e.round);
-        }
-        buf.put_u32_le(self.satisfied.len() as u32);
-        for r in &self.satisfied {
-            buf.put_u32_le(r.origin.raw());
-            buf.put_u64_le(r.seq);
-        }
-        buf.put_u32_le(self.excluded.len() as u32);
-        for n in &self.excluded {
-            buf.put_u32_le(n.raw());
-        }
-        buf.put_u32_le(self.acks.len() as u32);
-        for a in &self.acks {
-            buf.put_u64_le(*a);
-        }
+    pub fn encode(&self, s: &mut impl Sink) {
+        self.generation.put(s);
+        self.transfer_seq.put(s);
+        self.visit_seq.put(s);
+        self.round.put(s);
+        self.next_seq.put(s);
+        self.idle_rounds.put(s);
+        (self.demand_this_round as u8).put(s);
+        (self.satisfied_cap as u32).put(s);
+        s.seq(self.carried.iter());
+        s.seq(self.satisfied.iter());
+        s.seq(self.excluded.iter());
+        s.seq(self.acks.iter());
     }
 
-    /// Exact byte length [`TokenFrame::encode`] would produce, computed
-    /// without encoding (observability code sizes frames per send and
-    /// must not allocate on the hot path).
+    /// Exact byte length [`TokenFrame::encode`] would produce: the encoder
+    /// run into the counter, which sizes each collection without walking
+    /// it (observability code sizes frames per send).
     pub fn encoded_len(&self) -> usize {
-        // Fixed header (45) + four u32 length prefixes (16), then the
-        // per-element costs of carried / satisfied / excluded / acks.
-        61 + 28 * self.carried.len()
-            + 12 * self.satisfied.len()
-            + 4 * self.excluded.len()
-            + 8 * self.acks.len()
+        measure(|s| self.encode(s))
     }
 
     /// Deserializes a frame previously written by [`TokenFrame::encode`].
-    ///
-    /// Returns `None` if `buf` is truncated or describes a frame `encode`
-    /// cannot have written: a carried run whose `seq`s are not strictly
-    /// increasing (history application bisects it), a satisfied window
-    /// longer than its own cap (which would never evict again), more acks
-    /// than that cap (one per node, and the cap is at least the node
-    /// count), or an ack at or beyond `next_seq` (a prefix of `H` longer
-    /// than `H`, which would let the ack floor cut entries nobody has).
     /// The decoded frame has neither transient cache.
-    pub fn decode(buf: &mut impl atp_util::buf::Buf) -> Option<Self> {
-        fn need(buf: &impl atp_util::buf::Buf, n: usize) -> Option<()> {
-            (buf.remaining() >= n).then_some(())
-        }
-        need(buf, 4 + 8 + 8 + 8 + 8 + 4 + 1 + 4 + 4)?;
-        let generation = buf.get_u32_le();
-        let transfer_seq = buf.get_u64_le();
-        let visit_seq = buf.get_u64_le();
-        let round = buf.get_u64_le();
-        let next_seq = buf.get_u64_le();
-        let idle_rounds = buf.get_u32_le();
-        let demand_this_round = buf.get_u8() != 0;
-        let satisfied_cap = buf.get_u32_le() as usize;
-        let n_carried = buf.get_u32_le() as usize;
-        let mut carried: Vec<LogEntry> = Vec::with_capacity(n_carried.min(1 << 16));
-        for _ in 0..n_carried {
-            need(buf, 8 + 4 + 8 + 8)?;
-            let entry = LogEntry {
-                seq: buf.get_u64_le(),
-                origin: NodeId::new(buf.get_u32_le()),
-                payload: buf.get_u64_le(),
-                round: buf.get_u64_le(),
-            };
-            if carried.last().is_some_and(|prev| prev.seq >= entry.seq) {
-                return None;
-            }
-            carried.push(entry);
-        }
-        need(buf, 4)?;
-        let n_satisfied = buf.get_u32_le() as usize;
-        let satisfied_cap = satisfied_cap.max(1);
-        if n_satisfied > satisfied_cap {
-            return None;
-        }
-        let mut satisfied = VecDeque::with_capacity(n_satisfied.min(1 << 16));
-        for _ in 0..n_satisfied {
-            need(buf, 4 + 8)?;
-            satisfied.push_back(RequestId::new(
-                NodeId::new(buf.get_u32_le()),
-                buf.get_u64_le(),
-            ));
-        }
-        need(buf, 4)?;
-        let n_excluded = buf.get_u32_le() as usize;
-        let mut excluded = Vec::with_capacity(n_excluded.min(1 << 16));
-        for _ in 0..n_excluded {
-            need(buf, 4)?;
-            excluded.push(NodeId::new(buf.get_u32_le()));
-        }
-        need(buf, 4)?;
-        let n_acks = buf.get_u32_le() as usize;
-        if n_acks > satisfied_cap {
-            return None;
-        }
-        let mut acks = Vec::with_capacity(n_acks.min(1 << 16));
-        for _ in 0..n_acks {
-            need(buf, 8)?;
-            let ack = buf.get_u64_le();
-            if ack >= next_seq {
-                return None;
-            }
-            acks.push(ack);
-        }
-        Some(TokenFrame {
-            generation,
-            transfer_seq,
-            visit_seq,
-            round,
-            next_seq,
-            carried,
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] if `buf` ends early, and
+    /// [`CodecError::Malformed`] for a frame `encode` cannot have written:
+    /// a carried run whose `seq`s are not strictly increasing (history
+    /// application bisects it), a satisfied window longer than its own cap
+    /// (which would never evict again), more acks than that cap (one per
+    /// node, and the cap is at least the node count), or an ack at or
+    /// beyond `next_seq` (a prefix of `H` longer than `H`, which would let
+    /// the ack floor cut entries nobody has).
+    pub fn decode(buf: &mut impl Buf) -> Result<Self, CodecError> {
+        // Fields in wire order: a struct expression evaluates in the order
+        // it is written.
+        let frame = TokenFrame {
+            generation: get(buf)?,
+            transfer_seq: get(buf)?,
+            visit_seq: get(buf)?,
+            round: get(buf)?,
+            next_seq: get(buf)?,
+            idle_rounds: get(buf)?,
+            demand_this_round: get::<u8>(buf)? != 0,
+            satisfied_cap: (get::<u32>(buf)? as usize).max(1),
+            carried: get_seq(buf)?,
             memo: Transient(None),
-            satisfied,
-            satisfied_cap,
+            satisfied: get_seq(buf)?.into(),
             satisfied_index: Transient(None),
-            idle_rounds,
-            demand_this_round,
-            excluded,
-            acks,
-        })
+            excluded: get_seq(buf)?,
+            acks: get_seq(buf)?,
+        };
+        if frame.carried.windows(2).any(|w| w[0].seq >= w[1].seq)
+            || frame.satisfied.len() > frame.satisfied_cap
+            || frame.acks.len() > frame.satisfied_cap
+            || frame.acks.iter().any(|&ack| ack >= frame.next_seq)
+        {
+            return Err(CodecError::Malformed);
+        }
+        Ok(frame)
     }
 }
 

@@ -8,25 +8,26 @@
 //! [`Cluster`](crate::Cluster) runtime, the transport-generic test
 //! harnesses and the `cluster` binary all host `P: WireProtocol` without
 //! knowing which of the four systems they are running.
+//!
+//! Every custodian is one: a single blanket impl builds it around fresh
+//! custody and forwards the rest to [`TokenNode`], and the codec methods
+//! come from its message type's [`WireMsg`] layout.
 
 use crate::checkpoint::Checkpoint;
-use crate::codec::{
-    decode_binary_msg, decode_naimi_msg, decode_ring_msg, decode_search_msg, encode_binary_msg,
-    encode_naimi_msg, encode_ring_msg, encode_search_msg, encoded_len, naimi_encoded_len,
-    ring_encoded_len, search_encoded_len, CodecError,
-};
+use crate::codec::{from_bytes, measure, to_bytes, CodecError, WireMsg};
 use crate::config::ProtocolConfig;
-use crate::custody::TokenNode;
+use crate::custody::{Custodian, Custody, TokenNode};
 use crate::event::{EventSource, Want};
 use crate::order::OrderState;
-use crate::{BinaryNode, NaimiNode, RingNode, SearchNode};
 
 /// A deployable token-passing protocol: buildable, byte-encodable,
 /// order-observable.
 ///
 /// The `Send + 'static` bound is what lets hosts move nodes onto OS
 /// threads; the message bounds come from [`atp_net::Node`].
-pub trait WireProtocol: atp_net::Node<Ext = Want> + EventSource + Send + 'static {
+pub trait WireProtocol:
+    atp_net::Node<Ext = Want, Msg: WireMsg> + EventSource + Send + 'static
+{
     /// Stable lowercase label ("ring", "search", "binary", "naimi") used in
     /// reports and CLI flags.
     const LABEL: &'static str;
@@ -35,19 +36,26 @@ pub trait WireProtocol: atp_net::Node<Ext = Want> + EventSource + Send + 'static
     fn build(cfg: ProtocolConfig) -> Self;
 
     /// Encodes one message into a standalone byte frame.
-    fn encode_msg(msg: &Self::Msg) -> Vec<u8>;
+    fn encode_msg(msg: &Self::Msg) -> Vec<u8> {
+        to_bytes(msg)
+    }
 
     /// Decodes a frame previously produced by [`WireProtocol::encode_msg`].
     ///
     /// # Errors
     ///
-    /// Returns the codec's typed error on truncated or unrecognized input —
-    /// network bytes are untrusted, so this must never panic.
-    fn decode_msg(bytes: &[u8]) -> Result<Self::Msg, CodecError>;
+    /// Returns the codec's typed error on truncated, unrecognized or
+    /// malformed input — network bytes are untrusted, so this must never
+    /// panic.
+    fn decode_msg(bytes: &[u8]) -> Result<Self::Msg, CodecError> {
+        from_bytes(bytes)
+    }
 
-    /// Exact byte length [`WireProtocol::encode_msg`] would produce,
-    /// computed without allocating.
-    fn msg_encoded_len(msg: &Self::Msg) -> usize;
+    /// Exact byte length [`WireProtocol::encode_msg`] would produce: the
+    /// same encoder run into a counter, without allocating.
+    fn msg_encoded_len(msg: &Self::Msg) -> usize {
+        measure(|s| msg.put(s))
+    }
 
     /// The node's full ordered-delivery state (grant-order conformance).
     fn order_state(&self) -> &OrderState;
@@ -62,98 +70,15 @@ pub trait WireProtocol: atp_net::Node<Ext = Want> + EventSource + Send + 'static
     fn restore(cfg: ProtocolConfig, ck: &Checkpoint) -> Self;
 }
 
-impl WireProtocol for RingNode {
-    const LABEL: &'static str = "ring";
+impl<T> WireProtocol for T
+where
+    T: Custodian + Send + 'static,
+    T::Msg: WireMsg,
+{
+    const LABEL: &'static str = <T as Custodian>::LABEL;
 
     fn build(cfg: ProtocolConfig) -> Self {
-        RingNode::new(cfg)
-    }
-    fn encode_msg(msg: &Self::Msg) -> Vec<u8> {
-        encode_ring_msg(msg)
-    }
-    fn decode_msg(bytes: &[u8]) -> Result<Self::Msg, CodecError> {
-        decode_ring_msg(bytes)
-    }
-    fn msg_encoded_len(msg: &Self::Msg) -> usize {
-        ring_encoded_len(msg)
-    }
-    fn order_state(&self) -> &OrderState {
-        TokenNode::order(self)
-    }
-    fn checkpoint(&self) -> Checkpoint {
-        TokenNode::checkpoint(self)
-    }
-    fn restore(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        TokenNode::from_checkpoint(cfg, ck)
-    }
-}
-
-impl WireProtocol for SearchNode {
-    const LABEL: &'static str = "search";
-
-    fn build(cfg: ProtocolConfig) -> Self {
-        SearchNode::new(cfg)
-    }
-    fn encode_msg(msg: &Self::Msg) -> Vec<u8> {
-        encode_search_msg(msg)
-    }
-    fn decode_msg(bytes: &[u8]) -> Result<Self::Msg, CodecError> {
-        decode_search_msg(bytes)
-    }
-    fn msg_encoded_len(msg: &Self::Msg) -> usize {
-        search_encoded_len(msg)
-    }
-    fn order_state(&self) -> &OrderState {
-        TokenNode::order(self)
-    }
-    fn checkpoint(&self) -> Checkpoint {
-        TokenNode::checkpoint(self)
-    }
-    fn restore(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        TokenNode::from_checkpoint(cfg, ck)
-    }
-}
-
-impl WireProtocol for BinaryNode {
-    const LABEL: &'static str = "binary";
-
-    fn build(cfg: ProtocolConfig) -> Self {
-        BinaryNode::new(cfg)
-    }
-    fn encode_msg(msg: &Self::Msg) -> Vec<u8> {
-        encode_binary_msg(msg)
-    }
-    fn decode_msg(bytes: &[u8]) -> Result<Self::Msg, CodecError> {
-        decode_binary_msg(bytes)
-    }
-    fn msg_encoded_len(msg: &Self::Msg) -> usize {
-        encoded_len(msg)
-    }
-    fn order_state(&self) -> &OrderState {
-        TokenNode::order(self)
-    }
-    fn checkpoint(&self) -> Checkpoint {
-        TokenNode::checkpoint(self)
-    }
-    fn restore(cfg: ProtocolConfig, ck: &Checkpoint) -> Self {
-        TokenNode::from_checkpoint(cfg, ck)
-    }
-}
-
-impl WireProtocol for NaimiNode {
-    const LABEL: &'static str = "naimi";
-
-    fn build(cfg: ProtocolConfig) -> Self {
-        NaimiNode::new(cfg)
-    }
-    fn encode_msg(msg: &Self::Msg) -> Vec<u8> {
-        encode_naimi_msg(msg)
-    }
-    fn decode_msg(bytes: &[u8]) -> Result<Self::Msg, CodecError> {
-        decode_naimi_msg(bytes)
-    }
-    fn msg_encoded_len(msg: &Self::Msg) -> usize {
-        naimi_encoded_len(msg)
+        T::with_custody(Custody::new(cfg))
     }
     fn order_state(&self) -> &OrderState {
         TokenNode::order(self)
@@ -169,6 +94,7 @@ impl WireProtocol for NaimiNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BinaryNode, NaimiNode, RingNode, SearchNode};
 
     /// The generic path must agree with the direct codec calls for every
     /// protocol — exercised via a frame each protocol actually sends.

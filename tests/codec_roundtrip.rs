@@ -16,8 +16,9 @@ mod corpus;
 use adaptive_token_passing::core::{
     decode_binary_msg, decode_naimi_msg, decode_ring_msg, decode_search_msg, encode_binary_msg,
     encode_naimi_msg, encode_ring_msg, encode_search_msg, known_binary_tags, known_naimi_tags,
-    known_ring_tags, known_search_tags, naimi_encoded_len, ring_encoded_len, search_encoded_len,
-    BinaryMsg, CodecError, Gimme, RequestId, RingMsg, TokenFrame, VisitStamp,
+    known_ring_tags, known_search_tags, BinaryMsg, BinaryNode, CodecError, Gimme, NaimiMsg,
+    NaimiNode, RequestId, RingMsg, RingNode, SearchMsg, SearchNode, TokenFrame, VisitStamp,
+    WireProtocol,
 };
 use adaptive_token_passing::net::NodeId;
 use adaptive_token_passing::util::check::{Check, Gen};
@@ -52,45 +53,65 @@ fn corpus_covers_every_known_tag() {
     }
 }
 
-#[test]
-fn every_message_roundtrips() {
-    Check::new("every_message_roundtrips").run(arb_msg, |msg| {
-        let bytes = encode_binary_msg(msg);
-        let back = decode_binary_msg(&bytes).expect("decode");
-        // BinaryMsg lacks PartialEq on purpose (Apply closures elsewhere);
-        // Debug equality is exact for these data-only messages.
+/// The roundtrip-and-length property, one for all four families: through
+/// `P`'s codec every generated message decodes back to itself, and
+/// `P::msg_encoded_len` is exactly the length of its frame.
+fn roundtrips_at_its_encoded_len<P: WireProtocol>(name: &str, arb: fn(&mut Gen) -> P::Msg) {
+    Check::new(name).run(arb, |msg| {
+        let bytes = P::encode_msg(msg);
+        assert_eq!(P::msg_encoded_len(msg), bytes.len(), "size of {msg:?}");
+        let back = P::decode_msg(&bytes).expect("decode");
+        // The message types lack PartialEq on purpose; Debug equality is
+        // exact for these data-only messages.
         assert_eq!(format!("{msg:?}"), format!("{back:?}"));
     });
+}
+
+#[test]
+fn every_message_roundtrips() {
+    roundtrips_at_its_encoded_len::<BinaryNode>("every_message_roundtrips", arb_msg);
 }
 
 #[test]
 fn every_naimi_message_roundtrips() {
-    Check::new("every_naimi_message_roundtrips").run(arb_naimi_msg, |msg| {
-        let bytes = encode_naimi_msg(msg);
-        assert_eq!(bytes.len(), naimi_encoded_len(msg));
-        let back = decode_naimi_msg(&bytes).expect("decode");
-        assert_eq!(format!("{msg:?}"), format!("{back:?}"));
-    });
+    roundtrips_at_its_encoded_len::<NaimiNode>("every_naimi_message_roundtrips", arb_naimi_msg);
 }
 
 #[test]
 fn every_ring_message_roundtrips() {
-    Check::new("every_ring_message_roundtrips").run(arb_ring_msg, |msg| {
-        let bytes = encode_ring_msg(msg);
-        assert_eq!(bytes.len(), ring_encoded_len(msg));
-        let back = decode_ring_msg(&bytes).expect("decode");
-        assert_eq!(format!("{msg:?}"), format!("{back:?}"));
-    });
+    roundtrips_at_its_encoded_len::<RingNode>("every_ring_message_roundtrips", arb_ring_msg);
 }
 
 #[test]
 fn every_search_message_roundtrips() {
-    Check::new("every_search_message_roundtrips").run(arb_search_msg, |msg| {
-        let bytes = encode_search_msg(msg);
-        assert_eq!(bytes.len(), search_encoded_len(msg));
-        let back = decode_search_msg(&bytes).expect("decode");
-        assert_eq!(format!("{msg:?}"), format!("{back:?}"));
-    });
+    roundtrips_at_its_encoded_len::<SearchNode>("every_search_message_roundtrips", arb_search_msg);
+}
+
+/// The size of a granting lazy token with 100 000 carried entries comes
+/// from the counter, which does not walk them; it must still be the
+/// length of the frame the encoder writes.
+#[test]
+fn lazy_token_with_100k_entries_is_sized_exactly() {
+    let mut frame = TokenFrame::new(16);
+    for payload in 0..100_000 {
+        frame.append(NodeId::new((payload % 8) as u32), payload);
+    }
+    let grant_for = Some(RequestId::new(NodeId::new(3), 1));
+    let search = SearchMsg::Token {
+        frame: Box::new(frame.clone()),
+        grant_for,
+    };
+    let bytes = SearchNode::encode_msg(&search);
+    assert_eq!(SearchNode::msg_encoded_len(&search), bytes.len());
+    assert!(bytes.len() > 100_000 * 28);
+    let naimi = NaimiMsg::Token {
+        frame: Box::new(frame),
+        grant_for,
+    };
+    assert_eq!(
+        NaimiNode::msg_encoded_len(&naimi),
+        NaimiNode::encode_msg(&naimi).len()
+    );
 }
 
 #[test]
@@ -163,7 +184,7 @@ fn satisfied_window_longer_than_its_cap_is_rejected() {
     bytes[RING_TOKEN_CAP_AT..RING_TOKEN_CAP_AT + 4].copy_from_slice(&2u32.to_le_bytes());
     assert!(matches!(
         decode_ring_msg(&bytes),
-        Err(CodecError::Truncated)
+        Err(CodecError::Malformed)
     ));
     // And a window at its cap keeps evicting one for one.
     bytes[RING_TOKEN_CAP_AT..RING_TOKEN_CAP_AT + 4].copy_from_slice(&3u32.to_le_bytes());
@@ -191,7 +212,7 @@ fn carried_run_out_of_seq_order_is_rejected() {
         let mut bytes = bytes.clone();
         bytes[third_seq_at..third_seq_at + 8].copy_from_slice(&bad_seq.to_le_bytes());
         assert!(
-            matches!(decode_ring_msg(&bytes), Err(CodecError::Truncated)),
+            matches!(decode_ring_msg(&bytes), Err(CodecError::Malformed)),
             "seq run 1, 2, {bad_seq} was honored"
         );
     }
@@ -223,7 +244,7 @@ fn ack_vector_longer_than_its_cap_is_rejected() {
     bytes[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
     assert!(matches!(
         decode_ring_msg(&bytes),
-        Err(CodecError::Truncated)
+        Err(CodecError::Malformed)
     ));
 }
 
@@ -242,7 +263,7 @@ fn ack_at_or_beyond_next_seq_is_rejected() {
         let slot = at + 4 + 8;
         bytes[slot..slot + 8].copy_from_slice(&bad_ack.to_le_bytes());
         assert!(
-            matches!(decode_ring_msg(&bytes), Err(CodecError::Truncated)),
+            matches!(decode_ring_msg(&bytes), Err(CodecError::Malformed)),
             "ack {bad_ack} over a history of 2 was honored"
         );
     }
@@ -351,7 +372,10 @@ fn ring_byte_corruption_is_rejected_or_reinterpreted_never_honored() {
                 }
             }
             Err(e) => assert!(
-                matches!(e, CodecError::BadTag(_) | CodecError::Truncated),
+                matches!(
+                    e,
+                    CodecError::BadTag(_) | CodecError::Truncated | CodecError::Malformed
+                ),
                 "unstructured ring decode error: {e:?}"
             ),
         },
@@ -380,7 +404,10 @@ fn search_byte_corruption_is_rejected_or_reinterpreted_never_honored() {
                 }
             }
             Err(e) => assert!(
-                matches!(e, CodecError::BadTag(_) | CodecError::Truncated),
+                matches!(
+                    e,
+                    CodecError::BadTag(_) | CodecError::Truncated | CodecError::Malformed
+                ),
                 "unstructured search decode error: {e:?}"
             ),
         },
