@@ -249,21 +249,28 @@ fi
 echo "one WireProtocol impl, every size from its encoder"
 
 echo "== runtime anti-fork gate =="
-# A node thread has one thing to block on — its endpoint — and the loop
-# around it is written once for Cluster and ShardedCluster. The two copies
-# it replaced each had a control channel polled under a 5 ms cap: fail if a
-# second loop, a second heap, a poll or the cap comes back.
+# One reactor thread hosts every node of a cluster, Cluster and ShardedCluster
+# alike, on one heap of due entries. It blocks on a frame it is owed or on
+# the door until the next due entry, never on a fixed wait. Thread-per-node
+# runtimes came before it, and before those two copies of a node loop polled
+# a control channel under a 5 ms cap: fail if a second thread, a second heap,
+# the cap or a receive with a constant wait comes back.
 RUNTIME=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/core/src/runtime.rs)
 count() { echo "$RUNTIME" | grep -c -- "$1" || true; }
-if [ "$(count 'from_millis(5)')" -ne 0 ] || [ "$(count 'try_recv')" -ne 0 ] \
-  || [ "$(count 'endpoint\.recv_timeout(')" -ne 1 ] || [ "$(count 'BinaryHeap::new()')" -ne 1 ]; then
-  echo "runtime.rs: the node loop forked or polls again" >&2
-  echo "  from_millis(5)=$(count 'from_millis(5)') try_recv=$(count 'try_recv')" \
-       "endpoint.recv_timeout(=$(count 'endpoint\.recv_timeout(') BinaryHeap::new()=$(count 'BinaryHeap::new()')" >&2
+# Arguments of every recv_timeout( call, lines joined so a wrapped call is
+# seen whole; a zero wait is a look, not a wait.
+CONST_WAITS=$(echo "$RUNTIME" | tr '\n' ' ' | grep -o 'recv_timeout( *[^)]*' \
+  | sed 's/recv_timeout( *//' | grep -v '^Duration::ZERO$' \
+  | grep -E '^(Duration::|[A-Z][A-Z0-9_]*$|[0-9])' || true)
+if [ "$(count 'thread::spawn')" -ne 1 ] || [ "$(count 'BinaryHeap::new()')" -ne 1 ] \
+  || [ "$(count 'from_millis(5)')" -ne 0 ] || [ -n "$CONST_WAITS" ]; then
+  echo "runtime.rs: the reactor forked, or waits on a poll or a constant again" >&2
+  echo "  thread::spawn=$(count 'thread::spawn') BinaryHeap::new()=$(count 'BinaryHeap::new()')" \
+       "from_millis(5)=$(count 'from_millis(5)') constant recv_timeout waits: ${CONST_WAITS:-none}" >&2
   exit 1
 fi
-echo "one node loop, one heap, one blocking receive, no poll"
-# A runtime node keeps counters, not a copy of the history: the node loop
+echo "one reactor thread, one heap, no poll, no constant wait"
+# A runtime node keeps counters, not a copy of the history: the reactor
 # switches the log off in one place, and the service reads the global order
 # from `Released` (one event per entry), not from per-node `Delivered`.
 SERVICE=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/core/src/service.rs)
@@ -286,10 +293,10 @@ fi
 echo "virtual-clock driver: no sleep, one heap"
 
 echo "== idle cluster smoke =="
-# System Search parks its token, so between requests every node thread is
-# blocked with nothing scheduled: the closed-loop p50 is then what a wake-up
-# costs. It was 5.3 ms while requests waited for a poll; a frame through
-# the front door wakes the node in ~0.1 ms. The lazy token (Search, Naimi)
+# System Search parks its token, so between requests the reactor is blocked
+# on the door with nothing scheduled: the closed-loop p50 is then what a
+# wake-up costs. It was 5.3 ms while requests waited for a poll; a want
+# through the front door wakes the reactor in well under 0.1 ms. The lazy token (Search, Naimi)
 # must also stay bounded: it drops the history every node has acked, so its
 # largest granting frame is a few hundred bytes at N = 8 however many
 # requests ran; carrying all of H it was ~112 KB after 4 000.

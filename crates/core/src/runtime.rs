@@ -1,23 +1,23 @@
-//! A real multi-threaded deployment of the token-passing protocols.
+//! A real deployment of the token-passing protocols, off the simulator.
 //!
-//! Each node runs on its own OS thread, hosted by [`atp_net::Harness`];
-//! messages travel as **encoded byte frames** (see [`crate::codec`]) over a
-//! pluggable byte [`Transport`] — in-process mpsc channels by default
-//! ([`Cluster::start`]), or real loopback TCP sockets
-//! ([`Cluster::start_on`] with [`atp_net::TcpTransport`]). The exact
-//! on-the-wire protocol is exercised either way. Ticks are mapped to
-//! wall-clock time through [`ClusterConfig::tick`].
+//! One **reactor thread** hosts every node of a cluster, each through an
+//! [`atp_net::Harness`]; messages travel between the nodes as **encoded byte
+//! frames** (see [`crate::codec`]) over a pluggable byte [`Transport`] —
+//! in-process mpsc channels by default ([`Cluster::start`]), or real
+//! loopback TCP sockets ([`Cluster::start_on`] with
+//! [`atp_net::TcpTransport`]). The exact on-the-wire protocol is exercised
+//! either way. Ticks are mapped to wall-clock time through
+//! [`ClusterConfig::tick`].
 //!
 //! The cluster is generic over `P:` [`WireProtocol`], defaulting to System
 //! BinarySearch; any of the four protocol families deploys unchanged.
 //!
-//! A node thread blocks on **one inbox**, its transport endpoint, until a
-//! frame arrives or its earliest timer is due. Requests and shutdown reach
-//! it through that same inbox: the cluster keeps one extra endpoint of the
-//! mesh, the *front door* (id `n`), and [`Cluster::request`] is a small
-//! control frame sent from it. A node wakes on arrival, never on a poll.
-//! [`Cluster`] and [`ShardedCluster`] run the same node loop; they differ
-//! only in the `Plane` they host.
+//! The reactor takes back first the frames it staged, then anything else
+//! queued; with nothing owed it blocks until the next due timer on the
+//! *front door*, an in-process channel carrying [`Cluster::request`]'s
+//! wants and the order to stop. It wakes on arrival, never on a poll, and a
+//! frame between two nodes costs no thread hand-off. [`Cluster`] and
+//! [`ShardedCluster`] run the same reactor over a different `Plane`.
 //!
 //! A node keeps its place in the global history as counters only (applied
 //! length and digest), never a copy of the entries: the node that commits
@@ -26,9 +26,8 @@
 //!
 //! Inbound frames are **untrusted network input**: frames that fail to
 //! decode are counted ([`Cluster::decode_errors`]) and dropped, never
-//! panicked on — a peer speaking garbage cannot take a node down. Only the
-//! door may speak the control encoding: the same bytes from a ring member
-//! are one more undecodable frame.
+//! panicked on — a peer speaking garbage cannot take a node down. Requests
+//! never travel as frames, so no bytes from the network can act as one.
 //!
 //! ```rust
 //! use atp_core::{Cluster, ClusterConfig, TokenEvent};
@@ -44,28 +43,30 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use atp_net::{
-    ChanTransport, CloseReport, Endpoint, Harness, MsgClass, NodeId, SimTime, Topology, Transport,
+    ChanTransport, CloseReport, Endpoint, Harness, MsgClass, NodeId, SimTime, TimerRequest,
+    Topology, Transport,
 };
 use atp_util::rng::{Rng, SeedableRng, StdRng};
 
 use crate::binary::BinaryNode;
 use crate::codec::{decode_shard_frame, encode_shard_frame};
 use crate::config::ProtocolConfig;
-use crate::event::{TokenEvent, Want, WantKind};
+use crate::event::{TokenEvent, Want};
 use crate::shard::{ShardId, ShardMap};
 use crate::wire::WireProtocol;
 
-/// Configuration for a threaded [`Cluster`].
+/// Configuration for a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of nodes (threads).
+    /// Number of nodes (all hosted by one reactor thread).
     pub n: usize,
     /// Protocol tunables. The default enables adaptive token speed so an
     /// idle cluster does not spin the token at channel speed. `record_log`
@@ -126,95 +127,19 @@ impl ClusterConfig {
     }
 }
 
-/// What the front door says to a node: what a real deployment would get
-/// from its local host, encoded as a frame so that it arrives — and wakes
-/// the node — like any other. The tags sit outside every protocol's and
-/// the shard envelope's tag space, so a ring member that sends these bytes
-/// fails the data decoders and is counted, never executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What the front door hands the reactor: what a real deployment would get
+/// from each node's local host. It is typed and in-process, so it can be
+/// neither lost nor forged by a peer.
 enum DoorMsg {
-    /// An external stimulus for one protocol instance (shard 0 on the
-    /// single-token plane).
-    Want(ShardId, Want),
-    /// Leave the node loop and close the endpoint.
+    /// An external stimulus for one protocol instance of one node (shard 0
+    /// on the single-token plane).
+    Want(NodeId, ShardId, Want),
+    /// Leave the reactor loop and close every endpoint.
     Stop,
 }
 
-const TAG_DOOR_WANT: u8 = 0x60;
-const TAG_DOOR_STOP: u8 = 0x61;
-
-impl DoorMsg {
-    fn encode(self) -> Vec<u8> {
-        match self {
-            DoorMsg::Stop => vec![TAG_DOOR_STOP],
-            DoorMsg::Want(shard, want) => {
-                let kind = match want.kind {
-                    WantKind::Acquire => 0,
-                    WantKind::Leave => 1,
-                    WantKind::Rejoin => 2,
-                };
-                let mut buf = vec![TAG_DOOR_WANT, kind];
-                buf.extend_from_slice(&shard.0.to_le_bytes());
-                buf.extend_from_slice(&want.payload.to_le_bytes());
-                buf
-            }
-        }
-    }
-
-    /// `None` for anything `encode` does not produce, byte for byte.
-    fn decode(bytes: &[u8]) -> Option<DoorMsg> {
-        match *bytes {
-            [TAG_DOOR_STOP] => Some(DoorMsg::Stop),
-            [TAG_DOOR_WANT, kind, s0, s1, ref payload @ ..] => {
-                let kind = match kind {
-                    0 => WantKind::Acquire,
-                    1 => WantKind::Leave,
-                    2 => WantKind::Rejoin,
-                    _ => return None,
-                };
-                let payload = u64::from_le_bytes(payload.try_into().ok()?);
-                let shard = ShardId(u16::from_le_bytes([s0, s1]));
-                Some(DoorMsg::Want(shard, Want { payload, kind }))
-            }
-            _ => None,
-        }
-    }
-}
-
-/// The cluster's front door: endpoint `n` of the mesh, shared by the
-/// cluster and every handle. `None` once closed, so a handle that outlives
-/// its cluster sends nowhere.
-struct Door(Mutex<Option<Box<dyn Endpoint>>>);
-
-impl Door {
-    /// A client that panicked mid-send poisons the mutex but leaves the
-    /// endpoint valid (at worst its own frame stays staged), and `Drop`
-    /// must still get through to stop the nodes.
-    fn lock(&self) -> MutexGuard<'_, Option<Box<dyn Endpoint>>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn send(&self, to: impl IntoIterator<Item = NodeId>, msg: DoorMsg) {
-        if let Some(endpoint) = self.lock().as_mut() {
-            let frame = msg.encode();
-            to.into_iter().for_each(|node| endpoint.stage(node, &frame));
-            endpoint.flush();
-        }
-    }
-
-    fn close(&self) -> Option<CloseReport> {
-        self.lock().take().map(|mut endpoint| endpoint.close())
-    }
-}
-
-impl std::fmt::Debug for Door {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Door")
-    }
-}
-
 /// What differs between the single-token and the sharded plane. Everything
-/// else about hosting protocol instances on a thread is [`node_main`].
+/// else about hosting protocol instances is the [`Reactor`].
 trait Plane {
     /// One element of the cluster's merged event stream.
     type Event: Send + 'static;
@@ -258,30 +183,28 @@ impl Plane for Enveloped {
     }
 }
 
-/// Counters the node threads add to and the cluster reads.
+/// Counters the reactor adds to and the cluster reads.
 struct Shared {
     /// Grants per (shard, node), shard-major.
     grants: Box<[AtomicU64]>,
     decode_errors: AtomicU64,
     frames_lost: AtomicU64,
-    /// Set (`Release`) before the stop frames go out and read (`Acquire`)
-    /// in the time-out arm of [`node_main`]; it publishes nothing else.
-    stopping: AtomicBool,
 }
 
-/// The threads, door and event stream behind a [`Cluster`] or a
+/// The reactor, door and event stream behind a [`Cluster`] or a
 /// [`ShardedCluster`].
 struct Runtime<Ev> {
     n: usize,
-    door: Arc<Door>,
+    door: Sender<DoorMsg>,
     events_rx: Receiver<Ev>,
-    threads: Vec<JoinHandle<CloseReport>>,
+    reactor: Option<JoinHandle<Vec<CloseReport>>>,
     shared: Arc<Shared>,
 }
 
 impl<Ev> Runtime<Ev> {
-    /// Starts `config.n` node threads, each hosting one instance of `P` per
-    /// element of `shards` (`config.protocol` itself is not looked at).
+    /// Starts the reactor thread hosting `config.n` nodes, each with one
+    /// instance of `P` per element of `shards` (`config.protocol` itself is
+    /// not looked at).
     fn start_on<P: WireProtocol, T: Transport, H: Plane<Event = Ev>>(
         config: ClusterConfig,
         shards: Vec<ProtocolConfig>,
@@ -291,31 +214,53 @@ impl<Ev> Runtime<Ev> {
     {
         let n = config.n;
         assert!(n > 0, "cluster needs at least one node");
-        let mut endpoints = T::endpoints(n + 1)?.into_iter();
+        let endpoints = T::endpoints(n)?;
+        let (door, requests) = channel();
         let (events_tx, events_rx) = channel();
         let shared = Arc::new(Shared {
             grants: (0..n * shards.len()).map(|_| AtomicU64::new(0)).collect(),
             decode_errors: AtomicU64::new(0),
             frames_lost: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
         });
-        let threads = endpoints
-            .by_ref()
-            .take(n)
-            .map(|endpoint| {
-                let (config, shards) = (config.clone(), shards.clone());
-                let (events_tx, shared) = (events_tx.clone(), Arc::clone(&shared));
-                std::thread::spawn(move || {
-                    node_main::<P, _, H>(&config, shards, endpoint, events_tx, &shared)
-                })
-            })
-            .collect();
-        let door = endpoints.next().map(|e| Box::new(e) as Box<dyn Endpoint>);
+        let seed = move |v: usize| config.seed.wrapping_add(v as u64);
+        // Each instance has its own generation space (shards never share
+        // frames) and a shard-namespaced RNG seed. None keeps a log: all N
+        // nodes share this process, and a log per node would hold every entry
+        // N times over while `Released` already reports each one once.
+        let build = move |v: usize| -> Vec<Harness<P>> {
+            let instance = |(s, cfg): (u64, &ProtocolConfig)| {
+                let id = NodeId::new(v as u32);
+                let node = P::build(cfg.with_record_log(false));
+                Harness::new(id, Topology::ring(n), node, seed(v) ^ (s << 32))
+            };
+            (0u64..).zip(&shards).map(instance).collect()
+        };
+        let counters = Arc::clone(&shared);
+        // Built on the reactor thread: a protocol instance need not be `Send`.
+        let reactor = std::thread::spawn(move || {
+            let reactor = Reactor::<P, _, H> {
+                harnesses: (0..n).map(build).collect(),
+                drop_rngs: (0..n)
+                    .map(|v| StdRng::seed_from_u64(seed(v) ^ 0xD0D0_CACA))
+                    .collect(),
+                config,
+                start: Instant::now(),
+                endpoints,
+                owed: vec![0; n],
+                written_off: 0,
+                heap: BinaryHeap::new(),
+                seq: 0,
+                events: Vec::with_capacity(EVENT_BATCH),
+                events_tx,
+                shared: counters,
+            };
+            reactor.run(&requests)
+        });
         Ok(Runtime {
             n,
-            door: Arc::new(Door(Mutex::new(door))),
+            door,
             events_rx,
-            threads,
+            reactor: Some(reactor),
             shared,
         })
     }
@@ -340,25 +285,17 @@ impl<Ev> Runtime<Ev> {
         self.shared.grants.iter().map(|g| g.load(Ordering::Relaxed))
     }
 
-    /// Stops and joins every node thread, then closes the door: one
-    /// report per node, the door's last. Idempotent.
-    fn stop(&mut self) -> Vec<CloseReport> {
-        self.shared.stopping.store(true, Ordering::Release);
-        self.door
-            .send((0..self.n as u32).map(NodeId::new), DoorMsg::Stop);
-        let mut reports: Vec<CloseReport> = self
-            .threads
-            .drain(..)
-            .map(|t| t.join().unwrap_or_default())
-            .collect();
-        reports.extend(self.door.close());
-        reports
+    /// Stops and joins the reactor: one close report per node, or the panic
+    /// of the reactor thread (a bug in a protocol). Idempotent.
+    fn stop(&mut self) -> std::thread::Result<Vec<CloseReport>> {
+        let _ = self.door.send(DoorMsg::Stop);
+        self.reactor.take().map_or(Ok(Vec::new()), JoinHandle::join)
     }
 }
 
 impl<Ev> Drop for Runtime<Ev> {
     fn drop(&mut self) {
-        self.stop();
+        let _ = self.stop();
     }
 }
 
@@ -366,7 +303,7 @@ impl<Ev> Drop for Runtime<Ev> {
 #[derive(Debug, Clone)]
 pub struct ClusterHandle {
     node: NodeId,
-    door: Arc<Door>,
+    door: Sender<DoorMsg>,
 }
 
 impl ClusterHandle {
@@ -378,14 +315,14 @@ impl ClusterHandle {
     /// Makes the node ready: it will acquire the token and broadcast
     /// `payload`. Watch the cluster's event stream for the grant. Wants
     /// sent to one node reach it in the order they were sent, whichever
-    /// handles sent them.
+    /// handles sent them. A handle that outlives its cluster sends nowhere.
     pub fn want(&self, payload: u64) {
-        self.door
-            .send([self.node], DoorMsg::Want(ShardId(0), Want::new(payload)));
+        let want = DoorMsg::Want(self.node, ShardId(0), Want::new(payload));
+        let _ = self.door.send(want);
     }
 }
 
-/// A running multi-threaded token-passing cluster.
+/// A running token-passing cluster.
 pub struct Cluster<P: WireProtocol = BinaryNode> {
     rt: Runtime<(NodeId, TokenEvent)>,
     _protocol: std::marker::PhantomData<P>,
@@ -402,8 +339,8 @@ impl<P: WireProtocol> std::fmt::Debug for Cluster<P> {
 }
 
 impl<P: WireProtocol> Cluster<P> {
-    /// Starts `config.n` node threads over in-process channels and mints
-    /// the token at node 0.
+    /// Starts `config.n` nodes over in-process channels and mints the token
+    /// at node 0.
     ///
     /// # Panics
     ///
@@ -414,7 +351,7 @@ impl<P: WireProtocol> Cluster<P> {
 
     /// Starts the cluster on an arbitrary byte transport (e.g.
     /// [`atp_net::TcpTransport`] for real loopback sockets). The mesh is
-    /// built with `config.n + 1` endpoints; the last is the front door.
+    /// built with `config.n` endpoints, one per node.
     ///
     /// # Errors
     ///
@@ -450,7 +387,7 @@ impl<P: WireProtocol> Cluster<P> {
         assert!(node.index() < self.rt.n, "node outside the cluster");
         ClusterHandle {
             node,
-            door: Arc::clone(&self.rt.door),
+            door: self.rt.door.clone(),
         }
     }
 
@@ -499,24 +436,24 @@ impl<P: WireProtocol> Cluster<P> {
     }
 
     /// Frames the transport dropped (unreachable peers, severed streams),
-    /// summed over all nodes.
+    /// summed over all nodes, as counted so far.
     pub fn frames_lost(&self) -> u64 {
         self.rt.shared.frames_lost.load(Ordering::Relaxed)
     }
 
-    /// Stops every node thread, waits for them to exit, and returns each
-    /// node's transport teardown report followed by the front door's
-    /// (assert [`CloseReport::is_clean`] to prove no thread leaked).
-    /// Dropping the cluster stops and joins the same way.
+    /// Stops the reactor, waits for it to exit, and returns each node's
+    /// transport teardown report (assert [`CloseReport::is_clean`] to prove
+    /// no thread leaked). A panic of the reactor is raised again here.
+    /// Dropping the cluster stops and joins the same way, silently.
     pub fn shutdown(mut self) -> Vec<CloseReport> {
-        self.rt.stop()
+        self.rt.stop().unwrap_or_else(|p| resume_unwind(p))
     }
 }
 
 /// Configuration for a [`ShardedCluster`].
 #[derive(Debug, Clone)]
 pub struct ShardedClusterConfig {
-    /// Number of nodes (threads).
+    /// Number of nodes (all hosted by one reactor thread).
     pub n: usize,
     /// Number of shards `K` (independent tokens).
     pub shards: u16,
@@ -569,9 +506,9 @@ impl ShardedClusterConfig {
 /// Callers no longer pick a node: [`ShardedCluster::request`] hashes the
 /// key to a shard ([`ShardMap::shard_of_key`]), and the `Want` enters at
 /// the shard's consistent-hash home node. On the wire every frame is a
-/// [`crate::encode_shard_frame`] envelope; each node thread demuxes by
-/// shard id into one [`Harness`] per shard, so a frame from shard *i*
-/// can never perturb shard *j*.
+/// [`crate::encode_shard_frame`] envelope; the reactor demuxes each node's
+/// frames by shard id into one [`Harness`] per shard, so a frame from shard
+/// *i* can never perturb shard *j*.
 ///
 /// ```rust
 /// use atp_core::{ShardedCluster, ShardedClusterConfig};
@@ -601,8 +538,8 @@ impl<P: WireProtocol> std::fmt::Debug for ShardedCluster<P> {
 }
 
 impl<P: WireProtocol> ShardedCluster<P> {
-    /// Starts `config.n` node threads over in-process channels, each
-    /// hosting `config.shards` protocol instances.
+    /// Starts `config.n` nodes over in-process channels, each hosting
+    /// `config.shards` protocol instances.
     ///
     /// # Panics
     ///
@@ -658,10 +595,8 @@ impl<P: WireProtocol> ShardedCluster<P> {
     /// shard the key routed to.
     pub fn request(&self, key: u64, payload: u64) -> ShardId {
         let shard = self.map.shard_of_key(key);
-        self.rt.door.send(
-            [self.map.home(shard)],
-            DoorMsg::Want(shard, Want::new(payload)),
-        );
+        let want = DoorMsg::Want(self.map.home(shard), shard, Want::new(payload));
+        let _ = self.rt.door.send(want);
         shard
     }
 
@@ -693,33 +628,34 @@ impl<P: WireProtocol> ShardedCluster<P> {
         self.rt.shared.decode_errors.load(Ordering::Relaxed)
     }
 
-    /// Stops every node thread and returns each node's transport
-    /// teardown report followed by the front door's. Dropping the cluster
-    /// stops and joins the same way.
+    /// Stops the reactor and returns each node's transport teardown report
+    /// (a panic of the reactor is raised again). Dropping the cluster stops
+    /// and joins the same way, silently.
     pub fn shutdown(mut self) -> Vec<CloseReport> {
-        self.rt.stop()
+        self.rt.stop().unwrap_or_else(|p| resume_unwind(p))
     }
 }
 
-/// Something a node does later. `Ord` only so that [`DueEntry`] can derive
-/// its own: `seq` is unique, so two of these are never compared.
+/// Something the reactor does later for one node. `Ord` only for
+/// [`DueEntry`]'s derive: `seq` is unique, so two are never compared.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Due {
     Timer { shard: ShardId, kind: u64 },
     Send { to: NodeId, frame: Vec<u8> },
 }
 
-/// Ordered by `(at, seq)`; the heap holds them [`Reverse`]d, earliest first.
+/// Ordered by `(at, seq, node)`; [`Reverse`]d in the heap, earliest first.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct DueEntry {
     at: Instant,
     seq: u64,
+    node: usize,
     what: Due,
 }
 
-/// How long a node with nothing scheduled blocks before it looks at
-/// [`Shared::stopping`] again. Nothing in normal operation waits for it.
-const IDLE_WAIT: Duration = Duration::from_secs(5);
+/// Events the reactor holds back at most: all go out when it is about to
+/// block, and the cap keeps one that never blocks from sitting on a grant.
+const EVENT_BATCH: usize = 64;
 
 /// `ticks` ticks from now, saturating: a hold above `u32::MAX` ticks is
 /// that long, not its low 32 bits, and never past what `Instant` can hold.
@@ -729,162 +665,226 @@ fn due_at(tick: Duration, ticks: u64) -> Instant {
     Instant::now() + tick.saturating_mul(ticks).min(FOREVER)
 }
 
-/// One node thread: one protocol instance per element of `shards` behind
-/// one endpoint, one heap of due timers and held frames.
-fn node_main<P: WireProtocol, E: Endpoint, H: Plane>(
-    config: &ClusterConfig,
-    shards: Vec<ProtocolConfig>,
-    mut endpoint: E,
+/// The one thread of a cluster: all N endpoints, all N×K harnesses and one
+/// heap of due entries. Every per-node vector is indexed by node.
+struct Reactor<P: WireProtocol, E, H: Plane> {
+    config: ClusterConfig,
+    start: Instant,
+    endpoints: Vec<E>,
+    /// One protocol instance per shard.
+    harnesses: Vec<Vec<Harness<P>>>,
+    drop_rngs: Vec<StdRng>,
+    /// Frames staged to the endpoint and not yet taken back.
+    owed: Vec<u64>,
+    /// Owed frames written off against the losses the endpoints reported.
+    written_off: u64,
+    heap: BinaryHeap<Reverse<DueEntry>>,
+    seq: u64,
+    /// Events in dispatch order, not yet sent.
+    events: Vec<H::Event>,
     events_tx: Sender<H::Event>,
-    shared: &Shared,
-) -> CloseReport {
-    let &ClusterConfig {
-        n,
-        tick,
-        control_drop_p,
-        ..
-    } = config;
-    let id = endpoint.id();
-    let door = NodeId::new(n as u32);
-    let seed = config.seed.wrapping_add(u64::from(id.raw()));
-    let mut drop_rng = StdRng::seed_from_u64(seed ^ 0xD0D0_CACA);
-    let start = Instant::now();
-    let ticks_now = || -> SimTime {
-        let t = start.elapsed().as_nanos() / tick.as_nanos().max(1);
+    shared: Arc<Shared>,
+}
+
+impl<P: WireProtocol, E: Endpoint, H: Plane> Reactor<P, E, H> {
+    fn now(&self) -> SimTime {
+        let t = self.start.elapsed().as_nanos() / self.config.tick.as_nanos().max(1);
         SimTime::from_ticks(t as u64)
-    };
-    // Each instance has its own generation space (shards never share
-    // frames) and a shard-namespaced RNG seed. None keeps a log: all N
-    // nodes share this process, and a log per node would hold every entry
-    // N times over while `Released` already reports each one once.
-    let mut harnesses: Vec<Harness<P>> = (0u64..)
-        .zip(shards)
-        .map(|(s, cfg)| {
-            let node = P::build(cfg.with_record_log(false));
-            Harness::new(id, Topology::ring(n), node, seed ^ (s << 32))
-        })
-        .collect();
-    let mut heap: BinaryHeap<Reverse<DueEntry>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut schedule = |heap: &mut BinaryHeap<Reverse<DueEntry>>, ticks: u64, what: Due| {
-        seq += 1;
-        heap.push(Reverse(DueEntry {
-            at: due_at(tick, ticks),
-            seq,
-            what,
-        }));
-    };
-    let now0 = ticks_now();
-    for harness in &mut harnesses {
-        harness.init(now0);
     }
 
-    loop {
-        // Flush effects of the last dispatch, shard by shard. Events go out
-        // *before* any outbound frames: once the token frame is on the wire,
-        // the receiver can grant and publish its event, so publishing our
-        // own events first is what keeps the merged event stream causally
-        // ordered (Released always observed before the next Granted).
+    /// Runs until the door says stop (or every sender of it is gone), then
+    /// closes every endpoint: one report per node.
+    fn run(mut self, door: &Receiver<DoorMsg>) -> Vec<CloseReport> {
+        for v in 0..self.endpoints.len() {
+            let now = self.now();
+            self.harnesses[v].iter_mut().for_each(|h| h.init(now));
+            self.collect(v);
+        }
+        loop {
+            // Each turn takes a request and a due entry or a frame: a token
+            // that never stops moving cannot starve requests, nor a stream
+            // of requests the token.
+            let mut msg = match door.try_recv() {
+                Ok(msg) => Some(msg),
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => break,
+            };
+            if !(self.fire_due() || self.take_ready()) && msg.is_none() {
+                // About to block: the client sees every event so far.
+                self.publish();
+                let until = self.heap.peek().map(|head| head.0.at);
+                if let Some(v) = self.owed.iter().position(|&owed| owed > 0) {
+                    self.await_owed(v, until);
+                    continue;
+                }
+                let got = match until {
+                    Some(at) => door.recv_timeout(at.saturating_duration_since(Instant::now())),
+                    None => door.recv().map_err(RecvTimeoutError::from),
+                };
+                msg = match got {
+                    Ok(msg) => Some(msg),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                };
+            }
+            match msg {
+                Some(DoorMsg::Want(node, shard, want)) => {
+                    let now = self.now();
+                    self.harnesses[node.index()][shard.index()].external(now, want);
+                    self.collect(node.index());
+                }
+                Some(DoorMsg::Stop) => break,
+                None => {}
+            }
+        }
+        self.publish();
+        self.endpoints.iter_mut().map(Endpoint::close).collect()
+    }
+
+    /// Fires the earliest entry if it is due.
+    fn fire_due(&mut self) -> bool {
+        let Some(head) = self.heap.peek_mut() else {
+            return false;
+        };
+        if head.0.at > Instant::now() {
+            return false;
+        }
+        let DueEntry { node, what, .. } = PeekMut::pop(head).0;
+        match what {
+            Due::Timer { shard, kind } => {
+                let now = self.now();
+                self.harnesses[node][shard.index()].fire_timer(now, kind);
+                self.collect(node);
+            }
+            Due::Send { to, frame } => {
+                self.endpoints[node].stage(to, &frame);
+                self.owed[to.index()] += 1;
+                self.endpoints[node].flush();
+            }
+        }
+        true
+    }
+
+    /// Takes in one frame already queued, without waiting: from an endpoint
+    /// owed one if any is, else from any (so garbage is counted too).
+    fn take_ready(&mut self) -> bool {
+        let owing = self.owed.iter().any(|&owed| owed > 0);
+        let ready = (0..self.endpoints.len())
+            .filter(|&v| !owing || self.owed[v] > 0)
+            .find_map(|v| Some((v, self.endpoints[v].recv_timeout(Duration::ZERO)?)));
+        let Some((v, (from, frame))) = ready else {
+            return false;
+        };
+        self.receive(v, from, &frame);
+        true
+    }
+
+    /// Waits for a frame endpoint `v` is owed until the next due entry or,
+    /// with nothing due, for one tick before the door is looked at again.
+    /// On a time-out, reported losses are written off against what `v` is
+    /// owed: a lost frame costs one wait, a late one is still waited for.
+    fn await_owed(&mut self, v: usize, until: Option<Instant>) {
+        let wait = until.map_or(self.config.tick, |at| {
+            at.saturating_duration_since(Instant::now())
+        });
+        if let Some((from, frame)) = self.endpoints[v].recv_timeout(wait) {
+            return self.receive(v, from, &frame);
+        }
+        let lost = self.shared.frames_lost.load(Ordering::Relaxed);
+        let gone = self.owed[v].min(lost.saturating_sub(self.written_off));
+        self.owed[v] -= gone;
+        self.written_off += gone;
+    }
+
+    /// Dispatches a frame endpoint `v` received. Untrusted network input: a
+    /// frame that does not decode or names a shard this node does not host
+    /// is counted and dropped, never panicked on, so one shard's garbage
+    /// never reaches another's state.
+    fn receive(&mut self, v: usize, from: NodeId, frame: &[u8]) {
+        self.owed[v] = self.owed[v].saturating_sub(1);
+        let now = self.now();
+        let harnesses = &mut self.harnesses[v];
+        let handled = H::unwrap(frame).and_then(|(shard, inner)| {
+            let msg = P::decode_msg(inner).ok()?;
+            harnesses
+                .get_mut(shard.index())
+                .map(|h| h.deliver(now, from, msg))
+        });
+        if handled.is_none() {
+            self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.collect(v);
+    }
+
+    /// Takes the effects of node `v`'s last dispatch: events into the
+    /// buffer, frames onto the wire or the heap, timers onto the heap. The
+    /// buffer keeps dispatch order, so a `Released` always goes out before
+    /// the `Granted` its token frame causes.
+    fn collect(&mut self, v: usize) {
+        let n = self.endpoints.len();
+        let (tick, drop_p) = (self.config.tick, self.config.control_drop_p);
+        let mut schedule = |ticks: u64, what: Due| {
+            self.seq += 1;
+            self.heap.push(Reverse(DueEntry {
+                at: due_at(tick, ticks),
+                seq: self.seq,
+                node: v,
+                what,
+            }));
+        };
         let mut staged = false;
-        for (s, harness) in harnesses.iter_mut().enumerate() {
+        for (s, harness) in self.harnesses[v].iter_mut().enumerate() {
             let shard = ShardId(s as u16);
             for ev in harness.node_mut().take_events() {
                 if matches!(ev, TokenEvent::Granted { .. }) {
-                    shared.grants[s * n + id.index()].fetch_add(1, Ordering::Relaxed);
+                    self.shared.grants[s * n + v].fetch_add(1, Ordering::Relaxed);
                 }
-                let _ = events_tx.send(H::event(shard, id, ev));
+                self.events.push(H::event(shard, NodeId::new(v as u32), ev));
             }
             for ob in harness.take_outbound() {
-                if control_drop_p > 0.0
+                if drop_p > 0.0
                     && ob.class == MsgClass::Control
-                    && drop_rng.gen_bool(control_drop_p)
+                    && self.drop_rngs[v].gen_bool(drop_p)
                 {
                     continue; // the cheap channel lost it
                 }
                 let frame = H::wrap(shard, P::encode_msg(&ob.msg));
                 if ob.hold == 0 {
-                    endpoint.stage(ob.to, &frame);
+                    self.endpoints[v].stage(ob.to, &frame);
+                    self.owed[ob.to.index()] += 1;
                     staged = true;
                 } else {
-                    schedule(&mut heap, ob.hold, Due::Send { to: ob.to, frame });
+                    schedule(ob.hold, Due::Send { to: ob.to, frame });
                 }
             }
-            for t in harness.take_timers() {
-                schedule(
-                    &mut heap,
-                    t.delay,
-                    Due::Timer {
-                        shard,
-                        kind: t.kind,
-                    },
-                );
+            for TimerRequest { delay, kind } in harness.take_timers() {
+                schedule(delay, Due::Timer { shard, kind });
             }
         }
         if staged {
-            endpoint.flush();
+            self.endpoints[v].flush();
         }
-        // Fire one overdue entry, or block until the next is due.
-        let now = Instant::now();
-        let wait = match heap.peek_mut() {
-            Some(head) if head.0.at <= now => {
-                match PeekMut::pop(head).0.what {
-                    Due::Timer { shard, kind } => {
-                        harnesses[shard.index()].fire_timer(ticks_now(), kind)
-                    }
-                    Due::Send { to, frame } => {
-                        endpoint.stage(to, &frame);
-                        endpoint.flush();
-                    }
-                }
-                continue;
-            }
-            Some(head) => head.0.at.saturating_duration_since(now),
-            None => IDLE_WAIT,
-        };
-        let Some((from, frame)) = endpoint.recv_timeout(wait) else {
-            // Transports are best-effort, so a stop frame can be lost; the
-            // flag bounds what that costs `shutdown` to one wake-up.
-            if shared.stopping.load(Ordering::Acquire) {
-                break;
-            }
-            continue;
-        };
-        // Untrusted network input: a frame that does not decode, names a
-        // shard this node does not host, or speaks the control encoding
-        // without being the door is counted and dropped, never panicked on
-        // — one shard's garbage never reaches another's state, and the
-        // sender's retransmit layer re-covers anything that mattered.
-        let handled = if from == door {
-            match DoorMsg::decode(&frame) {
-                Some(DoorMsg::Stop) => break,
-                Some(DoorMsg::Want(shard, want)) => harnesses
-                    .get_mut(shard.index())
-                    .map(|harness| harness.external(ticks_now(), want)),
-                None => None,
-            }
-        } else {
-            H::unwrap(&frame).and_then(|(shard, inner)| {
-                let msg = P::decode_msg(inner).ok()?;
-                harnesses
-                    .get_mut(shard.index())
-                    .map(|harness| harness.deliver(ticks_now(), from, msg))
-            })
-        };
-        if handled.is_none() {
-            shared.decode_errors.fetch_add(1, Ordering::Relaxed);
+        if self.events.len() >= EVENT_BATCH {
+            self.publish();
         }
     }
-    let report = endpoint.close();
-    shared
-        .frames_lost
-        .fetch_add(endpoint.frames_lost(), Ordering::Relaxed);
-    report
+
+    /// Sends the buffered events to the client, in dispatch order, and
+    /// counts the frames the endpoints lost so far.
+    fn publish(&mut self) {
+        for ev in self.events.drain(..) {
+            let _ = self.events_tx.send(ev);
+        }
+        let lost = self.endpoints.iter().map(Endpoint::frames_lost).sum();
+        self.shared.frames_lost.store(lost, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use atp_net::ChanEndpoint;
+    use std::sync::Mutex;
 
     use crate::naimi::NaimiNode;
     use crate::ring::RingNode;
@@ -1100,43 +1100,65 @@ mod tests {
     /// What a [`ProbeTransport`] saw, per test: tests run in parallel, so
     /// each brings its own static through [`Script::tally`].
     struct Tally {
-        /// `recv_timeout` calls that returned `None`.
+        /// Blocking `recv_timeout` calls (a non-zero wait) that returned
+        /// `None`; zero-wait looks are not waits.
         timeouts: AtomicU64,
-        /// Endpoints inside a `recv_timeout(IDLE_WAIT)` right now.
-        idle: AtomicU64,
+        /// `stage`, `flush` and `recv_timeout` calls.
+        calls: AtomicU64,
         /// `close` calls.
         closed: AtomicU64,
+        /// Every thread that staged, flushed or received, once each.
+        threads: Mutex<Vec<std::thread::ThreadId>>,
     }
 
     impl Tally {
         const fn new() -> Self {
             Tally {
                 timeouts: AtomicU64::new(0),
-                idle: AtomicU64::new(0),
+                calls: AtomicU64::new(0),
                 closed: AtomicU64::new(0),
+                threads: Mutex::new(Vec::new()),
             }
+        }
+
+        fn saw(&self) {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            let me = std::thread::current().id();
+            let mut threads = self.threads.lock().expect("no probe panics holding it");
+            if !threads.contains(&me) {
+                threads.push(me);
+            }
+        }
+
+        /// The threads seen since the last call.
+        fn take_threads(&self) -> Vec<std::thread::ThreadId> {
+            std::mem::take(&mut self.threads.lock().expect("no probe panics holding it"))
         }
     }
 
     trait Script: 'static {
         fn tally() -> &'static Tally;
-        /// Frames endpoint `node` of an `n`-node cluster (the door is
-        /// endpoint `n`) receives before any real traffic.
+        /// Frames endpoint `node` of an `n`-node cluster receives before
+        /// any real traffic.
         fn prelude(_node: usize, _n: usize) -> Vec<(NodeId, Vec<u8>)> {
             Vec::new()
         }
-        /// Whether the transport loses `frame` instead of carrying it.
-        fn loses(_frame: &[u8]) -> bool {
+        /// Whether the transport loses the `nth` frame an endpoint stages
+        /// (counting from 0) instead of carrying it; a lost frame is
+        /// reported in `frames_lost`.
+        fn loses(_nth: u64) -> bool {
             false
         }
     }
 
-    /// `T` with every endpoint counting what the node loop does with it.
+    /// `T` with every endpoint counting what the reactor does with it.
     struct ProbeTransport<T, S>(std::marker::PhantomData<fn() -> (T, S)>);
 
     struct ProbeEndpoint<E, S> {
         inner: E,
         prelude: std::collections::VecDeque<(NodeId, Vec<u8>)>,
+        staged: u64,
+        lost: u64,
         _script: std::marker::PhantomData<fn() -> S>,
     }
 
@@ -1145,32 +1167,31 @@ mod tests {
             self.inner.id()
         }
         fn stage(&mut self, to: NodeId, frame: &[u8]) {
-            if !S::loses(frame) {
+            S::tally().saw();
+            self.staged += 1;
+            if S::loses(self.staged - 1) {
+                self.lost += 1;
+            } else {
                 self.inner.stage(to, frame);
             }
         }
         fn flush(&mut self) {
+            S::tally().saw();
             self.inner.flush();
         }
         fn recv_timeout(&mut self, timeout: Duration) -> Option<(NodeId, Vec<u8>)> {
+            S::tally().saw();
             if let Some(scripted) = self.prelude.pop_front() {
                 return Some(scripted);
             }
-            let idle = timeout >= IDLE_WAIT;
-            if idle {
-                S::tally().idle.fetch_add(1, Ordering::SeqCst);
-            }
             let got = self.inner.recv_timeout(timeout);
-            if idle {
-                S::tally().idle.fetch_sub(1, Ordering::SeqCst);
-            }
-            if got.is_none() {
+            if got.is_none() && !timeout.is_zero() {
                 S::tally().timeouts.fetch_add(1, Ordering::SeqCst);
             }
             got
         }
         fn frames_lost(&self) -> u64 {
-            self.inner.frames_lost()
+            self.inner.frames_lost() + self.lost
         }
         fn close(&mut self) -> CloseReport {
             S::tally().closed.fetch_add(1, Ordering::SeqCst);
@@ -1183,13 +1204,15 @@ mod tests {
         fn label() -> &'static str {
             "probe"
         }
-        fn endpoints(m: usize) -> std::io::Result<Vec<Self::Endpoint>> {
-            Ok(T::endpoints(m)?
+        fn endpoints(n: usize) -> std::io::Result<Vec<Self::Endpoint>> {
+            Ok(T::endpoints(n)?
                 .into_iter()
                 .enumerate()
                 .map(|(i, inner)| ProbeEndpoint {
                     inner,
-                    prelude: S::prelude(i, m - 1).into(),
+                    prelude: S::prelude(i, n).into(),
+                    staged: 0,
+                    lost: 0,
                     _script: std::marker::PhantomData,
                 })
                 .collect())
@@ -1200,13 +1223,19 @@ mod tests {
         ClusterConfig::new(n).with_tick(Duration::from_micros(200))
     }
 
-    /// Spins (test code only) until all `n` node threads are blocked with
-    /// nothing scheduled.
-    fn wait_until_idle<S: Script>(n: u64) {
+    /// Spins (test code only) until the reactor has touched no endpoint for
+    /// 50 ms: it is blocked on the door.
+    fn wait_until_quiet<S: Script>() {
         let deadline = Instant::now() + Duration::from_secs(20);
-        while S::tally().idle.load(Ordering::SeqCst) < n {
-            assert!(Instant::now() < deadline, "the cluster never went idle");
+        let mut seen = S::tally().calls.load(Ordering::SeqCst);
+        let mut since = Instant::now();
+        while since.elapsed() < Duration::from_millis(50) {
+            assert!(Instant::now() < deadline, "the cluster never went quiet");
             std::thread::sleep(Duration::from_millis(1));
+            let now = S::tally().calls.load(Ordering::SeqCst);
+            if now != seen {
+                (seen, since) = (now, Instant::now());
+            }
         }
     }
 
@@ -1233,7 +1262,7 @@ mod tests {
         let timeouts = S::tally().timeouts.load(Ordering::SeqCst);
         assert!(
             timeouts <= 8,
-            "{timeouts} receive time-outs for 200 idle grants"
+            "{timeouts} blocking receives timed out for 200 idle grants"
         );
         cluster.shutdown();
     }
@@ -1359,61 +1388,26 @@ mod tests {
                 Cluster::start_on::<ProbeTransport<T, S>>(fast(3)).expect("bind loopback");
             cluster.request(NodeId::new(2), 1);
             assert!(cluster.await_grant(NodeId::new(2), Duration::from_secs(20)));
-            wait_until_idle::<S>(3);
-            // IDLE_WAIT is longer than the limit, so only the stop frame
-            // can have woken the nodes in time.
+            // Search parks its token: with nothing due, the reactor blocks
+            // on the door without a time-out, so only the stop can wake it.
+            wait_until_quiet::<S>();
             let begun = Instant::now();
             if by_drop {
                 drop(cluster);
             } else {
                 let reports = cluster.shutdown();
-                assert_eq!(reports.len(), 4, "three nodes and the door");
+                assert_eq!(reports.len(), 3, "one report per node");
                 assert!(reports.iter().all(CloseReport::is_clean), "{reports:?}");
             }
             let took = begun.elapsed();
-            assert!(took < Duration::from_secs(2), "{}: {took:?}", T::label());
+            assert!(took < Duration::from_secs(1), "{}: {took:?}", T::label());
             let closed = S::tally().closed.load(Ordering::SeqCst) - closed_before;
-            assert_eq!(
-                closed, 4,
-                "every node thread and the door closed its endpoint"
-            );
+            assert_eq!(closed, 3, "the reactor closed every endpoint");
         }
         stops::<ChanTransport>(false);
         stops::<ChanTransport>(true);
         stops::<atp_net::TcpTransport>(false);
         stops::<atp_net::TcpTransport>(true);
-    }
-
-    #[test]
-    fn a_lost_stop_frame_costs_one_long_wait_not_a_hang() {
-        struct S;
-        impl Script for S {
-            fn tally() -> &'static Tally {
-                static T: Tally = Tally::new();
-                &T
-            }
-            fn loses(frame: &[u8]) -> bool {
-                DoorMsg::decode(frame) == Some(DoorMsg::Stop)
-            }
-        }
-        let cluster: Cluster<SearchNode> =
-            Cluster::start_on::<ProbeTransport<ChanTransport, S>>(fast(3)).expect("infallible");
-        cluster.request(NodeId::new(1), 1);
-        assert!(cluster.await_grant(NodeId::new(1), Duration::from_secs(20)));
-        wait_until_idle::<S>(3);
-        // No stop frame arrives, so each node leaves when its idle wait
-        // runs out and it reads the flag: one time-out per node, no more.
-        let timeouts_before = S::tally().timeouts.load(Ordering::SeqCst);
-        let begun = Instant::now();
-        let reports = cluster.shutdown();
-        let took = begun.elapsed();
-        assert!(took < IDLE_WAIT + Duration::from_secs(2), "{took:?}");
-        assert_eq!(
-            S::tally().timeouts.load(Ordering::SeqCst) - timeouts_before,
-            3
-        );
-        assert_eq!(reports.len(), 4);
-        assert!(reports.iter().all(CloseReport::is_clean), "{reports:?}");
     }
 
     #[test]
@@ -1435,20 +1429,20 @@ mod tests {
                 if node != target(n).index() {
                     return Vec::new();
                 }
-                let (member, door) = (NodeId::new(1), NodeId::new(n as u32));
-                let want = DoorMsg::Want(ShardId(0), Want::new(77)).encode();
+                // The bytes the door once spoke on the wire (0x60 want:
+                // kind, shard, payload; 0x61 stop), now from ring members:
+                // requests never come as frames, so each is one more
+                // undecodable frame.
+                let want = [&[0x60, 0][..], &0u16.to_le_bytes(), &77u64.to_le_bytes()].concat();
                 let mut bad_kind = want.clone();
                 bad_kind[1] = 9;
-                vec![
-                    // Well-formed control frames from a ring member.
-                    (member, DoorMsg::Stop.encode()),
-                    (member, want.clone()),
-                    // Malformed frames from the door itself.
-                    (door, Vec::new()),
-                    (door, want[..want.len() - 1].to_vec()),
-                    (door, bad_kind),
-                    (door, DoorMsg::Want(ShardId(9), Want::new(78)).encode()),
-                ]
+                let mut far_shard = want.clone();
+                far_shard[2] = 9;
+                let truncated = want[..want.len() - 1].to_vec();
+                [vec![0x61], want, Vec::new(), truncated, bad_kind, far_shard]
+                    .into_iter()
+                    .map(|frame| (NodeId::new(1), frame))
+                    .collect()
             }
         }
         fn serves_once(events: impl Fn() -> Option<TokenEvent>) {
@@ -1484,7 +1478,7 @@ mod tests {
         assert_eq!(cluster.grants().iter().sum::<u64>(), 1);
         assert!(cluster.shutdown().iter().all(CloseReport::is_clean));
 
-        // The sharded plane runs the same loop: the envelope decoder
+        // The sharded plane runs the same reactor: the envelope decoder
         // rejects the control tags as the protocol decoders do.
         let sharded: ShardedCluster = ShardedCluster::start_on::<ProbeTransport<ChanTransport, S>>(
             ShardedClusterConfig::new(3, 2).with_tick(Duration::from_micros(200)),
@@ -1506,66 +1500,99 @@ mod tests {
     }
 
     #[test]
-    fn control_encoding_round_trips_and_rejects_everything_else() {
-        let wants = [
-            Want::new(0),
-            Want::new(u64::MAX),
-            Want::leave(),
-            Want::rejoin(),
-        ];
-        for want in wants {
-            for shard in [ShardId(0), ShardId(3), ShardId(u16::MAX)] {
-                let msg = DoorMsg::Want(shard, want);
-                let bytes = msg.encode();
-                assert_eq!(DoorMsg::decode(&bytes), Some(msg));
-                assert_eq!(
-                    DoorMsg::decode(&bytes[..bytes.len() - 1]),
-                    None,
-                    "truncated"
-                );
-                assert_eq!(
-                    DoorMsg::decode(&[&bytes[..], &[0]].concat()),
-                    None,
-                    "trailing byte"
-                );
+    fn every_node_runs_on_one_thread() {
+        struct S;
+        impl Script for S {
+            fn tally() -> &'static Tally {
+                static T: Tally = Tally::new();
+                &T
             }
         }
-        assert_eq!(
-            DoorMsg::decode(&DoorMsg::Stop.encode()),
-            Some(DoorMsg::Stop)
-        );
-        assert_eq!(DoorMsg::decode(&[TAG_DOOR_STOP, 0]), None);
-        assert_eq!(DoorMsg::decode(&[]), None);
-        // No data decoder may accept what the door says.
-        let data_tags = [
-            crate::codec::known_binary_tags(),
-            crate::codec::known_ring_tags(),
-            crate::codec::known_search_tags(),
-            crate::codec::known_naimi_tags(),
-            crate::codec::known_shard_tags(),
-        ];
-        for tag in [TAG_DOOR_WANT, TAG_DOOR_STOP] {
+        type Probe = ProbeTransport<ChanTransport, S>;
+        let cluster: Cluster = Cluster::start_on::<Probe>(fast(8)).expect("infallible");
+        for k in 0..16u32 {
+            let node = NodeId::new(k % 8);
+            cluster.request(node, u64::from(k));
             assert!(
-                data_tags.iter().all(|known| !known.contains(&tag)),
-                "{tag:#x} is a data tag"
+                cluster.await_grant(node, Duration::from_secs(10)),
+                "request {k}"
             );
         }
+        assert_eq!(cluster.shutdown().len(), 8);
+        let threads = S::tally().take_threads();
+        assert_eq!(threads.len(), 1, "Cluster: {threads:?}");
+        assert_ne!(threads[0], std::thread::current().id());
+
+        let sharded: ShardedCluster = ShardedCluster::start_on::<Probe>(
+            ShardedClusterConfig::new(8, 4).with_tick(Duration::from_micros(200)),
+        )
+        .expect("infallible");
+        for key in 0..16u64 {
+            sharded.request(key, key);
+            assert!(
+                sharded.await_grant(key, Duration::from_secs(10)),
+                "key {key}"
+            );
+        }
+        assert_eq!(sharded.shutdown().len(), 8);
+        let threads = S::tally().take_threads();
+        assert_eq!(threads.len(), 1, "ShardedCluster: {threads:?}");
+        assert_ne!(threads[0], std::thread::current().id());
     }
 
     #[test]
-    fn a_door_poisoned_by_a_panicking_client_still_serves_and_stops() {
+    fn frames_lost_is_counted_while_the_cluster_runs() {
+        struct S;
+        impl Script for S {
+            fn tally() -> &'static Tally {
+                static T: Tally = Tally::new();
+                &T
+            }
+            fn loses(nth: u64) -> bool {
+                nth % 5 == 4
+            }
+        }
+        // Token frames are lost too, so the token is acknowledged and
+        // resent; the reactor is owed every lost frame and never gets it.
+        let protocol = fast(4).protocol.with_token_acks(true);
+        let cluster: Cluster =
+            Cluster::start_on::<ProbeTransport<ChanTransport, S>>(fast(4).with_protocol(protocol))
+                .expect("infallible");
+        for k in 0..40u32 {
+            let node = NodeId::new(k % 4);
+            cluster.request(node, u64::from(k));
+            assert!(
+                cluster.await_grant(node, Duration::from_secs(20)),
+                "request {k}"
+            );
+        }
+        assert!(cluster.frames_lost() > 0, "losses counted before shutdown");
+        assert!(
+            S::tally().timeouts.load(Ordering::SeqCst) > 0,
+            "the reactor waited for a frame that never came"
+        );
+        let begun = Instant::now();
+        let reports = cluster.shutdown();
+        let took = begun.elapsed();
+        assert!(took < Duration::from_secs(1), "{took:?}");
+        assert_eq!(reports.len(), 4);
+        assert!(reports.iter().all(CloseReport::is_clean), "{reports:?}");
+    }
+
+    #[test]
+    fn a_client_that_panics_holding_a_handle_leaves_the_door_working() {
         let cluster: Cluster = Cluster::start(fast(3));
-        let door = Arc::clone(&cluster.rt.door);
+        let handle = cluster.handle(NodeId::new(2));
         let client = std::thread::spawn(move || {
-            let _held = door.0.lock().expect("first lock");
-            panic!("client dies holding the door (expected by this test)");
+            handle.want(1);
+            panic!("client dies holding a handle (expected by this test)");
         });
         assert!(client.join().is_err());
-        assert!(cluster.rt.door.0.is_poisoned());
+        assert!(cluster.await_grant(NodeId::new(2), Duration::from_secs(10)));
         cluster.request(NodeId::new(1), 3);
         assert!(cluster.await_grant(NodeId::new(1), Duration::from_secs(10)));
         let reports = cluster.shutdown();
-        assert_eq!(reports.len(), 4);
+        assert_eq!(reports.len(), 3);
         assert!(reports.iter().all(CloseReport::is_clean));
     }
 

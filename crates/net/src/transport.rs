@@ -16,8 +16,9 @@
 //!   loopback TCP sockets, one endpoint per node.
 //!
 //! Both construct a full mesh of `n` endpoints with
-//! [`Transport::endpoints`]; a driver (or one thread per node) then owns
-//! each [`Endpoint`] and pumps it.
+//! [`Transport::endpoints`]; one driver thread then owns every [`Endpoint`]
+//! and pumps them all (the virtual-clock driver in `atp-sim`, the runtime's
+//! reactor in `atp-core`).
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;

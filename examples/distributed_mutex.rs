@@ -1,8 +1,8 @@
-//! Distributed mutual exclusion on a real multi-threaded cluster.
+//! Distributed mutual exclusion on a real cluster.
 //!
-//! Each node runs on its own OS thread; messages travel as encoded byte
-//! frames over channels (the same wire format a socket deployment would
-//! use). Several "clients" contend for the token-guarded critical section;
+//! One reactor thread hosts every node; messages travel between the nodes
+//! as encoded byte frames over channels (the same wire format a socket
+//! deployment would use), and the clients run on threads of their own. Several "clients" contend for the token-guarded critical section;
 //! the event stream proves mutual exclusion: grants never overlap.
 //!
 //! ```sh
