@@ -19,6 +19,9 @@ cargo test -q
 echo "== bench smoke =="
 BENCH_LOG=$(mktemp)
 cargo bench -q -p atp-bench --benches -- --smoke | tee "$BENCH_LOG"
+# The paper's figures and tables are not benchmarks: every one of them at
+# quick scale, each under its header.
+cargo run -q --release -p atp-sim --bin atp -- all --quick
 
 echo "== sweep bench artifact =="
 # The sweep suite's JSON lines become the gate artifact for the parallel
@@ -43,17 +46,17 @@ echo "wrote BENCH_sweep.json ($(wc -l < BENCH_sweep.json) entries)"
 echo "== parallel determinism smoke =="
 # The same quick sweep at 1 and 4 workers must print byte-identical tables.
 OUT1=$(mktemp) OUT4=$(mktemp)
-ATP_THREADS=1 cargo run -q --release -p atp-sim --bin fig9 -- --quick 2>/dev/null > "$OUT1"
-ATP_THREADS=4 cargo run -q --release -p atp-sim --bin fig9 -- --quick 2>/dev/null > "$OUT4"
+ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- fig9 --quick 2>/dev/null > "$OUT1"
+ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- fig9 --quick 2>/dev/null > "$OUT4"
 cmp "$OUT1" "$OUT4"
-ATP_THREADS=1 cargo run -q --release -p atp-sim --bin table_fairness -- --quick 2>/dev/null > "$OUT1"
-ATP_THREADS=4 cargo run -q --release -p atp-sim --bin table_fairness -- --quick 2>/dev/null > "$OUT4"
+ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- table_fairness --quick 2>/dev/null > "$OUT1"
+ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- table_fairness --quick 2>/dev/null > "$OUT4"
 cmp "$OUT1" "$OUT4"
-ATP_THREADS=1 cargo run -q --release -p atp-sim --bin table_partition -- --quick 2>/dev/null > "$OUT1"
-ATP_THREADS=4 cargo run -q --release -p atp-sim --bin table_partition -- --quick 2>/dev/null > "$OUT4"
+ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- table_partition --quick 2>/dev/null > "$OUT1"
+ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- table_partition --quick 2>/dev/null > "$OUT4"
 cmp "$OUT1" "$OUT4"
-ATP_THREADS=1 cargo run -q --release -p atp-sim --bin table_shards -- --quick --shards 4 2>/dev/null > "$OUT1"
-ATP_THREADS=4 cargo run -q --release -p atp-sim --bin table_shards -- --quick --shards 4 2>/dev/null > "$OUT4"
+ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- table_shards --quick --shards 4 2>/dev/null > "$OUT1"
+ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- table_shards --quick --shards 4 2>/dev/null > "$OUT4"
 cmp "$OUT1" "$OUT4"
 rm -f "$OUT1" "$OUT4"
 echo "ATP_THREADS=1 and ATP_THREADS=4 outputs are byte-identical"
@@ -65,8 +68,8 @@ echo "== large-n smoke =="
 # overflow/cascade machinery at scale, and the rendered table must stay
 # byte-identical across worker counts.
 LN1=$(mktemp) LN4=$(mktemp)
-ATP_THREADS=1 cargo run -q --release -p atp-sim --bin fig9 -- --n 100000 2>/dev/null > "$LN1"
-ATP_THREADS=4 cargo run -q --release -p atp-sim --bin fig9 -- --n 100000 2>/dev/null > "$LN4"
+ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- fig9 --n 100000 2>/dev/null > "$LN1"
+ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- fig9 --n 100000 2>/dev/null > "$LN4"
 cmp "$LN1" "$LN4"
 rm -f "$LN1" "$LN4"
 echo "large-n (N=100k) table is byte-identical at ATP_THREADS=1 and 4"
@@ -76,11 +79,11 @@ echo "== observability smoke =="
 # artifact must be byte-identical across thread counts (exact registry
 # merge — sharding cannot change a single byte).
 OBS_DIR=$(mktemp -d)
-ATP_THREADS=1 cargo run -q --release -p atp-sim --bin fig9 -- --quick \
+ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- fig9 --quick \
   --trace-out "$OBS_DIR/trace.jsonl" --chrome-out "$OBS_DIR/chrome.json" \
   --metrics-out "$OBS_DIR/metrics1.json" > /dev/null 2>&1
-cargo run -q --release -p atp-sim --bin trace_check -- "$OBS_DIR/trace.jsonl"
-ATP_THREADS=4 cargo run -q --release -p atp-sim --bin fig9 -- --quick \
+cargo run -q --release -p atp-sim --bin atp -- trace_check "$OBS_DIR/trace.jsonl"
+ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- fig9 --quick \
   --metrics-out "$OBS_DIR/metrics4.json" > /dev/null 2>&1
 cmp "$OBS_DIR/metrics1.json" "$OBS_DIR/metrics4.json"
 echo "metrics artifact is byte-identical at ATP_THREADS=1 and 4"
@@ -95,7 +98,7 @@ echo "== dst smoke =="
 # what proves the timer-wheel scheduler reproduces the recorded schedules
 # byte-for-byte.
 DST_LOG=$(mktemp)
-cargo run -q --release -p atp-sim --bin dst -- \
+cargo run -q --release -p atp-sim --bin atp -- dst \
   --budget 210 --tapes tests/tapes --demo-mutation | tee "$DST_LOG"
 TAPES_ON_DISK=$(ls tests/tapes/*.tape | wc -l)
 TAPES_REPLAYED=$(grep -c '^tape .* ok — ' "$DST_LOG")
@@ -111,17 +114,17 @@ echo "== partition dst smoke =="
 # link loss/duplication; the dual-token-after-heal oracle must hold across
 # at least 100 cases per protocol. (The checked-in partition-retransmit
 # tape already replayed in the step above.)
-cargo run -q --release -p atp-sim --bin dst -- --budget 120 --partition
+cargo run -q --release -p atp-sim --bin atp -- dst --budget 120 --partition
 
 echo "== shard dst smoke =="
 # The sharded multi-token plane: 100 fresh key-addressed cases per protocol
 # (random K/N, crash and partition faults in one shard), run by the one DST
 # driver — per-shard state oracles, dual token after heal, and cross-shard
 # isolation: a fault in shard i must never block a grant in shard j.
-cargo run -q --release -p atp-sim --bin dst -- --budget 100 --shard-dst
+cargo run -q --release -p atp-sim --bin atp -- dst --budget 100 --shard-dst
 # System BinarySearch at a budget that reaches its idle-hold branch often
 # enough to catch a token parked beside a request it will not serve (~3 s).
-cargo run -q --release -p atp-sim --bin dst -- --shard-dst --budget 1000 --protocol binary
+cargo run -q --release -p atp-sim --bin atp -- dst --shard-dst --budget 1000 --protocol binary
 
 echo "== dst anti-fork gate =="
 # One DST driver and one explorer: a single-token case is the one-shard
@@ -133,6 +136,22 @@ if echo "$SHARD" | grep -q -F -e 'check_state_oracles(' -e 'shrink_tape('; then
   exit 1
 fi
 echo "one DST driver, one explorer"
+
+echo "== cli anti-fork gate =="
+# One binary, atp (crates/sim/src/bin/atp/main.rs), hosts every command, and
+# only its main reads the process arguments: each command declares its flags
+# on cli::Parser and parses its own slice. Sixteen mains and a second flag
+# parser that let any flag through came before it: fail if a second binary
+# (a top-level .rs file under crates/sim/src/bin, or another main.rs there)
+# or a second reader of std::env::args comes back.
+BINS=$(find crates/sim/src/bin -maxdepth 1 -name '*.rs'; \
+  find crates/sim/src/bin -mindepth 2 -name main.rs ! -path crates/sim/src/bin/atp/main.rs)
+ARGV=$(grep -rl 'std::env::args' crates/sim/src | grep -v -x crates/sim/src/bin/atp/main.rs || true)
+if [ -n "$BINS" ] || [ -n "$ARGV" ]; then
+  echo "a second binary or a second reader of std::env::args is back:" $BINS $ARGV >&2
+  exit 1
+fi
+echo "one binary, one reader of the process arguments"
 
 echo "== protocol conformance =="
 # Every protocol variant through the same (seed x strategy x fault profile)
@@ -147,14 +166,14 @@ echo "== naimi dst sweep =="
 # deterministic across worker counts: the explorer output is compared
 # byte-for-byte at ATP_THREADS=1 and 4.
 NAIMI1=$(mktemp) NAIMI4=$(mktemp)
-ATP_THREADS=1 cargo run -q --release -p atp-sim --bin dst -- \
+ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- dst \
   --budget 210 --protocol naimi | tee "$NAIMI1"
-ATP_THREADS=4 cargo run -q --release -p atp-sim --bin dst -- \
+ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- dst \
   --budget 210 --protocol naimi > "$NAIMI4"
 cmp <(grep -o 'clean — [0-9]* cases, [0-9]* oracle checks' "$NAIMI1") \
     <(grep -o 'clean — [0-9]* cases, [0-9]* oracle checks' "$NAIMI4")
 rm -f "$NAIMI1" "$NAIMI4"
-cargo run -q --release -p atp-sim --bin dst -- \
+cargo run -q --release -p atp-sim --bin atp -- dst \
   --budget 100 --partition --protocol naimi
 echo "naimi sweep clean and byte-identical across thread counts"
 
@@ -166,7 +185,7 @@ echo "== tcp loopback smoke =="
 # binary exits non-zero on any divergence, frame loss, decode error, or
 # leaked thread; the whole matrix stays under a few seconds.
 for proto in ring search binary naimi; do
-  cargo run -q --release -p atp-sim --bin cluster -- \
+  cargo run -q --release -p atp-sim --bin atp -- cluster \
     --conform --protocol "$proto" --transport tcp
 done
 echo "all four protocols conform to World over loopback TCP"
@@ -182,9 +201,9 @@ echo "== chaos recovery smoke =="
 # byte-identical across worker counts.
 CH1=$(mktemp) CH4=$(mktemp)
 for proto in ring search binary naimi; do
-  ATP_THREADS=1 cargo run -q --release -p atp-sim --bin cluster -- \
+  ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- cluster \
     --chaos --protocol "$proto" --transport tcp 2>/dev/null > "$CH1"
-  ATP_THREADS=4 cargo run -q --release -p atp-sim --bin cluster -- \
+  ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- cluster \
     --chaos --protocol "$proto" --transport tcp 2>/dev/null > "$CH4"
   cmp "$CH1" "$CH4"
 done
@@ -301,7 +320,7 @@ echo "== idle cluster smoke =="
 # largest granting frame is a few hundred bytes at N = 8 however many
 # requests ran; carrying all of H it was ~112 KB after 4 000.
 for PROTO in search naimi; do
-  IDLE_OUT=$(cargo run -q --release -p atp-sim --bin cluster -- \
+  IDLE_OUT=$(cargo run -q --release -p atp-sim --bin atp -- cluster \
     --protocol "$PROTO" --transport chan --requests 4000)
   echo "$IDLE_OUT"
   IDLE_P50=$(echo "$IDLE_OUT" | sed -n 's/^latency p50 \([0-9.]*\)ms.*/\1/p')

@@ -1,34 +1,17 @@
-//! # atp-bench — benchmarks and the figure-regeneration harness
+//! # atp-bench — benchmarks
 //!
 //! Three `cargo bench` targets:
 //!
-//! * `protocols` — Criterion micro/macro benchmarks of the executable
-//!   plane: single-grant latency cost, full simulated seconds of each
-//!   protocol under load, codec throughput.
-//! * `trs` — Criterion benchmarks of the formal plane: pattern matching,
-//!   successor enumeration, bounded exploration.
-//! * `figures` — not a timing benchmark: regenerates every figure and table
-//!   of the paper's evaluation (at quick scale by default inside
-//!   `cargo bench`, full scale with `ATP_BENCH_FULL=1`) and prints the
-//!   series, so a plain `cargo bench --workspace` leaves the reproduced
-//!   evaluation in its output.
+//! * `protocols` — micro/macro benchmarks of the executable plane:
+//!   single-grant latency cost, full simulated seconds of each protocol
+//!   under load, codec throughput.
+//! * `trs` — benchmarks of the formal plane: pattern matching, successor
+//!   enumeration, bounded exploration.
+//! * `sweep` — the parallel sweep executor, the scheduler and the
+//!   large-N scaling points, written to `BENCH_sweep.json` by `ci.sh`.
+//!
+//! The paper's figures and tables are not benchmarks: `atp all` (the
+//! `atp-sim` binary) regenerates them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// Returns `true` when the full (paper-scale) figure run was requested via
-/// the `ATP_BENCH_FULL` environment variable.
-pub fn full_scale() -> bool {
-    std::env::var("ATP_BENCH_FULL").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn full_scale_reads_env() {
-        // Not set in the test environment.
-        if std::env::var("ATP_BENCH_FULL").is_err() {
-            assert!(!super::full_scale());
-        }
-    }
-}

@@ -1,10 +1,6 @@
-//! Real-transport cluster runner: hosts one of the four token-passing
-//! protocols on OS threads over loopback TCP (or in-process channels) and
-//! measures wall-clock service behavior.
-//!
-//! Flags are declared once through `atp_sim::cli::Parser`; `--help`
-//! prints the generated usage, which therefore can never drift from the
-//! parser.
+//! `atp cluster`: hosts one of the four token-passing protocols on the
+//! real runtime (one reactor thread hosting every node) over loopback TCP
+//! or in-process channels, and measures wall-clock service behavior.
 //!
 //! Default mode is a closed-loop benchmark: requests are issued one at a
 //! time round-robin across the nodes, each timed from submission to grant;
@@ -27,6 +23,7 @@
 //! clean thread teardown. The printed report is deterministic so CI can diff
 //! it across thread counts. Exit status 1 on any violation.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,22 +40,35 @@ use atp_sim::cluster::{
 };
 use atp_sim::runner::{Protocol, ProtocolNode, ProtocolVisitor};
 use atp_sim::KeyDist;
+use atp_util::rng::{SeedableRng, StdRng};
+
+use crate::Job;
+
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Bench,
+    Conform,
+    Chaos,
+}
 
 struct Args {
+    mode: Mode,
     protocol: Protocol,
-    transport: String,
+    tcp: bool,
     n: usize,
     requests: u64,
     tick_us: u64,
     seed: u64,
-    conform: bool,
-    chaos: bool,
     shards: u16,
     key_dist: KeyDist,
 }
 
-fn parse_args() -> Args {
-    let parser = Parser::new("cluster")
+/// The flags only the benchmark reads: `--conform` and `--chaos` run a
+/// pinned script.
+const BENCH_ONLY: [&str; 5] = ["--n", "--requests", "--tick-us", "--shards", "--key-dist"];
+
+pub fn parse(argv: Vec<String>) -> Result<Job, String> {
+    let m = Parser::new("cluster")
         .flag("--protocol", "ring|search|binary|naimi", "protocol to host")
         .flag("--transport", "tcp|chan", "wire transport")
         .flag("--n", "N", "node count")
@@ -67,68 +77,77 @@ fn parse_args() -> Args {
         .flag("--seed", "S", "determinism seed")
         .switch("--conform", "run the deterministic CI conformance check")
         .switch("--chaos", "run the crash-restart chaos campaign")
-        .shard_flags();
-    let m = parser.parse_or_exit(std::env::args().skip(1).collect());
-    let bail = |e: String| -> ! {
-        eprintln!("cluster: {e}");
-        std::process::exit(2);
+        .shard_flags()
+        .parse(argv)?;
+    let mode = match (m.has("--conform"), m.has("--chaos")) {
+        (true, true) => return Err("--conform and --chaos are separate runs".into()),
+        (true, false) => Mode::Conform,
+        (false, true) => Mode::Chaos,
+        (false, false) => Mode::Bench,
     };
-    Args {
-        protocol: m.protocol(Protocol::Binary).unwrap_or_else(|e| bail(e)),
-        transport: m.get_str("--transport", "tcp"),
-        n: m.get_num("--n", 8).unwrap_or_else(|e| bail(e)),
-        requests: m.get_num("--requests", 200).unwrap_or_else(|e| bail(e)),
-        tick_us: m.get_num("--tick-us", 200).unwrap_or_else(|e| bail(e)),
-        seed: m.get_num("--seed", 7).unwrap_or_else(|e| bail(e)),
-        conform: m.has("--conform"),
-        chaos: m.has("--chaos"),
-        shards: m.shards(1).unwrap_or_else(|e| bail(e)),
-        key_dist: m.key_dist(KeyDist::Uniform).unwrap_or_else(|e| bail(e)),
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    struct Run<'a>(&'a Args);
-    impl ProtocolVisitor for Run<'_> {
-        type Out = ();
-        fn run<P: ProtocolNode>(self) {
-            dispatch::<P>(self.0);
+    if let Some(flag) = BENCH_ONLY.iter().find(|f| m.get(f).is_some()) {
+        if mode != Mode::Bench {
+            return Err(format!("{flag} only applies to the benchmark mode"));
         }
     }
-    args.protocol.dispatch(Run(&args));
+    let args = Args {
+        mode,
+        protocol: m.protocol(Protocol::Binary)?,
+        tcp: match m.get("--transport").unwrap_or("tcp") {
+            "tcp" => true,
+            "chan" => false,
+            other => return Err(format!("unknown transport {other:?} (tcp|chan)")),
+        },
+        n: m.get_positive("--n", 8)?,
+        requests: m.get_positive("--requests", 200)?,
+        tick_us: m.get_num("--tick-us", 200)?,
+        seed: m.get_num("--seed", 7)?,
+        shards: m.shards(1)?,
+        key_dist: m.key_dist(KeyDist::Uniform)?,
+    };
+    if args.shards == 1 && m.get("--key-dist").is_some() {
+        return Err("--key-dist addresses shards: it needs --shards K > 1".into());
+    }
+    Ok(Box::new(move || {
+        struct Run<'a>(&'a Args);
+        impl ProtocolVisitor for Run<'_> {
+            type Out = ExitCode;
+            fn run<P: ProtocolNode>(self) -> ExitCode {
+                if self.0.tcp {
+                    run::<P, TcpTransport>(self.0)
+                } else {
+                    run::<P, ChanTransport>(self.0)
+                }
+            }
+        }
+        args.protocol.dispatch(Run(&args))
+    }))
 }
 
-fn dispatch<P: ProtocolNode>(args: &Args) {
-    if args.shards > 1 && (args.chaos || args.conform) {
-        eprintln!("cluster: --shards only applies to the benchmark mode");
-        std::process::exit(2);
-    }
-    match (args.chaos, args.conform, args.transport.as_str()) {
-        (true, _, "tcp") => chaos::<P, TcpTransport>(args),
-        (true, _, "chan") => chaos::<P, ChanTransport>(args),
-        (false, true, "tcp") => conform::<P, TcpTransport>(args),
-        (false, true, "chan") => conform::<P, ChanTransport>(args),
-        (false, false, "tcp") if args.shards > 1 => sharded_bench::<P, TcpTransport>(args),
-        (false, false, "chan") if args.shards > 1 => sharded_bench::<P, ChanTransport>(args),
-        (false, false, "tcp") => bench::<P, TcpTransport>(args),
-        (false, false, "chan") => bench::<P, ChanTransport>(args),
-        (_, _, other) => {
-            eprintln!("cluster: unknown transport {other:?} (tcp|chan)");
-            std::process::exit(2);
+/// Every mode returns whether its run passed, or why the transport could
+/// not be set up; either failure exits 1.
+fn run<P: ProtocolNode, T: Transport>(args: &Args) -> ExitCode {
+    let passed = match args.mode {
+        Mode::Conform => conform::<P, T>(args),
+        Mode::Chaos => chaos::<P, T>(args),
+        Mode::Bench => bench::<P, T>(args),
+    };
+    match passed {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(e) => {
+            eprintln!("cluster: transport setup failed: {e}");
+            ExitCode::from(1)
         }
     }
 }
 
 /// The CI smoke path: pinned script, real transport, byte-exact comparison
 /// against the deterministic engine.
-fn conform<P: ProtocolNode, T: Transport>(args: &Args) {
+fn conform<P: ProtocolNode, T: Transport>(args: &Args) -> std::io::Result<bool> {
     let script = ClusterScript::reference(args.seed);
     let world = run_in_world::<P>(&script);
-    let (real, stats) = run_on_transport::<P, T>(&script).unwrap_or_else(|e| {
-        eprintln!("cluster: transport setup failed: {e}");
-        std::process::exit(1);
-    });
+    let (real, stats) = run_on_transport::<P, T>(&script)?;
     let ok = world == real && world.grants.len() == script.requests.len() && stats.is_clean();
     println!(
         "conform protocol={} transport={} seed={} grants={} lost={} decode_errors={} {}",
@@ -144,8 +163,8 @@ fn conform<P: ProtocolNode, T: Transport>(args: &Args) {
         eprintln!("world: {world:?}");
         eprintln!("real:  {real:?}");
         eprintln!("stats: {stats:?}");
-        std::process::exit(1);
     }
+    Ok(ok)
 }
 
 /// One crash–restart scenario of the chaos campaign.
@@ -167,14 +186,24 @@ fn chaos_scenarios() -> Vec<ChaosScenario> {
         // grant; recovery needs full Section-5 regeneration.
         ChaosScenario {
             name: "warm-token-loss",
-            crashes: vec![CrashEvent { node: 3, at: 40, restart_at: 110, warm: true }],
+            crashes: vec![CrashEvent {
+                node: 3,
+                at: 40,
+                restart_at: 110,
+                warm: true,
+            }],
             extra_requests: vec![],
         },
         // Node 4 is cold-restarted across its own request window: the
         // request defers past the outage and is served by the new life.
         ChaosScenario {
             name: "cold-defer",
-            crashes: vec![CrashEvent { node: 4, at: 60, restart_at: 130, warm: false }],
+            crashes: vec![CrashEvent {
+                node: 4,
+                at: 60,
+                restart_at: 130,
+                warm: false,
+            }],
             extra_requests: vec![],
         },
         // Two victims: the first crash forces regeneration, the second
@@ -185,8 +214,18 @@ fn chaos_scenarios() -> Vec<ChaosScenario> {
         ChaosScenario {
             name: "double-crash",
             crashes: vec![
-                CrashEvent { node: 3, at: 40, restart_at: 110, warm: true },
-                CrashEvent { node: 1, at: 260, restart_at: 330, warm: true },
+                CrashEvent {
+                    node: 3,
+                    at: 40,
+                    restart_at: 110,
+                    warm: true,
+                },
+                CrashEvent {
+                    node: 1,
+                    at: 260,
+                    restart_at: 330,
+                    warm: true,
+                },
             ],
             extra_requests: vec![(160, 1, 111), (280, 0, 121), (360, 2, 131)],
         },
@@ -197,7 +236,7 @@ fn chaos_scenarios() -> Vec<ChaosScenario> {
 /// supervisor-driven script through [`ChaosEndpoint`]-wrapped transport
 /// endpoints injecting ~1% byte corruption (plus mid-frame cuts in the
 /// two-victim scenario), then checks every recovery oracle.
-fn chaos<P: ProtocolNode, T: Transport>(args: &Args) {
+fn chaos<P: ProtocolNode, T: Transport>(args: &Args) -> std::io::Result<bool> {
     let mut failed = false;
     for (idx, scenario) in chaos_scenarios().into_iter().enumerate() {
         let mut script = ClusterScript::reference(args.seed);
@@ -205,12 +244,11 @@ fn chaos<P: ProtocolNode, T: Transport>(args: &Args) {
             .with_regeneration(0)
             .with_token_acks(true);
         script.horizon = 600;
-        script.requests.extend(scenario.extra_requests.iter().copied());
+        script
+            .requests
+            .extend(scenario.extra_requests.iter().copied());
 
-        let raw = T::endpoints(script.n).unwrap_or_else(|e| {
-            eprintln!("cluster: transport setup failed: {e}");
-            std::process::exit(1);
-        });
+        let raw = T::endpoints(script.n)?;
         let mut chaos_cfg = ChaosConfig::new(args.seed ^ ((idx as u64 + 1) << 32))
             .corrupt(10)
             .protect(16);
@@ -235,9 +273,16 @@ fn chaos<P: ProtocolNode, T: Transport>(args: &Args) {
         let (out, stats) = run_on_endpoints::<P, _>(&script, endpoints, opts);
 
         let sum = |f: fn(&ChaosCounters) -> u64| -> u64 { counters.iter().map(|c| f(c)).sum() };
-        let injected = sum(|c| c.injected_corruptions.load(std::sync::atomic::Ordering::Relaxed))
-            + sum(|c| c.injected_truncations.load(std::sync::atomic::Ordering::Relaxed))
-            + sum(|c| c.injected_disconnects.load(std::sync::atomic::Ordering::Relaxed));
+        let injected = sum(|c| {
+            c.injected_corruptions
+                .load(std::sync::atomic::Ordering::Relaxed)
+        }) + sum(|c| {
+            c.injected_truncations
+                .load(std::sync::atomic::Ordering::Relaxed)
+        }) + sum(|c| {
+            c.injected_disconnects
+                .load(std::sync::atomic::Ordering::Relaxed)
+        });
         let accounted = ChaosCounters::all_accounted_for(&counters);
         let clean_close = stats.close_reports.iter().all(|r| r.is_clean());
         let all_restarted = stats.crash_records.iter().all(|r| r.restarted_at.is_some());
@@ -297,142 +342,105 @@ fn chaos<P: ProtocolNode, T: Transport>(args: &Args) {
             eprintln!("stats:   {stats:?}");
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(!failed)
 }
 
-/// Closed-loop wall-clock benchmark: one outstanding request at a time,
-/// issued round-robin, each timed submission → grant. The largest granting
-/// token dispatch is reported too (Ring sizes none).
-fn bench<P: WireProtocol, T: Transport>(args: &Args) {
-    let config = ClusterConfig::new(args.n)
-        .with_tick(Duration::from_micros(args.tick_us))
-        .with_seed(args.seed);
-    let cluster: Cluster<P> = Cluster::start_on::<T>(config).unwrap_or_else(|e| {
-        eprintln!("cluster: transport setup failed: {e}");
-        std::process::exit(1);
-    });
-    let mut latencies = Vec::with_capacity(args.requests as usize);
-    let mut token_bytes_max = 0;
-    let start = Instant::now();
-    for k in 0..args.requests {
-        let node = NodeId::new((k % args.n as u64) as u32);
-        let issued = Instant::now();
-        cluster.request(node, k);
-        let granted = cluster.await_grant_observing(node, Duration::from_secs(30), |_, ev| {
-            if let TokenEvent::TokenDispatched { bytes, .. } = ev {
-                token_bytes_max = token_bytes_max.max(*bytes);
-            }
+/// How long one closed-loop request may wait for its grant.
+const GRANT_WAIT: Duration = Duration::from_secs(30);
+
+/// Closed-loop wall-clock benchmark. Without shards requests go
+/// round-robin to the nodes and the largest granting token dispatch is
+/// reported too (Ring sizes none); with shards each draws a key from
+/// `--key-dist` and is routed by hash to its shard's ring. Returns whether
+/// every request was granted and the runtime shut down clean.
+fn bench<P: WireProtocol, T: Transport>(args: &Args) -> std::io::Result<bool> {
+    let (n, requests, tick_us) = (args.n, args.requests, args.tick_us);
+    let tick = Duration::from_micros(tick_us);
+    let head = format!(
+        "cluster protocol={} transport={} n={n}",
+        P::LABEL,
+        T::label()
+    );
+    let tail = format!("requests={requests} tick_us={tick_us}");
+    if args.shards == 1 {
+        let config = ClusterConfig::new(n).with_tick(tick).with_seed(args.seed);
+        let cluster: Cluster<P> = Cluster::start_on::<T>(config)?;
+        let mut token_bytes_max = 0;
+        let served = closed_loop(&format!("{head} {tail}"), requests, |k| {
+            let node = NodeId::new((k % n as u64) as u32);
+            cluster.request(node, k);
+            cluster.await_grant_observing(node, GRANT_WAIT, |_, ev| {
+                if let TokenEvent::TokenDispatched { bytes, .. } = ev {
+                    token_bytes_max = token_bytes_max.max(*bytes);
+                }
+            })
         });
-        if !granted {
-            eprintln!("cluster: request {k} to node {node:?} timed out");
-            std::process::exit(1);
+        if !served {
+            return Ok(false);
         }
-        latencies.push(issued.elapsed());
-    }
-    let elapsed = start.elapsed();
-    let decode_errors = cluster.decode_errors();
-    let reports = cluster.shutdown();
-    let clean = reports.iter().all(|r| r.is_clean());
-
-    latencies.sort_unstable();
-    let pct = |p: f64| -> Duration {
-        let idx = ((latencies.len() as f64) * p).ceil() as usize;
-        latencies[idx.clamp(1, latencies.len()) - 1]
-    };
-    println!(
-        "cluster protocol={} transport={} n={} requests={} tick_us={}",
-        P::LABEL,
-        T::label(),
-        args.n,
-        args.requests,
-        args.tick_us
-    );
-    println!(
-        "served {} requests in {:.3}s  ({:.1} req/s)",
-        args.requests,
-        elapsed.as_secs_f64(),
-        args.requests as f64 / elapsed.as_secs_f64()
-    );
-    println!(
-        "latency p50 {:.3}ms  p90 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
-        pct(0.50).as_secs_f64() * 1e3,
-        pct(0.90).as_secs_f64() * 1e3,
-        pct(0.99).as_secs_f64() * 1e3,
-        latencies.last().expect("requests > 0").as_secs_f64() * 1e3
-    );
-    println!("token bytes max={token_bytes_max}");
-    println!("decode_errors={decode_errors} clean_shutdown={clean}");
-    if !clean {
-        std::process::exit(1);
+        let decode_errors = cluster.decode_errors();
+        let clean = cluster.shutdown().iter().all(|r| r.is_clean());
+        println!("token bytes max={token_bytes_max}");
+        println!("decode_errors={decode_errors} clean_shutdown={clean}");
+        Ok(clean)
+    } else {
+        let config = ShardedClusterConfig::new(n, args.shards)
+            .with_tick(tick)
+            .with_seed(args.seed);
+        let cluster: ShardedCluster<P> = ShardedCluster::start_on::<T>(config)?;
+        let mut rng = StdRng::seed_from_u64(args.seed);
+        let shards = format!("shards={} key_dist={}", args.shards, args.key_dist.label());
+        let served = closed_loop(&format!("{head} {shards} {tail}"), requests, |k| {
+            let key = args.key_dist.draw(&mut rng, 4 * n);
+            cluster.request(key, k);
+            cluster.await_grant(key, GRANT_WAIT)
+        });
+        if !served {
+            return Ok(false);
+        }
+        let per_shard = cluster.grants();
+        let decode_errors = cluster.decode_errors();
+        let clean = cluster.shutdown().iter().all(|r| r.is_clean());
+        println!(
+            "per_shard_grants={per_shard:?} decode_errors={decode_errors} clean_shutdown={clean}"
+        );
+        Ok(clean)
     }
 }
 
-/// Key-addressed closed-loop benchmark on the sharded plane: one
-/// outstanding request at a time, each drawn from `--key-dist`, routed by
-/// hash to its shard's ring and timed submission → grant.
-fn sharded_bench<P: WireProtocol, T: Transport>(args: &Args) {
-    use atp_util::rng::{SeedableRng, StdRng};
-
-    let config = ShardedClusterConfig::new(args.n, args.shards)
-        .with_tick(Duration::from_micros(args.tick_us))
-        .with_seed(args.seed);
-    let cluster: ShardedCluster<P> = ShardedCluster::start_on::<T>(config).unwrap_or_else(|e| {
-        eprintln!("cluster: transport setup failed: {e}");
-        std::process::exit(1);
-    });
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let mut latencies = Vec::with_capacity(args.requests as usize);
+/// Runs `requests` requests one outstanding at a time: `grant(k)` issues
+/// request `k` and returns whether it was granted within [`GRANT_WAIT`].
+/// Then prints `header`, the throughput and the latency percentiles, each
+/// request timed submission → grant. False on the first request not
+/// granted.
+fn closed_loop(header: &str, requests: u64, mut grant: impl FnMut(u64) -> bool) -> bool {
+    let mut latencies = Vec::with_capacity(requests as usize);
     let start = Instant::now();
-    for k in 0..args.requests {
-        let key = args.key_dist.draw(&mut rng, 4 * args.n.max(1));
+    for k in 0..requests {
         let issued = Instant::now();
-        cluster.request(key, k);
-        if !cluster.await_grant(key, Duration::from_secs(30)) {
-            eprintln!("cluster: request {k} for key {key:#x} timed out");
-            std::process::exit(1);
+        if !grant(k) {
+            eprintln!("cluster: request {k} was not granted within {GRANT_WAIT:?}");
+            return false;
         }
         latencies.push(issued.elapsed());
     }
-    let elapsed = start.elapsed();
-    let per_shard = cluster.grants();
-    let decode_errors = cluster.decode_errors();
-    let reports = cluster.shutdown();
-    let clean = reports.iter().all(|r| r.is_clean());
-
+    let elapsed = start.elapsed().as_secs_f64();
     latencies.sort_unstable();
-    let pct = |p: f64| -> Duration {
+    let ms = |p: f64| {
         let idx = ((latencies.len() as f64) * p).ceil() as usize;
-        latencies[idx.clamp(1, latencies.len()) - 1]
+        latencies[idx.clamp(1, latencies.len()) - 1].as_secs_f64() * 1e3
     };
+    println!("{header}");
     println!(
-        "cluster protocol={} transport={} n={} shards={} key_dist={} requests={} tick_us={}",
-        P::LABEL,
-        T::label(),
-        args.n,
-        args.shards,
-        args.key_dist.label(),
-        args.requests,
-        args.tick_us
-    );
-    println!(
-        "served {} requests in {:.3}s  ({:.1} req/s)",
-        args.requests,
-        elapsed.as_secs_f64(),
-        args.requests as f64 / elapsed.as_secs_f64()
+        "served {requests} requests in {elapsed:.3}s  ({:.1} req/s)",
+        requests as f64 / elapsed
     );
     println!(
         "latency p50 {:.3}ms  p90 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
-        pct(0.50).as_secs_f64() * 1e3,
-        pct(0.90).as_secs_f64() * 1e3,
-        pct(0.99).as_secs_f64() * 1e3,
-        latencies.last().expect("requests > 0").as_secs_f64() * 1e3
+        ms(0.50),
+        ms(0.90),
+        ms(0.99),
+        ms(1.0)
     );
-    println!(
-        "per_shard_grants={per_shard:?} decode_errors={decode_errors} clean_shutdown={clean}"
-    );
-    if !clean {
-        std::process::exit(1);
-    }
+    true
 }

@@ -1,8 +1,4 @@
-//! Deterministic simulation-testing driver.
-//!
-//! Flags are declared once through `atp_sim::cli::Parser`; `--help`
-//! prints the generated usage. `--trace-out FILE` additionally comes from
-//! the shared observability surface (`ObsArgs`).
+//! `atp dst`: the deterministic simulation-testing driver.
 //!
 //! `--protocol` restricts exploration to one protocol (by its label:
 //! `ring`, `search`, `binary`, `naimi`); tape replay is unaffected — every
@@ -15,8 +11,8 @@
 //! find is written by `--write-tape` like any other, and its tape replays
 //! under `--tapes`.
 //!
-//! `--trace-out` (with `--tapes`) re-replays every checked-in tape with
-//! network tracing on and writes one JSON-lines document: a
+//! `--trace-out` (which needs `--tapes`) re-replays every checked-in tape
+//! with network tracing on and writes one JSON-lines document: a
 //! `{"kind":"tape",...}` header per tape followed by its world trace
 //! events. Deterministic — same tapes, same bytes.
 //!
@@ -40,18 +36,22 @@
 //! Exit status: `0` all green, `1` violation / tape regression / demo miss,
 //! `2` usage error.
 
+use std::process::ExitCode;
+
 use atp_sim::cli::Parser;
 use atp_sim::dst::{
     replay_tape_traced, verify_tape, CaseSpace, ExploreOutcome, Explorer, Focus, Mutation, TapeFile,
 };
-use atp_sim::{obs, ObsArgs, Protocol};
+use atp_sim::{obs, Protocol};
 use atp_util::json::JsonWriter;
-use std::process::ExitCode;
+
+use crate::Job;
 
 struct Args {
     budget: u32,
     seed: u64,
     tapes: Option<String>,
+    trace_out: Option<String>,
     demo_mutation: bool,
     write_tape: Option<String>,
     focus: Focus,
@@ -59,21 +59,44 @@ struct Args {
     shard_dst: bool,
 }
 
-fn parse_args(rest: Vec<String>) -> Result<Args, String> {
-    let parser = Parser::new("dst")
+pub fn parse(argv: Vec<String>) -> Result<Job, String> {
+    let m = Parser::new("dst")
         .flag("--budget", "N", "fresh cases to explore per protocol")
         .flag("--seed", "S", "base seed of the case-seed stream")
         .flag("--tapes", "DIR", "replay every *.tape under DIR first")
-        .flag("--write-tape", "PATH", "write a found counterexample's minimized tape")
-        .flag("--protocol", "ring|search|binary|naimi", "explore only this protocol")
-        .switch("--demo-mutation", "plant bad_prefix_skip and require the explorer to find it")
+        .flag(
+            "--trace-out",
+            "FILE",
+            "write the tape replays' world traces as JSON lines",
+        )
+        .flag(
+            "--write-tape",
+            "PATH",
+            "write a found counterexample's minimized tape",
+        )
+        .flag(
+            "--protocol",
+            "ring|search|binary|naimi",
+            "explore only this protocol",
+        )
+        .switch(
+            "--demo-mutation",
+            "plant bad_prefix_skip and require the explorer to find it",
+        )
         .switch("--partition", "explore only cases with a partition window")
-        .switch("--shard-dst", "also explore the sharded plane with isolation oracles");
-    let m = parser.parse(rest)?;
-    Ok(Args {
+        .switch(
+            "--shard-dst",
+            "also explore the sharded plane with isolation oracles",
+        )
+        .parse(argv)?;
+    if m.get("--trace-out").is_some() && m.get("--tapes").is_none() {
+        return Err("--trace-out traces the tape replays: it needs --tapes DIR".into());
+    }
+    let args = Args {
         budget: m.get_num("--budget", 300)?,
         seed: m.get_num("--seed", 0)?,
         tapes: m.get("--tapes").map(str::to_string),
+        trace_out: m.get("--trace-out").map(str::to_string),
         demo_mutation: m.has("--demo-mutation"),
         write_tape: m.get("--write-tape").map(str::to_string),
         focus: if m.has("--partition") {
@@ -86,7 +109,8 @@ fn parse_args(rest: Vec<String>) -> Result<Args, String> {
             Some(_) => Some(m.protocol(Protocol::Binary)?),
         },
         shard_dst: m.has("--shard-dst"),
-    })
+    };
+    Ok(Box::new(move || run(&args)))
 }
 
 /// Replays every `*.tape` in `dir`; returns the number of regressions
@@ -106,8 +130,7 @@ fn replay_tapes(dir: &str, collect_trace: bool) -> Result<(u32, String), String>
     let mut regressions = 0u32;
     let mut trace = String::new();
     for path in &paths {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let tf = TapeFile::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         match verify_tape(&tf) {
             Ok(()) => println!(
@@ -151,32 +174,17 @@ fn replay_tapes(dir: &str, collect_trace: bool) -> Result<(u32, String), String>
     Ok((regressions, trace))
 }
 
-fn main() -> ExitCode {
-    let obs_args = ObsArgs::parse_env();
-    let args = match parse_args(obs_args.rest.clone()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("dst: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if (obs_args.trace_out.is_some() && args.tapes.is_none())
-        || obs_args.chrome_out.is_some()
-        || obs_args.metrics_out.is_some()
-    {
-        eprintln!("dst: only --trace-out (with --tapes) is wired up here; other obs flags ignored");
-    }
+fn run(args: &Args) -> ExitCode {
     let mut failed = false;
 
     if let Some(dir) = &args.tapes {
-        let collect_trace = obs_args.trace_out.is_some();
-        match replay_tapes(dir, collect_trace) {
+        match replay_tapes(dir, args.trace_out.is_some()) {
             Ok((regressions, trace)) => {
                 if regressions > 0 {
                     println!("tapes: {regressions} regression(s)");
                     failed = true;
                 }
-                if let Some(path) = &obs_args.trace_out {
+                if let Some(path) = &args.trace_out {
                     if let Err(e) = std::fs::write(path, trace) {
                         eprintln!("dst: --trace-out {path}: {e}");
                         return ExitCode::from(2);
@@ -208,12 +216,14 @@ fn main() -> ExitCode {
                 ExploreOutcome::Clean {
                     cases,
                     oracle_checks,
-                } => println!(
+                } => {
+                    println!(
                     "{tag} {:>6}{}: clean — {cases} cases, {oracle_checks} oracle checks, {:.3}s",
                     protocol.label(),
                     if args.focus == Focus::Partition { " [partition]" } else { "" },
                     start.elapsed().as_secs_f64()
-                ),
+                )
+                }
                 ExploreOutcome::Found(cx) => {
                     println!(
                         "{tag} {:>6}: VIOLATION — {} (case seed {:#x}, minimized to {} draws \

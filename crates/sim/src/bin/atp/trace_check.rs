@@ -1,6 +1,5 @@
-//! Validates a JSON-lines trace artifact (`--trace-out` output).
-//!
-//! Usage: `cargo run --release -p atp-sim --bin trace_check -- FILE`
+//! `atp trace_check FILE`: validates a JSON-lines trace artifact
+//! (`--trace-out` output).
 //!
 //! Every line must parse as a standalone JSON object with a string `kind`
 //! field; the per-kind counts are printed so CI can eyeball coverage.
@@ -9,12 +8,18 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let Some(path) = std::env::args().nth(1) else {
-        eprintln!("trace_check: usage: trace_check FILE");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(&path) {
+use crate::Job;
+
+/// Takes exactly one argument, the file.
+pub fn parse(argv: Vec<String>) -> Result<Job, String> {
+    match <[String; 1]>::try_from(argv) {
+        Ok([path]) if !path.starts_with('-') => Ok(Box::new(move || check(&path))),
+        _ => Err("usage: atp trace_check FILE".into()),
+    }
+}
+
+fn check(path: &str) -> ExitCode {
+    let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("trace_check: {path}: {e}");

@@ -1,12 +1,10 @@
-//! Shared flag parsing for the workspace binaries.
+//! The flag parser of the `atp` binary.
 //!
-//! The `dst` and `cluster` binaries used to carry copy-pasted
-//! `value(&mut i, ...)` helpers and hand-maintained usage strings — which
-//! drifted (the `cluster` usage string was missing `--chaos`). This
-//! module replaces both: a binary declares its flags **once** as a
-//! [`Parser`] spec, and the usage string, the unknown-flag diagnostics
-//! and the value parsing are all generated from that single declaration,
-//! so usage and parser can never disagree again.
+//! Each command declares its flags **once** as a [`Parser`] spec, and the
+//! usage string, the unknown-flag diagnostics and the value parsing are
+//! all generated from that single declaration, so usage and parser cannot
+//! disagree. A flag a command does not declare is a usage error, never
+//! silently ignored.
 //!
 //! ```rust
 //! use atp_sim::cli::Parser;
@@ -22,6 +20,7 @@
 //! assert!(parser.usage().contains("[--n N]"));
 //! ```
 
+use crate::obs::ObsArgs;
 use crate::runner::Protocol;
 use crate::shard::KeyDist;
 
@@ -43,9 +42,8 @@ pub struct Parser {
 }
 
 impl Parser {
-    /// A parser for the binary named `prog` (used in diagnostics).
-    /// `--help`/`-h` are built in: they print the generated usage and
-    /// exit 0.
+    /// A parser for the `atp` command named `prog`. `--help`/`-h` are
+    /// built in: they print the generated usage and exit 0.
     pub fn new(prog: &'static str) -> Self {
         Parser {
             prog,
@@ -73,7 +71,7 @@ impl Parser {
         self
     }
 
-    /// Declares the sharded-plane flags every shard-aware binary shares:
+    /// Declares the sharded-plane flags every shard-aware command shares:
     /// `--shards K` and `--key-dist uniform|zipf`.
     pub fn shard_flags(self) -> Self {
         self.flag("--shards", "K", "number of independent token shards")
@@ -84,10 +82,19 @@ impl Parser {
             )
     }
 
+    /// Declares the observability flags (see [`crate::obs`]), read back
+    /// with [`Matches::obs`]: `--trace-out`, `--chrome-out` and
+    /// `--metrics-out`.
+    pub fn obs_flags(self) -> Self {
+        self.flag("--trace-out", "FILE", "write the traced run as JSON lines")
+            .flag("--chrome-out", "FILE", "write its spans as a chrome://tracing document")
+            .flag("--metrics-out", "FILE", "write the merged metrics registry as JSON")
+    }
+
     /// The generated usage string — the only one there is, so it cannot
     /// drift from the accepted flags.
     pub fn usage(&self) -> String {
-        let mut s = format!("usage: {}", self.prog);
+        let mut s = format!("usage: atp {}", self.prog);
         for spec in &self.specs {
             match spec.metavar {
                 Some(mv) => s.push_str(&format!(" [{} {}]", spec.name, mv)),
@@ -110,8 +117,7 @@ impl Parser {
     ///
     /// # Errors
     ///
-    /// Unknown flags and missing values produce a one-line message
-    /// (already prefixed with the program name).
+    /// Unknown flags and missing values produce a one-line message.
     pub fn parse(&self, argv: Vec<String>) -> Result<Matches, String> {
         let mut m = Matches {
             values: Vec::new(),
@@ -120,20 +126,17 @@ impl Parser {
         let mut it = argv.into_iter();
         while let Some(arg) = it.next() {
             if arg == "--help" || arg == "-h" {
-                eprint!("{}", self.usage());
+                print!("{}", self.usage());
                 std::process::exit(0);
             }
             let Some(spec) = self.specs.iter().find(|s| s.name == arg) else {
-                return Err(format!(
-                    "{}: unknown flag {arg:?} (try --help)",
-                    self.prog
-                ));
+                return Err(format!("unknown flag {arg:?} (try --help)"));
             };
             match spec.metavar {
                 Some(_) => {
                     let v = it
                         .next()
-                        .ok_or_else(|| format!("{}: {} expects a value", self.prog, arg))?;
+                        .ok_or_else(|| format!("{arg} expects a value"))?;
                     m.values.retain(|(n, _)| n != &arg);
                     m.values.push((arg, v));
                 }
@@ -141,15 +144,6 @@ impl Parser {
             }
         }
         Ok(m)
-    }
-
-    /// Like [`Parser::parse`], but prints the error and exits 2 — the
-    /// usage-error convention every binary shares.
-    pub fn parse_or_exit(&self, argv: Vec<String>) -> Matches {
-        self.parse(argv).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
     }
 }
 
@@ -174,11 +168,6 @@ impl Matches {
         self.switches.iter().any(|s| s == name)
     }
 
-    /// A string flag with a default.
-    pub fn get_str(&self, name: &str, default: &str) -> String {
-        self.get(name).unwrap_or(default).to_string()
-    }
-
     /// A numeric flag with a default.
     ///
     /// # Errors
@@ -190,6 +179,32 @@ impl Matches {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("{name} expects a number, got {v:?}")),
+        }
+    }
+
+    /// A count or a size: a numeric flag that must be at least 1.
+    ///
+    /// # Errors
+    ///
+    /// As [`Matches::get_num`], and on zero.
+    pub fn get_positive<T>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+    {
+        let v = self.get_num(name, default)?;
+        if v == T::default() {
+            return Err(format!("{name} must be at least 1"));
+        }
+        Ok(v)
+    }
+
+    /// The observability flags (see [`Parser::obs_flags`]).
+    pub fn obs(&self) -> ObsArgs {
+        let path = |name| self.get(name).map(str::to_string);
+        ObsArgs {
+            trace_out: path("--trace-out"),
+            chrome_out: path("--chrome-out"),
+            metrics_out: path("--metrics-out"),
         }
     }
 
@@ -217,11 +232,7 @@ impl Matches {
     ///
     /// Rejects non-numeric and zero shard counts.
     pub fn shards(&self, default: u16) -> Result<u16, String> {
-        let k = self.get_num("--shards", default)?;
-        if k == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        Ok(k)
+        self.get_positive("--shards", default)
     }
 
     /// The `--key-dist` flag (see [`Parser::shard_flags`]).

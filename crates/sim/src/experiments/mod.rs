@@ -18,8 +18,8 @@
 //! | [`shards`] | Sharded multi-token plane: aggregate throughput vs K, rebalance cost |
 //!
 //! Every experiment has a `Config` with two presets: `Config::paper()` (full
-//! scale, used by the figure binaries and the bench harness) and
-//! `Config::quick()` (seconds, used by unit tests).
+//! scale, what each `atp` artifact command and `atp all` run) and
+//! `Config::quick()` (seconds, used by unit tests and `--quick`).
 
 pub mod ablation;
 pub mod drops;

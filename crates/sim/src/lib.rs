@@ -19,8 +19,8 @@
 //!   stream: per-phase tick durations and per-class message/byte counts,
 //!   directly measuring Lemma 6's "forwarded O(log N) times".
 //! * [`obs`] — the `--trace-out` / `--chrome-out` / `--metrics-out`
-//!   plumbing binaries share: JSON-lines trace export, chrome://tracing
-//!   span dumps, and exact-merge metrics registries.
+//!   plumbing the `atp` commands share: JSON-lines trace export,
+//!   chrome://tracing span dumps, and exact-merge metrics registries.
 //! * [`experiments`] — one module per paper artifact (`fig9`, `fig10`,
 //!   message complexity, fairness, worst case, optimization ablation,
 //!   failure recovery), each able to render the same rows/series the paper
@@ -69,7 +69,7 @@ pub use workload::{
     Workload,
 };
 
-/// One-stop imports for binaries and experiment scripts.
+/// One-stop imports for the `atp` binary and experiment scripts.
 ///
 /// `use atp_sim::prelude::*;` brings in the runner/sweep surface, the
 /// observability flags, the workload generators and every experiment

@@ -1,7 +1,8 @@
-//! Observability plumbing for the figure/table binaries.
+//! Observability plumbing for the `atp` commands.
 //!
-//! Every binary that opts in accepts three flags, parsed (and stripped)
-//! by [`ObsArgs::parse`]:
+//! A command that honours them declares three flags with
+//! [`Parser::obs_flags`](crate::cli::Parser::obs_flags) and reads them
+//! back as an [`ObsArgs`]:
 //!
 //! * `--trace-out FILE` — structured trace export as JSON lines: the
 //!   world's bounded network trace (one object per send/deliver/loss/
@@ -21,14 +22,13 @@ use std::io;
 
 use atp_util::metrics::Registry;
 
-use crate::runner::{run_experiment_traced, ExperimentSpec, RunArtifacts, RunSummary};
+use crate::runner::{RunArtifacts, RunSummary};
 use crate::span::chrome_trace_json;
-use crate::workload::Workload;
 
 /// How many of the most recent network trace events a traced run retains.
 pub const TRACE_CAPACITY: usize = 1 << 16;
 
-/// Parsed observability flags, plus the arguments that were not consumed.
+/// Parsed observability flags.
 #[derive(Debug, Clone, Default)]
 pub struct ObsArgs {
     /// `--trace-out` target, if given.
@@ -37,40 +37,10 @@ pub struct ObsArgs {
     pub chrome_out: Option<String>,
     /// `--metrics-out` target, if given.
     pub metrics_out: Option<String>,
-    /// All remaining arguments, order preserved.
-    pub rest: Vec<String>,
 }
 
 impl ObsArgs {
-    /// Parses the process arguments (skipping `argv[0]`).
-    pub fn parse_env() -> ObsArgs {
-        ObsArgs::parse(std::env::args().skip(1))
-    }
-
-    /// Extracts `--trace-out FILE`, `--chrome-out FILE` and
-    /// `--metrics-out FILE`; everything else lands in `rest`.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> ObsArgs {
-        let mut out = ObsArgs::default();
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            let slot = match arg.as_str() {
-                "--trace-out" => &mut out.trace_out,
-                "--chrome-out" => &mut out.chrome_out,
-                "--metrics-out" => &mut out.metrics_out,
-                _ => {
-                    out.rest.push(arg);
-                    continue;
-                }
-            };
-            match iter.next() {
-                Some(path) => *slot = Some(path),
-                None => eprintln!("{arg}: missing file argument, ignored"),
-            }
-        }
-        out
-    }
-
-    /// Whether any trace/span artifact was requested (i.e. the binary
+    /// Whether any trace/span artifact was requested (i.e. the command
     /// should do a traced run).
     pub fn wants_trace(&self) -> bool {
         self.trace_out.is_some() || self.chrome_out.is_some()
@@ -113,18 +83,6 @@ pub fn trace_jsonl(artifacts: &RunArtifacts) -> String {
     out
 }
 
-/// Runs `spec` traced and writes whatever artifacts `obs` asked for,
-/// returning the summary.
-pub fn run_traced_with(
-    obs: &ObsArgs,
-    spec: &ExperimentSpec,
-    workload: &mut dyn Workload,
-) -> io::Result<RunSummary> {
-    let (summary, artifacts) = run_experiment_traced(spec, workload, TRACE_CAPACITY);
-    obs.write_trace(&artifacts)?;
-    Ok(summary)
-}
-
 /// Merges every summary's observability counters into one [`Registry`].
 /// Exact merge: byte-identical however the summaries were sharded.
 pub fn merged_registry(summaries: &[RunSummary]) -> Registry {
@@ -138,23 +96,8 @@ pub fn merged_registry(summaries: &[RunSummary]) -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Protocol;
+    use crate::runner::{run_experiment_traced, ExperimentSpec, Protocol};
     use crate::workload::GlobalPoisson;
-
-    fn args(list: &[&str]) -> ObsArgs {
-        ObsArgs::parse(list.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn parse_strips_obs_flags_and_keeps_rest() {
-        let a = args(&["--quick", "--trace-out", "/tmp/t.jsonl", "--metrics-out", "/tmp/m.json"]);
-        assert_eq!(a.rest, vec!["--quick".to_string()]);
-        assert_eq!(a.trace_out.as_deref(), Some("/tmp/t.jsonl"));
-        assert_eq!(a.metrics_out.as_deref(), Some("/tmp/m.json"));
-        assert!(a.chrome_out.is_none());
-        assert!(a.wants_trace());
-        assert!(!args(&["--quick"]).wants_trace());
-    }
 
     #[test]
     fn trace_jsonl_lines_all_parse() {

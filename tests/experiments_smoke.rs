@@ -3,8 +3,8 @@
 //! infinity, with monotone time statistics.
 
 use adaptive_token_passing::sim::experiments::{
-    ablation, drops, failure, fairness, fig10, fig9, geo, latency, messages, throughput,
-    worstcase,
+    ablation, drops, failure, fairness, fig10, fig9, geo, latency, messages, partition, shards,
+    throughput, worstcase,
 };
 use adaptive_token_passing::sim::runner::{run_experiment, ExperimentSpec, Protocol};
 use adaptive_token_passing::sim::workload::GlobalPoisson;
@@ -34,9 +34,11 @@ smoke! {
     ablation_quick_preset_is_sane => ablation,
     failure_quick_preset_is_sane => failure,
     drops_quick_preset_is_sane => drops,
+    partition_quick_preset_is_sane => partition,
     throughput_quick_preset_is_sane => throughput,
     latency_quick_preset_is_sane => latency,
     geo_quick_preset_is_sane => geo,
+    shards_quick_preset_is_sane => shards,
 }
 
 /// The quantiles of every timing statistic are monotone and the scalar
