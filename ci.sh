@@ -153,6 +153,29 @@ if [ -n "$BINS" ] || [ -n "$ARGV" ]; then
 fi
 echo "one binary, one reader of the process arguments"
 
+echo "== spec anti-fork gate =="
+# The atp-spec systems are derived from one another as in the paper: a rule a
+# later system keeps is its predecessor's builder, called with only what the
+# refinement changes (arity, destination, message tag, trap shape). The send
+# rule used to be typed four times and the receive and grant rules twice
+# each: fail if a shared builder or trap helper is defined more than once in
+# non-test code under crates/spec/src/systems, or a per-system send rule
+# comes back.
+SPEC=$(for f in crates/spec/src/systems/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done)
+for FN in rule_send rule_receive rule_grant rule_broadcast trap_insert traps_contain; do
+  DEFS=$(echo "$SPEC" | grep -c "fn $FN(" || true)
+  if [ "$DEFS" -ne 1 ]; then
+    echo "crates/spec/src/systems defines fn $FN( $DEFS times; it must be defined once and reused" >&2
+    exit 1
+  fi
+done
+FORKED=$(echo "$SPEC" | grep -o -E 'fn (rule_rotate|rule_send_self|rule_send_other)\(' || true)
+if [ -n "$FORKED" ]; then
+  echo "a per-system send rule is back:" $FORKED >&2
+  exit 1
+fi
+echo "each shared spec rule is written once"
+
 echo "== protocol conformance =="
 # Every protocol variant through the same (seed x strategy x fault profile)
 # matrix: identical oracle verdicts cell by cell, grant totality on benign

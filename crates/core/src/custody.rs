@@ -900,11 +900,6 @@ pub trait TokenNode: Custodian {
         self.custody().grants
     }
 
-    /// Requests currently queued locally.
-    fn outstanding_len(&self) -> usize {
-        self.custody().outstanding.len()
-    }
-
     /// Whether this node holds the (idle or in-service) token.
     fn holds_token(&self) -> bool {
         self.custody().holding.is_some()

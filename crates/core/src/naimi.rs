@@ -85,11 +85,6 @@ impl NaimiNode {
         Self::with_custody(Custody::new(cfg))
     }
 
-    /// Queued successors (`next` obligations) at this node.
-    pub fn waiting_len(&self) -> usize {
-        self.c.owed.len()
-    }
-
     /// The probable-owner pointer (`last`), for tests.
     pub fn probable_owner(&self) -> Option<NodeId> {
         self.last

@@ -184,11 +184,6 @@ impl<E: Endpoint> ChaosEndpoint<E> {
         &self.inner
     }
 
-    /// The wrapped endpoint, mutably.
-    pub fn inner_mut(&mut self) -> &mut E {
-        &mut self.inner
-    }
-
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,7 +1,5 @@
 //! Internal event-queue machinery and the message-class distinction.
 
-use std::cmp::Ordering;
-
 use crate::id::NodeId;
 use crate::time::SimTime;
 
@@ -60,9 +58,9 @@ pub(crate) enum EventKind<M, E> {
     Recover { node: NodeId },
 }
 
-/// A scheduled event. Ordered by `(time, seq)`; `seq` is a global monotone
-/// counter so simultaneous events fire in scheduling order, which makes runs
-/// fully deterministic.
+/// A scheduled event. `seq` is a global monotone counter; the timer wheel
+/// fires events in `(time, seq)` order, so simultaneous events fire in
+/// scheduling order, which makes runs fully deterministic.
 #[derive(Debug)]
 pub(crate) struct QueuedEvent<M, E> {
     pub time: SimTime,
@@ -70,53 +68,9 @@ pub(crate) struct QueuedEvent<M, E> {
     pub kind: EventKind<M, E>,
 }
 
-impl<M, E> PartialEq for QueuedEvent<M, E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<M, E> Eq for QueuedEvent<M, E> {}
-
-impl<M, E> PartialOrd for QueuedEvent<M, E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M, E> Ord for QueuedEvent<M, E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(time: u64, seq: u64) -> QueuedEvent<(), ()> {
-        QueuedEvent {
-            time: SimTime::from_ticks(time),
-            seq,
-            kind: EventKind::Crash {
-                node: NodeId::new(0),
-            },
-        }
-    }
-
-    #[test]
-    fn heap_pops_earliest_first() {
-        let mut heap = std::collections::BinaryHeap::new();
-        heap.push(ev(5, 0));
-        heap.push(ev(1, 1));
-        heap.push(ev(5, 2));
-        heap.push(ev(0, 3));
-        let order: Vec<_> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.time.ticks(), e.seq))
-            .collect();
-        assert_eq!(order, vec![(0, 3), (1, 1), (5, 0), (5, 2)]);
-    }
 
     #[test]
     fn class_labels() {

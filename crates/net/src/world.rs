@@ -373,11 +373,6 @@ impl<N: Node> World<N> {
         &self.trace
     }
 
-    /// Number of events currently queued.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Reserves queue capacity for at least `additional` more events.
     ///
     /// Drivers that know their stimulus count (e.g. a pre-generated
@@ -555,16 +550,20 @@ impl<N: Node> World<N> {
         }
         self.initialized = true;
         for i in 0..self.slots.len() {
-            let id = NodeId::new(i as u32);
-            let mut effects = std::mem::take(&mut self.effects);
-            {
-                let mut ctx =
-                    Context::new(id, self.now, self.topology, &mut effects, &mut self.rng);
-                self.slots[i].node.on_init(&mut ctx);
-            }
-            self.effects = effects;
-            self.flush_effects(id);
+            self.invoke(NodeId::new(i as u32), |n, ctx| n.on_init(ctx));
         }
+    }
+
+    /// Runs one callback of node `id` with a [`Context`] over the effects
+    /// buffer, then applies what the callback emitted.
+    fn invoke(&mut self, id: NodeId, callback: impl FnOnce(&mut N, &mut Context<'_, N::Msg>)) {
+        let mut effects = std::mem::take(&mut self.effects);
+        {
+            let mut ctx = Context::new(id, self.now, self.topology, &mut effects, &mut self.rng);
+            callback(&mut self.slots[id.index()].node, &mut ctx);
+        }
+        self.effects = effects;
+        self.flush_effects(id);
     }
 
     fn flush_effects(&mut self, from: NodeId) {
@@ -710,7 +709,7 @@ impl<N: Node> World<N> {
         debug_assert!(ev.time >= self.now, "event queue went backwards");
         self.now = ev.time;
         self.stats.events_processed += 1;
-        match ev.kind {
+        let node = match ev.kind {
             EventKind::Deliver {
                 from,
                 to,
@@ -732,18 +731,8 @@ impl<N: Node> World<N> {
                 self.stats.record_delivered(class);
                 self.trace
                     .push(self.now, TraceKind::Delivered { from, to, class });
-                let mut effects = std::mem::take(&mut self.effects);
-                {
-                    let mut ctx =
-                        Context::new(to, self.now, self.topology, &mut effects, &mut self.rng);
-                    self.slots[to.index()].node.on_message(from, msg, &mut ctx);
-                }
-                self.effects = effects;
-                self.flush_effects(to);
-                StepOutcome::Dispatched {
-                    node: to,
-                    at: self.now,
-                }
+                self.invoke(to, |n, ctx| n.on_message(from, msg, ctx));
+                to
             }
             EventKind::Timer { node, kind, epoch } => {
                 let slot = &self.slots[node.index()];
@@ -753,36 +742,16 @@ impl<N: Node> World<N> {
                 }
                 self.stats.timers_fired += 1;
                 self.trace.push(self.now, TraceKind::Timer { node, kind });
-                let mut effects = std::mem::take(&mut self.effects);
-                {
-                    let mut ctx =
-                        Context::new(node, self.now, self.topology, &mut effects, &mut self.rng);
-                    self.slots[node.index()].node.on_timer(kind, &mut ctx);
-                }
-                self.effects = effects;
-                self.flush_effects(node);
-                StepOutcome::Dispatched {
-                    node,
-                    at: self.now,
-                }
+                self.invoke(node, |n, ctx| n.on_timer(kind, ctx));
+                node
             }
             EventKind::External { node, ev } => {
                 if !self.slots[node.index()].alive {
                     return StepOutcome::Consumed { at: self.now };
                 }
                 self.trace.push(self.now, TraceKind::External { node });
-                let mut effects = std::mem::take(&mut self.effects);
-                {
-                    let mut ctx =
-                        Context::new(node, self.now, self.topology, &mut effects, &mut self.rng);
-                    self.slots[node.index()].node.on_external(ev, &mut ctx);
-                }
-                self.effects = effects;
-                self.flush_effects(node);
-                StepOutcome::Dispatched {
-                    node,
-                    at: self.now,
-                }
+                self.invoke(node, |n, ctx| n.on_external(ev, ctx));
+                node
             }
             EventKind::Crash { node } => {
                 let slot = &mut self.slots[node.index()];
@@ -792,7 +761,7 @@ impl<N: Node> World<N> {
                     slot.node.on_crash();
                     self.trace.push(self.now, TraceKind::Crashed { node });
                 }
-                StepOutcome::Consumed { at: self.now }
+                return StepOutcome::Consumed { at: self.now };
             }
             EventKind::Recover { node } => {
                 let slot = &mut self.slots[node.index()];
@@ -801,20 +770,11 @@ impl<N: Node> World<N> {
                 }
                 slot.alive = true;
                 self.trace.push(self.now, TraceKind::Recovered { node });
-                let mut effects = std::mem::take(&mut self.effects);
-                {
-                    let mut ctx =
-                        Context::new(node, self.now, self.topology, &mut effects, &mut self.rng);
-                    self.slots[node.index()].node.on_recover(&mut ctx);
-                }
-                self.effects = effects;
-                self.flush_effects(node);
-                StepOutcome::Dispatched {
-                    node,
-                    at: self.now,
-                }
+                self.invoke(node, |n, ctx| n.on_recover(ctx));
+                node
             }
-        }
+        };
+        StepOutcome::Dispatched { node, at: self.now }
     }
 
     /// Runs until simulated time reaches `deadline` or the queue drains.

@@ -2,16 +2,18 @@
 //!
 //! This crate transcribes the six systems of *"Developing and Refining an
 //! Adaptive Token-Passing Strategy"* into the [`atp_trs`] engine, keeping the
-//! paper's state shapes and rule structure:
+//! paper's state shapes and rule structure. As in the paper, each system is
+//! derived from its predecessor: a rule it keeps is its predecessor's rule,
+//! built by the same function, not a copy.
 //!
-//! | Module | System | Figure | State |
-//! |---|---|---|---|
-//! | [`systems::s`] | S | Fig. 2 | `(Q, H)` |
-//! | [`systems::s1`] | S1 | Fig. 3 | `(Q, H, P)` |
-//! | [`systems::token`] | Token | Fig. 4 | `(Q, H, P, T)` |
-//! | [`systems::mp`] | Message-Passing | Fig. 5 | `(Q, P, T, I, O)` |
-//! | [`systems::search`] | Search | Fig. 6 | `(Q, P, T, I, O, W)` |
-//! | [`systems::binary`] | BinarySearch | Fig. 7 | `(Q, P, T, I, O, W)` |
+//! | Module | System | Figure | State | Rules reused from |
+//! |---|---|---|---|---|
+//! | [`systems::s`] | S | Fig. 2 | `(Q, H)` | — |
+//! | [`systems::s1`] | S1 | Fig. 3 | `(Q, H, P)` | S: 1, 2 |
+//! | [`systems::token`] | Token | Fig. 4 | `(Q, H, P, T)` | S: 1 |
+//! | [`systems::mp`] | Message-Passing | Fig. 5 | `(Q, P, T, I, O)` | S: 1 |
+//! | [`systems::search`] | Search | Fig. 6 | `(Q, P, T, I, O, W)` | S: 1; MP: 2, 3 (as 4), 4 (as 3) |
+//! | [`systems::binary`] | BinarySearch | Fig. 7 | `(Q, P, T, I, O, W)` | S: 1; MP: 2, 3 (as 4), 4 (as 3); Search: 7, initial state |
 //!
 //! and then *machine-checks* the paper's safety claims on small instances by
 //! exhaustive exploration:

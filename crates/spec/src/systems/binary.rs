@@ -16,15 +16,18 @@
 //! instances, along with token uniqueness and the simulation into System
 //! Search.
 
-use atp_trs::{Pat, Rhs, Rule, Subst, Term, Trs};
+use atp_trs::{Pat, Rhs, Rule, Term, Trs};
 
-use super::common::{q_entry_pat, q_entry_reset, rule_request};
-use super::mp::{rule_transfer, I, O, P, Q, T};
-use super::search;
-use crate::terms::{
-    bot, field, minus, msg, p_histories, p_init, plus, prefix_chain_ok, q_init, state_pat,
-    state_rhs,
+use super::common::{
+    append_d, inbox_pat, mail, p_pat, p_rhs, q_entry_keep, q_entry_pat, q_entry_reset,
+    rule_request, To,
 };
+use super::mp::{in_flight, map_messages, rule_receive, rule_send, rule_transfer};
+use super::mp::{I, O, P, Q, T};
+use super::search::{self, rule_grant, searching, trap_insert};
+use crate::terms::{bot, field, minus, p_histories, plus, prefix_chain_ok, state_pat, state_rhs};
+
+pub use super::search::initial;
 
 /// State arity: `(Q, P, T, I, O, W)`.
 pub const ARITY: usize = 6;
@@ -47,113 +50,10 @@ pub fn gim(n: i64, hz: Term, z: Term) -> Term {
     Term::tuple(vec![Term::sym("gim"), Term::int(n), hz, z])
 }
 
-fn is_gim_for(m: &Term, z: &Term) -> bool {
-    m.as_tuple()
-        .map(|t| t.len() == 4 && t[0] == Term::sym("gim") && &t[3] == z)
-        .unwrap_or(false)
-}
-
-fn msgs_contain_gim(bag: &Term, z: &Term) -> bool {
-    bag.as_bag().expect("msgs").iter().any(|entry| {
-        is_gim_for(
-            &entry.as_tuple().expect("msg")[1].as_tuple().expect("msg")[1],
-            z,
-        )
-    })
-}
-
-fn traps_contain(w: &Term, z: &Term) -> bool {
-    w.as_bag()
-        .expect("W")
-        .iter()
-        .any(|entry| &entry.as_tuple().expect("trap")[1] == z)
-}
-
-fn trap_insert(s: &Subst, x: &str, z: &str) -> Term {
-    let entry = Term::tuple(vec![s[x].clone(), s[z].clone()]);
-    if s["W"].as_bag().expect("W").contains(&entry) {
-        s["W"].clone()
-    } else {
-        s["W"].bag_insert(entry)
-    }
-}
-
-/// Rule 3 (receive an undecorated token).
-fn rule_receive() -> Rule {
-    let lhs = state_pat(
-        ARITY,
-        vec![
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::Wild])], "P"),
-            ),
-            (T, Pat::sym("bot")),
-            (
-                I,
-                Pat::bag(
-                    vec![Pat::tuple(vec![
-                        Pat::var("x"),
-                        Pat::tuple(vec![
-                            Pat::Wild,
-                            Pat::tuple(vec![Pat::sym("tok"), Pat::var("Hm")]),
-                        ]),
-                    ])],
-                    "I",
-                ),
-            ),
-        ],
-    );
-    let rhs = state_rhs(
-        ARITY,
-        vec![
-            (
-                P,
-                Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hm")])], "P"),
-            ),
-            (T, Rhs::var("x")),
-            (I, Rhs::var("I")),
-        ],
-    );
-    Rule::new("3:receive", lhs, rhs)
-}
-
-/// Rule 4 (broadcast + rotate): the holder appends its (possibly empty)
-/// pending data and sends the token to `x⁺¹`.
-fn rule_rotate(n: usize) -> Rule {
-    let lhs = state_pat(
-        ARITY,
-        vec![
-            (Q, q_entry_pat()),
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")])], "P"),
-            ),
-            (T, Pat::var("x")),
-            (O, Pat::var("O")),
-        ],
-    );
-    let new_h = |s: &Subst| s["Hx"].append(&s["d"]);
-    let rhs = state_rhs(
-        ARITY,
-        vec![
-            (Q, q_entry_reset()),
-            (
-                P,
-                Rhs::bag(
-                    vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::apply("H⊕d", new_h)])],
-                    "P",
-                ),
-            ),
-            (T, Rhs::sym("bot")),
-            (
-                O,
-                Rhs::apply("O|(x,(x+1,tok))", move |s| {
-                    s["O"].bag_insert(msg(s["x"].clone(), plus(&s["x"], 1, n), tok(new_h(s))))
-                }),
-            ),
-        ],
-    );
-    Rule::new("4:rotate", lhs, rhs)
+/// A message's tag (`tok`, `hat` or `gim`) and the fields after it.
+fn tagged(m: &Term) -> Option<(&str, &[Term])> {
+    let t = m.as_tuple()?;
+    Some((t.first()?.as_sym()?, &t[1..]))
 }
 
 /// Rule 5 (issue a search): mail `(N, H_x, τ_x)` directly across the ring
@@ -163,10 +63,7 @@ fn rule_gimme(n: usize) -> Rule {
         ARITY,
         vec![
             (Q, q_entry_pat()),
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")])], "P"),
-            ),
+            (P, p_pat(&[("x", "Hx")])),
             (I, Pat::var("I")),
             (O, Pat::var("O")),
             (W, Pat::var("W")),
@@ -176,156 +73,69 @@ fn rule_gimme(n: usize) -> Rule {
     let rhs = state_rhs(
         ARITY,
         vec![
-            (
-                Q,
-                Rhs::bag(
-                    vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("d"), Rhs::var("g")])],
-                    "Q",
-                ),
-            ),
-            (
-                P,
-                Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hx")])], "P"),
-            ),
+            (Q, q_entry_keep()),
+            (P, p_rhs(vec![("x", Rhs::var("Hx"))])),
             (I, Rhs::var("I")),
             (
                 O,
-                Rhs::apply("O|(x,(across,gim))", move |s| {
-                    s["O"].bag_insert(msg(
-                        s["x"].clone(),
-                        plus(&s["x"], across, n),
-                        gim(n as i64, s["Hx"].clone(), s["x"].clone()),
-                    ))
+                mail("O|(x,(across,gim))", move |s| {
+                    let to = plus(&s["x"], across, n);
+                    (to, gim(n as i64, s["Hx"].clone(), s["x"].clone()))
                 }),
             ),
-            (W, Rhs::apply("W|(x,x)", |s| trap_insert(s, "x", "x"))),
+            (W, trap_insert("W|(x,x)", |s| s["x"].clone())),
         ],
     );
     Rule::new("5:gimme", lhs, rhs).with_guard(|s| {
-        !s["d"].as_seq().expect("pending").is_empty()
-            && !traps_contain(&s["W"], &s["x"])
-            && !msgs_contain_gim(&s["I"], &s["x"])
-            && !msgs_contain_gim(&s["O"], &s["x"])
+        let own = |m: &Term| matches!(tagged(m), Some(("gim", [_, _, z])) if *z == s["x"]);
+        !s["d"].as_seq().expect("pending").is_empty() && !searching(s, &s["x"], own)
     })
-}
-
-fn gim_lhs() -> Pat {
-    Pat::bag(
-        vec![Pat::tuple(vec![
-            Pat::var("x"),
-            Pat::tuple(vec![
-                Pat::Wild,
-                Pat::tuple(vec![
-                    Pat::sym("gim"),
-                    Pat::var("n"),
-                    Pat::var("Hz"),
-                    Pat::var("z"),
-                ]),
-            ]),
-        ])],
-        "I",
-    )
 }
 
 /// Rule 6 (migrate a search): trap locally and forward `(n/2, H_z, τ_z)` to
 /// `x⁻ⁿ/²` if `H_x ⊂_C H_z`, else `x⁺ⁿ/²`; a range-exhausted search is
 /// absorbed.
 fn rule_forward(n: usize, forward: bool) -> Rule {
+    let m = Pat::tuple(vec![
+        Pat::sym("gim"),
+        Pat::var("n"),
+        Pat::var("Hz"),
+        Pat::var("z"),
+    ]);
     let lhs = state_pat(
         ARITY,
         vec![
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")])], "P"),
-            ),
-            (I, gim_lhs()),
+            (P, p_pat(&[("x", "Hx")])),
+            (I, inbox_pat(Pat::Wild, m)),
             (O, Pat::var("O")),
             (W, Pat::var("W")),
         ],
     );
-    let mut overrides = vec![
-        (
-            P,
-            Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hx")])], "P"),
-        ),
-        (I, Rhs::var("I")),
-        (W, Rhs::apply("W|(x,z)", |s| trap_insert(s, "x", "z"))),
-    ];
-    if !forward {
-        overrides.push((O, Rhs::var("O")));
-    }
-    if forward {
-        overrides.push((
-            O,
-            Rhs::apply("O|(x,(u,gim/2))", move |s| {
-                let half = s["n"].as_int().expect("range") / 2;
-                let u = if s["Hx"].is_prefix_of(&s["Hz"]) {
-                    minus(&s["x"], half, n)
-                } else {
-                    plus(&s["x"], half, n)
-                };
-                s["O"].bag_insert(msg(
-                    s["x"].clone(),
-                    u,
-                    gim(half, s["Hz"].clone(), s["z"].clone()),
-                ))
-            }),
-        ));
-    }
-    let rhs = state_rhs(ARITY, overrides);
-    let rule = Rule::new(if forward { "6:forward" } else { "6:absorb" }, lhs, rhs);
-    if forward {
-        rule.with_guard(|s| s["n"].as_int().expect("range") / 2 >= 1)
+    let out = if forward {
+        mail("O|(x,(u,gim/2))", move |s| {
+            let half = s["n"].as_int().expect("range") / 2;
+            let u = if s["Hx"].is_prefix_of(&s["Hz"]) {
+                minus(&s["x"], half, n)
+            } else {
+                plus(&s["x"], half, n)
+            };
+            (u, gim(half, s["Hz"].clone(), s["z"].clone()))
+        })
     } else {
-        rule.with_guard(|s| s["n"].as_int().expect("range") / 2 < 1)
-    }
-}
-
-/// Rule 7 (grant, decorated): a holder with no pending datum sends the token
-/// to a trapped requester, marked to be returned.
-fn rule_grant() -> Rule {
-    let lhs = state_pat(
-        ARITY,
-        vec![
-            (Q, q_entry_pat()),
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")])], "P"),
-            ),
-            (T, Pat::var("x")),
-            (O, Pat::var("O")),
-            (
-                W,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("z")])], "W"),
-            ),
-        ],
-    );
+        Rhs::var("O")
+    };
     let rhs = state_rhs(
         ARITY,
         vec![
-            (
-                Q,
-                Rhs::bag(
-                    vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("d"), Rhs::var("g")])],
-                    "Q",
-                ),
-            ),
-            (
-                P,
-                Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hx")])], "P"),
-            ),
-            (T, Rhs::sym("bot")),
-            (
-                O,
-                Rhs::apply("O|(x,(ẑ,H))", |s| {
-                    s["O"].bag_insert(msg(s["x"].clone(), s["z"].clone(), hat(s["Hx"].clone())))
-                }),
-            ),
-            (W, Rhs::var("W")),
+            (P, p_rhs(vec![("x", Rhs::var("Hx"))])),
+            (I, Rhs::var("I")),
+            (W, trap_insert("W|(x,z)", |s| s["z"].clone())),
+            (O, out),
         ],
     );
-    Rule::new("7:grant", lhs, rhs)
-        .with_guard(|s| s["d"].as_seq().expect("pending").is_empty())
+    let name = if forward { "6:forward" } else { "6:absorb" };
+    Rule::new(name, lhs, rhs)
+        .with_guard(move |s| (s["n"].as_int().expect("range") / 2 >= 1) == forward)
 }
 
 /// Rule 8 (use and return): the requester receives the decorated token,
@@ -335,45 +145,29 @@ fn rule_use_and_return() -> Rule {
         ARITY,
         vec![
             (Q, q_entry_pat()),
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::Wild])], "P"),
-            ),
+            (P, p_pat(&[("x", "-")])),
             (T, Pat::sym("bot")),
             (
                 I,
-                Pat::bag(
-                    vec![Pat::tuple(vec![
-                        Pat::var("x"),
-                        Pat::tuple(vec![
-                            Pat::var("y"),
-                            Pat::tuple(vec![Pat::sym("hat"), Pat::var("Hm")]),
-                        ]),
-                    ])],
-                    "I",
+                inbox_pat(
+                    Pat::var("y"),
+                    Pat::tuple(vec![Pat::sym("hat"), Pat::var("Hm")]),
                 ),
             ),
             (O, Pat::var("O")),
         ],
     );
-    let new_h = |s: &Subst| s["Hm"].append(&s["d"]);
     let rhs = state_rhs(
         ARITY,
         vec![
             (Q, q_entry_reset()),
-            (
-                P,
-                Rhs::bag(
-                    vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::apply("H⊕d", new_h)])],
-                    "P",
-                ),
-            ),
+            (P, p_rhs(vec![("x", append_d("Hm"))])),
             (T, Rhs::sym("bot")),
             (I, Rhs::var("I")),
             (
                 O,
-                Rhs::apply("O|(x,(y,tok))", move |s| {
-                    s["O"].bag_insert(msg(s["x"].clone(), s["y"].clone(), tok(new_h(s))))
+                mail("O|(x,(y,tok))", |s| {
+                    (s["y"].clone(), tok(s["Hm"].append(&s["d"])))
                 }),
             ),
         ],
@@ -381,30 +175,25 @@ fn rule_use_and_return() -> Rule {
     Rule::new("8:use-and-return", lhs, rhs)
 }
 
-/// The 8 rules of System BinarySearch for a ring of `n` nodes.
+/// The 8 rules of System BinarySearch for a ring of `n` nodes: Search's
+/// rules with the token tagged `tok`, sent only to `x⁺¹` (4) and granted
+/// decorated (7), search messages carrying a range (5, 6), and rule 8.
 pub fn system(n: usize, b: i64) -> Trs {
     Trs::new(vec![
         rule_request(ARITY, b),
         rule_transfer(ARITY),
-        rule_receive(),
-        rule_rotate(n),
+        rule_receive(
+            ARITY,
+            "3:receive",
+            Pat::Wild,
+            Pat::tuple(vec![Pat::sym("tok"), Pat::var("Hm")]),
+        ),
+        rule_send(ARITY, "4:rotate", To::Next(n), tok),
         rule_gimme(n),
         rule_forward(n, true),
         rule_forward(n, false),
-        rule_grant(),
+        rule_grant(Pat::var("z"), hat),
         rule_use_and_return(),
-    ])
-}
-
-/// Initial state: node 0 holds the token.
-pub fn initial(n: usize) -> Term {
-    Term::tuple(vec![
-        q_init(n),
-        p_init(n),
-        Term::int(0),
-        Term::bag(vec![]),
-        Term::bag(vec![]),
-        Term::bag(vec![]),
     ])
 }
 
@@ -412,18 +201,10 @@ pub fn initial(n: usize) -> Term {
 /// the snapshots inside search messages.
 fn all_histories(state: &Term) -> Vec<&Term> {
     let mut out = p_histories(field(state, P));
-    for fi in [I, O] {
-        for entry in field(state, fi).as_bag().expect("msgs") {
-            let m = &entry.as_tuple().expect("msg")[1].as_tuple().expect("msg")[1];
-            if let Some(t) = m.as_tuple() {
-                match t[0].as_sym() {
-                    Some("tok") | Some("hat") => out.push(&t[1]),
-                    Some("gim") => out.push(&t[2]),
-                    _ => {}
-                }
-            }
-        }
-    }
+    out.extend(in_flight(state).filter_map(|m| match tagged(m)? {
+        ("tok" | "hat", [h]) | ("gim", [_, h, _]) => Some(h),
+        _ => None,
+    }));
     out
 }
 
@@ -435,76 +216,38 @@ pub fn prefix_ok(state: &Term) -> bool {
 /// Token uniqueness (counting decorated and undecorated frames).
 pub fn token_unique(state: &Term) -> bool {
     let held = usize::from(field(state, T) != &bot());
-    let mut in_flight = 0;
-    for fi in [I, O] {
-        for entry in field(state, fi).as_bag().expect("msgs") {
-            let m = &entry.as_tuple().expect("msg")[1].as_tuple().expect("msg")[1];
-            if let Some(t) = m.as_tuple() {
-                if matches!(t[0].as_sym(), Some("tok") | Some("hat")) {
-                    in_flight += 1;
-                }
-            }
-        }
-    }
-    held + in_flight == 1
+    let moving = in_flight(state).filter(|m| matches!(tagged(m), Some(("tok" | "hat", _))));
+    held + moving.count() == 1
 }
 
 /// Search ranges never go below 1 (rule 6's halving bottoms out).
 pub fn ranges_positive(state: &Term) -> bool {
-    for fi in [I, O] {
-        for entry in field(state, fi).as_bag().expect("msgs") {
-            let m = &entry.as_tuple().expect("msg")[1].as_tuple().expect("msg")[1];
-            if let Some(t) = m.as_tuple() {
-                if t.len() == 4 && t[0] == Term::sym("gim") && t[1].as_int().unwrap_or(0) < 1 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    !in_flight(state).any(
+        |m| matches!(tagged(m), Some(("gim", [range, _, _])) if range.as_int().unwrap_or(0) < 1),
+    )
 }
 
 /// Refinement map into System Search: strip the range and carried history
 /// from search messages, erase token decorations, flatten traps.
 pub fn to_search(state: &Term) -> Term {
-    let strip_msgs = |fi: usize| {
-        Term::bag(
-            field(state, fi)
-                .as_bag()
-                .expect("msgs")
-                .iter()
-                .map(|entry| {
-                    let parts = entry.as_tuple().expect("msg");
-                    let inner = parts[1].as_tuple().expect("msg");
-                    let m = inner[1].as_tuple().expect("typed message");
-                    let mapped = match m[0].as_sym() {
-                        Some("tok") | Some("hat") => m[1].clone(),
-                        Some("gim") => search::tau(&m[3]),
-                        other => panic!("unknown message kind {other:?}"),
-                    };
-                    msg(parts[0].clone(), inner[0].clone(), mapped)
-                })
-                .collect(),
-        )
+    let strip = |fi: usize| {
+        map_messages(field(state, fi), |m| match tagged(m) {
+            Some(("tok" | "hat", [h])) => Some(h.clone()),
+            Some(("gim", [_, _, z])) => Some(search::tau(z)),
+            other => panic!("unknown message kind {other:?}"),
+        })
     };
-    let w = Term::bag(
-        field(state, W)
-            .as_bag()
-            .expect("W")
-            .iter()
-            .map(|entry| {
-                let t = entry.as_tuple().expect("trap");
-                Term::tuple(vec![t[0].clone(), search::tau(&t[1])])
-            })
-            .collect(),
-    );
+    let w = field(state, W).as_bag().expect("W").iter().map(|entry| {
+        let t = entry.as_tuple().expect("trap");
+        Term::tuple(vec![t[0].clone(), search::tau(&t[1])])
+    });
     Term::tuple(vec![
         field(state, Q).clone(),
         field(state, P).clone(),
         field(state, T).clone(),
-        strip_msgs(I),
-        strip_msgs(O),
-        w,
+        strip(I),
+        strip(O),
+        Term::bag(w.collect()),
     ])
 }
 
@@ -522,8 +265,7 @@ mod tests {
 
     #[test]
     fn theorem_1_prefix_property_holds_everywhere_n2() {
-        let report =
-            check_prefix_everywhere(&system(2, 1), initial(2), prefix_ok, EXHAUSTIVE_CAP);
+        let report = check_prefix_everywhere(&system(2, 1), initial(2), prefix_ok, EXHAUSTIVE_CAP);
         assert!(report.holds(), "violation: {:?}", report.violation);
         assert!(report.states() > 500);
     }
@@ -540,7 +282,10 @@ mod tests {
         let inv = |s: &Term| prefix_ok(s) && token_unique(s) && ranges_positive(s);
         let report = check_prefix_everywhere(&system(3, 1), initial(3), inv, BOUNDED_CAP);
         assert!(report.violation_free(), "violation: {:?}", report.violation);
-        assert!(report.states() >= BOUNDED_CAP, "bounded check should fill the cap");
+        assert!(
+            report.states() >= BOUNDED_CAP,
+            "bounded check should fill the cap"
+        );
     }
 
     #[test]

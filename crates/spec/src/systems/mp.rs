@@ -13,8 +13,12 @@
 
 use atp_trs::{Pat, Rhs, Rule, Term, Trs};
 
-use super::common::{q_entry_pat, q_entry_reset, rule_request};
-use crate::terms::{bot, field, msg, p_histories, p_init, prefix_chain_ok, q_init, state_pat, state_rhs};
+use super::common::{
+    append_d, inbox_pat, mail, p_pat, p_rhs, q_entry_pat, q_entry_reset, rule_request, To,
+};
+use crate::terms::{
+    bot, field, msg, p_histories, p_init, prefix_chain_ok, q_init, state_pat, state_rhs,
+};
 
 /// State arity: `(Q, P, T, I, O)`.
 pub const ARITY: usize = 5;
@@ -63,136 +67,75 @@ pub(crate) fn rule_transfer(arity: usize) -> Rule {
     Rule::new("2:transfer", lhs, rhs)
 }
 
-/// Rule 3 (send to another node `y`): the holder appends its data, updates
-/// its prefix, and mails the new history.
-fn rule_send_other() -> Rule {
+/// Rule 3 (send): the holder appends its data, updates its prefix, and mails
+/// the new history to `y`:
+/// `(Q|(x,d_x), P|(x,H_x), x, −, O) → (Q|(x,φ_x), P|(x,H_x⊕d_x), ⊥, −, O|(x,(y,H_x⊕d_x)))`.
+///
+/// `to` names `y` (a peer for `3:send`, the holder for `3:send-self`) and
+/// `wrap` builds the token message from the history. Search reuses the rule
+/// as its rule 4; BinarySearch's `4:rotate` is it with `y = x⁺¹` and the
+/// message tagged `tok`.
+pub(crate) fn rule_send(arity: usize, name: &str, to: To, wrap: fn(Term) -> Term) -> Rule {
     let lhs = state_pat(
-        ARITY,
+        arity,
         vec![
             (Q, q_entry_pat()),
-            (
-                P,
-                Pat::bag(
-                    vec![
-                        Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")]),
-                        Pat::tuple(vec![Pat::var("y"), Pat::var("Hy")]),
-                    ],
-                    "P",
-                ),
-            ),
+            (P, to.p_pat("Hx")),
             (T, Pat::var("x")),
             (O, Pat::var("O")),
         ],
     );
-    let new_h = |s: &atp_trs::Subst| s["Hx"].append(&s["d"]);
     let rhs = state_rhs(
-        ARITY,
+        arity,
         vec![
             (Q, q_entry_reset()),
-            (
-                P,
-                Rhs::bag(
-                    vec![
-                        Rhs::tuple(vec![Rhs::var("x"), Rhs::apply("H⊕d", new_h)]),
-                        Rhs::tuple(vec![Rhs::var("y"), Rhs::var("Hy")]),
-                    ],
-                    "P",
-                ),
-            ),
+            (P, to.p_rhs(append_d("Hx"))),
             (T, Rhs::sym("bot")),
             (
                 O,
-                Rhs::apply("O|(x,(y,H⊕d))", move |s| {
-                    s["O"].bag_insert(msg(s["x"].clone(), s["y"].clone(), new_h(s)))
+                mail("O|(x,(y,H⊕d))", move |s| {
+                    (to.node(s), wrap(s["Hx"].append(&s["d"])))
                 }),
             ),
         ],
     );
-    Rule::new("3:send", lhs, rhs)
-}
-
-/// Rule 3 with `y = x` (mail the token to oneself).
-fn rule_send_self() -> Rule {
-    let lhs = state_pat(
-        ARITY,
-        vec![
-            (Q, q_entry_pat()),
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")])], "P"),
-            ),
-            (T, Pat::var("x")),
-            (O, Pat::var("O")),
-        ],
-    );
-    let new_h = |s: &atp_trs::Subst| s["Hx"].append(&s["d"]);
-    let rhs = state_rhs(
-        ARITY,
-        vec![
-            (Q, q_entry_reset()),
-            (
-                P,
-                Rhs::bag(
-                    vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::apply("H⊕d", new_h)])],
-                    "P",
-                ),
-            ),
-            (T, Rhs::sym("bot")),
-            (
-                O,
-                Rhs::apply("O|(x,(x,H⊕d))", move |s| {
-                    s["O"].bag_insert(msg(s["x"].clone(), s["x"].clone(), new_h(s)))
-                }),
-            ),
-        ],
-    );
-    Rule::new("3:send-self", lhs, rhs)
+    Rule::new(name, lhs, rhs)
 }
 
 /// Rule 4 (receive): `(−, P|(x,−), ⊥, I|(x,(y,H)), −) → (−, P|(x,H), x, I, −)`.
-fn rule_receive() -> Rule {
+///
+/// `from` and `m` are the patterns of the sender and the message, and `m`
+/// binds the history as `Hm`. Search reuses the rule as its rule 3, guarded
+/// to token messages; BinarySearch's takes only messages tagged `tok`.
+pub(crate) fn rule_receive(arity: usize, name: &str, from: Pat, m: Pat) -> Rule {
     let lhs = state_pat(
-        ARITY,
+        arity,
         vec![
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::Wild])], "P"),
-            ),
+            (P, p_pat(&[("x", "-")])),
             (T, Pat::sym("bot")),
-            (
-                I,
-                Pat::bag(
-                    vec![Pat::tuple(vec![
-                        Pat::var("x"),
-                        Pat::tuple(vec![Pat::var("y"), Pat::var("Hm")]),
-                    ])],
-                    "I",
-                ),
-            ),
+            (I, inbox_pat(from, m)),
         ],
     );
     let rhs = state_rhs(
-        ARITY,
+        arity,
         vec![
-            (
-                P,
-                Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hm")])], "P"),
-            ),
+            (P, p_rhs(vec![("x", Rhs::var("Hm"))])),
             (T, Rhs::var("x")),
             (I, Rhs::var("I")),
         ],
     );
-    Rule::new("4:receive", lhs, rhs)
+    Rule::new(name, lhs, rhs)
 }
 
-/// The rules of System Message-Passing.
+/// The rules of System Message-Passing: S's rule 1, the transfer rule, the
+/// send rule 3 (to a peer or to oneself) and the receive rule 4.
 pub fn system(_n: usize, b: i64) -> Trs {
     Trs::new(vec![
         rule_request(ARITY, b),
         rule_transfer(ARITY),
-        rule_send_other(),
-        rule_send_self(),
-        rule_receive(),
+        rule_send(ARITY, "3:send", To::Peer, |h| h),
+        rule_send(ARITY, "3:send-self", To::Holder, |h| h),
+        rule_receive(ARITY, "4:receive", Pat::var("y"), Pat::var("Hm")),
     ])
 }
 
@@ -207,24 +150,38 @@ pub fn initial(n: usize) -> Term {
     ])
 }
 
-/// Histories carried by the messages of `I` and `O` (all MP messages carry
-/// one).
-fn message_histories(state: &Term) -> Vec<&Term> {
-    let mut out = Vec::new();
-    for fi in [I, O] {
-        for entry in field(state, fi).as_bag().expect("message bag") {
-            let m = &entry.as_tuple().expect("msg")[1].as_tuple().expect("msg")[1];
-            out.push(m);
-        }
-    }
-    out
+/// Every message record `(a, (b, m))` of a message bag, as `(a, b, m)`.
+pub(crate) fn messages(bag: &Term) -> impl Iterator<Item = (&Term, &Term, &Term)> {
+    bag.as_bag().expect("message bag").iter().map(|entry| {
+        let t = entry.as_tuple().expect("msg");
+        let inner = t[1].as_tuple().expect("msg");
+        (&t[0], &inner[0], &inner[1])
+    })
+}
+
+/// The payload of every message in flight, `I` before `O`.
+pub(crate) fn in_flight(state: &Term) -> impl Iterator<Item = &Term> {
+    [I, O]
+        .into_iter()
+        .flat_map(move |fi| messages(field(state, fi)).map(|(_, _, m)| m))
+}
+
+/// A message bag rebuilt with every payload mapped through `f`, dropping
+/// the messages it maps to `None`.
+pub(crate) fn map_messages(bag: &Term, f: impl Fn(&Term) -> Option<Term>) -> Term {
+    Term::bag(
+        messages(bag)
+            .filter_map(|(a, b, m)| f(m).map(|m| msg(a.clone(), b.clone(), m)))
+            .collect(),
+    )
 }
 
 /// The distributed prefix property for MP: all local histories and all
-/// in-flight histories are pairwise prefix-comparable.
+/// in-flight histories (every MP message carries one) are pairwise
+/// prefix-comparable.
 pub fn prefix_ok(state: &Term) -> bool {
     let mut hs = p_histories(field(state, P));
-    hs.extend(message_histories(state));
+    hs.extend(in_flight(state));
     prefix_chain_ok(hs)
 }
 
@@ -232,16 +189,14 @@ pub fn prefix_ok(state: &Term) -> bool {
 /// (one message).
 pub fn token_unique(state: &Term) -> bool {
     let held = usize::from(field(state, T) != &bot());
-    let in_flight = field(state, I).as_bag().expect("I").len()
-        + field(state, O).as_bag().expect("O").len();
-    held + in_flight == 1
+    held + in_flight(state).count() == 1
 }
 
 /// Refinement map into System S1: the global `H` is the longest history
 /// anywhere in the system (local or in flight).
 pub fn to_s1(state: &Term) -> Term {
     let mut hs = p_histories(field(state, P));
-    hs.extend(message_histories(state));
+    hs.extend(in_flight(state));
     let h_glob = hs
         .into_iter()
         .max_by_key(|h| h.as_seq().expect("history").len())

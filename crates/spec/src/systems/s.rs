@@ -14,16 +14,17 @@ use crate::terms::{field, q_init, state_pat, state_rhs};
 /// State arity: `(Q, H)`.
 pub const ARITY: usize = 2;
 
-/// Rule 2: `(Q | (x, d_x), H) → (Q, H ⊕ d_x)`.
-fn rule_broadcast() -> Rule {
-    let lhs = state_pat(ARITY, vec![(0, q_entry_pat()), (1, Pat::var("H"))]);
-    let rhs = state_rhs(ARITY, vec![(0, q_entry_reset()), (1, append_d("H"))]);
+/// Rule 2: `(Q | (x, d_x), H, …) → (Q, H ⊕ d_x, …)`, for any state that
+/// keeps `H` in field 1 (S1 adds `P` after it and reuses the rule).
+pub(crate) fn rule_broadcast(arity: usize) -> Rule {
+    let lhs = state_pat(arity, vec![(0, q_entry_pat()), (1, Pat::var("H"))]);
+    let rhs = state_rhs(arity, vec![(0, q_entry_reset()), (1, append_d("H"))]);
     Rule::new("2:broadcast", lhs, rhs)
 }
 
 /// The rules of System S for `n` nodes, each broadcasting at most `b` times.
 pub fn system(_n: usize, b: i64) -> Trs {
-    Trs::new(vec![rule_request(ARITY, b), rule_broadcast()])
+    Trs::new(vec![rule_request(ARITY, b), rule_broadcast(ARITY)])
 }
 
 /// Initial state: `(||ₓ (x, φₓ), ∅)`.

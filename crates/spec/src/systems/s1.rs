@@ -8,47 +8,30 @@
 
 use atp_trs::{Pat, Rhs, Rule, Term, Trs};
 
-use super::common::{append_d, q_entry_pat, q_entry_reset, rule_request};
+use super::common::{p_pat, p_rhs, rule_request};
+use super::s::rule_broadcast;
 use crate::terms::{field, p_histories, p_init, q_init, state_pat, state_rhs};
 
 /// State arity: `(Q, H, P)`.
 pub const ARITY: usize = 3;
 
-/// Rule 2: `(Q | (x, d_x), H, −) → (Q, H ⊕ d_x, −)`.
-fn rule_broadcast() -> Rule {
-    let lhs = state_pat(ARITY, vec![(0, q_entry_pat()), (1, Pat::var("H"))]);
-    let rhs = state_rhs(ARITY, vec![(0, q_entry_reset()), (1, append_d("H"))]);
-    Rule::new("2:broadcast", lhs, rhs)
-}
-
 /// Rule 3: `(−, H, P | (y, −)) → (−, H, P | (y, H))`.
 fn rule_copy() -> Rule {
-    let lhs = state_pat(
-        ARITY,
-        vec![
-            (1, Pat::var("H")),
-            (
-                2,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("y"), Pat::Wild])], "P"),
-            ),
-        ],
-    );
+    let lhs = state_pat(ARITY, vec![(1, Pat::var("H")), (2, p_pat(&[("y", "-")]))]);
     let rhs = state_rhs(
         ARITY,
-        vec![
-            (1, Rhs::var("H")),
-            (
-                2,
-                Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("y"), Rhs::var("H")])], "P"),
-            ),
-        ],
+        vec![(1, Rhs::var("H")), (2, p_rhs(vec![("y", Rhs::var("H"))]))],
     );
     Rule::new("3:copy", lhs, rhs)
 }
 
-/// The rules of System S1.
+/// The rules of System S1: S's rules 1 and 2 and the copy rule 3.
 pub fn system(_n: usize, b: i64) -> Trs {
-    Trs::new(vec![rule_request(ARITY, b), rule_broadcast(), rule_copy()])
+    Trs::new(vec![
+        rule_request(ARITY, b),
+        rule_broadcast(ARITY),
+        rule_copy(),
+    ])
 }
 
 /// Initial state: `(||ₓ (x, φₓ), ∅, ||ₓ (x, ∅))`.

@@ -21,9 +21,10 @@
 
 use atp_trs::{Pat, Rhs, Rule, Subst, Term, Trs};
 
-use super::common::{q_entry_pat, q_entry_reset, rule_request};
-use super::mp::{rule_transfer, I, O, P, Q, T};
-use crate::terms::{bot, field, msg, p_histories, p_init, prefix_chain_ok, q_init, state_pat, state_rhs};
+use super::common::{inbox_pat, mail, p_pat, p_rhs, q_entry_keep, q_entry_pat, rule_request, To};
+use super::mp::{self, in_flight, map_messages, messages, rule_receive, rule_send, rule_transfer};
+use super::mp::{I, O, P, Q, T};
+use crate::terms::{bot, field, p_histories, prefix_chain_ok, state_pat, state_rhs};
 
 /// State arity: `(Q, P, T, I, O, W)`.
 pub const ARITY: usize = 6;
@@ -36,116 +37,39 @@ pub fn tau(z: &Term) -> Term {
     Term::tuple(vec![Term::sym("tau"), z.clone()])
 }
 
-/// Whether a message bag contains a `τ_z` message.
-fn msgs_contain_tau(bag: &Term, z: &Term) -> bool {
-    bag.as_bag().expect("message bag").iter().any(|entry| {
-        entry.as_tuple().expect("msg")[1].as_tuple().expect("msg")[1] == tau(z)
-    })
-}
-
-/// Whether any node has a trap `(·, τ_z)` set.
-fn traps_contain(w: &Term, z: &Term) -> bool {
+/// Whether any node has set the trap `trap` (`(·, trap)` in `W`).
+pub(crate) fn traps_contain(w: &Term, trap: &Term) -> bool {
     w.as_bag()
         .expect("W bag")
         .iter()
-        .any(|entry| entry.as_tuple().expect("trap")[1] == tau(z))
+        .any(|entry| &entry.as_tuple().expect("trap")[1] == trap)
 }
 
-/// Inserts `(x, τ_z)` into `W` unless already present (trap dedup).
-fn trap_insert(s: &Subst, x: &str, z: &str) -> Term {
-    let entry = Term::tuple(vec![s[x].clone(), tau(&s[z])]);
-    if s["W"].as_bag().expect("W").contains(&entry) {
-        s["W"].clone()
-    } else {
-        s["W"].bag_insert(entry)
-    }
+/// Whether node `x` has a search outstanding (rule 5 keeps at most one):
+/// its own trap `trap` is set, or a message in `I` or `O` is one of its
+/// searches. The rule must bind `W`, `I` and `O` whole.
+pub(crate) fn searching(s: &Subst, trap: &Term, is_own_search: impl Fn(&Term) -> bool) -> bool {
+    traps_contain(&s["W"], trap)
+        || [&s["I"], &s["O"]]
+            .into_iter()
+            .flat_map(messages)
+            .any(|(_, _, m)| is_own_search(m))
 }
 
-/// Rule 3 (receive the token): identical to MP's rule 4 but guarded to token
-/// (history-bearing) messages only.
-fn rule_receive() -> Rule {
-    let lhs = state_pat(
-        ARITY,
-        vec![
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::Wild])], "P"),
-            ),
-            (T, Pat::sym("bot")),
-            (
-                I,
-                Pat::bag(
-                    vec![Pat::tuple(vec![
-                        Pat::var("x"),
-                        Pat::tuple(vec![Pat::var("y"), Pat::var("Hm")]),
-                    ])],
-                    "I",
-                ),
-            ),
-        ],
-    );
-    let rhs = state_rhs(
-        ARITY,
-        vec![
-            (
-                P,
-                Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hm")])], "P"),
-            ),
-            (T, Rhs::var("x")),
-            (I, Rhs::var("I")),
-        ],
-    );
-    Rule::new("3:receive", lhs, rhs).with_guard(|s| matches!(s["Hm"], Term::Seq(_)))
-}
-
-/// Rule 4 (holder broadcasts and sends the token to `y`).
-fn rule_send(self_send: bool) -> Rule {
-    let p_pat = if self_send {
-        Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")])], "P")
-    } else {
-        Pat::bag(
-            vec![
-                Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")]),
-                Pat::tuple(vec![Pat::var("y"), Pat::var("Hy")]),
-            ],
-            "P",
-        )
-    };
-    let lhs = state_pat(
-        ARITY,
-        vec![(Q, q_entry_pat()), (P, p_pat), (T, Pat::var("x")), (O, Pat::var("O"))],
-    );
-    let new_h = |s: &Subst| s["Hx"].append(&s["d"]);
-    let dest = if self_send { "x" } else { "y" };
-    let p_rhs = if self_send {
-        Rhs::bag(
-            vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::apply("H⊕d", new_h)])],
-            "P",
-        )
-    } else {
-        Rhs::bag(
-            vec![
-                Rhs::tuple(vec![Rhs::var("x"), Rhs::apply("H⊕d", new_h)]),
-                Rhs::tuple(vec![Rhs::var("y"), Rhs::var("Hy")]),
-            ],
-            "P",
-        )
-    };
-    let rhs = state_rhs(
-        ARITY,
-        vec![
-            (Q, q_entry_reset()),
-            (P, p_rhs),
-            (T, Rhs::sym("bot")),
-            (
-                O,
-                Rhs::apply("O|(x,(y,H⊕d))", move |s| {
-                    s["O"].bag_insert(msg(s["x"].clone(), s[dest].clone(), new_h(s)))
-                }),
-            ),
-        ],
-    );
-    Rule::new(if self_send { "4:send-self" } else { "4:send" }, lhs, rhs)
+/// `W | (x, trap)`: node `x` sets the trap computed from the match, unless
+/// it is already set (trap dedup). The rule must bind `W`.
+pub(crate) fn trap_insert(
+    name: &str,
+    trap: impl Fn(&Subst) -> Term + Send + Sync + 'static,
+) -> Rhs {
+    Rhs::apply(name, move |s| {
+        let entry = Term::tuple(vec![s["x"].clone(), trap(s)]);
+        if s["W"].as_bag().expect("W").contains(&entry) {
+            s["W"].clone()
+        } else {
+            s["W"].bag_insert(entry)
+        }
+    })
 }
 
 /// Rule 5 (issue a search): a ready node traps itself and mails `τ_x` to
@@ -155,16 +79,7 @@ fn rule_gimme() -> Rule {
         ARITY,
         vec![
             (Q, q_entry_pat()),
-            (
-                P,
-                Pat::bag(
-                    vec![
-                        Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")]),
-                        Pat::tuple(vec![Pat::var("y"), Pat::var("Hy")]),
-                    ],
-                    "P",
-                ),
-            ),
+            (P, p_pat(&[("x", "Hx"), ("y", "Hy")])),
             (I, Pat::var("I")),
             (O, Pat::var("O")),
             (W, Pat::var("W")),
@@ -173,232 +88,140 @@ fn rule_gimme() -> Rule {
     let rhs = state_rhs(
         ARITY,
         vec![
-            (
-                Q,
-                Rhs::bag(
-                    vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("d"), Rhs::var("g")])],
-                    "Q",
-                ),
-            ),
-            (
-                P,
-                Rhs::bag(
-                    vec![
-                        Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hx")]),
-                        Rhs::tuple(vec![Rhs::var("y"), Rhs::var("Hy")]),
-                    ],
-                    "P",
-                ),
-            ),
+            (Q, q_entry_keep()),
+            (P, p_rhs(vec![("x", Rhs::var("Hx")), ("y", Rhs::var("Hy"))])),
             (I, Rhs::var("I")),
-            (
-                O,
-                Rhs::apply("O|(x,(y,τx))", |s| {
-                    s["O"].bag_insert(msg(s["x"].clone(), s["y"].clone(), tau(&s["x"])))
-                }),
-            ),
-            (W, Rhs::apply("W|(x,τx)", |s| trap_insert(s, "x", "x"))),
+            (O, mail("O|(x,(y,τx))", |s| (s["y"].clone(), tau(&s["x"])))),
+            (W, trap_insert("W|(x,τx)", |s| tau(&s["x"]))),
         ],
     );
     Rule::new("5:gimme", lhs, rhs).with_guard(|s| {
-        !s["d"].as_seq().expect("pending").is_empty()
-            && !traps_contain(&s["W"], &s["x"])
-            && !msgs_contain_tau(&s["I"], &s["x"])
-            && !msgs_contain_tau(&s["O"], &s["x"])
+        let own = tau(&s["x"]);
+        !s["d"].as_seq().expect("pending").is_empty() && !searching(s, &own, |m| *m == own)
     })
 }
 
 /// Rule 6 (migrate a search): consume `τ_z`, set the local trap, and either
-/// forward to another node (`forward = true`) or absorb the message.
+/// forward to another node `u` (`forward = true`) or absorb the message.
 fn rule_forward(forward: bool) -> Rule {
-    let p_pat = if forward {
-        Pat::bag(
-            vec![
-                Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")]),
-                Pat::tuple(vec![Pat::var("u"), Pat::var("Hu")]),
-            ],
-            "P",
-        )
+    let entries: &[(&str, &str)] = if forward {
+        &[("x", "Hx"), ("u", "Hu")]
     } else {
-        Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")])], "P")
+        &[("x", "Hx")]
     };
     let lhs = state_pat(
         ARITY,
         vec![
-            (P, p_pat),
+            (P, p_pat(entries)),
             (
                 I,
-                Pat::bag(
-                    vec![Pat::tuple(vec![
-                        Pat::var("x"),
-                        Pat::tuple(vec![
-                            Pat::Wild,
-                            Pat::tuple(vec![Pat::sym("tau"), Pat::var("z")]),
-                        ]),
-                    ])],
-                    "I",
-                ),
+                inbox_pat(Pat::Wild, Pat::tuple(vec![Pat::sym("tau"), Pat::var("z")])),
             ),
             (O, Pat::var("O")),
             (W, Pat::var("W")),
         ],
     );
-    let p_rhs = if forward {
-        Rhs::bag(
-            vec![
-                Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hx")]),
-                Rhs::tuple(vec![Rhs::var("u"), Rhs::var("Hu")]),
-            ],
-            "P",
-        )
+    let out = if forward {
+        mail("O|(x,(u,τz))", |s| (s["u"].clone(), tau(&s["z"])))
     } else {
-        Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hx")])], "P")
+        Rhs::var("O")
     };
-    let mut overrides = vec![
-        (P, p_rhs),
-        (I, Rhs::var("I")),
-        (W, Rhs::apply("W|(x,τz)", |s| trap_insert(s, "x", "z"))),
-    ];
-    overrides.push(if forward {
-        (
-            O,
-            Rhs::apply("O|(x,(u,τz))", |s| {
-                s["O"].bag_insert(msg(s["x"].clone(), s["u"].clone(), tau(&s["z"])))
-            }),
-        )
-    } else {
-        (O, Rhs::var("O"))
-    });
-    let rhs = state_rhs(ARITY, overrides);
+    let rhs = state_rhs(
+        ARITY,
+        vec![
+            (
+                P,
+                p_rhs(entries.iter().map(|&(x, h)| (x, Rhs::var(h))).collect()),
+            ),
+            (I, Rhs::var("I")),
+            (W, trap_insert("W|(x,τz)", |s| tau(&s["z"]))),
+            (O, out),
+        ],
+    );
     Rule::new(if forward { "6:forward" } else { "6:absorb" }, lhs, rhs)
 }
 
 /// Rule 7 (grant): a holder with no pending datum of its own serves a
-/// trapped requester directly.
-fn rule_grant() -> Rule {
+/// requester `z` whose trap it holds (`(x, trap)` in `W`), mailing it the
+/// token wrapped by `wrap`.
+pub(crate) fn rule_grant(trap: Pat, wrap: fn(Term) -> Term) -> Rule {
     let lhs = state_pat(
         ARITY,
         vec![
             (Q, q_entry_pat()),
-            (
-                P,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("Hx")])], "P"),
-            ),
+            (P, p_pat(&[("x", "Hx")])),
             (T, Pat::var("x")),
             (O, Pat::var("O")),
             (
                 W,
-                Pat::bag(
-                    vec![Pat::tuple(vec![
-                        Pat::var("x"),
-                        Pat::tuple(vec![Pat::sym("tau"), Pat::var("z")]),
-                    ])],
-                    "W",
-                ),
+                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), trap])], "W"),
             ),
         ],
     );
     let rhs = state_rhs(
         ARITY,
         vec![
-            (
-                Q,
-                Rhs::bag(
-                    vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("d"), Rhs::var("g")])],
-                    "Q",
-                ),
-            ),
-            (
-                P,
-                Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), Rhs::var("Hx")])], "P"),
-            ),
+            (Q, q_entry_keep()),
+            (P, p_rhs(vec![("x", Rhs::var("Hx"))])),
             (T, Rhs::sym("bot")),
             (
                 O,
-                Rhs::apply("O|(x,(z,H))", |s| {
-                    s["O"].bag_insert(msg(s["x"].clone(), s["z"].clone(), s["Hx"].clone()))
+                mail("O|(x,(z,H))", move |s| {
+                    (s["z"].clone(), wrap(s["Hx"].clone()))
                 }),
             ),
             (W, Rhs::var("W")),
         ],
     );
-    Rule::new("7:grant", lhs, rhs)
-        .with_guard(|s| s["d"].as_seq().expect("pending").is_empty())
+    Rule::new("7:grant", lhs, rhs).with_guard(|s| s["d"].as_seq().expect("pending").is_empty())
 }
 
-/// The rules of System Search.
+/// The rules of System Search: Message-Passing's rules 1–4 (the receive
+/// rule now only takes token messages) and the search rules 5–7.
 pub fn system(_n: usize, b: i64) -> Trs {
     Trs::new(vec![
         rule_request(ARITY, b),
         rule_transfer(ARITY),
-        rule_receive(),
-        rule_send(false),
-        rule_send(true),
+        rule_receive(ARITY, "3:receive", Pat::var("y"), Pat::var("Hm"))
+            .with_guard(|s| is_token(&s["Hm"])),
+        rule_send(ARITY, "4:send", To::Peer, |h| h),
+        rule_send(ARITY, "4:send-self", To::Holder, |h| h),
         rule_gimme(),
         rule_forward(true),
         rule_forward(false),
-        rule_grant(),
+        rule_grant(Pat::tuple(vec![Pat::sym("tau"), Pat::var("z")]), |h| h),
     ])
 }
 
-/// Initial state: node 0 holds the token; no messages, no traps.
+/// Initial state: Message-Passing's, with no traps.
 pub fn initial(n: usize) -> Term {
-    Term::tuple(vec![
-        q_init(n),
-        p_init(n),
-        Term::int(0),
-        Term::bag(vec![]),
-        Term::bag(vec![]),
-        Term::bag(vec![]),
-    ])
+    let mut fields = mp::initial(n).as_tuple().expect("state").to_vec();
+    fields.push(Term::bag(vec![]));
+    Term::tuple(fields)
 }
 
-/// Histories carried by *token* messages (search messages carry none).
-fn token_histories(state: &Term) -> Vec<&Term> {
-    let mut out = Vec::new();
-    for fi in [I, O] {
-        for entry in field(state, fi).as_bag().expect("msgs") {
-            let m = &entry.as_tuple().expect("msg")[1].as_tuple().expect("msg")[1];
-            if matches!(m, Term::Seq(_)) {
-                out.push(m);
-            }
-        }
-    }
-    out
+/// Whether a message is a token (a history; search messages carry none).
+fn is_token(m: &Term) -> bool {
+    matches!(m, Term::Seq(_))
 }
 
 /// Distributed prefix property (local histories + in-flight token).
 pub fn prefix_ok(state: &Term) -> bool {
     let mut hs = p_histories(field(state, P));
-    hs.extend(token_histories(state));
+    hs.extend(in_flight(state).filter(|m| is_token(m)));
     prefix_chain_ok(hs)
 }
 
 /// Token uniqueness: held or exactly one token message in flight.
 pub fn token_unique(state: &Term) -> bool {
     let held = usize::from(field(state, T) != &bot());
-    held + token_histories(state).len() == 1
+    held + in_flight(state).filter(|m| is_token(m)).count() == 1
 }
 
 /// Refinement map into Message-Passing: forget `W` and erase search
 /// messages.
 pub fn to_mp(state: &Term) -> Term {
-    let strip = |fi: usize| {
-        Term::bag(
-            field(state, fi)
-                .as_bag()
-                .expect("msgs")
-                .iter()
-                .filter(|entry| {
-                    matches!(
-                        entry.as_tuple().expect("msg")[1].as_tuple().expect("msg")[1],
-                        Term::Seq(_)
-                    )
-                })
-                .cloned()
-                .collect(),
-        )
-    };
+    let strip = |fi: usize| map_messages(field(state, fi), |m| is_token(m).then(|| m.clone()));
     Term::tuple(vec![
         field(state, Q).clone(),
         field(state, P).clone(),
@@ -423,8 +246,7 @@ mod tests {
 
     #[test]
     fn prefix_property_holds_everywhere_n2() {
-        let report =
-            check_prefix_everywhere(&system(2, 1), initial(2), prefix_ok, EXHAUSTIVE_CAP);
+        let report = check_prefix_everywhere(&system(2, 1), initial(2), prefix_ok, EXHAUSTIVE_CAP);
         assert!(report.holds(), "violation: {:?}", report.violation);
     }
 
@@ -440,7 +262,10 @@ mod tests {
         let inv = |s: &Term| prefix_ok(s) && token_unique(s);
         let report = check_prefix_everywhere(&system(3, 1), initial(3), inv, BOUNDED_CAP);
         assert!(report.violation_free(), "violation: {:?}", report.violation);
-        assert!(report.states() >= BOUNDED_CAP, "bounded check should fill the cap");
+        assert!(
+            report.states() >= BOUNDED_CAP,
+            "bounded check should fill the cap"
+        );
     }
 
     #[test]
@@ -461,9 +286,6 @@ mod tests {
             .any(|s| !field(s, W).as_bag().unwrap().is_empty());
         assert!(trapped, "traps are set");
         // And node 1 (never the initial holder) can end up holding.
-        assert!(graph
-            .states()
-            .iter()
-            .any(|s| field(s, T) == &Term::int(1)));
+        assert!(graph.states().iter().any(|s| field(s, T) == &Term::int(1)));
     }
 }

@@ -8,30 +8,23 @@
 
 use atp_trs::{Pat, Rhs, Rule, Term, Trs};
 
-use super::common::{append_d, q_entry_pat, q_entry_reset, rule_request};
-use crate::terms::{field, p_histories, p_init, q_init, state_pat, state_rhs};
+use super::common::{append_d, q_entry_pat, q_entry_reset, rule_request, To};
+use super::s1;
+use crate::terms::{field, p_init, q_init, state_pat, state_rhs};
 
 /// State arity: `(Q, H, P, T)`.
 pub const ARITY: usize = 4;
 
-/// Rule 2 (pass to another node `y`, bound through its `P` entry):
+/// Rule 2, S1's rules 2 and 3 in one step at the holder, then the token goes
+/// to a peer `y` (`2:broadcast-pass`) or stays (`2:broadcast-keep`):
 /// `(Q|(x,d_x), H, P|(x,−), x) → (Q|(x,φ_x), H⊕d_x, P|(x,H⊕d_x), y)`.
-fn rule_broadcast_pass() -> Rule {
+fn rule_broadcast_and_pass(name: &str, to: To) -> Rule {
     let lhs = state_pat(
         ARITY,
         vec![
             (0, q_entry_pat()),
             (1, Pat::var("H")),
-            (
-                2,
-                Pat::bag(
-                    vec![
-                        Pat::tuple(vec![Pat::var("x"), Pat::Wild]),
-                        Pat::tuple(vec![Pat::var("y"), Pat::var("Hy")]),
-                    ],
-                    "P",
-                ),
-            ),
+            (2, to.p_pat("-")),
             (3, Pat::var("x")), // non-linear: T must equal the Q entry's x
         ],
     );
@@ -40,76 +33,31 @@ fn rule_broadcast_pass() -> Rule {
         vec![
             (0, q_entry_reset()),
             (1, append_d("H")),
-            (
-                2,
-                Rhs::bag(
-                    vec![
-                        Rhs::tuple(vec![Rhs::var("x"), append_d("H")]),
-                        Rhs::tuple(vec![Rhs::var("y"), Rhs::var("Hy")]),
-                    ],
-                    "P",
-                ),
-            ),
-            (3, Rhs::var("y")),
+            (2, to.p_rhs(append_d("H"))),
+            (3, Rhs::apply("to", move |s| to.node(s))),
         ],
     );
-    Rule::new("2:broadcast-pass", lhs, rhs)
+    Rule::new(name, lhs, rhs)
 }
 
-/// Rule 2 with `y = x` (the holder may keep the token).
-fn rule_broadcast_keep() -> Rule {
-    let lhs = state_pat(
-        ARITY,
-        vec![
-            (0, q_entry_pat()),
-            (1, Pat::var("H")),
-            (
-                2,
-                Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::Wild])], "P"),
-            ),
-            (3, Pat::var("x")),
-        ],
-    );
-    let rhs = state_rhs(
-        ARITY,
-        vec![
-            (0, q_entry_reset()),
-            (1, append_d("H")),
-            (
-                2,
-                Rhs::bag(vec![Rhs::tuple(vec![Rhs::var("x"), append_d("H")])], "P"),
-            ),
-            (3, Rhs::var("x")),
-        ],
-    );
-    Rule::new("2:broadcast-keep", lhs, rhs)
-}
-
-/// The rules of System Token.
+/// The rules of System Token: S's rule 1 and the token-guarded rule 2.
 pub fn system(_n: usize, b: i64) -> Trs {
     Trs::new(vec![
         rule_request(ARITY, b),
-        rule_broadcast_pass(),
-        rule_broadcast_keep(),
+        rule_broadcast_and_pass("2:broadcast-pass", To::Peer),
+        rule_broadcast_and_pass("2:broadcast-keep", To::Holder),
     ])
 }
 
 /// Initial state: node 0 holds the token.
 pub fn initial(n: usize) -> Term {
-    Term::tuple(vec![
-        q_init(n),
-        Term::empty_seq(),
-        p_init(n),
-        Term::int(0),
-    ])
+    Term::tuple(vec![q_init(n), Term::empty_seq(), p_init(n), Term::int(0)])
 }
 
-/// Definition 2 for Token: every local history is a prefix of `H`.
+/// Definition 2 for Token: every local history is a prefix of `H` (S1's
+/// check; Token keeps `H` and `P` where S1 has them).
 pub fn prefix_ok(state: &Term) -> bool {
-    let h = field(state, 1);
-    p_histories(field(state, 2))
-        .into_iter()
-        .all(|hx| hx.is_prefix_of(h))
+    s1::prefix_ok(state)
 }
 
 /// The refinement mapping into S1: forget `T`.

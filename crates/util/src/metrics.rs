@@ -123,18 +123,6 @@ impl LogHistogram {
         self.buckets[bucket_index(v)] += 1;
     }
 
-    /// Records `n` occurrences of `v` at once.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.count += n;
-        self.sum += v as u128 * n as u128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.buckets[bucket_index(v)] += n;
-    }
-
     /// Exact merge: afterwards `self` equals a histogram that recorded
     /// both sample streams.
     pub fn merge(&mut self, other: &LogHistogram) {
@@ -276,11 +264,6 @@ impl Registry {
     /// Reads counter `name` (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets gauge `name` to `v`.
-    pub fn gauge_set(&mut self, name: &str, v: i64) {
-        self.gauges.insert(name.to_string(), v);
     }
 
     /// Raises gauge `name` to `v` if `v` is larger (high-water mark).
