@@ -334,6 +334,24 @@ if echo "$DRIVER" | grep -q -F -e 'thread::sleep(' -e 'BTreeMap<(u64, u64)'; the
 fi
 echo "virtual-clock driver: no sleep, one heap"
 
+echo "== link-model anti-fork gate =="
+# A World holds one concrete Latency (constant, uniform or per-link matrix)
+# and one LinkFaults (control drop, loss, duplication). Two plug-in traits
+# that nothing outside atp-net implemented came before them, with a
+# per-class latency and delay/sever faults that nothing injected: fail if a
+# plug-in trait or the per-class latency comes back in non-test code under
+# crates/.
+LINK=$(find crates -name '*.rs' ! -path '*/tests/*' | sort | while read -r f; do
+  awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ": " $0}' "$f"; done \
+  | grep -F -e 'trait LatencyModel' -e 'trait LinkFaultModel' -e 'dyn LatencyModel' \
+    -e 'dyn LinkFaultModel' -e 'ClassLatency' || true)
+if [ -n "$LINK" ]; then
+  echo "a latency or link-fault plug-in is back:" >&2
+  echo "$LINK" >&2
+  exit 1
+fi
+echo "one Latency, one LinkFaults"
+
 echo "== idle cluster smoke =="
 # System Search parks its token, so between requests the reactor is blocked
 # on the door with nothing scheduled: the closed-loop p50 is then what a

@@ -79,8 +79,9 @@ pub struct ProtocolConfig {
     /// Acknowledge and retransmit token-bearing sends (timeout 4 ticks,
     /// doubling to a 64-tick cap, 6 retries). Off by default (the paper's
     /// model delivers token messages reliably); turn on when the world runs
-    /// a [`LinkFaultModel`](atp_net::LinkFaultModel) that can lose or
-    /// duplicate token frames.
+    /// [`LinkFaults`](atp_net::LinkFaults) that lose or duplicate token
+    /// frames ([`loss`](atp_net::LinkFaults::loss),
+    /// [`duplication`](atp_net::LinkFaults::duplication)).
     pub token_acks: bool,
     /// Ticks a ready node waits for a grant before suspecting token loss.
     /// Should exceed one worst-case rotation (≈ `N` message delays) plus

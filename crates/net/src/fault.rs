@@ -1,126 +1,56 @@
-//! The unified link-fault model: loss, duplication, delay and severing.
+//! The link-fault model: control drops, loss and duplication.
 //!
 //! One model covers both of the paper's communication regimes. The
 //! asymmetric regime — cheap control traffic may vanish while
 //! token-bearing traffic is reliable (*"the system remains correct even
 //! if no 'cheap' message is ever sent"*) — is [`LinkFaults::control_drops`].
 //! The hostile regime that breaks the remaining assumption — any class,
-//! token frames included, may be lost, **duplicated** or delayed — is
-//! built with the [`loss`](LinkFaults::loss) /
-//! [`duplication`](LinkFaults::duplication) / [`delay`](LinkFaults::delay)
+//! token frames included, may be lost or **duplicated** — is built with the
+//! [`loss`](LinkFaults::loss) / [`duplication`](LinkFaults::duplication)
 //! builders, and is the adversary the ack/retransmit and
 //! duplicate-suppression machinery in `atp-core` is tested against.
-//! Severed directed links (partition-style hard faults) are
-//! [`LinkFaults::sever`].
+//! Partitions are not link faults: they are scheduled on the world
+//! ([`World::schedule_partition`](crate::World::schedule_partition)).
 //!
 //! ## RNG stream discipline
 //!
 //! Checked-in DST replay tapes depend on the exact per-message draw
-//! order, so [`LinkFaults::apply`] draws in a fixed sequence and *skips*
-//! every draw whose probability is zero:
+//! order, so the world draws each message's fate from its RNG, one draw
+//! per message and fault, in a fixed sequence, and *skips* every draw
+//! whose probability is zero:
 //!
-//! 1. severed-link check — never draws;
-//! 2. control-drop draw (`Control` class only) — if it fires, the
+//! 1. control-drop draw (`Control` class only) — if it fires, the
 //!    message is lost and **no further draws happen** for it;
-//! 3. loss draw, 4. duplication draw, 5. delay draw.
+//! 2. loss draw, 3. duplication draw.
 //!
-//! `LinkFaults::new()` therefore leaves the engine's RNG stream
-//! untouched, byte-identical to [`NoLinkFaults`].
+//! `LinkFaults::new()` therefore leaves the engine's RNG stream untouched.
 
-use atp_util::rng::{Rng, RngCore};
-use std::fmt;
+use atp_util::rng::{Rng, StdRng};
 
 use crate::event::MsgClass;
-use crate::id::NodeId;
 
-/// The fate a [`LinkFaultModel`] assigns to one message in transit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkFault {
-    /// Drop the message entirely (applies to the original copy).
-    pub lose: bool,
-    /// Deliver a second, independently delayed copy of the message.
-    pub duplicate: bool,
-    /// Extra ticks added on top of the latency model's flight time.
-    pub extra_delay: u64,
-}
-
-impl LinkFault {
-    /// No fault: deliver exactly one copy with nominal latency.
-    pub const NONE: LinkFault = LinkFault {
-        lose: false,
-        duplicate: false,
-        extra_delay: 0,
-    };
-
-    /// Plain loss: the message vanishes, nothing else happens.
-    pub const LOST: LinkFault = LinkFault {
-        lose: true,
-        duplicate: false,
-        extra_delay: 0,
-    };
-}
-
-/// Decides, per message, whether the link loses, duplicates or delays it.
-pub trait LinkFaultModel: fmt::Debug + Send {
-    /// Returns the fault applied to the message `from → to` of class `class`.
-    fn apply(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        class: MsgClass,
-        rng: &mut dyn RngCore,
-    ) -> LinkFault;
-
-    /// Whether [`apply`](Self::apply) is a guaranteed no-op that also never
-    /// draws randomness. The engine checks this once at construction and
-    /// skips the per-send virtual call entirely when `true` — which is
-    /// stream-neutral precisely because an inert model draws nothing.
-    /// Defaults to `false` (models must opt in).
-    fn is_inert(&self) -> bool {
-        false
-    }
-}
-
-/// Perfect links: never loses, duplicates or delays. Draws no randomness,
-/// so installing it leaves the engine's RNG stream untouched.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoLinkFaults;
-
-impl LinkFaultModel for NoLinkFaults {
-    fn apply(&mut self, _: NodeId, _: NodeId, _: MsgClass, _: &mut dyn RngCore) -> LinkFault {
-        LinkFault::NONE
-    }
-
-    fn is_inert(&self) -> bool {
-        true
-    }
-}
-
-/// The seeded, composable link-fault model.
+/// The seeded link-fault model of a [`World`](crate::World).
 ///
-/// Combines (in evaluation order) severed directed links, class-asymmetric
-/// control drops, uniform loss, duplication and extra delay; see the
-/// [module docs](self) for the draw-order contract. Every probability
-/// defaults to zero and a zero probability draws nothing, so the default
-/// model is behaviourally *and* RNG-stream identical to [`NoLinkFaults`].
+/// Combines, in draw order, class-asymmetric control drops (a drop ends the
+/// draws for that message), loss and duplication. Replay tapes depend on
+/// that order. Every probability defaults to zero and a zero probability
+/// draws nothing, so the default model faults nothing and leaves the RNG
+/// stream untouched.
 ///
 /// ```rust
 /// use atp_net::LinkFaults;
 /// // The paper's asymmetric regime: 25% of control messages vanish.
 /// let cheap_lossy = LinkFaults::control_drops(0.25);
-/// // A hostile link: every class lost 10%, duplicated 20%, delayed 30%.
-/// let hostile = LinkFaults::new().loss(0.1).duplication(0.2).delay(0.3, 5);
-/// assert!(cheap_lossy.is_active() && hostile.is_active());
-/// assert!(!LinkFaults::new().is_active());
+/// // A hostile link: every class lost 10%, duplicated 20%.
+/// let hostile = LinkFaults::new().loss(0.1).duplication(0.2);
+/// assert_eq!(hostile.loss_p(), 0.1);
+/// assert_ne!(cheap_lossy, LinkFaults::new());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkFaults {
     control_loss_p: f64,
     loss_p: f64,
     dup_p: f64,
-    delay_p: f64,
-    max_extra_delay: u64,
-    severed: Vec<(NodeId, NodeId)>,
 }
 
 fn check_p(p: f64) -> f64 {
@@ -148,19 +78,6 @@ impl LinkFaults {
         Self::new().control_loss(p)
     }
 
-    /// Loses every message, of either class, with probability `p`.
-    ///
-    /// Token messages are part of the "expensive" plane the paper assumes
-    /// arrives correctly (or is resent); this constructor is used to
-    /// *falsify* that assumption in failure-injection tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn uniform(p: f64) -> Self {
-        Self::new().loss(p)
-    }
-
     /// Sets the control-class drop probability (builder form of
     /// [`LinkFaults::control_drops`]).
     ///
@@ -174,6 +91,10 @@ impl LinkFaults {
 
     /// Loses each message (any class) with probability `p`.
     ///
+    /// Token messages are part of the "expensive" plane the paper assumes
+    /// arrives correctly (or is resent); a non-zero `p` *falsifies* that
+    /// assumption in failure-injection tests.
+    ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
@@ -182,7 +103,7 @@ impl LinkFaults {
         self
     }
 
-    /// Duplicates each delivered message with probability `p`.
+    /// Duplicates each message (any class) with probability `p`.
     ///
     /// # Panics
     ///
@@ -190,39 +111,6 @@ impl LinkFaults {
     pub fn duplication(mut self, p: f64) -> Self {
         self.dup_p = check_p(p);
         self
-    }
-
-    /// Delays each message by `1..=max_extra` additional ticks with
-    /// probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn delay(mut self, p: f64, max_extra: u64) -> Self {
-        self.delay_p = check_p(p);
-        self.max_extra_delay = max_extra;
-        self
-    }
-
-    /// Severs the directed link `from → to`: every message on it is lost,
-    /// without consuming randomness.
-    pub fn sever(mut self, from: NodeId, to: NodeId) -> Self {
-        self.severed.push((from, to));
-        self
-    }
-
-    /// Severs both directions between `a` and `b`.
-    pub fn sever_both(self, a: NodeId, b: NodeId) -> Self {
-        self.sever(a, b).sever(b, a)
-    }
-
-    /// Whether this model can ever fault a message.
-    pub fn is_active(&self) -> bool {
-        self.control_loss_p > 0.0
-            || self.loss_p > 0.0
-            || self.dup_p > 0.0
-            || (self.delay_p > 0.0 && self.max_extra_delay > 0)
-            || !self.severed.is_empty()
     }
 
     /// The configured control-class drop probability.
@@ -240,195 +128,107 @@ impl LinkFaults {
         self.dup_p
     }
 
-    /// The configured extra-delay probability.
-    pub fn delay_p(&self) -> f64 {
-        self.delay_p
-    }
-
-    /// The configured maximum extra delay, in ticks.
-    pub fn max_extra_delay(&self) -> u64 {
-        self.max_extra_delay
-    }
-
-    /// The severed directed links.
-    pub fn severed(&self) -> &[(NodeId, NodeId)] {
-        &self.severed
-    }
-}
-
-impl LinkFaultModel for LinkFaults {
-    fn apply(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        class: MsgClass,
-        rng: &mut dyn RngCore,
-    ) -> LinkFault {
-        // Draw order is a compatibility contract — see the module docs.
-        if self.severed.contains(&(from, to)) {
-            return LinkFault::LOST;
-        }
+    /// Decides the fate of one message of class `class`, drawing in the
+    /// order the module docs fix. Returns `(lost, duplicated)`: a
+    /// message both lost and duplicated still flies once.
+    pub(crate) fn apply(&self, class: MsgClass, rng: &mut StdRng) -> (bool, bool) {
         if class == MsgClass::Control
             && self.control_loss_p > 0.0
             && rng.gen_bool(self.control_loss_p)
         {
-            // A control drop ends processing: the loss/dup/delay draws
-            // are skipped so tapes recorded against the former two-model
-            // pipeline (drop model, then fault model) replay unchanged.
-            return LinkFault::LOST;
+            // A control drop ends processing: the loss and duplication
+            // draws are skipped so tapes recorded against the former
+            // two-model pipeline (drop model, then fault model) replay
+            // unchanged.
+            return (true, false);
         }
-        let lose = self.loss_p > 0.0 && rng.gen_bool(self.loss_p);
-        let duplicate = self.dup_p > 0.0 && rng.gen_bool(self.dup_p);
-        let extra_delay =
-            if self.delay_p > 0.0 && self.max_extra_delay > 0 && rng.gen_bool(self.delay_p) {
-                rng.gen_range(1..=self.max_extra_delay)
-            } else {
-                0
-            };
-        LinkFault {
-            lose,
-            duplicate,
-            extra_delay,
-        }
-    }
-
-    fn is_inert(&self) -> bool {
-        // Exactly the inverse of `is_active`: every draw above is guarded
-        // by the same conditions, so an inactive model never faults *and*
-        // never touches the RNG.
-        !self.is_active()
+        let lost = self.loss_p > 0.0 && rng.gen_bool(self.loss_p);
+        let duplicated = self.dup_p > 0.0 && rng.gen_bool(self.dup_p);
+        (lost, duplicated)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atp_util::rng::{SeedableRng, StdRng};
+    use atp_util::rng::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(5)
     }
 
     #[test]
-    fn no_faults_is_identity() {
-        let mut m = NoLinkFaults;
-        let mut r = rng();
-        for class in MsgClass::ALL {
-            assert_eq!(
-                m.apply(NodeId::new(0), NodeId::new(1), class, &mut r),
-                LinkFault::NONE
-            );
-        }
-    }
-
-    #[test]
     fn default_link_faults_draw_nothing() {
         // With all probabilities zero the model must not consume RNG words,
-        // keeping runs byte-identical to a world without the model.
-        let mut m = LinkFaults::new();
+        // keeping runs byte-identical to a world without faults.
+        let m = LinkFaults::new();
         let mut r1 = rng();
         let mut r2 = rng();
         for class in MsgClass::ALL {
             for _ in 0..10 {
-                let f = m.apply(NodeId::new(0), NodeId::new(1), class, &mut r1);
-                assert_eq!(f, LinkFault::NONE);
+                assert_eq!(m.apply(class, &mut r1), (false, false));
             }
         }
-        use atp_util::rng::RngCore as _;
         assert_eq!(r1.next_u64(), r2.next_u64(), "RNG stream was disturbed");
     }
 
     #[test]
     fn control_drops_spare_tokens_and_draw_only_for_control() {
-        let mut m = LinkFaults::control_drops(1.0);
+        let m = LinkFaults::control_drops(1.0);
         let mut r = rng();
         let mut untouched = rng();
         for _ in 0..50 {
             // Token frames pass without consuming a draw...
-            let f = m.apply(NodeId::new(0), NodeId::new(1), MsgClass::Token, &mut r);
-            assert_eq!(f, LinkFault::NONE);
+            assert_eq!(m.apply(MsgClass::Token, &mut r), (false, false));
         }
-        use atp_util::rng::RngCore as _;
         assert_eq!(r.next_u64(), untouched.next_u64(), "token frames drew RNG");
         // ...while every control message is lost.
         for _ in 0..50 {
-            let f = m.apply(NodeId::new(0), NodeId::new(1), MsgClass::Control, &mut r);
-            assert_eq!(f, LinkFault::LOST);
+            assert_eq!(m.apply(MsgClass::Control, &mut r), (true, false));
         }
     }
 
     #[test]
     fn control_drop_skips_remaining_draws() {
-        // When the control drop fires, loss/dup/delay must not draw —
-        // matching the former two-model pipeline where a dropped message
-        // never reached the fault model.
-        let mut with_faults = LinkFaults::control_drops(1.0)
-            .loss(0.5)
-            .duplication(0.5)
-            .delay(0.5, 3);
-        let mut drops_only = LinkFaults::control_drops(1.0);
+        // When the control drop fires, loss/dup must not draw — matching
+        // the former two-model pipeline where a dropped message never
+        // reached the fault model.
+        let with_faults = LinkFaults::control_drops(1.0).loss(0.5).duplication(0.5);
+        let drops_only = LinkFaults::control_drops(1.0);
         let mut r1 = rng();
         let mut r2 = rng();
         for _ in 0..20 {
-            let a = with_faults.apply(NodeId::new(0), NodeId::new(1), MsgClass::Control, &mut r1);
-            let b = drops_only.apply(NodeId::new(0), NodeId::new(1), MsgClass::Control, &mut r2);
+            let a = with_faults.apply(MsgClass::Control, &mut r1);
+            let b = drops_only.apply(MsgClass::Control, &mut r2);
             assert_eq!(a, b);
         }
-        use atp_util::rng::RngCore as _;
         assert_eq!(r1.next_u64(), r2.next_u64(), "extra draws after control drop");
     }
 
     #[test]
-    fn certain_loss_and_duplication_fire() {
-        let mut m = LinkFaults::new().loss(1.0).duplication(1.0).delay(1.0, 4);
-        let mut r = rng();
-        for _ in 0..20 {
-            let f = m.apply(NodeId::new(0), NodeId::new(1), MsgClass::Token, &mut r);
-            assert!(f.lose && f.duplicate);
-            assert!((1..=4).contains(&f.extra_delay));
-        }
-    }
-
-    #[test]
-    fn uniform_loss_hits_both_classes() {
-        let mut m = LinkFaults::uniform(1.0);
+    fn certain_loss_and_duplication_fire_for_both_classes() {
+        let m = LinkFaults::new().loss(1.0).duplication(1.0);
         let mut r = rng();
         for class in MsgClass::ALL {
-            assert!(m.apply(NodeId::new(0), NodeId::new(1), class, &mut r).lose);
+            for _ in 0..20 {
+                assert_eq!(m.apply(class, &mut r), (true, true));
+            }
         }
-    }
-
-    #[test]
-    fn severed_links_block_both_classes_without_drawing() {
-        let mut m = LinkFaults::new().sever_both(NodeId::new(0), NodeId::new(1));
-        let mut r = rng();
-        let mut untouched = rng();
-        assert!(m.apply(NodeId::new(0), NodeId::new(1), MsgClass::Token, &mut r).lose);
-        assert!(m.apply(NodeId::new(1), NodeId::new(0), MsgClass::Control, &mut r).lose);
-        assert!(!m.apply(NodeId::new(0), NodeId::new(2), MsgClass::Token, &mut r).lose);
-        use atp_util::rng::RngCore as _;
-        assert_eq!(r.next_u64(), untouched.next_u64(), "severed check drew RNG");
     }
 
     #[test]
     fn rates_roughly_match() {
-        let mut m = LinkFaults::new().duplication(0.5);
+        let m = LinkFaults::new().duplication(0.5);
         let mut r = rng();
         let dups = (0..2000)
-            .filter(|_| {
-                m.apply(NodeId::new(0), NodeId::new(1), MsgClass::Token, &mut r)
-                    .duplicate
-            })
+            .filter(|_| m.apply(MsgClass::Token, &mut r).1)
             .count();
         assert!((800..1200).contains(&dups), "dups = {dups}");
 
-        let mut m = LinkFaults::control_drops(0.5);
+        let m = LinkFaults::control_drops(0.5);
         let mut r = rng();
         let losses = (0..2000)
-            .filter(|_| {
-                m.apply(NodeId::new(0), NodeId::new(1), MsgClass::Control, &mut r)
-                    .lose
-            })
+            .filter(|_| m.apply(MsgClass::Control, &mut r).0)
             .count();
         assert!((800..1200).contains(&losses), "losses = {losses}");
     }

@@ -1,124 +1,64 @@
-//! Message latency models.
+//! Message latency.
 //!
 //! The paper's performance lemmas assume messages are delivered "within
 //! bounded delays"; one *message delay* is the unit in which responsiveness
-//! is counted. [`ConstantLatency`] with delay 1 is therefore the canonical
-//! model for reproducing Figures 9 and 10; the other models stress the
+//! is counted. [`Latency::Constant`] with delay 1 is therefore the canonical
+//! model for reproducing Figures 9 and 10; the other two stress the
 //! protocols under jitter and heterogeneous links.
 
-use atp_util::rng::{Rng, RngCore};
-use std::fmt;
+use atp_util::rng::{Rng, StdRng};
 
-use crate::event::MsgClass;
 use crate::id::NodeId;
 
-/// Samples the in-flight delay, in ticks, for one message.
+/// How many ticks one message is in flight in a [`World`](crate::World).
 ///
-/// Implementations may be stateful (e.g. per-link congestion) and may use the
-/// world's deterministic RNG. The world adds the sampled delay to the send
-/// time to obtain the delivery time.
-pub trait LatencyModel: fmt::Debug + Send {
-    /// Returns the delay in ticks for a message `from → to` of class `class`.
-    fn sample(&mut self, from: NodeId, to: NodeId, class: MsgClass, rng: &mut dyn RngCore)
-        -> u64;
-
-    /// `Some(d)` when every message takes exactly `d` ticks regardless of
-    /// endpoints, class and randomness. The engine checks this once at
-    /// construction and computes delivery times without the per-send
-    /// virtual call — stream-neutral because such a model draws nothing.
-    /// Defaults to `None` (models must opt in).
-    fn constant_delay(&self) -> Option<u64> {
-        None
-    }
+/// The world checks the value when it is built: a uniform range must satisfy
+/// `lo <= hi` and a matrix must have exactly one row per node.
+#[derive(Debug, Clone)]
+pub enum Latency {
+    /// Every message takes exactly this many ticks; `Constant(1)` is the
+    /// paper's unit delay and the default.
+    Constant(u64),
+    /// Delay drawn uniformly from `lo..=hi` per message, from the world's
+    /// RNG (bounded asynchrony).
+    Uniform {
+        /// Shortest delay, in ticks.
+        lo: u64,
+        /// Longest delay, in ticks.
+        hi: u64,
+    },
+    /// A fixed delay per ordered pair of nodes.
+    PerLink(PerLinkLatency),
 }
 
-/// Every message takes exactly `delay` ticks — the paper's unit-delay model
-/// when `delay == 1`.
-///
-/// ```rust
-/// use atp_net::{ConstantLatency, LatencyModel, MsgClass, NodeId};
-/// use atp_util::rng::{SeedableRng, StdRng};
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let mut m = ConstantLatency::new(1);
-/// let d = m.sample(NodeId::new(0), NodeId::new(1), MsgClass::Token, &mut rng);
-/// assert_eq!(d, 1);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLatency {
-    delay: u64,
-}
-
-impl ConstantLatency {
-    /// Creates the model with the given fixed delay.
-    pub fn new(delay: u64) -> Self {
-        ConstantLatency { delay }
-    }
-}
-
-impl Default for ConstantLatency {
+impl Default for Latency {
     fn default() -> Self {
-        ConstantLatency::new(1)
+        Latency::Constant(1)
     }
 }
 
-impl LatencyModel for ConstantLatency {
-    fn sample(&mut self, _: NodeId, _: NodeId, _: MsgClass, _: &mut dyn RngCore) -> u64 {
-        self.delay
+impl Latency {
+    /// Panics unless this latency can serve a world of `n` nodes.
+    pub(crate) fn check(&self, n: usize) {
+        match self {
+            Latency::Constant(_) => {}
+            Latency::Uniform { lo, hi } => {
+                assert!(lo <= hi, "uniform latency bounds must satisfy lo <= hi")
+            }
+            Latency::PerLink(m) => assert!(
+                m.n == n,
+                "the latency matrix covers {} nodes but the world has {n}",
+                m.n
+            ),
+        }
     }
 
-    fn constant_delay(&self) -> Option<u64> {
-        Some(self.delay)
-    }
-}
-
-/// Delay drawn uniformly from `lo..=hi` per message (bounded asynchrony).
-#[derive(Debug, Clone, Copy)]
-pub struct UniformLatency {
-    lo: u64,
-    hi: u64,
-}
-
-impl UniformLatency {
-    /// Creates the model with inclusive bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn new(lo: u64, hi: u64) -> Self {
-        assert!(lo <= hi, "uniform latency bounds must satisfy lo <= hi");
-        UniformLatency { lo, hi }
-    }
-}
-
-impl LatencyModel for UniformLatency {
-    fn sample(&mut self, _: NodeId, _: NodeId, _: MsgClass, rng: &mut dyn RngCore) -> u64 {
-        rng.gen_range(self.lo..=self.hi)
-    }
-}
-
-/// Different fixed delays for token-bearing and control traffic.
-///
-/// Models deployments where the reliable ("expensive") channel is slower than
-/// the unreliable ("cheap") one — the regime in which the paper's adaptive
-/// search pays off most.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassLatency {
-    token: u64,
-    control: u64,
-}
-
-impl ClassLatency {
-    /// Creates the model from per-class delays.
-    pub fn new(token: u64, control: u64) -> Self {
-        ClassLatency { token, control }
-    }
-}
-
-impl LatencyModel for ClassLatency {
-    fn sample(&mut self, _: NodeId, _: NodeId, class: MsgClass, _: &mut dyn RngCore) -> u64 {
-        match class {
-            MsgClass::Token => self.token,
-            MsgClass::Control => self.control,
+    /// The flight time of one message `from → to`; only `Uniform` draws.
+    pub(crate) fn sample(&self, from: NodeId, to: NodeId, rng: &mut StdRng) -> u64 {
+        match self {
+            Latency::Constant(d) => *d,
+            Latency::Uniform { lo, hi } => rng.gen_range(*lo..=*hi),
+            Latency::PerLink(m) => m.link(from, to),
         }
     }
 }
@@ -151,76 +91,48 @@ impl PerLinkLatency {
     ///
     /// Panics if either id is out of range.
     pub fn link(&self, from: NodeId, to: NodeId) -> u64 {
+        assert!(to.index() < self.n, "node out of range");
         self.matrix[from.index() * self.n + to.index()]
-    }
-}
-
-impl LatencyModel for PerLinkLatency {
-    fn sample(&mut self, from: NodeId, to: NodeId, _: MsgClass, _: &mut dyn RngCore) -> u64 {
-        self.link(from, to)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atp_util::rng::{SeedableRng, StdRng};
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let mut m = ConstantLatency::new(3);
-        let mut r = rng();
-        for _ in 0..10 {
-            assert_eq!(
-                m.sample(NodeId::new(0), NodeId::new(1), MsgClass::Token, &mut r),
-                3
-            );
-        }
-    }
+    use atp_util::rng::SeedableRng;
 
     #[test]
     fn uniform_stays_in_bounds() {
-        let mut m = UniformLatency::new(2, 5);
-        let mut r = rng();
+        let m = Latency::Uniform { lo: 2, hi: 5 };
+        let mut r = StdRng::seed_from_u64(7);
         for _ in 0..100 {
-            let d = m.sample(NodeId::new(0), NodeId::new(1), MsgClass::Control, &mut r);
+            let d = m.sample(NodeId::new(0), NodeId::new(1), &mut r);
             assert!((2..=5).contains(&d));
         }
-    }
-
-    #[test]
-    fn class_latency_distinguishes() {
-        let mut m = ClassLatency::new(10, 1);
-        let mut r = rng();
-        assert_eq!(
-            m.sample(NodeId::new(0), NodeId::new(1), MsgClass::Token, &mut r),
-            10
-        );
-        assert_eq!(
-            m.sample(NodeId::new(0), NodeId::new(1), MsgClass::Control, &mut r),
-            1
-        );
     }
 
     #[test]
     fn per_link_matrix() {
         let m = PerLinkLatency::from_fn(4, |a, b| (a.index() + 10 * b.index()) as u64);
         assert_eq!(m.link(NodeId::new(2), NodeId::new(3)), 32);
-        let mut m = m;
-        let mut r = rng();
+        let mut r = StdRng::seed_from_u64(7);
         assert_eq!(
-            m.sample(NodeId::new(1), NodeId::new(0), MsgClass::Token, &mut r),
+            Latency::PerLink(m).sample(NodeId::new(1), NodeId::new(0), &mut r),
             1
         );
     }
 
     #[test]
+    #[should_panic(expected = "node out of range")]
+    fn per_link_rejects_an_id_past_the_matrix() {
+        // (0, 5) would otherwise read cell (1, 1) of a 4-node matrix.
+        let m = PerLinkLatency::from_fn(4, |_, _| 1);
+        let _ = m.link(NodeId::new(0), NodeId::new(5));
+    }
+
+    #[test]
     #[should_panic(expected = "lo <= hi")]
     fn uniform_rejects_inverted_bounds() {
-        let _ = UniformLatency::new(5, 2);
+        Latency::Uniform { lo: 5, hi: 2 }.check(4);
     }
 }

@@ -10,18 +10,18 @@
 //! performance assuming *bounded communication delays* and negligible local
 //! computation. Both regimes are expressible here:
 //!
-//! * [`LatencyModel`] controls per-message delays (constant, uniform,
-//!   per-class, per-link, …); local rule firings cost zero simulated time,
-//!   matching Section 4's cost model ("zero time with rules that affect only
-//!   the local state … constant time cost with the rules that result in
-//!   message passing").
+//! * [`Latency`] sets per-message delays: constant, uniform `lo..=hi` or a
+//!   per-link matrix. Local rule firings cost zero simulated time, matching
+//!   Section 4's cost model ("zero time with rules that affect only the
+//!   local state … constant time cost with the rules that result in message
+//!   passing").
 //! * [`LinkFaults`] is the single fault surface: "cheap" control messages
 //!   (search requests, probes, hints) may be lost while "expensive"
 //!   token-bearing messages are delivered reliably — the two qualitatively
 //!   different communication modes of the paper's introduction
-//!   ([`LinkFaults::control_drops`]) — or any class may be lost, duplicated,
-//!   delayed, or severed per-link for the hostile regimes the recovery
-//!   machinery is tested against.
+//!   ([`LinkFaults::control_drops`]) — or any class may be lost or
+//!   duplicated for the hostile regimes the recovery machinery is tested
+//!   against.
 //! * [`FailurePlan`] schedules crashes and recoveries so the Section 5
 //!   token-regeneration extension can be exercised.
 //!
@@ -93,10 +93,10 @@ pub use chaos::{ChaosConfig, ChaosCounters, ChaosEndpoint};
 pub use context::Context;
 pub use event::MsgClass;
 pub use failure::{FailureEvent, FailurePlan};
-pub use fault::{LinkFault, LinkFaultModel, LinkFaults, NoLinkFaults};
+pub use fault::LinkFaults;
 pub use harness::{Harness, Outbound, TimerRequest};
 pub use id::{NodeId, Topology};
-pub use latency::{ClassLatency, ConstantLatency, LatencyModel, PerLinkLatency, UniformLatency};
+pub use latency::{Latency, PerLinkLatency};
 pub use node::Node;
 pub use sched::{
     ClassStarve, DeliveryStrategy, Fifo, Lifo, ReadyEvent, ReadyKind, RecordedChoices,

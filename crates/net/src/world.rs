@@ -5,12 +5,12 @@ use std::time::Instant;
 use atp_util::rng::{SeedableRng, StdRng};
 
 use crate::context::{Context, Effect};
-use crate::event::{EventKind, QueuedEvent};
+use crate::event::{EventKind, MsgClass, QueuedEvent};
 use crate::wheel::{SchedStats, TimerWheel};
 use crate::failure::{FailureEvent, FailurePlan};
-use crate::fault::{LinkFaultModel, NoLinkFaults};
+use crate::fault::LinkFaults;
 use crate::id::{NodeId, Topology};
-use crate::latency::{ConstantLatency, LatencyModel};
+use crate::latency::Latency;
 use crate::node::Node;
 use crate::sched::{DeliveryStrategy, ReadyEvent, ReadyKind};
 use crate::stats::NetStats;
@@ -47,37 +47,22 @@ impl WorldProfile {
 /// delay, no losses, no tracing, seed 0.
 ///
 /// ```rust
-/// use atp_net::{WorldConfig, UniformLatency, LinkFaults};
+/// use atp_net::{WorldConfig, Latency, LinkFaults};
 /// let cfg = WorldConfig::default()
 ///     .seed(42)
-///     .latency(UniformLatency::new(1, 3))
+///     .latency(Latency::Uniform { lo: 1, hi: 3 })
 ///     .link_faults(LinkFaults::control_drops(0.25))
 ///     .trace_capacity(1000);
 /// assert_eq!(cfg.seed_value(), 42);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WorldConfig {
     seed: u64,
-    latency: Box<dyn LatencyModel>,
-    link_faults: Box<dyn LinkFaultModel>,
+    latency: Latency,
+    link_faults: LinkFaults,
     trace_capacity: usize,
-    queue_capacity: usize,
     strategy: Option<Box<dyn DeliveryStrategy>>,
     profile: bool,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig {
-            seed: 0,
-            latency: Box::new(ConstantLatency::default()),
-            link_faults: Box::new(NoLinkFaults),
-            trace_capacity: 0,
-            queue_capacity: 0,
-            strategy: None,
-            profile: false,
-        }
-    }
 }
 
 impl WorldConfig {
@@ -92,39 +77,23 @@ impl WorldConfig {
         self.seed
     }
 
-    /// Replaces the latency model.
-    pub fn latency(mut self, model: impl LatencyModel + 'static) -> Self {
-        self.latency = Box::new(model);
+    /// Sets the message latency (`Latency::Constant(1)` by default).
+    pub fn latency(mut self, latency: Latency) -> Self {
+        self.latency = latency;
         self
     }
 
-    /// Replaces the latency model with an already-boxed one.
-    pub fn latency_boxed(mut self, model: Box<dyn LatencyModel>) -> Self {
-        self.latency = model;
-        self
-    }
-
-    /// Replaces the link-fault model (severing, class-asymmetric control
-    /// drops, loss / duplication / delay for any message class, token
-    /// frames included).
-    pub fn link_faults(mut self, model: impl LinkFaultModel + 'static) -> Self {
-        self.link_faults = Box::new(model);
+    /// Sets the link faults: class-asymmetric control drops, and loss and
+    /// duplication of any message class, token frames included. None by
+    /// default.
+    pub fn link_faults(mut self, faults: LinkFaults) -> Self {
+        self.link_faults = faults;
         self
     }
 
     /// Retains the last `capacity` trace events (0 disables tracing).
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Pre-sizes the event queue (0 = a small default based on ring size).
-    ///
-    /// Open-loop drivers that schedule every arrival up front should set
-    /// this (or call [`World::reserve_events`]) so the queue's backing heap
-    /// is allocated once instead of doubling its way up mid-run.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
         self
     }
 
@@ -206,8 +175,8 @@ impl PartitionWindow {
 }
 
 /// A complete simulated distributed system: `N` nodes on a logical ring over
-/// a fully connected network, an event queue, and the pluggable latency /
-/// drop / failure models.
+/// a fully connected network, an event queue, the latency and link-fault
+/// models, and scheduled failures.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
 pub struct World<N: Node> {
@@ -216,15 +185,8 @@ pub struct World<N: Node> {
     queue: TimerWheel<EventKind<N::Msg, N::Ext>>,
     now: SimTime,
     seq: u64,
-    latency: Box<dyn LatencyModel>,
-    link_faults: Box<dyn LinkFaultModel>,
-    /// Cached [`LatencyModel::constant_delay`] — `Some` lets the send path
-    /// skip the latency virtual call (stream-neutral: such models draw
-    /// nothing).
-    const_delay: Option<u64>,
-    /// Cached [`LinkFaultModel::is_inert`] — `true` skips the fault
-    /// virtual call per send (stream-neutral for the same reason).
-    faults_inert: bool,
+    latency: Latency,
+    link_faults: LinkFaults,
     partitions: Vec<PartitionWindow>,
     rng: StdRng,
     stats: NetStats,
@@ -265,17 +227,15 @@ impl<N: Node> World<N> {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is empty.
+    /// Panics if `nodes` is empty, if a uniform latency has `lo > hi`, or if
+    /// a latency matrix does not cover exactly `nodes.len()` nodes.
     pub fn from_nodes(nodes: Vec<N>, config: WorldConfig) -> Self {
         assert!(!nodes.is_empty(), "a world needs at least one node");
+        config.latency.check(nodes.len());
         let topology = Topology::ring(nodes.len());
         // Steady state holds a handful of in-flight events per node (token,
-        // searches, timers); pre-size for that unless told otherwise.
-        let queue_capacity = if config.queue_capacity > 0 {
-            config.queue_capacity
-        } else {
-            4 * nodes.len() + 16
-        };
+        // searches, timers); pre-size for that.
+        let queue_capacity = 4 * nodes.len() + 16;
         World {
             slots: nodes
                 .into_iter()
@@ -289,8 +249,6 @@ impl<N: Node> World<N> {
             queue: TimerWheel::with_capacity(queue_capacity),
             now: SimTime::ZERO,
             seq: 0,
-            const_delay: config.latency.constant_delay(),
-            faults_inert: config.link_faults.is_inert(),
             latency: config.latency,
             link_faults: config.link_faults,
             partitions: Vec::new(),
@@ -589,78 +547,22 @@ impl<N: Node> World<N> {
                         self.trace.push(self.now, TraceKind::Lost { from, to, class });
                         continue;
                     }
-                    // Devirtualized fast path: inert faults + constant
-                    // latency describe the paper's canonical regime, and
-                    // both hooks guarantee no RNG draws are being skipped.
-                    if self.faults_inert {
-                        if let Some(d) = self.const_delay {
-                            let at = self.now.saturating_add(extra_delay + d);
-                            self.push(
-                                at,
-                                EventKind::Deliver {
-                                    from,
-                                    to,
-                                    msg,
-                                    class,
-                                },
-                            );
-                            continue;
-                        }
-                    }
-                    let fault = self.link_faults.apply(from, to, class, &mut self.rng);
-                    if fault.lose {
+                    let (lost, duplicated) = self.link_faults.apply(class, &mut self.rng);
+                    if lost {
                         self.stats.record_dropped(class);
                         self.trace.push(self.now, TraceKind::Lost { from, to, class });
-                        if !fault.duplicate {
-                            continue;
-                        }
-                        // Losing the original while duplicating means exactly
-                        // one (independently delayed) copy still flies.
-                        self.stats.record_duplicated(class);
-                        let flight = self.latency.sample(from, to, class, &mut self.rng);
-                        let at = self
-                            .now
-                            .saturating_add(extra_delay + fault.extra_delay + flight);
-                        self.push(
-                            at,
-                            EventKind::Deliver {
-                                from,
-                                to,
-                                msg,
-                                class,
-                            },
-                        );
-                        continue;
                     }
-                    if fault.duplicate {
+                    if duplicated {
                         self.stats.record_duplicated(class);
-                        let flight = self.latency.sample(from, to, class, &mut self.rng);
-                        let at = self
-                            .now
-                            .saturating_add(extra_delay + fault.extra_delay + flight);
-                        self.push(
-                            at,
-                            EventKind::Deliver {
-                                from,
-                                to,
-                                msg: msg.clone(),
-                                class,
-                            },
-                        );
                     }
-                    let flight = self.latency.sample(from, to, class, &mut self.rng);
-                    let at = self
-                        .now
-                        .saturating_add(extra_delay + fault.extra_delay + flight);
-                    self.push(
-                        at,
-                        EventKind::Deliver {
-                            from,
-                            to,
-                            msg,
-                            class,
-                        },
-                    );
+                    // The duplicate's flight time is drawn before the
+                    // original's; a lost duplicated message flies once.
+                    if duplicated && !lost {
+                        self.post(from, to, msg.clone(), class, extra_delay);
+                    }
+                    if duplicated || !lost {
+                        self.post(from, to, msg, class, extra_delay);
+                    }
                 }
                 Effect::Timer { delay, kind } => {
                     let at = self.now.saturating_add(delay);
@@ -676,6 +578,22 @@ impl<N: Node> World<N> {
             }
         }
         self.effects = effects;
+    }
+
+    /// Puts one copy of a message in flight: samples its flight time and
+    /// schedules its delivery.
+    fn post(&mut self, from: NodeId, to: NodeId, msg: N::Msg, class: MsgClass, extra_delay: u64) {
+        let flight = self.latency.sample(from, to, &mut self.rng);
+        let at = self.now.saturating_add(extra_delay + flight);
+        self.push(
+            at,
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                class,
+            },
+        );
     }
 
     /// Dispatches the single earliest pending event.
@@ -814,9 +732,7 @@ impl<N: Node> World<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MsgClass;
-    use crate::fault::LinkFaults;
-    use crate::latency::UniformLatency;
+    use crate::latency::PerLinkLatency;
 
     /// Echo node: replies "pong" (v+1) to every odd message.
     #[derive(Debug, Default)]
@@ -906,7 +822,7 @@ mod tests {
         let run = |seed: u64| {
             let cfg = WorldConfig::default()
                 .seed(seed)
-                .latency(UniformLatency::new(1, 9))
+                .latency(Latency::Uniform { lo: 1, hi: 9 })
                 .link_faults(LinkFaults::control_drops(0.3));
             let mut w: World<Echo> = World::new(4, cfg);
             for t in 0..50 {
@@ -963,16 +879,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "the latency matrix covers 4 nodes but the world has 6")]
+    fn latency_matrix_must_cover_every_node() {
+        let matrix = PerLinkLatency::from_fn(4, |_, _| 1);
+        let cfg = WorldConfig::default().latency(Latency::PerLink(matrix));
+        let _: World<Echo> = World::new(6, cfg);
+    }
+
+    #[test]
     fn event_queue_is_presized_and_reservable() {
-        let w = world(8);
+        let mut w = world(8);
         assert!(
             w.event_capacity() >= 4 * 8 + 16,
             "default pre-size missing: {}",
             w.event_capacity()
         );
-        let cfg = WorldConfig::default().queue_capacity(1024);
-        let mut w: World<Echo> = World::new(2, cfg);
-        assert!(w.event_capacity() >= 1024);
         w.reserve_events(5000);
         assert!(w.event_capacity() >= 5000);
     }
@@ -1099,7 +1020,6 @@ mod tests {
 
     #[test]
     fn link_faults_duplicate_and_lose() {
-        use crate::fault::LinkFaults;
         let cfg = WorldConfig::default().link_faults(LinkFaults::new().duplication(1.0));
         let mut w: World<Echo> = World::new(2, cfg);
         w.schedule_external(SimTime::ZERO, NodeId::new(0), 2);
@@ -1113,18 +1033,15 @@ mod tests {
         w.run_to_quiescence();
         assert!(w.node(NodeId::new(1)).received.is_empty());
         assert_eq!(w.stats().dropped(MsgClass::Token), 1);
-    }
 
-    #[test]
-    fn link_fault_delay_defers_delivery() {
-        use crate::fault::LinkFaults;
-        let cfg = WorldConfig::default().link_faults(LinkFaults::new().delay(1.0, 3));
-        let mut w: World<Echo> = World::new(2, cfg);
+        // Lost and duplicated: exactly one copy still arrives.
+        let faults = LinkFaults::new().loss(1.0).duplication(1.0);
+        let mut w: World<Echo> = World::new(2, WorldConfig::default().link_faults(faults));
         w.schedule_external(SimTime::ZERO, NodeId::new(0), 2);
         w.run_to_quiescence();
         assert_eq!(w.node(NodeId::new(1)).received, vec![2]);
-        // Constant latency 1 + extra 1..=3 → arrival in 2..=4.
-        assert!(w.now() >= SimTime::from_ticks(2) && w.now() <= SimTime::from_ticks(6));
+        assert_eq!(w.stats().dropped(MsgClass::Token), 1);
+        assert_eq!(w.stats().duplicated(MsgClass::Token), 1);
     }
 
     #[test]

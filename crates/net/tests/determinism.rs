@@ -3,7 +3,7 @@
 //! harness.
 
 use atp_net::{
-    Context, LinkFaults, MsgClass, Node, NodeId, SimTime, UniformLatency, World, WorldConfig,
+    Context, Latency, LinkFaults, MsgClass, Node, NodeId, SimTime, World, WorldConfig,
 };
 use atp_util::check::{Check, Gen};
 use atp_util::rng::Rng;
@@ -73,7 +73,7 @@ type SeenLog = Vec<Vec<(u64, NodeId, u64)>>;
 fn run(s: &Scenario) -> (SeenLog, u64, u64) {
     let cfg = WorldConfig::default()
         .seed(s.seed)
-        .latency(UniformLatency::new(s.jitter.0, s.jitter.1))
+        .latency(Latency::Uniform { lo: s.jitter.0, hi: s.jitter.1 })
         .link_faults(LinkFaults::control_drops(s.drop_p));
     let mut w: World<Gossip> = World::new(s.n, cfg);
     for (t, node, hops) in &s.injections {
@@ -109,7 +109,7 @@ fn message_conservation() {
     Check::new("message_conservation").cases(64).run(scenario, |s| {
         let cfg = WorldConfig::default()
             .seed(s.seed)
-            .latency(UniformLatency::new(s.jitter.0, s.jitter.1))
+            .latency(Latency::Uniform { lo: s.jitter.0, hi: s.jitter.1 })
             .link_faults(LinkFaults::control_drops(s.drop_p));
         let mut w: World<Gossip> = World::new(s.n, cfg);
         for (t, node, hops) in &s.injections {

@@ -42,8 +42,8 @@ use atp_core::{ProtocolConfig, SearchMode, ShardId, TokenEvent, TrapCleanup, Wan
 use std::time::Instant;
 
 use atp_net::{
-    ClassStarve, Fifo, Lifo, LinkFaults, MsgClass, NodeId, RecordedChoices, SeededShuffle,
-    SimTime, StepOutcome, UniformLatency, World, WorldConfig,
+    ClassStarve, Fifo, Latency, Lifo, LinkFaults, MsgClass, NodeId, RecordedChoices, SeededShuffle,
+    SimTime, StepOutcome, World, WorldConfig,
 };
 use atp_util::check::{shrink_tape, Gen};
 use atp_util::json::{self, JsonWriter};
@@ -663,19 +663,19 @@ fn run_case_on<N: ProtocolNode>(
         .map(|s| {
             let mut world_cfg = WorldConfig::default().trace_capacity(trace_capacity);
             if case.latency != (1, 1) {
-                world_cfg = world_cfg.latency(UniformLatency::new(case.latency.0, case.latency.1));
+                let (lo, hi) = case.latency;
+                world_cfg = world_cfg.latency(Latency::Uniform { lo, hi });
             }
             // One unified fault model. Draws at p = 0 are skipped and the
             // control draw comes first, so the RNG stream matches the former
             // two-model pipeline (drop model, then fault model) and
             // checked-in replay tapes keep replaying unchanged.
-            let faults = LinkFaults::new()
-                .control_loss(case.drop_p)
-                .loss(case.link_loss_p)
-                .duplication(case.link_dup_p);
-            if faults.is_active() {
-                world_cfg = world_cfg.link_faults(faults);
-            }
+            world_cfg = world_cfg.link_faults(
+                LinkFaults::new()
+                    .control_loss(case.drop_p)
+                    .loss(case.link_loss_p)
+                    .duplication(case.link_dup_p),
+            );
             let world_cfg = case.strategy.install(world_cfg);
             shard_world(case.n, case.shard_cfg(s), world_cfg, case.world_seed, s)
         })

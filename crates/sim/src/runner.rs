@@ -8,8 +8,8 @@ use atp_core::{
     WireProtocol,
 };
 use atp_net::{
-    FailurePlan, LinkFaults, MsgClass, NodeId, PerLinkLatency, SchedStats, SimTime,
-    StepOutcome, UniformLatency, World, WorldConfig,
+    FailurePlan, Latency, LinkFaults, MsgClass, NodeId, PerLinkLatency, SchedStats, SimTime,
+    StepOutcome, World, WorldConfig,
 };
 use atp_util::json::JsonWriter;
 use atp_util::metrics::Registry;
@@ -145,8 +145,8 @@ pub struct NetProfile {
     /// Optional per-link latency matrix (e.g. geographic RTTs) overriding
     /// the uniform bounds.
     pub matrix: Option<PerLinkLatency>,
-    /// The unified link-fault model: control drops, whole-link
-    /// loss/duplication/delay, severed pairs.
+    /// The unified link-fault model: control drops, whole-link loss and
+    /// duplication.
     pub faults: LinkFaults,
     /// Post-horizon drain window in ticks; `None` uses the canonical
     /// `10 * n + 100`.
@@ -230,10 +230,12 @@ impl NetProfile {
         w.f64(self.faults.loss_p());
         w.key("dup_p");
         w.f64(self.faults.duplication_p());
+        // Link faults never delay or sever; these two keys stay, as
+        // constants, so that every summary keeps its bytes.
         w.key("delay_p");
-        w.f64(self.faults.delay_p());
+        w.f64(0.0);
         w.key("severed_links");
-        w.u64(self.faults.severed().len() as u64);
+        w.u64(0);
         w.key("grace_ticks");
         match self.grace_ticks {
             Some(t) => w.u64(t),
@@ -552,21 +554,18 @@ fn drive<N: ProtocolNode>(
     workload: &mut dyn Workload,
     opts: DriveOptions,
 ) -> (RunSummary, RunArtifacts) {
-    let mut world_cfg = WorldConfig::default()
+    // Unit delay stays `Constant`: a uniform `1..=1` would draw per message.
+    let latency = match (&spec.net.matrix, spec.net.latency) {
+        (Some(matrix), _) => Latency::PerLink(matrix.clone()),
+        (None, (1, 1)) => Latency::Constant(1),
+        (None, (lo, hi)) => Latency::Uniform { lo, hi },
+    };
+    let world_cfg = WorldConfig::default()
         .seed(spec.seed)
         .profile(opts.profile)
-        .trace_capacity(opts.trace_capacity);
-    if let Some(matrix) = &spec.net.matrix {
-        world_cfg = world_cfg.latency_boxed(Box::new(matrix.clone()));
-    } else if spec.net.latency != (1, 1) {
-        world_cfg =
-            world_cfg.latency(UniformLatency::new(spec.net.latency.0, spec.net.latency.1));
-    }
-    // Keep the fault model uninstalled when inactive: the world then draws
-    // nothing per message, preserving the RNG stream of fault-free runs.
-    if spec.net.faults.is_active() {
-        world_cfg = world_cfg.link_faults(spec.net.faults.clone());
-    }
+        .trace_capacity(opts.trace_capacity)
+        .latency(latency)
+        .link_faults(spec.net.faults.clone());
     let nodes = (0..spec.n).map(|_| N::build(spec.cfg)).collect();
     let mut world: World<N> = World::from_nodes(nodes, world_cfg);
     world.apply_failure_plan(&spec.failures);

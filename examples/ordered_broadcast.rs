@@ -12,7 +12,7 @@
 
 use adaptive_token_passing::core::{BinaryNode, ProtocolConfig, TokenNode, Want};
 use adaptive_token_passing::net::{
-    LinkFaults, NodeId, SimTime, UniformLatency, World, WorldConfig,
+    Latency, LinkFaults, NodeId, SimTime, World, WorldConfig,
 };
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         (0..n).map(|_| BinaryNode::new(cfg)).collect(),
         WorldConfig::default()
             .seed(2024)
-            .latency(UniformLatency::new(1, 4))
+            .latency(Latency::Uniform { lo: 1, hi: 4 })
             .link_faults(LinkFaults::control_drops(0.3)),
     );
 

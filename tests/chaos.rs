@@ -7,7 +7,7 @@ use adaptive_token_passing::core::{
     BinaryNode, EventSource, ProtocolConfig, TokenEvent, TokenNode, Want,
 };
 use adaptive_token_passing::net::{
-    LinkFaults, NodeId, SimTime, StepOutcome, UniformLatency, World, WorldConfig,
+    Latency, LinkFaults, NodeId, SimTime, StepOutcome, World, WorldConfig,
 };
 use adaptive_token_passing::util::rng::{Rng, SeedableRng, StdRng};
 
@@ -120,7 +120,7 @@ fn chaos_run_preserves_safety() {
         (0..n).map(|_| BinaryNode::new(cfg)).collect(),
         WorldConfig::default()
             .seed(999)
-            .latency(UniformLatency::new(1, 3))
+            .latency(Latency::Uniform { lo: 1, hi: 3 })
             .link_faults(LinkFaults::control_drops(0.3)),
     );
 
@@ -214,7 +214,7 @@ fn chaos_is_deterministic() {
             (0..8).map(|_| BinaryNode::new(cfg)).collect(),
             WorldConfig::default()
                 .seed(4242)
-                .latency(UniformLatency::new(1, 4))
+                .latency(Latency::Uniform { lo: 1, hi: 4 })
                 .link_faults(LinkFaults::control_drops(0.5)),
         );
         world.schedule_crash(SimTime::from_ticks(30), NodeId::new(0));

@@ -6,7 +6,7 @@ use adaptive_token_passing::core::{
     BinaryNode, EventSource, ProtocolConfig, RingNode, SearchNode, TokenEvent, TokenNode, Want,
 };
 use adaptive_token_passing::net::{
-    LinkFaults, Node, NodeId, SimTime, StepOutcome, UniformLatency, World, WorldConfig,
+    Latency, LinkFaults, Node, NodeId, SimTime, StepOutcome, World, WorldConfig,
 };
 use adaptive_token_passing::util::check::{Check, Gen};
 use adaptive_token_passing::util::rng::Rng;
@@ -65,7 +65,7 @@ fn regression_plan() -> Plan {
 fn world_config(plan: &Plan) -> WorldConfig {
     let mut cfg = WorldConfig::default().seed(plan.seed);
     if plan.jitter {
-        cfg = cfg.latency(UniformLatency::new(1, 3));
+        cfg = cfg.latency(Latency::Uniform { lo: 1, hi: 3 });
     }
     if plan.drop_p > 0.0 {
         cfg = cfg.link_faults(LinkFaults::control_drops(plan.drop_p));
