@@ -10,38 +10,21 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+# No step may rewrite a committed file: the last step compares the tree's
+# status with this one.
+STATUS_BEFORE=$(git status --porcelain)
+
 echo "== build (release) =="
 cargo build --release
 
 echo "== tests =="
-cargo test -q
+# Every package's tests: the root package alone holds under a fifth of them.
+cargo test -q --workspace
 
-echo "== bench smoke =="
-BENCH_LOG=$(mktemp)
-cargo bench -q -p atp-bench --benches -- --smoke | tee "$BENCH_LOG"
+echo "== figures smoke =="
 # The paper's figures and tables are not benchmarks: every one of them at
 # quick scale, each under its header.
 cargo run -q --release -p atp-sim --bin atp -- all --quick
-
-echo "== sweep bench artifact =="
-# The sweep suite's JSON lines become the gate artifact for the parallel
-# executor's perf numbers.
-# Rows that carry a "session" key are a recorded before/after comparison
-# (two builds measured back to back, see EXPERIMENTS.md §"Scaling to 100k
-# nodes"); this run did not measure them, so it keeps them as they are.
-KEPT=$(mktemp)
-grep '"session":' BENCH_sweep.json > "$KEPT" || true
-grep '^{"suite":"sweep"' "$BENCH_LOG" | cat - "$KEPT" > BENCH_sweep.json
-rm -f "$BENCH_LOG" "$KEPT"
-test -s BENCH_sweep.json
-# The artifact must carry the scheduler microbenches (wheel vs heap churn)
-# and the large-N scaling table, smallest and largest point.
-grep -q '"name":"sched_wheel_churn_1k_pending"' BENCH_sweep.json
-grep -q '"name":"sched_heap_churn_100k_pending"' BENCH_sweep.json
-grep -q '^{"suite":"sweep","name":"fig9_large_binary_n10000"' BENCH_sweep.json
-grep -q '^{"suite":"sweep","name":"fig9_large_binary_n100000"' BENCH_sweep.json
-grep -q '"name":"fig_shards_quick"' BENCH_sweep.json
-echo "wrote BENCH_sweep.json ($(wc -l < BENCH_sweep.json) entries)"
 
 echo "== parallel determinism smoke =="
 # The same quick sweep at 1 and 4 workers must print byte-identical tables.
@@ -377,6 +360,25 @@ for PROTO in search naimi; do
   echo "idle $PROTO p50 ${IDLE_P50} ms, token bytes max ${TOKEN_MAX} B"
 done
 
+echo "== one benchmark gate =="
+# atpbench (below) is the one benchmark. A second harness came before it: a
+# bench crate on a micro-bench module in atp-util, switched by ATP_PROFILE and
+# ATP_BENCH_SMOKE, whose output nothing read but a JSON file this script
+# rewrote on every run. Fail if a bench target, that module or either switch
+# comes back under crates/.
+BENCHES=$(find crates -name Cargo.toml -exec grep -l '^[[:space:]]*\[\[bench\]\]' {} + || true)
+BENCH_DIRS=$(find crates -type d -name benches)
+NONTEST=$(find crates -name '*.rs' ! -path '*/tests/*' | sort | while read -r f; do
+  awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ": " $0}' "$f"; done)
+BENCH_MOD=$(echo "$NONTEST" | grep '^crates/util/src/' | grep -E '\bmod bench\b' || true)
+SWITCHES=$(echo "$NONTEST" | grep -F -e ATP_PROFILE -e ATP_BENCH_SMOKE || true)
+if [ -n "$BENCHES$BENCH_DIRS$BENCH_MOD$SWITCHES" ]; then
+  echo "a second benchmark is back:" >&2
+  for X in "$BENCHES" "$BENCH_DIRS" "$BENCH_MOD" "$SWITCHES"; do [ -z "$X" ] || echo "$X" >&2; done
+  exit 1
+fi
+echo "one benchmark: atpbench"
+
 echo "== benchmark self-test =="
 # atpbench is a package of its own (not a workspace member) that implements
 # Node, EventSource, WireProtocol, ProtocolNode, Transport and Endpoint for
@@ -392,12 +394,23 @@ BAD=$(cargo tree --workspace --edges normal,build,dev --prefix none \
   | sed 's/ (\*)$//' \
   | awk 'NF { print $1 }' \
   | sort -u \
-  | grep -v -E '^(atp-(util|trs|spec|net|core|sim|bench)|adaptive-token-passing)$' || true)
+  | grep -v -E '^(atp-(util|trs|spec|net|core|sim)|adaptive-token-passing)$' || true)
 if [ -n "$BAD" ]; then
   echo "non-workspace dependencies found:" >&2
   echo "$BAD" >&2
   exit 1
 fi
 echo "dependency closure is workspace-local"
+
+echo "== tree unchanged =="
+# A step that writes a committed file (or leaves an unignored one behind)
+# would make every run a diff to restore by hand.
+STATUS_AFTER=$(git status --porcelain)
+if [ "$STATUS_AFTER" != "$STATUS_BEFORE" ]; then
+  echo "this run changed the tree:" >&2
+  diff <(echo "$STATUS_BEFORE") <(echo "$STATUS_AFTER") >&2 || true
+  exit 1
+fi
+echo "git status reads as it did before the run"
 
 echo "== ci green =="

@@ -31,7 +31,8 @@
 //! moment their instant drains and their capacity is reused by later
 //! instants that hash to the same slot. [`SchedStats`] reports how many
 //! entry-bytes were served from retained capacity versus fresh allocation,
-//! alongside the cascade counters, for `ATP_PROFILE` attribution.
+//! alongside the cascade counters; `atpbench` reports the cascades as
+//! `world.cascades_per_kevent`.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -68,8 +69,9 @@ impl<T> Ord for OverflowEntry<T> {
     }
 }
 
-/// Scheduler-internal counters, exposed through `ATP_PROFILE` so queue
-/// regressions stay attributable. Monotone over the wheel's lifetime.
+/// Scheduler-internal counters, exposed through
+/// [`World::sched_stats`](crate::World::sched_stats) so queue regressions
+/// stay attributable. Monotone over the wheel's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Promotion sweeps that moved at least one entry out of the overflow

@@ -347,7 +347,7 @@ impl<N: Node> World<N> {
     /// Scheduler-internal counters: wheel cascades, overflow promotions,
     /// slot-arena bytes reused vs. allocated. Always collected (they are
     /// plain integer adds on paths that already touch the counters' cache
-    /// lines); surfaced through `ATP_PROFILE` by drivers.
+    /// lines); `RunProfile::sched` carries them to `atpbench`.
     pub fn sched_stats(&self) -> SchedStats {
         *self.queue.stats()
     }

@@ -39,7 +39,6 @@
 use std::collections::VecDeque;
 
 use atp_core::{ProtocolConfig, SearchMode, ShardId, TokenEvent, TrapCleanup, Want};
-use std::time::Instant;
 
 use atp_net::{
     ClassStarve, Fifo, Latency, Lifo, LinkFaults, MsgClass, NodeId, RecordedChoices, SeededShuffle,
@@ -481,10 +480,6 @@ pub struct CaseStats {
     pub grants: u64,
     /// Oracle evaluations performed (one per dispatched event).
     pub oracle_checks: u64,
-    /// Wall-clock nanoseconds spent inside oracle evaluation, measured
-    /// only when `ATP_PROFILE` is set (0 otherwise). Never enters compared
-    /// artifacts — stderr reporting only.
-    pub oracle_ns: u64,
 }
 
 /// Runs one case under its adversary, checking every oracle after every
@@ -746,7 +741,6 @@ fn drive_case<N: ProtocolNode>(
     let mut pending: Vec<Vec<VecDeque<SimTime>>> = vec![vec![VecDeque::new(); case.n]; k];
     let mut stats = CaseStats::default();
     let mut drained: Vec<TokenEvent> = Vec::new();
-    let profile = std::env::var_os("ATP_PROFILE").is_some_and(|v| v != "0");
 
     while let Some((_, s)) = earliest_world(worlds) {
         let world = &mut worlds[s];
@@ -761,7 +755,6 @@ fn drive_case<N: ProtocolNode>(
             StepOutcome::Dispatched { node, at } => {
                 let queue = &mut pending[s][node.index()];
                 drain_events(world, node, queue, &mut drained, &mut stats.grants);
-                let oracle_t0 = profile.then(Instant::now);
                 check_state_oracles(world, scopes[s], at).map_err(|v| in_shard(s, v))?;
                 if scopes[s].live {
                     // The oldest outstanding request anywhere in the shard
@@ -783,9 +776,6 @@ fn drive_case<N: ProtocolNode>(
                     }
                 }
                 stats.oracle_checks += 1;
-                if let Some(t0) = oracle_t0 {
-                    stats.oracle_ns += t0.elapsed().as_nanos() as u64;
-                }
                 if at > deadline {
                     break;
                 }
@@ -802,16 +792,12 @@ fn drive_case<N: ProtocolNode>(
                 drain_events(world, id, queue, &mut drained, &mut stats.grants);
             }
         }
-        let oracle_t0 = profile.then(Instant::now);
         check_state_oracles(world, scopes[s], world.now()).map_err(|v| in_shard(s, v))?;
         if scopes[s].live {
             let remaining: u64 = pending[s].iter().map(|q| q.len() as u64).sum();
             if remaining > 0 {
                 return Err(in_shard(s, Violation::Unserved { remaining }));
             }
-        }
-        if let Some(t0) = oracle_t0 {
-            stats.oracle_ns += t0.elapsed().as_nanos() as u64;
         }
     }
     Ok(stats)
@@ -991,7 +977,6 @@ impl Explorer {
         };
         let mut sm = SplitMix64::new(self.base_seed ^ space_salt ^ fnv1a(self.protocol.label()));
         let mut oracle_checks = 0u64;
-        let mut oracle_ns = 0u64;
         let mut ran = 0u32;
         let mut attempts = 0u32;
         let max_attempts = budget.saturating_mul(8).max(budget);
@@ -1005,10 +990,7 @@ impl Explorer {
             }
             ran += 1;
             match run_case(&case) {
-                Ok(stats) => {
-                    oracle_checks += stats.oracle_checks;
-                    oracle_ns += stats.oracle_ns;
-                }
+                Ok(stats) => oracle_checks += stats.oracle_checks,
                 Err(first) => {
                     let tape = g.tape().to_vec();
                     return ExploreOutcome::Found(Box::new(self.minimize(
@@ -1016,16 +998,6 @@ impl Explorer {
                     )));
                 }
             }
-        }
-        // Wall-clock is stderr-only (ATP_PROFILE), never part of the
-        // outcome — exploration results stay comparable across machines.
-        if oracle_ns > 0 {
-            eprintln!(
-                "dst {} explore: {:.1} ms oracle wall over {} checks",
-                self.protocol.label(),
-                oracle_ns as f64 / 1e6,
-                oracle_checks
-            );
         }
         ExploreOutcome::Clean {
             cases: ran,

@@ -63,7 +63,7 @@ pub use runner::{
 };
 pub use shard::{KeyDist, ShardPlaneSpec, ShardSummary};
 pub use span::{RequestSpan, SpanCollector, SpanReport};
-pub use sweep::{run_points, run_points_profiled, PointSpec, WorkloadSpec};
+pub use sweep::{run_points, PointSpec, WorkloadSpec};
 pub use workload::{
     Arrival, Bursty, GlobalPoisson, HogAndWaiter, Hotspot, PerNodePoisson, Saturated, SingleShot,
     Workload,
@@ -86,7 +86,7 @@ pub mod prelude {
     };
     pub use crate::shard::{KeyDist, ShardPlaneSpec, ShardSummary};
     pub use crate::span::{RequestSpan, SpanCollector, SpanReport};
-    pub use crate::sweep::{run_points, run_points_profiled, PointSpec, WorkloadSpec};
+    pub use crate::sweep::{run_points, PointSpec, WorkloadSpec};
     pub use crate::workload::{
         Arrival, Bursty, GlobalPoisson, HogAndWaiter, Hotspot, PerNodePoisson, Saturated,
         SingleShot, Workload,

@@ -417,7 +417,7 @@ impl RunSummary {
 }
 
 /// Wall-clock phase breakdown of one run's drive loop. Observability
-/// only: it is reported on stderr / into bench artifacts and never enters
+/// only: `atpbench` reads it into its per-layer table, and it never enters
 /// a compared artifact, since wall time is nondeterministic.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunProfile {
@@ -444,22 +444,6 @@ impl RunProfile {
         self.drain_ns += other.drain_ns;
         self.steps += other.steps;
         self.sched.merge(&other.sched);
-    }
-
-    /// One-line human-readable rendering for stderr.
-    pub fn line(&self) -> String {
-        format!(
-            "profile: {} steps, pop {:.3}s, deliver {:.3}s, drain {:.3}s, \
-             sched {} cascades / {} promotions, arena {}B reused / {}B alloc",
-            self.steps,
-            self.pop_ns as f64 / 1e9,
-            self.deliver_ns as f64 / 1e9,
-            self.drain_ns as f64 / 1e9,
-            self.sched.cascades,
-            self.sched.overflow_promotions,
-            self.sched.arena_bytes_reused,
-            self.sched.arena_bytes_allocated,
-        )
     }
 }
 

@@ -21,9 +21,7 @@
 use atp_net::{NodeId, PerLinkLatency, SimTime};
 use atp_util::pool;
 
-use crate::runner::{
-    run_experiment, run_experiment_profiled, ExperimentSpec, RunProfile, RunSummary,
-};
+use crate::runner::{run_experiment, ExperimentSpec, RunSummary};
 use crate::workload::{
     Bursty, GlobalPoisson, HogAndWaiter, Hotspot, PerNodePoisson, Saturated, SingleShot, Workload,
 };
@@ -148,44 +146,13 @@ impl PointSpec {
         let mut wl = self.workload.build();
         run_experiment(&self.spec, wl.as_mut())
     }
-
-    /// Runs this point with wall-clock phase profiling on.
-    pub fn run_profiled(&self) -> (RunSummary, RunProfile) {
-        let mut wl = self.workload.build();
-        run_experiment_profiled(&self.spec, wl.as_mut())
-    }
 }
 
 /// Runs every point of the sweep, fanned out over the thread pool, and
 /// returns the summaries **in input order** — byte-identical at any thread
 /// count.
-///
-/// Setting `ATP_PROFILE=1` additionally measures each run's wall-clock
-/// phase breakdown and prints the aggregate to stderr; the returned
-/// summaries are unaffected (wall time never enters compared artifacts).
 pub fn run_points(points: &[PointSpec]) -> Vec<RunSummary> {
-    if std::env::var_os("ATP_PROFILE").is_some_and(|v| v != "0") {
-        let (summaries, profile) = run_points_profiled(points);
-        eprintln!("sweep {} points, {}", points.len(), profile.line());
-        return summaries;
-    }
     pool::par_map(points, PointSpec::run)
-}
-
-/// Runs the sweep with per-run wall-clock profiling and returns the
-/// summaries (input order, deterministic) together with the merged phase
-/// profile (wall-clock — nondeterministic, never compare it).
-pub fn run_points_profiled(points: &[PointSpec]) -> (Vec<RunSummary>, RunProfile) {
-    let results = pool::par_map(points, PointSpec::run_profiled);
-    let mut profile = RunProfile::default();
-    let summaries = results
-        .into_iter()
-        .map(|(summary, p)| {
-            profile.merge(&p);
-            summary
-        })
-        .collect();
-    (summaries, profile)
 }
 
 #[cfg(test)]

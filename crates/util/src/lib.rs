@@ -18,8 +18,6 @@
 //!   replay and tape-based shrinking, API-close enough to `proptest`
 //!   that the safety suites (prefix property, codec round-trips, TRS
 //!   laws) ported over mechanically.
-//! * [`bench`] — a micro-benchmark harness (warmup, timed iterations,
-//!   median/MAD, JSON output, `--smoke` mode) replacing `criterion`.
 //! * [`metrics`] — deterministic observability primitives: counters,
 //!   gauges and HDR-style log-bucketed histograms with *exact merge*,
 //!   collected in a name-sorted [`metrics::Registry`] so parallel sweep
@@ -35,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod buf;
 pub mod check;
 pub mod dist;
