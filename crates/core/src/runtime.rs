@@ -51,10 +51,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use atp_net::{
-    ChanTransport, CloseReport, Endpoint, Harness, MsgClass, NodeId, SimTime, TimerRequest,
-    Topology, Transport,
+    ChanTransport, CloseReport, Endpoint, Harness, NodeId, SimTime, TimerRequest, Topology,
+    Transport,
 };
-use atp_util::rng::{Rng, SeedableRng, StdRng};
 
 use crate::binary::BinaryNode;
 use crate::codec::{decode_shard_frame, encode_shard_frame};
@@ -77,10 +76,6 @@ pub struct ClusterConfig {
     pub tick: Duration,
     /// RNG seed base (node `i` uses `seed + i`).
     pub seed: u64,
-    /// Probability of dropping each cheap (control-class) frame before it
-    /// leaves the sender — models an unreliable datagram path for the
-    /// paper's "cheap" messages while token frames stay reliable.
-    pub control_drop_p: f64,
 }
 
 impl ClusterConfig {
@@ -93,7 +88,6 @@ impl ClusterConfig {
                 .with_max_idle_pass_ticks(64),
             tick: Duration::from_millis(1),
             seed: 0,
-            control_drop_p: 0.0,
         }
     }
 
@@ -112,17 +106,6 @@ impl ClusterConfig {
     /// Overrides the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the cheap-channel loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_control_drop(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.control_drop_p = p;
         self
     }
 }
@@ -240,9 +223,6 @@ impl<Ev> Runtime<Ev> {
         let reactor = std::thread::spawn(move || {
             let reactor = Reactor::<P, _, H> {
                 harnesses: (0..n).map(build).collect(),
-                drop_rngs: (0..n)
-                    .map(|v| StdRng::seed_from_u64(seed(v) ^ 0xD0D0_CACA))
-                    .collect(),
                 config,
                 start: Instant::now(),
                 endpoints,
@@ -673,7 +653,6 @@ struct Reactor<P: WireProtocol, E, H: Plane> {
     endpoints: Vec<E>,
     /// One protocol instance per shard.
     harnesses: Vec<Vec<Harness<P>>>,
-    drop_rngs: Vec<StdRng>,
     /// Frames staged to the endpoint and not yet taken back.
     owed: Vec<u64>,
     /// Owed frames written off against the losses the endpoints reported.
@@ -822,7 +801,7 @@ impl<P: WireProtocol, E: Endpoint, H: Plane> Reactor<P, E, H> {
     /// the `Granted` its token frame causes.
     fn collect(&mut self, v: usize) {
         let n = self.endpoints.len();
-        let (tick, drop_p) = (self.config.tick, self.config.control_drop_p);
+        let tick = self.config.tick;
         let mut schedule = |ticks: u64, what: Due| {
             self.seq += 1;
             self.heap.push(Reverse(DueEntry {
@@ -842,12 +821,6 @@ impl<P: WireProtocol, E: Endpoint, H: Plane> Reactor<P, E, H> {
                 self.events.push(H::event(shard, NodeId::new(v as u32), ev));
             }
             for ob in harness.take_outbound() {
-                if drop_p > 0.0
-                    && ob.class == MsgClass::Control
-                    && self.drop_rngs[v].gen_bool(drop_p)
-                {
-                    continue; // the cheap channel lost it
-                }
                 let frame = H::wrap(shard, P::encode_msg(&ob.msg));
                 if ob.hold == 0 {
                     self.endpoints[v].stage(ob.to, &frame);
@@ -917,19 +890,6 @@ mod tests {
         assert_eq!(granted, [true; 4]);
         let grants = cluster.grants();
         assert_eq!(grants.iter().sum::<u64>(), 4);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn cluster_survives_total_cheap_loss() {
-        // All search traffic lost: the rotating token still serves.
-        let cluster: Cluster = Cluster::start(
-            ClusterConfig::new(3)
-                .with_tick(Duration::from_micros(200))
-                .with_control_drop(1.0),
-        );
-        cluster.request(NodeId::new(2), 9);
-        assert!(cluster.await_grant(NodeId::new(2), Duration::from_secs(15)));
         cluster.shutdown();
     }
 

@@ -11,9 +11,7 @@
 //!   [`FrameError::BadChecksum`], never as a silently garbled decode;
 //! * **truncation** — the CRC trailer is cut short (tail loss on the wire);
 //! * **mid-frame disconnect** — the stream is cut inside the payload, the
-//!   byte pattern a peer dying mid-`write` produces;
-//! * **stall** — the next flush sleeps briefly, adding real wall-clock
-//!   latency without touching the byte stream.
+//!   byte pattern a peer dying mid-`write` produces.
 //!
 //! On receive the wrapper re-parses its chaos framing. An intact frame is
 //! delivered unwrapped; a damaged one is *detected*, counted, and replaced
@@ -54,10 +52,6 @@ pub struct ChaosConfig {
     pub truncate_per_mille: u32,
     /// Per-mille chance a staged frame is cut mid-payload (disconnect).
     pub disconnect_per_mille: u32,
-    /// Per-mille chance the next flush stalls for [`ChaosConfig::stall`].
-    pub stall_per_mille: u32,
-    /// Wall-clock delay applied by a stalled flush.
-    pub stall: Duration,
     /// Payload bytes at the start of every frame that injection never
     /// touches — set to the host's routing-envelope length so damaged
     /// frames remain attributable.
@@ -72,8 +66,6 @@ impl ChaosConfig {
             corrupt_per_mille: 0,
             truncate_per_mille: 0,
             disconnect_per_mille: 0,
-            stall_per_mille: 0,
-            stall: Duration::from_millis(1),
             protect_prefix: 0,
         }
     }
@@ -96,13 +88,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Sets the flush-stall rate and duration.
-    pub fn stall(mut self, per_mille: u32, delay: Duration) -> Self {
-        self.stall_per_mille = per_mille;
-        self.stall = delay;
-        self
-    }
-
     /// Sets the protected payload prefix length.
     pub fn protect(mut self, prefix: usize) -> Self {
         self.protect_prefix = prefix;
@@ -120,8 +105,6 @@ pub struct ChaosCounters {
     pub injected_truncations: AtomicU64,
     /// Frames cut mid-payload on the way out.
     pub injected_disconnects: AtomicU64,
-    /// Flushes that stalled.
-    pub injected_stalls: AtomicU64,
     /// Inbound frames rejected by the CRC32 check.
     pub detected_bad_checksums: AtomicU64,
     /// Inbound frames that arrived incomplete.
@@ -153,7 +136,6 @@ pub struct ChaosEndpoint<E> {
     cfg: ChaosConfig,
     rng: StdRng,
     counters: Arc<ChaosCounters>,
-    stall_pending: bool,
     scratch: Vec<u8>,
 }
 
@@ -169,7 +151,6 @@ impl<E: Endpoint> ChaosEndpoint<E> {
             cfg,
             rng: StdRng::seed_from_u64(seed),
             counters: Arc::new(ChaosCounters::default()),
-            stall_pending: false,
             scratch: Vec::new(),
         }
     }
@@ -205,7 +186,6 @@ impl<E: Endpoint> Endpoint for ChaosEndpoint<E> {
         let c = self.cfg.corrupt_per_mille;
         let t = c + self.cfg.truncate_per_mille;
         let d = t + self.cfg.disconnect_per_mille;
-        let s = d + self.cfg.stall_per_mille;
         let roll = self.rng.gen_range(0..1000u32);
         if roll < c {
             let off = self.rng.gen_range(protect_end..self.scratch.len());
@@ -226,9 +206,6 @@ impl<E: Endpoint> Endpoint for ChaosEndpoint<E> {
             };
             self.scratch.truncate(cut);
             Self::bump(&self.counters.injected_disconnects);
-        } else if roll < s {
-            self.stall_pending = true;
-            Self::bump(&self.counters.injected_stalls);
         }
         let staged = std::mem::take(&mut self.scratch);
         self.inner.stage(to, &staged);
@@ -236,10 +213,6 @@ impl<E: Endpoint> Endpoint for ChaosEndpoint<E> {
     }
 
     fn flush(&mut self) {
-        if self.stall_pending {
-            self.stall_pending = false;
-            std::thread::sleep(self.cfg.stall);
-        }
         self.inner.flush();
     }
 

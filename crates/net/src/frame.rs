@@ -228,12 +228,6 @@ impl FrameDecoder {
         self.buf.len() - self.start
     }
 
-    /// Unconsumed bytes currently buffered (alias of
-    /// [`FrameDecoder::buffered_len`]).
-    pub fn buffered(&self) -> usize {
-        self.buffered_len()
-    }
-
     /// Takes the next complete frame, if one has fully arrived and its
     /// checksum verifies.
     ///

@@ -208,22 +208,23 @@ fn run(args: &Args) -> ExitCode {
             if args.protocol.is_some_and(|only| only != protocol) {
                 continue;
             }
-            let start = std::time::Instant::now();
             let explorer = Explorer::new(protocol, args.seed, Mutation::None)
                 .with_focus(args.focus)
                 .with_space(space);
-            match explorer.explore(args.budget) {
+            let name = format!("{tag} {}", protocol.label());
+            match crate::timed(&name, || explorer.explore(args.budget)) {
                 ExploreOutcome::Clean {
                     cases,
                     oracle_checks,
-                } => {
-                    println!(
-                    "{tag} {:>6}{}: clean — {cases} cases, {oracle_checks} oracle checks, {:.3}s",
+                } => println!(
+                    "{tag} {:>6}{}: clean — {cases} cases, {oracle_checks} oracle checks",
                     protocol.label(),
-                    if args.focus == Focus::Partition { " [partition]" } else { "" },
-                    start.elapsed().as_secs_f64()
-                )
-                }
+                    if args.focus == Focus::Partition {
+                        " [partition]"
+                    } else {
+                        ""
+                    },
+                ),
                 ExploreOutcome::Found(cx) => {
                     println!(
                         "{tag} {:>6}: VIOLATION — {} (case seed {:#x}, minimized to {} draws \
@@ -254,15 +255,13 @@ fn run(args: &Args) -> ExitCode {
     }
 
     if args.demo_mutation {
-        let start = std::time::Instant::now();
         let explorer = Explorer::new(Protocol::Binary, args.seed, Mutation::BadPrefixSkip);
-        match explorer.explore(args.budget) {
+        match crate::timed("demo", || explorer.explore(args.budget)) {
             ExploreOutcome::Found(cx) => println!(
-                "demo: planted '{}' found and shrunk to {} draws ({} shrink steps, {:.3}s) — {}",
+                "demo: planted '{}' found and shrunk to {} draws ({} shrink steps) — {}",
                 cx.mutation.label(),
                 cx.tape.len(),
                 cx.shrink_iters,
-                start.elapsed().as_secs_f64(),
                 cx.violation
             ),
             ExploreOutcome::Clean { cases, .. } => {

@@ -22,8 +22,14 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use atp_sim::cli::Parser;
-use atp_sim::prelude::*;
+use atp_sim::experiments::{
+    ablation, drops, failure, fairness, fig10, fig9, geo, latency, messages, partition, shards,
+    throughput, worstcase,
+};
 use atp_sim::report::Table;
+use atp_sim::{
+    obs, run_experiment_traced, ExperimentSpec, GlobalPoisson, ObsArgs, Protocol, RunSummary,
+};
 
 /// A parsed command, ready to run.
 type Job = Box<dyn FnOnce() -> ExitCode>;

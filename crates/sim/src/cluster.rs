@@ -52,9 +52,6 @@ pub struct ClusterScript {
     pub n: usize,
     /// Stop dispatching once the virtual clock passes this tick.
     pub horizon: u64,
-    /// Per-hop message latency in ticks. Matches `WorldConfig`'s default
-    /// constant-latency model when set to 1.
-    pub link_latency: u64,
     /// `(tick, node, payload)` external requests.
     pub requests: Vec<(u64, u32, u64)>,
     /// World / harness RNG seed.
@@ -72,7 +69,6 @@ impl ClusterScript {
         ClusterScript {
             n: 5,
             horizon: 300,
-            link_latency: 1,
             requests: vec![(5, 1, 11), (20, 3, 33), (45, 0, 55), (70, 4, 77), (70, 2, 99)],
             seed,
             cfg: ProtocolConfig::default(),
@@ -384,7 +380,6 @@ struct Wire<E> {
     /// itself instead of standing in for a frame still owed.
     lossy: bool,
     loss_grace: Duration,
-    link_latency: u64,
     dup_every_nth_token: Option<u64>,
     token_frames: u64,
     /// Emitted and not yet transmitted, in emit order.
@@ -396,7 +391,7 @@ struct Wire<E> {
 }
 
 impl<E: Endpoint> Wire<E> {
-    fn new(endpoints: Vec<E>, link_latency: u64, opts: &DriverOptions<E>) -> Self {
+    fn new(endpoints: Vec<E>, opts: &DriverOptions<E>) -> Self {
         Wire {
             owed: vec![0; endpoints.len()],
             endpoints,
@@ -404,7 +399,6 @@ impl<E: Endpoint> Wire<E> {
             inflight: 0,
             lossy: false,
             loss_grace: opts.loss_grace,
-            link_latency,
             dup_every_nth_token: opts.dup_every_nth_token,
             token_frames: 0,
             sends: Vec::new(),
@@ -419,7 +413,8 @@ impl<E: Endpoint> Wire<E> {
     fn collect<P: ProtocolNode>(&mut self, h: &mut Harness<P>, now: u64, clock: &mut Clock) {
         let from = h.id().index();
         for ob in h.take_outbound() {
-            let arrival = now + self.link_latency + ob.hold;
+            // One tick per hop: `World`'s default `Latency::Constant(1)`.
+            let arrival = now + 1 + ob.hold;
             let bytes = P::encode_msg(&ob.msg);
             if ob.class == MsgClass::Token {
                 self.token_frames += 1;
@@ -583,7 +578,7 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
         .collect();
 
     let mut clock = Clock::default();
-    let mut wire = Wire::new(endpoints, script.link_latency, &opts);
+    let mut wire = Wire::new(endpoints, &opts);
     let mut stats = TransportStats::default();
 
     // Crash–restart supervisor state. Events take effect at dispatch

@@ -13,7 +13,7 @@
 
 
 use crate::report::{f2, Table};
-use crate::runner::{ExperimentSpec, Protocol};
+use crate::runner::{ExperimentSpec, NetProfile, Protocol};
 use crate::sweep::{run_points, PointSpec, WorkloadSpec};
 use atp_net::{NodeId, PerLinkLatency, Topology};
 
@@ -88,13 +88,12 @@ pub fn series(config: &Config) -> Vec<Point> {
     let mut points = Vec::with_capacity(2 * config.distance_divisors.len());
     for &divisor in &config.distance_divisors {
         for protocol in [Protocol::Ring, Protocol::Binary] {
-            points.push(
-                PointSpec::new(
-                    ExperimentSpec::new(protocol, config.n, horizon).with_seed(config.seed),
-                    WorkloadSpec::global_poisson(config.mean_gap),
-                )
-                .with_latency_matrix(geo_latency(config.n, divisor)),
-            );
+            points.push(PointSpec::new(
+                ExperimentSpec::new(protocol, config.n, horizon)
+                    .with_seed(config.seed)
+                    .with_net(NetProfile::unit().latency_matrix(geo_latency(config.n, divisor))),
+                WorkloadSpec::global_poisson(config.mean_gap),
+            ));
         }
     }
     let summaries = run_points(&points);

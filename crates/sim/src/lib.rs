@@ -6,7 +6,8 @@
 //! of its lemmas and theorems.
 //!
 //! * [`workload`] — request-arrival processes: global/per-node Poisson,
-//!   bursty on/off, hotspot (skewed), saturated closed-loop, single-shot.
+//!   bursty on/off, saturated closed-loop, single-shot, and the Theorem 3
+//!   fairness adversary.
 //! * [`metrics`] — implements the paper's **responsiveness** metric
 //!   (Definition 3) exactly, plus waiting times, per-node fairness, message
 //!   complexity and failure counters.
@@ -65,30 +66,6 @@ pub use shard::{KeyDist, ShardPlaneSpec, ShardSummary};
 pub use span::{RequestSpan, SpanCollector, SpanReport};
 pub use sweep::{run_points, PointSpec, WorkloadSpec};
 pub use workload::{
-    Arrival, Bursty, GlobalPoisson, HogAndWaiter, Hotspot, PerNodePoisson, Saturated, SingleShot,
-    Workload,
+    Arrival, Bursty, GlobalPoisson, HogAndWaiter, PerNodePoisson, Saturated, SingleShot, Workload,
 };
 
-/// One-stop imports for the `atp` binary and experiment scripts.
-///
-/// `use atp_sim::prelude::*;` brings in the runner/sweep surface, the
-/// observability flags, the workload generators and every experiment
-/// module.
-pub mod prelude {
-    pub use crate::experiments::{
-        ablation, drops, failure, fairness, fig10, fig9, geo, latency, messages, partition,
-        shards, throughput, worstcase,
-    };
-    pub use crate::obs::{self, ObsArgs};
-    pub use crate::runner::{
-        run_experiment, run_experiment_profiled, run_experiment_traced, ExperimentSpec,
-        NetProfile, Protocol, RunProfile, RunSummary,
-    };
-    pub use crate::shard::{KeyDist, ShardPlaneSpec, ShardSummary};
-    pub use crate::span::{RequestSpan, SpanCollector, SpanReport};
-    pub use crate::sweep::{run_points, PointSpec, WorkloadSpec};
-    pub use crate::workload::{
-        Arrival, Bursty, GlobalPoisson, HogAndWaiter, Hotspot, PerNodePoisson, Saturated,
-        SingleShot, Workload,
-    };
-}

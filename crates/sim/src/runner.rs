@@ -133,10 +133,6 @@ impl<N: TokenNode + WireProtocol> ProtocolNode for N {
 /// link-fault model and post-horizon drain window, in one typed value
 /// shared by [`ExperimentSpec`] and [`crate::sweep::PointSpec`] and
 /// serialized uniformly into every run's JSON summary.
-///
-/// This replaces the former loose spec knobs (`with_control_drop`,
-/// `with_link_faults`, `with_latency`, `with_grace`), which could drift
-/// between the runner and the sweep layer.
 #[derive(Debug, Clone)]
 pub struct NetProfile {
     /// Uniform latency bounds `(lo, hi)`; `(1, 1)` is the paper's

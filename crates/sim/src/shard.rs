@@ -115,6 +115,9 @@ pub(crate) fn earliest_world<N: ProtocolNode>(worlds: &[World<N>]) -> Option<(Si
 // Closed-loop saturation plane (the `table_shards` experiment driver)
 // ---------------------------------------------------------------------------
 
+/// Distinct keys the plane's clients draw from.
+const KEY_UNIVERSE: usize = 256;
+
 /// One sharded-plane run: protocol, geometry, workload.
 #[derive(Debug, Clone)]
 pub struct ShardPlaneSpec {
@@ -134,12 +137,8 @@ pub struct ShardPlaneSpec {
     /// Closed-loop client population (each has exactly one request in
     /// flight).
     pub clients: usize,
-    /// Distinct keys clients draw from.
-    pub key_universe: usize,
     /// Key popularity.
     pub key_dist: KeyDist,
-    /// Ticks between a client's release and its next request (min 1).
-    pub think_ticks: u64,
 }
 
 impl ShardPlaneSpec {
@@ -157,9 +156,7 @@ impl ShardPlaneSpec {
             cfg: ProtocolConfig::default().with_service_ticks(2),
             horizon: 10_000,
             clients: 4 * n,
-            key_universe: 256,
             key_dist: KeyDist::Uniform,
-            think_ticks: 1,
         }
     }
 
@@ -235,7 +232,6 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
     assert!(spec.n > 0 && spec.shards > 0 && spec.horizon > 0);
     let k = spec.shards as usize;
     let map = ShardMap::new(spec.shards, spec.n);
-    let think = spec.think_ticks.max(1);
 
     let mut worlds: Vec<World<N>> = (0..spec.shards)
         .map(|s| {
@@ -271,7 +267,7 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
                      issued: &mut u64,
                      client: u64,
                      at: u64| {
-        let key = spec.key_dist.draw(rng, spec.key_universe);
+        let key = spec.key_dist.draw(rng, KEY_UNIVERSE);
         let sid = map.shard_of_key(key);
         let entry = entry_node(key, spec.n);
         worlds[sid.index()].schedule_external(SimTime::from_ticks(at), entry, Want::new(client));
@@ -292,7 +288,8 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
 
     let mut drained: Vec<TokenEvent> = Vec::new();
     // Lockstep: every world's clock stays at or behind the earliest pending
-    // event, so a re-issue at `at + think` is in every world's future.
+    // event, so a re-issue one tick after a release is in every world's
+    // future.
     while let Some((t, s)) = earliest_world(&worlds) {
         if t > deadline {
             break;
@@ -312,7 +309,7 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
                         }
                         TokenEvent::Released { at, .. } => {
                             if let Some(client) = pending[s][node.index()].pop_front() {
-                                let next_at = at.ticks() + think;
+                                let next_at = at.ticks() + 1;
                                 if next_at <= spec.horizon {
                                     issue(
                                         &mut worlds,

@@ -18,12 +18,12 @@
 //! [`atp_util::pool`] for the resolution rules and the scoped
 //! [`atp_util::pool::with_threads`] override.
 
-use atp_net::{NodeId, PerLinkLatency, SimTime};
+use atp_net::{NodeId, SimTime};
 use atp_util::pool;
 
 use crate::runner::{run_experiment, ExperimentSpec, RunSummary};
 use crate::workload::{
-    Bursty, GlobalPoisson, HogAndWaiter, Hotspot, PerNodePoisson, Saturated, SingleShot, Workload,
+    GlobalPoisson, HogAndWaiter, PerNodePoisson, Saturated, SingleShot, Workload,
 };
 
 /// A buildable description of a request-arrival process.
@@ -43,16 +43,6 @@ pub enum WorkloadSpec {
     /// Independent per-node Poisson arrivals ([`PerNodePoisson`]).
     PerNodePoisson {
         /// Mean ticks between requests at each node.
-        mean_gap: f64,
-    },
-    /// Bursty on/off demand ([`Bursty`], default burst profile).
-    Bursty {
-        /// Mean quiet gap between bursts.
-        burst_gap: f64,
-    },
-    /// Skewed demand ([`Hotspot`], default hot-node profile).
-    Hotspot {
-        /// Mean system-wide inter-request gap.
         mean_gap: f64,
     },
     /// Closed-loop saturation ([`Saturated`]).
@@ -96,8 +86,6 @@ impl WorkloadSpec {
         match *self {
             WorkloadSpec::GlobalPoisson { mean_gap } => Box::new(GlobalPoisson::new(mean_gap)),
             WorkloadSpec::PerNodePoisson { mean_gap } => Box::new(PerNodePoisson::new(mean_gap)),
-            WorkloadSpec::Bursty { burst_gap } => Box::new(Bursty::new(burst_gap)),
-            WorkloadSpec::Hotspot { mean_gap } => Box::new(Hotspot::new(mean_gap)),
             WorkloadSpec::Saturated { think } => Box::new(Saturated::new(think)),
             WorkloadSpec::SingleShot { at, node } => Box::new(SingleShot::new(at, node)),
             WorkloadSpec::HogAndWaiter {
@@ -134,13 +122,6 @@ impl PointSpec {
         PointSpec { spec, workload }
     }
 
-    /// Overrides message latency with a per-link matrix (shorthand for
-    /// editing `spec.net`).
-    pub fn with_latency_matrix(mut self, matrix: PerLinkLatency) -> Self {
-        self.spec.net = self.spec.net.clone().latency_matrix(matrix);
-        self
-    }
-
     /// Runs this point to completion. Pure function of `self`.
     pub fn run(&self) -> RunSummary {
         let mut wl = self.workload.build();
@@ -158,7 +139,8 @@ pub fn run_points(points: &[PointSpec]) -> Vec<RunSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Protocol;
+    use crate::runner::{NetProfile, Protocol};
+    use atp_net::PerLinkLatency;
 
     fn sample_points() -> Vec<PointSpec> {
         let mut points = Vec::new();
@@ -213,8 +195,6 @@ mod tests {
         for spec in [
             WorkloadSpec::global_poisson(5.0),
             WorkloadSpec::PerNodePoisson { mean_gap: 40.0 },
-            WorkloadSpec::Bursty { burst_gap: 50.0 },
-            WorkloadSpec::Hotspot { mean_gap: 5.0 },
             WorkloadSpec::Saturated { think: 1 },
             WorkloadSpec::single_shot(SimTime::from_ticks(3), NodeId::new(2)),
             WorkloadSpec::HogAndWaiter {
@@ -237,10 +217,11 @@ mod tests {
     fn latency_matrix_override_changes_the_run() {
         let spec = ExperimentSpec::new(Protocol::Binary, 8, 800).with_seed(6);
         let flat = PointSpec::new(spec.clone(), WorkloadSpec::global_poisson(10.0));
-        let priced = flat.clone().with_latency_matrix(PerLinkLatency::from_fn(
-            8,
-            |a, b| 1 + (a.index().abs_diff(b.index())) as u64,
-        ));
+        let matrix = PerLinkLatency::from_fn(8, |a, b| 1 + (a.index().abs_diff(b.index())) as u64);
+        let priced = PointSpec::new(
+            spec.with_net(NetProfile::unit().latency_matrix(matrix)),
+            WorkloadSpec::global_poisson(10.0),
+        );
         assert_ne!(flat.run().to_json(), priced.run().to_json());
     }
 }

@@ -3,9 +3,10 @@
 //! The paper's simulation study drives the protocols with a fixed-rate
 //! arrival process ("on average, every 10 time units, one of the nodes in
 //! the system makes a request") — [`GlobalPoisson`] reproduces it. The other
-//! generators probe the regimes the introduction motivates: bursty but
-//! infrequent use ([`Bursty`]), skewed demand ([`Hotspot`]), saturation
-//! ([`Saturated`]) and one-off requests ([`SingleShot`]).
+//! generators probe the regimes the introduction motivates: per-node demand
+//! ([`PerNodePoisson`]), bursty but infrequent use ([`Bursty`]), saturation
+//! ([`Saturated`]), one-off requests ([`SingleShot`]) and the Theorem 3
+//! fairness adversary ([`HogAndWaiter`]).
 
 use atp_net::{NodeId, SimTime};
 use atp_util::rng::{Rng, StdRng};
@@ -198,59 +199,6 @@ impl Workload for Bursty {
     }
 }
 
-/// Skewed demand: a fraction of "hot" nodes receives most requests.
-#[derive(Debug, Clone, Copy)]
-pub struct Hotspot {
-    /// Mean system-wide inter-request gap.
-    pub mean_gap: f64,
-    /// Number of hot nodes (clustered at the start of the ring).
-    pub hot_nodes: usize,
-    /// Probability a request lands on a hot node.
-    pub hot_fraction: f64,
-}
-
-impl Hotspot {
-    /// A default hotspot profile: 2 hot nodes receiving 90% of requests.
-    pub fn new(mean_gap: f64) -> Self {
-        Hotspot {
-            mean_gap,
-            hot_nodes: 2,
-            hot_fraction: 0.9,
-        }
-    }
-}
-
-impl Workload for Hotspot {
-    fn arrivals(&mut self, n: usize, horizon: SimTime, rng: &mut StdRng) -> Vec<Arrival> {
-        let hot = self.hot_nodes.clamp(1, n) as u32;
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        let mut payload = 0;
-        loop {
-            t = t.saturating_add(exp_gap(self.mean_gap, rng).max(1));
-            if t > horizon {
-                break;
-            }
-            payload += 1;
-            let node = if rng.gen_bool(self.hot_fraction) {
-                rng.gen_range(0..hot)
-            } else {
-                rng.gen_range(0..n as u32)
-            };
-            out.push(Arrival {
-                at: t,
-                node: NodeId::new(node),
-                payload,
-            });
-        }
-        out
-    }
-
-    fn label(&self) -> String {
-        format!("hotspot(gap={},hot={})", self.mean_gap, self.hot_nodes)
-    }
-}
-
 /// Saturation: every node requests at time zero and re-requests `think`
 /// ticks after each release (closed loop). This is the regime in which
 /// "ring-based protocols maximize throughput".
@@ -423,19 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_is_skewed() {
-        let mut w = Hotspot::new(5.0);
-        let arrivals = w.arrivals(32, SimTime::from_ticks(50_000), &mut rng());
-        let hot = arrivals.iter().filter(|a| a.node.index() < 2).count();
-        assert!(
-            hot as f64 > 0.8 * arrivals.len() as f64,
-            "hot fraction {}/{}",
-            hot,
-            arrivals.len()
-        );
-    }
-
-    #[test]
     fn saturated_closed_loop_rerequests() {
         let mut w = Saturated::new(3);
         let initial = w.arrivals(4, SimTime::from_ticks(100), &mut rng());
@@ -480,7 +415,6 @@ mod tests {
     fn labels_are_informative() {
         assert!(GlobalPoisson::new(10.0).label().contains("10"));
         assert!(Bursty::new(9.0).label().contains("bursty"));
-        assert!(Hotspot::new(2.0).label().contains("hotspot"));
         assert!(Saturated::new(1).label().contains("saturated"));
         assert!(SingleShot::new(SimTime::ZERO, NodeId::new(0))
             .label()

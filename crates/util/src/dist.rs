@@ -13,12 +13,6 @@ pub fn open_unit(rng: &mut dyn RngCore) -> f64 {
     unit_f64(rng.next_u64()).max(f64::EPSILON)
 }
 
-/// Bernoulli trial: `true` with probability `p` (`0.0 ≤ p ≤ 1.0`).
-pub fn bernoulli(rng: &mut dyn RngCore, p: f64) -> bool {
-    assert!((0.0..=1.0).contains(&p), "bernoulli: p={p} out of [0,1]");
-    unit_f64(rng.next_u64()) < p
-}
-
 /// Exponential variate with the given mean (inverse-CDF method).
 ///
 /// This is the inter-arrival gap of a Poisson process with rate
@@ -26,35 +20,6 @@ pub fn bernoulli(rng: &mut dyn RngCore, p: f64) -> bool {
 pub fn exponential(rng: &mut dyn RngCore, mean: f64) -> f64 {
     assert!(mean > 0.0, "exponential: mean={mean} must be positive");
     -mean * open_unit(rng).ln()
-}
-
-/// Exponential inter-arrival gap rounded to whole ticks, minimum 1.
-///
-/// The discrete-event simulator runs on integer ticks; a zero gap would
-/// collapse two arrivals onto one tick, so the gap is floored at 1.
-pub fn exp_gap_ticks(rng: &mut dyn RngCore, mean: f64) -> u64 {
-    (exponential(rng, mean).round() as u64).max(1)
-}
-
-/// Poisson variate with the given rate `lambda` (Knuth's method).
-///
-/// Suitable for the modest rates the experiments use (`lambda` up to a
-/// few hundred); runtime is `O(lambda)`.
-pub fn poisson(rng: &mut dyn RngCore, lambda: f64) -> u64 {
-    assert!(lambda >= 0.0, "poisson: lambda={lambda} must be non-negative");
-    if lambda == 0.0 {
-        return 0;
-    }
-    let l = (-lambda).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= unit_f64(rng.next_u64());
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
 }
 
 /// Zipf-distributed rank in `0..n` with exponent `s` (inverse-CDF over
@@ -93,22 +58,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_gap_is_at_least_one_tick() {
-        let mut rng = StdRng::seed_from_u64(12);
-        assert!((0..10_000).all(|_| exp_gap_ticks(&mut rng, 0.01) >= 1));
-    }
-
-    #[test]
-    fn poisson_mean_and_zero_rate() {
-        let mut rng = StdRng::seed_from_u64(13);
-        assert_eq!(poisson(&mut rng, 0.0), 0);
-        let n = 20_000;
-        let sum: u64 = (0..n).map(|_| poisson(&mut rng, 6.0)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((5.8..6.2).contains(&mean), "mean={mean}");
-    }
-
-    #[test]
     fn zipf_is_skewed_and_in_range() {
         let mut rng = StdRng::seed_from_u64(15);
         let n = 16;
@@ -125,12 +74,5 @@ mod tests {
         }
         let (min, max) = (flat.iter().min().unwrap(), flat.iter().max().unwrap());
         assert!(max - min < 20_000 / n as u32, "uniform-ish: {flat:?}");
-    }
-
-    #[test]
-    fn bernoulli_edges() {
-        let mut rng = StdRng::seed_from_u64(14);
-        assert!(!(0..100).any(|_| bernoulli(&mut rng, 0.0)));
-        assert!((0..100).all(|_| bernoulli(&mut rng, 1.0)));
     }
 }

@@ -7,8 +7,8 @@
 //!   xoshiro256\*\* for the stream) behind a `rand`-0.8-shaped trait
 //!   surface ([`rng::RngCore`], [`rng::Rng`], [`rng::SeedableRng`]) so
 //!   simulation call sites read idiomatically.
-//! * [`dist`] — the distributions the simulator draws from: uniform
-//!   ranges, Bernoulli, exponential and Poisson inter-arrival gaps.
+//! * [`dist`] — the distributions the simulator draws from: exponential
+//!   inter-arrival gaps and Zipf key ranks.
 //! * [`buf`] — minimal little-endian byte-buffer traits ([`buf::Buf`],
 //!   [`buf::BufMut`]) over `Vec<u8>` / `&[u8]`, replacing the `bytes`
 //!   crate in the wire codec.

@@ -52,7 +52,7 @@ fn every_byte_boundary_split_reassembles_identically() {
         got.extend(decode_all(&mut dec));
         assert_eq!(got, expect, "split at byte {i} changed the decode");
         assert_eq!(dec.finish(), Ok(()), "split at byte {i} left residue");
-        assert_eq!(dec.buffered(), 0);
+        assert_eq!(dec.buffered_len(), 0);
     }
 }
 
