@@ -50,12 +50,21 @@ echo "== large-n smoke =="
 # at every node; it was ~100 s): pushes the timer wheel through its
 # overflow/cascade machinery at scale, and the rendered table must stay
 # byte-identical across worker counts.
-LN1=$(mktemp) LN4=$(mktemp)
-ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- fig9 --n 100000 2>/dev/null > "$LN1"
+# The one-worker run must also stay lean: `atp` reports the process's peak
+# RSS on stderr, 188 MiB while `World` copied its nodes and every node kept
+# its event buffer and fault-path state inline, about 85 MiB since.
+LN1=$(mktemp) LN4=$(mktemp) LNERR=$(mktemp)
+ATP_THREADS=1 cargo run -q --release -p atp-sim --bin atp -- fig9 --n 100000 2>"$LNERR" > "$LN1"
 ATP_THREADS=4 cargo run -q --release -p atp-sim --bin atp -- fig9 --n 100000 2>/dev/null > "$LN4"
 cmp "$LN1" "$LN4"
-rm -f "$LN1" "$LN4"
+LN_PEAK=$(sed -n 's/.*peak RSS \([0-9.]*\) MiB.*/\1/p' "$LNERR" | tail -n 1)
+rm -f "$LN1" "$LN4" "$LNERR"
 echo "large-n (N=100k) table is byte-identical at ATP_THREADS=1 and 4"
+if ! awk -v mib="$LN_PEAK" 'BEGIN { exit !(mib != "" && mib + 0 <= 140) }'; then
+  echo "fig9 --n 100000 at ATP_THREADS=1 peaked at ${LN_PEAK:-an unreported} MiB (limit 140 MiB)" >&2
+  exit 1
+fi
+echo "large-n (N=100k) peak RSS ${LN_PEAK} MiB at ATP_THREADS=1 (limit 140 MiB)"
 
 echo "== observability smoke =="
 # Trace export must produce parseable JSON lines, and the merged metrics
@@ -339,14 +348,15 @@ echo "== configuration surface gate =="
 # "Configuration surface"). Settings nothing set came before: a chaos stall
 # fault nothing injected, a runtime control-drop knob only its own unit test
 # set, script and shard-plane fields every caller left at one value, a
-# second latency-matrix setter, generators no run built and a second copy
-# of the crate-root exports. Fail if one comes back in non-test code under
-# crates/.
+# second latency-matrix setter, generators no run built, a second copy
+# of the crate-root exports and a `NetProfile` setter that replaced the whole
+# fault model. Fail if one comes back in non-test code under crates/.
 SURFACE=$(find crates -name '*.rs' ! -path '*/tests/*' | sort | while read -r f; do
   awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ": " $0}' "$f"; done \
   | grep -E -e 'stall_per_mille|injected_stalls|control_drop_p|with_control_drop' \
     -e 'link_latency|key_universe|think_ticks|with_latency_matrix' \
-    -e 'struct Hotspot|pub mod prelude|fn (bernoulli|poisson|exp_gap_ticks)\b' || true)
+    -e 'struct Hotspot|pub mod prelude|fn (bernoulli|poisson|exp_gap_ticks)\b' \
+    -e 'fn faults\(' || true)
 if [ -n "$SURFACE" ]; then
   echo "a setting nothing sets is back:" >&2
   echo "$SURFACE" >&2

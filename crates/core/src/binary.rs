@@ -24,11 +24,15 @@
 //! Section 5 failure handling) is the shared [core](crate::custody); this
 //! file is the rotation, rule 8 and the halving search.
 
+use std::collections::VecDeque;
+
 use atp_net::{Context, MsgClass, Node, NodeId};
 
 use crate::checkpoint::CKPT_BINARY;
 use crate::config::{ProtocolConfig, SearchMode, TrapCleanup};
-use crate::custody::{Custodian, Custody, HoldState, Holding, Outstanding, Owed, TIMER_PASS};
+use crate::custody::{
+    release, Custodian, Custody, HoldState, Holding, Outstanding, Owed, TIMER_PASS,
+};
 use crate::event::{TokenEvent, Want};
 use crate::regen::RegenMsg;
 use crate::token::TokenFrame;
@@ -249,7 +253,7 @@ impl BinaryNode {
             if self.quota == 0 {
                 break;
             }
-            let Some(out) = self.c.outstanding.pop_front() else {
+            let Some(out) = self.c.pop_local() else {
                 self.quota = 0;
                 break;
             };
@@ -351,7 +355,7 @@ impl BinaryNode {
     /// otherwise return the token to the interceptor (rule 8).
     fn after_out_of_band(&mut self, return_to: NodeId, ctx: &mut Context<'_, BinaryMsg>) {
         while self.c.cfg.serve_all_on_grant {
-            let Some(out) = self.c.outstanding.pop_front() else {
+            let Some(out) = self.c.pop_local() else {
                 break;
             };
             if !self.serve(out, Some(return_to), ctx) {
@@ -407,6 +411,7 @@ impl BinaryNode {
                 }
                 let pos = self.c.outstanding.iter().position(|o| o.req == for_req);
                 let out = pos.and_then(|pos| self.c.outstanding.remove(pos));
+                release(&mut self.c.outstanding);
                 // `None`: already served by rotation in the meantime, so
                 // rule 8 degenerates to an immediate return.
                 if out.is_none_or(|out| self.serve(out, Some(return_to), ctx)) {
@@ -423,6 +428,7 @@ impl BinaryNode {
                 }
                 // Remove the trap this relay hop is meant to clean.
                 self.c.owed.retain(|t| t.req != for_req);
+                release(&mut self.c.owed);
                 let holding = self.c.holding.take().expect("just possessed");
                 let next = trail.pop().unwrap_or(return_to);
                 let mode = if trail.is_empty() {
@@ -736,7 +742,7 @@ impl Custodian for BinaryNode {
     }
 
     fn depart(&mut self, ctx: &mut Context<'_, BinaryMsg>) {
-        self.c.owed.clear();
+        self.c.owed = VecDeque::new();
         if self.c.holding.is_some() {
             self.exclude_self_and_pass(ctx);
         }

@@ -65,6 +65,14 @@ const ANNOUNCE_PERIOD: u64 = 16;
 /// delay, with slack for jittery latency models).
 const INQUIRY_WINDOW: u64 = 8;
 
+/// Frees the buffer of a queue that has emptied: a node keeps no heap for
+/// requests it no longer has.
+pub(crate) fn release<T>(queue: &mut VecDeque<T>) {
+    if queue.is_empty() {
+        *queue = VecDeque::new();
+    }
+}
+
 /// Capacity of a new token's satisfied-request window for `n` nodes.
 fn satisfied_window(n: usize) -> usize {
     (2 * n).max(8)
@@ -119,6 +127,15 @@ pub(crate) struct Owed {
     pub(crate) trail: Vec<NodeId>,
 }
 
+/// Membership changes heard while not holding, applied to the token at the
+/// next possession. Boxed in [`Custody`]: only graceful leaves and
+/// recoveries fill it.
+#[derive(Debug, Default)]
+struct Membership {
+    rejoining: BTreeSet<NodeId>,
+    leaving: BTreeSet<NodeId>,
+}
+
 /// What every node keeps about the token, whichever way requests find it.
 #[derive(Debug)]
 pub struct Custody<M, R = ()> {
@@ -136,8 +153,7 @@ pub struct Custody<M, R = ()> {
     handoff: Handoff<M>,
     next_req_seq: u64,
     last_pass: Option<NodeId>,
-    rejoining: BTreeSet<NodeId>,
-    leaving: BTreeSet<NodeId>,
+    membership: Option<Box<Membership>>,
     /// Gap count already covered by an outstanding sync request.
     synced_gaps: u64,
     token_sends: u64,
@@ -159,8 +175,7 @@ impl<M, R> Custody<M, R> {
             handoff: Handoff::new(),
             next_req_seq: 0,
             last_pass: None,
-            rejoining: BTreeSet::new(),
-            leaving: BTreeSet::new(),
+            membership: None,
             synced_gaps: 0,
             token_sends: 0,
         }
@@ -190,12 +205,22 @@ impl<M, R> Custody<M, R> {
     /// satisfied (FIFO, as Theorem 2 requires); `None` when not holding.
     pub(crate) fn pop_owed(&mut self) -> Option<Owed> {
         let token = &self.holding.as_ref()?.token;
+        let mut next = None;
         while let Some(owed) = self.owed.pop_front() {
             if !token.is_satisfied(&owed.req) {
-                return Some(owed);
+                next = Some(owed);
+                break;
             }
         }
-        None
+        release(&mut self.owed);
+        next
+    }
+
+    /// Pops the oldest local request.
+    pub(crate) fn pop_local(&mut self) -> Option<Outstanding<R>> {
+        let out = self.outstanding.pop_front();
+        release(&mut self.outstanding);
+        out
     }
 
     /// Rule 4 under adaptive speed: `true` when the held token should pass on
@@ -352,16 +377,19 @@ pub trait Custodian: Node<Ext = Want> {
                 MsgClass::Token,
             );
         }
-        for node in std::mem::take(&mut c.rejoining) {
-            token.readmit(node);
-        }
-        for node in std::mem::take(&mut c.leaving) {
-            token.exclude(node);
+        if let Some(m) = c.membership.take() {
+            for node in m.rejoining {
+                token.readmit(node);
+            }
+            for node in m.leaving {
+                token.exclude(node);
+            }
         }
         // Drop owed entries the token satisfied elsewhere; without this the
         // lingering copies left along every search accumulate forever.
         if !c.owed.is_empty() {
             c.owed.retain(|o| !token.is_satisfied(&o.req));
+            release(&mut c.owed);
         }
         Some(token)
     }
@@ -446,7 +474,7 @@ pub trait Custodian: Node<Ext = Want> {
                 Some(h) if !matches!(h.state, HoldState::Serving { .. }) => {}
                 _ => return false,
             }
-            let Some(out) = c.outstanding.pop_front() else {
+            let Some(out) = c.pop_local() else {
                 return true;
             };
             if !self.serve(out, None, ctx) {
@@ -594,8 +622,9 @@ pub trait Custodian: Node<Ext = Want> {
             RegenMsg::Rejoin => match c.holding.as_mut() {
                 Some(h) => h.token.readmit(from),
                 None => {
-                    c.leaving.remove(&from);
-                    c.rejoining.insert(from);
+                    let m = c.membership.get_or_insert_default();
+                    m.leaving.remove(&from);
+                    m.rejoining.insert(from);
                 }
             },
             RegenMsg::Leave => {
@@ -604,8 +633,9 @@ pub trait Custodian: Node<Ext = Want> {
                 match c.holding.as_mut() {
                     Some(h) => h.token.exclude(from),
                     None => {
-                        c.rejoining.remove(&from);
-                        c.leaving.insert(from);
+                        let m = c.membership.get_or_insert_default();
+                        m.rejoining.remove(&from);
+                        m.leaving.insert(from);
                     }
                 }
             }
@@ -743,7 +773,7 @@ pub trait Custodian: Node<Ext = Want> {
         }
         // What was owed here did not survive the crash either; the origins'
         // own retry cycles route those requests again.
-        c.owed.clear();
+        c.owed = VecDeque::new();
         if c.cfg.regeneration {
             // Announce recovery so the next token holder readmits us.
             self.broadcast(RegenMsg::Rejoin, ctx);
@@ -768,7 +798,7 @@ pub trait Custodian: Node<Ext = Want> {
             }
             WantKind::Leave => {
                 c.departed = true;
-                c.outstanding.clear();
+                c.outstanding = VecDeque::new();
                 self.broadcast(RegenMsg::Leave, ctx);
                 self.depart(ctx);
             }
@@ -1261,7 +1291,7 @@ mod tests {
         regen(&mut h, 2, RegenMsg::Leave);
         let c = &h.node().c;
         assert!(c.holding.as_ref().unwrap().token.is_excluded(id(2)));
-        assert!(c.leaving.is_empty());
+        assert!(c.membership.is_none());
         let left: Vec<_> = c.owed.iter().map(|o| o.origin).collect();
         assert_eq!(left, [id(1)]);
         assert_eq!(h.node().calls, [Hook::Possess]);
@@ -1272,12 +1302,14 @@ mod tests {
         regen(&mut h, 2, RegenMsg::Leave);
         regen(&mut h, 3, RegenMsg::Leave);
         regen(&mut h, 3, RegenMsg::Rejoin);
-        assert_eq!(h.node().c.leaving, BTreeSet::from([id(2)]));
+        let m = h.node().c.membership.as_ref().unwrap();
+        assert_eq!(m.leaving, BTreeSet::from([id(2)]));
+        assert_eq!(m.rejoining, BTreeSet::from([id(3)]));
         h.deliver(T0, id(0), Msg::Token(frame(1)));
         let c = &h.node().c;
         let token = &c.holding.as_ref().unwrap().token;
         assert_eq!(token.excluded(), [id(2)]);
-        assert!(c.leaving.is_empty() && c.rejoining.is_empty());
+        assert!(c.membership.is_none());
     }
 
     #[test]
@@ -1338,6 +1370,20 @@ mod tests {
         // A second firing finds no critical section and resumes nothing.
         h.fire_timer(at, TIMER_SERVICE);
         assert_eq!(h.node().calls.len(), 3);
+    }
+
+    #[test]
+    fn a_drained_node_holds_no_event_buffer() {
+        let mut h = fake(0);
+        h.external(T0, Want::new(7));
+        assert!(h.node().has_events());
+        let mut out = Vec::new();
+        h.node_mut().take_events_into(&mut out);
+        assert!(out.contains(&TokenEvent::Requested {
+            req: RequestId::new(id(0), 1),
+            at: T0
+        }));
+        assert_eq!(h.node().c.events.capacity(), 0);
     }
 
     #[test]

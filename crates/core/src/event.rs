@@ -6,6 +6,8 @@
 //! experiments learn about grants, so the responsiveness metric of the
 //! paper's Definition 3 is computed purely from this stream.
 
+use std::cell::Cell;
+
 use atp_net::{NodeId, SimTime};
 
 use crate::types::{LogEntry, RequestId};
@@ -183,13 +185,27 @@ pub trait EventSource {
 }
 
 /// A simple push buffer used inside node implementations.
+///
+/// A node holds a buffer only between its first event and the driver's
+/// next drain. The buffer is lent: a node's first push takes this thread's
+/// spare, and [`EventBuf::take_into`] gives it back, so a driver that drains
+/// after every dispatch allocates once per thread, not once per node or per
+/// dispatch.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EventBuf {
     events: Vec<TokenEvent>,
 }
 
+thread_local! {
+    /// The buffer the last drained node gave back (empty, with capacity).
+    static SPARE: Cell<Vec<TokenEvent>> = const { Cell::new(Vec::new()) };
+}
+
 impl EventBuf {
     pub fn push(&mut self, ev: TokenEvent) {
+        if self.events.capacity() == 0 {
+            self.events = SPARE.take();
+        }
         self.events.push(ev);
     }
 
@@ -197,14 +213,24 @@ impl EventBuf {
         std::mem::take(&mut self.events)
     }
 
-    /// Moves all buffered events into `out`, retaining this buffer's
-    /// capacity for the next callback.
+    /// Moves all buffered events into `out`, oldest first, and gives this
+    /// node's buffer back to the thread's spare: between dispatches a
+    /// drained node holds no event capacity.
     pub fn take_into(&mut self, out: &mut Vec<TokenEvent>) {
+        if self.events.capacity() == 0 {
+            return;
+        }
         out.append(&mut self.events);
+        SPARE.set(std::mem::take(&mut self.events));
     }
 
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    #[cfg(test)]
+    pub fn capacity(&self) -> usize {
+        self.events.capacity()
     }
 }
 
@@ -257,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn take_into_appends_and_keeps_capacity() {
+    fn take_into_appends_and_releases_the_buffer() {
         let mut buf = EventBuf::default();
         let req = RequestId::new(NodeId::new(0), 1);
         for t in 0..3 {
@@ -266,7 +292,7 @@ mod tests {
                 at: SimTime::from_ticks(t),
             });
         }
-        let cap_before = buf.events.capacity();
+        let lent = buf.capacity();
         let mut out = vec![TokenEvent::StaleTokenDiscarded {
             generation: 0,
             at: SimTime::ZERO,
@@ -274,7 +300,14 @@ mod tests {
         buf.take_into(&mut out);
         assert_eq!(out.len(), 4, "existing contents are preserved");
         assert!(buf.is_empty());
-        assert_eq!(buf.events.capacity(), cap_before, "buffer keeps its capacity");
+        assert_eq!(buf.capacity(), 0, "a drained buffer holds no heap");
+        // The next node to push on this thread gets the same buffer back.
+        let mut next = EventBuf::default();
+        next.push(TokenEvent::Requested {
+            req,
+            at: SimTime::from_ticks(9),
+        });
+        assert_eq!(next.capacity(), lent);
         buf.push(TokenEvent::Requested {
             req,
             at: SimTime::from_ticks(9),

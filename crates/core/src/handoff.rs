@@ -75,10 +75,11 @@ pub struct PendingTransfer<M> {
 /// A single pending slot suffices: a node regains possession (and thus sends
 /// again) only after its previous send was received, so at most one transfer
 /// of its own can be unacked at a time; a newer send simply supersedes the
-/// older pending entry.
+/// older pending entry. The slot is boxed: only runs with acks on fill it,
+/// and every node carries it.
 #[derive(Debug, Default)]
 pub struct Handoff<M> {
-    pending: Option<PendingTransfer<M>>,
+    pending: Option<Box<PendingTransfer<M>>>,
     /// Highest `(generation, transfer_seq)` accepted or sent.
     watermark: Option<(u32, u64)>,
     /// Token frames discarded as duplicates (watermark or double-possession).
@@ -127,13 +128,13 @@ impl<M> Handoff<M> {
 
     /// Tracks an outgoing token-bearing send for ack/retransmit.
     pub fn track(&mut self, to: NodeId, msg: M, generation: u32, transfer_seq: u64) {
-        self.pending = Some(PendingTransfer {
+        self.pending = Some(Box::new(PendingTransfer {
             to,
             msg,
             generation,
             transfer_seq,
             attempt: 0,
-        });
+        }));
     }
 
     /// Handles an incoming ack; clears the pending slot if it matches.
@@ -196,7 +197,7 @@ impl<M> Handoff<M> {
 
     /// The in-flight unacked transfer, if any.
     pub fn pending(&self) -> Option<&PendingTransfer<M>> {
-        self.pending.as_ref()
+        self.pending.as_deref()
     }
 }
 

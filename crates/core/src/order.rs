@@ -42,16 +42,23 @@ impl HistoryDigest {
     }
 }
 
+/// The applied entries and their digests, kept when `record_log` is on.
+#[derive(Debug, Clone, Default)]
+struct FullLog {
+    entries: Vec<LogEntry>,
+    /// Digest after each applied entry (index `i` = digest of prefix of
+    /// length `i+1`).
+    digests: Vec<HistoryDigest>,
+}
+
 /// The local ordered log of one node.
 #[derive(Debug, Clone)]
 pub struct OrderState {
     applied_seq: u64,
     digest: HistoryDigest,
-    /// Digest after each applied entry (index `i` = digest of prefix of
-    /// length `i+1`); kept only when `record_log` is on.
-    digests: Vec<HistoryDigest>,
-    log: Vec<LogEntry>,
-    record_log: bool,
+    /// `Some` exactly when `record_log` is on; boxed so a node without a
+    /// log carries one pointer for it.
+    log: Option<Box<FullLog>>,
     /// Entries that arrived with `seq > applied_seq + 1` and had to be
     /// skipped (the node was down long enough to miss the carried window).
     gap_events: u64,
@@ -69,9 +76,7 @@ impl OrderState {
         OrderState {
             applied_seq: 0,
             digest: HistoryDigest::EMPTY,
-            digests: Vec::new(),
-            log: Vec::new(),
-            record_log,
+            log: record_log.then(Box::default),
             gap_events: 0,
             bad_skip: false,
             chain_calls: 0,
@@ -93,11 +98,11 @@ impl OrderState {
         log: Vec<LogEntry>,
     ) -> Self {
         let mut state = OrderState::new(record_log);
-        if record_log && !log.is_empty() {
+        if let Some(full) = state.log.as_mut().filter(|_| !log.is_empty()) {
             let mut chained = HistoryDigest::EMPTY;
             for entry in &log {
                 chained = chained.chain(entry);
-                state.digests.push(chained);
+                full.digests.push(chained);
             }
             state.chain_calls = log.len() as u64;
             assert_eq!(chained, digest, "checkpoint digest does not match its log");
@@ -106,7 +111,7 @@ impl OrderState {
                 Some(applied_seq),
                 "checkpoint applied_seq does not match its log"
             );
-            state.log = log;
+            full.entries = log;
         }
         state.applied_seq = applied_seq;
         state.digest = digest;
@@ -139,7 +144,7 @@ impl OrderState {
     /// possession: a node whose digest disagrees is never healed by the
     /// frame, it keeps chaining from the digest it has.
     pub(crate) fn apply_carried(&mut self, token: &TokenFrame, at: SimTime, events: &mut EventBuf) {
-        if !self.record_log && !self.bad_skip {
+        if self.log.is_none() && !self.bad_skip {
             if let Some((seq, digest)) = token.verified_head(self.applied_seq, self.digest) {
                 self.applied_seq = seq;
                 self.digest = digest;
@@ -185,9 +190,9 @@ impl OrderState {
             self.applied_seq = entry.seq;
             self.digest = self.digest.chain(entry);
             self.chain_calls += 1;
-            if self.record_log {
-                self.log.push(*entry);
-                self.digests.push(self.digest);
+            if let Some(full) = self.log.as_mut() {
+                full.entries.push(*entry);
+                full.digests.push(self.digest);
                 events.push(TokenEvent::Delivered { entry: *entry, at });
             }
         }
@@ -214,23 +219,23 @@ impl OrderState {
         if len == self.applied_seq {
             return Some(self.digest);
         }
-        self.digests.get(len as usize - 1).copied()
+        self.log.as_ref()?.digests.get(len as usize - 1).copied()
     }
 
     /// The applied entries (empty when `record_log` is off).
     pub fn log(&self) -> &[LogEntry] {
-        &self.log
+        self.log.as_ref().map_or(&[], |full| &full.entries)
     }
 
     /// The applied entries from position `from_seq` on, capped at `max`.
     /// Empty when logs are off or `from_seq` is beyond the applied prefix.
     pub fn suffix_from(&self, from_seq: u64, max: usize) -> Vec<LogEntry> {
-        if from_seq == 0 || from_seq > self.applied_seq || self.log.is_empty() {
+        let log = self.log();
+        if from_seq == 0 || from_seq > self.applied_seq || log.is_empty() {
             return Vec::new();
         }
         let start = (from_seq - 1) as usize;
-        self.log
-            .get(start..)
+        log.get(start..)
             .map(|s| s.iter().take(max).copied().collect())
             .unwrap_or_default()
     }

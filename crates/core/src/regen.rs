@@ -172,11 +172,17 @@ pub struct RegenEngine {
     /// Highest token generation this node has witnessed.
     pub generation: u32,
     inquiring: bool,
+    /// What an inquiry leaves behind; boxed because a node that never
+    /// suspects a loss never needs it.
+    inquiry: Option<Box<Inquiry>>,
+}
+
+/// The part of [`RegenEngine`] only token loss touches.
+#[derive(Debug, Clone, Default)]
+struct Inquiry {
     replies: BTreeMap<NodeId, RegenReply>,
     /// Freshest stamp seen at the previous verdict, to detect stalls.
     prev_max_stamp: Option<u64>,
-    /// Highest generation this node has already minted (idempotence guard).
-    minted: Option<u32>,
 }
 
 impl RegenEngine {
@@ -192,8 +198,10 @@ impl RegenEngine {
         if generation > self.generation {
             self.generation = generation;
             self.inquiring = false;
-            self.replies.clear();
-            self.prev_max_stamp = None;
+            if let Some(inq) = self.inquiry.as_mut() {
+                inq.replies.clear();
+                inq.prev_max_stamp = None;
+            }
             true
         } else {
             false
@@ -208,7 +216,7 @@ impl RegenEngine {
     /// Starts an inquiry round (clears any previous replies).
     pub fn start_inquiry(&mut self) {
         self.inquiring = true;
-        self.replies.clear();
+        self.inquiry.get_or_insert_default().replies.clear();
     }
 
     /// Records a reply. Replies from superseded generations are ignored;
@@ -220,7 +228,10 @@ impl RegenEngine {
             return;
         }
         if self.inquiring && reply.generation == self.generation {
-            self.replies.insert(from, reply);
+            self.inquiry
+                .get_or_insert_default()
+                .replies
+                .insert(from, reply);
         }
     }
 
@@ -238,7 +249,13 @@ impl RegenEngine {
             return RegenVerdict::Wait { holder: None };
         }
         self.inquiring = false;
-        let mut replies = std::mem::take(&mut self.replies);
+        // Packed next generation: bump the epoch, stamp the minter. Two
+        // disconnected inquirers picking different minters thus mint
+        // different (totally ordered) generations — see [`make_gen`].
+        let next_epoch = gen_epoch(self.generation) + 1;
+        let next_gen_by = |target: NodeId| make_gen(next_epoch, target);
+        let inq = self.inquiry.get_or_insert_default();
+        let mut replies = std::mem::take(&mut inq.replies);
         replies.insert(me, my_view);
         let dead = || -> Vec<NodeId> {
             topology
@@ -252,7 +269,7 @@ impl RegenEngine {
             .iter()
             .find_map(|(id, r)| r.holder.then_some(*id))
         {
-            self.prev_max_stamp = None;
+            inq.prev_max_stamp = None;
             return RegenVerdict::Wait {
                 holder: Some(holder),
             };
@@ -264,17 +281,13 @@ impl RegenEngine {
             .map(|(id, r)| (*id, *r))
             .expect("replies contains at least the inquirer");
         let known_seq = replies.values().map(|r| r.applied_seq).max().unwrap_or(0);
-        // Packed next generation: bump the epoch, stamp the minter. Two
-        // disconnected inquirers picking different minters thus mint
-        // different (totally ordered) generations — see [`make_gen`].
-        let next_gen_by = |target: NodeId| make_gen(gen_epoch(self.generation) + 1, target);
 
         // Case 1: the freshest node passed the token to someone who did not
         // answer — the holder died with the token.
         if let Some(dst) = freshest.passed_to {
             if !replies.contains_key(&dst) {
                 let target = Self::first_live_after(topology, dst, &replies);
-                self.prev_max_stamp = None;
+                inq.prev_max_stamp = None;
                 return RegenVerdict::Regenerate {
                     target,
                     new_gen: next_gen_by(target),
@@ -288,13 +301,13 @@ impl RegenEngine {
         // empty-handed, and nothing advanced since the previous inquiry —
         // the frame was dead-lettered in transit.
         let max_stamp = freshest.stamp.value();
-        if self.prev_max_stamp == Some(max_stamp) {
+        if inq.prev_max_stamp == Some(max_stamp) {
             let target = Self::first_live_after(
                 topology,
                 freshest.passed_to.unwrap_or(freshest_node),
                 &replies,
             );
-            self.prev_max_stamp = None;
+            inq.prev_max_stamp = None;
             return RegenVerdict::Regenerate {
                 target,
                 new_gen: next_gen_by(target),
@@ -302,7 +315,7 @@ impl RegenEngine {
                 dead: dead(),
             };
         }
-        self.prev_max_stamp = Some(max_stamp);
+        inq.prev_max_stamp = Some(max_stamp);
         RegenVerdict::Wait { holder: None }
     }
 
@@ -328,10 +341,11 @@ impl RegenEngine {
         window: usize,
         dead: Vec<NodeId>,
     ) -> Option<TokenFrame> {
-        if new_gen <= self.generation || self.minted.is_some_and(|g| g >= new_gen) {
+        // Minting witnesses `new_gen`, so a generation minted here before
+        // is at or below ours and fails this check: one mint per generation.
+        if new_gen <= self.generation {
             return None;
         }
-        self.minted = Some(new_gen);
         self.witness(new_gen);
         Some(TokenFrame::regenerate(new_gen, known_seq, window, dead))
     }

@@ -150,8 +150,9 @@ fn ready_meta<M, E>(ev: &QueuedEvent<M, E>) -> ReadyEvent {
     ReadyEvent { seq: ev.seq, kind }
 }
 
-struct Slot<N> {
-    node: N,
+/// What the engine keeps about a node beside the node itself.
+#[derive(Clone, Copy)]
+struct Liveness {
     alive: bool,
     /// Incremented on every crash; timers remember the epoch they were set in
     /// and only fire if it still matches.
@@ -180,7 +181,10 @@ impl PartitionWindow {
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
 pub struct World<N: Node> {
-    slots: Vec<Slot<N>>,
+    /// The nodes as given to [`World::from_nodes`] (index = `NodeId`).
+    nodes: Vec<N>,
+    /// Parallel to `nodes`.
+    liveness: Vec<Liveness>,
     topology: Topology,
     queue: TimerWheel<EventKind<N::Msg, N::Ext>>,
     now: SimTime,
@@ -203,7 +207,7 @@ pub struct World<N: Node> {
 impl<N: Node> std::fmt::Debug for World<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
-            .field("n", &self.slots.len())
+            .field("n", &self.nodes.len())
             .field("now", &self.now)
             .field("queued", &self.queue.len())
             .field("stats", &self.stats)
@@ -225,6 +229,9 @@ impl<N: Node + Default> World<N> {
 impl<N: Node> World<N> {
     /// Creates a world from explicitly constructed nodes (index = NodeId).
     ///
+    /// The world keeps `nodes` as its node array, without copying it, and
+    /// tracks each node's liveness in a small vector beside it.
+    ///
     /// # Panics
     ///
     /// Panics if `nodes` is empty, if a uniform latency has `lo > hi`, or if
@@ -233,20 +240,17 @@ impl<N: Node> World<N> {
         assert!(!nodes.is_empty(), "a world needs at least one node");
         config.latency.check(nodes.len());
         let topology = Topology::ring(nodes.len());
-        // Steady state holds a handful of in-flight events per node (token,
-        // searches, timers); pre-size for that.
-        let queue_capacity = 4 * nodes.len() + 16;
         World {
-            slots: nodes
-                .into_iter()
-                .map(|node| Slot {
-                    node,
+            liveness: vec![
+                Liveness {
                     alive: true,
                     epoch: 0,
-                })
-                .collect(),
+                };
+                nodes.len()
+            ],
+            nodes,
             topology,
-            queue: TimerWheel::with_capacity(queue_capacity),
+            queue: TimerWheel::new(),
             now: SimTime::ZERO,
             seq: 0,
             latency: config.latency,
@@ -266,7 +270,7 @@ impl<N: Node> World<N> {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.nodes.len()
     }
 
     /// Always `false`: worlds have at least one node.
@@ -290,7 +294,7 @@ impl<N: Node> World<N> {
     ///
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &N {
-        &self.slots[id.index()].node
+        &self.nodes[id.index()]
     }
 
     /// Mutable access to a node's state (harness-side event draining).
@@ -299,20 +303,20 @@ impl<N: Node> World<N> {
     ///
     /// Panics if `id` is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.slots[id.index()].node
+        &mut self.nodes[id.index()]
     }
 
     /// Iterates over `(id, node)` pairs.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.slots
+        self.nodes
             .iter()
             .enumerate()
-            .map(|(i, s)| (NodeId::new(i as u32), &s.node))
+            .map(|(i, n)| (NodeId::new(i as u32), n))
     }
 
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.slots[id.index()].alive
+        self.liveness[id.index()].alive
     }
 
     /// Network statistics accumulated so far.
@@ -448,7 +452,7 @@ impl<N: Node> World<N> {
     pub fn schedule_partition(&mut self, at: SimTime, heal_at: SimTime, groups: &[Vec<NodeId>]) {
         assert!(heal_at > at, "a partition must heal after it forms");
         // Unlisted nodes get unique group ids beyond the listed range.
-        let mut group_of: Vec<u32> = (0..self.slots.len())
+        let mut group_of: Vec<u32> = (0..self.nodes.len())
             .map(|i| (groups.len() + i) as u32)
             .collect();
         for (g, members) in groups.iter().enumerate() {
@@ -507,7 +511,7 @@ impl<N: Node> World<N> {
             return;
         }
         self.initialized = true;
-        for i in 0..self.slots.len() {
+        for i in 0..self.nodes.len() {
             self.invoke(NodeId::new(i as u32), |n, ctx| n.on_init(ctx));
         }
     }
@@ -518,7 +522,7 @@ impl<N: Node> World<N> {
         let mut effects = std::mem::take(&mut self.effects);
         {
             let mut ctx = Context::new(id, self.now, self.topology, &mut effects, &mut self.rng);
-            callback(&mut self.slots[id.index()].node, &mut ctx);
+            callback(&mut self.nodes[id.index()], &mut ctx);
         }
         self.effects = effects;
         self.flush_effects(id);
@@ -528,7 +532,7 @@ impl<N: Node> World<N> {
         // Drain rather than consume: the scratch vector's capacity is
         // retained across dispatches, so steady state allocates nothing.
         let mut effects = std::mem::take(&mut self.effects);
-        let epoch = self.slots[from.index()].epoch;
+        let epoch = self.liveness[from.index()].epoch;
         for eff in effects.drain(..) {
             match eff {
                 Effect::Send {
@@ -640,8 +644,7 @@ impl<N: Node> World<N> {
                     self.trace.push(self.now, TraceKind::Lost { from, to, class });
                     return StepOutcome::Consumed { at: self.now };
                 }
-                let slot = &mut self.slots[to.index()];
-                if !slot.alive {
+                if !self.liveness[to.index()].alive {
                     self.stats.record_dead_letter(class);
                     self.trace.push(self.now, TraceKind::Lost { from, to, class });
                     return StepOutcome::Consumed { at: self.now };
@@ -653,8 +656,8 @@ impl<N: Node> World<N> {
                 to
             }
             EventKind::Timer { node, kind, epoch } => {
-                let slot = &self.slots[node.index()];
-                if !slot.alive || slot.epoch != epoch {
+                let live = self.liveness[node.index()];
+                if !live.alive || live.epoch != epoch {
                     self.stats.timers_suppressed += 1;
                     return StepOutcome::Consumed { at: self.now };
                 }
@@ -664,7 +667,7 @@ impl<N: Node> World<N> {
                 node
             }
             EventKind::External { node, ev } => {
-                if !self.slots[node.index()].alive {
+                if !self.liveness[node.index()].alive {
                     return StepOutcome::Consumed { at: self.now };
                 }
                 self.trace.push(self.now, TraceKind::External { node });
@@ -672,21 +675,21 @@ impl<N: Node> World<N> {
                 node
             }
             EventKind::Crash { node } => {
-                let slot = &mut self.slots[node.index()];
-                if slot.alive {
-                    slot.alive = false;
-                    slot.epoch = slot.epoch.wrapping_add(1);
-                    slot.node.on_crash();
+                let live = &mut self.liveness[node.index()];
+                if live.alive {
+                    live.alive = false;
+                    live.epoch = live.epoch.wrapping_add(1);
+                    self.nodes[node.index()].on_crash();
                     self.trace.push(self.now, TraceKind::Crashed { node });
                 }
                 return StepOutcome::Consumed { at: self.now };
             }
             EventKind::Recover { node } => {
-                let slot = &mut self.slots[node.index()];
-                if slot.alive {
+                let live = &mut self.liveness[node.index()];
+                if live.alive {
                     return StepOutcome::Consumed { at: self.now };
                 }
-                slot.alive = true;
+                live.alive = true;
                 self.trace.push(self.now, TraceKind::Recovered { node });
                 self.invoke(node, |n, ctx| n.on_recover(ctx));
                 node
@@ -887,13 +890,8 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_is_presized_and_reservable() {
+    fn event_queue_is_reservable() {
         let mut w = world(8);
-        assert!(
-            w.event_capacity() >= 4 * 8 + 16,
-            "default pre-size missing: {}",
-            w.event_capacity()
-        );
         w.reserve_events(5000);
         assert!(w.event_capacity() >= 5000);
     }

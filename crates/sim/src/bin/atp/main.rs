@@ -125,16 +125,29 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs `f`, reporting its wall time and worker count on stderr.
+/// Runs `f`, reporting its wall time, worker count and the process's peak
+/// resident set so far on stderr.
 fn timed<T>(name: &str, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
     let out = f();
+    let peak = peak_rss_mib().map_or(String::new(), |mib| format!(", peak RSS {mib:.1} MiB"));
     eprintln!(
-        "{name}: {:.3}s on {} worker(s)",
+        "{name}: {:.3}s on {} worker(s){peak}",
         start.elapsed().as_secs_f64(),
         atp_util::pool::worker_count()
     );
     out
+}
+
+/// The process's peak resident set in MiB (`VmHWM` in `/proc/self/status`);
+/// `None` where that cannot be read.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 fn table(name: &'static str, argv: Vec<String>, run: fn(bool) -> Table) -> Result<Job, String> {

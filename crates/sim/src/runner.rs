@@ -179,12 +179,6 @@ impl NetProfile {
         self
     }
 
-    /// Replaces the whole fault model.
-    pub fn faults(mut self, faults: LinkFaults) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Sets the control-message drop probability.
     pub fn control_drops(mut self, p: f64) -> Self {
         self.faults = self.faults.control_loss(p);

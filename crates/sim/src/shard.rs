@@ -129,9 +129,6 @@ pub struct ShardPlaneSpec {
     pub shards: u16,
     /// Seed for world schedules and client key draws.
     pub seed: u64,
-    /// Per-shard protocol tunables (`initial_holder` is overridden with
-    /// the shard's consistent-hash owner).
-    pub cfg: ProtocolConfig,
     /// Measured window in ticks; grants after this instant don't count.
     pub horizon: u64,
     /// Closed-loop client population (each has exactly one request in
@@ -149,11 +146,6 @@ impl ShardPlaneSpec {
             n,
             shards,
             seed: 7,
-            // A nonzero critical section puts the run in the saturation
-            // regime: with free service the token batch-serves whole
-            // queues per visit and never becomes the bottleneck, so
-            // shard count would measure nothing.
-            cfg: ProtocolConfig::default().with_service_ticks(2),
             horizon: 10_000,
             clients: 4 * n,
             key_dist: KeyDist::Uniform,
@@ -228,6 +220,12 @@ impl ShardSummary {
     }
 }
 
+/// Every shard's critical section, in ticks. Nonzero puts the plane in the
+/// saturation regime: with free service the token batch-serves whole queues
+/// per visit and never becomes the bottleneck, so shard count would measure
+/// nothing.
+const PLANE_SERVICE_TICKS: u64 = 2;
+
 fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
     assert!(spec.n > 0 && spec.shards > 0 && spec.horizon > 0);
     let k = spec.shards as usize;
@@ -235,7 +233,9 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
 
     let mut worlds: Vec<World<N>> = (0..spec.shards)
         .map(|s| {
-            let cfg = spec.cfg.with_initial_holder(map.owner(ShardId(s)));
+            let cfg = ProtocolConfig::default()
+                .with_service_ticks(PLANE_SERVICE_TICKS)
+                .with_initial_holder(map.owner(ShardId(s)));
             let mut w = shard_world(spec.n, cfg, WorldConfig::default(), spec.seed, s);
             w.init();
             w
