@@ -313,6 +313,24 @@ if [ "$(count 'with_record_log(false)')" -ne 1 ] || echo "$SERVICE" | grep -q 'D
 fi
 echo "runtime nodes keep no copy of the history"
 
+echo "== TCP thread gate =="
+# A TCP endpoint starts one thread, its accept loop; the thread that drives
+# the endpoints reads every inbound stream itself. A reader thread per
+# connection came before, N·(N−1) threads for an N-node mesh, and every frame
+# paid a switch to one and back: fail if a second spawn, the per-connection
+# read loop or a sleep other than the reconnect backoff's comes back.
+TCP=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/net/src/tcp.rs)
+TCP_SPAWNS=$(echo "$TCP" | grep -c 'thread::spawn(' || true)
+TCP_SLEEPS=$(echo "$TCP" | grep 'thread::sleep(' || true)
+if [ "$TCP_SPAWNS" -gt 1 ] || echo "$TCP" | grep -q 'fn read_loop' \
+  || [ "$(echo "$TCP_SLEEPS" | grep -c .)" -gt 1 ] \
+  || { [ -n "$TCP_SLEEPS" ] && ! echo "$TCP_SLEEPS" | grep -q 'BACKOFF_BASE'; }; then
+  echo "tcp.rs: a thread per connection, its read loop or a sleep is back" >&2
+  echo "  thread::spawn=$TCP_SPAWNS sleeps: ${TCP_SLEEPS:-none}" >&2
+  exit 1
+fi
+echo "one accept thread per TCP endpoint, no reader threads, no sleep but the backoff"
+
 echo "== virtual-clock driver gate =="
 # The conformance/chaos driver in crates/sim/src/cluster.rs receives back
 # only the frames it staged to each endpoint, blocks on a socket instead of

@@ -16,8 +16,10 @@
 //! queued; with nothing owed it blocks until the next due timer on the
 //! *front door*, an in-process channel carrying [`Cluster::request`]'s
 //! wants and the order to stop. It wakes on arrival, never on a poll, and a
-//! frame between two nodes costs no thread hand-off. [`Cluster`] and
-//! [`ShardedCluster`] run the same reactor over a different `Plane`.
+//! frame between two nodes costs no thread hand-off on either backend: the
+//! reactor writes every frame and reads it back itself, from a channel or
+//! from its own end of a TCP connection. [`Cluster`] and [`ShardedCluster`]
+//! run the same reactor over a different `Plane`.
 //!
 //! A node keeps its place in the global history as counters only (applied
 //! length and digest), never a copy of the entries: the node that commits
@@ -230,6 +232,7 @@ impl<Ev> Runtime<Ev> {
                 written_off: 0,
                 heap: BinaryHeap::new(),
                 seq: 0,
+                drained: Vec::new(),
                 events: Vec::with_capacity(EVENT_BATCH),
                 events_tx,
                 shared: counters,
@@ -635,6 +638,8 @@ struct DueEntry {
 
 /// Events the reactor holds back at most: all go out when it is about to
 /// block, and the cap keeps one that never blocks from sitting on a grant.
+/// Over a backend whose hops cost system calls a grant goes out at once
+/// (see [`Endpoint::hops_cost_syscalls`]).
 const EVENT_BATCH: usize = 64;
 
 /// `ticks` ticks from now, saturating: a hold above `u32::MAX` ticks is
@@ -659,6 +664,8 @@ struct Reactor<P: WireProtocol, E, H: Plane> {
     written_off: u64,
     heap: BinaryHeap<Reverse<DueEntry>>,
     seq: u64,
+    /// The one buffer every node's events are drained through.
+    drained: Vec<TokenEvent>,
     /// Events in dispatch order, not yet sent.
     events: Vec<H::Event>,
     events_tx: Sender<H::Event>,
@@ -763,6 +770,9 @@ impl<P: WireProtocol, E: Endpoint, H: Plane> Reactor<P, E, H> {
     /// On a time-out, reported losses are written off against what `v` is
     /// owed: a lost frame costs one wait, a late one is still waited for.
     fn await_owed(&mut self, v: usize, until: Option<Instant>) {
+        // Bytes a kernel would not take stay staged until a flush, and this
+        // thread is the only one that flushes: send them before waiting.
+        self.endpoints.iter_mut().for_each(Endpoint::flush);
         let wait = until.map_or(self.config.tick, |at| {
             at.saturating_duration_since(Instant::now())
         });
@@ -811,12 +821,14 @@ impl<P: WireProtocol, E: Endpoint, H: Plane> Reactor<P, E, H> {
                 what,
             }));
         };
-        let mut staged = false;
+        let (mut staged, mut granted) = (false, false);
         for (s, harness) in self.harnesses[v].iter_mut().enumerate() {
             let shard = ShardId(s as u16);
-            for ev in harness.node_mut().take_events() {
+            harness.node_mut().take_events_into(&mut self.drained);
+            for ev in self.drained.drain(..) {
                 if matches!(ev, TokenEvent::Granted { .. }) {
                     self.shared.grants[s * n + v].fetch_add(1, Ordering::Relaxed);
+                    granted = true;
                 }
                 self.events.push(H::event(shard, NodeId::new(v as u32), ev));
             }
@@ -837,7 +849,7 @@ impl<P: WireProtocol, E: Endpoint, H: Plane> Reactor<P, E, H> {
         if staged {
             self.endpoints[v].flush();
         }
-        if self.events.len() >= EVENT_BATCH {
+        if self.events.len() >= EVENT_BATCH || (granted && self.endpoints[v].hops_cost_syscalls()) {
             self.publish();
         }
     }
@@ -957,6 +969,9 @@ mod tests {
         }
         fn frames_lost(&self) -> u64 {
             self.inner.frames_lost()
+        }
+        fn hops_cost_syscalls(&self) -> bool {
+            self.inner.hops_cost_syscalls()
         }
         fn close(&mut self) -> CloseReport {
             self.inner.close()
@@ -1152,6 +1167,9 @@ mod tests {
         }
         fn frames_lost(&self) -> u64 {
             self.inner.frames_lost() + self.lost
+        }
+        fn hops_cost_syscalls(&self) -> bool {
+            self.inner.hops_cost_syscalls()
         }
         fn close(&mut self) -> CloseReport {
             S::tally().closed.fetch_add(1, Ordering::SeqCst);

@@ -239,6 +239,10 @@ impl<E: Endpoint> Endpoint for ChaosEndpoint<E> {
         self.inner.frames_lost()
     }
 
+    fn hops_cost_syscalls(&self) -> bool {
+        self.inner.hops_cost_syscalls()
+    }
+
     fn sever(&mut self) {
         self.inner.sever();
     }

@@ -18,7 +18,10 @@
 //! Both construct a full mesh of `n` endpoints with
 //! [`Transport::endpoints`]; one driver thread then owns every [`Endpoint`]
 //! and pumps them all (the virtual-clock driver in `atp-sim`, the runtime's
-//! reactor in `atp-core`).
+//! reactor in `atp-core`). Neither backend starts a thread per link: a
+//! channel needs none, and a TCP endpoint's one accept thread only
+//! identifies new connections, so every frame is written and read by the
+//! driver thread itself.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
@@ -66,6 +69,15 @@ pub trait Endpoint: Send {
     /// Frames dropped on the floor by this endpoint (unreachable peer,
     /// undecodable stream). Zero on a healthy transport.
     fn frames_lost(&self) -> u64;
+
+    /// Whether a hop through this backend costs system calls — a socket
+    /// write and a socket read — rather than an in-process hand-off. A host
+    /// that batches what it tells its clients should pass a grant on at once
+    /// over such a backend: a batch there fills slowly enough to hold the
+    /// grant back. Sockets, unless the backend says otherwise.
+    fn hops_cost_syscalls(&self) -> bool {
+        true
+    }
 
     /// Fault-injection hook: violently severs the endpoint's live
     /// connections *without* shutting it down, as if the process's sockets
@@ -161,6 +173,10 @@ impl Endpoint for ChanEndpoint {
 
     fn frames_lost(&self) -> u64 {
         self.lost
+    }
+
+    fn hops_cost_syscalls(&self) -> bool {
+        false
     }
 
     fn close(&mut self) -> CloseReport {

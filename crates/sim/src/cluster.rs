@@ -33,7 +33,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::time::{Duration, Instant};
 
-use atp_core::{Checkpoint, ProtocolConfig, TokenEvent, Want};
+use atp_core::{Checkpoint, EventSource, ProtocolConfig, TokenEvent, Want};
 use atp_net::{
     CloseReport, Endpoint, Harness, MsgClass, NodeId, SimTime, Topology, Transport, World,
     WorldConfig,
@@ -211,8 +211,15 @@ impl<E> Default for DriverOptions<E> {
     }
 }
 
-fn drain_grants(events: Vec<TokenEvent>, grants: &mut Vec<GrantRec>) {
-    for ev in events {
+/// Drains `node`'s events through `drained`, the caller's one buffer, and
+/// records its grants.
+fn drain_grants<N: EventSource>(
+    node: &mut N,
+    drained: &mut Vec<TokenEvent>,
+    grants: &mut Vec<GrantRec>,
+) {
+    node.take_events_into(drained);
+    for ev in drained.drain(..) {
         if let TokenEvent::Granted { req, at } = ev {
             grants.push((at.ticks(), req.origin.raw(), req.seq));
         }
@@ -230,11 +237,11 @@ pub fn run_in_world<P: ProtocolNode>(script: &ClusterScript) -> RunOutcome {
         world.schedule_external(SimTime::from_ticks(t), NodeId::new(node), Want::new(payload));
     }
     world.run_until(SimTime::from_ticks(script.horizon));
-    let mut grants = Vec::new();
+    let (mut grants, mut drained) = (Vec::new(), Vec::new());
     let mut histories = Vec::new();
     for i in 0..script.n {
         let id = NodeId::new(i as u32);
-        drain_grants(world.node_mut(id).take_events(), &mut grants);
+        drain_grants(world.node_mut(id), &mut drained, &mut grants);
         let order = world.node(id).order_state();
         histories.push((order.applied_seq(), order.digest().0));
     }
@@ -482,7 +489,9 @@ impl<E: Endpoint> Wire<E> {
             let left = until.saturating_duration_since(Instant::now());
             if !left.is_zero() {
                 // Real sockets have real latency: wait for one owed frame,
-                // then pump every owed endpoint again.
+                // then pump every owed endpoint again. Bytes a kernel would
+                // not take are still staged, and only this thread flushes.
+                self.endpoints.iter_mut().for_each(Endpoint::flush);
                 let d = self.waiting[0];
                 match self.endpoints[d].recv_timeout(left) {
                     Some((from, framed)) => {
@@ -604,7 +613,7 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
     }
     wire.exchange(&mut clock, &mut stats);
 
-    let mut grants = Vec::new();
+    let (mut grants, mut drained) = (Vec::new(), Vec::new());
     while let Some((at, key_seq)) = clock.peek() {
         if at > script.horizon {
             break;
@@ -657,7 +666,7 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
                 .max()
                 .unwrap_or(0);
             let h = &mut harnesses[v];
-            drain_grants(h.node_mut().take_events(), &mut grants);
+            drain_grants(h.node_mut(), &mut drained, &mut grants);
             checkpoints[v] = Some(h.node().checkpoint());
             wire.endpoints[v].sever();
             dead[v] = true;
@@ -765,7 +774,7 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
 
     let mut histories = Vec::new();
     for h in harnesses.iter_mut() {
-        drain_grants(h.node_mut().take_events(), &mut grants);
+        drain_grants(h.node_mut(), &mut drained, &mut grants);
         let order = h.node().order_state();
         histories.push((order.applied_seq(), order.digest().0));
     }

@@ -1,16 +1,20 @@
 //! The conformance driver of `tests/harness_transport.rs`, now over real
-//! loopback TCP sockets: length-prefixed frames, one accept thread plus
-//! one reader thread per connection, reconnect-with-backoff — and still
-//! grant-for-grant identical to the deterministic `World`, because the
-//! driver assigns every frame's virtual arrival before the bytes leave.
+//! loopback TCP sockets: length-prefixed frames, one accept thread per
+//! endpoint, every stream read by the thread that drives the endpoints,
+//! reconnect-with-backoff — and still grant-for-grant identical to the
+//! deterministic `World`, because the driver assigns every frame's virtual
+//! arrival before the bytes leave.
 //!
-//! Three layers of assurance:
+//! Four layers of assurance:
 //! * a seed × protocol matrix (all four families, two seeds) must match
 //!   `World` exactly and tear down without leaking a thread;
 //! * severing every socket mid-run must not lose a single request — the
 //!   ack/retransmit machinery re-drives the handoff over fresh
 //!   connections;
-//! * shutdown is idempotent and accounts for every spawned thread.
+//! * one thread that writes more than the kernel buffers and then reads
+//!   never hangs on its own writes;
+//! * shutdown is idempotent and accounts for every spawned thread: one
+//!   per endpoint, however many links carried traffic.
 
 use adaptive_token_passing::net::{Endpoint, NodeId, TcpEndpoint, TcpTransport, Transport};
 use adaptive_token_passing::sim::cluster::{
@@ -18,7 +22,7 @@ use adaptive_token_passing::sim::cluster::{
 };
 use adaptive_token_passing::sim::runner::ProtocolNode;
 use atp_core::{BinaryNode, NaimiNode, RingNode, SearchNode};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn check_tcp_matches_world<P: ProtocolNode>(seed: u64) {
     let script = ClusterScript::reference(seed);
@@ -164,5 +168,85 @@ fn tcp_shutdown_joins_every_thread() {
             report.threads_spawned > 0,
             "a TCP endpoint that spawned no threads never accepted a connection"
         );
+    }
+}
+
+/// One thread stages and flushes 8 MiB one way without reading, more than
+/// loopback buffers hold, then drains with alternate flushes and zero-wait
+/// receives. A flush must not block on a reader that only this thread can
+/// run: what the kernel does not take stays staged for the next flush, and
+/// every frame arrives once, in order.
+#[test]
+fn one_thread_writing_past_the_kernel_buffers_never_blocks_itself() {
+    const FRAMES: u32 = 8 * 1024;
+    const PAYLOAD: usize = 1024;
+    let mut eps = TcpTransport::endpoints(2).expect("loopback bind");
+    let mut b = eps.pop().expect("endpoint 1");
+    let mut a = eps.pop().expect("endpoint 0");
+    let frame = |k: u32| {
+        let mut f = vec![(k % 251) as u8; PAYLOAD];
+        f[..4].copy_from_slice(&k.to_le_bytes());
+        f
+    };
+    for k in 0..FRAMES {
+        a.stage(b.id(), &frame(k));
+        if k % 256 == 255 {
+            a.flush();
+        }
+    }
+    a.flush();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut next = 0u32;
+    while next < FRAMES {
+        assert!(
+            Instant::now() < deadline,
+            "drained {next} of {FRAMES} frames"
+        );
+        a.flush();
+        while let Some((from, got)) = b.recv_timeout(Duration::ZERO) {
+            assert_eq!(from, a.id());
+            assert_eq!(got, frame(next), "frame {next} out of order or damaged");
+            next += 1;
+        }
+    }
+    assert_eq!(
+        b.recv_timeout(Duration::from_millis(50)),
+        None,
+        "a frame arrived twice"
+    );
+    assert_eq!(a.frames_lost() + b.frames_lost(), 0);
+    assert!(a.close().is_clean());
+    assert!(b.close().is_clean());
+}
+
+/// An endpoint starts one thread, its accept loop, whatever its links
+/// carry: an 8-node mesh that moved a frame over each of its 56 directed
+/// links reports one thread spawned and joined per endpoint.
+#[test]
+fn a_full_mesh_runs_one_thread_per_endpoint() {
+    const N: u32 = 8;
+    let mut eps = TcpTransport::endpoints(N as usize).expect("loopback bind");
+    for i in 0..N {
+        for j in (0..N).filter(|&j| j != i) {
+            eps[i as usize].stage(NodeId::new(j), &[i as u8, j as u8]);
+        }
+        eps[i as usize].flush();
+    }
+    for (j, ep) in eps.iter_mut().enumerate() {
+        let mut from: Vec<u32> = (1..N)
+            .map(|_| {
+                let (from, frame) = ep.recv_timeout(Duration::from_secs(5)).expect("frame lost");
+                assert_eq!(frame, [from.raw() as u8, j as u8]);
+                from.raw()
+            })
+            .collect();
+        from.sort_unstable();
+        let want: Vec<u32> = (0..N).filter(|&i| i as usize != j).collect();
+        assert_eq!(from, want, "one frame from every peer");
+    }
+    for ep in &mut eps {
+        let report = ep.close();
+        assert_eq!(report.threads_spawned, 1, "{report:?}");
+        assert!(report.is_clean(), "{report:?}");
     }
 }
