@@ -186,12 +186,32 @@ mod tests {
             watermark: Some((0x0203, 19)),
             applied_seq: 2,
             digest: HistoryDigest::EMPTY
-                .chain(&LogEntry { seq: 1, origin: NodeId::new(3), payload: 55, round: 1 })
-                .chain(&LogEntry { seq: 2, origin: NodeId::new(0), payload: 66, round: 1 })
+                .chain(&LogEntry {
+                    seq: 1,
+                    origin: NodeId::new(3),
+                    payload: 55,
+                    round: 1,
+                })
+                .chain(&LogEntry {
+                    seq: 2,
+                    origin: NodeId::new(0),
+                    payload: 66,
+                    round: 1,
+                })
                 .0,
             log: vec![
-                LogEntry { seq: 1, origin: NodeId::new(3), payload: 55, round: 1 },
-                LogEntry { seq: 2, origin: NodeId::new(0), payload: 66, round: 1 },
+                LogEntry {
+                    seq: 1,
+                    origin: NodeId::new(3),
+                    payload: 55,
+                    round: 1,
+                },
+                LogEntry {
+                    seq: 2,
+                    origin: NodeId::new(0),
+                    payload: 66,
+                    round: 1,
+                },
             ],
         }
     }
@@ -200,7 +220,11 @@ mod tests {
     fn roundtrips_and_len_matches() {
         for ck in [
             sample(),
-            Checkpoint { watermark: None, log: Vec::new(), ..sample() },
+            Checkpoint {
+                watermark: None,
+                log: Vec::new(),
+                ..sample()
+            },
         ] {
             let bytes = ck.to_bytes();
             assert_eq!(bytes.len(), ck.encoded_len());
@@ -240,7 +264,11 @@ mod tests {
         // Per-length digests work again after restore.
         assert!(order.digest_at(1).is_some());
         // Logs-off restore keeps the pair but no per-length digests.
-        let bare = Checkpoint { log: Vec::new(), ..ck }.restore_order(false);
+        let bare = Checkpoint {
+            log: Vec::new(),
+            ..ck
+        }
+        .restore_order(false);
         assert_eq!(bare.applied_seq(), 2);
         assert!(bare.digest_at(1).is_none());
     }

@@ -259,7 +259,10 @@ mod tests {
         let waits: Vec<u64> = (0..6).map(ack_backoff).collect();
         assert_eq!(waits, [4, 8, 16, 32, 64, 64]);
         assert_eq!(ack_backoff(60), 64, "shift clamped, still capped");
-        assert!((0..=u8::MAX as u32).all(|a| ack_backoff(a) >= 1), "never zero");
+        assert!(
+            (0..=u8::MAX as u32).all(|a| ack_backoff(a) >= 1),
+            "never zero"
+        );
     }
 
     #[test]

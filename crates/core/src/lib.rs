@@ -61,8 +61,8 @@ mod regen;
 mod ring;
 mod runtime;
 mod search;
-mod shard;
 mod service;
+mod shard;
 mod token;
 mod types;
 mod wire;
@@ -83,12 +83,10 @@ pub use naimi::{NaimiMsg, NaimiNode};
 pub use order::{HistoryDigest, OrderState};
 pub use regen::{gen_epoch, gen_minter, make_gen, RegenEngine, RegenMsg, RegenReply, RegenVerdict};
 pub use ring::{RingMsg, RingNode};
-pub use runtime::{
-    Cluster, ClusterConfig, ClusterHandle, ShardedCluster, ShardedClusterConfig,
-};
+pub use runtime::{Cluster, ClusterConfig, ClusterHandle, ShardedCluster, ShardedClusterConfig};
 pub use search::{SearchMsg, SearchNode};
-pub use shard::{Ring as ShardRing, RingPosition, ShardId, ShardMap, ShardMove, DEFAULT_PROBES};
 pub use service::{Delivery, Lease, ServiceError, TokenService};
+pub use shard::{Ring as ShardRing, RingPosition, ShardId, ShardMap, ShardMove, DEFAULT_PROBES};
 pub use token::TokenFrame;
 pub use types::{Grant, LogEntry, RequestId, VisitStamp};
 pub use wire::WireProtocol;

@@ -265,10 +265,7 @@ impl RegenEngine {
         };
 
         // Someone holds the token: merely slow.
-        if let Some(holder) = replies
-            .iter()
-            .find_map(|(id, r)| r.holder.then_some(*id))
-        {
+        if let Some(holder) = replies.iter().find_map(|(id, r)| r.holder.then_some(*id)) {
             inq.prev_max_stamp = None;
             return RegenVerdict::Wait {
                 holder: Some(holder),

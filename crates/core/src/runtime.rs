@@ -877,7 +877,8 @@ mod tests {
 
     #[test]
     fn cluster_grants_a_request() {
-        let cluster: Cluster = Cluster::start(ClusterConfig::new(3).with_tick(Duration::from_micros(200)));
+        let cluster: Cluster =
+            Cluster::start(ClusterConfig::new(3).with_tick(Duration::from_micros(200)));
         cluster.request(NodeId::new(1), 7);
         assert!(cluster.await_grant(NodeId::new(1), Duration::from_secs(10)));
         assert_eq!(cluster.decode_errors(), 0);
@@ -886,7 +887,8 @@ mod tests {
 
     #[test]
     fn cluster_serves_concurrent_requesters() {
-        let cluster: Cluster = Cluster::start(ClusterConfig::new(4).with_tick(Duration::from_micros(200)));
+        let cluster: Cluster =
+            Cluster::start(ClusterConfig::new(4).with_tick(Duration::from_micros(200)));
         for i in 0..4 {
             cluster.request(NodeId::new(i), i as u64);
         }
@@ -907,7 +909,8 @@ mod tests {
 
     #[test]
     fn handles_are_cloneable_and_attributed() {
-        let cluster: Cluster = Cluster::start(ClusterConfig::new(2).with_tick(Duration::from_micros(200)));
+        let cluster: Cluster =
+            Cluster::start(ClusterConfig::new(2).with_tick(Duration::from_micros(200)));
         let h = cluster.handle(NodeId::new(1));
         let h2 = h.clone();
         assert_eq!(h2.node(), NodeId::new(1));
@@ -1045,11 +1048,10 @@ mod tests {
 
     #[test]
     fn sharded_cluster_runs_over_tcp_loopback() {
-        let cluster: ShardedCluster<NaimiNode> =
-            ShardedCluster::start_on::<atp_net::TcpTransport>(
-                ShardedClusterConfig::new(3, 2).with_tick(Duration::from_micros(500)),
-            )
-            .expect("bind loopback");
+        let cluster: ShardedCluster<NaimiNode> = ShardedCluster::start_on::<atp_net::TcpTransport>(
+            ShardedClusterConfig::new(3, 2).with_tick(Duration::from_micros(500)),
+        )
+        .expect("bind loopback");
         cluster.request(99, 1);
         assert!(cluster.await_grant(99, Duration::from_secs(20)));
         assert_eq!(cluster.decode_errors(), 0);

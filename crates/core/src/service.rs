@@ -284,7 +284,10 @@ mod tests {
             Err(ServiceError::TimedOut) => {}
             other => panic!("expected timeout, got {other:?}"),
         }
-        assert_eq!(ServiceError::TimedOut.to_string(), "timed out waiting for the token");
+        assert_eq!(
+            ServiceError::TimedOut.to_string(),
+            "timed out waiting for the token"
+        );
         service.shutdown();
     }
 }

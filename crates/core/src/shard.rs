@@ -140,9 +140,7 @@ impl Ring {
             return false;
         }
         let pos = Ring::position_of(node);
-        let at = self
-            .nodes
-            .partition_point(|&(p, id)| (p, id) < (pos, node));
+        let at = self.nodes.partition_point(|&(p, id)| (p, id) < (pos, node));
         self.nodes.insert(at, (pos, node));
         true
     }

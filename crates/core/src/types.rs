@@ -92,7 +92,11 @@ pub struct LogEntry {
 
 impl fmt::Display for LogEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}:{}={} r{}]", self.seq, self.origin, self.payload, self.round)
+        write!(
+            f,
+            "[{}:{}={} r{}]",
+            self.seq, self.origin, self.payload, self.round
+        )
     }
 }
 

@@ -193,7 +193,9 @@ impl<E: Endpoint> Endpoint for ChaosEndpoint<E> {
             self.scratch[off] ^= mask;
             Self::bump(&self.counters.injected_corruptions);
         } else if roll < t {
-            let cut = self.rng.gen_range(trailer_start.max(protect_end)..self.scratch.len());
+            let cut = self
+                .rng
+                .gen_range(trailer_start.max(protect_end)..self.scratch.len());
             self.scratch.truncate(cut);
             Self::bump(&self.counters.injected_truncations);
         } else if roll < d {
@@ -232,7 +234,10 @@ impl<E: Endpoint> Endpoint for ChaosEndpoint<E> {
         // so the host can attribute the loss and keep inflight counts exact.
         let avail = wire.len().saturating_sub(FRAME_HEADER_LEN);
         let keep = self.cfg.protect_prefix.min(avail);
-        Some((from, wire[FRAME_HEADER_LEN..FRAME_HEADER_LEN + keep].to_vec()))
+        Some((
+            from,
+            wire[FRAME_HEADER_LEN..FRAME_HEADER_LEN + keep].to_vec(),
+        ))
     }
 
     fn frames_lost(&self) -> u64 {
@@ -257,7 +262,10 @@ mod tests {
     use super::*;
     use crate::transport::{ChanTransport, Transport};
 
-    fn chan_pair() -> (crate::transport::ChanEndpoint, crate::transport::ChanEndpoint) {
+    fn chan_pair() -> (
+        crate::transport::ChanEndpoint,
+        crate::transport::ChanEndpoint,
+    ) {
         let mut eps = ChanTransport::endpoints(2).expect("infallible");
         let b = eps.pop().expect("two");
         let a = eps.pop().expect("two");
@@ -280,7 +288,10 @@ mod tests {
             b.recv_timeout(Duration::from_millis(200)),
             Some((NodeId::new(0), b"world".to_vec()))
         );
-        assert_eq!(b.counters().detected_bad_checksums.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            b.counters().detected_bad_checksums.load(Ordering::Relaxed),
+            0
+        );
         assert_eq!(b.counters().detected_truncations.load(Ordering::Relaxed), 0);
     }
 
@@ -295,8 +306,14 @@ mod tests {
         }
         a.flush();
         for _ in 0..50 {
-            let (_, frame) = b.recv_timeout(Duration::from_millis(200)).expect("tombstone");
-            assert_eq!(frame, vec![0xAA, 0xBB, 0xCC, 0xDD], "protected prefix survives");
+            let (_, frame) = b
+                .recv_timeout(Duration::from_millis(200))
+                .expect("tombstone");
+            assert_eq!(
+                frame,
+                vec![0xAA, 0xBB, 0xCC, 0xDD],
+                "protected prefix survives"
+            );
         }
         let tx = a.counters();
         let rx = b.counters();
@@ -308,7 +325,10 @@ mod tests {
     #[test]
     fn truncation_and_disconnect_arrive_as_attributable_tombstones() {
         let (a, b) = chan_pair();
-        let cfg = ChaosConfig::new(11).truncate(500).disconnect(500).protect(2);
+        let cfg = ChaosConfig::new(11)
+            .truncate(500)
+            .disconnect(500)
+            .protect(2);
         let mut a = ChaosEndpoint::new(a, cfg);
         let mut b = ChaosEndpoint::new(b, cfg);
         for i in 0..40u8 {
@@ -316,10 +336,19 @@ mod tests {
         }
         a.flush();
         for _ in 0..40 {
-            let (_, frame) = b.recv_timeout(Duration::from_millis(200)).expect("tombstone");
-            assert_eq!(frame, vec![0x11, 0x22], "protected prefix survives every cut");
+            let (_, frame) = b
+                .recv_timeout(Duration::from_millis(200))
+                .expect("tombstone");
+            assert_eq!(
+                frame,
+                vec![0x11, 0x22],
+                "protected prefix survives every cut"
+            );
         }
-        assert!(ChaosCounters::all_accounted_for(&[a.counters(), b.counters()]));
+        assert!(ChaosCounters::all_accounted_for(&[
+            a.counters(),
+            b.counters()
+        ]));
         let tx = a.counters();
         assert_eq!(
             tx.injected_truncations.load(Ordering::Relaxed)
@@ -332,7 +361,11 @@ mod tests {
     fn fault_pattern_is_identical_across_runs() {
         let tallies = |seed: u64| -> (u64, u64, u64) {
             let (a, b) = chan_pair();
-            let cfg = ChaosConfig::new(seed).corrupt(100).truncate(100).disconnect(100).protect(1);
+            let cfg = ChaosConfig::new(seed)
+                .corrupt(100)
+                .truncate(100)
+                .disconnect(100)
+                .protect(1);
             let mut a = ChaosEndpoint::new(a, cfg);
             let mut b = ChaosEndpoint::new(b, cfg);
             for i in 0..200u8 {
@@ -340,7 +373,8 @@ mod tests {
             }
             a.flush();
             for _ in 0..200 {
-                b.recv_timeout(Duration::from_millis(200)).expect("frame or tombstone");
+                b.recv_timeout(Duration::from_millis(200))
+                    .expect("frame or tombstone");
             }
             let c = a.counters();
             (
@@ -350,6 +384,10 @@ mod tests {
             )
         };
         assert_eq!(tallies(42), tallies(42));
-        assert_ne!(tallies(42), tallies(43), "different seeds, different pattern");
+        assert_ne!(
+            tallies(42),
+            tallies(43),
+            "different seeds, different pattern"
+        );
     }
 }

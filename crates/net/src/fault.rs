@@ -202,7 +202,11 @@ mod tests {
             let b = drops_only.apply(MsgClass::Control, &mut r2);
             assert_eq!(a, b);
         }
-        assert_eq!(r1.next_u64(), r2.next_u64(), "extra draws after control drop");
+        assert_eq!(
+            r1.next_u64(),
+            r2.next_u64(),
+            "extra draws after control drop"
+        );
     }
 
     #[test]

@@ -63,7 +63,11 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         tables[0][i] = c;
@@ -384,13 +388,19 @@ mod tests {
         let mut dec = FrameDecoder::with_max_frame(16);
         dec.push(&17u32.to_le_bytes());
         match dec.next_frame() {
-            Err(FrameError::Oversized { declared: 17, max: 16 }) => {}
+            Err(FrameError::Oversized {
+                declared: 17,
+                max: 16,
+            }) => {}
             other => panic!("expected Oversized, got {other:?}"),
         }
         // u32::MAX with the default cap: still a typed error.
         let mut dec = FrameDecoder::new();
         dec.push(&u32::MAX.to_le_bytes());
-        assert!(matches!(dec.next_frame(), Err(FrameError::Oversized { .. })));
+        assert!(matches!(
+            dec.next_frame(),
+            Err(FrameError::Oversized { .. })
+        ));
     }
 
     #[test]
@@ -410,7 +420,10 @@ mod tests {
                 other => panic!("offset {off}: expected BadChecksum, got {other:?}"),
             }
             // Poison is sticky: the stream stays corrupt.
-            assert!(matches!(dec.next_frame(), Err(FrameError::BadChecksum { .. })));
+            assert!(matches!(
+                dec.next_frame(),
+                Err(FrameError::BadChecksum { .. })
+            ));
         }
         // A corrupted trailer byte is equally detected.
         let mut corrupt = wire.clone();
@@ -418,7 +431,10 @@ mod tests {
         corrupt[last] ^= 0x01;
         let mut dec = FrameDecoder::new();
         dec.push(&corrupt);
-        assert!(matches!(dec.next_frame(), Err(FrameError::BadChecksum { .. })));
+        assert!(matches!(
+            dec.next_frame(),
+            Err(FrameError::BadChecksum { .. })
+        ));
     }
 
     #[test]
@@ -437,7 +453,10 @@ mod tests {
         assert_eq!(dec.next_frame(), Ok(None));
         assert_eq!(
             dec.finish(),
-            Err(FrameError::TruncatedFrame { declared: 10, got: 7 })
+            Err(FrameError::TruncatedFrame {
+                declared: 10,
+                got: 7
+            })
         );
 
         // Cut inside the trailer: the payload arrived whole but the frame
@@ -447,7 +466,10 @@ mod tests {
         assert_eq!(dec.next_frame(), Ok(None));
         assert_eq!(
             dec.finish(),
-            Err(FrameError::TruncatedFrame { declared: 10, got: 10 })
+            Err(FrameError::TruncatedFrame {
+                declared: 10,
+                got: 10
+            })
         );
     }
 
@@ -465,15 +487,26 @@ mod tests {
 
     #[test]
     fn errors_display() {
-        assert!(FrameError::Oversized { declared: 9, max: 4 }
+        assert!(FrameError::Oversized {
+            declared: 9,
+            max: 4
+        }
+        .to_string()
+        .contains("exceeds cap"));
+        assert!(FrameError::TruncatedPrefix { got: 1 }
             .to_string()
-            .contains("exceeds cap"));
-        assert!(FrameError::TruncatedPrefix { got: 1 }.to_string().contains("prefix"));
-        assert!(FrameError::TruncatedFrame { declared: 8, got: 2 }
-            .to_string()
-            .contains("2/8"));
-        assert!(FrameError::BadChecksum { expected: 1, got: 2 }
-            .to_string()
-            .contains("checksum mismatch"));
+            .contains("prefix"));
+        assert!(FrameError::TruncatedFrame {
+            declared: 8,
+            got: 2
+        }
+        .to_string()
+        .contains("2/8"));
+        assert!(FrameError::BadChecksum {
+            expected: 1,
+            got: 2
+        }
+        .to_string()
+        .contains("checksum mismatch"));
     }
 }

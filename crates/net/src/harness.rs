@@ -206,7 +206,11 @@ mod tests {
 
         fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, &'static str>) {
             if kind == 1 {
-                ctx.send(ctx.topology().successor(ctx.id()), "ping", MsgClass::Control);
+                ctx.send(
+                    ctx.topology().successor(ctx.id()),
+                    "ping",
+                    MsgClass::Control,
+                );
             }
         }
     }

@@ -105,7 +105,7 @@ pub use sched::{
 pub use stats::NetStats;
 pub use tcp::{FlushError, TcpEndpoint, TcpTransport};
 pub use time::SimTime;
-pub use transport::{ChanEndpoint, ChanTransport, CloseReport, Endpoint, Transport};
 pub use trace::{TraceEvent, TraceKind, TraceLog};
+pub use transport::{ChanEndpoint, ChanTransport, CloseReport, Endpoint, Transport};
 pub use wheel::{SchedStats, TimerWheel};
 pub use world::{StepOutcome, World, WorldConfig, WorldProfile};

@@ -239,23 +239,35 @@ mod tests {
     fn timer(seq: u64) -> ReadyEvent {
         ReadyEvent {
             seq,
-            kind: ReadyKind::Timer { node: NodeId::new(0) },
+            kind: ReadyKind::Timer {
+                node: NodeId::new(0),
+            },
         }
     }
 
     #[test]
     fn fifo_and_lifo_pick_the_ends() {
-        let ready = [deliver(0, MsgClass::Token), timer(1), deliver(2, MsgClass::Control)];
+        let ready = [
+            deliver(0, MsgClass::Token),
+            timer(1),
+            deliver(2, MsgClass::Control),
+        ];
         assert_eq!(Fifo.choose(SimTime::ZERO, &ready), 0);
         assert_eq!(Lifo.choose(SimTime::ZERO, &ready), 2);
     }
 
     #[test]
     fn seeded_shuffle_is_reproducible_and_in_range() {
-        let ready = [deliver(0, MsgClass::Token), timer(1), deliver(2, MsgClass::Control)];
+        let ready = [
+            deliver(0, MsgClass::Token),
+            timer(1),
+            deliver(2, MsgClass::Control),
+        ];
         let picks = |seed: u64| {
             let mut s = SeededShuffle::new(seed);
-            (0..32).map(|_| s.choose(SimTime::ZERO, &ready)).collect::<Vec<_>>()
+            (0..32)
+                .map(|_| s.choose(SimTime::ZERO, &ready))
+                .collect::<Vec<_>>()
         };
         let a = picks(7);
         assert_eq!(a, picks(7));
@@ -284,7 +296,11 @@ mod tests {
     #[test]
     fn recorded_choices_replay_then_fifo() {
         let mut tape = RecordedChoices::new(vec![5, 1]);
-        let ready = [deliver(0, MsgClass::Token), timer(1), deliver(2, MsgClass::Control)];
+        let ready = [
+            deliver(0, MsgClass::Token),
+            timer(1),
+            deliver(2, MsgClass::Control),
+        ];
         assert_eq!(tape.choose(SimTime::ZERO, &ready), 2); // 5 % 3
         assert_eq!(tape.choose(SimTime::ZERO, &ready), 1); // 1 % 3
         assert_eq!(tape.consumed(), 2);

@@ -281,10 +281,31 @@ mod tests {
                 class: MsgClass::Control,
             },
         );
-        log.push(SimTime::from_ticks(4), TraceKind::Timer { node: NodeId::new(2), kind: 9 });
-        log.push(SimTime::from_ticks(5), TraceKind::External { node: NodeId::new(2) });
-        log.push(SimTime::from_ticks(6), TraceKind::Crashed { node: NodeId::new(2) });
-        log.push(SimTime::from_ticks(7), TraceKind::Recovered { node: NodeId::new(2) });
+        log.push(
+            SimTime::from_ticks(4),
+            TraceKind::Timer {
+                node: NodeId::new(2),
+                kind: 9,
+            },
+        );
+        log.push(
+            SimTime::from_ticks(5),
+            TraceKind::External {
+                node: NodeId::new(2),
+            },
+        );
+        log.push(
+            SimTime::from_ticks(6),
+            TraceKind::Crashed {
+                node: NodeId::new(2),
+            },
+        );
+        log.push(
+            SimTime::from_ticks(7),
+            TraceKind::Recovered {
+                node: NodeId::new(2),
+            },
+        );
 
         let lines = log.to_json_lines();
         assert!(lines.ends_with('\n'));
@@ -295,8 +316,14 @@ mod tests {
         assert_eq!(parsed.len(), 7);
         assert_eq!(parsed[0].get("kind").and_then(|v| v.as_str()), Some("sent"));
         assert_eq!(parsed[0].get("at").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(parsed[0].get("class").and_then(|v| v.as_str()), Some("token"));
-        assert_eq!(parsed[3].get("timer_kind").and_then(|v| v.as_u64()), Some(9));
+        assert_eq!(
+            parsed[0].get("class").and_then(|v| v.as_str()),
+            Some("token")
+        );
+        assert_eq!(
+            parsed[3].get("timer_kind").and_then(|v| v.as_u64()),
+            Some(9)
+        );
         assert_eq!(parsed[6].get("node").and_then(|v| v.as_u64()), Some(2));
         // Empty log exports the empty string.
         assert_eq!(TraceLog::default().to_json_lines(), "");

@@ -205,7 +205,11 @@ impl<T> TimerWheel<T> {
     /// never schedules into the past); `seq` ties at one instant are
     /// popped in ascending order no matter the push order.
     pub fn push(&mut self, time: u64, seq: u64, item: T) {
-        debug_assert!(time >= self.base, "push at t{time} behind wheel base t{}", self.base);
+        debug_assert!(
+            time >= self.base,
+            "push at t{time} behind wheel base t{}",
+            self.base
+        );
         let entry = Entry { time, seq, item };
         if time.wrapping_sub(self.base) < self.span() {
             self.insert_slot(entry);
@@ -437,10 +441,7 @@ mod tests {
         w.push(5, 0, 0);
         w.push(u64::MAX, 1, 0);
         w.push(u64::MAX, 2, 0);
-        assert_eq!(
-            drain(&mut w),
-            vec![(5, 0), (u64::MAX, 1), (u64::MAX, 2)]
-        );
+        assert_eq!(drain(&mut w), vec![(5, 0), (u64::MAX, 1), (u64::MAX, 2)]);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use atp_util::rng::{SeedableRng, StdRng};
 
 use crate::context::{Context, Effect};
 use crate::event::{EventKind, MsgClass, QueuedEvent};
-use crate::wheel::{SchedStats, TimerWheel};
 use crate::failure::{FailureEvent, FailurePlan};
 use crate::fault::LinkFaults;
 use crate::id::{NodeId, Topology};
@@ -16,6 +15,7 @@ use crate::sched::{DeliveryStrategy, ReadyEvent, ReadyKind};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::{TraceKind, TraceLog};
+use crate::wheel::{SchedStats, TimerWheel};
 
 /// Wall-clock cost of the engine's hot path, split by phase.
 ///
@@ -171,7 +171,9 @@ struct PartitionWindow {
 
 impl PartitionWindow {
     fn severs(&self, from: NodeId, to: NodeId, at: SimTime) -> bool {
-        at >= self.from && at < self.until && self.group_of[from.index()] != self.group_of[to.index()]
+        at >= self.from
+            && at < self.until
+            && self.group_of[from.index()] != self.group_of[to.index()]
     }
 }
 
@@ -479,9 +481,11 @@ impl<N: Node> World<N> {
             match ev {
                 FailureEvent::Crash { at, node } => self.schedule_crash(*at, *node),
                 FailureEvent::Recover { at, node } => self.schedule_recover(*at, *node),
-                FailureEvent::Partition { at, heal_at, groups } => {
-                    self.schedule_partition(*at, *heal_at, groups)
-                }
+                FailureEvent::Partition {
+                    at,
+                    heal_at,
+                    groups,
+                } => self.schedule_partition(*at, *heal_at, groups),
             }
         }
     }
@@ -542,19 +546,22 @@ impl<N: Node> World<N> {
                     extra_delay,
                 } => {
                     self.stats.record_sent(class);
-                    self.trace.push(self.now, TraceKind::Sent { from, to, class });
+                    self.trace
+                        .push(self.now, TraceKind::Sent { from, to, class });
                     // Send-time severing draws no randomness, so partition
                     // schedules never perturb the RNG stream of the
                     // surviving traffic.
                     if self.is_severed(from, to, self.now) {
                         self.stats.record_severed(class);
-                        self.trace.push(self.now, TraceKind::Lost { from, to, class });
+                        self.trace
+                            .push(self.now, TraceKind::Lost { from, to, class });
                         continue;
                     }
                     let (lost, duplicated) = self.link_faults.apply(class, &mut self.rng);
                     if lost {
                         self.stats.record_dropped(class);
-                        self.trace.push(self.now, TraceKind::Lost { from, to, class });
+                        self.trace
+                            .push(self.now, TraceKind::Lost { from, to, class });
                     }
                     if duplicated {
                         self.stats.record_duplicated(class);
@@ -641,12 +648,14 @@ impl<N: Node> World<N> {
                 // A frame in flight when the partition forms is cut too.
                 if self.is_severed(from, to, self.now) {
                     self.stats.record_severed(class);
-                    self.trace.push(self.now, TraceKind::Lost { from, to, class });
+                    self.trace
+                        .push(self.now, TraceKind::Lost { from, to, class });
                     return StepOutcome::Consumed { at: self.now };
                 }
                 if !self.liveness[to.index()].alive {
                     self.stats.record_dead_letter(class);
-                    self.trace.push(self.now, TraceKind::Lost { from, to, class });
+                    self.trace
+                        .push(self.now, TraceKind::Lost { from, to, class });
                     return StepOutcome::Consumed { at: self.now };
                 }
                 self.stats.record_delivered(class);
@@ -925,7 +934,11 @@ mod tests {
         assert_eq!(lifo, run(WorldConfig::default().strategy(Lifo)));
         let mut all: Vec<u32> = lifo.iter().flatten().copied().collect();
         all.sort_unstable();
-        assert_eq!(all, vec![2, 4, 6, 8, 10], "a message was lost or duplicated");
+        assert_eq!(
+            all,
+            vec![2, 4, 6, 8, 10],
+            "a message was lost or duplicated"
+        );
     }
 
     #[test]

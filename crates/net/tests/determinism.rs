@@ -2,9 +2,7 @@
 //! ordering, and loss accounting. Runs on the in-repo `atp_util::check`
 //! harness.
 
-use atp_net::{
-    Context, Latency, LinkFaults, MsgClass, Node, NodeId, SimTime, World, WorldConfig,
-};
+use atp_net::{Context, Latency, LinkFaults, MsgClass, Node, NodeId, SimTime, World, WorldConfig};
 use atp_util::check::{Check, Gen};
 use atp_util::rng::Rng;
 
@@ -73,7 +71,10 @@ type SeenLog = Vec<Vec<(u64, NodeId, u64)>>;
 fn run(s: &Scenario) -> (SeenLog, u64, u64) {
     let cfg = WorldConfig::default()
         .seed(s.seed)
-        .latency(Latency::Uniform { lo: s.jitter.0, hi: s.jitter.1 })
+        .latency(Latency::Uniform {
+            lo: s.jitter.0,
+            hi: s.jitter.1,
+        })
         .link_faults(LinkFaults::control_drops(s.drop_p));
     let mut w: World<Gossip> = World::new(s.n, cfg);
     for (t, node, hops) in &s.injections {
@@ -106,22 +107,31 @@ fn same_seed_same_trace() {
 /// quiescence, and nothing dead-letters without crashes).
 #[test]
 fn message_conservation() {
-    Check::new("message_conservation").cases(64).run(scenario, |s| {
-        let cfg = WorldConfig::default()
-            .seed(s.seed)
-            .latency(Latency::Uniform { lo: s.jitter.0, hi: s.jitter.1 })
-            .link_faults(LinkFaults::control_drops(s.drop_p));
-        let mut w: World<Gossip> = World::new(s.n, cfg);
-        for (t, node, hops) in &s.injections {
-            w.schedule_external(SimTime::from_ticks(*t), NodeId::new(node % s.n as u32), *hops);
-        }
-        w.run_to_quiescence();
-        let sent = w.stats().sent(MsgClass::Control);
-        let delivered = w.stats().delivered(MsgClass::Control);
-        let dropped = w.stats().dropped(MsgClass::Control);
-        assert_eq!(sent, delivered + dropped);
-        assert_eq!(w.stats().dead_letter(MsgClass::Control), 0);
-    });
+    Check::new("message_conservation")
+        .cases(64)
+        .run(scenario, |s| {
+            let cfg = WorldConfig::default()
+                .seed(s.seed)
+                .latency(Latency::Uniform {
+                    lo: s.jitter.0,
+                    hi: s.jitter.1,
+                })
+                .link_faults(LinkFaults::control_drops(s.drop_p));
+            let mut w: World<Gossip> = World::new(s.n, cfg);
+            for (t, node, hops) in &s.injections {
+                w.schedule_external(
+                    SimTime::from_ticks(*t),
+                    NodeId::new(node % s.n as u32),
+                    *hops,
+                );
+            }
+            w.run_to_quiescence();
+            let sent = w.stats().sent(MsgClass::Control);
+            let delivered = w.stats().delivered(MsgClass::Control);
+            let dropped = w.stats().dropped(MsgClass::Control);
+            assert_eq!(sent, delivered + dropped);
+            assert_eq!(w.stats().dead_letter(MsgClass::Control), 0);
+        });
 }
 
 /// Delivery respects latency bounds: every receive happens within

@@ -87,8 +87,16 @@ impl Parser {
     /// `--metrics-out`.
     pub fn obs_flags(self) -> Self {
         self.flag("--trace-out", "FILE", "write the traced run as JSON lines")
-            .flag("--chrome-out", "FILE", "write its spans as a chrome://tracing document")
-            .flag("--metrics-out", "FILE", "write the merged metrics registry as JSON")
+            .flag(
+                "--chrome-out",
+                "FILE",
+                "write its spans as a chrome://tracing document",
+            )
+            .flag(
+                "--metrics-out",
+                "FILE",
+                "write the merged metrics registry as JSON",
+            )
     }
 
     /// The generated usage string — the only one there is, so it cannot
@@ -134,9 +142,7 @@ impl Parser {
             };
             match spec.metavar {
                 Some(_) => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("{arg} expects a value"))?;
+                    let v = it.next().ok_or_else(|| format!("{arg} expects a value"))?;
                     m.values.retain(|(n, _)| n != &arg);
                     m.values.push((arg, v));
                 }
@@ -282,9 +288,7 @@ mod tests {
     #[test]
     fn rejects_unknown_flags_and_bad_values() {
         assert!(parser().parse(vec!["--bogus".into()]).is_err());
-        assert!(parser()
-            .parse(vec!["--n".into()])
-            .is_err(), "missing value");
+        assert!(parser().parse(vec!["--n".into()]).is_err(), "missing value");
         let m = parser().parse(vec!["--n".into(), "x".into()]).unwrap();
         assert!(m.get_num("--n", 0usize).is_err());
         let m = parser().parse(vec!["--shards".into(), "0".into()]).unwrap();

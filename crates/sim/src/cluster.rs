@@ -69,7 +69,13 @@ impl ClusterScript {
         ClusterScript {
             n: 5,
             horizon: 300,
-            requests: vec![(5, 1, 11), (20, 3, 33), (45, 0, 55), (70, 4, 77), (70, 2, 99)],
+            requests: vec![
+                (5, 1, 11),
+                (20, 3, 33),
+                (45, 0, 55),
+                (70, 4, 77),
+                (70, 2, 99),
+            ],
             seed,
             cfg: ProtocolConfig::default(),
         }
@@ -234,7 +240,11 @@ pub fn run_in_world<P: ProtocolNode>(script: &ClusterScript) -> RunOutcome {
         WorldConfig::default().seed(script.seed),
     );
     for &(t, node, payload) in &script.requests {
-        world.schedule_external(SimTime::from_ticks(t), NodeId::new(node), Want::new(payload));
+        world.schedule_external(
+            SimTime::from_ticks(t),
+            NodeId::new(node),
+            Want::new(payload),
+        );
     }
     world.run_until(SimTime::from_ticks(script.horizon));
     let (mut grants, mut drained) = (Vec::new(), Vec::new());
@@ -268,8 +278,13 @@ pub fn run_on_transport<P: ProtocolNode, T: Transport>(
 enum ClockEntry {
     /// A frame as the transport returned it: the message follows the
     /// envelope and is decoded in place.
-    Deliver { from: NodeId, framed: Vec<u8> },
-    Timer { kind: u64 },
+    Deliver {
+        from: NodeId,
+        framed: Vec<u8>,
+    },
+    Timer {
+        kind: u64,
+    },
     Ext(Want),
 }
 
@@ -429,7 +444,8 @@ impl<E: Endpoint> Wire<E> {
                     if self.token_frames.is_multiple_of(k) {
                         // The stuttered copy precedes the original, exactly
                         // as the reference channel harness sent it.
-                        self.sends.push((from, ob.to.index(), arrival, bytes.clone()));
+                        self.sends
+                            .push((from, ob.to.index(), arrival, bytes.clone()));
                     }
                 }
             }
@@ -733,15 +749,13 @@ pub fn run_on_endpoints<P: ProtocolNode, E: Endpoint>(
         let h = &mut harnesses[dest];
         let now = SimTime::from_ticks(at);
         match ev {
-            ClockEntry::Deliver { from, framed } => {
-                match P::decode_msg(&framed[ENVELOPE_LEN..]) {
-                    Ok(msg) => h.deliver(now, from, msg),
-                    Err(_) => {
-                        stats.decode_errors += 1;
-                        continue;
-                    }
+            ClockEntry::Deliver { from, framed } => match P::decode_msg(&framed[ENVELOPE_LEN..]) {
+                Ok(msg) => h.deliver(now, from, msg),
+                Err(_) => {
+                    stats.decode_errors += 1;
+                    continue;
                 }
-            }
+            },
             ClockEntry::Timer { kind } => h.fire_timer(now, kind),
             ClockEntry::Ext(want) => h.external(now, want),
         }
@@ -1085,7 +1099,9 @@ mod tests {
         assert_eq!(stats.dual_possession, 0);
         assert!(stats.requests_deferred >= 1, "{stats:?}");
         assert!(
-            out.grants.iter().any(|&(t, origin, _)| origin == 4 && t >= 130),
+            out.grants
+                .iter()
+                .any(|&(t, origin, _)| origin == 4 && t >= 130),
             "node 4's deferred request must be granted after its restart: {:?}",
             out.grants
         );

@@ -249,7 +249,11 @@ impl DstCase {
 pub fn gen_case(g: &mut Gen, protocol: Protocol, mutation: Mutation) -> DstCase {
     let n = g.gen_range(2..=10usize);
     let world_seed = g.next_u64();
-    let latency = if g.gen_range(0..3u32) == 0 { (1, 3) } else { (1, 1) };
+    let latency = if g.gen_range(0..3u32) == 0 {
+        (1, 3)
+    } else {
+        (1, 1)
+    };
     let drop_p = match g.gen_range(0..4u32) {
         0 => 0.3,
         1 => 1.0,
@@ -432,7 +436,10 @@ impl std::fmt::Display for Violation {
                 at.ticks()
             ),
             Violation::DuplicateToken {
-                a, b, generation, at,
+                a,
+                b,
+                generation,
+                at,
             } => write!(
                 f,
                 "nodes {a} and {b} both hold a generation-{generation} token at t={}",
@@ -993,9 +1000,7 @@ impl Explorer {
                 Ok(stats) => oracle_checks += stats.oracle_checks,
                 Err(first) => {
                     let tape = g.tape().to_vec();
-                    return ExploreOutcome::Found(Box::new(self.minimize(
-                        case_seed, tape, first,
-                    )));
+                    return ExploreOutcome::Found(Box::new(self.minimize(case_seed, tape, first)));
                 }
             }
         }
@@ -1236,12 +1241,19 @@ mod tests {
     fn small_clean_exploration_passes() {
         for protocol in Protocol::ALL {
             match Explorer::new(protocol, 7, Mutation::None).explore(12) {
-                ExploreOutcome::Clean { cases, oracle_checks } => {
+                ExploreOutcome::Clean {
+                    cases,
+                    oracle_checks,
+                } => {
                     assert_eq!(cases, 12);
                     assert!(oracle_checks > 0, "{}: oracles never ran", protocol.label());
                 }
                 ExploreOutcome::Found(cx) => {
-                    panic!("{}: unexpected violation: {}", protocol.label(), cx.violation)
+                    panic!(
+                        "{}: unexpected violation: {}",
+                        protocol.label(),
+                        cx.violation
+                    )
                 }
             }
         }
@@ -1264,21 +1276,35 @@ mod tests {
             }
             assert!(Focus::All.admits(&case));
         }
-        assert!(with_partition > 10, "partition draws too rare: {with_partition}/64");
+        assert!(
+            with_partition > 10,
+            "partition draws too rare: {with_partition}/64"
+        );
     }
 
     #[test]
     fn partition_exploration_passes() {
         for protocol in Protocol::ALL {
-            let explorer =
-                Explorer::new(protocol, 11, Mutation::None).with_focus(Focus::Partition);
+            let explorer = Explorer::new(protocol, 11, Mutation::None).with_focus(Focus::Partition);
             match explorer.explore(6) {
-                ExploreOutcome::Clean { cases, oracle_checks } => {
-                    assert!(cases >= 4, "{}: only {cases} partition cases ran", protocol.label());
+                ExploreOutcome::Clean {
+                    cases,
+                    oracle_checks,
+                } => {
+                    assert!(
+                        cases >= 4,
+                        "{}: only {cases} partition cases ran",
+                        protocol.label()
+                    );
                     assert!(oracle_checks > 0);
                 }
                 ExploreOutcome::Found(cx) => {
-                    panic!("{}: unexpected violation: {}\n{}", protocol.label(), cx.violation, cx.case_debug)
+                    panic!(
+                        "{}: unexpected violation: {}\n{}",
+                        protocol.label(),
+                        cx.violation,
+                        cx.case_debug
+                    )
                 }
             }
         }

@@ -65,8 +65,14 @@ pub fn variants() -> Vec<(&'static str, ProtocolConfig)> {
     let base = ProtocolConfig::default().with_record_log(false);
     vec![
         ("baseline", base),
-        ("directed-search", base.with_search_mode(SearchMode::Directed)),
-        ("inverse-cleanup", base.with_trap_cleanup(TrapCleanup::Inverse)),
+        (
+            "directed-search",
+            base.with_search_mode(SearchMode::Directed),
+        ),
+        (
+            "inverse-cleanup",
+            base.with_trap_cleanup(TrapCleanup::Inverse),
+        ),
         ("single-outstanding", base.with_single_outstanding(true)),
         ("serve-all-on-grant", base.with_serve_all_on_grant(true)),
         (
@@ -107,11 +113,17 @@ pub fn series(config: &Config) -> Vec<Variant> {
 
 /// Runs the ablation and renders the table.
 pub fn run(config: &Config) -> Table {
-    let mut table = Table::new(vec!["variant", "resp", "control-msgs", "token-msgs", "grants"])
-        .title(format!(
-            "Section 4.4 ablation — BinarySearch variants, n = {}, gap = {}",
-            config.n, config.mean_gap
-        ));
+    let mut table = Table::new(vec![
+        "variant",
+        "resp",
+        "control-msgs",
+        "token-msgs",
+        "grants",
+    ])
+    .title(format!(
+        "Section 4.4 ablation — BinarySearch variants, n = {}, gap = {}",
+        config.n, config.mean_gap
+    ));
     for v in series(config) {
         table.row(vec![
             v.name.clone(),

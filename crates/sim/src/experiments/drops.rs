@@ -7,7 +7,6 @@
 //! served (safety/liveness via the reliable rotation); responsiveness should
 //! degrade from ≈log N toward the plain ring's value as searches vanish.
 
-
 use crate::report::{f2, Table};
 use crate::runner::{ExperimentSpec, NetProfile, Protocol};
 use crate::sweep::{run_points, PointSpec, WorkloadSpec};
@@ -94,12 +93,11 @@ pub fn series(config: &Config) -> Vec<Point> {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &Config) -> Table {
-    let mut table = Table::new(vec!["drop-p", "binary-resp", "unserved", "dropped"]).title(
-        format!(
+    let mut table =
+        Table::new(vec!["drop-p", "binary-resp", "unserved", "dropped"]).title(format!(
             "Cheap-message loss — BinarySearch, n = {}, gap = {}",
             config.n, config.mean_gap
-        ),
-    );
+        ));
     for p in series(config) {
         table.row(vec![
             f2(p.drop_p),

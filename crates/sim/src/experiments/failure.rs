@@ -98,8 +98,7 @@ pub fn series(config: &Config) -> Vec<Scenario> {
     // Crashing a node that never held the token must not need regeneration
     // for ring/binary; the rotation simply routes around after regeneration
     // excludes it.
-    let crash_bystander =
-        FailurePlan::new().crash_at(SimTime::from_ticks(1), NodeId::new(2));
+    let crash_bystander = FailurePlan::new().crash_at(SimTime::from_ticks(1), NodeId::new(2));
     // Crash then recover: the rejoin path readmits the node.
     let crash_recover = FailurePlan::new()
         .crash_at(SimTime::from_ticks(1), NodeId::new(0))
@@ -146,10 +145,7 @@ pub fn run(config: &Config) -> Table {
         "regens",
         "stale-discards",
     ])
-    .title(format!(
-        "Section 5 — token-loss recovery, n = {}",
-        config.n
-    ));
+    .title(format!("Section 5 — token-loss recovery, n = {}", config.n));
     for s in series(config) {
         table.row(vec![
             s.name.clone(),

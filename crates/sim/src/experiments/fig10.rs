@@ -5,7 +5,6 @@
 //! approaches log n from below. For the regular ring algorithm the average
 //! responsiveness approaches n/2 (= 50)."*
 
-
 use crate::report::{f2, Table};
 use crate::runner::{ExperimentSpec, Protocol, RunSummary};
 use crate::stats::log2;

@@ -6,7 +6,6 @@
 //! … Using System Binary Search, the average responsiveness is bounded by
 //! log n."* Each simulation ran 1000 token rounds.
 
-
 use crate::report::{f2, Table};
 use crate::runner::{ExperimentSpec, Protocol, RunSummary};
 use crate::stats::log2;

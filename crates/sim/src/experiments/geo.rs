@@ -11,7 +11,6 @@
 //! rotation hops) the ring catches up, showing the paper's unit-cost
 //! assumption is load-bearing for the time bound.
 
-
 use crate::report::{f2, Table};
 use crate::runner::{ExperimentSpec, NetProfile, Protocol};
 use crate::sweep::{run_points, PointSpec, WorkloadSpec};
@@ -111,12 +110,10 @@ pub fn series(config: &Config) -> Vec<Point> {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &Config) -> Table {
-    let mut table = Table::new(vec!["distance/k", "ring", "binary", "binary/ring"]).title(
-        format!(
-            "Geographic link costs (delay = 1 + ⌈d/k⌉), n = {}, gap = {}",
-            config.n, config.mean_gap
-        ),
-    );
+    let mut table = Table::new(vec!["distance/k", "ring", "binary", "binary/ring"]).title(format!(
+        "Geographic link costs (delay = 1 + ⌈d/k⌉), n = {}, gap = {}",
+        config.n, config.mean_gap
+    ));
     for p in series(config) {
         let label = if p.divisor == 0 {
             "flat".to_string()

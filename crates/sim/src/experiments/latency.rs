@@ -3,7 +3,6 @@
 //! survives when message delays are drawn from wider and wider uniform
 //! distributions instead of the unit-delay idealization.
 
-
 use crate::report::{f2, Table};
 use crate::runner::{ExperimentSpec, NetProfile, Protocol};
 use crate::sweep::{run_points, PointSpec, WorkloadSpec};
@@ -98,16 +97,11 @@ pub fn series(config: &Config) -> Vec<Point> {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &Config) -> Table {
-    let mut table = Table::new(vec![
-        "latency",
-        "mean-delay",
-        "ring/delay",
-        "binary/delay",
-    ])
-    .title(format!(
-        "Latency-jitter robustness, n = {}, relative gap = {}",
-        config.n, config.mean_gap
-    ));
+    let mut table =
+        Table::new(vec!["latency", "mean-delay", "ring/delay", "binary/delay"]).title(format!(
+            "Latency-jitter robustness, n = {}, relative gap = {}",
+            config.n, config.mean_gap
+        ));
     for p in series(config) {
         table.row(vec![
             format!("U({},{})", p.latency.0, p.latency.1),

@@ -91,7 +91,10 @@ pub fn series(config: &Config) -> Vec<Point> {
     let base = ProtocolConfig::default().with_record_log(false);
     let variants = [
         (Protocol::Binary, base),
-        (Protocol::Binary, base.with_search_mode(SearchMode::Directed)),
+        (
+            Protocol::Binary,
+            base.with_search_mode(SearchMode::Directed),
+        ),
         (Protocol::Search, base),
     ];
     let mut points = Vec::with_capacity(config.ns.len() * variants.len() * config.trials);

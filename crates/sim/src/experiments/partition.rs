@@ -171,10 +171,7 @@ mod tests {
     fn clean_partition_heals_and_serves() {
         let points = series(&Config::quick());
         for protocol in PROTOCOLS {
-            let clean = points
-                .iter()
-                .find(|p| p.protocol == protocol)
-                .unwrap();
+            let clean = points.iter().find(|p| p.protocol == protocol).unwrap();
             assert_eq!(clean.fault_p, 0.0);
             assert!(
                 clean.severed > 0,

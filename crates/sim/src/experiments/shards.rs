@@ -139,8 +139,12 @@ pub fn run(config: &Config) -> Table {
             f2(p.imbalance),
         ]);
     }
-    table.note("each shard is a full protocol instance with its own token; shards never exchange frames");
-    table.note("speedup is vs the same protocol at K = 1; linear in K until per-node work dominates");
+    table.note(
+        "each shard is a full protocol instance with its own token; shards never exchange frames",
+    );
+    table.note(
+        "speedup is vs the same protocol at K = 1; linear in K until per-node work dominates",
+    );
     table
 }
 
@@ -148,11 +152,16 @@ pub fn run(config: &Config) -> Table {
 /// ring of `n` nodes, per shard count. Multi-probe placement moves only
 /// the shards the newcomer wins — about K/(n+1) — never unrelated ones.
 pub fn rebalance_table(config: &Config) -> Table {
-    let mut table = Table::new(vec!["K", "moved on join", "ideal K/(n+1)", "moved on leave"])
-        .title(format!(
-            "Rebalance cost of one membership change (n = {})",
-            config.n
-        ));
+    let mut table = Table::new(vec![
+        "K",
+        "moved on join",
+        "ideal K/(n+1)",
+        "moved on leave",
+    ])
+    .title(format!(
+        "Rebalance cost of one membership change (n = {})",
+        config.n
+    ));
     for &k in &config.shard_counts {
         let mut map = ShardMap::new(k, config.n);
         let joined = map.add_node(config.n as u32);

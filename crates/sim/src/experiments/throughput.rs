@@ -6,7 +6,6 @@
 //! Throughput is grants per tick; with zero service time and unit delays the
 //! ideal is one grant per message delay (the token is never idle).
 
-
 use crate::report::{f2, Table};
 use crate::runner::{ExperimentSpec, Protocol};
 use crate::sweep::{run_points, PointSpec, WorkloadSpec};

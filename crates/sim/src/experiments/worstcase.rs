@@ -60,7 +60,13 @@ pub struct Point {
     pub log2n: f64,
 }
 
-fn probe_specs(protocol: Protocol, n: usize, positions: usize, seed: u64, out: &mut Vec<PointSpec>) {
+fn probe_specs(
+    protocol: Protocol,
+    n: usize,
+    positions: usize,
+    seed: u64,
+    out: &mut Vec<PointSpec>,
+) {
     let probes = if positions == 0 { n } else { positions.min(n) };
     for k in 0..probes {
         let node = NodeId::new(((k * n) / probes) as u32);
@@ -159,7 +165,7 @@ mod tests {
         let points = series(&Config::quick());
         let small = &points[0]; // n = 8
         let large = &points[1]; // n = 32
-        // Ring worst case scales roughly with n.
+                                // Ring worst case scales roughly with n.
         assert!(
             large.ring_worst >= 3 * small.ring_worst.max(1) / 2,
             "ring: {} → {}",

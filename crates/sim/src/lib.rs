@@ -68,4 +68,3 @@ pub use sweep::{run_points, PointSpec, WorkloadSpec};
 pub use workload::{
     Arrival, Bursty, GlobalPoisson, HogAndWaiter, PerNodePoisson, Saturated, SingleShot, Workload,
 };
-

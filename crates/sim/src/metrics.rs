@@ -148,7 +148,8 @@ impl Metrics {
             TokenEvent::Granted { req, at } => {
                 if let Some(w) = self.outstanding.remove(req) {
                     self.wait_samples.push(at.since(w.since));
-                    self.other_grants_samples.push(self.grants - w.grants_before);
+                    self.other_grants_samples
+                        .push(self.grants - w.grants_before);
                 }
                 self.grants += 1;
                 self.grants_per_node[req.origin.index()] += 1;
@@ -226,8 +227,20 @@ mod tests {
     #[test]
     fn single_request_responsiveness_equals_wait() {
         let mut m = Metrics::new(4);
-        m.on_event(NodeId::new(1), &TokenEvent::Requested { req: req(1, 1), at: t(10) });
-        m.on_event(NodeId::new(1), &TokenEvent::Granted { req: req(1, 1), at: t(17) });
+        m.on_event(
+            NodeId::new(1),
+            &TokenEvent::Requested {
+                req: req(1, 1),
+                at: t(10),
+            },
+        );
+        m.on_event(
+            NodeId::new(1),
+            &TokenEvent::Granted {
+                req: req(1, 1),
+                at: t(17),
+            },
+        );
         let s = m.summarize();
         assert_eq!(s.responsiveness.max, 7);
         assert_eq!(s.waiting.max, 7);
@@ -239,10 +252,34 @@ mod tests {
         // Definition 3: two simultaneous requests; grants at +2 and +5.
         // Periods: [0,2] and [2,5] — responsiveness max = 3, not 5.
         let mut m = Metrics::new(4);
-        m.on_event(NodeId::new(0), &TokenEvent::Requested { req: req(0, 1), at: t(0) });
-        m.on_event(NodeId::new(1), &TokenEvent::Requested { req: req(1, 1), at: t(0) });
-        m.on_event(NodeId::new(0), &TokenEvent::Granted { req: req(0, 1), at: t(2) });
-        m.on_event(NodeId::new(1), &TokenEvent::Granted { req: req(1, 1), at: t(5) });
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Requested {
+                req: req(0, 1),
+                at: t(0),
+            },
+        );
+        m.on_event(
+            NodeId::new(1),
+            &TokenEvent::Requested {
+                req: req(1, 1),
+                at: t(0),
+            },
+        );
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Granted {
+                req: req(0, 1),
+                at: t(2),
+            },
+        );
+        m.on_event(
+            NodeId::new(1),
+            &TokenEvent::Granted {
+                req: req(1, 1),
+                at: t(5),
+            },
+        );
         let s = m.summarize();
         assert_eq!(s.responsiveness.max, 3);
         assert_eq!(s.waiting.max, 5);
@@ -251,11 +288,35 @@ mod tests {
     #[test]
     fn idle_gaps_do_not_count() {
         let mut m = Metrics::new(4);
-        m.on_event(NodeId::new(0), &TokenEvent::Requested { req: req(0, 1), at: t(0) });
-        m.on_event(NodeId::new(0), &TokenEvent::Granted { req: req(0, 1), at: t(1) });
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Requested {
+                req: req(0, 1),
+                at: t(0),
+            },
+        );
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Granted {
+                req: req(0, 1),
+                at: t(1),
+            },
+        );
         // Long idle gap, then another request.
-        m.on_event(NodeId::new(2), &TokenEvent::Requested { req: req(2, 1), at: t(100) });
-        m.on_event(NodeId::new(2), &TokenEvent::Granted { req: req(2, 1), at: t(103) });
+        m.on_event(
+            NodeId::new(2),
+            &TokenEvent::Requested {
+                req: req(2, 1),
+                at: t(100),
+            },
+        );
+        m.on_event(
+            NodeId::new(2),
+            &TokenEvent::Granted {
+                req: req(2, 1),
+                at: t(103),
+            },
+        );
         let s = m.summarize();
         assert_eq!(s.responsiveness.max, 3);
         assert_eq!(s.responsiveness.count, 2);
@@ -264,13 +325,49 @@ mod tests {
     #[test]
     fn other_grants_counted_for_fairness() {
         let mut m = Metrics::new(4);
-        m.on_event(NodeId::new(0), &TokenEvent::Requested { req: req(0, 1), at: t(0) });
-        m.on_event(NodeId::new(1), &TokenEvent::Requested { req: req(1, 1), at: t(0) });
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Requested {
+                req: req(0, 1),
+                at: t(0),
+            },
+        );
+        m.on_event(
+            NodeId::new(1),
+            &TokenEvent::Requested {
+                req: req(1, 1),
+                at: t(0),
+            },
+        );
         // Node 0 gets three grants while node 1 waits.
-        m.on_event(NodeId::new(0), &TokenEvent::Granted { req: req(0, 1), at: t(1) });
-        m.on_event(NodeId::new(0), &TokenEvent::Requested { req: req(0, 2), at: t(2) });
-        m.on_event(NodeId::new(0), &TokenEvent::Granted { req: req(0, 2), at: t(3) });
-        m.on_event(NodeId::new(1), &TokenEvent::Granted { req: req(1, 1), at: t(4) });
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Granted {
+                req: req(0, 1),
+                at: t(1),
+            },
+        );
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Requested {
+                req: req(0, 2),
+                at: t(2),
+            },
+        );
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Granted {
+                req: req(0, 2),
+                at: t(3),
+            },
+        );
+        m.on_event(
+            NodeId::new(1),
+            &TokenEvent::Granted {
+                req: req(1, 1),
+                at: t(4),
+            },
+        );
         let s = m.summarize();
         assert_eq!(s.other_grants_while_waiting.max, 2);
         assert_eq!(s.grants, 3);
@@ -312,7 +409,13 @@ mod tests {
     #[test]
     fn unserved_requests_are_visible() {
         let mut m = Metrics::new(2);
-        m.on_event(NodeId::new(0), &TokenEvent::Requested { req: req(0, 1), at: t(0) });
+        m.on_event(
+            NodeId::new(0),
+            &TokenEvent::Requested {
+                req: req(0, 1),
+                at: t(0),
+            },
+        );
         assert_eq!(m.unserved(), 1);
         assert_eq!(m.summarize().unserved, 1);
     }

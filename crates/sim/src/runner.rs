@@ -638,7 +638,11 @@ fn drive<N: ProtocolNode>(
         duration_ticks: world.now().ticks(),
     };
     let artifacts = RunArtifacts {
-        spans: if opts.trace_capacity > 0 { spans.spans() } else { Vec::new() },
+        spans: if opts.trace_capacity > 0 {
+            spans.spans()
+        } else {
+            Vec::new()
+        },
         net_trace_jsonl: world.trace().to_json_lines(),
         profile,
     };
@@ -656,7 +660,10 @@ mod tests {
         let mut wl = GlobalPoisson::new(20.0);
         let s = run_experiment(&spec, &mut wl);
         assert!(s.metrics.requests > 50, "requests = {}", s.metrics.requests);
-        assert_eq!(s.metrics.grants + s.metrics.unserved as u64, s.metrics.requests);
+        assert_eq!(
+            s.metrics.grants + s.metrics.unserved as u64,
+            s.metrics.requests
+        );
         assert!(s.net.token_sent > 0);
         assert!(s.duration_ticks >= 2_000);
     }
@@ -665,10 +672,15 @@ mod tests {
     fn binary_beats_ring_on_light_load() {
         let n = 64;
         let mut ring_wl = GlobalPoisson::new(200.0);
-        let ring = run_experiment(&ExperimentSpec::new(Protocol::Ring, n, 50_000), &mut ring_wl);
+        let ring = run_experiment(
+            &ExperimentSpec::new(Protocol::Ring, n, 50_000),
+            &mut ring_wl,
+        );
         let mut bin_wl = GlobalPoisson::new(200.0);
-        let binary =
-            run_experiment(&ExperimentSpec::new(Protocol::Binary, n, 50_000), &mut bin_wl);
+        let binary = run_experiment(
+            &ExperimentSpec::new(Protocol::Binary, n, 50_000),
+            &mut bin_wl,
+        );
         assert!(
             binary.metrics.responsiveness.mean < ring.metrics.responsiveness.mean / 2.0,
             "binary {} vs ring {}",

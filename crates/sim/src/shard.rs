@@ -262,11 +262,11 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
     // Issue with explicit world access so the borrow checker lets the
     // main loop re-issue while holding per-world state.
     let issue = |worlds: &mut Vec<World<N>>,
-                     pending: &mut Vec<Vec<VecDeque<u64>>>,
-                     rng: &mut StdRng,
-                     issued: &mut u64,
-                     client: u64,
-                     at: u64| {
+                 pending: &mut Vec<Vec<VecDeque<u64>>>,
+                 rng: &mut StdRng,
+                 issued: &mut u64,
+                 client: u64,
+                 at: u64| {
         let key = spec.key_dist.draw(rng, KEY_UNIVERSE);
         let sid = map.shard_of_key(key);
         let entry = entry_node(key, spec.n);

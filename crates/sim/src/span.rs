@@ -409,9 +409,21 @@ mod tests {
         let mut c = SpanCollector::new();
         let r = req(3, 1);
         c.on_event(&TokenEvent::Requested { req: r, at: t(10) });
-        c.on_event(&TokenEvent::SearchForwarded { req: r, bytes: 30, at: t(11) });
-        c.on_event(&TokenEvent::SearchForwarded { req: r, bytes: 34, at: t(12) });
-        c.on_event(&TokenEvent::TokenDispatched { req: r, bytes: 80, at: t(14) });
+        c.on_event(&TokenEvent::SearchForwarded {
+            req: r,
+            bytes: 30,
+            at: t(11),
+        });
+        c.on_event(&TokenEvent::SearchForwarded {
+            req: r,
+            bytes: 34,
+            at: t(12),
+        });
+        c.on_event(&TokenEvent::TokenDispatched {
+            req: r,
+            bytes: 80,
+            at: t(14),
+        });
         c.on_event(&TokenEvent::Granted { req: r, at: t(16) });
         c.on_event(&released(r, t(18)));
         let spans = c.spans();
@@ -443,7 +455,11 @@ mod tests {
         c.on_event(&TokenEvent::Requested { req: r, at: t(0) });
         c.on_event(&TokenEvent::Granted { req: r, at: t(5) });
         c.on_event(&released(r, t(5)));
-        c.on_event(&TokenEvent::SearchForwarded { req: r, bytes: 21, at: t(2) });
+        c.on_event(&TokenEvent::SearchForwarded {
+            req: r,
+            bytes: 21,
+            at: t(2),
+        });
         assert_eq!(c.spans()[0].forwards, 1);
     }
 
@@ -462,16 +478,31 @@ mod tests {
     #[test]
     fn report_merge_is_exact() {
         let mut a = SpanCollector::new();
-        a.on_event(&TokenEvent::Requested { req: req(0, 1), at: t(0) });
-        a.on_event(&TokenEvent::Granted { req: req(0, 1), at: t(3) });
+        a.on_event(&TokenEvent::Requested {
+            req: req(0, 1),
+            at: t(0),
+        });
+        a.on_event(&TokenEvent::Granted {
+            req: req(0, 1),
+            at: t(3),
+        });
         let mut b = SpanCollector::new();
-        b.on_event(&TokenEvent::Requested { req: req(1, 1), at: t(0) });
-        b.on_event(&TokenEvent::Granted { req: req(1, 1), at: t(9) });
+        b.on_event(&TokenEvent::Requested {
+            req: req(1, 1),
+            at: t(0),
+        });
+        b.on_event(&TokenEvent::Granted {
+            req: req(1, 1),
+            at: t(9),
+        });
 
         let mut both = SpanCollector::new();
         for c in [&a, &b] {
             for s in c.spans() {
-                both.on_event(&TokenEvent::Requested { req: s.req, at: s.requested_at });
+                both.on_event(&TokenEvent::Requested {
+                    req: s.req,
+                    at: s.requested_at,
+                });
                 both.on_event(&TokenEvent::Granted {
                     req: s.req,
                     at: s.granted_at.unwrap(),
@@ -490,7 +521,10 @@ mod tests {
     #[test]
     fn span_json_has_nulls_for_unreached_phases() {
         let mut c = SpanCollector::new();
-        c.on_event(&TokenEvent::Requested { req: req(2, 1), at: t(4) });
+        c.on_event(&TokenEvent::Requested {
+            req: req(2, 1),
+            at: t(4),
+        });
         let json = c.spans()[0].to_json();
         let v = atp_util::json::parse(&json).unwrap();
         assert_eq!(v.get("kind").and_then(|k| k.as_str()), Some("span"));
@@ -503,7 +537,11 @@ mod tests {
         let mut c = SpanCollector::new();
         let r = req(0, 1);
         c.on_event(&TokenEvent::Requested { req: r, at: t(0) });
-        c.on_event(&TokenEvent::TokenDispatched { req: r, bytes: 57, at: t(2) });
+        c.on_event(&TokenEvent::TokenDispatched {
+            req: r,
+            bytes: 57,
+            at: t(2),
+        });
         c.on_event(&TokenEvent::Granted { req: r, at: t(4) });
         c.on_event(&released(r, t(6)));
         let doc = chrome_trace_json(&c.spans());
@@ -518,11 +556,18 @@ mod tests {
         let mut c = SpanCollector::new();
         let r = req(0, 1);
         c.on_event(&TokenEvent::Requested { req: r, at: t(0) });
-        c.on_event(&TokenEvent::SearchForwarded { req: r, bytes: 21, at: t(1) });
+        c.on_event(&TokenEvent::SearchForwarded {
+            req: r,
+            bytes: 21,
+            at: t(1),
+        });
         c.on_event(&TokenEvent::Granted { req: r, at: t(2) });
         let mut reg = Registry::new();
         c.report().fill_registry(&mut reg);
         assert_eq!(reg.counter("span.search.bytes"), 21);
-        assert_eq!(reg.hist("span.forwards").expect("histogram exists").count(), 1);
+        assert_eq!(
+            reg.hist("span.forwards").expect("histogram exists").count(),
+            1
+        );
     }
 }

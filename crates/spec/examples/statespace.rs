@@ -19,11 +19,36 @@ fn main() {
     size("S(3,1)", &s::system(3, 1), s::initial(3), 500_000);
     size("S(3,2)", &s::system(3, 2), s::initial(3), 500_000);
     size("S1(3,1)", &s1::system(3, 1), s1::initial(3), 500_000);
-    size("Token(3,1)", &token::system(3, 1), token::initial(3), 500_000);
+    size(
+        "Token(3,1)",
+        &token::system(3, 1),
+        token::initial(3),
+        500_000,
+    );
     size("MP(2,1)", &mp::system(2, 1), mp::initial(2), 500_000);
     size("MP(3,1)", &mp::system(3, 1), mp::initial(3), 500_000);
-    size("Search(2,1)", &search::system(2, 1), search::initial(2), 500_000);
-    size("Search(3,1)", &search::system(3, 1), search::initial(3), 500_000);
-    size("Binary(2,1)", &binary::system(2, 1), binary::initial(2), 500_000);
-    size("Binary(3,1)", &binary::system(3, 1), binary::initial(3), 500_000);
+    size(
+        "Search(2,1)",
+        &search::system(2, 1),
+        search::initial(2),
+        500_000,
+    );
+    size(
+        "Search(3,1)",
+        &search::system(3, 1),
+        search::initial(3),
+        500_000,
+    );
+    size(
+        "Binary(2,1)",
+        &binary::system(2, 1),
+        binary::initial(2),
+        500_000,
+    );
+    size(
+        "Binary(3,1)",
+        &binary::system(3, 1),
+        binary::initial(3),
+        500_000,
+    );
 }

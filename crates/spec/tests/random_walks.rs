@@ -51,7 +51,14 @@ fn token_prefix_holds_on_long_walks_n5() {
 #[test]
 fn mp_invariants_hold_on_long_walks_n5() {
     let inv = |st: &Term| mp::prefix_ok(st) && mp::token_unique(st);
-    walk_ok("MP(5,2)", &mp::system(5, 2), mp::initial(5), 400, 0..10, inv);
+    walk_ok(
+        "MP(5,2)",
+        &mp::system(5, 2),
+        mp::initial(5),
+        400,
+        0..10,
+        inv,
+    );
 }
 
 #[test]
@@ -69,8 +76,9 @@ fn search_invariants_hold_on_long_walks_n5() {
 
 #[test]
 fn binary_invariants_hold_on_long_walks_n6() {
-    let inv =
-        |st: &Term| binary::prefix_ok(st) && binary::token_unique(st) && binary::ranges_positive(st);
+    let inv = |st: &Term| {
+        binary::prefix_ok(st) && binary::token_unique(st) && binary::ranges_positive(st)
+    };
     walk_ok(
         "Binary(6,1)",
         &binary::system(6, 1),

@@ -52,7 +52,8 @@ impl Graph {
     /// `dot -Tsvg graph.dot -o graph.svg`.
     pub fn to_dot(&self, rule_names: &[&str], max_label: usize) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("digraph trs {\n  rankdir=LR;\n  node [shape=box, fontsize=9];\n");
+        let mut out =
+            String::from("digraph trs {\n  rankdir=LR;\n  node [shape=box, fontsize=9];\n");
         for (i, state) in self.states.iter().enumerate() {
             let mut label = state.to_string();
             if label.chars().count() > max_label {

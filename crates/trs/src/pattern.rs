@@ -231,10 +231,7 @@ mod tests {
     fn bag_pattern_enumerates_all_choices() {
         // Q | (x, d) against a bag of three pairs: three ways to pick.
         let bag = Term::bag(vec![pair(0, "a"), pair(1, "b"), pair(2, "c")]);
-        let p = Pat::bag(
-            vec![Pat::tuple(vec![Pat::var("x"), Pat::var("d")])],
-            "Q",
-        );
+        let p = Pat::bag(vec![Pat::tuple(vec![Pat::var("x"), Pat::var("d")])], "Q");
         let m = matches(&p, &bag);
         assert_eq!(m.len(), 3);
         let xs: Vec<i64> = m.iter().map(|s| s["x"].as_int().unwrap()).collect();

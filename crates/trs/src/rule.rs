@@ -284,11 +284,7 @@ mod tests {
     #[test]
     fn successors_deduplicate() {
         // Two bag elements that produce the same successor term.
-        let rule = Rule::new(
-            "drop",
-            Pat::bag(vec![Pat::Wild], "rest"),
-            Rhs::var("rest"),
-        );
+        let rule = Rule::new("drop", Pat::bag(vec![Pat::Wild], "rest"), Rhs::var("rest"));
         let trs = Trs::new(vec![rule]);
         let state = Term::bag(vec![Term::int(1), Term::int(1)]);
         // Dropping either copy leaves {1}: one successor after dedup.

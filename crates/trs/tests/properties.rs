@@ -37,14 +37,16 @@ fn int_seq(v: &[i64]) -> Term {
 /// Bags are canonical: construction order never matters.
 #[test]
 fn bag_canonical_under_permutation() {
-    Check::new("bag_canonical_under_permutation")
-        .run(|g| g.vec(0..6, arb_term), |items| {
+    Check::new("bag_canonical_under_permutation").run(
+        |g| g.vec(0..6, arb_term),
+        |items| {
             let forward = Term::bag(items.clone());
             let mut reversed_items = items.clone();
             reversed_items.reverse();
             let reversed = Term::bag(reversed_items);
             assert_eq!(forward, reversed);
-        });
+        },
+    );
 }
 
 /// A variable pattern matches anything, binding the whole term.
@@ -87,10 +89,10 @@ fn bag_single_pick_body(items: &[i64]) {
 
 #[test]
 fn bag_single_pick_counts() {
-    Check::new("bag_single_pick_counts")
-        .run(|g| g.vec(1..6, |g| g.gen_range(0i64..4)), |items| {
-            bag_single_pick_body(items)
-        });
+    Check::new("bag_single_pick_counts").run(
+        |g| g.vec(1..6, |g| g.gen_range(0i64..4)),
+        |items| bag_single_pick_body(items),
+    );
 }
 
 /// Regression: formerly the checked-in proptest seed that shrank to
@@ -170,8 +172,9 @@ fn prefix_is_partial_order() {
 /// same state twice gives identical successor sets.
 #[test]
 fn successors_are_deterministic() {
-    Check::new("successors_are_deterministic")
-        .run(|g| g.vec(0..5, |g| g.gen_range(0i64..4)), |items| {
+    Check::new("successors_are_deterministic").run(
+        |g| g.vec(0..5, |g| g.gen_range(0i64..4)),
+        |items| {
             let rule = Rule::new(
                 "drop-one",
                 Pat::tuple(vec![Pat::bag(vec![Pat::var("e")], "rest")]),
@@ -182,7 +185,8 @@ fn successors_are_deterministic() {
                 items.iter().copied().map(Term::int).collect(),
             )]);
             assert_eq!(trs.successors(&state), trs.successors(&state));
-        });
+        },
+    );
 }
 
 /// Display never panics and is non-empty (C-DEBUG-NONEMPTY analogue).

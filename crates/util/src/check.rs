@@ -213,8 +213,7 @@ impl Check {
 
         // Regression seeds first: a checked-in counterexample must stay
         // fixed forever, so it is always cheap to re-verify.
-        let mut seeds: Vec<(u64, bool)> =
-            self.regressions.iter().map(|&s| (s, true)).collect();
+        let mut seeds: Vec<(u64, bool)> = self.regressions.iter().map(|&s| (s, true)).collect();
         let mut sm = SplitMix64::new(self.base_seed);
         seeds.extend((0..cases).map(|_| (sm.next_u64(), false)));
 
@@ -223,8 +222,7 @@ impl Check {
             let value = gen(&mut g);
             let tape = std::mem::take(&mut g.tape);
             if let Err(msg) = run_prop(&prop, &value) {
-                let (min_tape, iters) =
-                    self.shrink(tape, &gen, &prop);
+                let (min_tape, iters) = self.shrink(tape, &gen, &prop);
                 let mut rg = Gen::replaying(min_tape);
                 let min_value = gen(&mut rg);
                 let kind = if is_regression { "regression" } else { "case" };
@@ -443,10 +441,16 @@ mod tests {
             );
         });
         let msg = payload_message(result.expect_err("property must fail").as_ref());
-        assert!(msg.contains("finds_big_values"), "report names the property: {msg}");
+        assert!(
+            msg.contains("finds_big_values"),
+            "report names the property: {msg}"
+        );
         assert!(msg.contains("replay"), "report offers a replay seed: {msg}");
         // Shrinking toward zero must land exactly on the boundary.
-        assert!(msg.contains("500"), "counterexample should shrink to 500: {msg}");
+        assert!(
+            msg.contains("500"),
+            "counterexample should shrink to 500: {msg}"
+        );
     }
 
     #[test]

@@ -65,7 +65,10 @@ mod tests {
         for _ in 0..20_000 {
             counts[zipf(&mut rng, n, 1.0)] += 1;
         }
-        assert!(counts[0] > counts[n - 1] * 4, "rank 0 must dominate: {counts:?}");
+        assert!(
+            counts[0] > counts[n - 1] * 4,
+            "rank 0 must dominate: {counts:?}"
+        );
         assert!(counts.iter().all(|&c| c > 0), "every rank reachable");
         // s = 0 is uniform: the head cannot dominate.
         let mut flat = vec![0u32; n];

@@ -487,7 +487,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "[1] trailing", "\"unterminated", "tru"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "[1] trailing",
+            "\"unterminated",
+            "tru",
+        ] {
             assert!(parse(bad).is_err(), "accepted malformed input: {bad:?}");
         }
     }

@@ -279,10 +279,7 @@ impl Registry {
 
     /// Records `v` into histogram `name` (created empty).
     pub fn hist_record(&mut self, name: &str, v: u64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+        self.hists.entry(name.to_string()).or_default().record(v);
     }
 
     /// Merges a whole histogram into histogram `name` (exact bucket-wise
@@ -424,7 +421,8 @@ mod tests {
         }
         samples.sort_unstable();
         for q in [0.5, 0.95, 0.99] {
-            let exact = samples[((q * samples.len() as f64).ceil() as usize - 1).min(samples.len() - 1)];
+            let exact =
+                samples[((q * samples.len() as f64).ceil() as usize - 1).min(samples.len() - 1)];
             let approx = h.quantile(q);
             let err = (approx as f64 - exact as f64).abs() / exact.max(1) as f64;
             assert!(err <= 0.08, "q={q}: approx {approx} vs exact {exact}");

@@ -189,9 +189,7 @@ mod tests {
     #[test]
     fn one_thread_runs_serially_on_the_caller() {
         let caller = std::thread::current().id();
-        let ids = with_threads(1, || {
-            par_map(&[1, 2, 3], |_| std::thread::current().id())
-        });
+        let ids = with_threads(1, || par_map(&[1, 2, 3], |_| std::thread::current().id()));
         assert!(ids.iter().all(|&id| id == caller));
     }
 
@@ -216,7 +214,9 @@ mod tests {
                 par_map(&[0u64, 1, 2], |&col| row * 10 + col)
             })
         });
-        let expect: Vec<Vec<u64>> = (0..4).map(|r| (0..3).map(|c| r * 10 + c).collect()).collect();
+        let expect: Vec<Vec<u64>> = (0..4)
+            .map(|r| (0..3).map(|c| r * 10 + c).collect())
+            .collect();
         assert_eq!(grid, expect);
     }
 

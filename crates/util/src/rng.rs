@@ -185,10 +185,7 @@ impl SeedableRng for Xoshiro256StarStar {
 
 impl RngCore for Xoshiro256StarStar {
     fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -213,7 +210,14 @@ mod tests {
         // Reference sequence for seed 1234567 from the SplitMix64 paper code.
         let mut sm = SplitMix64::new(1234567);
         let got: Vec<u64> = (0..3).map(|_| sm.next_u64()).collect();
-        assert_eq!(got, vec![6457827717110365317, 3203168211198807973, 9817491932198370423]);
+        assert_eq!(
+            got,
+            vec![
+                6457827717110365317,
+                3203168211198807973,
+                9817491932198370423
+            ]
+        );
     }
 
     #[test]

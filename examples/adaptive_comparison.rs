@@ -39,14 +39,8 @@ fn main() {
         ),
     ];
 
-    let mut table = Table::new(vec![
-        "workload",
-        "ring",
-        "search",
-        "binary",
-        "winner",
-    ])
-    .title("mean responsiveness (ticks; lower is better)");
+    let mut table = Table::new(vec!["workload", "ring", "search", "binary", "winner"])
+        .title("mean responsiveness (ticks; lower is better)");
 
     for (name, make) in &workloads {
         let mut means = Vec::new();

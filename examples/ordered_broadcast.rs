@@ -11,9 +11,7 @@
 //! ```
 
 use adaptive_token_passing::core::{BinaryNode, ProtocolConfig, TokenNode, Want};
-use adaptive_token_passing::net::{
-    Latency, LinkFaults, NodeId, SimTime, World, WorldConfig,
-};
+use adaptive_token_passing::net::{Latency, LinkFaults, NodeId, SimTime, World, WorldConfig};
 
 fn main() {
     let n = 10;

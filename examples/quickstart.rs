@@ -34,8 +34,10 @@ fn main() {
             TokenEvent::Requested { req, at } => println!("{at}  {req} became ready"),
             TokenEvent::Granted { req, at } => {
                 let waited = at.since(request_at);
-                println!("{at}  {req} granted after {waited} message delays (log2 {n} = {})",
-                    (n as f64).log2());
+                println!(
+                    "{at}  {req} granted after {waited} message delays (log2 {n} = {})",
+                    (n as f64).log2()
+                );
             }
             TokenEvent::Released { req, seq, at, .. } => {
                 println!("{at}  {req} released the token, its datum at H[{seq}]")

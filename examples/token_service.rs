@@ -28,7 +28,10 @@ fn main() {
     let lease = service
         .lock(NodeId::new(2), Duration::from_secs(10))
         .expect("lease");
-    println!("lease acquired by {} — exclusive for the configured 2-tick lease\n", lease.node);
+    println!(
+        "lease acquired by {} — exclusive for the configured 2-tick lease\n",
+        lease.node
+    );
 
     // 2. Totally ordered broadcast from every node concurrently.
     for i in 0..n {

@@ -162,9 +162,7 @@ fn chaos_run_preserves_safety() {
     assert!(ledger.granted <= ledger.requested);
 
     // 2. All healthy-node requests are served (nodes 0–6 never fault).
-    let healthy_grants: u64 = (0..7)
-        .map(|i| world.node(NodeId::new(i)).grants())
-        .sum();
+    let healthy_grants: u64 = (0..7).map(|i| world.node(NodeId::new(i)).grants()).sum();
     assert_eq!(
         healthy_grants, healthy_requests,
         "healthy nodes must not lose requests"

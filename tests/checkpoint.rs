@@ -8,8 +8,8 @@
 //! protocol-specific accident. Random single-byte mutations of the
 //! encoded form must never panic the decoder.
 
-use atp_core::{Checkpoint, ProtocolConfig, Want, WireProtocol};
 use atp_core::{BinaryNode, NaimiNode, RingNode, SearchNode};
+use atp_core::{Checkpoint, ProtocolConfig, Want, WireProtocol};
 use atp_net::{NodeId, SimTime, World, WorldConfig};
 use atp_util::check::{Check, Gen};
 use atp_util::rng::Rng;
@@ -67,7 +67,11 @@ fn roundtrips<P: WireProtocol>(s: &Scenario) {
         WorldConfig::default().seed(s.seed),
     );
     for &(t, node, payload) in &s.requests {
-        world.schedule_external(SimTime::from_ticks(t), NodeId::new(node), Want::new(payload));
+        world.schedule_external(
+            SimTime::from_ticks(t),
+            NodeId::new(node),
+            Want::new(payload),
+        );
     }
     world.run_until(SimTime::from_ticks(s.horizon));
 
@@ -87,12 +91,14 @@ fn roundtrips<P: WireProtocol>(s: &Scenario) {
 
 #[test]
 fn checkpoints_survive_the_crash_pipeline_for_every_protocol() {
-    Check::new("checkpoint_roundtrip").cases(32).run(scenario, |s| {
-        roundtrips::<RingNode>(s);
-        roundtrips::<SearchNode>(s);
-        roundtrips::<BinaryNode>(s);
-        roundtrips::<NaimiNode>(s);
-    });
+    Check::new("checkpoint_roundtrip")
+        .cases(32)
+        .run(scenario, |s| {
+            roundtrips::<RingNode>(s);
+            roundtrips::<SearchNode>(s);
+            roundtrips::<BinaryNode>(s);
+            roundtrips::<NaimiNode>(s);
+        });
 }
 
 /// Checkpoints cross the wire like any frame, so a flipped byte must be

@@ -416,18 +416,15 @@ fn search_byte_corruption_is_rejected_or_reinterpreted_never_honored() {
 
 #[test]
 fn ring_truncation_always_errors_or_decodes_prefix_free() {
-    Check::new("ring_truncation_always_errors_or_decodes_prefix_free").run(
-        arb_ring_msg,
-        |msg| {
-            let bytes = encode_ring_msg(msg);
-            if bytes.len() > 1 {
-                let cut = &bytes[..bytes.len() - 1];
-                if let Ok(other) = decode_ring_msg(cut) {
-                    assert_ne!(format!("{msg:?}"), format!("{other:?}"));
-                }
+    Check::new("ring_truncation_always_errors_or_decodes_prefix_free").run(arb_ring_msg, |msg| {
+        let bytes = encode_ring_msg(msg);
+        if bytes.len() > 1 {
+            let cut = &bytes[..bytes.len() - 1];
+            if let Ok(other) = decode_ring_msg(cut) {
+                assert_ne!(format!("{msg:?}"), format!("{other:?}"));
             }
-        },
-    );
+        }
+    });
 }
 
 #[test]
@@ -448,16 +445,13 @@ fn search_truncation_always_errors_or_decodes_prefix_free() {
 
 #[test]
 fn naimi_truncation_always_errors_or_decodes_prefix_free() {
-    Check::new("naimi_truncation_always_errors_or_decodes_prefix_free").run(
-        arb_naimi_msg,
-        |msg| {
-            let bytes = encode_naimi_msg(msg);
-            if bytes.len() > 1 {
-                let cut = &bytes[..bytes.len() - 1];
-                if let Ok(other) = decode_naimi_msg(cut) {
-                    assert_ne!(format!("{msg:?}"), format!("{other:?}"));
-                }
+    Check::new("naimi_truncation_always_errors_or_decodes_prefix_free").run(arb_naimi_msg, |msg| {
+        let bytes = encode_naimi_msg(msg);
+        if bytes.len() > 1 {
+            let cut = &bytes[..bytes.len() - 1];
+            if let Ok(other) = decode_naimi_msg(cut) {
+                assert_ne!(format!("{msg:?}"), format!("{other:?}"));
             }
-        },
-    );
+        }
+    });
 }

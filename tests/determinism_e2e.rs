@@ -4,8 +4,8 @@
 //! seed must actually matter — different seeds give different traces.
 
 use adaptive_token_passing::sim::experiments::{
-    ablation, drops, failure, fairness, fig10, fig9, geo, latency, messages, partition,
-    throughput, worstcase,
+    ablation, drops, failure, fairness, fig10, fig9, geo, latency, messages, partition, throughput,
+    worstcase,
 };
 use adaptive_token_passing::sim::runner::{run_experiment, ExperimentSpec, NetProfile, Protocol};
 use adaptive_token_passing::sim::sweep::{run_points, PointSpec, WorkloadSpec};
@@ -46,8 +46,7 @@ fn different_seeds_produce_different_traces() {
 /// Reproducibility is per-protocol, not accidental: with everything else
 /// fixed, the three protocols disagree with each other.
 #[test]
-fn protocols_produce_distinct_summaries()
-{
+fn protocols_produce_distinct_summaries() {
     let ring = summary_json(Protocol::Ring, 7);
     let search = summary_json(Protocol::Search, 7);
     let binary = summary_json(Protocol::Binary, 7);
@@ -75,7 +74,10 @@ fn fig9_series_is_identical_serial_vs_parallel() {
             .map(|p| (p.n, p.ring.to_bits(), p.binary.to_bits()))
             .collect::<Vec<_>>()
     });
-    assert_eq!(serial, parallel, "Figure 9 series values diverged (bitwise)");
+    assert_eq!(
+        serial, parallel,
+        "Figure 9 series values diverged (bitwise)"
+    );
 }
 
 /// Every figure/table experiment renders byte-identically on one worker
@@ -135,7 +137,10 @@ fn run_points_json_is_identical_serial_vs_parallel() {
     let serial = json(1);
     let parallel = json(8);
     assert_eq!(serial.len(), points.len());
-    assert_eq!(serial, parallel, "RunSummary JSON diverged across thread counts");
+    assert_eq!(
+        serial, parallel,
+        "RunSummary JSON diverged across thread counts"
+    );
 }
 
 /// FNV-1a-64 of a rendered summary: small enough to pin in source, wide
@@ -256,19 +261,40 @@ fn failure_paths_match_hashes_pinned_before_the_custody_core() {
             let case = gen_case(&mut g, protocol, Mutation::None);
             faulty += usize::from(!case.is_benign());
             let (verdict, trace) = run_case_traced(&case, 1 << 18);
-            grants += verdict.expect("every generated case passes its oracles").grants;
+            grants += verdict
+                .expect("every generated case passes its oracles")
+                .grants;
             got = fnv1a64_fold(got, &trace);
         }
-        assert!(faulty >= 55 && grants >= 280, "sweep lost its failure cases");
+        assert!(
+            faulty >= 55 && grants >= 280,
+            "sweep lost its failure cases"
+        );
         assert_eq!(got, want, "{} sweep: got {got:016x}", protocol.label());
     }
 
     // (c) the rendered failure-path tables.
     let renders: [(&str, String, u64); 4] = [
-        ("failure", failure::run(&failure::Config::quick()).render(), 0xad20_659d_28c6_d97f),
-        ("partition", partition::run(&partition::Config::quick()).render(), 0xd59a_c7ff_3dce_2754),
-        ("ablation", ablation::run(&ablation::Config::quick()).render(), 0x0073_9d3c_ccc9_df32),
-        ("drops", drops::run(&drops::Config::quick()).render(), 0x3aa5_a825_79ae_006a),
+        (
+            "failure",
+            failure::run(&failure::Config::quick()).render(),
+            0xad20_659d_28c6_d97f,
+        ),
+        (
+            "partition",
+            partition::run(&partition::Config::quick()).render(),
+            0xd59a_c7ff_3dce_2754,
+        ),
+        (
+            "ablation",
+            ablation::run(&ablation::Config::quick()).render(),
+            0x0073_9d3c_ccc9_df32,
+        ),
+        (
+            "drops",
+            drops::run(&drops::Config::quick()).render(),
+            0x3aa5_a825_79ae_006a,
+        ),
     ];
     for (name, text, want) in renders {
         let got = fnv1a64(&text);

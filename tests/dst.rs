@@ -60,8 +60,7 @@ fn checked_in_tapes_replay_green() {
     );
     for path in paths {
         let text = std::fs::read_to_string(&path).unwrap();
-        let tf = TapeFile::from_json(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let tf = TapeFile::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         verify_tape(&tf).unwrap_or_else(|e| panic!("{e}"));
     }
 }
@@ -89,8 +88,7 @@ fn oracles_hold_over_adversarial_schedules() {
 #[test]
 fn partition_adversary_oracles_hold() {
     for protocol in Protocol::ALL {
-        let explorer =
-            Explorer::new(protocol, 13, Mutation::None).with_focus(Focus::Partition);
+        let explorer = Explorer::new(protocol, 13, Mutation::None).with_focus(Focus::Partition);
         match explorer.explore(15) {
             ExploreOutcome::Clean { cases, .. } => assert_eq!(cases, 15),
             ExploreOutcome::Found(cx) => panic!(
@@ -137,7 +135,11 @@ fn severed_token_recovered_by_retransmit_not_regeneration() {
         WorldConfig::default().seed(case.world_seed),
     );
     for &(t, _, node, payload) in &case.requests {
-        world.schedule_external(SimTime::from_ticks(t), NodeId::new(node), Want::new(payload));
+        world.schedule_external(
+            SimTime::from_ticks(t),
+            NodeId::new(node),
+            Want::new(payload),
+        );
     }
     let left: Vec<NodeId> = (0..split).map(NodeId::new).collect();
     let right: Vec<NodeId> = (split..case.n as u32).map(NodeId::new).collect();
@@ -196,9 +198,7 @@ fn qualifies_as_naimi_reversal(case: &DstCase, need_dup: bool) -> bool {
     let mut origins: Vec<u32> = case.requests.iter().map(|&(_, _, o, _)| o).collect();
     origins.sort_unstable();
     origins.dedup();
-    origins.len() >= 3
-        && origins.iter().any(|&o| o < split)
-        && origins.iter().any(|&o| o >= split)
+    origins.len() >= 3 && origins.iter().any(|&o| o < split) && origins.iter().any(|&o| o >= split)
 }
 
 /// Regenerates the two pinned Naimi split/heal tapes. Ignored by default —
@@ -264,10 +264,7 @@ fn naimi_tapes_pin_split_heal_reversal() {
         ("naimi_partition_reversal.tape", false),
         ("naimi_partition_dup.tape", true),
     ] {
-        let path = format!(
-            "{}/tests/tapes/{file}",
-            env!("CARGO_MANIFEST_DIR")
-        );
+        let path = format!("{}/tests/tapes/{file}", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(&path).expect("pinned naimi tape must exist");
         let tf = TapeFile::from_json(&text).expect("pinned naimi tape must parse");
         assert_eq!(tf.protocol, Protocol::Naimi);

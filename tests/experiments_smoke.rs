@@ -11,8 +11,14 @@ use adaptive_token_passing::sim::workload::GlobalPoisson;
 
 fn assert_sane(name: &str, rendered: &str) {
     assert!(!rendered.trim().is_empty(), "{name}: empty output");
-    assert!(!rendered.contains("NaN"), "{name}: NaN in output:\n{rendered}");
-    assert!(!rendered.contains("inf"), "{name}: inf in output:\n{rendered}");
+    assert!(
+        !rendered.contains("NaN"),
+        "{name}: NaN in output:\n{rendered}"
+    );
+    assert!(
+        !rendered.contains("inf"),
+        "{name}: inf in output:\n{rendered}"
+    );
 }
 
 macro_rules! smoke {
@@ -51,7 +57,11 @@ fn quick_run_statistics_are_finite_and_monotone() {
         let mut wl = GlobalPoisson::new(10.0);
         let s = run_experiment(&spec, &mut wl);
         assert!(s.duration_ticks > 0);
-        assert!(s.net.events > 0, "{}: no events dispatched", protocol.label());
+        assert!(
+            s.net.events > 0,
+            "{}: no events dispatched",
+            protocol.label()
+        );
         for (label, st) in [
             ("responsiveness", &s.metrics.responsiveness),
             ("waiting", &s.metrics.waiting),

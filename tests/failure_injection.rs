@@ -28,7 +28,8 @@ fn all_protocols_survive_holder_crash() {
         let mut wl = SingleShot::new(SimTime::from_ticks(4), NodeId::new(5));
         let s = run_experiment(&spec, &mut wl);
         assert_eq!(
-            s.metrics.grants, 1,
+            s.metrics.grants,
+            1,
             "{}: request not served after holder crash",
             protocol.label()
         );

@@ -123,7 +123,10 @@ fn truncated_length_prefix_is_typed_error() {
         if got_prefix == 0 {
             assert_eq!(dec.finish(), Ok(()));
         } else {
-            assert_eq!(dec.finish(), Err(FrameError::TruncatedPrefix { got: got_prefix }));
+            assert_eq!(
+                dec.finish(),
+                Err(FrameError::TruncatedPrefix { got: got_prefix })
+            );
         }
     }
 }
@@ -153,7 +156,10 @@ fn oversized_declared_length_is_rejected_without_panic() {
                 other => panic!("declared={declared} split={split}: got {other:?}"),
             }
             // Permanent: the stream stays unframeable.
-            assert!(matches!(dec.next_frame(), Err(FrameError::Oversized { .. })));
+            assert!(matches!(
+                dec.next_frame(),
+                Err(FrameError::Oversized { .. })
+            ));
         }
     }
 }
@@ -201,7 +207,12 @@ fn corrupted_byte_anywhere_is_a_typed_bad_checksum() {
         let offsets = if frame.is_empty() {
             vec![trailer, trailer + FRAME_TRAILER_LEN - 1]
         } else {
-            vec![body, body + frame.len() / 2, trailer, trailer + FRAME_TRAILER_LEN - 1]
+            vec![
+                body,
+                body + frame.len() / 2,
+                trailer,
+                trailer + FRAME_TRAILER_LEN - 1,
+            ]
         };
         for off in offsets {
             let mut corrupt = wire.clone();
@@ -220,7 +231,11 @@ fn corrupted_byte_anywhere_is_a_typed_bad_checksum() {
                 matches!(err, FrameError::BadChecksum { .. }),
                 "frame {idx} offset {off}: expected BadChecksum, got {err:?}"
             );
-            assert_eq!(got, expect[..idx], "frame {idx}: earlier frames must survive");
+            assert_eq!(
+                got,
+                expect[..idx],
+                "frame {idx}: earlier frames must survive"
+            );
         }
         frame_start += FRAME_HEADER_LEN + frame.len() + FRAME_TRAILER_LEN;
     }

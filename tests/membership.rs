@@ -6,10 +6,7 @@ use adaptive_token_passing::core::{
 };
 use adaptive_token_passing::net::{Node, NodeId, SimTime, World, WorldConfig};
 
-fn world<N: Node<Ext = Want> + EventSource>(
-    n: usize,
-    build: impl Fn() -> N,
-) -> World<N> {
+fn world<N: Node<Ext = Want> + EventSource>(n: usize, build: impl Fn() -> N) -> World<N> {
     World::from_nodes((0..n).map(|_| build()).collect(), WorldConfig::default())
 }
 
@@ -29,7 +26,11 @@ fn ring_leaver_is_skipped_without_token_loss() {
     // Node 3 leaves at t=5; node 4 requests periodically afterwards.
     w.schedule_external(SimTime::from_ticks(5), NodeId::new(3), Want::leave());
     for k in 0..10 {
-        w.schedule_external(SimTime::from_ticks(20 + k * 10), NodeId::new(4), Want::new(k));
+        w.schedule_external(
+            SimTime::from_ticks(20 + k * 10),
+            NodeId::new(4),
+            Want::new(k),
+        );
     }
     w.run_until(SimTime::from_ticks(300));
     assert!(w.node(NodeId::new(3)).is_departed());
@@ -116,11 +117,19 @@ fn half_the_ring_can_leave_and_the_rest_keeps_working() {
     let cfg = ProtocolConfig::default();
     let mut w = world(8, || BinaryNode::new(cfg));
     for i in [1u32, 3, 5, 7] {
-        w.schedule_external(SimTime::from_ticks(2 + i as u64), NodeId::new(i), Want::leave());
+        w.schedule_external(
+            SimTime::from_ticks(2 + i as u64),
+            NodeId::new(i),
+            Want::leave(),
+        );
     }
     for k in 0..12u64 {
         let node = [0u32, 2, 4, 6][(k % 4) as usize];
-        w.schedule_external(SimTime::from_ticks(40 + k * 7), NodeId::new(node), Want::new(k));
+        w.schedule_external(
+            SimTime::from_ticks(40 + k * 7),
+            NodeId::new(node),
+            Want::new(k),
+        );
     }
     w.run_until(SimTime::from_ticks(600));
     let grants = grants_of(&w, |n: &BinaryNode| n.grants());

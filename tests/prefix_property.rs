@@ -123,8 +123,7 @@ where
                     granted_now.push((at, SimTime::MAX));
                 }
                 TokenEvent::Released { at, .. } => {
-                    if let Some(open) = granted_now.iter_mut().rev().find(|g| g.1 == SimTime::MAX)
-                    {
+                    if let Some(open) = granted_now.iter_mut().rev().find(|g| g.1 == SimTime::MAX) {
                         open.1 = at;
                     }
                 }
@@ -250,7 +249,11 @@ fn deterministic_across_identical_runs() {
             world_config(&plan),
         );
         for (t, node, payload) in &plan.requests {
-            world.schedule_external(SimTime::from_ticks(*t), NodeId::new(*node), Want::new(*payload));
+            world.schedule_external(
+                SimTime::from_ticks(*t),
+                NodeId::new(*node),
+                Want::new(*payload),
+            );
         }
         world.run_until(SimTime::from_ticks(600));
         let mut all = Vec::new();

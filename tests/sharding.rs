@@ -43,10 +43,9 @@ fn churn(seed: u64, shards: u16, steps: u32) {
             let (old, new) = (before[shard.index()], after[shard.index()]);
             if old != new {
                 diff += 1;
-                let mv = moves
-                    .iter()
-                    .find(|m| m.shard == shard)
-                    .unwrap_or_else(|| panic!("seed {seed} step {step}: unreported move of {shard}"));
+                let mv = moves.iter().find(|m| m.shard == shard).unwrap_or_else(|| {
+                    panic!("seed {seed} step {step}: unreported move of {shard}")
+                });
                 assert_eq!((mv.from, mv.to), (old, new), "seed {seed} step {step}");
             } else {
                 assert!(
@@ -124,7 +123,10 @@ fn placement_is_byte_identical_across_thread_counts() {
     let parallel = pool::with_threads(4, || pool::par_map(&specs, place));
     assert_eq!(serial, parallel);
     // And across repeated evaluation inside one process.
-    assert_eq!(serial, pool::with_threads(4, || pool::par_map(&specs, place)));
+    assert_eq!(
+        serial,
+        pool::with_threads(4, || pool::par_map(&specs, place))
+    );
 }
 
 /// Key → shard routing is independent of membership: adding or removing

@@ -138,7 +138,9 @@ fn close_racing_reconnect_backoff_keeps_thread_accounting_clean() {
     let err = flush_err.expect("flushing to a closed peer must eventually fail");
     assert!(err.dropped() >= 1, "{err:?}");
     assert!(
-        err.failures.iter().any(|&(id, n)| id == NodeId::new(0) && n >= 1),
+        err.failures
+            .iter()
+            .any(|&(id, n)| id == NodeId::new(0) && n >= 1),
         "failure must name the unreachable peer: {err:?}"
     );
     assert!(
@@ -159,8 +161,7 @@ fn close_racing_reconnect_backoff_keeps_thread_accounting_clean() {
 #[test]
 fn tcp_shutdown_joins_every_thread() {
     let script = ClusterScript::reference(7);
-    let (_, stats) =
-        run_on_transport::<BinaryNode, TcpTransport>(&script).expect("loopback bind");
+    let (_, stats) = run_on_transport::<BinaryNode, TcpTransport>(&script).expect("loopback bind");
     assert_eq!(stats.close_reports.len(), script.n);
     for report in &stats.close_reports {
         assert!(report.is_clean(), "leaked threads: {report:?}");
