@@ -14,6 +14,11 @@ export CARGO_NET_OFFLINE=true
 # status with this one.
 STATUS_BEFORE=$(git status --porcelain)
 
+echo "== format =="
+# The tree is rustfmt-clean, so a line count or a diff measures code, not
+# layout. atpbench is not a workspace member and is not checked here.
+cargo fmt --all -- --check
+
 echo "== build (release) =="
 cargo build --release
 
@@ -368,13 +373,17 @@ echo "== configuration surface gate =="
 # set, script and shard-plane fields every caller left at one value, a
 # second latency-matrix setter, generators no run built, a second copy
 # of the crate-root exports and a `NetProfile` setter that replaced the whole
-# fault model. Fail if one comes back in non-test code under crates/.
+# fault model. BinarySearch's directed search and push-pull probe dual, which
+# only an ablation turned on and which cost more messages than they saved in
+# every regime measured, went the same way. Fail if one comes back in
+# non-test code under crates/.
 SURFACE=$(find crates -name '*.rs' ! -path '*/tests/*' | sort | while read -r f; do
   awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ": " $0}' "$f"; done \
   | grep -E -e 'stall_per_mille|injected_stalls|control_drop_p|with_control_drop' \
     -e 'link_latency|key_universe|think_ticks|with_latency_matrix' \
     -e 'struct Hotspot|pub mod prelude|fn (bernoulli|poisson|exp_gap_ticks)\b' \
-    -e 'fn faults\(' || true)
+    -e 'fn faults\(' \
+    -e 'search_mode|SearchMode|probe_on_idle|fn handle_directed_|fn handle_probe_' || true)
 if [ -n "$SURFACE" ]; then
   echo "a setting nothing sets is back:" >&2
   echo "$SURFACE" >&2

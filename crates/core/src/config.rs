@@ -1,20 +1,5 @@
 //! Protocol configuration.
 
-/// Which search-message routing discipline System BinarySearch uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchMode {
-    /// *Delegated search* (the paper's default, Section 4.4): the "gimme"
-    /// message migrates node-to-node, each hop halving the jump, leaving a
-    /// trap at every visited node.
-    #[default]
-    Delegated,
-    /// *Directed search*: every probed node answers the requester, which
-    /// issues the next probe itself. Doubles the message count to at most
-    /// `2 log N`, but lets the requester abort the search if the token
-    /// reaches it by normal rotation first.
-    Directed,
-}
-
 /// Which trap garbage-collection algorithm runs (Section 4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrapCleanup {
@@ -31,14 +16,14 @@ pub enum TrapCleanup {
 /// Tunables shared by all executable protocols.
 ///
 /// The defaults reproduce the regime of the paper's simulation study
-/// (Section 4.3): immediate idle passes, zero service time, delegated
-/// search, rotation cleanup, no failure handling.
+/// (Section 4.3): immediate idle passes, zero service time, rotation
+/// cleanup, no failure handling.
 ///
 /// ```rust
-/// use atp_core::{ProtocolConfig, SearchMode};
+/// use atp_core::{ProtocolConfig, TrapCleanup};
 /// let cfg = ProtocolConfig::default()
 ///     .with_service_ticks(2)
-///     .with_search_mode(SearchMode::Directed)
+///     .with_trap_cleanup(TrapCleanup::Inverse)
 ///     .with_single_outstanding(true);
 /// assert_eq!(cfg.service_ticks, 2);
 /// ```
@@ -58,8 +43,6 @@ pub struct ProtocolConfig {
     pub adaptive_speed: bool,
     /// Upper bound for the adaptive idle hold.
     pub max_idle_pass_ticks: u64,
-    /// Search routing discipline (BinarySearch only).
-    pub search_mode: SearchMode,
     /// Trap garbage-collection algorithm (BinarySearch only).
     pub trap_cleanup: TrapCleanup,
     /// Keep at most one "gimme" outstanding per node; further local requests
@@ -70,9 +53,6 @@ pub struct ProtocolConfig {
     /// other requests queued locally before returning it. Off by default —
     /// the paper's rule 8 returns the token immediately.
     pub serve_all_on_grant: bool,
-    /// Enables the push-pull dual: an idle token holder sends probe waves so
-    /// silent ready nodes are discovered without issuing requests.
-    pub probe_on_idle: bool,
     /// Enables Section 5 failure handling: ready nodes time out, run an
     /// inquiry, and the lost token is regenerated with a higher generation.
     pub regeneration: bool,
@@ -113,11 +93,9 @@ impl Default for ProtocolConfig {
             idle_pass_ticks: 0,
             adaptive_speed: false,
             max_idle_pass_ticks: 16,
-            search_mode: SearchMode::Delegated,
             trap_cleanup: TrapCleanup::Rotation,
             single_outstanding: false,
             serve_all_on_grant: false,
-            probe_on_idle: false,
             regeneration: false,
             token_acks: false,
             regen_timeout_ticks: 0,
@@ -153,12 +131,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Chooses the search routing discipline.
-    pub fn with_search_mode(mut self, mode: SearchMode) -> Self {
-        self.search_mode = mode;
-        self
-    }
-
     /// Chooses the trap garbage-collection algorithm.
     pub fn with_trap_cleanup(mut self, cleanup: TrapCleanup) -> Self {
         self.trap_cleanup = cleanup;
@@ -175,12 +147,6 @@ impl ProtocolConfig {
     /// grant.
     pub fn with_serve_all_on_grant(mut self, on: bool) -> Self {
         self.serve_all_on_grant = on;
-        self
-    }
-
-    /// Enables/disables idle-holder probing (push-pull dual).
-    pub fn with_probe_on_idle(mut self, on: bool) -> Self {
-        self.probe_on_idle = on;
         self
     }
 
@@ -259,7 +225,6 @@ mod tests {
         let cfg = ProtocolConfig::default();
         assert_eq!(cfg.service_ticks, 0);
         assert_eq!(cfg.idle_pass_ticks, 0);
-        assert_eq!(cfg.search_mode, SearchMode::Delegated);
         assert_eq!(cfg.trap_cleanup, TrapCleanup::Rotation);
         assert!(!cfg.regeneration);
         assert!(cfg.record_log);
@@ -272,11 +237,9 @@ mod tests {
             .with_idle_pass_ticks(1)
             .with_adaptive_speed(true)
             .with_max_idle_pass_ticks(64)
-            .with_search_mode(SearchMode::Directed)
             .with_trap_cleanup(TrapCleanup::Inverse)
             .with_single_outstanding(true)
             .with_serve_all_on_grant(true)
-            .with_probe_on_idle(true)
             .with_regeneration(100)
             .with_token_acks(true)
             .with_record_log(false);
@@ -284,11 +247,9 @@ mod tests {
         assert_eq!(cfg.idle_pass_ticks, 1);
         assert!(cfg.adaptive_speed);
         assert_eq!(cfg.max_idle_pass_ticks, 64);
-        assert_eq!(cfg.search_mode, SearchMode::Directed);
         assert_eq!(cfg.trap_cleanup, TrapCleanup::Inverse);
         assert!(cfg.single_outstanding);
         assert!(cfg.serve_all_on_grant);
-        assert!(cfg.probe_on_idle);
         assert!(cfg.regeneration);
         assert_eq!(cfg.regen_timeout_ticks, 100);
         assert!(cfg.token_acks);

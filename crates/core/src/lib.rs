@@ -75,7 +75,7 @@ pub use codec::{
     known_binary_tags, known_naimi_tags, known_ring_tags, known_search_tags, known_shard_tags,
     shard_frame_encoded_len, CodecError,
 };
-pub use config::{ProtocolConfig, SearchMode, TrapCleanup};
+pub use config::{ProtocolConfig, TrapCleanup};
 pub use custody::TokenNode;
 pub use event::{EventSource, TokenEvent, Want};
 pub use handoff::{Handoff, PendingTransfer};

@@ -38,7 +38,7 @@
 
 use std::collections::VecDeque;
 
-use atp_core::{ProtocolConfig, SearchMode, ShardId, TokenEvent, TrapCleanup, Want};
+use atp_core::{ProtocolConfig, ShardId, TokenEvent, TrapCleanup, Want};
 
 use atp_net::{
     ClassStarve, Fifo, Latency, Lifo, LinkFaults, MsgClass, NodeId, RecordedChoices, SeededShuffle,
@@ -268,12 +268,15 @@ pub fn gen_case(g: &mut Gen, protocol: Protocol, mutation: Mutation) -> DstCase 
         )
     });
 
-    let mut cfg = ProtocolConfig::default()
+    let cfg = ProtocolConfig::default()
         .with_service_ticks(g.gen_range(0..=3u64))
         .with_single_outstanding(g.gen_bool(0.5))
-        .with_serve_all_on_grant(g.gen_bool(0.5))
-        .with_search_mode(*g.pick(&[SearchMode::Delegated, SearchMode::Directed]))
-        .with_trap_cleanup(*g.pick(&[TrapCleanup::Rotation, TrapCleanup::Inverse]));
+        .with_serve_all_on_grant(g.gen_bool(0.5));
+    // This word chose between delegated and directed search until directed
+    // search was deleted. It is still drawn, exactly as the pick between two
+    // modes drew it, so every recorded tape decodes to the case it recorded.
+    let _ = g.gen_range(0..2usize);
+    let mut cfg = cfg.with_trap_cleanup(*g.pick(&[TrapCleanup::Rotation, TrapCleanup::Inverse]));
     if g.gen_bool(0.25) {
         cfg = cfg
             .with_adaptive_speed(true)

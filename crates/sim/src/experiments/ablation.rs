@@ -4,7 +4,7 @@
 //! The paper sketches the refinements qualitatively; this table quantifies
 //! them: mean responsiveness, cheap-message cost, and token traffic.
 
-use atp_core::{ProtocolConfig, SearchMode, TrapCleanup};
+use atp_core::{ProtocolConfig, TrapCleanup};
 
 use crate::report::{f2, Table};
 use crate::runner::{ExperimentSpec, Protocol};
@@ -52,7 +52,7 @@ pub struct Variant {
     pub name: String,
     /// Mean responsiveness.
     pub responsiveness: f64,
-    /// Cheap (search/probe) messages sent.
+    /// Cheap (search) messages sent.
     pub control_sent: u64,
     /// Token messages sent.
     pub token_sent: u64,
@@ -66,20 +66,12 @@ pub fn variants() -> Vec<(&'static str, ProtocolConfig)> {
     vec![
         ("baseline", base),
         (
-            "directed-search",
-            base.with_search_mode(SearchMode::Directed),
-        ),
-        (
             "inverse-cleanup",
             base.with_trap_cleanup(TrapCleanup::Inverse),
         ),
         ("single-outstanding", base.with_single_outstanding(true)),
         ("serve-all-on-grant", base.with_serve_all_on_grant(true)),
-        (
-            "adaptive-speed",
-            base.with_adaptive_speed(true).with_max_idle_pass_ticks(16),
-        ),
-        ("probe-on-idle", base.with_probe_on_idle(true)),
+        ("adaptive-speed", base.with_adaptive_speed(true)),
     ]
 }
 

@@ -3,10 +3,10 @@
 //!
 //! A single requester probes an otherwise idle system; we count the cheap
 //! search messages it costs until the grant, averaged over requester
-//! positions. Delegated search should track `log₂ N`; directed search
-//! doubles it (Section 4.4); the linear search of System Search pays O(N).
+//! positions. BinarySearch's delegated search should track `log₂ N`; the
+//! linear search of System Search pays O(N).
 
-use atp_core::{ProtocolConfig, SearchMode};
+use atp_core::ProtocolConfig;
 use atp_net::{NodeId, SimTime};
 
 use crate::report::{f2, Table};
@@ -52,31 +52,22 @@ pub struct Point {
     pub n: usize,
     /// Mean search messages per request, delegated search.
     pub delegated: f64,
-    /// Mean search messages per request, directed search.
-    pub directed: f64,
     /// Mean search messages per request, linear search (System Search).
     pub linear: f64,
     /// `log₂ n` reference.
     pub log2n: f64,
 }
 
-/// One probe of `trials` for a given protocol variant: single shot from a
+/// One probe of `trials` for a given protocol: single shot from a
 /// requester spread around the ring.
-fn probe_specs(
-    protocol: Protocol,
-    cfg: ProtocolConfig,
-    n: usize,
-    trials: usize,
-    seed: u64,
-    out: &mut Vec<PointSpec>,
-) {
+fn probe_specs(protocol: Protocol, n: usize, trials: usize, seed: u64, out: &mut Vec<PointSpec>) {
     for t in 0..trials {
         // Spread requesters and request times around the ring.
         let node = NodeId::new(((t * n) / trials) as u32);
         let at = SimTime::from_ticks(3 + 2 * t as u64);
         out.push(PointSpec::new(
             ExperimentSpec::new(protocol, n, at.ticks() + 8 * n as u64)
-                .with_cfg(cfg)
+                .with_cfg(ProtocolConfig::default().with_record_log(false))
                 .with_seed(seed + t as u64),
             WorkloadSpec::single_shot(at, node),
         ));
@@ -85,22 +76,14 @@ fn probe_specs(
 
 /// Computes the message-complexity series.
 ///
-/// Three variants × `trials` probes per ring size, all fanned out in one
-/// sweep; the mean over each variant's probes becomes the table cell.
+/// Two protocols × `trials` probes per ring size, all fanned out in one
+/// sweep; the mean over each protocol's probes becomes the table cell.
 pub fn series(config: &Config) -> Vec<Point> {
-    let base = ProtocolConfig::default().with_record_log(false);
-    let variants = [
-        (Protocol::Binary, base),
-        (
-            Protocol::Binary,
-            base.with_search_mode(SearchMode::Directed),
-        ),
-        (Protocol::Search, base),
-    ];
-    let mut points = Vec::with_capacity(config.ns.len() * variants.len() * config.trials);
+    let protocols = [Protocol::Binary, Protocol::Search];
+    let mut points = Vec::with_capacity(config.ns.len() * protocols.len() * config.trials);
     for &n in &config.ns {
-        for &(protocol, cfg) in &variants {
-            probe_specs(protocol, cfg, n, config.trials, config.seed, &mut points);
+        for protocol in protocols {
+            probe_specs(protocol, n, config.trials, config.seed, &mut points);
         }
     }
     let summaries = run_points(&points);
@@ -117,14 +100,12 @@ pub fn series(config: &Config) -> Vec<Point> {
     config
         .ns
         .iter()
-        .zip(summaries.chunks_exact(variants.len() * config.trials))
+        .zip(summaries.chunks_exact(protocols.len() * config.trials))
         .map(|(&n, per_n)| {
-            let (delegated, rest) = per_n.split_at(config.trials);
-            let (directed, linear) = rest.split_at(config.trials);
+            let (delegated, linear) = per_n.split_at(config.trials);
             Point {
                 n,
                 delegated: mean_msgs(delegated),
-                directed: mean_msgs(directed),
                 linear: mean_msgs(linear),
                 log2n: log2(n),
             }
@@ -134,18 +115,17 @@ pub fn series(config: &Config) -> Vec<Point> {
 
 /// Runs the sweep and renders the table.
 pub fn run(config: &Config) -> Table {
-    let mut table = Table::new(vec!["n", "delegated", "directed", "linear", "log2(n)"])
+    let mut table = Table::new(vec!["n", "delegated", "linear", "log2(n)"])
         .title("Lemma 6 — search messages per request (single requester, idle system)");
     for p in series(config) {
         table.row(vec![
             p.n.to_string(),
             f2(p.delegated),
-            f2(p.directed),
             f2(p.linear),
             f2(p.log2n),
         ]);
     }
-    table.note("paper: delegated ≈ log2 N forwards; directed ≤ 2·log2 N; linear is Θ(N)");
+    table.note("paper: delegated ≈ log2 N forwards; linear is Θ(N)");
     table
 }
 
@@ -163,13 +143,6 @@ mod tests {
                 p.n,
                 p.delegated,
                 p.log2n
-            );
-            assert!(
-                p.directed <= 2.0 * p.log2n + 3.0,
-                "n={}: directed {} vs 2·log2 {}",
-                p.n,
-                p.directed,
-                2.0 * p.log2n
             );
         }
         // Linear grows with n; delegated barely moves.

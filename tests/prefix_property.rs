@@ -3,7 +3,8 @@
 //! cheap messages. Runs on the in-repo `atp_util::check` harness.
 
 use adaptive_token_passing::core::{
-    BinaryNode, EventSource, ProtocolConfig, RingNode, SearchNode, TokenEvent, TokenNode, Want,
+    BinaryNode, EventSource, ProtocolConfig, RingNode, SearchNode, TokenEvent, TokenNode,
+    TrapCleanup, Want,
 };
 use adaptive_token_passing::net::{
     Latency, LinkFaults, Node, NodeId, SimTime, StepOutcome, World, WorldConfig,
@@ -190,7 +191,7 @@ fn binary_all_optimizations_body(plan: &Plan) {
         .with_single_outstanding(true)
         .with_adaptive_speed(true)
         .with_serve_all_on_grant(true)
-        .with_probe_on_idle(true);
+        .with_trap_cleanup(TrapCleanup::Inverse);
     let (grants, requests) = run_plan(plan, || BinaryNode::new(cfg), |n| n.order());
     assert_eq!(grants, requests);
 }

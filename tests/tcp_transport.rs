@@ -123,15 +123,17 @@ fn close_racing_reconnect_backoff_keeps_thread_accounting_clean() {
 
     // Tear down A concurrently with B's flush attempts. B's writes first
     // hit the dying connection, then the reconnect loop finds the listener
-    // gone and burns through its backoff schedule.
+    // gone and burns through its backoff schedule. Writes do not block, so
+    // a round takes microseconds and a fixed number of rounds could end
+    // before the close has run: "eventually" is a wall-clock deadline.
     let closer = std::thread::spawn(move || a.close());
+    let deadline = Instant::now() + Duration::from_secs(10);
     let mut flush_err = None;
-    for round in 0..10_000u32 {
+    let mut round = 0u32;
+    while flush_err.is_none() && Instant::now() < deadline {
         b.stage(NodeId::new(0), &round.to_le_bytes());
-        if let Err(e) = b.try_flush() {
-            flush_err = Some(e);
-            break;
-        }
+        flush_err = b.try_flush().err();
+        round = round.wrapping_add(1);
     }
     let report_a = closer.join().expect("closer thread must not panic");
 
