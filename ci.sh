@@ -19,6 +19,11 @@ echo "== format =="
 # layout. atpbench is not a workspace member and is not checked here.
 cargo fmt --all -- --check
 
+echo "== clippy =="
+# Every workspace target, tests included, with warnings as errors; atpbench
+# is not a workspace member and is not checked here either.
+cargo clippy --workspace --all-targets -- -D warnings
+
 echo "== build (release) =="
 cargo build --release
 

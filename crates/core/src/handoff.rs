@@ -51,7 +51,7 @@ pub fn retransmit_timer_kind(transfer_seq: u64, attempt: u32) -> u64 {
 /// `(transfer_seq, attempt)`, or `None` if the kind is not a retransmit
 /// timer.
 pub fn decode_retransmit_timer(kind: u64) -> Option<(u64, u32)> {
-    (kind & 0xff == TIMER_RETRANSMIT_TAG).then(|| (kind >> 16, ((kind >> 8) & 0xff) as u32))
+    (kind & 0xff == TIMER_RETRANSMIT_TAG).then_some((kind >> 16, ((kind >> 8) & 0xff) as u32))
 }
 
 /// One unacknowledged token-bearing send awaiting its ack.

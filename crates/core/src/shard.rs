@@ -174,7 +174,7 @@ impl Ring {
             let at = self.nodes.partition_point(|&(p, _)| p.0 < h);
             let (pos, id) = self.nodes[at % self.nodes.len()];
             let cand = (pos.distance_from(h), pos, id);
-            if best.map_or(true, |b| cand < b) {
+            if best.is_none_or(|b| cand < b) {
                 best = Some(cand);
             }
         }

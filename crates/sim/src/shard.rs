@@ -302,10 +302,8 @@ fn drive_plane<N: ProtocolNode>(spec: &ShardPlaneSpec) -> ShardSummary {
                 worlds[s].node_mut(node).take_events_into(&mut drained);
                 for ev in &drained {
                     match *ev {
-                        TokenEvent::Granted { at, .. } => {
-                            if at <= deadline {
-                                summary.grants[s] += 1;
-                            }
+                        TokenEvent::Granted { at, .. } if at <= deadline => {
+                            summary.grants[s] += 1;
                         }
                         TokenEvent::Released { at, .. } => {
                             if let Some(client) = pending[s][node.index()].pop_front() {

@@ -490,7 +490,10 @@ mod tests {
     fn replay_with_zero_tape_yields_minimal_draws() {
         let mut g = Gen::replaying(vec![]);
         assert_eq!(g.gen_range(5..100u64), 5);
-        assert!(!g.gen_bool(0.5) || true); // draws are 0; just must not panic
+        // A zero tape draws the word 0, and `unit_f64(0) == 0.0`, which is
+        // below any positive `p` and not below 0.
+        assert!(g.gen_bool(0.5));
+        assert!(!g.gen_bool(0.0));
     }
 
     #[test]

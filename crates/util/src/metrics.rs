@@ -14,7 +14,10 @@
 //! `1 << SUB_BUCKET_BITS` are exact; above that, each power-of-two range
 //! splits into `1 << SUB_BUCKET_BITS` sub-buckets, bounding the relative
 //! quantile error at `1 / 2^SUB_BUCKET_BITS` (~6%) while keeping the
-//! bucket array small and summable.
+//! bucket array small and summable. A histogram stores only the dense
+//! prefix of that array, up to the bucket of its largest sample, so an
+//! empty one allocates nothing and one whose samples stay below 1 000
+//! holds 112 buckets at most, not all [`BUCKETS`].
 //!
 //! ```rust
 //! use atp_util::metrics::{LogHistogram, Registry};
@@ -43,8 +46,10 @@ pub const SUB_BUCKET_BITS: u32 = 4;
 
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 
-/// Number of buckets a histogram holds: the `SUB_BUCKETS` exact low
-/// values plus `SUB_BUCKETS` per power-of-two range above them.
+/// The most buckets a histogram can hold: the `SUB_BUCKETS` exact low
+/// values plus `SUB_BUCKETS` per power-of-two range above them. A
+/// histogram holds the prefix up to its largest sample's bucket, so all of
+/// them only once it has recorded a value in the top bucket.
 pub const BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BUCKET_BITS as usize) * SUB_BUCKETS;
 
 /// Maps a value to its bucket index. Total and monotone over `u64`.
@@ -87,6 +92,11 @@ fn bucket_high(i: usize) -> u64 {
 /// bucket-wise addition — associative, commutative, and identical to
 /// having recorded all samples into one histogram, which is what keeps
 /// parallel sweep shards byte-identical to serial runs.
+///
+/// The bucket array is the prefix up to the bucket of the largest sample:
+/// `buckets.len() == bucket_index(max) + 1`, or 0 when nothing was
+/// recorded. Its length is therefore a function of the samples, so the
+/// derived `PartialEq` still means "recorded the same samples".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     count: u64,
@@ -110,7 +120,7 @@ impl LogHistogram {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: vec![0; BUCKETS],
+            buckets: Vec::new(),
         }
     }
 
@@ -120,7 +130,11 @@ impl LogHistogram {
         self.sum += v as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.buckets[bucket_index(v)] += 1;
+        let i = bucket_index(v);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += 1;
     }
 
     /// Exact merge: afterwards `self` equals a histogram that recorded
@@ -130,6 +144,9 @@ impl LogHistogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += *b;
         }
@@ -351,8 +368,8 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::Check;
-    use crate::rng::{Rng, SeedableRng, StdRng};
+    use crate::check::{Check, Gen};
+    use crate::rng::{Rng, RngCore, SeedableRng, StdRng};
 
     #[test]
     fn low_values_are_exact() {
@@ -489,6 +506,199 @@ mod tests {
         );
     }
 
+    /// The layout every histogram had before it was sized: all `BUCKETS`
+    /// buckets, whatever it recorded. The sized histogram must read the same
+    /// as this one in every accessor and every serialised byte.
+    struct Dense {
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+        buckets: Vec<u64>,
+    }
+
+    impl Dense {
+        fn new() -> Self {
+            Dense {
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+                buckets: vec![0; BUCKETS],
+            }
+        }
+
+        fn record(&mut self, v: u64) {
+            self.count += 1;
+            self.sum += v as u128;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+            self.buckets[bucket_index(v)] += 1;
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            self.count += other.count;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+                *a += *b;
+            }
+        }
+
+        fn min(&self) -> u64 {
+            if self.count == 0 {
+                0
+            } else {
+                self.min
+            }
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut seen = 0u64;
+            for (i, &c) in self.buckets.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return bucket_high(i).clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+
+        fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
+            (0..BUCKETS)
+                .filter(|&i| self.buckets[i] > 0)
+                .map(|i| (bucket_low(i), bucket_high(i), self.buckets[i]))
+                .collect()
+        }
+
+        fn json(&self) -> String {
+            let mut w = JsonWriter::new();
+            w.begin_obj();
+            w.key("count");
+            w.u64(self.count);
+            w.key("sum");
+            w.f64(self.sum as f64);
+            w.key("min");
+            w.u64(self.min());
+            w.key("max");
+            w.u64(self.max);
+            w.key("mean");
+            w.f64(if self.count == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.count as f64
+            });
+            for (key, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+                w.key(key);
+                w.u64(self.quantile(q));
+            }
+            w.key("buckets");
+            w.begin_arr();
+            for (low, _, c) in self.nonzero_buckets() {
+                w.begin_arr();
+                w.u64(low);
+                w.u64(c);
+                w.end_arr();
+            }
+            w.end_arr();
+            w.end_obj();
+            w.finish()
+        }
+    }
+
+    /// Asserts that `h` reads exactly as the dense `d` and holds the
+    /// buckets up to its largest sample's, no more.
+    fn assert_reads_as(h: &LogHistogram, d: &Dense, what: &str) {
+        assert_eq!(h.count(), d.count, "{what}: count");
+        assert_eq!(h.sum(), d.sum, "{what}: sum");
+        assert_eq!(h.min(), d.min(), "{what}: min");
+        assert_eq!(h.max(), d.max, "{what}: max");
+        for k in 0..=40 {
+            let q = k as f64 / 40.0;
+            assert_eq!(h.quantile(q), d.quantile(q), "{what}: quantile({q})");
+        }
+        let nonzero: Vec<_> = h.nonzero_buckets().collect();
+        assert_eq!(nonzero, d.nonzero_buckets(), "{what}: nonzero buckets");
+        let mut w = JsonWriter::new();
+        h.write_json(&mut w);
+        assert_eq!(w.finish(), d.json(), "{what}: JSON bytes");
+        let held = if d.count == 0 {
+            0
+        } else {
+            bucket_index(d.max) + 1
+        };
+        assert_eq!(h.buckets.len(), held, "{what}: buckets held");
+    }
+
+    /// A sample that is often a bucket edge (0, the last exact value 15, the
+    /// first sub-bucketed values 16 and 17, `u64::MAX`), else small or of a
+    /// random magnitude.
+    fn edgy_sample(g: &mut Gen) -> u64 {
+        match g.gen_range(0..3u32) {
+            0 => *g.pick(&[0, 15, 16, 17, u64::MAX]),
+            1 => g.gen_range(0..1_000u64),
+            _ => g.next_u64() >> g.gen_range(0..64u32),
+        }
+    }
+
+    #[test]
+    fn sized_histogram_reads_as_the_dense_one() {
+        Check::new("hist_sized_equals_dense").cases(256).run(
+            |g| {
+                let a: Vec<u64> = g.vec(0..30, edgy_sample);
+                let b: Vec<u64> = g.vec(0..30, edgy_sample);
+                (a, b)
+            },
+            |(a, b)| {
+                let (mut ha, mut hb, mut serial) = (
+                    LogHistogram::new(),
+                    LogHistogram::new(),
+                    LogHistogram::new(),
+                );
+                let (mut da, mut db) = (Dense::new(), Dense::new());
+                for &v in a {
+                    ha.record(v);
+                    da.record(v);
+                    serial.record(v);
+                }
+                for &v in b {
+                    hb.record(v);
+                    db.record(v);
+                    serial.record(v);
+                }
+                assert_reads_as(&ha, &da, "a");
+                assert_reads_as(&hb, &db, "b");
+                let mut dab = Dense::new();
+                dab.merge(&da);
+                dab.merge(&db);
+                assert_reads_as(&serial, &dab, "recorded a then b");
+
+                let mut ab = ha.clone();
+                ab.merge(&hb);
+                let mut ba = hb.clone();
+                ba.merge(&ha);
+                assert_reads_as(&ab, &dab, "a merged with b");
+                assert_reads_as(&ba, &dab, "b merged with a");
+                assert_eq!(ab, serial, "a ⊕ b differs from recording both");
+                assert_eq!(ba, serial, "b ⊕ a differs from recording both");
+
+                let mut empty_then_a = LogHistogram::new();
+                empty_then_a.merge(&ha);
+                let mut a_then_empty = ha.clone();
+                a_then_empty.merge(&LogHistogram::new());
+                assert_reads_as(&empty_then_a, &da, "empty merged with a");
+                assert_reads_as(&a_then_empty, &da, "a merged with empty");
+                assert_eq!(empty_then_a, ha, "empty ⊕ a differs from a");
+                assert_eq!(a_then_empty, ha, "a ⊕ empty differs from a");
+            },
+        );
+    }
+
     #[test]
     fn registry_merges_and_serializes_deterministically() {
         let mut a = Registry::new();
@@ -521,6 +731,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_safe() {
         let h = LogHistogram::new();
+        assert_eq!(h.buckets.capacity(), 0, "an empty histogram allocates");
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);

@@ -16,6 +16,8 @@ use adaptive_token_passing::core::{
     TokenNode, Want,
 };
 use adaptive_token_passing::net::{NodeId, SimTime, StepOutcome, World, WorldConfig};
+use adaptive_token_passing::sim::runner::{run_experiment, ExperimentSpec, Protocol};
+use adaptive_token_passing::sim::workload::GlobalPoisson;
 
 /// Counts the bytes this thread holds on the heap, so tests running on other
 /// threads of this binary do not disturb a measurement.
@@ -156,6 +158,38 @@ fn drained_nodes_keep_heap_only_for_live_state() {
         assert!(
             bytes <= ceiling,
             "a {label} node keeps {bytes:.1} B of heap, over {ceiling} B"
+        );
+    }
+}
+
+/// The most heap one `RunSummary` may keep.
+const MAX_SUMMARY_BYTES: isize = 4 * 1_024;
+
+/// A run's summary keeps heap only for what it reports. Sweeps, tables and
+/// the benchmark hold one summary per run, so its size multiplies: at the
+/// Figure 9 load (N = 64, one request every 10 ticks, seed 1, horizon 4 000,
+/// or 1 000 for Search) each summary kept 39 080 B (38 KiB) while each of its
+/// five span histograms held all 976 buckets. It keeps 488–2 248 B now that
+/// a histogram holds only the buckets up to its largest sample.
+#[test]
+fn a_run_summary_keeps_little_heap() {
+    for protocol in Protocol::ALL {
+        let horizon = match protocol {
+            Protocol::Search => 1_000,
+            _ => 4_000,
+        };
+        let spec = ExperimentSpec::new(protocol, 64, horizon).with_seed(1);
+        let mut workload = GlobalPoisson::new(10.0);
+        let summary = run_experiment(&spec, &mut workload);
+        // Dropping the summary frees exactly the heap it owns.
+        let before = live_bytes();
+        drop(summary);
+        let kept = before - live_bytes();
+        println!("{}: a summary keeps {kept} B of heap", protocol.label());
+        assert!(
+            kept <= MAX_SUMMARY_BYTES,
+            "a {} summary keeps {kept} B of heap, over {MAX_SUMMARY_BYTES} B",
+            protocol.label()
         );
     }
 }
